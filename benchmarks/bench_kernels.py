@@ -1,8 +1,9 @@
 """Timing comparison of the compiled CSR kernels vs the numpy fallback.
 
 Measures raw matvec/rmatvec throughput on the discretized control
-problems' Jacobians and a full MINRES solve that exercises the kernels
-the way the solver does.  Run from the repository root:
+problems' Jacobians, the fused KKT apply ``(H u + J.T delta, J u)`` on
+the Hessian and Jacobian, and a full MINRES solve that exercises the
+kernels the way the solver does.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py --mesh 32 --repeats 200
 """
@@ -13,7 +14,7 @@ import time
 import numpy as np
 
 from sisqo import kernels
-from sisqo.krylov import minres_init
+from sisqo.krylov import MinresState
 from sisqo.library import ControlProblemSpec, build_poisson_control
 from sisqo.sparse import KktOperator
 
@@ -36,17 +37,22 @@ def _time(fn, repeats):
     return best
 
 
-def bench_matvec(j, repeats):
+def bench_kernels(h, j, repeats):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(j.cols)
     xt = rng.standard_normal(j.rows)
+    z = rng.standard_normal(h.rows + j.rows)
     out = np.empty(j.rows)
     out_t = np.empty(j.cols)
+    out_z = np.empty(len(z))
     fwd = _time(lambda: kernels.csr_matvec(j.indptr, j.indices, j.data, x,
                                            out), repeats)
     rev = _time(lambda: kernels.csr_rmatvec(j.indptr, j.indices, j.data, xt,
                                             out_t), repeats)
-    return fwd, rev
+    kkt = _time(lambda: kernels.kkt_apply(h.indptr, h.indices, h.data,
+                                          j.indptr, j.indices, j.data, z,
+                                          out_z), repeats)
+    return fwd, rev, kkt
 
 
 def bench_minres(h, j, steps, repeats):
@@ -55,7 +61,7 @@ def bench_minres(h, j, steps, repeats):
     rhs = (rng.standard_normal(op.n), rng.standard_normal(op.m))
 
     def solve():
-        state = minres_init(op, rhs)
+        state = MinresState(op, rhs)
         for _ in range(steps):
             if state.breakdown or state.stalled:
                 break
@@ -76,30 +82,30 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     problem, h, j = _build(args.mesh)
-    nnz = len(j.data)
     print(f"problem {problem.name}: n={problem.n} m={problem.m}"
-          f" jacobian nnz={nnz}")
+          f" jacobian nnz={j.nnz} hessian nnz={h.nnz}")
     print(f"backends: {kernels.available_backends()}"
           f" (active: {kernels.active_backend()})")
 
     results = {}
     for name in kernels.available_backends():
         kernels.use_backend(name)
-        fwd, rev = bench_matvec(j, args.repeats)
+        fwd, rev, kkt = bench_kernels(h, j, args.repeats)
         solve = bench_minres(h, j, args.minres_steps,
                              max(3, args.repeats // 20))
-        results[name] = (fwd, rev, solve)
+        results[name] = (fwd, rev, kkt, solve)
 
     print(f"\n{'backend':<10} {'matvec':>12} {'rmatvec':>12}"
-          f" {'minres x' + str(args.minres_steps):>14}")
-    for name, (fwd, rev, solve) in sorted(results.items()):
+          f" {'kkt_apply':>12} {'minres x' + str(args.minres_steps):>14}")
+    for name, (fwd, rev, kkt, solve) in sorted(results.items()):
         print(f"{name:<10} {fwd * 1e6:>10.1f}us {rev * 1e6:>10.1f}us"
-              f" {solve * 1e3:>12.2f}ms")
+              f" {kkt * 1e6:>10.1f}us {solve * 1e3:>12.2f}ms")
     if len(results) == 2:
         py, comp = results["python"], results["compiled"]
         print(f"\nspeedup (python/compiled): matvec {py[0] / comp[0]:.2f}x,"
               f" rmatvec {py[1] / comp[1]:.2f}x,"
-              f" minres {py[2] / comp[2]:.2f}x")
+              f" kkt_apply {py[2] / comp[2]:.2f}x,"
+              f" minres {py[3] / comp[3]:.2f}x")
     return 0
 
 

@@ -595,9 +595,14 @@ def _tangential_solve(ctx, cfg):
     cap = max(cfg.kappa * float(np.max(np.abs(ctx.rhs_top), initial=0.0)),
               cfg.minres_abs_floor)
     max_iter = max(1, int(cfg.minres_max_iter_scale * op.dim))
+    # ||r||_inf >= ||r||_2 / sqrt(dim), so a 2-norm above sqrt(dim) * cap,
+    # by more than its own round-off, fails the infinity-norm cap too;
+    # the cheap test skips the temporary-allocating max |r|
+    norm_cap = cap * math.sqrt(op.dim) * (
+        1.0 + (op.dim + 8) * np.finfo(float).eps)
 
     def try_accept():
-        if mstate.resid_norm_inf > cap:
+        if mstate.resid_norm > norm_cap or mstate.resid_norm_inf > cap:
             return None
         ev = _TestEvaluation(mstate.u, mstate.delta, mstate.rho, mstate.r,
                              ctx, cfg)

@@ -1,4 +1,5 @@
-"""CSR matvec kernels with a compiled core and a numpy fallback.
+"""CSR matvec and KKT-apply kernels with a compiled core and a numpy
+fallback.
 
 The compiled core is the C extension ``_csrkern``.  An install built by
 ``setup.py`` ships it.  In a source checkout it is compiled from
@@ -6,8 +7,10 @@ The compiled core is the C extension ``_csrkern``.  An install built by
 compiler settings, and cached in this package's ``__pycache__`` directory
 under a name keyed by the source hash and the interpreter's extension
 suffix; later imports load the cached file without starting a process.
-If the core can be neither imported nor built, one warning is logged and
-the numpy reference implementation is used.
+Once a build is loaded, older builds for the same extension suffix are
+deleted; builds for other interpreters are kept.  If the core can be
+neither imported nor built, one warning is logged and the numpy
+reference implementation is used.
 
 Set the environment variable ``SISQO_KERNELS=python`` (before import) or
 call :func:`use_backend` to force the numpy reference implementation.
@@ -18,6 +21,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import os
+import re
 import sys
 
 from . import reference
@@ -37,6 +41,20 @@ def _cached_path():
     # the first extension suffix is the interpreter's EXT_SUFFIX
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     return os.path.join(_CACHE_DIR, f"_csrkern-{digest}{suffix}")
+
+
+def _prune_stale(target):
+    """Delete builds of other source versions for this interpreter's
+    extension suffix; other suffixes belong to other interpreters."""
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    stale = re.compile(r"_csrkern-[0-9a-f]{16}" + re.escape(suffix))
+    keep = os.path.basename(target)
+    for name in os.listdir(_CACHE_DIR):
+        if name != keep and stale.fullmatch(name):
+            try:
+                os.remove(os.path.join(_CACHE_DIR, name))
+            except OSError:
+                pass  # removed concurrently, or not ours to remove
 
 
 def _compile(target):
@@ -89,6 +107,7 @@ def _load_compiled():
         spec = importlib.util.spec_from_file_location(name, target)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        _prune_stale(target)
     except Exception as exc:  # noqa: BLE001 - any failure means the fallback
         _log.warning("compiled CSR kernels unavailable (%s); "
                      "using the numpy fallback", exc)
@@ -135,3 +154,9 @@ def csr_matvec(indptr, indices, data, x, out):
 
 def csr_rmatvec(indptr, indices, data, x, out):
     _active.csr_rmatvec(indptr, indices, data, x, out)
+
+
+def kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,
+              out):
+    _active.kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices,
+                      j_data, z, out)

@@ -3,6 +3,10 @@
 Storage is canonical CSR (sorted, duplicate-free, int64 indices, float64
 values).  Matrix-vector products dispatch to :mod:`sisqo.kernels`, so the
 same objects run on the compiled core or the numpy fallback.
+
+Matrices are immutable: the CSR arrays are private read-only copies, so
+derived quantities such as the symmetry defect are computed once per
+object and cached.
 """
 
 import numpy as np
@@ -23,18 +27,19 @@ class SparseMatrix:
         block); columns of an applied vector must still match.
     indptr, indices, data : array_like
         Canonical CSR arrays.  Column indices must be sorted within each
-        row and duplicate (row, col) pairs are rejected.
+        row and duplicate (row, col) pairs are rejected.  The matrix keeps
+        read-only copies, so later writes to the arguments do not reach it.
     """
 
-    __slots__ = ("rows", "cols", "indptr", "indices", "data")
+    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_sym_defect")
 
     def __init__(self, shape, indptr, indices, data):
         rows, cols = (int(shape[0]), int(shape[1]))
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        data = np.ascontiguousarray(data, dtype=np.float64)
+        indptr = np.array(indptr, dtype=np.int64)
+        indices = np.array(indices, dtype=np.int64)
+        data = np.array(data, dtype=np.float64)
         if indptr.shape != (rows + 1,) or indptr[0] != 0 or indptr[-1] != len(data):
             raise ValueError("malformed CSR indptr")
         if len(indices) != len(data):
@@ -43,17 +48,23 @@ class SparseMatrix:
             raise ValueError("indptr must be non-decreasing")
         if len(indices) and (indices.min() < 0 or indices.max() >= cols):
             raise ValueError("column index out of range")
-        for r in range(rows):
-            lo, hi = indptr[r], indptr[r + 1]
-            if hi - lo > 1:
-                seg = indices[lo:hi]
-                if np.any(np.diff(seg) <= 0):
-                    raise ValueError(f"row {r} has unsorted or duplicate columns")
+        # columns must increase between neighbours in one row; the pair
+        # straddling each row start is exempt
+        increasing = np.diff(indices) > 0
+        starts = indptr[1:-1]
+        increasing[starts[(starts > 0) & (starts < len(indices))] - 1] = True
+        if not increasing.all():
+            first = int(np.argmin(increasing))
+            row = int(np.searchsorted(indptr, first, side="right")) - 1
+            raise ValueError(f"row {row} has unsorted or duplicate columns")
+        for a in (indptr, indices, data):
+            a.flags.writeable = False
         self.rows = rows
         self.cols = cols
         self.indptr = indptr
         self.indices = indices
         self.data = data
+        self._sym_defect = None
 
     # -- constructors ------------------------------------------------
 
@@ -161,7 +172,15 @@ class SparseMatrix:
         return SparseMatrix.from_triplets((self.cols, self.rows), ci, ri, vals)
 
     def symmetry_defect(self):
-        """max |A - A.T| over entries; 0 for a symmetric matrix."""
+        """max |A - A.T| over entries; 0 for a symmetric matrix.
+
+        Computed on the first call and cached: the matrix is immutable.
+        """
+        if self._sym_defect is None:
+            self._sym_defect = self._compute_symmetry_defect()
+        return self._sym_defect
+
+    def _compute_symmetry_defect(self):
         if self.rows != self.cols:
             return np.inf
         at = self.transpose()
@@ -204,6 +223,10 @@ def frobenius_distance(a, b):
     """||A - B||_F for two sparse matrices of one shape."""
     if a.shape != b.shape:
         raise ValueError("shape mismatch")
+    if np.array_equal(a.indptr, b.indptr) and \
+            np.array_equal(a.indices, b.indices):
+        # one pattern: the merge below would pair every entry in order
+        return float(np.linalg.norm(a.data - b.data))
     ri, ci, va = a.triplets()
     rj, cj, vb = b.triplets()
     merged = SparseMatrix.from_triplets(
@@ -216,10 +239,11 @@ class KktOperator:
     """Symmetric saddle operator (u, d) -> (H u + J.T d, J u).
 
     H must be symmetric n-by-n; J is m-by-n with m possibly zero.  The
-    operator is applied to stacked vectors of length n + m.
+    operator is applied to stacked vectors of length n + m, in one
+    kernel call.
     """
 
-    __slots__ = ("h", "j", "n", "m", "_sym_tol")
+    __slots__ = ("h", "j", "n", "m", "dim", "_csr")
 
     def __init__(self, h, j, sym_tol=1e-12):
         if h.rows != h.cols:
@@ -234,32 +258,24 @@ class KktOperator:
         self.j = j
         self.n = h.rows
         self.m = j.rows
-        self._sym_tol = sym_tol
-
-    @property
-    def dim(self):
-        return self.n + self.m
-
-    def apply_pair(self, u, delta, out_top=None, out_bot=None):
-        """(H u + J.T delta, J u)."""
-        top = self.h.apply(u, out=out_top)
-        if self.m:
-            top += self.j.apply_transpose(delta)
-            bot = self.j.apply(u, out=out_bot)
-        else:
-            bot = np.zeros(0) if out_bot is None else out_bot
-        return top, bot
+        self.dim = self.n + self.m
+        self._csr = (h.indptr, h.indices, h.data, j.indptr, j.indices,
+                     j.data)
 
     def apply(self, z, out=None):
-        """Stacked apply on z = (u, delta)."""
-        z = np.asarray(z, dtype=np.float64)
+        """Stacked apply on z = (u, delta).
+
+        ``out``, when given, must be a C-contiguous float64 vector of
+        length ``dim``; it may alias ``z``.
+        """
+        z = np.ascontiguousarray(z, dtype=np.float64)
         if z.shape != (self.dim,):
             raise ValueError(f"expected stacked vector of length {self.dim}")
         if out is None:
             out = np.empty(self.dim)
-        top, bot = self.apply_pair(z[:self.n], z[self.n:])
-        out[:self.n] = top
-        out[self.n:] = bot
+        elif np.may_share_memory(z, out):
+            z = z.copy()
+        kernels.kkt_apply(*self._csr, z, out)
         return out
 
     def to_dense(self):

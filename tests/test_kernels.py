@@ -12,21 +12,24 @@ import pytest
 from sisqo import kernels
 
 
-def _csr_arrays(rng, rows, cols, density=0.3):
-    dense = rng.standard_normal((rows, cols))
-    dense[rng.uniform(size=dense.shape) > density] = 0.0
+def _csr_from_dense(dense):
     indptr = [0]
     indices = []
     data = []
-    for r in range(rows):
-        nz = np.nonzero(dense[r])[0]
+    for row in dense:
+        nz = np.nonzero(row)[0]
         indices.extend(nz)
-        data.extend(dense[r, nz])
+        data.extend(row[nz])
         indptr.append(len(indices))
-    return (dense,
-            np.asarray(indptr, dtype=np.int64),
+    return (np.asarray(indptr, dtype=np.int64),
             np.asarray(indices, dtype=np.int64),
             np.asarray(data, dtype=np.float64))
+
+
+def _csr_arrays(rng, rows, cols, density=0.3):
+    dense = rng.standard_normal((rows, cols))
+    dense[rng.uniform(size=dense.shape) > density] = 0.0
+    return (dense, *_csr_from_dense(dense))
 
 
 @pytest.fixture(params=kernels.available_backends())
@@ -83,6 +86,59 @@ def test_empty_rows_and_matrices(backend):
     kernels.csr_matvec(np.array([0], dtype=np.int64), empty, np.zeros(0),
                        np.zeros(4), out0)
     assert out0.shape == (0,)
+
+
+def _good_kkt_args():
+    # H = diag(2, 3), J = [[0, 4]], z = (u, delta) of length 3
+    return dict(h_indptr=np.array([0, 1, 2], dtype=np.int64),
+                h_indices=np.array([0, 1], dtype=np.int64),
+                h_data=np.array([2.0, 3.0]),
+                j_indptr=np.array([0, 1], dtype=np.int64),
+                j_indices=np.array([1], dtype=np.int64),
+                j_data=np.array([4.0]),
+                z=np.array([1.0, 1.0, 2.0]),
+                out=np.empty(3))
+
+
+def _kkt_blocks(rng, n, m):
+    """CSR arrays of H (n-by-n, rows 0 and 2 empty) and J (m-by-n, last
+    row empty); the kernel does not need H symmetric."""
+    h, j = rng.standard_normal((n, n)), rng.standard_normal((m, n))
+    h[rng.uniform(size=h.shape) > 0.5] = 0.0
+    j[rng.uniform(size=j.shape) > 0.5] = 0.0
+    h[[0, 2]] = 0.0
+    j[-1:] = 0.0
+    return _csr_from_dense(h), _csr_from_dense(j)
+
+
+@pytest.mark.parametrize("n, m", [(7, 3), (6, 0), (5, 5), (3, 1)])
+def test_kkt_apply_matches_composed_kernels(backend, n, m):
+    # bit for bit the three separate products: H u + J.T delta, J u
+    rng = np.random.default_rng(14)
+    h, j = _kkt_blocks(rng, n, m)
+    z = rng.standard_normal(n + m)
+    u, delta = z[:n], z[n:]
+    top, bot = np.empty(n), np.empty(m)
+    kernels.csr_matvec(*h, u, top)
+    if m:
+        jtd = np.empty(n)
+        kernels.csr_rmatvec(*j, delta, jtd)
+        top = top + jtd
+        kernels.csr_matvec(*j, u, bot)
+    out = np.full(n + m, np.nan)
+    kernels.kkt_apply(*h, *j, z, out)
+    assert out.tobytes() == np.concatenate([top, bot]).tobytes()
+
+
+def test_kkt_apply_rejects_overlap(backend):
+    args = _good_kkt_args()
+    buf = np.arange(4.0)
+    args["z"], args["out"] = buf[:3], buf[1:]
+    with pytest.raises(ValueError, match="overlap"):
+        kernels.kkt_apply(**args)
+    args["z"] = args["out"] = np.array([1.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="overlap"):
+        kernels.kkt_apply(**args)
 
 
 def test_backends_agree():
@@ -170,6 +226,31 @@ def test_compiled_rejects_bad_buffers(compiled, name, bad, error):
         kernels.csr_matvec(**args)
 
 
+@pytest.mark.parametrize("name, bad, error", [
+    ("h_indptr", np.array([0, 1, 2], dtype=np.int32), ValueError),
+    ("j_indices", np.array([1], dtype=np.uint64), ValueError),
+    ("h_data", np.array([2.0, 3.0], dtype=np.float32), ValueError),
+    ("z", np.array([1.0, 1.0, 2.0], dtype=np.float32), ValueError),
+    ("out", np.empty(6)[::2], ValueError),
+    ("out", _read_only(np.empty(3)), (ValueError, BufferError)),
+    ("h_indptr", np.zeros(0, dtype=np.int64), ValueError),
+    ("h_data", np.array([2.0]), ValueError),
+    ("j_data", np.array([4.0, 5.0]), ValueError),
+    ("z", np.ones(4), ValueError),
+    ("out", np.empty(2), ValueError),
+    ("j_indptr", np.array([0, 1, 1], dtype=np.int64), ValueError),
+    ("z", None, TypeError),
+])
+def test_compiled_kkt_apply_rejects_bad_buffers(compiled, name, bad, error):
+    args = _good_kkt_args()
+    args[name] = bad
+    with pytest.raises(error):
+        kernels.kkt_apply(**args)
+    args = _good_kkt_args()
+    kernels.kkt_apply(**args)
+    np.testing.assert_array_equal(args["out"], [2.0, 3.0 + 8.0, 4.0])
+
+
 def test_compiled_rmatvec_checks_rows_against_x(compiled):
     args = _good_args()
     args["x"], args["out"] = np.ones(3), np.empty(3)  # three rows, not two
@@ -241,6 +322,28 @@ def test_failed_build_falls_back_to_numpy(tmp_path, failure):
     assert backends == ["python", "python"]
     assert len(warnings) == 1 and "numpy fallback" in warnings[0], warnings
     assert _cache_entries(kernel_dir) == []
+
+
+@needs_source
+def test_stale_builds_are_pruned(tmp_path):
+    # builds of other source versions for this interpreter go, on a
+    # fresh build and on a cache hit; other interpreters' builds stay
+    kernel_dir = _package_copy(tmp_path)
+    cache = kernel_dir / "__pycache__"
+    cache.mkdir()
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    stale = "_csrkern-0123456789abcdef" + suffix
+    other = "_csrkern-0123456789abcdef.cpython-0-other-interpreter.so"
+    for name in (stale, other):
+        (cache / name).write_bytes(b"")
+    assert _import_in_child(tmp_path, "plain") == (
+        ["compiled", "compiled", "python"], [])
+    built = _cache_entries(kernel_dir)
+    assert stale not in built and other in built and len(built) == 2
+    (cache / stale).write_bytes(b"")
+    assert _import_in_child(tmp_path, "cached") == (
+        ["compiled", "compiled", "python"], [])
+    assert _cache_entries(kernel_dir) == built
 
 
 @needs_source

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from sisqo import kernels
 from sisqo.krylov import (MinresState, cg_normal_solve, inf_norm_pair,
                           least_squares_multipliers, minres_init, minres_step,
                           norm_pair, residual_pair)
 from sisqo.sparse import KktOperator, SparseMatrix
 
-from oracles import (dense_kkt_matrix, dense_kkt_solve,
+from oracles import (AllocatingMinres, dense_kkt_matrix, dense_kkt_solve,
                      dense_least_squares_multipliers, dense_normal_step,
                      make_sparse, random_full_rank, random_spd,
                      random_symmetric)
@@ -280,3 +281,40 @@ def test_minres_earlier_candidates_stay_frozen():
     minres_step(state)
     np.testing.assert_array_equal(u_view, u_copy)
     assert not np.array_equal(state.u, u_copy)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_minres_matches_allocating_step_bitwise(name):
+    # the in-place step with the fused operator apply must reproduce the
+    # allocating step over separate CSR products bit for bit, on sparse
+    # blocks with empty rows and with m = 0
+    rng = np.random.default_rng(33)
+    previous = kernels.active_backend()
+    kernels.use_backend(name)
+    try:
+        for n, m in ((12, 5), (9, 0), (20, 8)):
+            h_dense = random_symmetric(rng, n)
+            h_dense[rng.uniform(size=(n, n)) > 0.4] = 0.0
+            h_dense = np.triu(h_dense) + np.triu(h_dense, 1).T
+            h_dense[1] = h_dense[:, 1] = 0.0
+            j_dense = rng.standard_normal((m, n))
+            j_dense[rng.uniform(size=(m, n)) > 0.5] = 0.0
+            if m:
+                j_dense[-1] = 0.0
+            h = make_sparse(h_dense)
+            j = SparseMatrix.from_dense(j_dense) if m else _no_constraints(n)
+            rhs_top, rhs_bot = rng.standard_normal(n), rng.standard_normal(m)
+            state = MinresState(KktOperator(h, j), (rhs_top, rhs_bot))
+            oracle = AllocatingMinres(h, j, rhs_top, rhs_bot)
+            for _ in range(n + m):
+                if state.breakdown or state.stalled:
+                    break
+                state.step()
+                oracle.step()
+                assert state.z.tobytes() == oracle.z.tobytes()
+                assert np.concatenate([state.rho, state.r]).tobytes() \
+                    == oracle.resid.tobytes()
+                assert state.resid_norm == oracle.resid_norm
+            assert state.iteration == oracle.iteration >= 5
+    finally:
+        kernels.use_backend(previous)

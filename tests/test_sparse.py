@@ -40,6 +40,32 @@ def test_csr_constructor_validates():
         SparseMatrix((1, 3), [0, 2], [2, 0], [1.0, 2.0])
     with pytest.raises(ValueError, match="column index out of range"):
         SparseMatrix((1, 2), [0, 1], [2], [1.0])
+    # the first offending row is named, past sorted and empty rows
+    with pytest.raises(ValueError, match="row 3 has unsorted"):
+        SparseMatrix((5, 3), [0, 0, 2, 2, 4, 6], [0, 2, 1, 1, 2, 0],
+                     np.ones(6))
+    with pytest.raises(ValueError, match="row 2 has unsorted or duplicate"):
+        SparseMatrix((3, 3), [0, 1, 1, 3], [2, 0, 0], np.ones(3))
+    # a decrease across a row boundary, and empty rows anywhere, are fine
+    a = SparseMatrix((5, 3), [0, 0, 2, 2, 3, 3], [1, 2, 0], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(a.to_dense(), [[0, 0, 0], [0, 1, 2],
+                                                 [0, 0, 0], [3, 0, 0],
+                                                 [0, 0, 0]])
+    assert SparseMatrix((2, 2), [0, 0, 0], [], []).nnz == 0
+
+
+def test_matrix_arrays_are_private_and_read_only():
+    indptr = np.array([0, 1, 2], dtype=np.int64)
+    indices = np.array([0, 1], dtype=np.int64)
+    data = np.array([1.0, 2.0])
+    a = SparseMatrix((2, 2), indptr, indices, data)
+    data[0] = 5.0
+    indices[1] = 0
+    np.testing.assert_array_equal(a.to_dense(), np.diag([1.0, 2.0]))
+    for arr in (a.indptr, a.indices, a.data):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
 
 
 def test_dense_roundtrip():
@@ -122,8 +148,53 @@ def test_frobenius_distance():
     expected = np.linalg.norm(a.to_dense() - b.to_dense())
     assert frobenius_distance(a, b) == pytest.approx(expected, rel=1e-14)
     assert frobenius_distance(a, a) == 0.0
+    c = SparseMatrix.from_dense(np.array([[4.0, 0.0], [0.0, -1.0]]))
+    assert frobenius_distance(a, c) == pytest.approx(np.hypot(3.0, 3.0),
+                                                     rel=1e-15)
     with pytest.raises(ValueError, match="shape"):
         frobenius_distance(a, SparseMatrix.identity(3))
+
+
+def test_frobenius_distance_of_one_pattern_does_not_merge(monkeypatch):
+    a = SparseMatrix.from_dense(np.array([[1.0, 0.0], [2.0, 3.0]]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("triplets were merged")
+
+    monkeypatch.setattr(SparseMatrix, "from_triplets", refuse)
+    assert frobenius_distance(a, a) == 0.0
+
+
+def test_symmetry_is_checked_once_per_matrix(monkeypatch):
+    calls = []
+    transpose = SparseMatrix.transpose
+
+    def counting(self):
+        calls.append(self)
+        return transpose(self)
+
+    monkeypatch.setattr(SparseMatrix, "transpose", counting)
+    h = SparseMatrix.from_dense(random_symmetric(np.random.default_rng(10), 4))
+    j = SparseMatrix.from_dense(np.ones((1, 4)))
+    for _ in range(3):
+        KktOperator(h, j)
+    assert calls == [h]
+    asym = SparseMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not symmetric"):
+            KktOperator(asym, SparseMatrix((0, 2), [0], [], []))
+    assert calls == [h, asym]
+
+
+def test_kkt_apply_allows_out_aliasing_z():
+    rng = np.random.default_rng(11)
+    op = KktOperator(SparseMatrix.from_dense(random_symmetric(rng, 4)),
+                     SparseMatrix.from_dense(rng.standard_normal((2, 4))))
+    z = rng.standard_normal(6)
+    expected = op.apply(z)
+    out = op.apply(z, out=z)
+    assert out is z
+    assert z.tobytes() == expected.tobytes()
 
 
 def test_kkt_operator_is_symmetric():
