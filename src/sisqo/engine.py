@@ -7,9 +7,11 @@ of two termination tests accepts the iterate).  The merit parameter
 tau, the ratio parameter xi, and the step size alpha then follow from
 closed-form updates.
 
-Public functions operate on raw arrays so every piece can be exercised
-and cross-checked in isolation; ``sqp_iterate`` wires them together
-with cached intermediate quantities.
+Each formula of the method has one implementation, the one
+``sqp_iterate`` runs.  Where the iteration already holds cached parts
+(``||c||``, ``Jv``, ``||c + Jd||`` formed as ``||(c + Jv) + r||``), the
+formula takes those parts rather than the raw arrays, so a test of the
+formula exercises the arithmetic of the solver itself.
 """
 
 import logging
@@ -19,19 +21,17 @@ from typing import Optional
 
 import numpy as np
 
-from .krylov import (cg_normal_solve, least_squares_multipliers, minres_init,
-                     minres_step, norm_pair)
+from .krylov import (MinresState, cg_normal_solve, least_squares_multipliers,
+                     norm_pair)
 from .problems import HessianLadder, estimate_lipschitz, ladder_matrix
 from .sparse import KktOperator
 
 __all__ = ["SolverConfig", "IterateState", "StepResult", "NormalStepResult",
            "ConfigError", "EngineError", "IterationFailure", "InvariantBreach",
            "StationaryPointDetected", "model_reduction", "compute_normal_step",
-           "check_model_reduction_condition", "termination_test_1",
-           "termination_test_2", "tau_trial_and_update", "xi_update",
-           "evaluate_varphi", "step_size_bounds", "select_step_size",
-           "update_duals", "beta_for_iteration", "init_state", "sqp_iterate",
-           "merit_value"]
+           "tau_trial_and_update", "xi_update", "evaluate_varphi",
+           "step_size_bounds", "select_step_size", "update_duals",
+           "beta_for_iteration", "init_state", "sqp_iterate", "merit_value"]
 
 logger = logging.getLogger(__name__)
 
@@ -107,7 +107,6 @@ class SolverConfig:
     kappa_v: float = 0.1
     theta: float = 1e4
     eps_r: float = 1.0 - 1e-4
-    zeta: float = 1e-8
     # step-size scale schedule
     beta_mode: str = "constant"
     beta0: float = 1.0
@@ -120,15 +119,12 @@ class SolverConfig:
     # normal step (CG) and tangential step (MINRES) controls
     cg_rel_tol: float = 0.1
     cg_abs_floor: float = 1e-10
-    cg_max_iter: int = 0
     minres_abs_floor: float = 1e-12
     minres_max_iter_scale: float = 2.0
-    tt_check_stride: int = 1
     ls_multiplier_tol: float = 1e-10
     max_rung: int = 10
     # stationarity for the sampled gradient
     stationary_tol: float = 1e-12
-    resample_on_stationary: bool = True
     # outer loop (consumed by the run harness)
     feasibility_tol: float = 1e-6
     stationarity_tol: float = 1e-2
@@ -152,7 +148,7 @@ class SolverConfig:
                     "eps_c": self.eps_c, "eps_u": self.eps_u,
                     "kappa_rho": self.kappa_rho, "kappa_r": self.kappa_r,
                     "kappa_u": self.kappa_u, "kappa_v": self.kappa_v,
-                    "theta": self.theta, "zeta": self.zeta,
+                    "theta": self.theta,
                     "lip_floor": self.lip_floor,
                     "probe_radius_scale": self.probe_radius_scale,
                     "cg_rel_tol": self.cg_rel_tol,
@@ -180,8 +176,6 @@ class SolverConfig:
                         f" gamma = {scale:.3g} falls outside (0, 1]")
         if self.dual_update not in ("direct", "least_squares"):
             raise ConfigError(f"unknown dual_update {self.dual_update!r}")
-        if self.tt_check_stride < 1:
-            raise ConfigError("tt_check_stride must be >= 1")
         if self.max_rung < 0 or self.max_outer_iterations < 0:
             raise ConfigError("max_rung and max_outer_iterations must be >= 0")
         if self.cg_abs_floor < 0 or self.minres_abs_floor < 0:
@@ -211,10 +205,18 @@ class IterateState:
 
 @dataclass
 class NormalStepResult:
+    """The normal step v with the constraint parts every later formula
+    of the iteration reads: ``jv`` = Jv, ``c_plus_jv`` = c + Jv,
+    ``c_norm`` = ||c||, and ``cauchy_lhs`` = ||c|| - ||c + Jv||, the
+    normal decrease certified against ``cauchy_rhs``."""
+
     v: np.ndarray
     iterations: int
     cauchy_lhs: float
     cauchy_rhs: float
+    jv: np.ndarray
+    c_plus_jv: np.ndarray
+    c_norm: float
 
 
 @dataclass
@@ -255,11 +257,10 @@ def merit_value(problem, x, tau):
 
 # -- model reduction and the normal step ------------------------------------
 
-def model_reduction(tau, g, c, j, d):
-    """Reduction of the local merit model along d:
-    -tau g'd + ||c|| - ||c + Jd||."""
-    return (-tau * float(np.dot(g, d)) + float(np.linalg.norm(c))
-            - float(np.linalg.norm(c + j.apply(d))))
+def model_reduction(tau, g_dot_d, c_norm, norm_c_plus_jd):
+    """Reduction of the local merit model along d,
+    -tau g'd + ||c|| - ||c + Jd||, from g'd, ||c|| and ||c + Jd||."""
+    return -tau * g_dot_d + c_norm - norm_c_plus_jd
 
 
 def compute_normal_step(c, j, cfg):
@@ -269,12 +270,12 @@ def compute_normal_step(c, j, cfg):
     Raises InvariantBreach if the certification fails, since the CG
     iterates should dominate the Cauchy point by construction.
     """
-    max_iter = cfg.cg_max_iter if cfg.cg_max_iter > 0 else None
-    res = cg_normal_solve(j, c, cfg.cg_rel_tol, cfg.cg_abs_floor,
-                          max_iter=max_iter)
+    res = cg_normal_solve(j, c, cfg.cg_rel_tol, cfg.cg_abs_floor)
     v = res.v
     c_norm = float(np.linalg.norm(c))
-    lhs = c_norm - float(np.linalg.norm(c + j.apply(v)))
+    jv = j.apply(v)
+    c_plus_jv = c + jv
+    lhs = c_norm - float(np.linalg.norm(c_plus_jv))
 
     jtc = j.apply_transpose(c)
     jtc_sq = float(np.dot(jtc, jtc))
@@ -291,37 +292,64 @@ def compute_normal_step(c, j, cfg):
             f"normal step lost to the Cauchy point: decrease {lhs:.6e}"
             f" < required {rhs:.6e} (||c|| = {c_norm:.3e},"
             f" cg iterations {res.iterations})")
-    return NormalStepResult(v, res.iterations, lhs, rhs)
-
-
-def check_model_reduction_condition(tau, g, c, j, v, u, h, cfg):
-    """Sufficient model reduction of d = v + u against the tangential
-    curvature and the normal decrease, at the given tau."""
-    d = v + u
-    uhu = float(np.dot(u, h.apply(u)))
-    u_sq = float(np.dot(u, u))
-    c_norm = float(np.linalg.norm(c))
-    decrease_v = c_norm - float(np.linalg.norm(c + j.apply(v)))
-    lhs = model_reduction(tau, g, c, j, d)
-    rhs = cfg.sigma_u * tau * max(uhu, cfg.eps_u * u_sq) \
-        + cfg.sigma_c * decrease_v
-    return lhs >= rhs - _slack(lhs, rhs)
+    return NormalStepResult(v, res.iterations, lhs, rhs, jv, c_plus_jv,
+                            c_norm)
 
 
 # -- termination tests -------------------------------------------------------
 
-class _TestEvaluation:
-    """Shared quantities behind both termination tests for one MINRES
-    candidate; computed once, consumed by the test predicates and the
-    subsequent tau update."""
+class _IterationContext:
+    """Per-iterate cache shared across Hessian rungs and MINRES
+    candidates; ``set_rung`` adds the parts that depend on H."""
 
-    __slots__ = ("tt1", "tt2", "common", "g_dot_d", "max_term",
-                 "norm_c_plus_jd", "uhu", "u_sq")
+    __slots__ = ("g", "c", "j", "v", "y", "tau_prev", "beta",
+                 "prev_pair_norm", "jv", "c_plus_jv", "c_norm", "decrease_v",
+                 "g_dot_v", "v_norm", "jty", "h", "hv", "gv_vec", "rhs_top")
+
+    def __init__(self, g, c, j, ns, y, tau_prev, beta, prev_pair_norm):
+        self.g = g
+        self.c = c
+        self.j = j
+        self.v = ns.v
+        self.y = y
+        self.tau_prev = tau_prev
+        self.beta = beta
+        self.prev_pair_norm = (math.inf if prev_pair_norm is None
+                               else prev_pair_norm)
+        self.jv = ns.jv
+        self.c_plus_jv = ns.c_plus_jv
+        self.c_norm = ns.c_norm
+        self.decrease_v = ns.cauchy_lhs
+        self.g_dot_v = float(np.dot(g, ns.v))
+        self.v_norm = float(np.linalg.norm(ns.v))
+        self.jty = j.apply_transpose(y)
+
+    def set_rung(self, h):
+        self.h = h
+        self.hv = h.apply(self.v)
+        self.gv_vec = self.g + self.hv
+        self.rhs_top = self.gv_vec + self.jty
+
+
+class _TestEvaluation:
+    """Both termination tests for one MINRES candidate.
+
+    Conditions a (dual residual contraction), b (residuals within the
+    beta-scaled caps) and c (small or positively curved tangential step)
+    are common to both tests.  Test 1 adds sufficient model reduction at
+    the incoming tau, test 2 retention of the normal constraint decrease.
+    The parts kept here feed the tau update and the model reduction of
+    the accepted step.
+    """
+
+    __slots__ = ("ctx", "cond_a", "cond_b", "cond_c", "tt1", "tt2",
+                 "g_dot_d", "max_term", "norm_c_plus_jd")
 
     def __init__(self, u, delta, rho, r, ctx, cfg):
+        self.ctx = ctx
         hu = ctx.h.apply(u)
-        self.uhu = float(np.dot(u, hu))
-        self.u_sq = float(np.dot(u, u))
+        uhu = float(np.dot(u, hu))
+        u_sq = float(np.dot(u, u))
         rho_norm = float(np.linalg.norm(rho))
         r_norm = float(np.linalg.norm(r))
 
@@ -331,34 +359,29 @@ class _TestEvaluation:
         stat_vec = rho - hu - ctx.hv
         current = norm_pair(stat_vec, ctx.c)
         bound = cfg.kappa * min(current, ctx.prev_pair_norm)
-        cond_a = rho_norm <= bound
+        self.cond_a = rho_norm <= bound
 
-        cond_b = (rho_norm <= cfg.kappa_rho * ctx.beta
-                  and r_norm <= cfg.kappa_r * ctx.beta)
+        self.cond_b = (rho_norm <= cfg.kappa_rho * ctx.beta
+                       and r_norm <= cfg.kappa_r * ctx.beta)
 
-        small_u = math.sqrt(self.u_sq) <= cfg.kappa_u * ctx.v_norm
+        small_u = math.sqrt(u_sq) <= cfg.kappa_u * ctx.v_norm
         if small_u:
-            cond_c = True
+            self.cond_c = True
         else:
-            curved = self.uhu >= cfg.eps_u * self.u_sq
-            bounded = (float(np.dot(ctx.gv_vec, u)) + 0.5 * self.uhu
+            curved = uhu >= cfg.eps_u * u_sq
+            bounded = (float(np.dot(ctx.gv_vec, u)) + 0.5 * uhu
                        <= cfg.kappa_v * ctx.v_norm)
-            cond_c = curved and bounded
-        self.common = cond_a and cond_b and cond_c
+            self.cond_c = curved and bounded
 
         # Jd = Jv + r, again avoiding a Jacobian apply
         self.norm_c_plus_jd = float(np.linalg.norm(ctx.c_plus_jv + r))
         self.g_dot_d = ctx.g_dot_v + float(np.dot(ctx.g, u))
-        self.max_term = max(self.uhu, cfg.eps_u * self.u_sq)
+        self.max_term = max(uhu, cfg.eps_u * u_sq)
 
-        if not self.common:
+        if not (self.cond_a and self.cond_b and self.cond_c):
             self.tt1 = self.tt2 = False
             return
-        reduction_prev = (-ctx.tau_prev * self.g_dot_d + ctx.c_norm
-                          - self.norm_c_plus_jd)
-        self.tt1 = reduction_prev >= (cfg.sigma_u * ctx.tau_prev
-                                      * self.max_term
-                                      + cfg.sigma_c * ctx.decrease_v)
+        self.tt1 = self.reduces_model(ctx.tau_prev, cfg)
         retained = ctx.c_norm - self.norm_c_plus_jd
         floor = cfg.eps_r * ctx.decrease_v
         self.tt2 = retained >= floor and floor > 0.0
@@ -367,55 +390,27 @@ class _TestEvaluation:
     def accepted(self):
         return 1 if self.tt1 else (2 if self.tt2 else 0)
 
-
-class _IterationContext:
-    """Per-(iterate, rung) cache shared across MINRES candidates."""
-
-    __slots__ = ("g", "c", "j", "v", "y", "h", "tau_prev", "beta",
-                 "prev_pair_norm", "hv", "jv", "c_plus_jv", "c_norm",
-                 "decrease_v", "g_dot_v", "gv_vec", "rhs_top", "v_norm")
-
-    def __init__(self, g, c, j, v, y, h, tau_prev, beta, prev_pair_norm):
-        self.g = g
-        self.c = c
-        self.j = j
-        self.v = v
-        self.y = y
-        self.h = h
-        self.tau_prev = tau_prev
-        self.beta = beta
-        self.prev_pair_norm = (math.inf if prev_pair_norm is None
-                               else prev_pair_norm)
-        self.hv = h.apply(v)
-        self.jv = j.apply(v)
-        self.c_plus_jv = c + self.jv
-        self.c_norm = float(np.linalg.norm(c))
-        self.decrease_v = self.c_norm - float(np.linalg.norm(self.c_plus_jv))
-        self.g_dot_v = float(np.dot(g, v))
-        self.gv_vec = g + self.hv
-        self.rhs_top = self.gv_vec + j.apply_transpose(y)
-        self.v_norm = float(np.linalg.norm(v))
-
-
-def termination_test_1(g, c, j, v, y, h, u, delta, rho, r, tau_prev, beta,
-                       cfg, prev_pair_norm=None):
-    """Truncation test requiring sufficient model reduction at the
-    incoming tau; accepting it leaves tau unchanged."""
-    ctx = _IterationContext(g, c, j, v, y, h, tau_prev, beta, prev_pair_norm)
-    return _TestEvaluation(u, delta, rho, r, ctx, cfg).tt1
-
-
-def termination_test_2(g, c, j, v, y, h, u, delta, rho, r, beta, cfg,
-                       prev_pair_norm=None):
-    """Truncation test requiring retention of the normal constraint
-    decrease; accepting it may shrink tau."""
-    ctx = _IterationContext(g, c, j, v, y, h, 1.0, beta, prev_pair_norm)
-    return _TestEvaluation(u, delta, rho, r, ctx, cfg).tt2
+    def reduces_model(self, tau, cfg, relaxed=False):
+        """Sufficient model reduction of d = v + u at merit parameter tau:
+        the reduction covers sigma_u tau max(u'Hu, eps_u ||u||^2) plus
+        sigma_c times the normal decrease.  ``relaxed`` forgives round-off
+        at the boundary, for rechecks at an updated tau."""
+        lhs = model_reduction(tau, self.g_dot_d, self.ctx.c_norm,
+                              self.norm_c_plus_jd)
+        rhs = cfg.sigma_u * tau * self.max_term \
+            + cfg.sigma_c * self.ctx.decrease_v
+        if relaxed:
+            return lhs >= rhs - _slack(lhs, rhs)
+        return lhs >= rhs
 
 
 # -- parameter updates -------------------------------------------------------
 
-def _tau_from_parts(tau_prev, g_dot_d, max_term, c_norm, norm_c_plus_jd, cfg):
+def tau_trial_and_update(tau_prev, g_dot_d, max_term, c_norm, norm_c_plus_jd,
+                         cfg):
+    """Merit parameter update after a test-2 acceptance, from g'd,
+    max(u'Hu, eps_u ||u||^2), ||c|| and ||c + Jd||; returns
+    (tau_trial, tau)."""
     denom = g_dot_d + max_term
     if denom <= 0.0:
         tau_trial = math.inf
@@ -431,17 +426,6 @@ def _tau_from_parts(tau_prev, g_dot_d, max_term, c_norm, norm_c_plus_jd, cfg):
             f"merit parameter collapsed to {tau_new:.3e}"
             f" (trial {tau_trial:.3e})")
     return tau_trial, tau_new
-
-
-def tau_trial_and_update(tau_prev, g, d, u, h, c, j, v, r, cfg):
-    """Merit parameter update after a test-2 acceptance."""
-    g_dot_d = float(np.dot(g, d))
-    max_term = max(float(np.dot(u, h.apply(u))),
-                   cfg.eps_u * float(np.dot(u, u)))
-    c_norm = float(np.linalg.norm(c))
-    norm_c_plus_jd = float(np.linalg.norm(c + j.apply(v) + r))
-    return _tau_from_parts(tau_prev, g_dot_d, max_term, c_norm,
-                           norm_c_plus_jd, cfg)
 
 
 def xi_update(xi_prev, tau, delta_l, d, cfg):
@@ -462,17 +446,15 @@ def xi_update(xi_prev, tau, delta_l, d, cfg):
 
 # -- step size ---------------------------------------------------------------
 
-def evaluate_varphi(alpha, beta, tau, delta_l, c, j, d, lip_l, lip_gamma,
-                    cfg):
+def evaluate_varphi(alpha, beta, tau, delta_l, lip_l, lip_gamma, c, c_norm,
+                    jd, norm_c_plus_jd, d_sq, cfg):
     """Upper model of the merit change at step size alpha, minus the
-    target decrease; step sizes with varphi <= 0 are safe."""
-    jd = j.apply(d)
-    c_norm = float(np.linalg.norm(c))
+    target decrease; step sizes with varphi <= 0 are safe.  Takes c, its
+    norm, Jd, ||c + Jd|| and ||d||^2 as the iteration holds them."""
     return ((cfg.eta - 1.0) * alpha * beta * delta_l
             + float(np.linalg.norm(c + alpha * jd)) - c_norm
-            + alpha * (c_norm - float(np.linalg.norm(c + jd)))
-            + 0.5 * (tau * lip_l + lip_gamma) * alpha ** 2
-            * float(np.dot(d, d)))
+            + alpha * (c_norm - norm_c_plus_jd)
+            + 0.5 * (tau * lip_l + lip_gamma) * alpha ** 2 * d_sq)
 
 
 def step_size_bounds(tau, xi, beta, delta_l, d, lip_l, lip_gamma, cfg):
@@ -532,15 +514,24 @@ def beta_for_iteration(cfg, k):
 
 # -- dual update and the outer iteration -------------------------------------
 
+def _residual_norm(g, j, y):
+    """Stationarity residual ||g + J'y||."""
+    return float(np.linalg.norm(g + j.apply_transpose(y)))
+
+
+def _least_squares_fit(g, j, cfg):
+    """Least-squares multipliers for g and their residual."""
+    y_ls = least_squares_multipliers(j, g, cfg.ls_multiplier_tol)
+    return y_ls, _residual_norm(g, j, y_ls)
+
+
 def update_duals(y, delta, g, j, cfg):
     """Shifted duals y + delta, or in least-squares mode the minimum
     residual multipliers when they beat the shifted ones."""
     y_plus = y + delta
     if cfg.dual_update == "least_squares":
-        y_ls = least_squares_multipliers(j, g, cfg.ls_multiplier_tol)
-        res_ls = float(np.linalg.norm(g + j.apply_transpose(y_ls)))
-        res_plus = float(np.linalg.norm(g + j.apply_transpose(y_plus)))
-        if res_ls <= res_plus:
+        y_ls, res_ls = _least_squares_fit(g, j, cfg)
+        if res_ls <= _residual_norm(g, j, y_plus):
             return y_ls
     return y_plus
 
@@ -570,13 +561,10 @@ def _check_stationary(state, problem, oracle, cfg, g):
         return g
     resampled = False
     while True:
-        y_ls = least_squares_multipliers(state.j, g, cfg.ls_multiplier_tol)
-        residual = float(np.linalg.norm(
-            g + state.j.apply_transpose(y_ls)))
+        y_ls, residual = _least_squares_fit(g, state.j, cfg)
         if residual >= cfg.stationary_tol:
             return g
-        if oracle.is_stochastic and cfg.resample_on_stationary \
-                and not resampled:
+        if oracle.is_stochastic and not resampled:
             g = oracle.sample(problem, state.x)
             resampled = True
             continue
@@ -584,14 +572,14 @@ def _check_stationary(state, problem, oracle, cfg, g):
 
 
 def _tangential_solve(ctx, cfg):
-    """Run MINRES on the KKT system, checking the termination tests on
-    a stride of iterates (and at breakdown), until one accepts.
+    """Run MINRES on the KKT system, checking the termination tests at
+    every iterate, until one accepts.
 
     Returns (u, delta, rho, r, evaluation, iterations, solver_info);
     the evaluation is None when the solver gave out unaccepted.
     """
     op = KktOperator(ctx.h, ctx.j)
-    mstate = minres_init(op, (ctx.rhs_top, np.zeros(ctx.j.rows)))
+    mstate = MinresState(op, (ctx.rhs_top, np.zeros(ctx.j.rows)))
     cap = max(cfg.kappa * float(np.max(np.abs(ctx.rhs_top), initial=0.0)),
               cfg.minres_abs_floor)
     max_iter = max(1, int(cfg.minres_max_iter_scale * op.dim))
@@ -613,15 +601,13 @@ def _tangential_solve(ctx, cfg):
         return (mstate.u, mstate.delta, mstate.rho, mstate.r, ev, 0,
                 {"breakdown": False, "stalled": False})
     for t in range(1, max_iter + 1):
-        minres_step(mstate)
-        final = mstate.breakdown or mstate.stalled
-        if t % cfg.tt_check_stride == 0 or final or t == max_iter:
-            ev = try_accept()
-            if ev is not None:
-                return (mstate.u, mstate.delta, mstate.rho, mstate.r, ev, t,
-                        {"breakdown": mstate.breakdown,
-                         "stalled": mstate.stalled})
-        if final:
+        mstate.step()
+        ev = try_accept()
+        if ev is not None:
+            return (mstate.u, mstate.delta, mstate.rho, mstate.r, ev, t,
+                    {"breakdown": mstate.breakdown,
+                     "stalled": mstate.stalled})
+        if mstate.breakdown or mstate.stalled:
             return (None, None, None, None, None, t,
                     {"breakdown": mstate.breakdown,
                      "stalled": mstate.stalled,
@@ -632,25 +618,16 @@ def _tangential_solve(ctx, cfg):
 
 
 def _debug_verify(step, ctx, ns, varphi, cfg):
-    """Recompute every guaranteed inequality from scratch; returns a
-    list of violation descriptions (empty when clean)."""
+    """Recheck every guaranteed inequality of the accepted step; returns
+    a list of violation descriptions (empty when clean)."""
     out = []
     if ns.cauchy_lhs < ns.cauchy_rhs - _slack(ns.cauchy_lhs, ns.cauchy_rhs):
         out.append(f"cauchy decrease {ns.cauchy_lhs:.6e} < {ns.cauchy_rhs:.6e}")
 
-    args = (ctx.g, ctx.c, ctx.j, ctx.v, ctx.y, ctx.h, step.u, step.delta,
-            step.rho, step.r)
-    if step.accepted_test == 1:
-        ok = termination_test_1(*args, ctx.tau_prev, step.beta, cfg,
-                                prev_pair_norm=ctx.prev_pair_norm)
-    else:
-        ok = termination_test_2(*args, step.beta, cfg,
-                                prev_pair_norm=ctx.prev_pair_norm)
-    if not ok:
+    ev = _TestEvaluation(step.u, step.delta, step.rho, step.r, ctx, cfg)
+    if not (ev.tt1 if step.accepted_test == 1 else ev.tt2):
         out.append(f"accepted test {step.accepted_test} fails on recompute")
-
-    if not check_model_reduction_condition(step.tau, ctx.g, ctx.c, ctx.j,
-                                           ctx.v, step.u, ctx.h, cfg):
+    if not ev.reduces_model(step.tau, cfg, relaxed=True):
         out.append("model reduction condition fails at updated tau")
 
     d_norm = float(np.linalg.norm(step.d))
@@ -717,13 +694,13 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng=None):
             state.prev_g + state.prev_j.apply_transpose(state.y),
             state.prev_c)
 
+    ctx = _IterationContext(g, state.c, state.j, ns, state.y, state.tau, beta,
+                            prev_pair)
     ladder = HessianLadder(max_rung=cfg.max_rung)
     total_minres = 0
     rungs = []
     while True:
-        h = ladder_matrix(ladder, problem, state.x, state.y)
-        ctx = _IterationContext(g, state.c, state.j, ns.v, state.y, h,
-                                state.tau, beta, prev_pair)
+        ctx.set_rung(ladder_matrix(ladder, problem, state.x, state.y))
         u, delta, rho, r, ev, iters, solver_info = _tangential_solve(ctx, cfg)
         total_minres += iters
         rungs.append({"rung": ladder.rung, "minres_iters": iters,
@@ -744,35 +721,32 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng=None):
     if ev.accepted == 1:
         tau_trial, tau_new = math.inf, state.tau
     else:
-        tau_trial, tau_new = _tau_from_parts(
+        tau_trial, tau_new = tau_trial_and_update(
             state.tau, ev.g_dot_d, ev.max_term, ctx.c_norm,
             ev.norm_c_plus_jd, cfg)
 
     d = ns.v + u
-    if float(np.dot(d, d)) == 0.0:
+    d_sq = float(np.dot(d, d))
+    if d_sq == 0.0:
         # a zero direction can only be accepted with v = 0 and u = 0
         # (any cancellation fails both tests), which certifies the
         # iterate as stationary for the sampled gradient to working
         # precision even when the explicit gate has not fired yet
-        y_ls = least_squares_multipliers(state.j, g, cfg.ls_multiplier_tol)
-        raise StationaryPointDetected(
-            state.x, y_ls,
-            float(np.linalg.norm(g + state.j.apply_transpose(y_ls))),
-            resampled=False)
-    delta_l = -tau_new * ev.g_dot_d + ctx.c_norm - ev.norm_c_plus_jd
+        y_ls, residual = _least_squares_fit(g, state.j, cfg)
+        raise StationaryPointDetected(state.x, y_ls, residual,
+                                      resampled=False)
+    delta_l = model_reduction(tau_new, ev.g_dot_d, ctx.c_norm,
+                              ev.norm_c_plus_jd)
     xi_trial, xi_new = xi_update(state.xi, tau_new, delta_l, d, cfg)
     alpha_min, alpha_suff = step_size_bounds(tau_new, xi_new, beta, delta_l,
                                              d, lip_l, lip_gamma, cfg)
 
     jd = ctx.jv + r
-    d_sq = float(np.dot(d, d))
-    norm_c_plus_jd = ev.norm_c_plus_jd
 
     def varphi(alpha):
-        return ((cfg.eta - 1.0) * alpha * beta * delta_l
-                + float(np.linalg.norm(ctx.c + alpha * jd)) - ctx.c_norm
-                + alpha * (ctx.c_norm - norm_c_plus_jd)
-                + 0.5 * (tau_new * lip_l + lip_gamma) * alpha ** 2 * d_sq)
+        return evaluate_varphi(alpha, beta, tau_new, delta_l, lip_l, lip_gamma,
+                               ctx.c, ctx.c_norm, jd, ev.norm_c_plus_jd, d_sq,
+                               cfg)
 
     alpha = select_step_size(alpha_min, alpha_suff, beta, cfg.theta, varphi)
 

@@ -142,8 +142,8 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
     info = {"oracle_m_g": oracle.variance_bound(problem)}
 
     while True:
-        feas, stat, _ = true_kkt_errors(problem, state.x, state.j,
-                                        cfg.ls_multiplier_tol)
+        feas, stat, y_ls = true_kkt_errors(problem, state.x, state.j,
+                                           cfg.ls_multiplier_tol)
         if collect_history:
             history.append({"k": state.k, "x": state.x.copy(),
                             "feas": feas, "stat": stat})
@@ -183,8 +183,8 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
             info.setdefault("violations", []).extend(
                 (step.k, v) for v in step.violations)
 
-    feas, stat, y_ls = true_kkt_errors(problem, state.x, state.j,
-                                       cfg.ls_multiplier_tol)
+    # every exit leaves the loop before stepping, so the errors measured
+    # at the top of its last pass are those of the final state
     record = RunRecord(
         problem=problem.name, strategy=strategy, eps_n=eps_n, seed=seed,
         status=status, outer_iters=state.k, total_minres_iters=total_minres,

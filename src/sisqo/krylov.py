@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["CgResult", "cg_normal_solve", "least_squares_multipliers",
-           "residual_pair", "MinresState", "minres_init", "minres_step",
-           "norm_pair", "inf_norm_pair"]
+           "MinresState", "norm_pair"]
 
 logger = logging.getLogger(__name__)
 
@@ -53,13 +52,6 @@ _EPS = float(np.finfo(float).eps)
 def norm_pair(a, b):
     """Euclidean norm of the stacked vector (a; b)."""
     return float(np.sqrt(np.dot(a, a) + np.dot(b, b)))
-
-
-def inf_norm_pair(a, b):
-    """Infinity norm of the stacked vector (a; b)."""
-    na = float(np.max(np.abs(a))) if a.size else 0.0
-    nb = float(np.max(np.abs(b))) if b.size else 0.0
-    return max(na, nb)
 
 
 @dataclass
@@ -159,27 +151,12 @@ def least_squares_multipliers(j, g, tol=1e-10, abs_floor=1e-14, max_iter=None):
     return result.v
 
 
-def residual_pair(h, j, g, v, y, u, delta):
-    """Residual of the tangential saddle system at (u, delta).
-
-    rho = H u + J.T delta + (g + H v + J.T y),  r = J u.
-    """
-    rho = h.apply(u) + h.apply(v) + g
-    if j.shape[0]:
-        rho += j.apply_transpose(delta) + j.apply_transpose(y)
-        r = j.apply(u)
-    else:
-        r = np.zeros(0)
-    return rho, r
-
-
 class MinresState:
     """Streaming MINRES on ``K z = -rhs`` for the saddle operator K.
 
     The state owns the Lanczos vectors, the running Givens rotation, the
     iterate ``z = (u, delta)`` and the residual pair ``(rho, r) = K z +
-    rhs``.  It is single-owner: advance it only through
-    :func:`minres_step`.
+    rhs``.  It is single-owner: advance it only through :meth:`step`.
 
     Attributes
     ----------
@@ -326,13 +303,3 @@ class MinresState:
                 self.stalled = True
             self._window_best = self._best_norm
         return self
-
-
-def minres_init(op, rhs):
-    """Fresh MINRES state with iterate 0 and residual equal to rhs."""
-    return MinresState(op, rhs)
-
-
-def minres_step(state):
-    """Advance the state one step and return it."""
-    return state.step()

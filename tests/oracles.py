@@ -2,13 +2,19 @@
 
 Everything here goes through numpy.linalg on explicitly assembled
 matrices, deliberately sharing no code with the package's matrix-free
-paths.  The exception is :class:`AllocatingMinres`, the earlier
+paths.  The exceptions are :class:`AllocatingMinres`, the earlier
 implementation of the MINRES step kept as a bit-for-bit oracle for the
-in-place one.
+in-place one, the residual helpers, and the front ends at the end, which
+work out from raw arrays the parts (norms and products) that the
+engine's formulas take, so a test reaches the one implementation that
+``sqp_iterate`` runs.
 """
+
+import math
 
 import numpy as np
 
+from sisqo.engine import NormalStepResult, _IterationContext, _TestEvaluation
 from sisqo.sparse import SparseMatrix
 
 
@@ -140,3 +146,74 @@ class AllocatingMinres:
         self.resid = self.apply(self.z) + self.rhs
         self.resid_norm = float(np.linalg.norm(self.resid))
         return self
+
+
+def inf_norm_pair(a, b):
+    """Infinity norm of the stacked vector (a; b)."""
+    na = float(np.max(np.abs(a))) if a.size else 0.0
+    nb = float(np.max(np.abs(b))) if b.size else 0.0
+    return max(na, nb)
+
+
+def residual_pair(h, j, g, v, y, u, delta):
+    """Residual of the tangential saddle system at (u, delta).
+
+    rho = H u + J.T delta + (g + H v + J.T y),  r = J u.
+    """
+    rho = h.apply(u) + h.apply(v) + g
+    if j.shape[0]:
+        rho += j.apply_transpose(delta) + j.apply_transpose(y)
+        r = j.apply(u)
+    else:
+        r = np.zeros(0)
+    return rho, r
+
+
+# -- raw-array front ends to the engine's formulas ---------------------------
+
+def merit_model_parts(g, c, j, d):
+    """(g'd, ||c||, ||c + Jd||) for ``model_reduction``."""
+    return (float(np.dot(g, d)), float(np.linalg.norm(c)),
+            float(np.linalg.norm(c + j.apply(d))))
+
+
+def tau_parts(g, d, u, h, c, j, v, r, cfg):
+    """(g'd, max(u'Hu, eps_u ||u||^2), ||c||, ||c + Jv + r||) for
+    ``tau_trial_and_update``."""
+    max_term = max(float(np.dot(u, h.apply(u))),
+                   cfg.eps_u * float(np.dot(u, u)))
+    return (float(np.dot(g, d)), max_term, float(np.linalg.norm(c)),
+            float(np.linalg.norm(c + j.apply(v) + r)))
+
+
+def varphi_parts(c, j, d):
+    """(c, ||c||, Jd, ||c + Jd||, ||d||^2) for ``evaluate_varphi``."""
+    jd = j.apply(d)
+    return (c, float(np.linalg.norm(c)), jd, float(np.linalg.norm(c + jd)),
+            float(np.dot(d, d)))
+
+
+def candidate_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev=1.0,
+                    beta=1.0, prev_pair_norm=None):
+    """The engine's evaluation of both termination tests for the
+    candidate (u, delta) with residual pair (rho, r), for a given normal
+    step v rather than the one the CG would compute."""
+    jv = j.apply(v)
+    c_norm = float(np.linalg.norm(c))
+    ns = NormalStepResult(
+        v=v, iterations=0,
+        cauchy_lhs=c_norm - float(np.linalg.norm(c + jv)),
+        cauchy_rhs=math.nan, jv=jv, c_plus_jv=c + jv, c_norm=c_norm)
+    ctx = _IterationContext(g, c, j, ns, y, tau_prev, beta, prev_pair_norm)
+    ctx.set_rung(h)
+    return _TestEvaluation(u, delta, rho, r, ctx, cfg)
+
+
+def model_reduction_holds(tau, g, c, j, v, u, h, cfg):
+    """The engine's sufficient model reduction check of d = v + u at tau,
+    with the round-off slack of its recheck at an updated tau; the
+    candidate's constraint residual is r = Ju."""
+    m = j.rows
+    ev = candidate_tests(g, c, j, v, np.zeros(m), h, u, np.zeros(m),
+                         np.zeros(len(u)), j.apply(u), cfg)
+    return ev.reduces_model(tau, cfg, relaxed=True)

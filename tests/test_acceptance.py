@@ -12,17 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (dense_kkt_solve, dense_normal_step, make_sparse,
-                     random_full_rank, random_spd)
+from oracles import (candidate_tests, dense_kkt_solve, dense_normal_step,
+                     make_sparse, merit_model_parts, model_reduction_holds,
+                     random_full_rank, random_spd, residual_pair, tau_parts,
+                     varphi_parts)
 from sisqo.config import build_solver_config, load_config
-from sisqo.engine import (SolverConfig, check_model_reduction_condition,
-                          compute_normal_step, evaluate_varphi,
+from sisqo.engine import (SolverConfig, compute_normal_step, evaluate_varphi,
                           model_reduction, select_step_size, step_size_bounds,
-                          tau_trial_and_update, termination_test_1,
-                          termination_test_2, update_duals, xi_update)
+                          tau_trial_and_update, update_duals, xi_update)
 from sisqo.harness import run_budget_matched_pair, run_single
-from sisqo.krylov import (cg_normal_solve, least_squares_multipliers,
-                          minres_init, residual_pair)
+from sisqo.krylov import (MinresState, cg_normal_solve,
+                          least_squares_multipliers)
 from sisqo.library import (ControlProblemSpec, SyntheticQpSpec,
                            build_neumann_control, build_poisson_control,
                            build_synthetic_qp, reference_function_value)
@@ -60,7 +60,7 @@ def test_01_subproblem_solvers_match_dense_references(capsys):
         op = KktOperator(make_sparse(h_dense), j)
         rhs_top = rng.standard_normal(n)
         rhs_bot = rng.standard_normal(m)
-        state = minres_init(op, (rhs_top, rhs_bot))
+        state = MinresState(op, (rhs_top, rhs_bot))
         tol = 1e-12 * max(1.0, state.resid_norm)
         for _ in range(6 * (n + m)):
             if state.resid_norm <= tol or state.breakdown or state.stalled:
@@ -275,14 +275,16 @@ def test_07_formula_examples(capsys):
     # model reduction: zero step, full correction, hand-evaluated case
     j1 = SparseMatrix.from_dense(np.array([[1.0, 0.0]]))
     check("model reduction zero step",
-          model_reduction(0.1, np.array([1.0, 0.0]), np.array([1.0]), j1,
-                          np.zeros(2)) == 0.0)
+          model_reduction(0.1, *merit_model_parts(
+              np.array([1.0, 0.0]), np.array([1.0]), j1, np.zeros(2))) == 0.0)
     check("model reduction full correction",
-          abs(model_reduction(0.1, np.zeros(2), np.array([1.0]), j1,
-                              np.array([-1.0, 0.0])) - 1.0) < 1e-15)
+          abs(model_reduction(0.1, *merit_model_parts(
+              np.zeros(2), np.array([1.0]), j1, np.array([-1.0, 0.0])))
+              - 1.0) < 1e-15)
     check("model reduction hand case",
-          abs(model_reduction(0.1, np.array([1.0, 0.0]), np.array([1.0]), j1,
-                              np.array([-1.0, 0.0])) - 1.1) < 1e-15)
+          abs(model_reduction(0.1, *merit_model_parts(
+              np.array([1.0, 0.0]), np.array([1.0]), j1,
+              np.array([-1.0, 0.0]))) - 1.1) < 1e-15)
 
     # normal step: zero constraint, identity Jacobian, Cauchy certification
     ns = compute_normal_step(np.zeros(2),
@@ -303,13 +305,12 @@ def test_07_formula_examples(capsys):
     # model reduction condition: trivial zero case, ascent rejection
     h2 = SparseMatrix.identity(2)
     check("model reduction condition zero case",
-          check_model_reduction_condition(0.1, np.array([1.0, 0.0]),
-                                          np.zeros(1), j1, np.zeros(2),
-                                          np.zeros(2), h2, cfg))
+          model_reduction_holds(0.1, np.array([1.0, 0.0]), np.zeros(1), j1,
+                                np.zeros(2), np.zeros(2), h2, cfg))
     ascent = np.array([1.0, 0.0])
     check("model reduction condition rejects ascent",
-          not check_model_reduction_condition(5.0, ascent, np.zeros(1), j1,
-                                              np.zeros(2), ascent, h2, cfg))
+          not model_reduction_holds(5.0, ascent, np.zeros(1), j1,
+                                    np.zeros(2), ascent, h2, cfg))
 
     # termination tests: residual cap, null-step rejection, retention
     n6, m2 = 6, 2
@@ -320,24 +321,24 @@ def test_07_formula_examples(capsys):
     v6 = dense_normal_step(np.array(j62.to_dense()), c6)
     big_rho = 50.0 * np.ones(n6)
     check("TT1 rejects large dual residual",
-          not termination_test_1(g6, c6, j62, v6, np.zeros(m2), h6,
-                                 np.zeros(n6), np.zeros(m2), big_rho,
-                                 np.zeros(m2), tau_prev=0.1, beta=1e-3,
-                                 cfg=cfg))
+          not candidate_tests(g6, c6, j62, v6, np.zeros(m2), h6,
+                              np.zeros(n6), np.zeros(m2), big_rho,
+                              np.zeros(m2), cfg, tau_prev=0.1,
+                              beta=1e-3).tt1)
     check("TT1 rejects null step at feasible point",
-          not termination_test_1(g6, np.zeros(m2), j62, np.zeros(n6),
-                                 np.zeros(m2), h6, np.zeros(n6),
-                                 np.zeros(m2), g6.copy(), np.zeros(m2),
-                                 tau_prev=0.1, beta=1.0, cfg=cfg))
+          not candidate_tests(g6, np.zeros(m2), j62, np.zeros(n6),
+                              np.zeros(m2), h6, np.zeros(n6),
+                              np.zeros(m2), g6.copy(), np.zeros(m2), cfg,
+                              tau_prev=0.1, beta=1.0).tt1)
     check("TT2 needs infeasibility",
-          not termination_test_2(g6, np.zeros(m2), j62, np.zeros(n6),
-                                 np.zeros(m2), h6, np.zeros(n6),
-                                 np.zeros(m2), np.zeros(n6), np.zeros(m2),
-                                 beta=1.0, cfg=cfg))
+          not candidate_tests(g6, np.zeros(m2), j62, np.zeros(n6),
+                              np.zeros(m2), h6, np.zeros(n6),
+                              np.zeros(m2), np.zeros(n6), np.zeros(m2), cfg,
+                              beta=1.0).tt2)
     check("TT2 full retention at r=0",
-          termination_test_2(g6, c6, j62, v6, np.zeros(m2), h6, np.zeros(n6),
-                             np.zeros(m2), np.zeros(n6), np.zeros(m2),
-                             beta=1.0, cfg=SolverConfig(eps_r=0.9999)))
+          candidate_tests(g6, c6, j62, v6, np.zeros(m2), h6, np.zeros(n6),
+                          np.zeros(m2), np.zeros(n6), np.zeros(m2),
+                          SolverConfig(eps_r=0.9999), beta=1.0).tt2)
 
     # tau update branches
     g = np.array([-1.0])
@@ -346,20 +347,21 @@ def test_07_formula_examples(capsys):
     h1 = SparseMatrix.identity(1, scale=0.0)
     c1 = np.array([1.0])
     j11 = SparseMatrix.identity(1)
-    trial, new = tau_trial_and_update(0.1, g, d, u0, h1, c1, j11,
-                                      np.array([-0.5]), np.zeros(1),
-                                      SolverConfig(eps_r=1.0))
+    cfg_r1 = SolverConfig(eps_r=1.0)
+    trial, new = tau_trial_and_update(
+        0.1, *tau_parts(g, d, u0, h1, c1, j11, np.array([-0.5]), np.zeros(1),
+                        cfg_r1), cfg_r1)
     check("tau infinite trial keeps tau", trial == np.inf and new == 0.1)
     gd = np.array([9.0])
-    trial, new = tau_trial_and_update(0.1, gd, d, u0, h1, c1, j11,
-                                      np.array([-0.5]), np.zeros(1),
-                                      SolverConfig(eps_r=1.0))
+    trial, new = tau_trial_and_update(
+        0.1, *tau_parts(gd, d, u0, h1, c1, j11, np.array([-0.5]),
+                        np.zeros(1), cfg_r1), cfg_r1)
     check("tau takes small trial", abs(trial - 0.05) < 1e-12
           and abs(new - 0.05) < 1e-12)
     gd = np.array([0.45 / 0.0995])
-    trial, new = tau_trial_and_update(0.1, gd, d, u0, h1, c1, j11,
-                                      np.array([-0.5]), np.zeros(1),
-                                      SolverConfig(eps_r=1.0))
+    trial, new = tau_trial_and_update(
+        0.1, *tau_parts(gd, d, u0, h1, c1, j11, np.array([-0.5]),
+                        np.zeros(1), cfg_r1), cfg_r1)
     check("tau geometric decrease branch", abs(trial - 0.0995) < 1e-12
           and abs(new - 0.099) < 1e-12)
 
@@ -377,16 +379,17 @@ def test_07_formula_examples(capsys):
     c3 = rng.standard_normal(3)
     j35 = make_sparse(rng.standard_normal((3, 5)))
     d5 = rng.standard_normal(5)
+    parts35 = varphi_parts(c3, j35, d5)
     check("varphi zero at origin",
-          evaluate_varphi(0.0, 1.0, 0.2, 0.7, c3, j35, d5, 2.0, 1.0,
+          evaluate_varphi(0.0, 1.0, 0.2, 0.7, 2.0, 1.0, *parts35,
                           cfg) == 0.0)
     check("varphi positive for large steps",
-          evaluate_varphi(50.0, 1.0, 0.2, 0.7, c3, j35, d5, 2.0, 1.0,
+          evaluate_varphi(50.0, 1.0, 0.2, 0.7, 2.0, 1.0, *parts35,
                           cfg) > 0.0)
     alpha_min, alpha_suff = step_size_bounds(0.2, 0.3, 1.0, 0.7, d5, 2.0,
                                              1.0, SolverConfig(eta=0.5))
     check("varphi nonpositive at sufficient step",
-          evaluate_varphi(alpha_suff, 1.0, 0.2, 0.7, c3, j35, d5, 2.0, 1.0,
+          evaluate_varphi(alpha_suff, 1.0, 0.2, 0.7, 2.0, 1.0, *parts35,
                           SolverConfig(eta=0.5)) <= 1e-10)
 
     alpha_min, alpha_suff = step_size_bounds(
@@ -446,7 +449,7 @@ def test_07_formula_examples(capsys):
     # streaming MINRES basics
     op = KktOperator(SparseMatrix.identity(2), SparseMatrix((0, 2), [0],
                                                             [], []))
-    state = minres_init(op, (np.array([3.0, -1.0]), np.zeros(0)))
+    state = MinresState(op, (np.array([3.0, -1.0]), np.zeros(0)))
     state.step()
     state.step()
     check("MINRES identity solve",

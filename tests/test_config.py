@@ -1,13 +1,17 @@
 """Profile loading, override syntax, and config-driven construction."""
 
+import ast
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import sisqo
 from sisqo.config import (apply_overrides, available_profiles, build_problem,
                           build_solver_config, harness_settings, load_config,
                           oracle_settings)
-from sisqo.engine import ConfigError
+from sisqo.engine import ConfigError, SolverConfig
 
 
 def test_bundled_profiles_are_listed():
@@ -162,3 +166,24 @@ def test_harness_settings_defaults_and_scalars():
                                              "eps_n_list": "1e-3, 1e-1"}})
     assert settings["seeds"] == [4]
     assert settings["eps_n_list"] == [1e-3, 1e-1]
+
+
+def test_every_solver_config_field_is_read():
+    # a field that only __post_init__ validates is a knob no code path
+    # reads; reads are matched by attribute name anywhere in the package
+    read = set()
+    for path in Path(sisqo.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        validation = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "SolverConfig":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and item.name == "__post_init__":
+                        validation.update(map(id, ast.walk(item)))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in validation)
+    unread = [f.name for f in fields(SolverConfig) if f.name not in read]
+    assert unread == []

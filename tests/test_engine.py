@@ -9,19 +9,18 @@ import pytest
 
 from sisqo.engine import (ConfigError, InvariantBreach, SolverConfig,
                           StationaryPointDetected, beta_for_iteration,
-                          check_model_reduction_condition, compute_normal_step,
-                          evaluate_varphi, init_state, merit_value,
-                          model_reduction, select_step_size, sqp_iterate,
-                          step_size_bounds, tau_trial_and_update,
-                          termination_test_1, termination_test_2,
+                          compute_normal_step, evaluate_varphi, init_state,
+                          merit_value, model_reduction, select_step_size,
+                          sqp_iterate, step_size_bounds, tau_trial_and_update,
                           update_duals, xi_update)
 from sisqo.library import SyntheticQpSpec, build_synthetic_qp
 from sisqo.problems import GradientOracle, Problem, substream
 from sisqo.sparse import SparseMatrix
 
-from oracles import (dense_kkt_solve, dense_least_squares_multipliers,
-                     dense_normal_step, make_sparse, random_full_rank,
-                     random_spd)
+from oracles import (candidate_tests, dense_kkt_solve,
+                     dense_least_squares_multipliers, dense_normal_step,
+                     make_sparse, merit_model_parts, model_reduction_holds,
+                     random_full_rank, random_spd, tau_parts, varphi_parts)
 
 
 CFG = SolverConfig()
@@ -62,7 +61,8 @@ def test_merit_and_model_reduction_values():
     c = np.array([1.0])
     j = make_sparse([[1.0, 0.0]])
     d = np.array([-1.0, 0.0])
-    assert model_reduction(0.1, g, c, j, d) == pytest.approx(1.1)
+    assert model_reduction(0.1, *merit_model_parts(g, c, j, d)) \
+        == pytest.approx(1.1)
 
 
 # -- normal step ----------------------------------------------------------------
@@ -103,9 +103,9 @@ def test_model_reduction_condition_rejects_ascent():
     v = np.zeros(2)
     h = SparseMatrix.identity(2)
     ascent = np.array([1.0, 0.0])
-    assert not check_model_reduction_condition(1.0, g, c, j, v, ascent, h, CFG)
+    assert not model_reduction_holds(1.0, g, c, j, v, ascent, h, CFG)
     descent = np.array([-1.0, 0.0])
-    assert check_model_reduction_condition(1.0, g, c, j, v, descent, h, CFG)
+    assert model_reduction_holds(1.0, g, c, j, v, descent, h, CFG)
 
 
 # -- termination tests -----------------------------------------------------------
@@ -129,18 +129,18 @@ def test_termination_test_1_accepts_exact_solve():
     f = _tangential_fixture()
     zero_rho = np.zeros(6)
     zero_r = np.zeros(2)
-    assert termination_test_1(f["g"], f["c"], f["j"], f["v"], f["y"], f["h"],
-                              f["u"], f["delta"], zero_rho, zero_r,
-                              tau_prev=1e-3, beta=1.0, cfg=CFG)
+    assert candidate_tests(f["g"], f["c"], f["j"], f["v"], f["y"], f["h"],
+                           f["u"], f["delta"], zero_rho, zero_r, CFG,
+                           tau_prev=1e-3, beta=1.0).tt1
 
 
 def test_termination_test_1_rejects_large_residual():
     f = _tangential_fixture()
     big_rho = 50.0 * np.ones(6)
-    assert not termination_test_1(f["g"], f["c"], f["j"], f["v"], f["y"],
-                                  f["h"], f["u"], f["delta"], big_rho,
-                                  np.zeros(2), tau_prev=1e-3, beta=1e-3,
-                                  cfg=CFG)
+    assert not candidate_tests(f["g"], f["c"], f["j"], f["v"], f["y"],
+                               f["h"], f["u"], f["delta"], big_rho,
+                               np.zeros(2), CFG, tau_prev=1e-3,
+                               beta=1e-3).tt1
 
 
 def test_termination_test_1_rejects_null_step_off_stationarity():
@@ -153,17 +153,51 @@ def test_termination_test_1_rejects_null_step_off_stationarity():
     v = np.zeros(3)
     u = np.zeros(3)
     rho = g.copy()  # residual of the zero candidate
-    assert not termination_test_1(g, c, j, v, np.zeros(1), h, u, np.zeros(1),
-                                  rho, np.zeros(1), tau_prev=0.1, beta=1.0,
-                                  cfg=CFG)
+    assert not candidate_tests(g, c, j, v, np.zeros(1), h, u, np.zeros(1),
+                               rho, np.zeros(1), CFG, tau_prev=0.1,
+                               beta=1.0).tt1
+
+
+def test_termination_test_1_requires_share_of_normal_decrease():
+    # u = 0 and r = 0 pass conditions a-c; with c = 1 and Jv = -0.5 the
+    # normal decrease is 0.5 and TT1 at tau = 1 needs
+    # -g'v + 0.5 >= sigma_c * 0.5 = 0.05, i.e. g'v <= 0.45
+    c = np.array([1.0])
+    j = make_sparse([[1.0]])
+    h = SparseMatrix.identity(1)
+    v = np.array([-0.5])
+    zero = np.zeros(1)
+
+    def tt1(g0):
+        return candidate_tests(np.array([g0]), c, j, v, zero, h, zero, zero,
+                               zero, zero, CFG, tau_prev=1.0).tt1
+
+    assert tt1(-0.88)  # g'v = 0.44
+    assert not tt1(-0.92)  # g'v = 0.46
+
+
+def test_termination_tests_cap_the_constraint_residual():
+    # condition b: ||r|| <= kappa_r * beta, shared by both tests
+    f = _tangential_fixture()
+    r = 2.0 * np.ones(2)  # ||r|| = 2.83
+
+    def evaluate(beta):
+        return candidate_tests(f["g"], f["c"], f["j"], f["v"], f["y"], f["h"],
+                               f["u"], f["delta"], np.zeros(6), r, CFG,
+                               tau_prev=1e-3, beta=beta)
+
+    assert evaluate(0.03).cond_b  # cap 3.0
+    rejected = evaluate(0.02)  # cap 2.0
+    assert not rejected.cond_b
+    assert not rejected.tt1 and not rejected.tt2
 
 
 def test_termination_test_2_requires_constraint_progress():
     f = _tangential_fixture()
     # feasible iterate: no normal decrease exists to retain
-    assert not termination_test_2(f["g"], np.zeros(2), f["j"], np.zeros(6),
-                                  f["y"], f["h"], f["u"], f["delta"],
-                                  np.zeros(6), np.zeros(2), beta=1.0, cfg=CFG)
+    assert not candidate_tests(f["g"], np.zeros(2), f["j"], np.zeros(6),
+                               f["y"], f["h"], f["u"], f["delta"],
+                               np.zeros(6), np.zeros(2), CFG, beta=1.0).tt2
 
 
 def test_termination_test_2_retention_threshold():
@@ -180,14 +214,11 @@ def test_termination_test_2_retention_threshold():
     u = np.zeros(n)
     args = (g, c, make_sparse(j_dense), v, np.zeros(m), h, u, np.zeros(m),
             np.zeros(n), r)
-    assert termination_test_2(*args, beta=1.0,
-                              cfg=SolverConfig(eps_r=0.7))
-    assert termination_test_2(*args, beta=1.0,
-                              cfg=SolverConfig(eps_r=0.74))
-    assert not termination_test_2(*args, beta=1.0,
-                                  cfg=SolverConfig(eps_r=0.76))
-    assert not termination_test_2(*args, beta=1.0,
-                                  cfg=SolverConfig(eps_r=1.0 - 1e-4))
+    assert candidate_tests(*args, SolverConfig(eps_r=0.7), beta=1.0).tt2
+    assert candidate_tests(*args, SolverConfig(eps_r=0.74), beta=1.0).tt2
+    assert not candidate_tests(*args, SolverConfig(eps_r=0.76), beta=1.0).tt2
+    assert not candidate_tests(*args, SolverConfig(eps_r=1.0 - 1e-4),
+                               beta=1.0).tt2
 
 
 # -- merit parameter -------------------------------------------------------------
@@ -209,7 +240,8 @@ def _tau_ingredients(denom, retained, c_norm=1.0):
 def test_tau_keeps_value_when_denominator_is_negative():
     cfg = SolverConfig(eps_r=1.0)
     g, d, u, h, c, j, v, r = _tau_ingredients(-1.0, 0.5)
-    tau_trial, tau_new = tau_trial_and_update(0.1, g, d, u, h, c, j, v, r, cfg)
+    tau_trial, tau_new = tau_trial_and_update(
+        0.1, *tau_parts(g, d, u, h, c, j, v, r, cfg), cfg)
     assert tau_trial == math.inf
     assert tau_new == 0.1
 
@@ -218,7 +250,8 @@ def test_tau_decreases_to_small_trial():
     # (1 - sigma_c/eps_r) = 0.9; trial = 0.9 * 0.5 / 9 = 0.05
     cfg = SolverConfig(eps_r=1.0)
     g, d, u, h, c, j, v, r = _tau_ingredients(9.0, 0.5)
-    tau_trial, tau_new = tau_trial_and_update(0.1, g, d, u, h, c, j, v, r, cfg)
+    tau_trial, tau_new = tau_trial_and_update(
+        0.1, *tau_parts(g, d, u, h, c, j, v, r, cfg), cfg)
     assert tau_trial == pytest.approx(0.05)
     assert tau_new == pytest.approx(0.05)
 
@@ -227,7 +260,8 @@ def test_tau_decrease_is_at_least_geometric():
     # trial 0.0995 sits between 0.099 and 0.1: the geometric fraction wins
     cfg = SolverConfig(eps_r=1.0)
     g, d, u, h, c, j, v, r = _tau_ingredients(0.45 / 0.0995, 0.5)
-    tau_trial, tau_new = tau_trial_and_update(0.1, g, d, u, h, c, j, v, r, cfg)
+    tau_trial, tau_new = tau_trial_and_update(
+        0.1, *tau_parts(g, d, u, h, c, j, v, r, cfg), cfg)
     assert tau_trial == pytest.approx(0.0995)
     assert tau_new == pytest.approx(0.099)
 
@@ -235,8 +269,8 @@ def test_tau_decrease_is_at_least_geometric():
 def test_tau_unchanged_when_trial_is_larger():
     cfg = SolverConfig(eps_r=1.0)
     g, d, u, h, c, j, v, r = _tau_ingredients(9.0, 0.5)
-    tau_trial, tau_new = tau_trial_and_update(0.01, g, d, u, h, c, j, v, r,
-                                              cfg)
+    tau_trial, tau_new = tau_trial_and_update(
+        0.01, *tau_parts(g, d, u, h, c, j, v, r, cfg), cfg)
     assert tau_trial == pytest.approx(0.05)
     assert tau_new == 0.01
 
@@ -245,7 +279,8 @@ def test_tau_collapse_raises():
     cfg = SolverConfig(eps_r=1.0)
     g, d, u, h, c, j, v, r = _tau_ingredients(9.0, -1.0)
     with pytest.raises(InvariantBreach, match="merit parameter"):
-        tau_trial_and_update(0.1, g, d, u, h, c, j, v, r, cfg)
+        tau_trial_and_update(0.1, *tau_parts(g, d, u, h, c, j, v, r, cfg),
+                             cfg)
 
 
 # -- ratio parameter -------------------------------------------------------------
@@ -270,7 +305,7 @@ def test_varphi_zero_at_zero_and_positive_for_large_steps():
     c = rng.standard_normal(3)
     j = make_sparse(rng.standard_normal((3, 5)))
     d = rng.standard_normal(5)
-    args = (1.0, 0.2, 0.7, c, j, d, 2.0, 1.0, CFG)
+    args = (1.0, 0.2, 0.7, 2.0, 1.0, *varphi_parts(c, j, d), CFG)
     assert evaluate_varphi(0.0, *args) == 0.0
     assert evaluate_varphi(50.0, *args) > 0.0
 
@@ -290,8 +325,8 @@ def test_varphi_nonpositive_at_sufficient_step():
         cfg = SolverConfig(eta=0.3)
         denom = (tau * lip_l + lip_gamma) * float(d @ d)
         alpha_suff = min(2.0 * (1.0 - cfg.eta) * 1.0 * delta_l / denom, 1.0)
-        val = evaluate_varphi(alpha_suff, 1.0, tau, delta_l, c, j, d,
-                              lip_l, lip_gamma, cfg)
+        val = evaluate_varphi(alpha_suff, 1.0, tau, delta_l, lip_l,
+                              lip_gamma, *varphi_parts(c, j, d), cfg)
         assert val <= 1e-10 * max(1.0, delta_l)
 
 

@@ -70,6 +70,39 @@ def test_run_single_minres_budget():
     np.testing.assert_array_equal(history[0]["x"], problem.x0)
 
 
+@pytest.mark.parametrize("cfg, run_kwargs, status", [
+    (SolverConfig(), {}, "converged"),
+    (SolverConfig(max_outer_iterations=3), {}, "budget_exhausted"),
+    (SolverConfig(), {"stop_rule": False, "budget": 20,
+                      "collect_history": True}, "budget_exhausted"),
+])
+def test_run_single_measures_each_iterate_once(monkeypatch, cfg, run_kwargs,
+                                               status):
+    # one KKT metric per visited iterate: the final state's errors are
+    # the ones measured at the top of the loop's last pass
+    import sisqo.harness
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return true_kkt_errors(*args)
+
+    monkeypatch.setattr(sisqo.harness, "true_kkt_errors", counting)
+    problem = _qp()
+    record = run_single(problem, cfg, 0, oracle_kind="gaussian", eps_n=1e-2,
+                        **run_kwargs)
+    assert record.status == status
+    assert record.outer_iters > 0
+    assert len(calls) == record.outer_iters + 1
+    j = problem.eval_jacobian(record.x_final)
+    feas, stat, y_ls = true_kkt_errors(problem, record.x_final, j,
+                                       cfg.ls_multiplier_tol)
+    assert (record.feasibility_error, record.stationarity_error) \
+        == (feas, stat)
+    np.testing.assert_array_equal(record.y_ls_final, y_ls)
+
+
 def test_run_single_is_deterministic():
     problem = _qp()
     cfg = SolverConfig(max_outer_iterations=15)

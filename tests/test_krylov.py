@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from sisqo import kernels
-from sisqo.krylov import (MinresState, cg_normal_solve, inf_norm_pair,
-                          least_squares_multipliers, minres_init, minres_step,
-                          norm_pair, residual_pair)
+from sisqo.krylov import (MinresState, cg_normal_solve,
+                          least_squares_multipliers, norm_pair)
 from sisqo.sparse import KktOperator, SparseMatrix
 
 from oracles import (AllocatingMinres, dense_kkt_matrix, dense_kkt_solve,
                      dense_least_squares_multipliers, dense_normal_step,
-                     make_sparse, random_full_rank, random_spd,
-                     random_symmetric)
+                     inf_norm_pair, make_sparse, random_full_rank, random_spd,
+                     random_symmetric, residual_pair)
 
 
 def _no_constraints(n):
@@ -157,7 +156,7 @@ def test_minres_initial_state():
     h = SparseMatrix.identity(3)
     j = make_sparse(np.array([[1.0, 0.0, 0.0]]))
     op = KktOperator(h, j)
-    state = minres_init(op, (np.array([1.0, 0.0, 0.0]), np.zeros(1)))
+    state = MinresState(op, (np.array([1.0, 0.0, 0.0]), np.zeros(1)))
     np.testing.assert_array_equal(state.u, np.zeros(3))
     np.testing.assert_array_equal(state.delta, np.zeros(1))
     np.testing.assert_array_equal(state.rho, [1.0, 0.0, 0.0])
@@ -170,18 +169,18 @@ def test_minres_rejects_bad_rhs_shapes():
     op = KktOperator(SparseMatrix.identity(3),
                      make_sparse(np.array([[1.0, 0.0, 0.0]])))
     with pytest.raises(ValueError, match="rhs blocks"):
-        minres_init(op, (np.zeros(2), np.zeros(1)))
+        MinresState(op, (np.zeros(2), np.zeros(1)))
 
 
 def test_minres_identity_system():
     # K = I when H = I and m = 0, so one step lands on u = -b exactly
     op = KktOperator(SparseMatrix.identity(2), _no_constraints(2))
     b = np.array([2.0, -1.0])
-    state = minres_init(op, (b, np.zeros(0)))
+    state = MinresState(op, (b, np.zeros(0)))
     for _ in range(2):
         if state.resid_norm <= 1e-12:
             break
-        minres_step(state)
+        state.step()
     np.testing.assert_allclose(state.u, -b, rtol=0, atol=1e-12)
     assert state.resid_norm <= 1e-12
 
@@ -196,9 +195,9 @@ def test_minres_finite_termination_with_few_eigenvalues():
     h_dense = (q * eigs) @ q.T
     op = KktOperator(make_sparse(0.5 * (h_dense + h_dense.T)),
                      _no_constraints(12))
-    state = minres_init(op, (rng.standard_normal(12), np.zeros(0)))
+    state = MinresState(op, (rng.standard_normal(12), np.zeros(0)))
     for _ in range(3):
-        minres_step(state)
+        state.step()
     assert state.resid_norm <= 1e-10
 
 
@@ -217,12 +216,12 @@ def test_minres_matches_dense_solves():
         rhs_bot = rng.standard_normal(m)
         op = KktOperator(make_sparse(h_dense),
                          make_sparse(j_dense) if m else _no_constraints(n))
-        state = minres_init(op, (rhs_top, rhs_bot))
+        state = MinresState(op, (rhs_top, rhs_bot))
         scale = norm_pair(rhs_top, rhs_bot)
         for _ in range(4 * (n + m)):
             if state.resid_norm <= 1e-12 * scale:
                 break
-            minres_step(state)
+            state.step()
         expected = np.linalg.solve(k_dense,
                                    -np.concatenate([rhs_top, rhs_bot]))
         np.testing.assert_allclose(state.z, expected, rtol=0,
@@ -236,10 +235,10 @@ def test_minres_residual_is_monotone():
     h_dense = random_symmetric(rng, 10)
     j_dense = random_full_rank(rng, 4, 10)
     op = KktOperator(make_sparse(h_dense), make_sparse(j_dense))
-    state = minres_init(op, (rng.standard_normal(10), rng.standard_normal(4)))
+    state = MinresState(op, (rng.standard_normal(10), rng.standard_normal(4)))
     prev = state.resid_norm
     for _ in range(40):
-        minres_step(state)
+        state.step()
         assert state.resid_norm <= prev + 1e-10 * max(1.0, prev)
         prev = state.resid_norm
         if state.breakdown:
@@ -249,20 +248,20 @@ def test_minres_residual_is_monotone():
 
 def test_minres_breakdown_flags_converged_state():
     op = KktOperator(SparseMatrix.identity(2), _no_constraints(2))
-    state = minres_init(op, (np.array([1.0, 0.0]), np.zeros(0)))
-    minres_step(state)
+    state = MinresState(op, (np.array([1.0, 0.0]), np.zeros(0)))
+    state.step()
     assert state.resid_norm <= 1e-14
     z_at_convergence = state.z.copy()
-    minres_step(state)
+    state.step()
     assert state.breakdown
     np.testing.assert_array_equal(state.z, z_at_convergence)
 
 
 def test_minres_zero_rhs_is_immediately_converged():
     op = KktOperator(SparseMatrix.identity(3), _no_constraints(3))
-    state = minres_init(op, (np.zeros(3), np.zeros(0)))
+    state = MinresState(op, (np.zeros(3), np.zeros(0)))
     assert state.resid_norm == 0.0
-    minres_step(state)
+    state.step()
     assert state.breakdown
     np.testing.assert_array_equal(state.u, np.zeros(3))
 
@@ -274,11 +273,11 @@ def test_minres_earlier_candidates_stay_frozen():
     h_dense = random_spd(rng, 4)
     j_dense = random_full_rank(rng, 2, 4)
     op = KktOperator(make_sparse(h_dense), make_sparse(j_dense))
-    state = minres_init(op, (rng.standard_normal(4), rng.standard_normal(2)))
-    minres_step(state)
+    state = MinresState(op, (rng.standard_normal(4), rng.standard_normal(2)))
+    state.step()
     u_view = state.u
     u_copy = state.u.copy()
-    minres_step(state)
+    state.step()
     np.testing.assert_array_equal(u_view, u_copy)
     assert not np.array_equal(state.u, u_copy)
 
