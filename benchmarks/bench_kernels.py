@@ -3,9 +3,10 @@
 Measures raw matvec/rmatvec throughput on the discretized control
 problems' Jacobians, the fused KKT apply ``(H u + J.T delta, J u)`` on
 the Hessian and Jacobian, and a full MINRES solve that exercises the
-kernels the way the solver does.  Run from the repository root:
+kernels the way the solver does.  Run from the repository root of a
+source checkout (an installed package needs no ``PYTHONPATH``):
 
-    python3 benchmarks/bench_kernels.py --mesh 32 --repeats 200
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py --mesh 32 --repeats 200
 """
 
 import argparse

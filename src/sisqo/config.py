@@ -102,7 +102,7 @@ def build_problem(config):
             mesh_size=section.get("mesh_size", 16),
             n_terms=section.get("n_terms", 3),
             regularization=section.get("regularization", 1e-5),
-            eps_n=config.get("oracle", {}).get("eps_n", 1e-2),
+            eps_n=oracle_settings(config)[1],
             eps_s=section.get("eps_s", float(np.sqrt(15.0))))
         build = build_poisson_control if kind == "poisson_control" \
             else build_neumann_control

@@ -9,9 +9,9 @@ stationarity below ``stationarity_tol``.
 Budget-matched comparisons rerun the same problem and seed with a
 near-exact subproblem tolerance, capped at the total MINRES iterations
 the truncated run consumed, and report the best iterate the exact
-variant visited.  The cap is enforced at outer-iteration boundaries, so
-the final iteration may overshoot; the overshoot is reported alongside
-the budget.
+variant visited, ranked as it is visited.  The cap is enforced at
+outer-iteration boundaries, so the final iteration may overshoot; the
+overshoot is reported alongside the budget.
 """
 
 import csv
@@ -20,7 +20,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, make_dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,14 +31,20 @@ from .krylov import least_squares_multipliers
 from .problems import GradientOracle, substream
 
 __all__ = ["IterationRow", "RunRecord", "ComparisonRecord", "run_single",
-           "run_budget_matched_pair", "select_exact_iterate", "aggregate",
-           "emit_results", "load_results", "true_kkt_errors", "make_oracle",
+           "run_budget_matched_pair", "rank_iterate", "aggregate",
+           "emit_results", "load_results", "true_kkt_errors",
            "resolve_output_path", "CSV_COLUMNS"]
 
 logger = logging.getLogger(__name__)
 
-CSV_COLUMNS = ("problem", "strategy", "eps_n", "seed", "feas_err", "stat_err",
-               "minres_iters", "outer_iters", "status")
+# the results CSV: (column, RunRecord attribute, type), in column order
+_CSV_SCHEMA = (("problem", "problem", str), ("strategy", "strategy", str),
+               ("eps_n", "eps_n", float), ("seed", "seed", int),
+               ("feas_err", "feasibility_error", float),
+               ("stat_err", "stationarity_error", float),
+               ("minres_iters", "total_minres_iters", int),
+               ("outer_iters", "outer_iters", int), ("status", "status", str))
+CSV_COLUMNS = tuple(column for column, _, _ in _CSV_SCHEMA)
 
 OUTPUT_DIR_ENV = "SISQO_OUTPUT_DIR"
 
@@ -89,8 +95,11 @@ class ComparisonRecord:
     exact: Optional[RunRecord]
     budget: int
     overshoot: int
-    aborted: bool = False
     info: dict = field(default_factory=dict)
+
+    @property
+    def aborted(self):
+        return self.exact is None
 
     def runs(self):
         return [self.inexact] if self.exact is None \
@@ -113,30 +122,33 @@ def true_kkt_errors(problem, x, j, ls_tol):
     return feas, stat, y_ls
 
 
-def make_oracle(kind, eps_n, seed):
-    if kind == "exact":
-        return GradientOracle("exact")
-    return GradientOracle(kind, rng=substream(seed, "oracle"), eps_n=eps_n)
+def rank_iterate(k, feas, stat, feasibility_tol):
+    """Sort key that judges an iterate of a budget-capped run: iterates
+    within the feasibility tolerance first, by stationarity error, then
+    the rest by feasibility error; earlier iterates win ties."""
+    feasible = feas <= feasibility_tol
+    return (not feasible, stat if feasible else feas, k)
 
 
 def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
-               strategy="sisqo", stop_rule=True, budget=None,
-               collect_history=False):
+               strategy="sisqo", budget=None):
     """One run of the method on a problem with a fixed seed.
 
-    ``stop_rule=False`` with a ``budget`` runs until the MINRES budget
-    is spent (checked before each outer iteration) or the iteration cap
-    hits; that mode also wants ``collect_history=True`` so the caller
-    can select an iterate afterwards.  Both run modes record metrics at
-    each iterate before stepping, so a converged start yields a record
-    with zero iterations.
+    Without a ``budget`` the run stops when the KKT errors meet the
+    tolerances.  With one it runs until the MINRES budget is spent
+    (checked before each outer iteration) or the iteration cap hits,
+    and reports the best iterate it visited by ``rank_iterate``, with
+    ``info["selected_iterate"]``.  Metrics are recorded at each iterate
+    before stepping, so a converged start yields a record with zero
+    iterations.
     """
     start = time.perf_counter()
-    oracle = make_oracle(oracle_kind, eps_n, seed)
+    oracle = GradientOracle(oracle_kind, rng=substream(seed, "oracle"),
+                            eps_n=eps_n)
     probe_rng = substream(seed, "lipschitz")
     state = init_state(problem, cfg)
     rows = []
-    history = [] if collect_history else None
+    best = None
     total_minres = 0
     status = None
     info = {"oracle_m_g": oracle.variance_bound(problem)}
@@ -144,17 +156,18 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
     while True:
         feas, stat, y_ls = true_kkt_errors(problem, state.x, state.j,
                                            cfg.ls_multiplier_tol)
-        if collect_history:
-            history.append({"k": state.k, "x": state.x.copy(),
-                            "feas": feas, "stat": stat})
-        if stop_rule and feas <= cfg.feasibility_tol \
-                and stat <= cfg.stationarity_tol:
-            status = "converged"
-            break
-        if budget is not None and total_minres >= budget:
-            status = "budget_exhausted"
-            info["stop"] = "minres_budget"
-            break
+        if budget is None:
+            if feas <= cfg.feasibility_tol and stat <= cfg.stationarity_tol:
+                status = "converged"
+                break
+        else:
+            rank = rank_iterate(state.k, feas, stat, cfg.feasibility_tol)
+            if best is None or rank < best[0]:
+                best = (rank, state.x, feas, stat, y_ls)
+            if total_minres >= budget:
+                status = "budget_exhausted"
+                info["stop"] = "minres_budget"
+                break
         if state.k >= cfg.max_outer_iterations:
             status = "budget_exhausted"
             info["stop"] = "outer_cap"
@@ -184,35 +197,21 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
                 (step.k, v) for v in step.violations)
 
     # every exit leaves the loop before stepping, so the errors measured
-    # at the top of its last pass are those of the final state
-    record = RunRecord(
+    # at the top of its last pass are those of the final state; a
+    # budget-capped run reports its best visited iterate instead
+    x = state.x
+    if budget is not None:
+        rank, x, feas, stat, y_ls = best
+        rule = "min feasibility" if rank[0] \
+            else "min stationarity among feasible"
+        info["selected_iterate"] = {"k": rank[2], "rule": rule,
+                                    "feas": feas, "stat": stat}
+    return RunRecord(
         problem=problem.name, strategy=strategy, eps_n=eps_n, seed=seed,
         status=status, outer_iters=state.k, total_minres_iters=total_minres,
-        feasibility_error=feas, stationarity_error=stat,
-        x_final=state.x.copy(), y_ls_final=y_ls, rows=rows,
-        wall_time=time.perf_counter() - start,
+        feasibility_error=feas, stationarity_error=stat, x_final=x.copy(),
+        y_ls_final=y_ls, rows=rows, wall_time=time.perf_counter() - start,
         config_digest=_config_digest(cfg, oracle_kind, eps_n), info=info)
-    if collect_history:
-        record.info["history"] = history
-    return record
-
-
-def select_exact_iterate(history, feasibility_tol):
-    """Pick the iterate a budget-capped run should be judged by: the
-    smallest stationarity error among iterates within the feasibility
-    tolerance, else the smallest feasibility error; earliest iterate
-    wins ties.  Returns (entry, provenance)."""
-    if not history:
-        raise ValueError("empty iterate history")
-    feasible = [e for e in history if e["feas"] <= feasibility_tol]
-    if feasible:
-        best = min(feasible, key=lambda e: (e["stat"], e["k"]))
-        rule = "min stationarity among feasible"
-    else:
-        best = min(history, key=lambda e: (e["feas"], e["k"]))
-        rule = "min feasibility"
-    return best, {"k": best["k"], "rule": rule, "feas": best["feas"],
-                  "stat": best["stat"]}
 
 
 def run_budget_matched_pair(problem, cfg_inexact, cfg_exact, seed, *,
@@ -229,24 +228,12 @@ def run_budget_matched_pair(problem, cfg_inexact, cfg_exact, seed, *,
                          eps_n=eps_n, strategy="sisqo")
     if inexact.status == "failed":
         return ComparisonRecord(inexact=inexact, exact=None, budget=0,
-                                overshoot=0, aborted=True,
+                                overshoot=0,
                                 info={"reason": "truncated run failed"})
 
     budget = inexact.total_minres_iters
     exact = run_single(problem, cfg_exact, seed, oracle_kind=oracle_kind,
-                       eps_n=eps_n, strategy="sisqo_exact", stop_rule=False,
-                       budget=budget, collect_history=True)
-    history = exact.info.pop("history")
-    best, provenance = select_exact_iterate(history, cfg_exact.feasibility_tol)
-    j_best = problem.eval_jacobian(best["x"])
-    feas, stat, y_ls = true_kkt_errors(problem, best["x"], j_best,
-                                       cfg_exact.ls_multiplier_tol)
-    exact.x_final = best["x"]
-    exact.y_ls_final = y_ls
-    exact.feasibility_error = feas
-    exact.stationarity_error = stat
-    exact.info["selected_iterate"] = provenance
-
+                       eps_n=eps_n, strategy="sisqo_exact", budget=budget)
     overshoot = max(0, exact.total_minres_iters - budget)
     return ComparisonRecord(inexact=inexact, exact=exact, budget=budget,
                             overshoot=overshoot)
@@ -297,10 +284,6 @@ def resolve_output_path(path):
     return path
 
 
-def _float_repr(x):
-    return "%.17g" % float(x)
-
-
 def emit_results(records, path, fmt=None):
     """Write run records as CSV (summary columns) or JSON (full
     records, including per-iteration rows).  The format comes from the
@@ -319,11 +302,10 @@ def emit_results(records, path, fmt=None):
                 writer = csv.writer(fh)
                 writer.writerow(CSV_COLUMNS)
                 for r in flat:
-                    writer.writerow([
-                        r.problem, r.strategy, _float_repr(r.eps_n), r.seed,
-                        _float_repr(r.feasibility_error),
-                        _float_repr(r.stationarity_error),
-                        r.total_minres_iters, r.outer_iters, r.status])
+                    writer.writerow(
+                        ["%.17g" % getattr(r, attr) if kind is float
+                         else getattr(r, attr)
+                         for _, attr, kind in _CSV_SCHEMA])
         else:
             payload = {"schema": "sisqo-results-v1",
                        "records": [_record_json(r) for r in flat]}
@@ -342,25 +324,13 @@ def _record_json(r):
          "stationarity_error": r.stationarity_error,
          "x_final": r.x_final.tolist(), "y_ls_final": r.y_ls_final.tolist(),
          "wall_time": r.wall_time, "config_digest": r.config_digest,
-         "rows": [asdict(row) for row in r.rows]}
-    d["info"] = {k: v for k, v in r.info.items()
-                 if isinstance(v, (int, float, str, bool, list))}
+         "rows": [asdict(row) for row in r.rows], "info": r.info}
     return d
 
 
-@dataclass
-class _LoadedRun:
-    """Summary-level record reconstructed from a results CSV."""
-
-    problem: str
-    strategy: str
-    eps_n: float
-    seed: int
-    feasibility_error: float
-    stationarity_error: float
-    total_minres_iters: int
-    outer_iters: int
-    status: str
+# summary-level record reconstructed from a results CSV
+_LoadedRun = make_dataclass(
+    "_LoadedRun", [(attr, kind) for _, attr, kind in _CSV_SCHEMA])
 
 
 def load_results(path):
@@ -375,14 +345,8 @@ def load_results(path):
                 raise ValueError(f"unexpected results header in {path!r}:"
                                  f" {reader.fieldnames}")
             for row in reader:
-                out.append(_LoadedRun(
-                    problem=row["problem"], strategy=row["strategy"],
-                    eps_n=float(row["eps_n"]), seed=int(row["seed"]),
-                    feasibility_error=float(row["feas_err"]),
-                    stationarity_error=float(row["stat_err"]),
-                    total_minres_iters=int(row["minres_iters"]),
-                    outer_iters=int(row["outer_iters"]),
-                    status=row["status"]))
+                out.append(_LoadedRun(**{attr: kind(row[column]) for
+                                         column, attr, kind in _CSV_SCHEMA}))
     except OSError as exc:
         raise OSError(f"cannot read results from {path!r}: {exc}") from exc
     return out

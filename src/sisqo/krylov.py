@@ -126,11 +126,12 @@ def cg_normal_solve(j, c, rel_tol, abs_floor, max_iter=None):
     return result
 
 
-def least_squares_multipliers(j, g, tol=1e-10, abs_floor=1e-14, max_iter=None):
+def least_squares_multipliers(j, g, tol=1e-10):
     """Least-squares multipliers: CG on ``J J.T y = -J g``.
 
-    ``tol`` is relative to the right-hand side norm.  Stagnation or an
-    exhausted iteration budget logs a warning and returns the best
+    ``tol`` is relative to the right-hand side norm, with an absolute
+    floor of 1e-14; the CG runs at most 4m + 10 iterations.  Stagnation
+    or an exhausted iteration budget logs a warning and returns the best
     iterate reached.
     """
     m = j.shape[0]
@@ -140,10 +141,9 @@ def least_squares_multipliers(j, g, tol=1e-10, abs_floor=1e-14, max_iter=None):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(m)
-    if max_iter is None:
-        max_iter = 4 * m + 10
-    threshold = max(tol * bnorm, abs_floor)
-    result = _cg(lambda p: j.apply(j.apply_transpose(p)), b, threshold, max_iter)
+    threshold = max(tol * bnorm, 1e-14)
+    result = _cg(lambda p: j.apply(j.apply_transpose(p)), b, threshold,
+                 4 * m + 10)
     if not result.converged:
         logger.warning("multiplier CG stopped at resid %.3e (target %.3e) "
                        "after %d iterations", result.resid_norm, threshold,

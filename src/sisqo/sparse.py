@@ -238,21 +238,21 @@ def frobenius_distance(a, b):
 class KktOperator:
     """Symmetric saddle operator (u, d) -> (H u + J.T d, J u).
 
-    H must be symmetric n-by-n; J is m-by-n with m possibly zero.  The
-    operator is applied to stacked vectors of length n + m, in one
-    kernel call.
+    H must be symmetric n-by-n, to 1e-12 of its largest entry (or of
+    1); J is m-by-n with m possibly zero.  The operator is applied to
+    stacked vectors of length n + m, in one kernel call.
     """
 
     __slots__ = ("h", "j", "n", "m", "dim", "_csr")
 
-    def __init__(self, h, j, sym_tol=1e-12):
+    def __init__(self, h, j):
         if h.rows != h.cols:
             raise ValueError("H must be square")
         if j.cols != h.rows:
             raise ValueError("J column count must match H dimension")
         scale = max(1.0, float(np.max(np.abs(h.data))) if h.nnz else 0.0)
         defect = h.symmetry_defect()
-        if defect > sym_tol * scale:
+        if defect > 1e-12 * scale:
             raise ValueError(f"H is not symmetric (defect {defect:.3e})")
         self.h = h
         self.j = j

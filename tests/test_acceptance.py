@@ -367,11 +367,12 @@ def test_07_formula_examples(capsys):
 
     # xi update branches
     d1 = np.array([1.0])
-    trial, new = xi_update(1.0, 0.5, 1.0, d1, cfg)  # trial 2.0
+    d1_sq = float(np.dot(d1, d1))
+    trial, new = xi_update(1.0, 0.5, 1.0, d1_sq, cfg)  # trial 2.0
     check("xi keeps when trial above", trial == 2.0 and new == 1.0)
-    trial, new = xi_update(1.0, 2.0, 1.0, d1, cfg)  # trial 0.5
+    trial, new = xi_update(1.0, 2.0, 1.0, d1_sq, cfg)  # trial 0.5
     check("xi takes small trial", trial == 0.5 and new == 0.5)
-    trial, new = xi_update(1.0, 1.0, 0.995, d1, cfg)
+    trial, new = xi_update(1.0, 1.0, 0.995, d1_sq, cfg)
     check("xi geometric decrease branch", abs(trial - 0.995) < 1e-12
           and abs(new - 0.99) < 1e-12)
 
@@ -386,18 +387,19 @@ def test_07_formula_examples(capsys):
     check("varphi positive for large steps",
           evaluate_varphi(50.0, 1.0, 0.2, 0.7, 2.0, 1.0, *parts35,
                           cfg) > 0.0)
-    alpha_min, alpha_suff = step_size_bounds(0.2, 0.3, 1.0, 0.7, d5, 2.0,
+    alpha_min, alpha_suff = step_size_bounds(0.2, 0.3, 1.0, 0.7,
+                                             float(np.dot(d5, d5)), 2.0,
                                              1.0, SolverConfig(eta=0.5))
     check("varphi nonpositive at sufficient step",
           evaluate_varphi(alpha_suff, 1.0, 0.2, 0.7, 2.0, 1.0, *parts35,
                           SolverConfig(eta=0.5)) <= 1e-10)
 
     alpha_min, alpha_suff = step_size_bounds(
-        0.1, 0.2, 1.0, 0.05, np.array([1.0]), 1.0, 0.0, SolverConfig(eta=0.5))
+        0.1, 0.2, 1.0, 0.05, d1_sq, 1.0, 0.0, SolverConfig(eta=0.5))
     check("step bounds hand case", abs(alpha_min - 0.2) < 1e-12
           and abs(alpha_suff - 0.5) < 1e-12)
     check("step bounds clamp at one",
-          step_size_bounds(0.1, 0.2, 1.0, 1e9, np.array([1.0]), 1.0, 0.0,
+          step_size_bounds(0.1, 0.2, 1.0, 1e9, d1_sq, 1.0, 0.0,
                            SolverConfig(eta=0.5))[1] == 1.0)
 
     # alpha three-case selection

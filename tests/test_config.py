@@ -111,6 +111,17 @@ def test_build_problem_controls_take_eps_n_from_oracle():
     assert problem.info["eps_n"] == 0.25
 
 
+def test_build_problem_controls_default_eps_n_is_the_oracle_default():
+    # without oracle.eps_n the problem data, the run record and the
+    # sweep all use the one default
+    config = {"problem": {"kind": "poisson_control", "mesh_size": 4},
+              "oracle": {"kind": "finite_sum"}}
+    problem = build_problem(config)
+    _, eps_n = oracle_settings(config)
+    assert problem.info["eps_n"] == eps_n == 0.0
+    assert harness_settings(config)["eps_n_list"] == [eps_n]
+
+
 def test_build_problem_rejects_unknown_keys_and_kind():
     with pytest.raises(ConfigError, match=r"unknown \[problem\] keys"):
         build_problem({"problem": {"kind": "synthetic_qp", "mesh_size": 4}})

@@ -86,6 +86,18 @@ def test_normal_step_dominates_cauchy_point():
         assert np.linalg.norm(c + j_dense @ ns.v) <= np.linalg.norm(c)
 
 
+def test_normal_step_losing_to_cauchy_point_breaches(monkeypatch):
+    import sisqo.engine
+    from sisqo.krylov import CgResult
+
+    monkeypatch.setattr(sisqo.engine, "cg_normal_solve",
+                        lambda j, c, rel_tol, abs_floor: CgResult(
+                            np.zeros(j.cols), 0, True, 0.0))
+    with pytest.raises(InvariantBreach, match="lost to the Cauchy point"):
+        compute_normal_step(np.array([3.0, 4.0]), SparseMatrix.identity(2),
+                            CFG)
+
+
 def test_normal_step_tight_tolerance_matches_pseudoinverse():
     rng = np.random.default_rng(41)
     j_dense = random_full_rank(rng, 4, 9)
@@ -287,15 +299,17 @@ def test_tau_collapse_raises():
 
 def test_xi_update_cases():
     d = np.array([1.0])
-    assert xi_update(1.0, 1.0, 2.0, d, CFG) == (2.0, 1.0)
-    assert xi_update(1.0, 1.0, 0.5, d, CFG) == (0.5, 0.5)
-    trial, new = xi_update(1.0, 1.0, 0.995, d, CFG)
+    d_sq = float(np.dot(d, d))
+    assert xi_update(1.0, 1.0, 2.0, d_sq, CFG) == (2.0, 1.0)
+    assert xi_update(1.0, 1.0, 0.5, d_sq, CFG) == (0.5, 0.5)
+    trial, new = xi_update(1.0, 1.0, 0.995, d_sq, CFG)
     assert trial == pytest.approx(0.995)
     assert new == pytest.approx(0.99)
     with pytest.raises(InvariantBreach, match="model reduction"):
-        xi_update(1.0, 1.0, 0.0, d, CFG)
+        xi_update(1.0, 1.0, 0.0, d_sq, CFG)
+    zero = np.zeros(1)
     with pytest.raises(InvariantBreach, match="model reduction"):
-        xi_update(1.0, 1.0, 1.0, np.zeros(1), CFG)
+        xi_update(1.0, 1.0, 1.0, float(np.dot(zero, zero)), CFG)
 
 
 # -- step size --------------------------------------------------------------------
@@ -334,23 +348,26 @@ def test_step_size_bounds_frozen_case():
     cfg = SolverConfig(eta=0.5)
     d = np.array([1.0])
     alpha_min, alpha_suff = step_size_bounds(
-        tau=0.1, xi=0.2, beta=1.0, delta_l=0.05, d=d,
+        tau=0.1, xi=0.2, beta=1.0, delta_l=0.05, d_sq=float(np.dot(d, d)),
         lip_l=1.0, lip_gamma=0.0, cfg=cfg)
     assert alpha_min == pytest.approx(0.2)
     assert alpha_suff == pytest.approx(0.5)
 
     # xi at its trial value closes the gap between the bounds
     alpha_min, alpha_suff = step_size_bounds(
-        tau=0.1, xi=0.5, beta=1.0, delta_l=0.05, d=d,
+        tau=0.1, xi=0.5, beta=1.0, delta_l=0.05, d_sq=float(np.dot(d, d)),
         lip_l=1.0, lip_gamma=0.0, cfg=cfg)
     assert alpha_min == alpha_suff == pytest.approx(0.5)
 
 
 def test_step_size_bounds_validation():
+    ones, zero = np.ones(1), np.zeros(1)
     with pytest.raises(ConfigError, match="positive"):
-        step_size_bounds(1.0, 1.0, 1.0, 1.0, np.ones(1), 0.0, 0.0, CFG)
+        step_size_bounds(1.0, 1.0, 1.0, 1.0, float(np.dot(ones, ones)), 0.0,
+                         0.0, CFG)
     with pytest.raises(InvariantBreach, match="zero step"):
-        step_size_bounds(1.0, 1.0, 1.0, 1.0, np.zeros(1), 1.0, 0.0, CFG)
+        step_size_bounds(1.0, 1.0, 1.0, 1.0, float(np.dot(zero, zero)), 1.0,
+                         0.0, CFG)
 
 
 def test_select_step_size_full_step():

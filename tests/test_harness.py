@@ -9,8 +9,8 @@ import pytest
 from sisqo.engine import SolverConfig
 from sisqo.harness import (ComparisonRecord, aggregate, emit_results,
                            load_results, resolve_output_path,
-                           run_budget_matched_pair, run_single,
-                           select_exact_iterate, true_kkt_errors, CSV_COLUMNS)
+                           rank_iterate, run_budget_matched_pair, run_single,
+                           true_kkt_errors, CSV_COLUMNS)
 from sisqo.library import SyntheticQpSpec, build_synthetic_qp
 
 
@@ -59,22 +59,24 @@ def test_run_single_outer_cap():
 
 def test_run_single_minres_budget():
     problem = _qp()
-    cfg = SolverConfig()
-    record = run_single(problem, cfg, 0, oracle_kind="exact",
-                        stop_rule=False, budget=0, collect_history=True)
-    assert record.status == "budget_exhausted"
-    assert record.info["stop"] == "minres_budget"
-    history = record.info["history"]
-    assert len(history) == 1
-    assert history[0]["k"] == 0
-    np.testing.assert_array_equal(history[0]["x"], problem.x0)
+    for feasibility_tol, rule in ((1e-6, "min feasibility"),
+                                  (1e3, "min stationarity among feasible")):
+        cfg = SolverConfig(feasibility_tol=feasibility_tol)
+        record = run_single(problem, cfg, 0, oracle_kind="exact", budget=0)
+        assert record.status == "budget_exhausted"
+        assert record.info["stop"] == "minres_budget"
+        assert record.outer_iters == 0
+        selected = record.info["selected_iterate"]
+        assert selected == {"k": 0, "rule": rule,
+                            "feas": record.feasibility_error,
+                            "stat": record.stationarity_error}
+        np.testing.assert_array_equal(record.x_final, problem.x0)
 
 
 @pytest.mark.parametrize("cfg, run_kwargs, status", [
     (SolverConfig(), {}, "converged"),
     (SolverConfig(max_outer_iterations=3), {}, "budget_exhausted"),
-    (SolverConfig(), {"stop_rule": False, "budget": 20,
-                      "collect_history": True}, "budget_exhausted"),
+    (SolverConfig(), {"budget": 20}, "budget_exhausted"),
 ])
 def test_run_single_measures_each_iterate_once(monkeypatch, cfg, run_kwargs,
                                                status):
@@ -115,24 +117,38 @@ def test_run_single_is_deterministic():
     assert a.config_digest == b.config_digest
 
 
-def test_select_exact_iterate_rules():
-    history = [
-        {"k": 0, "x": None, "feas": 0.5, "stat": 9.0},
-        {"k": 1, "x": None, "feas": 1e-8, "stat": 3.0},
-        {"k": 2, "x": None, "feas": 1e-7, "stat": 1.0},
-        {"k": 3, "x": None, "feas": 1e-7, "stat": 1.0},
-    ]
-    best, provenance = select_exact_iterate(history, 1e-6)
-    assert best["k"] == 2  # smallest stat among feasible, earliest tie
-    assert provenance["rule"] == "min stationarity among feasible"
-    assert provenance["feas"] == 1e-7
+def _best_k(history, feasibility_tol):
+    return min(history, key=lambda e: rank_iterate(*e, feasibility_tol))[0]
 
-    best, provenance = select_exact_iterate(history, 1e-9)
-    assert best["k"] == 1  # nothing feasible: smallest feasibility
-    assert provenance["rule"] == "min feasibility"
 
-    with pytest.raises(ValueError, match="empty iterate history"):
-        select_exact_iterate([], 1e-6)
+def test_rank_iterate_rules():
+    # (k, feas, stat) in visiting order
+    history = [(0, 0.5, 9.0), (1, 1e-8, 3.0), (2, 1e-7, 1.0), (3, 1e-7, 1.0)]
+    # smallest stationarity among feasible iterates, earliest of a tie
+    assert _best_k(history, 1e-6) == 2
+    assert rank_iterate(2, 1e-7, 1.0, 1e-6) == (False, 1.0, 2)
+    # nothing feasible: smallest feasibility
+    assert _best_k(history, 1e-9) == 1
+    assert rank_iterate(1, 1e-8, 3.0, 1e-9) == (True, 1e-8, 1)
+
+
+def _two_stage_selection(history, feasibility_tol):
+    # smallest stationarity among feasible iterates, else smallest
+    # feasibility, each by min in visiting order with the earliest
+    # iterate winning ties
+    feasible = [e for e in history if e[1] <= feasibility_tol]
+    if feasible:
+        return min(feasible, key=lambda e: (e[2], e[0]))[0]
+    return min(history, key=lambda e: (e[1], e[0]))[0]
+
+
+def test_rank_iterate_matches_two_stage_selection():
+    rng = np.random.default_rng(7)
+    values = [1e-8, 1e-7, 1e-6, 1e-3, 1.0, np.nan]
+    for _ in range(500):
+        history = [(k, float(rng.choice(values)), float(rng.choice(values)))
+                   for k in range(int(rng.integers(1, 7)))]
+        assert _best_k(history, 1e-6) == _two_stage_selection(history, 1e-6)
 
 
 def test_budget_matched_pair_accounting():
@@ -150,7 +166,17 @@ def test_budget_matched_pair_accounting():
     assert pair.exact.strategy == "sisqo_exact"
     provenance = pair.exact.info["selected_iterate"]
     assert provenance["k"] <= pair.exact.outer_iters
-    # reported errors are recomputed at the selected iterate
+    assert (provenance["feas"], provenance["stat"]) == \
+        (pair.exact.feasibility_error, pair.exact.stationarity_error)
+    # here an iterate before the last one wins, and it ranks first among
+    # the iterates the rows recorded
+    assert provenance["k"] < pair.exact.outer_iters
+    row = pair.exact.rows[provenance["k"]]
+    assert (row.feas_err, row.stat_err) == \
+        (provenance["feas"], provenance["stat"])
+    assert min(pair.exact.rows, key=lambda r: rank_iterate(
+        r.k, r.feas_err, r.stat_err, 1e-6)) is row
+    # reported errors are those of the selected iterate
     j = problem.eval_jacobian(pair.exact.x_final)
     feas, stat, _ = true_kkt_errors(problem, pair.exact.x_final, j, 1e-10)
     assert pair.exact.feasibility_error == feas
@@ -250,9 +276,15 @@ def test_emit_csv_flattens_comparison_records(tmp_path):
         inexact=_stub_record(seed=0),
         exact=_stub_record(strategy="sisqo_exact", seed=0),
         budget=40, overshoot=0)
+    assert not pair.aborted
     path = emit_results([pair], str(tmp_path / "pair.csv"))
     loaded = load_results(path)
     assert [r.strategy for r in loaded] == ["sisqo", "sisqo_exact"]
+
+    aborted = ComparisonRecord(inexact=_stub_record(), exact=None, budget=0,
+                               overshoot=0)
+    assert aborted.aborted
+    assert aborted.runs() == [aborted.inexact]
 
 
 def test_emit_empty_records_writes_header(tmp_path):
@@ -272,6 +304,28 @@ def test_emit_json_schema(tmp_path):
     assert row["problem"] == "qp"
     assert row["x_final"] == [0.0, 0.0]
     assert row["rows"] == []
+
+
+def test_emit_json_keeps_dict_valued_info(tmp_path):
+    import json
+    problem = _qp(n=8, m=3, seed=4)
+    pair = run_budget_matched_pair(problem, SolverConfig(kappa=0.1),
+                                   SolverConfig(kappa=1e-7), 5,
+                                   oracle_kind="gaussian", eps_n=1e-2)
+    # one MINRES step on one Hessian rung accepts no tangential iterate
+    failed = run_single(problem, SolverConfig(minres_max_iter_scale=0.01,
+                                              max_rung=0),
+                        0, oracle_kind="exact")
+    assert failed.status == "failed"
+    path = emit_results([pair, failed], str(tmp_path / "out.json"))
+    rows = json.load(open(path))["records"]
+    assert [row["strategy"] for row in rows] == \
+        ["sisqo", "sisqo_exact", "sisqo"]
+    assert rows[1]["info"]["selected_iterate"] == \
+        pair.exact.info["selected_iterate"]
+    assert rows[2]["info"]["failure_diagnostics"] == \
+        failed.info["failure_diagnostics"]
+    assert rows[2]["info"]["failure_diagnostics"]["rungs"]
 
 
 def test_emit_rejects_unknown_format_and_bad_path(tmp_path):

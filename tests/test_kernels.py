@@ -358,3 +358,24 @@ def test_build_is_cached_and_reused(tmp_path):
     assert _import_in_child(tmp_path, "cached") == (
         ["compiled", "compiled", "python"], [])
     assert _cache_entries(kernel_dir) == built
+
+
+def test_bench_kernels_script_runs(capsys):
+    # the benchmark script lives outside the package; load it by path
+    import importlib.util
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "benchmarks" \
+        / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", script)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    previous = kernels.active_backend()
+    try:
+        assert bench.main(["--mesh", "4", "--repeats", "2",
+                           "--minres-steps", "3"]) == 0
+    finally:
+        kernels.use_backend(previous)
+    out = capsys.readouterr().out
+    for name in kernels.available_backends():
+        assert f"\n{name} " in out
