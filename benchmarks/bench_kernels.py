@@ -89,12 +89,16 @@ def main(argv=None):
           f" (active: {kernels.active_backend()})")
 
     results = {}
-    for name in kernels.available_backends():
-        kernels.use_backend(name)
-        fwd, rev, kkt = bench_kernels(h, j, args.repeats)
-        solve = bench_minres(h, j, args.minres_steps,
-                             max(3, args.repeats // 20))
-        results[name] = (fwd, rev, kkt, solve)
+    active = kernels.active_backend()
+    try:
+        for name in kernels.available_backends():
+            kernels.use_backend(name)
+            fwd, rev, kkt = bench_kernels(h, j, args.repeats)
+            solve = bench_minres(h, j, args.minres_steps,
+                                 max(3, args.repeats // 20))
+            results[name] = (fwd, rev, kkt, solve)
+    finally:
+        kernels.use_backend(active)
 
     print(f"\n{'backend':<10} {'matvec':>12} {'rmatvec':>12}"
           f" {'kkt_apply':>12} {'minres x' + str(args.minres_steps):>14}")

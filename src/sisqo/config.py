@@ -84,18 +84,19 @@ def build_problem(config):
 
     The control problems take their reference-state spread from the
     oracle's eps_n, so the one knob drives both the data and the noise.
+    A finite-sum oracle needs a problem made of finite-sum terms.
     """
     section = dict(config.get("problem", {}))
     kind = section.pop("kind", None)
     if kind == "synthetic_qp":
         known = {"n", "m", "problem_seed", "cond_target", "curvature_floor"}
         _reject_unknown(section, known, "problem")
-        return build_synthetic_qp(SyntheticQpSpec(
+        problem = build_synthetic_qp(SyntheticQpSpec(
             n=section.get("n", 40), m=section.get("m", 15),
             seed=section.get("problem_seed", 0),
             cond_target=section.get("cond_target", 10.0),
             curvature_floor=section.get("curvature_floor", 1.0)))
-    if kind in ("poisson_control", "neumann_control"):
+    elif kind in ("poisson_control", "neumann_control"):
         known = {"mesh_size", "n_terms", "regularization", "eps_s"}
         _reject_unknown(section, known, "problem")
         spec = ControlProblemSpec(
@@ -106,8 +107,13 @@ def build_problem(config):
             eps_s=section.get("eps_s", float(np.sqrt(15.0))))
         build = build_poisson_control if kind == "poisson_control" \
             else build_neumann_control
-        return build(spec)
-    raise ConfigError(f"unknown problem kind {kind!r}")
+        problem = build(spec)
+    else:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    if oracle_settings(config)[0] == "finite_sum" and problem.term_grid is None:
+        raise ConfigError(f"oracle kind finite_sum needs finite-sum terms;"
+                          f" problem kind {kind!r} has none")
+    return problem
 
 
 def _reject_unknown(section, known, name):
@@ -132,7 +138,15 @@ def build_solver_config(config, **extra):
     unknown = set(kwargs) - valid
     if unknown:
         raise ConfigError(f"unknown solver settings: {sorted(unknown)}")
+    _check_seeds([kwargs.get("seed", 0)])
     return SolverConfig(**kwargs)
+
+
+def _check_seeds(seeds):
+    negative = [s for s in seeds if s < 0]
+    if negative:
+        raise ConfigError(f"seeds must be non-negative, got {negative}")
+    return seeds
 
 
 def oracle_settings(config):
@@ -153,8 +167,8 @@ def harness_settings(config):
     """Sweep and output settings with defaults filled in."""
     section = dict(config.get("harness", {}))
     return {
-        "seed": int(section.get("seed", 0)),
-        "seeds": _as_list(section.get("seeds", section.get("seed", 0)), int),
+        "seeds": _check_seeds(
+            _as_list(section.get("seeds", section.get("seed", 0)), int)),
         "eps_n_list": _as_list(
             section.get("eps_n_list",
                         config.get("oracle", {}).get("eps_n", 0.0)), float),

@@ -39,6 +39,22 @@ logger = logging.getLogger(__name__)
 # pure round-off at equality boundaries
 REL_SLACK = 1e-9
 
+# implementation tolerances, one value for every problem and profile:
+# the normal-step CG stops at max(CG_REL_TOL * ||J'c||, CG_ABS_FLOOR)
+CG_REL_TOL = 0.1
+CG_ABS_FLOOR = 1e-10
+# the MINRES residual cap never drops below MINRES_ABS_FLOOR, and one
+# rung runs at most MINRES_MAX_ITER_SCALE * (n + m) steps
+MINRES_ABS_FLOOR = 1e-12
+MINRES_MAX_ITER_SCALE = 2.0
+# ||c||_inf and the least-squares residual below which the iterate is
+# stationary for the sampled gradient
+STATIONARY_TOL = 1e-12
+# Lipschitz probe radius per unit of max(1, ||x||)
+PROBE_RADIUS_SCALE = 1e-4
+# last blended rung of the Hessian ladder before the identity
+MAX_RUNG = 10
+
 
 def _slack(*scales):
     return REL_SLACK * max(1.0, *(abs(s) for s in scales))
@@ -81,7 +97,8 @@ class StationaryPointDetected(Exception):
 
 @dataclass
 class SolverConfig:
-    """All tunable constants of the method.
+    """All tunable constants of the method; the implementation
+    tolerances are the module constants above.
 
     Defaults follow the recommended settings for the stochastic runs:
     adaptive parameters start at tau = 0.1 and xi = 1, the two residual
@@ -114,17 +131,6 @@ class SolverConfig:
     lipschitz_mode: str = "estimate"
     lip_l: float = 1.0
     lip_gamma: float = 0.0
-    lip_floor: float = 1e-8
-    probe_radius_scale: float = 1e-4
-    # normal step (CG) and tangential step (MINRES) controls
-    cg_rel_tol: float = 0.1
-    cg_abs_floor: float = 1e-10
-    minres_abs_floor: float = 1e-12
-    minres_max_iter_scale: float = 2.0
-    ls_multiplier_tol: float = 1e-10
-    max_rung: int = 10
-    # stationarity for the sampled gradient
-    stationary_tol: float = 1e-12
     # outer loop (consumed by the run harness)
     feasibility_tol: float = 1e-6
     stationarity_tol: float = 1e-2
@@ -148,11 +154,7 @@ class SolverConfig:
                     "eps_c": self.eps_c, "eps_u": self.eps_u,
                     "kappa_rho": self.kappa_rho, "kappa_r": self.kappa_r,
                     "kappa_u": self.kappa_u, "kappa_v": self.kappa_v,
-                    "theta": self.theta,
-                    "lip_floor": self.lip_floor,
-                    "probe_radius_scale": self.probe_radius_scale,
-                    "cg_rel_tol": self.cg_rel_tol,
-                    "minres_max_iter_scale": self.minres_max_iter_scale}
+                    "theta": self.theta}
         for name, val in positive.items():
             if val <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {val}")
@@ -176,19 +178,18 @@ class SolverConfig:
                         f" gamma = {scale:.3g} falls outside (0, 1]")
         if self.dual_update not in ("direct", "least_squares"):
             raise ConfigError(f"unknown dual_update {self.dual_update!r}")
-        if self.max_rung < 0 or self.max_outer_iterations < 0:
-            raise ConfigError("max_rung and max_outer_iterations must be >= 0")
-        if self.cg_abs_floor < 0 or self.minres_abs_floor < 0:
-            raise ConfigError("absolute floors must be >= 0")
+        if self.max_outer_iterations < 0:
+            raise ConfigError("max_outer_iterations must be >= 0")
 
 
 @dataclass
 class IterateState:
     """Everything carried from iteration k to k+1.
 
-    The previous iterate's sampled gradient, Jacobian, and constraint
-    values feed the backward-looking branch of the dual residual bound;
-    they are None at k = 0.
+    ``prev_pair_norm`` is ||(g + J'y; c)|| of the previous iterate's
+    sampled gradient, Jacobian and constraint values at the current
+    duals, the backward-looking branch of the dual residual bound; it
+    is inf at k = 0.
     """
 
     k: int
@@ -198,9 +199,7 @@ class IterateState:
     xi: float
     c: np.ndarray
     j: object
-    prev_g: Optional[np.ndarray] = None
-    prev_j: Optional[object] = None
-    prev_c: Optional[np.ndarray] = None
+    prev_pair_norm: float = math.inf
 
 
 @dataclass
@@ -250,9 +249,9 @@ class StepResult:
     info: dict = field(default_factory=dict)
 
 
-def merit_value(problem, x, tau):
-    """Exact-penalty merit tau * f(x) + ||c(x)||."""
-    return tau * problem.eval_f(x) + float(np.linalg.norm(problem.eval_c(x)))
+def merit_value(problem, x, tau, c):
+    """Exact-penalty merit tau * f(x) + ||c||, from c = c(x)."""
+    return tau * problem.eval_f(x) + float(np.linalg.norm(c))
 
 
 # -- model reduction and the normal step ------------------------------------
@@ -270,7 +269,7 @@ def compute_normal_step(c, j, cfg):
     Raises InvariantBreach if the certification fails, since the CG
     iterates should dominate the Cauchy point by construction.
     """
-    res = cg_normal_solve(j, c, cfg.cg_rel_tol, cfg.cg_abs_floor)
+    res = cg_normal_solve(j, c, CG_REL_TOL, CG_ABS_FLOOR)
     v = res.v
     c_norm = float(np.linalg.norm(c))
     jv = j.apply(v)
@@ -314,8 +313,7 @@ class _IterationContext:
         self.y = y
         self.tau_prev = tau_prev
         self.beta = beta
-        self.prev_pair_norm = (math.inf if prev_pair_norm is None
-                               else prev_pair_norm)
+        self.prev_pair_norm = prev_pair_norm
         self.jv = ns.jv
         self.c_plus_jv = ns.c_plus_jv
         self.c_norm = ns.c_norm
@@ -517,9 +515,9 @@ def _residual_norm(g, j, y):
     return float(np.linalg.norm(g + j.apply_transpose(y)))
 
 
-def _least_squares_fit(g, j, cfg):
+def _least_squares_fit(g, j):
     """Least-squares multipliers for g and their residual."""
-    y_ls = least_squares_multipliers(j, g, cfg.ls_multiplier_tol)
+    y_ls = least_squares_multipliers(j, g)
     return y_ls, _residual_norm(g, j, y_ls)
 
 
@@ -528,7 +526,7 @@ def update_duals(y, delta, g, j, cfg):
     residual multipliers when they beat the shifted ones."""
     y_plus = y + delta
     if cfg.dual_update == "least_squares":
-        y_ls, res_ls = _least_squares_fit(g, j, cfg)
+        y_ls, res_ls = _least_squares_fit(g, j)
         if res_ls <= _residual_norm(g, j, y_plus):
             return y_ls
     return y_plus
@@ -543,24 +541,15 @@ def init_state(problem, cfg, x0=None, y0=None):
                         c=problem.eval_c(x), j=problem.eval_jacobian(x))
 
 
-def _default_probe_rng(cfg, k):
-    # keyed by (seed, stream, iteration) so standalone calls do not
-    # replay the same probe every iteration
-    from .problems import STREAMS
-
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((int(cfg.seed), STREAMS["lipschitz"], int(k)))))
-
-
-def _check_stationary(state, problem, oracle, cfg, g):
+def _check_stationary(state, problem, oracle, g):
     """Feasible-and-stationary detection for the sampled gradient,
     with a single resample for stochastic oracles."""
-    if float(np.max(np.abs(state.c), initial=0.0)) >= cfg.stationary_tol:
+    if float(np.max(np.abs(state.c), initial=0.0)) >= STATIONARY_TOL:
         return g
     resampled = False
     while True:
-        y_ls, residual = _least_squares_fit(g, state.j, cfg)
-        if residual >= cfg.stationary_tol:
+        y_ls, residual = _least_squares_fit(g, state.j)
+        if residual >= STATIONARY_TOL:
             return g
         if oracle.is_stochastic and not resampled:
             g = oracle.sample(problem, state.x)
@@ -579,8 +568,8 @@ def _tangential_solve(ctx, cfg):
     op = KktOperator(ctx.h, ctx.j)
     mstate = MinresState(op, (ctx.rhs_top, np.zeros(ctx.j.rows)))
     cap = max(cfg.kappa * float(np.max(np.abs(ctx.rhs_top), initial=0.0)),
-              cfg.minres_abs_floor)
-    max_iter = max(1, int(cfg.minres_max_iter_scale * op.dim))
+              MINRES_ABS_FLOOR)
+    max_iter = max(1, int(MINRES_MAX_ITER_SCALE * op.dim))
     # ||r||_inf >= ||r||_2 / sqrt(dim), so a 2-norm above sqrt(dim) * cap,
     # by more than its own round-off, fails the infinity-norm cap too;
     # the cheap test skips the temporary-allocating max |r|
@@ -658,40 +647,31 @@ def _debug_verify(step, ctx, varphi, cfg):
     return out
 
 
-def sqp_iterate(state, problem, oracle, cfg, probe_rng=None):
+def sqp_iterate(state, problem, oracle, cfg, probe_rng):
     """One full iteration: sample, detect stationarity, take the normal
     step, truncate the tangential solve over the Hessian ladder, update
-    tau / xi / duals, and select the step size.
+    tau / xi / duals, and select the step size.  ``probe_rng`` draws the
+    Lipschitz probes when they are estimated.
 
     Returns the advanced state and a StepResult.  Raises
     StationaryPointDetected or IterationFailure; either ends the run.
     """
     g = oracle.sample(problem, state.x)
-    g = _check_stationary(state, problem, oracle, cfg, g)
+    g = _check_stationary(state, problem, oracle, g)
 
     if cfg.lipschitz_mode == "fixed":
         lip_l, lip_gamma = cfg.lip_l, cfg.lip_gamma
     else:
-        if probe_rng is None:
-            probe_rng = _default_probe_rng(cfg, state.k)
-        radius = cfg.probe_radius_scale * max(
-            1.0, float(np.linalg.norm(state.x)))
+        radius = PROBE_RADIUS_SCALE * max(1.0, float(np.linalg.norm(state.x)))
         lip_l, lip_gamma = estimate_lipschitz(problem, state.x, radius,
-                                              probe_rng, floor=cfg.lip_floor)
+                                              probe_rng)
 
     ns = compute_normal_step(state.c, state.j, cfg)
     beta = beta_for_iteration(cfg, state.k)
 
-    if state.prev_g is None:
-        prev_pair = None
-    else:
-        prev_pair = norm_pair(
-            state.prev_g + state.prev_j.apply_transpose(state.y),
-            state.prev_c)
-
     ctx = _IterationContext(g, state.c, state.j, ns, state.y, state.tau, beta,
-                            prev_pair)
-    ladder = HessianLadder(max_rung=cfg.max_rung)
+                            state.prev_pair_norm)
+    ladder = HessianLadder(max_rung=MAX_RUNG)
     total_minres = 0
     rungs = []
     while True:
@@ -727,7 +707,7 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng=None):
         # (any cancellation fails both tests), which certifies the
         # iterate as stationary for the sampled gradient to working
         # precision even when the explicit gate has not fired yet
-        y_ls, residual = _least_squares_fit(g, state.j, cfg)
+        y_ls, residual = _least_squares_fit(g, state.j)
         raise StationaryPointDetected(state.x, y_ls, residual,
                                       resampled=False)
     delta_l = model_reduction(tau_new, ev.g_dot_d, ctx.c_norm,
@@ -761,8 +741,9 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng=None):
     # merit decrease against the model bound: guaranteed when the
     # Lipschitz constants are true upper bounds and g is exact, so a
     # breach is only flagged in that mode and logged otherwise
-    merit_drop = merit_value(problem, x_next, tau_new) \
-        - merit_value(problem, state.x, tau_new)
+    c_next = problem.eval_c(x_next)
+    merit_drop = merit_value(problem, x_next, tau_new, c_next) \
+        - merit_value(problem, state.x, tau_new, state.c)
     bound = -alpha * delta_l * (1.0 - (1.0 - cfg.eta) * beta)
     step.merit_gap = merit_drop - bound
     guaranteed = cfg.lipschitz_mode == "fixed" and not oracle.is_stochastic
@@ -783,6 +764,7 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng=None):
 
     state_next = IterateState(
         k=state.k + 1, x=x_next, y=y_next, tau=tau_new, xi=xi_new,
-        c=problem.eval_c(x_next), j=problem.eval_jacobian(x_next),
-        prev_g=g, prev_j=state.j, prev_c=state.c)
+        c=c_next, j=problem.eval_jacobian(x_next),
+        prev_pair_norm=norm_pair(g + state.j.apply_transpose(y_next),
+                                 state.c))
     return state_next, step

@@ -111,13 +111,13 @@ def _config_digest(cfg, oracle_kind, eps_n):
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def true_kkt_errors(problem, x, j, ls_tol):
+def true_kkt_errors(problem, x, j):
     """Infinity-norm feasibility and true-gradient stationarity with
     least-squares multipliers; returns (feas, stat, y_ls)."""
     c = problem.eval_c(x)
     feas = float(np.max(np.abs(c), initial=0.0))
     grad = problem.eval_grad_f(x)
-    y_ls = least_squares_multipliers(j, grad, ls_tol)
+    y_ls = least_squares_multipliers(j, grad)
     stat = float(np.max(np.abs(grad + j.apply_transpose(y_ls)), initial=0.0))
     return feas, stat, y_ls
 
@@ -154,8 +154,7 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
     info = {"oracle_m_g": oracle.variance_bound(problem)}
 
     while True:
-        feas, stat, y_ls = true_kkt_errors(problem, state.x, state.j,
-                                           cfg.ls_multiplier_tol)
+        feas, stat, y_ls = true_kkt_errors(problem, state.x, state.j)
         if budget is None:
             if feas <= cfg.feasibility_tol and stat <= cfg.stationarity_tol:
                 status = "converged"
@@ -173,8 +172,7 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
             info["stop"] = "outer_cap"
             break
         try:
-            state, step = sqp_iterate(state, problem, oracle, cfg,
-                                      probe_rng=probe_rng)
+            state, step = sqp_iterate(state, problem, oracle, cfg, probe_rng)
         except StationaryPointDetected as exc:
             status = "stationary"
             info["stationary_residual"] = exc.grad_residual
@@ -284,20 +282,21 @@ def resolve_output_path(path):
     return path
 
 
-def emit_results(records, path, fmt=None):
-    """Write run records as CSV (summary columns) or JSON (full
-    records, including per-iteration rows).  The format comes from the
-    extension unless given explicitly.  Returns the resolved path."""
+def emit_results(records, path):
+    """Write run records as JSON (full records, including per-iteration
+    rows) to a ``.json`` path and as CSV (summary columns) to any other.
+    Returns the resolved path."""
     path = resolve_output_path(path)
-    if fmt is None:
-        fmt = "json" if str(path).endswith(".json") else "csv"
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown results format {fmt!r}")
     flat = []
     for rec in records:
         flat.extend(rec.runs() if isinstance(rec, ComparisonRecord) else [rec])
     try:
-        if fmt == "csv":
+        if str(path).endswith(".json"):
+            payload = {"schema": "sisqo-results-v1",
+                       "records": [_record_json(r) for r in flat]}
+            with open(path, "w") as fh:
+                json.dump(payload, fh, indent=1)
+        else:
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(CSV_COLUMNS)
@@ -306,11 +305,6 @@ def emit_results(records, path, fmt=None):
                         ["%.17g" % getattr(r, attr) if kind is float
                          else getattr(r, attr)
                          for _, attr, kind in _CSV_SCHEMA])
-        else:
-            payload = {"schema": "sisqo-results-v1",
-                       "records": [_record_json(r) for r in flat]}
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=1)
     except OSError as exc:
         raise OSError(f"cannot write results to {path!r}: {exc}") from exc
     return path

@@ -22,6 +22,10 @@ __all__ = ["Problem", "GradientOracle", "HessianLadder",
 # instrumentation must never perturb existing streams
 STREAMS = {"oracle": 1, "lipschitz": 2, "problem": 3}
 
+# lower bound of both Lipschitz estimates, so a flat probe still gives
+# a positive step-size denominator
+LIP_FLOOR = 1e-8
+
 
 def substream(seed, name):
     """Named Philox substream; (seed, name) fully determines the draws."""
@@ -191,12 +195,12 @@ def ladder_matrix(ladder, problem, x, y):
 
 # -- Lipschitz estimation --------------------------------------------------
 
-def estimate_lipschitz(problem, x, probe_radius, rng, floor=1e-8):
+def estimate_lipschitz(problem, x, probe_radius, rng):
     """Finite-difference Lipschitz estimates at a random nearby point.
 
     Samples x' uniformly in the ball of radius ``probe_radius`` around
     x, then L_est = ||grad f(x') - grad f(x)|| / ||x' - x|| and
-    Gamma_est = ||J(x') - J(x)||_F / ||x' - x||, floored at ``floor``.
+    Gamma_est = ||J(x') - J(x)||_F / ||x' - x||, floored at LIP_FLOOR.
     """
     if probe_radius <= 0:
         raise ValueError("probe_radius must be positive")
@@ -204,12 +208,12 @@ def estimate_lipschitz(problem, x, probe_radius, rng, floor=1e-8):
     direction = rng.standard_normal(n)
     dnorm = float(np.linalg.norm(direction))
     if dnorm == 0.0:
-        return floor, floor
+        return LIP_FLOOR, LIP_FLOOR
     radius = probe_radius * rng.uniform() ** (1.0 / n)
     step = (radius / dnorm) * direction
     dist = float(np.linalg.norm(step))
     if dist == 0.0:
-        return floor, floor
+        return LIP_FLOOR, LIP_FLOOR
     xp = x + step
     l_est = float(np.linalg.norm(problem.eval_grad_f(xp)
                                  - problem.eval_grad_f(x))) / dist
@@ -217,7 +221,7 @@ def estimate_lipschitz(problem, x, probe_radius, rng, floor=1e-8):
 
     gamma_est = frobenius_distance(problem.eval_jacobian(xp),
                                    problem.eval_jacobian(x)) / dist
-    return max(l_est, floor), max(gamma_est, floor)
+    return max(l_est, LIP_FLOOR), max(gamma_est, LIP_FLOOR)
 
 
 # -- derivative validation -------------------------------------------------

@@ -4,9 +4,10 @@ Storage is canonical CSR (sorted, duplicate-free, int64 indices, float64
 values).  Matrix-vector products dispatch to :mod:`sisqo.kernels`, so the
 same objects run on the compiled core or the numpy fallback.
 
-Matrices are immutable: the CSR arrays are private read-only copies, so
-derived quantities such as the symmetry defect are computed once per
-object and cached.
+Matrices are immutable: the CSR arrays are read-only copies of the
+caller's (a matrix combined from another of the same pattern shares its
+pattern arrays), so derived quantities such as the symmetry defect are
+computed once per object and cached.
 """
 
 import numpy as np
@@ -103,16 +104,14 @@ class SparseMatrix:
         return cls((rows, cols), indptr, ci, vals)
 
     @classmethod
-    def from_dense(cls, a, drop_tol=0.0):
+    def from_dense(cls, a):
         a = np.asarray(a, dtype=np.float64)
-        ri, ci = np.nonzero(np.abs(a) > drop_tol)
+        ri, ci = np.nonzero(np.abs(a) > 0.0)
         return cls.from_triplets(a.shape, ri, ci, a[ri, ci])
 
     @classmethod
-    def identity(cls, n, scale=1.0):
-        idx = np.arange(n, dtype=np.int64)
-        return cls((n, n), np.arange(n + 1, dtype=np.int64), idx,
-                   np.full(n, float(scale)))
+    def identity(cls, n):
+        return cls.diagonal(np.ones(n))
 
     @classmethod
     def diagonal(cls, d):
@@ -120,6 +119,18 @@ class SparseMatrix:
         n = d.shape[0]
         return cls((n, n), np.arange(n + 1, dtype=np.int64),
                    np.arange(n, dtype=np.int64), d)
+
+    def _with_data(self, data):
+        """This pattern with the float64 values ``data``, taken over as
+        they are: the pattern arrays are read-only and already checked,
+        so the new matrix shares them."""
+        out = object.__new__(SparseMatrix)
+        out.rows, out.cols = self.rows, self.cols
+        out.indptr, out.indices = self.indptr, self.indices
+        data.flags.writeable = False
+        out.data = data
+        out._sym_defect = None
+        return out
 
     # -- properties --------------------------------------------------
 
@@ -133,23 +144,21 @@ class SparseMatrix:
 
     # -- products ----------------------------------------------------
 
-    def apply(self, x, out=None):
+    def apply(self, x):
         """A @ x."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.cols,):
             raise ValueError(f"expected vector of length {self.cols}")
-        if out is None:
-            out = np.empty(self.rows)
+        out = np.empty(self.rows)
         kernels.csr_matvec(self.indptr, self.indices, self.data, x, out)
         return out
 
-    def apply_transpose(self, x, out=None):
+    def apply_transpose(self, x):
         """A.T @ x without forming the transpose."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.rows,):
             raise ValueError(f"expected vector of length {self.rows}")
-        if out is None:
-            out = np.empty(self.cols)
+        out = np.empty(self.cols)
         kernels.csr_rmatvec(self.indptr, self.indices, self.data, x, out)
         return out
 
@@ -183,20 +192,26 @@ class SparseMatrix:
     def _compute_symmetry_defect(self):
         if self.rows != self.cols:
             return np.inf
-        at = self.transpose()
-        if np.array_equal(self.indptr, at.indptr) and \
-                np.array_equal(self.indices, at.indices):
-            return float(np.max(np.abs(self.data - at.data))) if self.nnz else 0.0
-        # patterns differ: compare through merged triplets
-        ri, ci, va = self.triplets()
-        rj, cj, vb = at.triplets()
-        merged = SparseMatrix.from_triplets(
-            self.shape, np.concatenate([ri, rj]), np.concatenate([ci, cj]),
-            np.concatenate([va, -vb]), sum_duplicates=True)
-        return float(np.max(np.abs(merged.data))) if merged.nnz else 0.0
+        defect = _combine(self, self.transpose(), 1.0, -1.0)
+        return float(np.max(np.abs(defect.data), initial=0.0))
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
+
+
+def _combine(a, b, wa, wb):
+    """wa * A + wb * B over the union of the two patterns, for A and B
+    of one shape.  Entries present in both are summed in the order
+    wa * a + wb * b, so a shared pattern skips the merge and gets the
+    same bits."""
+    if np.array_equal(a.indptr, b.indptr) and \
+            np.array_equal(a.indices, b.indices):
+        return a._with_data(wa * a.data + wb * b.data)
+    ri, ci, va = a.triplets()
+    rj, cj, vb = b.triplets()
+    return SparseMatrix.from_triplets(
+        a.shape, np.concatenate([ri, rj]), np.concatenate([ci, cj]),
+        np.concatenate([wa * va, wb * vb]), sum_duplicates=True)
 
 
 def blend_with_identity(h, iota):
@@ -205,34 +220,16 @@ def blend_with_identity(h, iota):
         raise ValueError("blend requires a square matrix")
     if iota == 1.0:
         return h
-    n = h.rows
     if iota == 0.0:
-        return SparseMatrix.identity(n)
-    ri, ci, vals = h.triplets()
-    di = np.arange(n, dtype=np.int64)
-    return SparseMatrix.from_triplets(
-        (n, n),
-        np.concatenate([ri, di]),
-        np.concatenate([ci, di]),
-        np.concatenate([iota * vals, np.full(n, 1.0 - iota)]),
-        sum_duplicates=True,
-    )
+        return SparseMatrix.identity(h.rows)
+    return _combine(h, SparseMatrix.identity(h.rows), iota, 1.0 - iota)
 
 
 def frobenius_distance(a, b):
     """||A - B||_F for two sparse matrices of one shape."""
     if a.shape != b.shape:
         raise ValueError("shape mismatch")
-    if np.array_equal(a.indptr, b.indptr) and \
-            np.array_equal(a.indices, b.indices):
-        # one pattern: the merge below would pair every entry in order
-        return float(np.linalg.norm(a.data - b.data))
-    ri, ci, va = a.triplets()
-    rj, cj, vb = b.triplets()
-    merged = SparseMatrix.from_triplets(
-        a.shape, np.concatenate([ri, rj]), np.concatenate([ci, cj]),
-        np.concatenate([va, -vb]), sum_duplicates=True)
-    return float(np.linalg.norm(merged.data)) if merged.nnz else 0.0
+    return float(np.linalg.norm(_combine(a, b, 1.0, -1.0).data))
 
 
 class KktOperator:

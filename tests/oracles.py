@@ -194,7 +194,7 @@ def varphi_parts(c, j, d):
 
 
 def candidate_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev=1.0,
-                    beta=1.0, prev_pair_norm=None):
+                    beta=1.0, prev_pair_norm=math.inf):
     """The engine's evaluation of both termination tests for the
     candidate (u, delta) with residual pair (rho, r), for a given normal
     step v rather than the one the CG would compute."""

@@ -344,7 +344,7 @@ def test_07_formula_examples(capsys):
     g = np.array([-1.0])
     d = np.array([1.0])
     u0 = np.zeros(1)
-    h1 = SparseMatrix.identity(1, scale=0.0)
+    h1 = SparseMatrix.diagonal(np.full(1, 0.0))
     c1 = np.array([1.0])
     j11 = SparseMatrix.identity(1)
     cfg_r1 = SolverConfig(eps_r=1.0)

@@ -69,6 +69,22 @@ def test_bad_config_paths_exit_2(tmp_path):
     assert main(["run", "-c", "qp_gaussian", "problem.kind=rosenbrock"]) == 2
 
 
+def test_finite_sum_oracle_without_terms_exits_2(capsys):
+    for verb in ("run", "validate"):
+        assert main([verb, "-c", "qp_gaussian", "oracle.kind=finite_sum",
+                     "problem.n=6", "problem.m=2"]) == 2
+    assert "finite-sum terms" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "run.csv")
+    assert main(["run", "-c", "qp_gaussian", "-o", out, "--seed", "-3"]
+                + _TINY) == 2
+    assert main(["run", "-c", "qp_gaussian", "-o", out,
+                 "harness.seeds=0 -1"] + _TINY[:3]) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_1(tmp_path):
     out = tmp_path / "missing_dir" / "run.csv"
     code = main(["run", "-c", "qp_gaussian", "-o", str(out)] + _TINY)

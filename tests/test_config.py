@@ -148,6 +148,36 @@ def test_build_solver_config_rejects_unknown_keys():
         build_solver_config({}, warp_factor=9)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("algorithm", "lip_floor"), ("algorithm", "probe_radius_scale"),
+    ("solver", "cg_rel_tol"), ("solver", "cg_abs_floor"),
+    ("solver", "minres_abs_floor"), ("solver", "minres_max_iter_scale"),
+    ("solver", "ls_multiplier_tol"), ("solver", "max_rung"),
+    ("solver", "stationary_tol")])
+def test_fixed_tolerances_are_not_settings(section, key):
+    config = apply_overrides(load_config("qp_gaussian"),
+                             [f"{section}.{key}=1"])
+    with pytest.raises(ConfigError, match=f"unknown solver settings.*{key}"):
+        build_solver_config(config)
+
+
+def test_negative_seeds_are_rejected():
+    with pytest.raises(ConfigError, match="non-negative"):
+        build_solver_config(load_config("qp_gaussian"), seed=-3)
+    with pytest.raises(ConfigError, match="non-negative"):
+        harness_settings({"harness": {"seeds": "0 -1 2"}})
+
+
+def test_finite_sum_oracle_needs_finite_sum_terms():
+    config = apply_overrides(load_config("qp_gaussian"),
+                             ["oracle.kind=finite_sum"])
+    with pytest.raises(ConfigError, match="finite-sum terms"):
+        build_problem(config)
+    config = apply_overrides(load_config("control_finite_sum"),
+                             ["problem.mesh_size=4"])
+    assert build_problem(config).term_grid is not None
+
+
 def test_oracle_settings_defaults_and_validation():
     assert oracle_settings({}) == ("gaussian", 0.0)
     kind, eps_n = oracle_settings({"oracle": {"kind": "exact"}})
@@ -171,7 +201,7 @@ def test_harness_settings_parses_lists():
 
 def test_harness_settings_defaults_and_scalars():
     settings = harness_settings({})
-    assert settings == {"seed": 0, "seeds": [0], "eps_n_list": [0.0],
+    assert settings == {"seeds": [0], "eps_n_list": [0.0],
                         "kappa_exact": 1e-7, "output": "results.csv"}
     settings = harness_settings({"harness": {"seeds": 4,
                                              "eps_n_list": "1e-3, 1e-1"}})

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import sisqo.engine
 from sisqo.engine import (ConfigError, InvariantBreach, SolverConfig,
                           StationaryPointDetected, beta_for_iteration,
                           compute_normal_step, evaluate_varphi, init_state,
@@ -48,14 +49,15 @@ def _circle_problem():
         eval_c=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
         eval_jacobian=lambda x: make_sparse([[2.0 * x[0], 2.0 * x[1]]]),
         eval_lagrangian_hessian=lambda x, y:
-            SparseMatrix.identity(2, scale=2.0 * y[0]),
+            SparseMatrix.diagonal(np.full(2, 2.0 * y[0])),
         x0=np.array([0.0, 1.0]))
 
 
 def test_merit_and_model_reduction_values():
     problem = _identity_problem()
     x = np.array([2.0, 1.0])
-    assert merit_value(problem, x, 0.5) == pytest.approx(0.5 * 2.5 + 2.0)
+    assert merit_value(problem, x, 0.5, problem.eval_c(x)) \
+        == pytest.approx(0.5 * 2.5 + 2.0)
 
     g = np.array([1.0, 0.0])
     c = np.array([1.0])
@@ -98,12 +100,13 @@ def test_normal_step_losing_to_cauchy_point_breaches(monkeypatch):
                             CFG)
 
 
-def test_normal_step_tight_tolerance_matches_pseudoinverse():
+def test_normal_step_tight_tolerance_matches_pseudoinverse(monkeypatch):
     rng = np.random.default_rng(41)
     j_dense = random_full_rank(rng, 4, 9)
     c = rng.standard_normal(4)
-    cfg = SolverConfig(cg_rel_tol=1e-12, cg_abs_floor=1e-14)
-    ns = compute_normal_step(c, make_sparse(j_dense), cfg)
+    monkeypatch.setattr(sisqo.engine, "CG_REL_TOL", 1e-12)
+    monkeypatch.setattr(sisqo.engine, "CG_ABS_FLOOR", 1e-14)
+    ns = compute_normal_step(c, make_sparse(j_dense), CFG)
     np.testing.assert_allclose(ns.v, dense_normal_step(j_dense, c),
                                rtol=0, atol=1e-8)
 
@@ -462,7 +465,8 @@ def test_iterate_detects_stationary_start():
     cfg = SolverConfig()
     state = init_state(problem, cfg)
     with pytest.raises(StationaryPointDetected) as info:
-        sqp_iterate(state, problem, GradientOracle("exact"), cfg)
+        sqp_iterate(state, problem, GradientOracle("exact"), cfg,
+                    substream(0, "lipschitz"))
     assert info.value.grad_residual <= 1e-12
     assert not info.value.resampled
 
@@ -481,7 +485,8 @@ def test_iterate_resamples_before_declaring_stationarity():
     cfg = SolverConfig()
     oracle = GradientOracle("finite_sum", rng=substream(0, "oracle"))
     with pytest.raises(StationaryPointDetected) as info:
-        sqp_iterate(init_state(problem, cfg), problem, oracle, cfg)
+        sqp_iterate(init_state(problem, cfg), problem, oracle, cfg,
+                    substream(0, "lipschitz"))
     assert info.value.resampled
 
 
@@ -527,15 +532,16 @@ def test_iterate_monotone_merit_on_qp():
     feas0 = np.abs(state.c).max()
     tau_prev, xi_prev = cfg.tau_init, cfg.xi_init
     for _ in range(40):
-        x_prev = state.x.copy()
+        x_prev, c_prev = state.x.copy(), state.c
         try:
-            state, step = sqp_iterate(state, problem, oracle, cfg)
+            state, step = sqp_iterate(state, problem, oracle, cfg,
+                                      substream(0, "lipschitz"))
         except StationaryPointDetected:
             break
         assert step.violations == []
         # guaranteed decrease, measured at the updated merit parameter
-        drop = (merit_value(problem, state.x, step.tau)
-                - merit_value(problem, x_prev, step.tau))
+        drop = (merit_value(problem, state.x, step.tau, state.c)
+                - merit_value(problem, x_prev, step.tau, c_prev))
         bound = -step.alpha * step.delta_l * (1.0 - (1.0 - cfg.eta) * step.beta)
         assert drop <= bound + 1e-9 * max(1.0, abs(bound))
         assert 0.0 < step.tau <= tau_prev

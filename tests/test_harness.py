@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import sisqo.engine
 from sisqo.engine import SolverConfig
 from sisqo.harness import (ComparisonRecord, aggregate, emit_results,
                            load_results, resolve_output_path,
@@ -22,7 +23,7 @@ def test_true_kkt_errors_at_known_solution():
     problem = _qp()
     x_star, _ = problem.known_solution
     j = problem.eval_jacobian(x_star)
-    feas, stat, y_ls = true_kkt_errors(problem, x_star, j, 1e-12)
+    feas, stat, y_ls = true_kkt_errors(problem, x_star, j)
     assert feas <= 1e-10
     assert stat <= 1e-8
     grad = problem.eval_grad_f(x_star)
@@ -98,8 +99,7 @@ def test_run_single_measures_each_iterate_once(monkeypatch, cfg, run_kwargs,
     assert record.outer_iters > 0
     assert len(calls) == record.outer_iters + 1
     j = problem.eval_jacobian(record.x_final)
-    feas, stat, y_ls = true_kkt_errors(problem, record.x_final, j,
-                                       cfg.ls_multiplier_tol)
+    feas, stat, y_ls = true_kkt_errors(problem, record.x_final, j)
     assert (record.feasibility_error, record.stationarity_error) \
         == (feas, stat)
     np.testing.assert_array_equal(record.y_ls_final, y_ls)
@@ -178,7 +178,7 @@ def test_budget_matched_pair_accounting():
         r.k, r.feas_err, r.stat_err, 1e-6)) is row
     # reported errors are those of the selected iterate
     j = problem.eval_jacobian(pair.exact.x_final)
-    feas, stat, _ = true_kkt_errors(problem, pair.exact.x_final, j, 1e-10)
+    feas, stat, _ = true_kkt_errors(problem, pair.exact.x_final, j)
     assert pair.exact.feasibility_error == feas
     assert pair.exact.stationarity_error == stat
     assert pair.runs() == [pair.inexact, pair.exact]
@@ -206,7 +206,7 @@ def test_json_metrics_recompute_from_emitted_state(tmp_path):
     row = json.load(open(path))["records"][0]
     x = np.array(row["x_final"])
     j = problem.eval_jacobian(x)
-    feas, stat, _ = true_kkt_errors(problem, x, j, 1e-10)
+    feas, stat, _ = true_kkt_errors(problem, x, j)
     assert abs(feas - row["feasibility_error"]) <= 1e-12
     assert abs(stat - row["stationarity_error"]) <= 1e-12
 
@@ -306,16 +306,16 @@ def test_emit_json_schema(tmp_path):
     assert row["rows"] == []
 
 
-def test_emit_json_keeps_dict_valued_info(tmp_path):
+def test_emit_json_keeps_dict_valued_info(tmp_path, monkeypatch):
     import json
     problem = _qp(n=8, m=3, seed=4)
     pair = run_budget_matched_pair(problem, SolverConfig(kappa=0.1),
                                    SolverConfig(kappa=1e-7), 5,
                                    oracle_kind="gaussian", eps_n=1e-2)
     # one MINRES step on one Hessian rung accepts no tangential iterate
-    failed = run_single(problem, SolverConfig(minres_max_iter_scale=0.01,
-                                              max_rung=0),
-                        0, oracle_kind="exact")
+    monkeypatch.setattr(sisqo.engine, "MINRES_MAX_ITER_SCALE", 0.01)
+    monkeypatch.setattr(sisqo.engine, "MAX_RUNG", 0)
+    failed = run_single(problem, SolverConfig(), 0, oracle_kind="exact")
     assert failed.status == "failed"
     path = emit_results([pair, failed], str(tmp_path / "out.json"))
     rows = json.load(open(path))["records"]
@@ -329,8 +329,6 @@ def test_emit_json_keeps_dict_valued_info(tmp_path):
 
 
 def test_emit_rejects_unknown_format_and_bad_path(tmp_path):
-    with pytest.raises(ValueError, match="unknown results format"):
-        emit_results([], str(tmp_path / "out.csv"), fmt="xml")
     with pytest.raises(OSError, match="cannot write results"):
         emit_results([], str(tmp_path / "no_such_dir" / "out.csv"))
 

@@ -374,6 +374,7 @@ def test_bench_kernels_script_runs(capsys):
     try:
         assert bench.main(["--mesh", "4", "--repeats", "2",
                            "--minres-steps", "3"]) == 0
+        assert kernels.active_backend() == previous
     finally:
         kernels.use_backend(previous)
     out = capsys.readouterr().out

@@ -82,7 +82,7 @@ def test_identity_and_diagonal():
     np.testing.assert_array_equal(SparseMatrix.identity(3).to_dense(),
                                   np.eye(3))
     np.testing.assert_array_equal(
-        SparseMatrix.identity(2, scale=2.5).to_dense(), 2.5 * np.eye(2))
+        SparseMatrix.diagonal(np.full(2, 2.5)).to_dense(), 2.5 * np.eye(2))
     d = np.array([1.0, -2.0, 0.5])
     np.testing.assert_array_equal(SparseMatrix.diagonal(d).to_dense(),
                                   np.diag(d))
@@ -140,6 +140,34 @@ def test_blend_with_identity():
                                rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="square"):
         blend_with_identity(SparseMatrix.from_dense(np.ones((2, 3))), 0.5)
+
+
+def test_blend_of_diagonal_skips_the_merge(monkeypatch):
+    # a diagonal H shares the identity's pattern: the blend needs no
+    # triplet merge and keeps the bits the merge gives
+    vals = np.random.default_rng(12).standard_normal(5)
+    h = SparseMatrix.diagonal(vals)
+    di = np.arange(5)
+    expected = {}
+    for rung in range(1, 11):
+        iota = 10.0 ** (-rung)
+        expected[iota] = SparseMatrix.from_triplets(
+            (5, 5), np.concatenate([di, di]), np.concatenate([di, di]),
+            np.concatenate([iota * vals, np.full(5, 1.0 - iota)]),
+            sum_duplicates=True)
+    calls = []
+    from_triplets = SparseMatrix.from_triplets.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return from_triplets(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SparseMatrix, "from_triplets", classmethod(counting))
+    for iota, merged in expected.items():
+        blended = blend_with_identity(h, iota)
+        assert blended.indices.tobytes() == merged.indices.tobytes()
+        assert blended.data.tobytes() == merged.data.tobytes()
+    assert calls == []
 
 
 def test_frobenius_distance():
@@ -228,7 +256,7 @@ def test_kkt_operator_matches_dense_assembly():
 
 
 def test_kkt_operator_unconstrained():
-    h = SparseMatrix.identity(3, scale=2.0)
+    h = SparseMatrix.diagonal(np.full(3, 2.0))
     j = SparseMatrix((0, 3), [0], [], [])
     op = KktOperator(h, j)
     assert op.m == 0
