@@ -5,9 +5,10 @@ Modules:
 * ``kernels``   CSR matrix-vector kernels (compiled core, numpy fallback)
 * ``sparse``    CSR matrices and the symmetric saddle (KKT) operator
 * ``krylov``    CG on the normal equations, streaming MINRES
-* ``problems``  problem abstraction, gradient oracles, Hessian ladder
+* ``problems``  problem abstraction, gradient oracles, Lipschitz probes
 * ``library``   synthetic QPs and the two PDE control problems
-* ``engine``    one SQP iteration: steps, tests, parameter updates
+* ``engine``    one SQP iteration: steps, Hessian ladder, tests, parameter
+                updates
 * ``harness``   runs, budget-matched comparisons, aggregation, output
 * ``config``    INI profiles and overrides
 * ``cli``       command-line verbs (run, compare, sweep, validate)

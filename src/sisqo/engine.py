@@ -23,15 +23,16 @@ import numpy as np
 
 from .krylov import (MinresState, cg_normal_solve, least_squares_multipliers,
                      norm_pair)
-from .problems import HessianLadder, estimate_lipschitz, ladder_matrix
-from .sparse import KktOperator
+from .problems import estimate_lipschitz
+from .sparse import KktOperator, blend_with_identity
 
 __all__ = ["SolverConfig", "IterateState", "StepResult", "NormalStepResult",
            "ConfigError", "EngineError", "IterationFailure", "InvariantBreach",
            "StationaryPointDetected", "model_reduction", "compute_normal_step",
            "tau_trial_and_update", "xi_update", "evaluate_varphi",
            "step_size_bounds", "select_step_size", "update_duals",
-           "beta_for_iteration", "init_state", "sqp_iterate", "merit_value"]
+           "beta_for_iteration", "init_state", "sqp_iterate", "merit_value",
+           "ladder_matrix"]
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +55,14 @@ STATIONARY_TOL = 1e-12
 PROBE_RADIUS_SCALE = 1e-4
 # last blended rung of the Hessian ladder before the identity
 MAX_RUNG = 10
+
+
+def ladder_matrix(hess, rung):
+    """The Hessian ladder iota H + (1 - iota) I at ``rung``: iota = 10^-rung
+    up to MAX_RUNG, then the identity, so no further modification can be
+    triggered."""
+    iota = 10.0 ** (-rung) if rung <= MAX_RUNG else 0.0
+    return blend_with_identity(hess, iota)
 
 
 def _slack(*scales):
@@ -186,10 +195,11 @@ class SolverConfig:
 class IterateState:
     """Everything carried from iteration k to k+1.
 
-    ``prev_pair_norm`` is ||(g + J'y; c)|| of the previous iterate's
-    sampled gradient, Jacobian and constraint values at the current
-    duals, the backward-looking branch of the dual residual bound; it
-    is inf at k = 0.
+    ``f``, ``c`` and ``j`` are f(x), c(x) and J(x), evaluated once per
+    iterate.  ``prev_pair_norm`` is ||(g + J'y; c)|| of the previous
+    iterate's sampled gradient, Jacobian and constraint values at the
+    current duals, the backward-looking branch of the dual residual
+    bound; it is inf at k = 0.
     """
 
     k: int
@@ -197,6 +207,7 @@ class IterateState:
     y: np.ndarray
     tau: float
     xi: float
+    f: float
     c: np.ndarray
     j: object
     prev_pair_norm: float = math.inf
@@ -249,9 +260,10 @@ class StepResult:
     info: dict = field(default_factory=dict)
 
 
-def merit_value(problem, x, tau, c):
-    """Exact-penalty merit tau * f(x) + ||c||, from c = c(x)."""
-    return tau * problem.eval_f(x) + float(np.linalg.norm(c))
+def merit_value(tau, f, c):
+    """Exact-penalty merit tau * f(x) + ||c(x)||, from f = f(x) and
+    c = c(x)."""
+    return tau * f + float(np.linalg.norm(c))
 
 
 # -- model reduction and the normal step ------------------------------------
@@ -330,7 +342,8 @@ class _IterationContext:
 
 
 class _TestEvaluation:
-    """Both termination tests for one MINRES candidate.
+    """Both termination tests for one MINRES candidate (u, delta) and
+    its residual pair (rho, r), which it keeps.
 
     Conditions a (dual residual contraction), b (residuals within the
     beta-scaled caps) and c (small or positively curved tangential step)
@@ -340,10 +353,12 @@ class _TestEvaluation:
     the accepted step.
     """
 
-    __slots__ = ("ctx", "cond_a", "cond_b", "cond_c", "tt1", "tt2",
-                 "g_dot_d", "max_term", "norm_c_plus_jd")
+    __slots__ = ("u", "delta", "rho", "r", "ctx", "cond_a", "cond_b",
+                 "cond_c", "tt1", "tt2", "g_dot_d", "max_term",
+                 "norm_c_plus_jd")
 
     def __init__(self, u, delta, rho, r, ctx, cfg):
+        self.u, self.delta, self.rho, self.r = u, delta, rho, r
         self.ctx = ctx
         hu = ctx.h.apply(u)
         uhu = float(np.dot(u, hu))
@@ -538,7 +553,8 @@ def init_state(problem, cfg, x0=None, y0=None):
     if x.shape != (problem.n,) or y.shape != (problem.m,):
         raise ValueError("bad x0 or y0 shape")
     return IterateState(k=0, x=x, y=y, tau=cfg.tau_init, xi=cfg.xi_init,
-                        c=problem.eval_c(x), j=problem.eval_jacobian(x))
+                        f=problem.eval_f(x), c=problem.eval_c(x),
+                        j=problem.eval_jacobian(x))
 
 
 def _check_stationary(state, problem, oracle, g):
@@ -562,8 +578,8 @@ def _tangential_solve(ctx, cfg):
     """Run MINRES on the KKT system, checking the termination tests at
     every iterate, until one accepts.
 
-    Returns (u, delta, rho, r, evaluation, iterations, solver_info);
-    the evaluation is None when the solver gave out unaccepted.
+    Returns (evaluation, iterations, solver_info): the evaluation of
+    the accepted candidate, or None when the solver gave out unaccepted.
     """
     op = KktOperator(ctx.h, ctx.j)
     mstate = MinresState(op, (ctx.rhs_top, np.zeros(ctx.j.rows)))
@@ -585,23 +601,19 @@ def _tangential_solve(ctx, cfg):
 
     ev = try_accept()
     if ev is not None:
-        return (mstate.u, mstate.delta, mstate.rho, mstate.r, ev, 0,
-                {"breakdown": False, "stalled": False})
+        return ev, 0, {"breakdown": False, "stalled": False}
     for t in range(1, max_iter + 1):
         mstate.step()
         ev = try_accept()
         if ev is not None:
-            return (mstate.u, mstate.delta, mstate.rho, mstate.r, ev, t,
-                    {"breakdown": mstate.breakdown,
-                     "stalled": mstate.stalled})
+            return ev, t, {"breakdown": mstate.breakdown,
+                           "stalled": mstate.stalled}
         if mstate.breakdown or mstate.stalled:
-            return (None, None, None, None, None, t,
-                    {"breakdown": mstate.breakdown,
-                     "stalled": mstate.stalled,
-                     "resid_norm": mstate.resid_norm})
-    return (None, None, None, None, None, max_iter,
-            {"breakdown": False, "stalled": False,
-             "resid_norm": mstate.resid_norm})
+            return None, t, {"breakdown": mstate.breakdown,
+                             "stalled": mstate.stalled,
+                             "resid_norm": mstate.resid_norm}
+    return None, max_iter, {"breakdown": False, "stalled": False,
+                            "resid_norm": mstate.resid_norm}
 
 
 def _debug_verify(step, ctx, varphi, cfg):
@@ -663,35 +675,32 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
         lip_l, lip_gamma = cfg.lip_l, cfg.lip_gamma
     else:
         radius = PROBE_RADIUS_SCALE * max(1.0, float(np.linalg.norm(state.x)))
-        lip_l, lip_gamma = estimate_lipschitz(problem, state.x, radius,
-                                              probe_rng)
+        lip_l, lip_gamma = estimate_lipschitz(problem, state.x, state.j,
+                                              radius, probe_rng)
 
     ns = compute_normal_step(state.c, state.j, cfg)
     beta = beta_for_iteration(cfg, state.k)
 
     ctx = _IterationContext(g, state.c, state.j, ns, state.y, state.tau, beta,
                             state.prev_pair_norm)
-    ladder = HessianLadder(max_rung=MAX_RUNG)
+    hess = problem.eval_lagrangian_hessian(state.x, state.y)
     total_minres = 0
     rungs = []
-    while True:
-        ctx.set_rung(ladder_matrix(ladder, problem, state.x, state.y))
-        u, delta, rho, r, ev, iters, solver_info = _tangential_solve(ctx, cfg)
+    for rung in range(MAX_RUNG + 2):
+        ctx.set_rung(ladder_matrix(hess, rung))
+        ev, iters, solver_info = _tangential_solve(ctx, cfg)
         total_minres += iters
-        rungs.append({"rung": ladder.rung, "minres_iters": iters,
-                      **solver_info})
+        rungs.append({"rung": rung, "minres_iters": iters, **solver_info})
         if ev is not None:
             break
-        if ladder.exhausted:
-            raise IterationFailure(
-                f"no tangential iterate accepted at iteration {state.k}"
-                f" after {len(rungs)} Hessian rungs"
-                f" ({total_minres} total MINRES iterations)",
-                diagnostics={"k": state.k, "rungs": rungs,
-                             "c_norm": ctx.c_norm,
-                             "v_norm": ctx.v_norm,
-                             "rhs_norm": float(np.linalg.norm(ctx.rhs_top))})
-        ladder.advance()
+    else:
+        raise IterationFailure(
+            f"no tangential iterate accepted at iteration {state.k}"
+            f" after {len(rungs)} Hessian rungs"
+            f" ({total_minres} total MINRES iterations)",
+            diagnostics={"k": state.k, "rungs": rungs,
+                         "c_norm": ctx.c_norm, "v_norm": ctx.v_norm,
+                         "rhs_norm": float(np.linalg.norm(ctx.rhs_top))})
 
     if ev.accepted == 1:
         tau_trial, tau_new = math.inf, state.tau
@@ -700,7 +709,7 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
             state.tau, ev.g_dot_d, ev.max_term, ctx.c_norm,
             ev.norm_c_plus_jd, cfg)
 
-    d = ns.v + u
+    d = ns.v + ev.u
     d_sq = float(np.dot(d, d))
     if d_sq == 0.0:
         # a zero direction can only be accepted with v = 0 and u = 0
@@ -716,7 +725,7 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
     alpha_min, alpha_suff = step_size_bounds(tau_new, xi_new, beta, delta_l,
                                              d_sq, lip_l, lip_gamma, cfg)
 
-    jd = ctx.jv + r
+    jd = ctx.jv + ev.r
 
     def varphi(alpha):
         return evaluate_varphi(alpha, beta, tau_new, delta_l, lip_l, lip_gamma,
@@ -726,12 +735,12 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
     alpha = select_step_size(alpha_min, alpha_suff, beta, cfg.theta, varphi)
 
     x_next = state.x + alpha * d
-    y_next = update_duals(state.y, delta, g, state.j, cfg)
+    y_next = update_duals(state.y, ev.delta, g, state.j, cfg)
 
     step = StepResult(
-        k=state.k, v=ns.v, u=u, delta=delta, d=d, rho=rho, r=r,
+        k=state.k, v=ns.v, u=ev.u, delta=ev.delta, d=d, rho=ev.rho, r=ev.r,
         accepted_test=ev.accepted, minres_iters=total_minres,
-        cg_iters=ns.iterations, hessian_rung=ladder.rung,
+        cg_iters=ns.iterations, hessian_rung=rung,
         tau_trial=tau_trial, tau=tau_new, xi_trial=xi_trial, xi=xi_new,
         beta=beta, lip_l=lip_l, lip_gamma=lip_gamma, delta_l=delta_l,
         alpha_min=alpha_min, alpha_suff=alpha_suff, alpha=alpha,
@@ -741,9 +750,9 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
     # merit decrease against the model bound: guaranteed when the
     # Lipschitz constants are true upper bounds and g is exact, so a
     # breach is only flagged in that mode and logged otherwise
-    c_next = problem.eval_c(x_next)
-    merit_drop = merit_value(problem, x_next, tau_new, c_next) \
-        - merit_value(problem, state.x, tau_new, state.c)
+    f_next, c_next = problem.eval_f(x_next), problem.eval_c(x_next)
+    merit_drop = merit_value(tau_new, f_next, c_next) \
+        - merit_value(tau_new, state.f, state.c)
     bound = -alpha * delta_l * (1.0 - (1.0 - cfg.eta) * beta)
     step.merit_gap = merit_drop - bound
     guaranteed = cfg.lipschitz_mode == "fixed" and not oracle.is_stochastic
@@ -764,7 +773,7 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
 
     state_next = IterateState(
         k=state.k + 1, x=x_next, y=y_next, tau=tau_new, xi=xi_new,
-        c=c_next, j=problem.eval_jacobian(x_next),
+        f=f_next, c=c_next, j=problem.eval_jacobian(x_next),
         prev_pair_norm=norm_pair(g + state.j.apply_transpose(y_next),
                                  state.c))
     return state_next, step

@@ -111,10 +111,10 @@ def _config_digest(cfg, oracle_kind, eps_n):
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def true_kkt_errors(problem, x, j):
+def true_kkt_errors(problem, x, c, j):
     """Infinity-norm feasibility and true-gradient stationarity with
-    least-squares multipliers; returns (feas, stat, y_ls)."""
-    c = problem.eval_c(x)
+    least-squares multipliers, from c = c(x) and j = J(x); returns
+    (feas, stat, y_ls)."""
     feas = float(np.max(np.abs(c), initial=0.0))
     grad = problem.eval_grad_f(x)
     y_ls = least_squares_multipliers(j, grad)
@@ -154,7 +154,7 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
     info = {"oracle_m_g": oracle.variance_bound(problem)}
 
     while True:
-        feas, stat, y_ls = true_kkt_errors(problem, state.x, state.j)
+        feas, stat, y_ls = true_kkt_errors(problem, state.x, state.c, state.j)
         if budget is None:
             if feas <= cfg.feasibility_tol and stat <= cfg.stationarity_tol:
                 status = "converged"

@@ -179,6 +179,8 @@ class MinresState:
             raise ValueError("rhs blocks must match operator dimensions")
         self.op = op
         self.rhs = np.concatenate([rhs_top, rhs_bot])
+        if not np.isfinite(self.rhs).all():
+            raise ValueError("rhs must be finite")
         self.z = np.zeros(op.dim)
         self.iteration = 0
         self.breakdown = False

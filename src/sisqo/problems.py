@@ -1,9 +1,11 @@
-"""Problem abstraction, stochastic gradient oracles, Hessian ladder, and
-finite-difference Lipschitz estimation.
+"""Problem abstraction, stochastic gradient oracles, finite-difference
+Lipschitz estimation, and derivative validation.
 
 A Problem bundles callables for the objective, constraints, and their
 derivatives.  Sparse matrices returned by the derivative callables must
-be :class:`sisqo.sparse.SparseMatrix`.
+be :class:`sisqo.sparse.SparseMatrix`.  The solver evaluates f, c and J
+once per iterate and the Lagrangian Hessian once per iteration, so
+``estimate_lipschitz`` takes the J(x) it already holds.
 """
 
 from dataclasses import dataclass, field
@@ -11,11 +13,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sparse import SparseMatrix, blend_with_identity
+from .sparse import frobenius_distance
 
-__all__ = ["Problem", "GradientOracle", "HessianLadder",
-           "gaussian_oracle_sample", "finite_sum_oracle_sample",
-           "ladder_matrix", "estimate_lipschitz", "substream",
+__all__ = ["Problem", "GradientOracle", "gaussian_oracle_sample",
+           "finite_sum_oracle_sample", "estimate_lipschitz", "substream",
            "validate_problem"]
 
 # substream codes for the counter-based RNG (Philox): adding new
@@ -156,51 +157,15 @@ class GradientOracle:
         return worst
 
 
-# -- Hessian modification ladder ------------------------------------------
-
-@dataclass
-class HessianLadder:
-    """Blending schedule H <- iota * Hessian + (1 - iota) * I.
-
-    Rung j gives iota = 10^(-j); past ``max_rung`` the identity is used
-    so no further modification can be triggered.
-    """
-
-    max_rung: int = 10
-    rung: int = 0
-
-    @property
-    def iota(self):
-        if self.rung > self.max_rung:
-            return 0.0
-        return 10.0 ** (-self.rung)
-
-    @property
-    def exhausted(self):
-        """True once the identity rung has been reached."""
-        return self.rung > self.max_rung
-
-    def advance(self):
-        self.rung += 1
-        return self
-
-
-def ladder_matrix(ladder, problem, x, y):
-    """Hessian at the ladder's current rung."""
-    if ladder.rung > ladder.max_rung:
-        return SparseMatrix.identity(problem.n)
-    hess = problem.eval_lagrangian_hessian(x, y)
-    return blend_with_identity(hess, ladder.iota)
-
-
 # -- Lipschitz estimation --------------------------------------------------
 
-def estimate_lipschitz(problem, x, probe_radius, rng):
+def estimate_lipschitz(problem, x, j, probe_radius, rng):
     """Finite-difference Lipschitz estimates at a random nearby point.
 
     Samples x' uniformly in the ball of radius ``probe_radius`` around
     x, then L_est = ||grad f(x') - grad f(x)|| / ||x' - x|| and
-    Gamma_est = ||J(x') - J(x)||_F / ||x' - x||, floored at LIP_FLOOR.
+    Gamma_est = ||J(x') - J(x)||_F / ||x' - x||, floored at LIP_FLOOR;
+    ``j`` is J(x).
     """
     if probe_radius <= 0:
         raise ValueError("probe_radius must be positive")
@@ -217,10 +182,7 @@ def estimate_lipschitz(problem, x, probe_radius, rng):
     xp = x + step
     l_est = float(np.linalg.norm(problem.eval_grad_f(xp)
                                  - problem.eval_grad_f(x))) / dist
-    from .sparse import frobenius_distance
-
-    gamma_est = frobenius_distance(problem.eval_jacobian(xp),
-                                   problem.eval_jacobian(x)) / dist
+    gamma_est = frobenius_distance(problem.eval_jacobian(xp), j) / dist
     return max(l_est, LIP_FLOOR), max(gamma_est, LIP_FLOOR)
 
 

@@ -106,7 +106,8 @@ class SparseMatrix:
     @classmethod
     def from_dense(cls, a):
         a = np.asarray(a, dtype=np.float64)
-        ri, ci = np.nonzero(np.abs(a) > 0.0)
+        # != keeps NaN entries, which a magnitude test would drop
+        ri, ci = np.nonzero(a != 0.0)
         return cls.from_triplets(a.shape, ri, ci, a[ri, ci])
 
     @classmethod
@@ -117,8 +118,10 @@ class SparseMatrix:
     def diagonal(cls, d):
         d = np.asarray(d, dtype=np.float64)
         n = d.shape[0]
-        return cls((n, n), np.arange(n + 1, dtype=np.int64),
-                   np.arange(n, dtype=np.int64), d)
+        out = cls((n, n), np.arange(n + 1, dtype=np.int64),
+                  np.arange(n, dtype=np.int64), d)
+        out._sym_defect = 0.0
+        return out
 
     def _with_data(self, data):
         """This pattern with the float64 values ``data``, taken over as
@@ -184,6 +187,8 @@ class SparseMatrix:
         """max |A - A.T| over entries; 0 for a symmetric matrix.
 
         Computed on the first call and cached: the matrix is immutable.
+        Diagonal matrices, and blends of an exactly symmetric matrix with
+        the identity, are built knowing it is 0.0.
         """
         if self._sym_defect is None:
             self._sym_defect = self._compute_symmetry_defect()
@@ -215,14 +220,21 @@ def _combine(a, b, wa, wb):
 
 
 def blend_with_identity(h, iota):
-    """iota * H + (1 - iota) * I for square H; exact at iota in {0, 1}."""
+    """iota * H + (1 - iota) * I for square H; exact at iota in {0, 1}.
+
+    Mirrored entries go through identical operations, so the blend of
+    an exactly symmetric H is exactly symmetric and is not checked again.
+    """
     if h.rows != h.cols:
         raise ValueError("blend requires a square matrix")
     if iota == 1.0:
         return h
     if iota == 0.0:
         return SparseMatrix.identity(h.rows)
-    return _combine(h, SparseMatrix.identity(h.rows), iota, 1.0 - iota)
+    out = _combine(h, SparseMatrix.identity(h.rows), iota, 1.0 - iota)
+    if h.symmetry_defect() == 0.0:
+        out._sym_defect = 0.0
+    return out
 
 
 def frobenius_distance(a, b):
@@ -274,15 +286,6 @@ class KktOperator:
             z = z.copy()
         kernels.kkt_apply(*self._csr, z, out)
         return out
-
-    def to_dense(self):
-        k = np.zeros((self.dim, self.dim))
-        k[:self.n, :self.n] = self.h.to_dense()
-        if self.m:
-            jd = self.j.to_dense()
-            k[:self.n, self.n:] = jd.T
-            k[self.n:, :self.n] = jd
-        return k
 
     def __repr__(self):
         return f"KktOperator(n={self.n}, m={self.m})"

@@ -24,6 +24,12 @@ def dense_kkt_matrix(h_dense, j_dense):
                      [j_dense, np.zeros((m, m))]]) if m else h_dense
 
 
+def kkt_operator_dense(h, j):
+    """The saddle matrix of ``KktOperator(h, j)`` assembled densely from
+    the sparse blocks."""
+    return dense_kkt_matrix(h.to_dense(), j.to_dense())
+
+
 def dense_kkt_solve(h_dense, j_dense, rhs_top, rhs_bot):
     """Direct solve of K z = -rhs; returns (u, delta)."""
     n = h_dense.shape[0]

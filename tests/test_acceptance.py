@@ -17,8 +17,9 @@ from oracles import (candidate_tests, dense_kkt_solve, dense_normal_step,
                      random_full_rank, random_spd, residual_pair, tau_parts,
                      varphi_parts)
 from sisqo.config import build_solver_config, load_config
-from sisqo.engine import (SolverConfig, compute_normal_step, evaluate_varphi,
-                          model_reduction, select_step_size, step_size_bounds,
+from sisqo.engine import (MAX_RUNG, SolverConfig, compute_normal_step,
+                          evaluate_varphi, ladder_matrix, model_reduction,
+                          select_step_size, step_size_bounds,
                           tau_trial_and_update, update_duals, xi_update)
 from sisqo.harness import run_budget_matched_pair, run_single
 from sisqo.krylov import (MinresState, cg_normal_solve,
@@ -26,8 +27,7 @@ from sisqo.krylov import (MinresState, cg_normal_solve,
 from sisqo.library import (ControlProblemSpec, SyntheticQpSpec,
                            build_neumann_control, build_poisson_control,
                            build_synthetic_qp, reference_function_value)
-from sisqo.problems import (GradientOracle, HessianLadder, estimate_lipschitz,
-                            ladder_matrix, substream)
+from sisqo.problems import GradientOracle, estimate_lipschitz, substream
 from sisqo.sparse import KktOperator, SparseMatrix
 
 EPS_S = float(np.sqrt(15.0))
@@ -467,12 +467,11 @@ def test_07_formula_examples(capsys):
     x0, y0 = problem.x0, np.zeros(2)
     exact_h = problem.eval_lagrangian_hessian(x0, y0)
     check("ladder rung zero is the Hessian",
-          np.allclose(ladder_matrix(HessianLadder(max_rung=3, rung=0),
-                                    problem, x0, y0).to_dense(),
+          np.allclose(ladder_matrix(exact_h, 0).to_dense(),
                       exact_h.to_dense()))
     check("ladder past max rung is identity",
-          np.allclose(ladder_matrix(HessianLadder(max_rung=3, rung=4),
-                                    problem, x0, y0).to_dense(), np.eye(5)))
+          np.allclose(ladder_matrix(exact_h, MAX_RUNG + 1).to_dense(),
+                      np.eye(5)))
 
     # oracles and Lipschitz probes
     exact = GradientOracle("gaussian", rng=substream(0, "oracle"), eps_n=0.0)
@@ -484,7 +483,8 @@ def test_07_formula_examples(capsys):
     check("single-term finite sum collapses",
           np.allclose(single.eval_term_grad(single.x0, 1, 1),
                       single.eval_grad_f(single.x0), atol=1e-15))
-    l_est, gamma_est = estimate_lipschitz(problem, x0, 1e-4,
+    l_est, gamma_est = estimate_lipschitz(problem, x0,
+                                          problem.eval_jacobian(x0), 1e-4,
                                           substream(0, "lipschitz"))
     q_norm = float(np.linalg.eigvalsh(
         np.array(exact_h.to_dense())).max())

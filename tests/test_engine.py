@@ -56,7 +56,7 @@ def _circle_problem():
 def test_merit_and_model_reduction_values():
     problem = _identity_problem()
     x = np.array([2.0, 1.0])
-    assert merit_value(problem, x, 0.5, problem.eval_c(x)) \
+    assert merit_value(0.5, problem.eval_f(x), problem.eval_c(x)) \
         == pytest.approx(0.5 * 2.5 + 2.0)
 
     g = np.array([1.0, 0.0])
@@ -456,6 +456,8 @@ def test_init_state_shapes_and_defaults():
     assert state.k == 0
     assert state.tau == 0.25 and state.xi == 0.5
     np.testing.assert_array_equal(state.y, np.zeros(2))
+    assert state.f == problem.eval_f(problem.x0)
+    np.testing.assert_array_equal(state.c, problem.eval_c(problem.x0))
     with pytest.raises(ValueError, match="bad x0"):
         init_state(problem, cfg, x0=np.zeros(3))
 
@@ -532,16 +534,18 @@ def test_iterate_monotone_merit_on_qp():
     feas0 = np.abs(state.c).max()
     tau_prev, xi_prev = cfg.tau_init, cfg.xi_init
     for _ in range(40):
-        x_prev, c_prev = state.x.copy(), state.c
+        f_prev, c_prev = state.f, state.c
         try:
             state, step = sqp_iterate(state, problem, oracle, cfg,
                                       substream(0, "lipschitz"))
         except StationaryPointDetected:
             break
         assert step.violations == []
+        assert state.f == problem.eval_f(state.x)
+        np.testing.assert_array_equal(state.c, problem.eval_c(state.x))
         # guaranteed decrease, measured at the updated merit parameter
-        drop = (merit_value(problem, state.x, step.tau, state.c)
-                - merit_value(problem, x_prev, step.tau, c_prev))
+        drop = (merit_value(step.tau, state.f, state.c)
+                - merit_value(step.tau, f_prev, c_prev))
         bound = -step.alpha * step.delta_l * (1.0 - (1.0 - cfg.eta) * step.beta)
         assert drop <= bound + 1e-9 * max(1.0, abs(bound))
         assert 0.0 < step.tau <= tau_prev

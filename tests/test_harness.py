@@ -1,12 +1,16 @@
 """Run driver, budget-matched comparisons, aggregation, and results IO."""
 
+import dataclasses
 import logging
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import sisqo.engine
+from sisqo.config import (apply_overrides, build_problem, build_solver_config,
+                          harness_settings, load_config, oracle_settings)
 from sisqo.engine import SolverConfig
 from sisqo.harness import (ComparisonRecord, aggregate, emit_results,
                            load_results, resolve_output_path,
@@ -23,7 +27,8 @@ def test_true_kkt_errors_at_known_solution():
     problem = _qp()
     x_star, _ = problem.known_solution
     j = problem.eval_jacobian(x_star)
-    feas, stat, y_ls = true_kkt_errors(problem, x_star, j)
+    feas, stat, y_ls = true_kkt_errors(problem, x_star,
+                                       problem.eval_c(x_star), j)
     assert feas <= 1e-10
     assert stat <= 1e-8
     grad = problem.eval_grad_f(x_star)
@@ -99,10 +104,73 @@ def test_run_single_measures_each_iterate_once(monkeypatch, cfg, run_kwargs,
     assert record.outer_iters > 0
     assert len(calls) == record.outer_iters + 1
     j = problem.eval_jacobian(record.x_final)
-    feas, stat, y_ls = true_kkt_errors(problem, record.x_final, j)
+    feas, stat, y_ls = true_kkt_errors(problem, record.x_final,
+                                       problem.eval_c(record.x_final), j)
     assert (record.feasibility_error, record.stationarity_error) \
         == (feas, stat)
     np.testing.assert_array_equal(record.y_ls_final, y_ls)
+
+
+def _counting(problem, calls):
+    """``problem`` with its f, c, J and Hessian callables counted in
+    ``calls``."""
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(problem, **{name: counted(name) for name in (
+        "eval_f", "eval_c", "eval_jacobian", "eval_lagrangian_hessian")})
+
+
+def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
+    # f, c and J once per visited iterate (the start included), J(x')
+    # once per Lipschitz probe, and the Lagrangian Hessian once per
+    # iteration however many ladder rungs it tries
+    probes = []
+    estimate = sisqo.engine.estimate_lipschitz
+
+    def probe(*args):
+        probes.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(sisqo.engine, "estimate_lipschitz", probe)
+    neumann = apply_overrides(load_config("control_finite_sum"),
+                              ["problem.kind=neumann_control",
+                               "problem.mesh_size=8"])
+    qp = load_config("qp_gaussian")
+    for config, pair in ((neumann, True), (qp, False)):
+        calls = Counter()
+        probes.clear()
+        problem = _counting(build_problem(config), calls)
+        kind, eps_n = oracle_settings(config)
+        cfg = build_solver_config(config, seed=0)
+        if pair:
+            kappa_exact = harness_settings(config)["kappa_exact"]
+            runs = run_budget_matched_pair(
+                problem, cfg, build_solver_config(config, seed=0,
+                                                  kappa=kappa_exact),
+                0, oracle_kind=kind, eps_n=eps_n).runs()
+        else:
+            runs = [run_single(problem, cfg, 0, oracle_kind=kind,
+                               eps_n=eps_n)]
+        assert len(runs) == (2 if pair else 1)
+        assert all(r.status in ("converged", "budget_exhausted")
+                   for r in runs)
+        outer = sum(r.outer_iters for r in runs)
+        iterates = outer + len(runs)
+        assert calls["eval_lagrangian_hessian"] == outer
+        assert calls["eval_f"] == calls["eval_c"] == iterates
+        assert calls["eval_jacobian"] == iterates + len(probes)
+        if pair:
+            # fixed Lipschitz constants, and rungs past 0 are tried
+            assert probes == []
+            assert any(row.hessian_rung > 0 for r in runs for row in r.rows)
+        else:
+            assert len(probes) == outer > 0
 
 
 def test_run_single_is_deterministic():
@@ -178,7 +246,8 @@ def test_budget_matched_pair_accounting():
         r.k, r.feas_err, r.stat_err, 1e-6)) is row
     # reported errors are those of the selected iterate
     j = problem.eval_jacobian(pair.exact.x_final)
-    feas, stat, _ = true_kkt_errors(problem, pair.exact.x_final, j)
+    feas, stat, _ = true_kkt_errors(problem, pair.exact.x_final,
+                                    problem.eval_c(pair.exact.x_final), j)
     assert pair.exact.feasibility_error == feas
     assert pair.exact.stationarity_error == stat
     assert pair.runs() == [pair.inexact, pair.exact]
@@ -206,7 +275,7 @@ def test_json_metrics_recompute_from_emitted_state(tmp_path):
     row = json.load(open(path))["records"][0]
     x = np.array(row["x_final"])
     j = problem.eval_jacobian(x)
-    feas, stat, _ = true_kkt_errors(problem, x, j)
+    feas, stat, _ = true_kkt_errors(problem, x, problem.eval_c(x), j)
     assert abs(feas - row["feasibility_error"]) <= 1e-12
     assert abs(stat - row["stationarity_error"]) <= 1e-12
 

@@ -170,6 +170,11 @@ def test_minres_rejects_bad_rhs_shapes():
                      make_sparse(np.array([[1.0, 0.0, 0.0]])))
     with pytest.raises(ValueError, match="rhs blocks"):
         MinresState(op, (np.zeros(2), np.zeros(1)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            MinresState(op, (np.array([1.0, bad, 0.0]), np.zeros(1)))
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            MinresState(op, (np.zeros(3), np.array([bad])))
 
 
 def test_minres_identity_system():

@@ -4,13 +4,13 @@ validation."""
 import numpy as np
 import pytest
 
+from sisqo.engine import MAX_RUNG, ladder_matrix
 from sisqo.library import (ControlProblemSpec, SyntheticQpSpec,
                            build_neumann_control, build_poisson_control,
                            build_synthetic_qp)
-from sisqo.problems import (GradientOracle, HessianLadder, Problem,
-                            estimate_lipschitz, finite_sum_oracle_sample,
-                            gaussian_oracle_sample, ladder_matrix, substream,
-                            validate_problem)
+from sisqo.problems import (GradientOracle, Problem, estimate_lipschitz,
+                            finite_sum_oracle_sample, gaussian_oracle_sample,
+                            substream, validate_problem)
 from sisqo.sparse import SparseMatrix
 
 
@@ -144,47 +144,38 @@ def test_oracle_sampling_dispatch():
 # -- Hessian ladder -----------------------------------------------------------
 
 def test_ladder_schedule():
-    ladder = HessianLadder(max_rung=3)
-    iotas = []
-    while not ladder.exhausted:
-        iotas.append(ladder.iota)
-        ladder.advance()
-    assert iotas == [1.0, 0.1, 0.01, 0.001]
-    assert ladder.iota == 0.0
-    assert ladder.rung == 4
+    # H has no diagonal, so the blend's off-diagonal entry is iota * 1
+    h = SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
+    iotas = [ladder_matrix(h, rung).to_dense()[0, 1]
+             for rung in range(MAX_RUNG + 2)]
+    assert iotas[:4] == [1.0, 0.1, 0.01, 0.001]
+    assert iotas[:-1] == [10.0 ** (-rung) for rung in range(MAX_RUNG + 1)]
+    assert iotas[-1] == 0.0
 
 
 def test_ladder_matrix_rungs():
     problem = _small_qp(n=6, m=2)
     x = problem.x0
     y = np.zeros(2)
-    hess = problem.eval_lagrangian_hessian(x, y).to_dense()
+    h = problem.eval_lagrangian_hessian(x, y)
+    hess = h.to_dense()
 
-    at0 = ladder_matrix(HessianLadder(), problem, x, y)
+    at0 = ladder_matrix(h, 0)
     np.testing.assert_array_equal(at0.to_dense(), hess)
 
-    at2 = ladder_matrix(HessianLadder(rung=2), problem, x, y)
+    at2 = ladder_matrix(h, 2)
     np.testing.assert_allclose(at2.to_dense(),
                                0.01 * hess + 0.99 * np.eye(6),
                                rtol=0, atol=1e-14)
 
-    past = ladder_matrix(HessianLadder(max_rung=4, rung=5), problem, x, y)
+    past = ladder_matrix(h, MAX_RUNG + 1)
     np.testing.assert_array_equal(past.to_dense(), np.eye(6))
 
 
 def test_ladder_fixed_point_at_identity_hessian():
     ident = SparseMatrix.identity(3)
-    problem = Problem(
-        name="iso", n=3, m=1,
-        eval_f=lambda x: 0.5 * float(x @ x),
-        eval_grad_f=lambda x: x,
-        eval_c=lambda x: x[:1],
-        eval_jacobian=lambda x: SparseMatrix.from_dense([[1.0, 0.0, 0.0]]),
-        eval_lagrangian_hessian=lambda x, y: ident,
-        x0=np.zeros(3))
     for rung in (0, 1, 7):
-        h = ladder_matrix(HessianLadder(rung=rung), problem,
-                          problem.x0, np.zeros(1))
+        h = ladder_matrix(ident, rung)
         np.testing.assert_allclose(h.to_dense(), np.eye(3), rtol=0, atol=0)
 
 
@@ -195,8 +186,9 @@ def test_estimate_lipschitz_quadratic_bounds():
     q_norm = float(np.linalg.norm(
         problem.eval_lagrangian_hessian(problem.x0, np.zeros(3)).to_dense(),
         2))
-    l_est, gamma_est = estimate_lipschitz(problem, problem.x0, 1e-4,
-                                          substream(0, "lipschitz"))
+    l_est, gamma_est = estimate_lipschitz(
+        problem, problem.x0, problem.eval_jacobian(problem.x0), 1e-4,
+        substream(0, "lipschitz"))
     # a quadratic's secant slope lies between the extreme eigenvalues,
     # and linear constraints leave only the floor for Gamma
     assert 1.0 - 1e-9 <= l_est <= q_norm * (1.0 + 1e-9)
@@ -205,13 +197,14 @@ def test_estimate_lipschitz_quadratic_bounds():
 
 def test_estimate_lipschitz_deterministic_given_stream():
     problem = _small_qp(n=8, m=2)
-    a = estimate_lipschitz(problem, problem.x0, 1e-3,
+    j = problem.eval_jacobian(problem.x0)
+    a = estimate_lipschitz(problem, problem.x0, j, 1e-3,
                            substream(5, "lipschitz"))
-    b = estimate_lipschitz(problem, problem.x0, 1e-3,
+    b = estimate_lipschitz(problem, problem.x0, j, 1e-3,
                            substream(5, "lipschitz"))
     assert a == b
     with pytest.raises(ValueError, match="probe_radius"):
-        estimate_lipschitz(problem, problem.x0, 0.0,
+        estimate_lipschitz(problem, problem.x0, j, 0.0,
                            substream(5, "lipschitz"))
 
 

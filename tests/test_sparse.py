@@ -4,10 +4,12 @@ consistency, blending, and saddle-operator symmetry."""
 import numpy as np
 import pytest
 
+from sisqo.engine import MAX_RUNG, ladder_matrix
 from sisqo.sparse import (KktOperator, SparseMatrix, blend_with_identity,
                           frobenius_distance)
 
-from oracles import dense_kkt_matrix, random_spd, random_symmetric
+from oracles import (dense_kkt_matrix, kkt_operator_dense, random_spd,
+                     random_symmetric)
 
 
 def test_from_triplets_rejects_duplicates():
@@ -76,6 +78,11 @@ def test_dense_roundtrip():
     np.testing.assert_array_equal(a.to_dense(), dense)
     assert a.shape == (5, 7)
     assert a.nnz == np.count_nonzero(dense)
+    # a NaN entry is kept, not dropped as if it were zero
+    with_nan = np.array([[np.nan, 1.0], [0.0, 2.0]])
+    b = SparseMatrix.from_dense(with_nan)
+    assert b.nnz == 3
+    np.testing.assert_array_equal(b.to_dense(), with_nan)
 
 
 def test_identity_and_diagonal():
@@ -207,6 +214,11 @@ def test_symmetry_is_checked_once_per_matrix(monkeypatch):
     for _ in range(3):
         KktOperator(h, j)
     assert calls == [h]
+    # every rung of the ladder over a checked symmetric H, the identity
+    # included, is symmetric without a transpose of its own
+    for rung in range(MAX_RUNG + 2):
+        KktOperator(ladder_matrix(h, rung), j)
+    assert calls == [h]
     asym = SparseMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
     for _ in range(2):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -246,7 +258,7 @@ def test_kkt_operator_matches_dense_assembly():
     j_dense = rng.standard_normal((2, 5))
     op = KktOperator(SparseMatrix.from_dense(h_dense),
                      SparseMatrix.from_dense(j_dense))
-    np.testing.assert_allclose(op.to_dense(),
+    np.testing.assert_allclose(kkt_operator_dense(op.h, op.j),
                                dense_kkt_matrix(h_dense, j_dense),
                                rtol=0, atol=1e-15)
     z = rng.standard_normal(7)
