@@ -14,7 +14,7 @@ Modules:
 * ``cli``       command-line verbs (run, compare, sweep, validate)
 """
 
-from .engine import (ConfigError, IterationFailure, SolverConfig,
+from .engine import (ConfigError, EngineError, IterationFailure, SolverConfig,
                      StationaryPointDetected, init_state, sqp_iterate)
 from .harness import (RunRecord, aggregate, emit_results,
                       run_budget_matched_pair, run_single)
@@ -27,7 +27,7 @@ from .sparse import KktOperator, SparseMatrix
 __version__ = "0.1.0"
 
 __all__ = ["SparseMatrix", "KktOperator", "Problem", "GradientOracle",
-           "SolverConfig", "ConfigError", "IterationFailure",
+           "SolverConfig", "ConfigError", "EngineError", "IterationFailure",
            "StationaryPointDetected", "init_state", "sqp_iterate",
            "RunRecord", "run_single", "run_budget_matched_pair", "aggregate",
            "emit_results", "SyntheticQpSpec", "ControlProblemSpec",

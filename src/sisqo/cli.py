@@ -19,7 +19,8 @@ from .config import (apply_overrides, available_profiles, build_problem,
                      build_solver_config, harness_settings, load_config,
                      oracle_settings)
 from .engine import ConfigError
-from .harness import aggregate, emit_results, run_budget_matched_pair, run_single
+from .harness import (FAILED_STATUSES, aggregate, emit_results,
+                      run_budget_matched_pair, run_single)
 from .problems import validate_problem
 
 logger = logging.getLogger(__name__)
@@ -125,7 +126,7 @@ def _cmd_run(args, config):
         records.append(record)
     _print_aggregate(aggregate(records))
     _emit(records, args, settings)
-    return 1 if any(r.status == "failed" for r in records) else 0
+    return 1 if any(r.status in FAILED_STATUSES for r in records) else 0
 
 
 def _cmd_compare(args, config):
@@ -135,7 +136,7 @@ def _cmd_compare(args, config):
     records = [rec for pair in pairs for rec in pair.runs()]
     _print_aggregate(aggregate(records))
     _emit(pairs, args, settings)
-    return 1 if any(r.status == "failed" for r in records) else 0
+    return 1 if any(r.status in FAILED_STATUSES for r in records) else 0
 
 
 def _cmd_sweep(args, config):
@@ -149,7 +150,7 @@ def _cmd_sweep(args, config):
         records.extend(rec for pair in pairs for rec in pair.runs())
     _print_aggregate(aggregate(records))
     _emit(all_pairs, args, settings)
-    return 1 if any(r.status == "failed" for r in records) else 0
+    return 1 if any(r.status in FAILED_STATUSES for r in records) else 0
 
 
 _VALIDATE_TOL = {"gradient": 1e-5, "jacobian": 1e-5, "hessian": 1e-4}

@@ -12,6 +12,13 @@ Each formula of the method has one implementation, the one
 (``||c||``, ``Jv``, ``||c + Jd||`` formed as ``||(c + Jv) + r||``), the
 formula takes those parts rather than the raw arrays, so a test of the
 formula exercises the arithmetic of the solver itself.
+
+Every condition that ends a run is an ``EngineError`` with a
+class-level ``status`` and a ``diagnostics`` dict: a stationary iterate,
+a step no Hessian rung accepts, a broken invariant, and a NaN or inf in
+f, c, J, the Lagrangian Hessian, a sampled gradient or the Lipschitz
+estimates, each checked once where it is evaluated.  The step-size
+expansion has a trial bound computed before its loop.
 """
 
 import logging
@@ -24,15 +31,15 @@ import numpy as np
 from .krylov import (MinresState, cg_normal_solve, least_squares_multipliers,
                      norm_pair)
 from .problems import estimate_lipschitz
-from .sparse import KktOperator, blend_with_identity
+from .sparse import KktOperator, SparseMatrix, blend_with_identity
 
 __all__ = ["SolverConfig", "IterateState", "StepResult", "NormalStepResult",
            "ConfigError", "EngineError", "IterationFailure", "InvariantBreach",
-           "StationaryPointDetected", "model_reduction", "compute_normal_step",
-           "tau_trial_and_update", "xi_update", "evaluate_varphi",
-           "step_size_bounds", "select_step_size", "update_duals",
-           "beta_for_iteration", "init_state", "sqp_iterate", "merit_value",
-           "ladder_matrix"]
+           "StationaryPointDetected", "NonFiniteValue", "model_reduction",
+           "compute_normal_step", "tau_trial_and_update", "xi_update",
+           "evaluate_varphi", "step_size_bounds", "select_step_size",
+           "update_duals", "beta_for_iteration", "init_state", "sqp_iterate",
+           "merit_value", "ladder_matrix"]
 
 logger = logging.getLogger(__name__)
 
@@ -74,34 +81,49 @@ class ConfigError(ValueError):
 
 
 class EngineError(RuntimeError):
-    """Base class for iteration-level failures."""
+    """Base class of every condition that ends a run: ``status`` names
+    the ending in the run record, ``diagnostics`` explain it."""
 
-
-class IterationFailure(EngineError):
-    """No tangential iterate was accepted at any Hessian rung."""
+    status = "failed"
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
 
 
+class IterationFailure(EngineError):
+    """No tangential iterate was accepted at any Hessian rung."""
+
+
 class InvariantBreach(EngineError):
     """A quantity the convergence theory guarantees came out wrong,
     which indicates a bug rather than a hard problem."""
 
+    status = "breach"
 
-class StationaryPointDetected(Exception):
-    """The current iterate is feasible and stationary for the sampled
-    gradient; carries the certifying residuals."""
 
-    def __init__(self, x, y_ls, grad_residual, resampled):
-        super().__init__(
-            f"stationary for sampled gradient (residual {grad_residual:.3e},"
-            f" resampled={resampled})")
-        self.x = x
-        self.y_ls = y_ls
-        self.grad_residual = grad_residual
-        self.resampled = resampled
+class StationaryPointDetected(EngineError):
+    """The iterate is feasible and stationary for the sampled gradient;
+    diagnostics: the certifying ``residual`` and ``resampled``."""
+
+    status = "stationary"
+
+
+class NonFiniteValue(EngineError):
+    """An evaluated quantity holds NaN or inf; diagnostics: the
+    ``quantity`` and the iterate ``k`` it was evaluated at."""
+
+    status = "nonfinite"
+
+
+def _finite(value, quantity, k):
+    """``value`` (a float, an array or a SparseMatrix) when all its
+    entries are finite, else NonFiniteValue."""
+    entries = value.data if isinstance(value, SparseMatrix) else value
+    if not np.isfinite(entries).all():
+        raise NonFiniteValue(f"non-finite {quantity} at iterate {k}",
+                             {"quantity": quantity, "k": k})
+    return value
 
 
 @dataclass
@@ -434,7 +456,7 @@ def tau_trial_and_update(tau_prev, g_dot_d, max_term, c_norm, norm_c_plus_jd,
         tau_new = tau_prev
     else:
         tau_new = min((1.0 - cfg.eps_tau) * tau_prev, tau_trial)
-    if tau_new <= 0.0:
+    if not tau_new > 0.0:
         raise InvariantBreach(
             f"merit parameter collapsed to {tau_new:.3e}"
             f" (trial {tau_trial:.3e})")
@@ -444,11 +466,12 @@ def tau_trial_and_update(tau_prev, g_dot_d, max_term, c_norm, norm_c_plus_jd,
 def xi_update(xi_prev, tau, delta_l, d_sq, cfg):
     """Ratio parameter update from d_sq = ||d||^2; the trial value is
     the realized reduction-to-step ratio delta_l / (tau ||d||^2)."""
-    if delta_l <= 0.0 or d_sq <= 0.0:
+    scale = tau * d_sq
+    if not (delta_l > 0.0 and scale > 0.0):
         raise InvariantBreach(
-            f"nonpositive model reduction (delta_l = {delta_l:.3e},"
-            f" ||d||^2 = {d_sq:.3e}) reached the ratio update")
-    xi_trial = delta_l / (tau * d_sq)
+            f"nonpositive model reduction or step (delta_l = {delta_l:.3e},"
+            f" tau ||d||^2 = {scale:.3e}) reached the ratio update")
+    xi_trial = delta_l / scale
     if xi_prev <= xi_trial:
         xi_new = xi_prev
     else:
@@ -475,20 +498,28 @@ def step_size_bounds(tau, xi, beta, delta_l, d_sq, lip_l, lip_gamma, cfg):
     alpha_min <= alpha_suff holds because xi never exceeds the realized
     ratio delta_l / (tau ||d||^2); the clamp makes the guarantee robust
     to round-off (and to Lipschitz constants from different sources).
+    A denominator that is not positive, or a NaN bound, is an
+    InvariantBreach.
     """
     denom = tau * lip_l + lip_gamma
-    if denom <= 0.0:
-        raise ConfigError("tau * L + Gamma must be positive")
-    if d_sq <= 0.0:
-        raise InvariantBreach("zero step direction reached the step-size rule")
-    alpha_suff = min(2.0 * (1.0 - cfg.eta) * beta * delta_l / (denom * d_sq),
-                     1.0)
+    if not denom > 0.0:
+        raise InvariantBreach(f"tau * L + Gamma = {denom:.3e} not positive")
+    scale = denom * d_sq
+    if not scale > 0.0:
+        raise InvariantBreach("zero step direction reached the step-size"
+                              f" rule (||d||^2 = {d_sq:.3e})")
+    alpha_suff = min(2.0 * (1.0 - cfg.eta) * beta * delta_l / scale, 1.0)
     alpha_min = min(2.0 * (1.0 - cfg.eta) * beta * xi * tau / denom,
                     alpha_suff)
+    if not alpha_min <= alpha_suff:
+        raise InvariantBreach(f"step-size bounds {alpha_min:.3e} >"
+                              f" {alpha_suff:.3e}")
     return alpha_min, alpha_suff
 
 
 _EXPAND = 1.1
+# the largest t for which _EXPAND ** t is finite
+_MAX_EXPANSIONS = int(math.log(np.finfo(float).max) / math.log(_EXPAND))
 
 
 def select_step_size(alpha_min, alpha_suff, beta, theta, varphi):
@@ -500,21 +531,31 @@ def select_step_size(alpha_min, alpha_suff, beta, theta, varphi):
     of 1.1 while the merit model stays nonpositive, the cap is
     respected, and the previous trial was below 1.  The unexpanded
     alpha_suff is always admissible, so no varphi evaluation guards it.
+    Raises InvariantBreach unless alpha_suff and the cap are finite and
+    positive.
     """
     cap = alpha_min + theta * beta ** 2
+    if not (0.0 < alpha_suff < math.inf and 0.0 < cap < math.inf):
+        raise InvariantBreach(f"step-size bounds alpha_suff = {alpha_suff:.3e}"
+                              f" and cap = {cap:.3e} must be finite, > 0")
     if alpha_suff == 1.0:
         return min(1.0, cap)
     if cap <= alpha_suff:
         return cap
+    # the loop returns by the first t with alpha_suff * 1.1^(t-1) >= 1,
+    # at most int(log(1 / alpha_suff) / log(1.1)) + 2, one more for
+    # round-off; _MAX_EXPANSIONS keeps 1.1^t finite for a subnormal
+    # alpha_suff
+    limit = min(int(-math.log(alpha_suff) / math.log(_EXPAND)) + 3,
+                _MAX_EXPANSIONS)
     alpha = alpha_suff
-    t = 1
-    while True:
+    for t in range(1, limit + 1):
         trial = alpha_suff * _EXPAND ** t
         if trial > cap or alpha_suff * _EXPAND ** (t - 1) >= 1.0 \
                 or varphi(trial) > 0.0:
             return alpha
         alpha = trial
-        t += 1
+    return alpha
 
 
 def beta_for_iteration(cfg, k):
@@ -553,8 +594,16 @@ def init_state(problem, cfg, x0=None, y0=None):
     if x.shape != (problem.n,) or y.shape != (problem.m,):
         raise ValueError("bad x0 or y0 shape")
     return IterateState(k=0, x=x, y=y, tau=cfg.tau_init, xi=cfg.xi_init,
-                        f=problem.eval_f(x), c=problem.eval_c(x),
-                        j=problem.eval_jacobian(x))
+                        f=_finite(problem.eval_f(x), "f(x)", 0),
+                        c=_finite(problem.eval_c(x), "c(x)", 0),
+                        j=_finite(problem.eval_jacobian(x), "J(x)", 0))
+
+
+def _stationary(residual, resampled):
+    return StationaryPointDetected(
+        f"stationary for sampled gradient (residual {residual:.3e},"
+        f" resampled={resampled})",
+        {"residual": residual, "resampled": resampled})
 
 
 def _check_stationary(state, problem, oracle, g):
@@ -564,14 +613,15 @@ def _check_stationary(state, problem, oracle, g):
         return g
     resampled = False
     while True:
-        y_ls, residual = _least_squares_fit(g, state.j)
+        _, residual = _least_squares_fit(g, state.j)
         if residual >= STATIONARY_TOL:
             return g
         if oracle.is_stochastic and not resampled:
-            g = oracle.sample(problem, state.x)
+            g = _finite(oracle.sample(problem, state.x), "sampled gradient",
+                        state.k)
             resampled = True
             continue
-        raise StationaryPointDetected(state.x, y_ls, residual, resampled)
+        raise _stationary(residual, resampled)
 
 
 def _tangential_solve(ctx, cfg):
@@ -665,10 +715,11 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
     tau / xi / duals, and select the step size.  ``probe_rng`` draws the
     Lipschitz probes when they are estimated.
 
-    Returns the advanced state and a StepResult.  Raises
-    StationaryPointDetected or IterationFailure; either ends the run.
+    Returns the advanced state and a StepResult.  A condition that ends
+    the run raises an EngineError, whose ``status`` names the ending.
     """
-    g = oracle.sample(problem, state.x)
+    g = _finite(oracle.sample(problem, state.x), "sampled gradient",
+                state.k)
     g = _check_stationary(state, problem, oracle, g)
 
     if cfg.lipschitz_mode == "fixed":
@@ -677,13 +728,15 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
         radius = PROBE_RADIUS_SCALE * max(1.0, float(np.linalg.norm(state.x)))
         lip_l, lip_gamma = estimate_lipschitz(problem, state.x, state.j,
                                               radius, probe_rng)
+    _finite((lip_l, lip_gamma), "Lipschitz constants", state.k)
 
     ns = compute_normal_step(state.c, state.j, cfg)
     beta = beta_for_iteration(cfg, state.k)
 
     ctx = _IterationContext(g, state.c, state.j, ns, state.y, state.tau, beta,
                             state.prev_pair_norm)
-    hess = problem.eval_lagrangian_hessian(state.x, state.y)
+    hess = _finite(problem.eval_lagrangian_hessian(state.x, state.y),
+                   "Lagrangian Hessian", state.k)
     total_minres = 0
     rungs = []
     for rung in range(MAX_RUNG + 2):
@@ -716,9 +769,7 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
         # (any cancellation fails both tests), which certifies the
         # iterate as stationary for the sampled gradient to working
         # precision even when the explicit gate has not fired yet
-        y_ls, residual = _least_squares_fit(g, state.j)
-        raise StationaryPointDetected(state.x, y_ls, residual,
-                                      resampled=False)
+        raise _stationary(_least_squares_fit(g, state.j)[1], False)
     delta_l = model_reduction(tau_new, ev.g_dot_d, ctx.c_norm,
                               ev.norm_c_plus_jd)
     xi_trial, xi_new = xi_update(state.xi, tau_new, delta_l, d_sq, cfg)
@@ -750,7 +801,8 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
     # merit decrease against the model bound: guaranteed when the
     # Lipschitz constants are true upper bounds and g is exact, so a
     # breach is only flagged in that mode and logged otherwise
-    f_next, c_next = problem.eval_f(x_next), problem.eval_c(x_next)
+    f_next = _finite(problem.eval_f(x_next), "f(x)", state.k + 1)
+    c_next = _finite(problem.eval_c(x_next), "c(x)", state.k + 1)
     merit_drop = merit_value(tau_new, f_next, c_next) \
         - merit_value(tau_new, state.f, state.c)
     bound = -alpha * delta_l * (1.0 - (1.0 - cfg.eta) * beta)
@@ -773,7 +825,8 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
 
     state_next = IterateState(
         k=state.k + 1, x=x_next, y=y_next, tau=tau_new, xi=xi_new,
-        f=f_next, c=c_next, j=problem.eval_jacobian(x_next),
+        f=f_next, c=c_next,
+        j=_finite(problem.eval_jacobian(x_next), "J(x)", state.k + 1),
         prev_pair_norm=norm_pair(g + state.j.apply_transpose(y_next),
                                  state.c))
     return state_next, step

@@ -4,7 +4,11 @@ aggregation, and results emission.
 A run drives ``sqp_iterate`` under the outer stopping rule that checks,
 at each iterate before stepping, the true-gradient KKT errors:
 infinity-norm feasibility below ``feasibility_tol`` and least-squares
-stationarity below ``stationarity_tol``.
+stationarity below ``stationarity_tol``.  Every other ending is an
+``EngineError`` raised by the engine; ``run_single`` records its
+``status``, ``info["reason"]`` and ``info["diagnostics"]`` in one
+handler, so one bad seed never ends a sweep.  ``FAILED_STATUSES`` lists
+the endings that leave no usable result.
 
 Budget-matched comparisons rerun the same problem and seed with a
 near-exact subproblem tolerance, capped at the total MINRES iterations
@@ -18,6 +22,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, make_dataclass
@@ -25,15 +30,15 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import (IterationFailure, StationaryPointDetected, init_state,
-                     sqp_iterate)
+from .engine import (EngineError, InvariantBreach, IterationFailure,
+                     NonFiniteValue, init_state, sqp_iterate)
 from .krylov import least_squares_multipliers
 from .problems import GradientOracle, substream
 
 __all__ = ["IterationRow", "RunRecord", "ComparisonRecord", "run_single",
            "run_budget_matched_pair", "rank_iterate", "aggregate",
            "emit_results", "load_results", "true_kkt_errors",
-           "resolve_output_path", "CSV_COLUMNS"]
+           "resolve_output_path", "CSV_COLUMNS", "FAILED_STATUSES"]
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +52,11 @@ _CSV_SCHEMA = (("problem", "problem", str), ("strategy", "strategy", str),
 CSV_COLUMNS = tuple(column for column, _, _ in _CSV_SCHEMA)
 
 OUTPUT_DIR_ENV = "SISQO_OUTPUT_DIR"
+
+# endings with no usable result: kept out of the error statistics, they
+# abort a budget-matched pair and make the command line exit 1
+FAILED_STATUSES = frozenset(
+    e.status for e in (IterationFailure, InvariantBreach, NonFiniteValue))
 
 
 @dataclass
@@ -146,59 +156,59 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
     oracle = GradientOracle(oracle_kind, rng=substream(seed, "oracle"),
                             eps_n=eps_n)
     probe_rng = substream(seed, "lipschitz")
-    state = init_state(problem, cfg)
     rows = []
     best = None
     total_minres = 0
     status = None
     info = {"oracle_m_g": oracle.variance_bound(problem)}
+    # what a run whose start point fails to evaluate reports
+    state = None
+    feas = stat = math.nan
+    y_ls = np.full(problem.m, math.nan)
 
-    while True:
-        feas, stat, y_ls = true_kkt_errors(problem, state.x, state.c, state.j)
-        if budget is None:
-            if feas <= cfg.feasibility_tol and stat <= cfg.stationarity_tol:
-                status = "converged"
-                break
-        else:
-            rank = rank_iterate(state.k, feas, stat, cfg.feasibility_tol)
-            if best is None or rank < best[0]:
-                best = (rank, state.x, feas, stat, y_ls)
-            if total_minres >= budget:
+    try:
+        state = init_state(problem, cfg)
+        while True:
+            feas, stat, y_ls = true_kkt_errors(problem, state.x, state.c,
+                                               state.j)
+            if budget is None:
+                if feas <= cfg.feasibility_tol \
+                        and stat <= cfg.stationarity_tol:
+                    status = "converged"
+                    break
+            else:
+                rank = rank_iterate(state.k, feas, stat, cfg.feasibility_tol)
+                if best is None or rank < best[0]:
+                    best = (rank, state.x, feas, stat, y_ls)
+                if total_minres >= budget:
+                    status = "budget_exhausted"
+                    info["stop"] = "minres_budget"
+                    break
+            if state.k >= cfg.max_outer_iterations:
                 status = "budget_exhausted"
-                info["stop"] = "minres_budget"
+                info["stop"] = "outer_cap"
                 break
-        if state.k >= cfg.max_outer_iterations:
-            status = "budget_exhausted"
-            info["stop"] = "outer_cap"
-            break
-        try:
             state, step = sqp_iterate(state, problem, oracle, cfg, probe_rng)
-        except StationaryPointDetected as exc:
-            status = "stationary"
-            info["stationary_residual"] = exc.grad_residual
-            info["stationary_resampled"] = exc.resampled
-            break
-        except IterationFailure as exc:
-            status = "failed"
-            info["failure"] = str(exc)
-            info["failure_diagnostics"] = exc.diagnostics
-            break
-        total_minres += step.minres_iters
-        rows.append(IterationRow(
-            k=step.k, feas_err=feas, stat_err=stat, tau=step.tau,
-            xi=step.xi, beta=step.beta, alpha=step.alpha,
-            accepted_test=step.accepted_test,
-            hessian_rung=step.hessian_rung, delta_l=step.delta_l,
-            minres_iters=step.minres_iters, cg_iters=step.cg_iters))
-        if step.violations:
-            info.setdefault("violations", []).extend(
-                (step.k, v) for v in step.violations)
+            total_minres += step.minres_iters
+            rows.append(IterationRow(
+                k=step.k, feas_err=feas, stat_err=stat, tau=step.tau,
+                xi=step.xi, beta=step.beta, alpha=step.alpha,
+                accepted_test=step.accepted_test,
+                hessian_rung=step.hessian_rung, delta_l=step.delta_l,
+                minres_iters=step.minres_iters, cg_iters=step.cg_iters))
+            if step.violations:
+                info.setdefault("violations", []).extend(
+                    (step.k, v) for v in step.violations)
+    except EngineError as exc:
+        status = exc.status
+        info["reason"] = str(exc)
+        info["diagnostics"] = exc.diagnostics
 
     # every exit leaves the loop before stepping, so the errors measured
     # at the top of its last pass are those of the final state; a
     # budget-capped run reports its best visited iterate instead
-    x = state.x
-    if budget is not None:
+    x = problem.x0 if state is None else state.x
+    if best is not None:
         rank, x, feas, stat, y_ls = best
         rule = "min feasibility" if rank[0] \
             else "min stationarity among feasible"
@@ -206,7 +216,8 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
                                     "feas": feas, "stat": stat}
     return RunRecord(
         problem=problem.name, strategy=strategy, eps_n=eps_n, seed=seed,
-        status=status, outer_iters=state.k, total_minres_iters=total_minres,
+        status=status, outer_iters=0 if state is None else state.k,
+        total_minres_iters=total_minres,
         feasibility_error=feas, stationarity_error=stat, x_final=x.copy(),
         y_ls_final=y_ls, rows=rows, wall_time=time.perf_counter() - start,
         config_digest=_config_digest(cfg, oracle_kind, eps_n), info=info)
@@ -224,10 +235,10 @@ def run_budget_matched_pair(problem, cfg_inexact, cfg_exact, seed, *,
 
     inexact = run_single(problem, cfg_inexact, seed, oracle_kind=oracle_kind,
                          eps_n=eps_n, strategy="sisqo")
-    if inexact.status == "failed":
-        return ComparisonRecord(inexact=inexact, exact=None, budget=0,
-                                overshoot=0,
-                                info={"reason": "truncated run failed"})
+    if inexact.status in FAILED_STATUSES:
+        return ComparisonRecord(
+            inexact=inexact, exact=None, budget=0, overshoot=0,
+            info={"reason": f"truncated run ended {inexact.status}"})
 
     budget = inexact.total_minres_iters
     exact = run_single(problem, cfg_exact, seed, oracle_kind=oracle_kind,
@@ -241,8 +252,9 @@ def run_budget_matched_pair(problem, cfg_inexact, cfg_exact, seed, *,
 
 def aggregate(records):
     """Group records of one problem by (strategy, eps_n) and produce
-    summary statistics; failed runs are counted but excluded from the
-    error statistics.  Mixing problems in one call is an error."""
+    summary statistics; runs with a status in FAILED_STATUSES are
+    counted but excluded from the error statistics.  Mixing problems in
+    one call is an error."""
     records = list(records)
     if not records:
         return []
@@ -255,7 +267,7 @@ def aggregate(records):
         groups.setdefault((r.strategy, r.eps_n), []).append(r)
     out = []
     for (strategy, eps_n), runs in sorted(groups.items()):
-        clean = [r for r in runs if r.status != "failed"]
+        clean = [r for r in runs if r.status not in FAILED_STATUSES]
         row = {"problem": records[0].problem, "strategy": strategy,
                "eps_n": eps_n, "count": len(runs),
                "n_failed": len(runs) - len(clean)}

@@ -4,7 +4,9 @@ import csv
 
 import pytest
 
+import sisqo.harness
 from sisqo.cli import main
+from sisqo.engine import InvariantBreach
 from sisqo.harness import CSV_COLUMNS, load_results
 
 # a QP small enough that every verb finishes in well under a second
@@ -54,6 +56,24 @@ def test_sweep_covers_noise_levels(tmp_path):
     loaded = load_results(str(out))
     assert sorted({r.eps_n for r in loaded}) == [1e-3, 1e-2]
     assert len(loaded) == 4
+
+
+def test_run_records_every_seed_when_one_breaches(tmp_path, monkeypatch):
+    iterate = sisqo.harness.sqp_iterate
+
+    def breach_on_seed_1(state, problem, oracle, cfg, probe_rng):
+        if cfg.seed == 1:
+            raise InvariantBreach("injected breach")
+        return iterate(state, problem, oracle, cfg, probe_rng)
+
+    monkeypatch.setattr(sisqo.harness, "sqp_iterate", breach_on_seed_1)
+    out = tmp_path / "run.csv"
+    code = main(["run", "-c", "qp_gaussian", "-o", str(out),
+                 "harness.seeds=0 1 2"] + _TINY[:3] + _TINY[4:])
+    assert code == 1
+    loaded = load_results(str(out))
+    assert [(r.seed, r.status) for r in loaded] == \
+        [(0, "converged"), (1, "breach"), (2, "converged")]
 
 
 def test_validate_passes_on_library_problems():

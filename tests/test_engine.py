@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sisqo.engine
-from sisqo.engine import (ConfigError, InvariantBreach, SolverConfig,
+from sisqo.engine import (InvariantBreach, SolverConfig,
                           StationaryPointDetected, beta_for_iteration,
                           compute_normal_step, evaluate_varphi, init_state,
                           merit_value, model_reduction, select_step_size,
@@ -365,7 +365,7 @@ def test_step_size_bounds_frozen_case():
 
 def test_step_size_bounds_validation():
     ones, zero = np.ones(1), np.zeros(1)
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(InvariantBreach, match="positive"):
         step_size_bounds(1.0, 1.0, 1.0, 1.0, float(np.dot(ones, ones)), 0.0,
                          0.0, CFG)
     with pytest.raises(InvariantBreach, match="zero step"):
@@ -469,8 +469,8 @@ def test_iterate_detects_stationary_start():
     with pytest.raises(StationaryPointDetected) as info:
         sqp_iterate(state, problem, GradientOracle("exact"), cfg,
                     substream(0, "lipschitz"))
-    assert info.value.grad_residual <= 1e-12
-    assert not info.value.resampled
+    assert info.value.diagnostics["residual"] <= 1e-12
+    assert not info.value.diagnostics["resampled"]
 
 
 def test_iterate_resamples_before_declaring_stationarity():
@@ -489,7 +489,7 @@ def test_iterate_resamples_before_declaring_stationarity():
     with pytest.raises(StationaryPointDetected) as info:
         sqp_iterate(init_state(problem, cfg), problem, oracle, cfg,
                     substream(0, "lipschitz"))
-    assert info.value.resampled
+    assert info.value.diagnostics["resampled"]
 
 
 def test_circle_problem_first_iteration_hand_checked():

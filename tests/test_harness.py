@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import math
 import os
 from collections import Counter
 
@@ -12,11 +13,13 @@ import sisqo.engine
 from sisqo.config import (apply_overrides, build_problem, build_solver_config,
                           harness_settings, load_config, oracle_settings)
 from sisqo.engine import SolverConfig
-from sisqo.harness import (ComparisonRecord, aggregate, emit_results,
-                           load_results, resolve_output_path,
+from sisqo.harness import (FAILED_STATUSES, ComparisonRecord, aggregate,
+                           emit_results, load_results, resolve_output_path,
                            rank_iterate, run_budget_matched_pair, run_single,
                            true_kkt_errors, CSV_COLUMNS)
+from sisqo.krylov import CgResult, MinresState
 from sisqo.library import SyntheticQpSpec, build_synthetic_qp
+from sisqo.sparse import SparseMatrix
 
 
 def _qp(n=10, m=4, seed=0):
@@ -173,6 +176,107 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
             assert len(probes) == outer > 0
 
 
+def _poisoned(problem, name, call, spoil):
+    """``problem`` whose ``name`` callable returns ``spoil(value)`` at
+    its ``call``-th call (counted from 1)."""
+    fn = getattr(problem, name)
+    calls = []
+
+    def poisoned(*args):
+        calls.append(args)
+        value = fn(*args)
+        return spoil(value) if len(calls) == call else value
+    return dataclasses.replace(problem, **{name: poisoned})
+
+
+def _nan(value):
+    return np.full_like(value, np.nan)
+
+
+def _lose_to_cauchy_point(monkeypatch):
+    # a normal-step CG that returns v = 0 loses to the Cauchy point
+    monkeypatch.setattr(sisqo.engine, "cg_normal_solve",
+                        lambda j, c, rel_tol, abs_floor: CgResult(
+                            np.zeros(j.cols), 0, True, 0.0))
+
+
+# (callable, call, spoiled value, status, quantity, iterate); the gradient
+# is evaluated by the KKT metric, the oracle and the Lipschitz probe in
+# that order, and f and c once per iterate
+_INJECTIONS = {
+    "oracle gradient": ("eval_grad_f", 2, _nan, "nonfinite",
+                        "sampled gradient", 0),
+    "Hessian": ("eval_lagrangian_hessian", 1,
+                lambda h: SparseMatrix.diagonal(np.full(h.rows, np.nan)),
+                "nonfinite", "Lagrangian Hessian", 0),
+    "probe gradient": ("eval_grad_f", 3, _nan, "nonfinite",
+                       "Lipschitz constants", 0),
+    "normal step": (None, None, None, "breach", None, None),
+    "c(x2)": ("eval_c", 3, _nan, "nonfinite", "c(x)", 2),
+    "f(x2)": ("eval_f", 3, lambda f: math.inf, "nonfinite", "f(x)", 2),
+    "f(x0)": ("eval_f", 1, lambda f: math.nan, "nonfinite", "f(x)", 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_INJECTIONS))
+def test_every_injected_fault_ends_in_a_recorded_status(monkeypatch, case):
+    name, call, spoil, status, quantity, k = _INJECTIONS[case]
+    config = load_config("qp_gaussian")
+    kind, eps_n = oracle_settings(config)
+    problem = build_problem(config)
+    # MINRES steps taken, and how many of them before the fault
+    steps, at_fault = [], []
+    step = MinresState.step
+
+    def counted_step(self):
+        steps.append(1)
+        return step(self)
+
+    def spoil_and_mark(value):
+        at_fault.append(len(steps))
+        return spoil(value)
+
+    monkeypatch.setattr(MinresState, "step", counted_step)
+    if name is None:
+        _lose_to_cauchy_point(monkeypatch)
+    else:
+        problem = _poisoned(problem, name, call, spoil_and_mark)
+
+    record = run_single(problem, build_solver_config(config, seed=0), 0,
+                        oracle_kind=kind, eps_n=eps_n)
+    assert record.status == status
+    assert record.info["reason"]
+    assert record.outer_iters == len(record.rows)
+    if status == "nonfinite":
+        assert record.info["diagnostics"] == {"quantity": quantity, "k": k}
+        # no MINRES step after the non-finite value was evaluated
+        assert at_fault == [len(steps)]
+    if k == 0:
+        assert record.outer_iters == 0
+        np.testing.assert_array_equal(record.x_final, problem.x0)
+
+
+@pytest.mark.parametrize("fault", ["failed", "breach", "nonfinite"])
+def test_budget_matched_pair_aborts_after_a_failed_truncated_run(
+        monkeypatch, fault):
+    problem = _qp(n=12, m=5, seed=1)
+    if fault == "failed":
+        # one MINRES step on one Hessian rung accepts no tangential iterate
+        monkeypatch.setattr(sisqo.engine, "MINRES_MAX_ITER_SCALE", 0.01)
+        monkeypatch.setattr(sisqo.engine, "MAX_RUNG", 0)
+    elif fault == "breach":
+        _lose_to_cauchy_point(monkeypatch)
+    else:
+        problem = _poisoned(problem, "eval_f", 2, lambda f: math.nan)
+    pair = run_budget_matched_pair(problem, SolverConfig(kappa=0.1),
+                                   SolverConfig(kappa=1e-7), 0,
+                                   oracle_kind="gaussian", eps_n=1e-2)
+    assert pair.inexact.status == fault
+    assert pair.aborted
+    assert pair.runs() == [pair.inexact]
+    assert pair.info == {"reason": f"truncated run ended {fault}"}
+
+
 def test_run_single_is_deterministic():
     problem = _qp()
     cfg = SolverConfig(max_outer_iterations=15)
@@ -323,6 +427,18 @@ def test_aggregate_groups_and_excludes_failures():
         aggregate([_stub_record(problem="a"), _stub_record(problem="b")])
 
 
+def test_aggregate_excludes_every_failed_status():
+    records = [_stub_record(seed=0, feas=1e-7),
+               _stub_record(seed=1, feas=3e-7, status="stationary")]
+    records += [_stub_record(seed=2 + i, status=status, feas=math.nan,
+                             stat=math.nan)
+                for i, status in enumerate(sorted(FAILED_STATUSES))]
+    assert sorted(FAILED_STATUSES) == ["breach", "failed", "nonfinite"]
+    row, = aggregate(records)
+    assert (row["count"], row["n_failed"]) == (5, 3)
+    assert row["mean_feas"] == pytest.approx(2e-7)
+
+
 def test_emit_and_load_csv_round_trip(tmp_path):
     records = [_stub_record(seed=0, feas=1.0 / 3.0),
                _stub_record(seed=1, stat=2e-3)]
@@ -392,9 +508,8 @@ def test_emit_json_keeps_dict_valued_info(tmp_path, monkeypatch):
         ["sisqo", "sisqo_exact", "sisqo"]
     assert rows[1]["info"]["selected_iterate"] == \
         pair.exact.info["selected_iterate"]
-    assert rows[2]["info"]["failure_diagnostics"] == \
-        failed.info["failure_diagnostics"]
-    assert rows[2]["info"]["failure_diagnostics"]["rungs"]
+    assert rows[2]["info"]["diagnostics"] == failed.info["diagnostics"]
+    assert rows[2]["info"]["diagnostics"]["rungs"]
 
 
 def test_emit_rejects_unknown_format_and_bad_path(tmp_path):
