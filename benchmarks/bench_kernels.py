@@ -1,12 +1,13 @@
 """Timing comparison of the compiled CSR kernels vs the numpy fallback.
 
-Measures raw matvec/rmatvec throughput on the discretized control
-problems' Jacobians, the fused KKT apply ``(H u + J.T delta, J u)`` on
-the Hessian and Jacobian, and a full MINRES solve that exercises the
-kernels the way the solver does.  Run from the repository root of a
-source checkout (an installed package needs no ``PYTHONPATH``):
+For each mesh it measures raw matvec/rmatvec throughput on the
+discretized Poisson control problem's Jacobian, the fused KKT apply
+``(H u + J.T delta, J u)`` on its Hessian and Jacobian, and one isolated
+MINRES step (the mean over a solve of ``--minres-steps`` steps), printed
+next to the two KKT applies the step contains.  Run from the repository
+root of a source checkout (an installed package needs no ``PYTHONPATH``):
 
-    PYTHONPATH=src python3 benchmarks/bench_kernels.py --mesh 32 --repeats 200
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py --mesh 16 32 --repeats 200
 """
 
 import argparse
@@ -56,61 +57,71 @@ def bench_kernels(h, j, repeats):
     return fwd, rev, kkt
 
 
-def bench_minres(h, j, steps, repeats):
+def bench_minres_step(h, j, steps, repeats):
+    """Seconds per MINRES step: the best solve of at most ``steps`` steps
+    divided by the steps it took."""
     op = KktOperator(h, j)
     rng = np.random.default_rng(1)
     rhs = (rng.standard_normal(op.n), rng.standard_normal(op.m))
+    taken = []
 
     def solve():
         state = MinresState(op, rhs)
-        for _ in range(steps):
-            if state.breakdown or state.stalled:
-                break
+        while state.iteration < steps \
+                and not (state.breakdown or state.stalled):
             state.step()
-        return state
+        taken.append(state.iteration)
 
-    return _time(solve, repeats)
+    return _time(solve, repeats) / max(taken[0], 1)
+
+
+def bench_mesh(mesh, args):
+    """Prints, per backend, matvec, rmatvec, kkt_apply and one MINRES
+    step on the Poisson control problem at ``mesh``."""
+    problem, h, j = _build(mesh)
+    print(f"\nproblem {problem.name}: n={problem.n} m={problem.m}"
+          f" jacobian nnz={j.nnz} hessian nnz={h.nnz}")
+    results = {}
+    for name in kernels.available_backends():
+        kernels.use_backend(name)
+        fwd, rev, kkt = bench_kernels(h, j, args.repeats)
+        step = bench_minres_step(h, j, args.minres_steps,
+                                 max(3, args.repeats // 20))
+        results[name] = (fwd, rev, kkt, step)
+
+    print(f"{'backend':<10} {'matvec':>10} {'rmatvec':>10} {'kkt_apply':>10}"
+          f" {'2 x kkt':>10} {'minres step':>12} {'step/2 kkt':>11}")
+    for name, (fwd, rev, kkt, step) in sorted(results.items()):
+        print(f"{name:<10} {fwd * 1e6:>8.2f}us {rev * 1e6:>8.2f}us"
+              f" {kkt * 1e6:>8.2f}us {2 * kkt * 1e6:>8.2f}us"
+              f" {step * 1e6:>10.2f}us {step / (2 * kkt):>10.2f}x")
+    if len(results) == 2:
+        py, comp = results["python"], results["compiled"]
+        print(f"speedup (python/compiled): matvec {py[0] / comp[0]:.2f}x,"
+              f" rmatvec {py[1] / comp[1]:.2f}x,"
+              f" kkt_apply {py[2] / comp[2]:.2f}x,"
+              f" minres step {py[3] / comp[3]:.2f}x")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mesh", type=int, default=32,
-                        help="interior grid points per side (default 32)")
+    parser.add_argument("--mesh", type=int, nargs="+", default=[16, 32],
+                        help="interior grid points per side, one or more"
+                             " (default 16 32)")
     parser.add_argument("--repeats", type=int, default=100,
                         help="timing repeats, best-of (default 100)")
     parser.add_argument("--minres-steps", type=int, default=200,
                         help="MINRES steps per timed solve (default 200)")
     args = parser.parse_args(argv)
 
-    problem, h, j = _build(args.mesh)
-    print(f"problem {problem.name}: n={problem.n} m={problem.m}"
-          f" jacobian nnz={j.nnz} hessian nnz={h.nnz}")
     print(f"backends: {kernels.available_backends()}"
           f" (active: {kernels.active_backend()})")
-
-    results = {}
     active = kernels.active_backend()
     try:
-        for name in kernels.available_backends():
-            kernels.use_backend(name)
-            fwd, rev, kkt = bench_kernels(h, j, args.repeats)
-            solve = bench_minres(h, j, args.minres_steps,
-                                 max(3, args.repeats // 20))
-            results[name] = (fwd, rev, kkt, solve)
+        for mesh in args.mesh:
+            bench_mesh(mesh, args)
     finally:
         kernels.use_backend(active)
-
-    print(f"\n{'backend':<10} {'matvec':>12} {'rmatvec':>12}"
-          f" {'kkt_apply':>12} {'minres x' + str(args.minres_steps):>14}")
-    for name, (fwd, rev, kkt, solve) in sorted(results.items()):
-        print(f"{name:<10} {fwd * 1e6:>10.1f}us {rev * 1e6:>10.1f}us"
-              f" {kkt * 1e6:>10.1f}us {solve * 1e3:>12.2f}ms")
-    if len(results) == 2:
-        py, comp = results["python"], results["compiled"]
-        print(f"\nspeedup (python/compiled): matvec {py[0] / comp[0]:.2f}x,"
-              f" rmatvec {py[1] / comp[1]:.2f}x,"
-              f" kkt_apply {py[2] / comp[2]:.2f}x,"
-              f" minres {py[3] / comp[3]:.2f}x")
     return 0
 
 

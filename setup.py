@@ -5,6 +5,7 @@ installs anyway and `sisqo.kernels` falls back to the numpy reference
 implementation at import time.
 """
 
+import numpy
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
@@ -32,7 +33,8 @@ extensions = [
     Extension(
         "sisqo.kernels._csrkern",
         ["src/sisqo/kernels/_csrkern.c"],
-        extra_compile_args=["-O3"],
+        include_dirs=[numpy.get_include()],
+        extra_compile_args=["-O3", "-ffp-contract=off"],
     ),
 ]
 

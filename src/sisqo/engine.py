@@ -181,15 +181,18 @@ class SolverConfig:
             raise ConfigError("eps_r must lie in (0, 1]")
         if self.sigma_c >= self.eps_r:
             raise ConfigError("sigma_c < eps_r required for the tau update")
+        # written as "not (val > 0.0)" so that NaN fails them too
         positive = {"tau_init": self.tau_init, "xi_init": self.xi_init,
                     "eps_c": self.eps_c, "eps_u": self.eps_u,
                     "kappa_rho": self.kappa_rho, "kappa_r": self.kappa_r,
                     "kappa_u": self.kappa_u, "kappa_v": self.kappa_v,
-                    "theta": self.theta}
+                    "theta": self.theta,
+                    "feasibility_tol": self.feasibility_tol,
+                    "stationarity_tol": self.stationarity_tol}
         for name, val in positive.items():
-            if val <= 0.0:
+            if not val > 0.0:
                 raise ConfigError(f"{name} must be positive, got {val}")
-        if self.eps_c > 1.0:
+        if not self.eps_c <= 1.0:
             raise ConfigError("eps_c must lie in (0, 1]")
         if not 0.0 < self.beta0 <= 1.0:
             raise ConfigError("beta0 must lie in (0, 1]")
@@ -198,7 +201,7 @@ class SolverConfig:
         if self.lipschitz_mode not in ("fixed", "estimate"):
             raise ConfigError(f"unknown lipschitz_mode {self.lipschitz_mode!r}")
         if self.lipschitz_mode == "fixed":
-            if self.lip_l <= 0.0 or self.lip_gamma < 0.0:
+            if not (self.lip_l > 0.0 and self.lip_gamma >= 0.0):
                 raise ConfigError("fixed mode needs lip_l > 0, lip_gamma >= 0")
             if self.lip_gamma > 0.0:
                 scale = 2.0 * (1.0 - self.eta) * self.beta0 * self.xi_init \
@@ -636,14 +639,9 @@ def _tangential_solve(ctx, cfg):
     cap = max(cfg.kappa * float(np.max(np.abs(ctx.rhs_top), initial=0.0)),
               MINRES_ABS_FLOOR)
     max_iter = max(1, int(MINRES_MAX_ITER_SCALE * op.dim))
-    # ||r||_inf >= ||r||_2 / sqrt(dim), so a 2-norm above sqrt(dim) * cap,
-    # by more than its own round-off, fails the infinity-norm cap too;
-    # the cheap test skips the temporary-allocating max |r|
-    norm_cap = cap * math.sqrt(op.dim) * (
-        1.0 + (op.dim + 8) * np.finfo(float).eps)
 
     def try_accept():
-        if mstate.resid_norm > norm_cap or mstate.resid_norm_inf > cap:
+        if mstate.resid_norm_inf > cap:
             return None
         ev = _TestEvaluation(mstate.u, mstate.delta, mstate.rho, mstate.r,
                              ctx, cfg)
@@ -716,8 +714,22 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
     Lipschitz probes when they are estimated.
 
     Returns the advanced state and a StepResult.  A condition that ends
-    the run raises an EngineError, whose ``status`` names the ending.
+    the run raises an EngineError, whose ``status`` names the ending and
+    whose ``diagnostics["minres_iters"]`` counts the MINRES steps the
+    iteration took before it.
     """
+    rungs = []
+    try:
+        return _iterate(state, problem, oracle, cfg, probe_rng, rungs)
+    except EngineError as exc:
+        exc.diagnostics["minres_iters"] = sum(r["minres_iters"]
+                                              for r in rungs)
+        raise
+
+
+def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
+    """The body of ``sqp_iterate``; appends one record per Hessian rung
+    tried to ``rungs``."""
     g = _finite(oracle.sample(problem, state.x), "sampled gradient",
                 state.k)
     g = _check_stationary(state, problem, oracle, g)
@@ -738,7 +750,6 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
     hess = _finite(problem.eval_lagrangian_hessian(state.x, state.y),
                    "Lagrangian Hessian", state.k)
     total_minres = 0
-    rungs = []
     for rung in range(MAX_RUNG + 2):
         ctx.set_rung(ladder_matrix(hess, rung))
         ev, iters, solver_info = _tangential_solve(ctx, cfg)

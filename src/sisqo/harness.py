@@ -200,6 +200,8 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
                 info.setdefault("violations", []).extend(
                     (step.k, v) for v in step.violations)
     except EngineError as exc:
+        # the steps of the iteration that raised have no row
+        total_minres += exc.diagnostics.pop("minres_iters", 0)
         status = exc.status
         info["reason"] = str(exc)
         info["diagnostics"] = exc.diagnostics

@@ -1,12 +1,18 @@
-"""CSR matvec and KKT-apply kernels with a compiled core and a numpy
-fallback.
+"""CSR matvec, KKT-apply and MINRES-step kernels with a compiled core and
+a numpy fallback.
+
+The kernels are ``csr_matvec``, ``csr_rmatvec``, ``kkt_apply`` (the
+saddle operator ``(H u + J.T delta, J u)`` in one call) and
+``minres_step`` (one whole MINRES step on that operator, over buffers its
+caller owns).
 
 The compiled core is the C extension ``_csrkern``.  An install built by
 ``setup.py`` ships it.  In a source checkout it is compiled from
 ``_csrkern.c`` on first import, with the interpreter's ``sysconfig``
-compiler settings, and cached in this package's ``__pycache__`` directory
-under a name keyed by the source hash and the interpreter's extension
-suffix; later imports load the cached file without starting a process.
+compiler settings and numpy's headers, and cached in this package's
+``__pycache__`` directory under a name keyed by the source, the compile
+flags, the numpy version and the interpreter's extension suffix; later
+imports load the cached file without starting a process.
 Once a build is loaded, older builds for the same extension suffix are
 deleted; builds for other interpreters are kept.  If the core can be
 neither imported nor built, one warning is logged and the numpy
@@ -24,6 +30,8 @@ import os
 import re
 import sys
 
+import numpy
+
 from . import reference
 
 _log = logging.getLogger(__name__)
@@ -31,13 +39,19 @@ _log = logging.getLogger(__name__)
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_csrkern.c")
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
-# appended after the interpreter's CFLAGS, as setup.py does
-_EXTRA_COMPILE_ARGS = ["-O3"]
+# appended after the interpreter's CFLAGS, as setup.py does; without
+# contraction into fused multiply-adds, minres_step keeps the bits of the
+# numpy step on every platform
+_EXTRA_COMPILE_ARGS = ["-O3", "-ffp-contract=off"]
 
 
 def _cached_path():
+    """Cache file of the build for this source, these flags and this
+    numpy: a numpy upgrade rebuilds rather than fail ``import_array``."""
     with open(_SOURCE, "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()[:16]
+        key = hashlib.sha256(f.read())
+    key.update(" ".join(_EXTRA_COMPILE_ARGS + [numpy.__version__]).encode())
+    digest = key.hexdigest()[:16]
     # the first extension suffix is the interpreter's EXT_SUFFIX
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     return os.path.join(_CACHE_DIR, f"_csrkern-{digest}{suffix}")
@@ -76,7 +90,8 @@ def _compile(target):
                + shlex.split(sysconfig.get_config_var("CFLAGS") or "")
                + shlex.split(sysconfig.get_config_var("CCSHARED") or "")
                + _EXTRA_COMPILE_ARGS
-               + ["-I", sysconfig.get_path("include"), _SOURCE, "-o", built])
+               + ["-I", sysconfig.get_path("include"),
+                  "-I", numpy.get_include(), _SOURCE, "-o", built])
         proc = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=300)
         if proc.returncode:
@@ -160,3 +175,9 @@ def kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,
               out):
     _active.kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices,
                       j_data, z, out)
+
+
+def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
+                rhs, work, scal):
+    _active.minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices,
+                        j_data, rhs, work, scal)

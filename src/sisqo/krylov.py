@@ -12,24 +12,28 @@ Three pieces live here:
   after every step, so the caller can interleave termination tests with
   the Lanczos recurrence.
 
-MINRES follows the classical Lanczos + Givens formulation, updating its
-Lanczos and search-direction vectors in place.  The residual pair is
-recomputed from the operator at every step (one extra apply), so the
-reported residual is always the true one; this subsumes the periodic
-drift-guard recompute that recurrence-based residuals need.  Carrying the
-residual by the MINRES recurrence instead (Choi, Paige & Saunders, SIAM
-J. Sci. Comput. 33(4), 2011) saves that apply: with the fused compiled
-apply, a mesh-16 Poisson step took 33 against 37 us (2-core Intel
-Xeon VM, best of 15 x 200 steps).  It is not done, because the
-termination tests and the stall detector would then read a residual that
-drifts from the true one, which changes which iterate is accepted.
+MINRES follows the classical Lanczos + Givens formulation; one step is
+one call of :func:`sisqo.kernels.minres_step`, which updates the Lanczos
+and search-direction vectors, the iterate and the residual in place.
+The residual pair is recomputed from the operator at every step (one
+extra apply), so the reported residual is always the true one; this
+subsumes the periodic drift-guard recompute that recurrence-based
+residuals need.  Carrying the residual by the MINRES recurrence instead
+(Choi, Paige & Saunders, SIAM J. Sci. Comput. 33(4), 2011) replaces that
+apply with one vector update: in the compiled step, a mesh-16 Poisson
+step took 8.8 against 11.5 us and a mesh-32 one 33 against 45 us (2-core
+Intel Xeon VM shared with other jobs, best of 40 x 200 steps; single
+runs vary by up to 30%).  It is not done, because the termination tests
+and the stall detector would then read a residual that drifts from the
+true one, which changes which iterate is accepted.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import kernels
 
 __all__ = ["CgResult", "cg_normal_solve", "least_squares_multipliers",
            "MinresState", "norm_pair"]
@@ -44,9 +48,6 @@ BREAKDOWN_TOL = 1e-14
 # over a window of steps, else the solve is flagged as stalled.
 STALL_WINDOW = 50
 STALL_IMPROVEMENT = 1e-4
-
-# floor of the Givens norm gamma
-_EPS = float(np.finfo(float).eps)
 
 
 def norm_pair(a, b):
@@ -156,7 +157,10 @@ class MinresState:
 
     The state owns the Lanczos vectors, the running Givens rotation, the
     iterate ``z = (u, delta)`` and the residual pair ``(rho, r) = K z +
-    rhs``.  It is single-owner: advance it only through :meth:`step`.
+    rhs``, in the buffers :func:`sisqo.kernels.minres_step` updates in
+    place.  It is single-owner: advance it only through :meth:`step`.
+    ``z``, ``u``, ``delta``, ``rho`` and ``r`` return copies, so a
+    candidate read at one step keeps its values after later steps.
 
     Attributes
     ----------
@@ -181,7 +185,6 @@ class MinresState:
         self.rhs = np.concatenate([rhs_top, rhs_bot])
         if not np.isfinite(self.rhs).all():
             raise ValueError("rhs must be finite")
-        self.z = np.zeros(op.dim)
         self.iteration = 0
         self.breakdown = False
         self.stalled = False
@@ -189,45 +192,42 @@ class MinresState:
         b = -self.rhs
         beta1 = float(np.linalg.norm(b))
         self._beta1 = beta1
-        self._resid = self.rhs.copy()
         self._resid_norm = beta1
+        self._resid_norm_inf = float(np.max(np.abs(b), initial=0.0))
         self._best_norm = beta1
         self._window_best = beta1
-        if beta1 > 0.0:
-            # Lanczos vectors: v_k, the previous and latest unnormalized
-            # ones, and a spare that receives the next
-            self._v = np.empty(op.dim)
-            self._r1 = b.copy()
-            self._r2 = b.copy()
-            self._spare = np.empty(op.dim)
-            self._oldb = 0.0
-            self._beta = beta1
-            self._dbar = 0.0
-            self._epsln = 0.0
-            self._phibar = beta1
-            self._cs = -1.0
-            self._sn = 0.0
-            self._w = np.zeros(op.dim)
-            self._w2 = np.zeros(op.dim)
-            self._scratch = np.empty(op.dim)
+        # rows v, r1, r2, y, w, w2, z and the residual; r1 and r2 start
+        # as the first unnormalized Lanczos vector, the residual as rhs
+        self._work = np.zeros(8 * op.dim)
+        rows = self._work.reshape(8, op.dim)
+        rows[1] = rows[2] = b
+        rows[7] = self.rhs
+        self._z, self._resid = rows[6], rows[7]
+        # beta, oldb, dbar, epsln, phibar, cs, sn, steps, ||r||_2, ||r||_inf
+        self._scal = np.array([beta1, 0.0, 0.0, 0.0, beta1, -1.0, 0.0, 0.0,
+                               beta1, self._resid_norm_inf])
 
-    # -- views --------------------------------------------------------
+    # -- copies -------------------------------------------------------
+
+    @property
+    def z(self):
+        return self._z.copy()
 
     @property
     def u(self):
-        return self.z[:self.op.n]
+        return self._z[:self.op.n].copy()
 
     @property
     def delta(self):
-        return self.z[self.op.n:]
+        return self._z[self.op.n:].copy()
 
     @property
     def rho(self):
-        return self._resid[:self.op.n]
+        return self._resid[:self.op.n].copy()
 
     @property
     def r(self):
-        return self._resid[self.op.n:]
+        return self._resid[self.op.n:].copy()
 
     @property
     def resid_norm(self):
@@ -236,7 +236,8 @@ class MinresState:
 
     @property
     def resid_norm_inf(self):
-        return float(np.max(np.abs(self._resid))) if self._resid.size else 0.0
+        """Infinity norm of the stacked residual; NaN if it holds one."""
+        return self._resid_norm_inf
 
     # -- stepping -----------------------------------------------------
 
@@ -248,54 +249,12 @@ class MinresState:
             # stepping an already-converged state: flag and leave alone
             self.breakdown = True
             return self
-        # r2 always holds the latest unnormalized Lanczos vector.  Every
-        # vector operation writes into a buffer the state owns (positional
-        # out=), and the scalars are Python floats: the same IEEE
-        # operations in the same order as the textbook form, with less
-        # call overhead.
-        vec, scratch, r1, r2 = self._v, self._scratch, self._r1, self._r2
-        beta = self._beta
-        np.multiply(1.0 / beta, r2, vec)
-        y = self.op.apply(vec, out=self._spare)
-        if self.iteration >= 1:
-            y -= np.multiply(beta / self._oldb, r1, scratch)
-        alfa = float(vec.dot(y))
-        y -= np.multiply(alfa / beta, r2, scratch)
-        self._r1, self._r2, self._spare = r2, y, r1
-        self._oldb = beta
-        self._beta = beta = math.sqrt(float(y.dot(y)))
+        kernels.minres_step(*self.op.csr, self.rhs, self._work, self._scal)
+        beta, *_, steps, self._resid_norm, self._resid_norm_inf = \
+            self._scal.tolist()
+        self.iteration = int(steps)
 
-        cs, sn, dbar = self._cs, self._sn, self._dbar
-        oldeps = self._epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        self._epsln = sn * beta
-        self._dbar = -cs * beta
-        gamma = float(max(np.hypot(gbar, beta), _EPS))
-        self._cs = cs = gbar / gamma
-        self._sn = sn = beta / gamma
-        phi = cs * self._phibar
-        self._phibar = sn * self._phibar
-
-        # w = (vec - oldeps * w1 - delta * w2) / gamma with w1, w2 the
-        # previous two directions; the new one overwrites w1's buffer
-        w1, w2 = self._w2, self._w
-        np.subtract(vec, np.multiply(oldeps, w1, scratch), scratch)
-        np.subtract(scratch, np.multiply(delta, w2, w1), w1)
-        np.divide(w1, gamma, w1)
-        self._w, self._w2 = w1, w2
-        # z and the residual are fresh arrays every step, so views handed
-        # out earlier (accepted candidates) keep their values
-        self.z = self.z + np.multiply(phi, w1, scratch)
-        self.iteration += 1
-
-        # true residual, recomputed from the operator every step
-        resid = self.op.apply(self.z)
-        resid += self.rhs
-        self._resid = resid
-        self._resid_norm = math.sqrt(float(resid.dot(resid)))
-
-        if self._beta < BREAKDOWN_TOL:
+        if beta < BREAKDOWN_TOL:
             self.breakdown = True
 
         if self._resid_norm < self._best_norm:

@@ -252,7 +252,7 @@ class KktOperator:
     stacked vectors of length n + m, in one kernel call.
     """
 
-    __slots__ = ("h", "j", "n", "m", "dim", "_csr")
+    __slots__ = ("h", "j", "n", "m", "dim", "csr")
 
     def __init__(self, h, j):
         if h.rows != h.cols:
@@ -268,8 +268,10 @@ class KktOperator:
         self.n = h.rows
         self.m = j.rows
         self.dim = self.n + self.m
-        self._csr = (h.indptr, h.indices, h.data, j.indptr, j.indices,
-                     j.data)
+        # the six CSR arrays of H and J, the leading arguments of
+        # kernels.kkt_apply and kernels.minres_step
+        self.csr = (h.indptr, h.indices, h.data, j.indptr, j.indices,
+                    j.data)
 
     def apply(self, z, out=None):
         """Stacked apply on z = (u, delta).
@@ -284,7 +286,7 @@ class KktOperator:
             out = np.empty(self.dim)
         elif np.may_share_memory(z, out):
             z = z.copy()
-        kernels.kkt_apply(*self._csr, z, out)
+        kernels.kkt_apply(*self.csr, z, out)
         return out
 
     def __repr__(self):

@@ -6,7 +6,7 @@ import pytest
 
 import sisqo.harness
 from sisqo.cli import main
-from sisqo.engine import InvariantBreach
+from sisqo.engine import ConfigError, InvariantBreach, SolverConfig
 from sisqo.harness import CSV_COLUMNS, load_results
 
 # a QP small enough that every verb finishes in well under a second
@@ -103,6 +103,24 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert main(["run", "-c", "qp_gaussian", "-o", out,
                  "harness.seeds=0 -1"] + _TINY[:3]) == 2
     assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    ["algorithm.tau_init=nan"],
+    ["algorithm.theta=nan"],
+    ["algorithm.lipschitz_mode=fixed", "algorithm.lip_l=nan"],
+    ["harness.feasibility_tol=nan"],
+])
+def test_nan_settings_are_rejected(tmp_path, capsys, override):
+    # "val <= 0.0" is false for NaN; validation must not read it that way
+    key = override[-1].split(".")[1].split("=")[0]
+    settings = {"lipschitz_mode": "fixed"} if len(override) == 2 else {}
+    with pytest.raises(ConfigError, match=key):
+        SolverConfig(**settings, **{key: float("nan")})
+    out = str(tmp_path / "run.csv")
+    assert main(["run", "-c", "qp_gaussian", "-o", out] + override
+                + _TINY) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_1(tmp_path):

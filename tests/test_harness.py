@@ -247,6 +247,9 @@ def test_every_injected_fault_ends_in_a_recorded_status(monkeypatch, case):
     assert record.status == status
     assert record.info["reason"]
     assert record.outer_iters == len(record.rows)
+    # the steps of the iteration that raised count too: c(x2) ends the
+    # run after 19 steps, 6 of them in the one recorded row
+    assert record.total_minres_iters == len(steps)
     if status == "nonfinite":
         assert record.info["diagnostics"] == {"quantity": quantity, "k": k}
         # no MINRES step after the non-finite value was evaluated

@@ -141,6 +141,63 @@ def test_kkt_apply_rejects_overlap(backend):
         kernels.kkt_apply(**args)
 
 
+def _minres_start(rhs):
+    """work and scal of a MINRES state at z = 0 for K z = -rhs, laid out
+    as ``kernels.minres_step`` reads them."""
+    dim = len(rhs)
+    work = np.zeros(8 * dim)
+    rows = work.reshape(8, dim)
+    rows[1] = rows[2] = -rhs
+    rows[7] = rhs
+    beta1 = float(np.linalg.norm(rhs))
+    scal = np.array([beta1, 0.0, 0.0, 0.0, beta1, -1.0, 0.0, 0.0, beta1,
+                     float(np.max(np.abs(rhs)))])
+    return work, scal
+
+
+def _symmetric_kkt_blocks(rng, n, m):
+    h, j = _kkt_blocks(rng, n, m)
+    dense = np.zeros((n, n))
+    dense[np.repeat(np.arange(n), np.diff(h[0])), h[1]] = h[2]
+    return _csr_from_dense(dense + dense.T), j
+
+
+@pytest.mark.parametrize("n, m", [(7, 3), (6, 0), (5, 5), (1, 0)])
+def test_minres_step_matches_reference(backend, monkeypatch, n, m):
+    # the numpy step on this backend's KKT products, bit for bit: work
+    # and scal agree after every step, m = 0 and dim = 1 included
+    rng = np.random.default_rng(15)
+    if n == 1:
+        h = _csr_from_dense(np.array([[2.5]]))
+        j = _csr_from_dense(np.zeros((0, 1)))
+    else:
+        h, j = _symmetric_kkt_blocks(rng, n, m)
+    rhs = rng.standard_normal(n + m)
+    work, scal = _minres_start(rhs)
+    ref_work, ref_scal = work.copy(), scal.copy()
+    if backend == "compiled":
+        monkeypatch.setattr(kernels.reference, "kkt_apply", kernels.kkt_apply)
+    for _ in range(n + m):
+        kernels.minres_step(*h, *j, rhs, work, scal)
+        kernels.reference.minres_step(*h, *j, rhs, ref_work, ref_scal)
+        assert work.tobytes() == ref_work.tobytes()
+        assert scal.tobytes() == ref_scal.tobytes()
+        if scal[0] < 1e-14:
+            break
+    assert scal[7] >= 1
+
+
+@pytest.mark.parametrize("where", [0, 4, -1])
+def test_minres_step_infinity_norm_propagates_nan(backend, where):
+    rng = np.random.default_rng(16)
+    h, j = _symmetric_kkt_blocks(rng, 6, 3)
+    rhs = rng.standard_normal(9)
+    work, scal = _minres_start(rhs)
+    rhs[where] = np.nan
+    kernels.minres_step(*h, *j, rhs, work, scal)
+    assert np.isnan(scal[8]) and np.isnan(scal[9])
+
+
 def test_backends_agree():
     rng = np.random.default_rng(13)
     _, indptr, indices, data = _csr_arrays(rng, 40, 25)
@@ -249,6 +306,45 @@ def test_compiled_kkt_apply_rejects_bad_buffers(compiled, name, bad, error):
     args = _good_kkt_args()
     kernels.kkt_apply(**args)
     np.testing.assert_array_equal(args["out"], [2.0, 3.0 + 8.0, 4.0])
+
+
+def _good_minres_args():
+    args = _good_kkt_args()
+    del args["z"], args["out"]
+    args["rhs"] = np.array([1.0, -2.0, 0.5])
+    args["work"], args["scal"] = _minres_start(args["rhs"])
+    return args
+
+
+@pytest.mark.parametrize("name, bad, error", [
+    ("work", np.zeros(23), ValueError),
+    ("work", np.zeros(25), ValueError),
+    ("scal", np.zeros(9), ValueError),
+    ("work", _read_only(np.zeros(24)), (ValueError, BufferError)),
+    ("scal", _read_only(np.zeros(10)), (ValueError, BufferError)),
+    ("work", np.zeros(24, dtype=np.int64), ValueError),
+    ("scal", np.zeros(10, dtype=np.int64), ValueError),
+    ("rhs", np.array([1, -2, 0], dtype=np.int64), ValueError),
+    ("rhs", np.ones(4), ValueError),
+])
+def test_compiled_minres_step_rejects_bad_buffers(compiled, name, bad,
+                                                  error):
+    args = _good_minres_args()
+    args[name] = bad
+    with pytest.raises(error):
+        kernels.minres_step(**args)
+    args = _good_minres_args()
+    kernels.minres_step(**args)
+    assert args["scal"][7] == 1.0 and np.isfinite(args["work"]).all()
+
+
+def test_compiled_minres_step_rejects_overlap(compiled):
+    args = _good_minres_args()
+    buf = np.zeros(34)
+    buf[:24], buf[24:] = args["work"], args["scal"]
+    args["work"], args["scal"] = buf[:24], buf[23:33]
+    with pytest.raises(ValueError, match="overlap"):
+        kernels.minres_step(**args)
 
 
 def test_compiled_rmatvec_checks_rows_against_x(compiled):
@@ -360,6 +456,16 @@ def test_build_is_cached_and_reused(tmp_path):
     assert _cache_entries(kernel_dir) == built
 
 
+@needs_source
+def test_cache_name_follows_the_numpy_version(monkeypatch):
+    # a build against one numpy's headers is not loaded under another
+    built_for = kernels._cached_path()
+    monkeypatch.setattr(np, "__version__", "0.0.0")
+    other = kernels._cached_path()
+    assert other != built_for
+    assert os.path.dirname(other) == os.path.dirname(built_for)
+
+
 def test_bench_kernels_script_runs(capsys):
     # the benchmark script lives outside the package; load it by path
     import importlib.util
@@ -372,11 +478,15 @@ def test_bench_kernels_script_runs(capsys):
     spec.loader.exec_module(bench)
     previous = kernels.active_backend()
     try:
-        assert bench.main(["--mesh", "4", "--repeats", "2",
+        assert bench.main(["--mesh", "3", "4", "--repeats", "2",
                            "--minres-steps", "3"]) == 0
         assert kernels.active_backend() == previous
     finally:
         kernels.use_backend(previous)
     out = capsys.readouterr().out
+    # one table per mesh, one row per backend: the isolated step next
+    # to its two KKT applies
+    assert out.count("step/2 kkt") == 2
+    assert "n=18 m=9" in out and "n=32 m=16" in out
     for name in kernels.available_backends():
-        assert f"\n{name} " in out
+        assert out.count(f"\n{name} ") == 2
