@@ -84,10 +84,13 @@ def _seeds(args, settings):
     return [args.seed] if args.seed is not None else settings["seeds"]
 
 
-def _emit(records, args, settings):
-    path = args.output if args.output else settings["output"]
-    written = emit_results(records, path)
+def _finish(records, results, args, settings):
+    """Print the aggregate of the run records, write the results (runs
+    or pairs) and return the exit status: 1 if any run failed."""
+    _print_aggregate(aggregate(records))
+    written = emit_results(results, args.output or settings["output"])
     print(f"\nresults written to {written}")
+    return 1 if any(r.status in FAILED_STATUSES for r in records) else 0
 
 
 def _pairs_for(config, eps_n, seeds):
@@ -124,9 +127,7 @@ def _cmd_run(args, config):
                             eps_n=eps_n, strategy="sisqo")
         _print_run(record)
         records.append(record)
-    _print_aggregate(aggregate(records))
-    _emit(records, args, settings)
-    return 1 if any(r.status in FAILED_STATUSES for r in records) else 0
+    return _finish(records, records, args, settings)
 
 
 def _cmd_compare(args, config):
@@ -134,9 +135,7 @@ def _cmd_compare(args, config):
     _, eps_n = oracle_settings(config)
     problem, pairs = _pairs_for(config, eps_n, _seeds(args, settings))
     records = [rec for pair in pairs for rec in pair.runs()]
-    _print_aggregate(aggregate(records))
-    _emit(pairs, args, settings)
-    return 1 if any(r.status in FAILED_STATUSES for r in records) else 0
+    return _finish(records, pairs, args, settings)
 
 
 def _cmd_sweep(args, config):
@@ -148,9 +147,7 @@ def _cmd_sweep(args, config):
         _, pairs = _pairs_for(config, eps_n, _seeds(args, settings))
         all_pairs.extend(pairs)
         records.extend(rec for pair in pairs for rec in pair.runs())
-    _print_aggregate(aggregate(records))
-    _emit(all_pairs, args, settings)
-    return 1 if any(r.status in FAILED_STATUSES for r in records) else 0
+    return _finish(records, all_pairs, args, settings)
 
 
 _VALIDATE_TOL = {"gradient": 1e-5, "jacobian": 1e-5, "hessian": 1e-4}

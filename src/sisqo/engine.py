@@ -374,51 +374,57 @@ class _TestEvaluation:
     beta-scaled caps) and c (small or positively curved tangential step)
     are common to both tests.  Test 1 adds sufficient model reduction at
     the incoming tau, test 2 retention of the normal constraint decrease.
-    The parts kept here feed the tau update and the model reduction of
-    the accepted step.
+
+    The conditions are checked in the order b, a, c, cheapest first, and
+    the check stops at the first that fails: ``failed`` names it, or is
+    None when all three hold.  Each check reads ``not x <= bound``, so a
+    NaN fails it.  Only a candidate that passes a and b gets the parts
+    that condition c, the tests, the tau update and the model reduction
+    of the accepted step read.
     """
 
-    __slots__ = ("u", "delta", "rho", "r", "ctx", "cond_a", "cond_b",
-                 "cond_c", "tt1", "tt2", "g_dot_d", "max_term",
-                 "norm_c_plus_jd")
+    __slots__ = ("u", "delta", "rho", "r", "ctx", "failed", "tt1", "tt2",
+                 "g_dot_d", "max_term", "norm_c_plus_jd")
 
     def __init__(self, u, delta, rho, r, ctx, cfg):
         self.u, self.delta, self.rho, self.r = u, delta, rho, r
         self.ctx = ctx
-        hu = ctx.h.apply(u)
-        uhu = float(np.dot(u, hu))
-        u_sq = float(np.dot(u, u))
+        self.tt1 = self.tt2 = False
         rho_norm = float(np.linalg.norm(rho))
-        r_norm = float(np.linalg.norm(r))
+        if not (rho_norm <= cfg.kappa_rho * ctx.beta
+                and float(np.linalg.norm(r)) <= cfg.kappa_r * ctx.beta):
+            self.failed = "b"
+            return
 
         # dual residual against the smaller of the current and previous
-        # stationarity measures; the identity
+        # stationarity measures.  The smaller is never above the
+        # previous one, which rejects most candidates before H u is
+        # formed; a NaN previous measure passes this shortcut, as min()
+        # then picks the current one.  The identity
         # g + J'(y + delta) = rho - Hu - Hv avoids a Jacobian apply
-        stat_vec = rho - hu - ctx.hv
-        current = norm_pair(stat_vec, ctx.c)
-        bound = cfg.kappa * min(current, ctx.prev_pair_norm)
-        self.cond_a = rho_norm <= bound
+        if rho_norm > cfg.kappa * ctx.prev_pair_norm:
+            self.failed = "a"
+            return
+        hu = ctx.h.apply(u)
+        current = norm_pair(rho - hu - ctx.hv, ctx.c)
+        if not rho_norm <= cfg.kappa * min(current, ctx.prev_pair_norm):
+            self.failed = "a"
+            return
 
-        self.cond_b = (rho_norm <= cfg.kappa_rho * ctx.beta
-                       and r_norm <= cfg.kappa_r * ctx.beta)
-
-        small_u = math.sqrt(u_sq) <= cfg.kappa_u * ctx.v_norm
-        if small_u:
-            self.cond_c = True
-        else:
-            curved = uhu >= cfg.eps_u * u_sq
-            bounded = (float(np.dot(ctx.gv_vec, u)) + 0.5 * uhu
-                       <= cfg.kappa_v * ctx.v_norm)
-            self.cond_c = curved and bounded
-
+        uhu = float(np.dot(u, hu))
+        u_sq = float(np.dot(u, u))
         # Jd = Jv + r, again avoiding a Jacobian apply
         self.norm_c_plus_jd = float(np.linalg.norm(ctx.c_plus_jv + r))
         self.g_dot_d = ctx.g_dot_v + float(np.dot(ctx.g, u))
         self.max_term = max(uhu, cfg.eps_u * u_sq)
+        if not math.sqrt(u_sq) <= cfg.kappa_u * ctx.v_norm:
+            curved = uhu >= cfg.eps_u * u_sq
+            if not (curved and float(np.dot(ctx.gv_vec, u)) + 0.5 * uhu
+                    <= cfg.kappa_v * ctx.v_norm):
+                self.failed = "c"
+                return
 
-        if not (self.cond_a and self.cond_b and self.cond_c):
-            self.tt1 = self.tt2 = False
-            return
+        self.failed = None
         self.tt1 = self.reduces_model(ctx.tau_prev, cfg)
         retained = ctx.c_norm - self.norm_c_plus_jd
         floor = cfg.eps_r * ctx.decrease_v
@@ -629,39 +635,35 @@ def _check_stationary(state, problem, oracle, g):
 
 def _tangential_solve(ctx, cfg):
     """Run MINRES on the KKT system, checking the termination tests at
-    every iterate, until one accepts.
+    every iterate whose residual passes the infinity-norm gate, until
+    one accepts.
 
-    Returns (evaluation, iterations, solver_info): the evaluation of
-    the accepted candidate, or None when the solver gave out unaccepted.
+    Returns (evaluation, iterations, record): the evaluation of the
+    accepted candidate, which reads the solver's buffers in place (no
+    step follows it), or None when the solver gave out unaccepted; and
+    the solver's breakdown and stall flags and final residual norm.
     """
     op = KktOperator(ctx.h, ctx.j)
     mstate = MinresState(op, (ctx.rhs_top, np.zeros(ctx.j.rows)))
     cap = max(cfg.kappa * float(np.max(np.abs(ctx.rhs_top), initial=0.0)),
               MINRES_ABS_FLOOR)
     max_iter = max(1, int(MINRES_MAX_ITER_SCALE * op.dim))
-
-    def try_accept():
-        if mstate.resid_norm_inf > cap:
-            return None
-        ev = _TestEvaluation(mstate.u, mstate.delta, mstate.rho, mstate.r,
-                             ctx, cfg)
-        return ev if ev.accepted else None
-
-    ev = try_accept()
-    if ev is not None:
-        return ev, 0, {"breakdown": False, "stalled": False}
-    for t in range(1, max_iter + 1):
-        mstate.step()
-        ev = try_accept()
-        if ev is not None:
-            return ev, t, {"breakdown": mstate.breakdown,
-                           "stalled": mstate.stalled}
+    accepted = None
+    for t in range(max_iter + 1):
+        if t:
+            mstate.step()
+        # a NaN residual passes the gate and then fails condition b
+        if not mstate.resid_norm_inf > cap:
+            ev = _TestEvaluation(mstate.u, mstate.delta, mstate.rho,
+                                 mstate.r, ctx, cfg)
+            if ev.accepted:
+                accepted = ev
+                break
         if mstate.breakdown or mstate.stalled:
-            return None, t, {"breakdown": mstate.breakdown,
-                             "stalled": mstate.stalled,
-                             "resid_norm": mstate.resid_norm}
-    return None, max_iter, {"breakdown": False, "stalled": False,
-                            "resid_norm": mstate.resid_norm}
+            break
+    return accepted, t, {"breakdown": mstate.breakdown,
+                         "stalled": mstate.stalled,
+                         "resid_norm": mstate.resid_norm}
 
 
 def _debug_verify(step, ctx, varphi, cfg):

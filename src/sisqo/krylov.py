@@ -7,10 +7,10 @@ Three pieces live here:
   matrix is never formed;
 * conjugate gradients on ``J J.T y = -J g`` for least-squares
   multiplier estimates;
-* a streaming MINRES on the symmetric saddle system whose iterates
-  ``(u_t, delta_t)`` and residual pair ``(rho_t, r_t)`` are exposed
-  after every step, so the caller can interleave termination tests with
-  the Lanczos recurrence.
+* a streaming MINRES on the symmetric saddle system whose iterate
+  ``(u_t, delta_t)`` and residual pair ``(rho_t, r_t)`` are read in
+  place, as read-only views that stay valid until the next step, so the
+  caller can interleave termination tests with the Lanczos recurrence.
 
 MINRES follows the classical Lanczos + Givens formulation; one step is
 one call of :func:`sisqo.kernels.minres_step`, which updates the Lanczos
@@ -159,11 +159,16 @@ class MinresState:
     iterate ``z = (u, delta)`` and the residual pair ``(rho, r) = K z +
     rhs``, in the buffers :func:`sisqo.kernels.minres_step` updates in
     place.  It is single-owner: advance it only through :meth:`step`.
-    ``z``, ``u``, ``delta``, ``rho`` and ``r`` return copies, so a
-    candidate read at one step keeps its values after later steps.
 
     Attributes
     ----------
+    z, u, delta, rho, r : ndarray
+        Read-only views of the iterate and of the residual pair.  Each
+        step overwrites them, so they hold the current candidate until
+        the next :meth:`step`; copy what must outlive it.
+    resid_norm, resid_norm_inf : float
+        Euclidean and infinity norms of the stacked residual (recomputed,
+        true); the infinity norm is NaN if the residual holds one.
     iteration : int
         Number of completed steps.
     breakdown : bool
@@ -192,8 +197,8 @@ class MinresState:
         b = -self.rhs
         beta1 = float(np.linalg.norm(b))
         self._beta1 = beta1
-        self._resid_norm = beta1
-        self._resid_norm_inf = float(np.max(np.abs(b), initial=0.0))
+        self.resid_norm = beta1
+        self.resid_norm_inf = float(np.max(np.abs(b), initial=0.0))
         self._best_norm = beta1
         self._window_best = beta1
         # rows v, r1, r2, y, w, w2, z and the residual; r1 and r2 start
@@ -202,63 +207,32 @@ class MinresState:
         rows = self._work.reshape(8, op.dim)
         rows[1] = rows[2] = b
         rows[7] = self.rhs
-        self._z, self._resid = rows[6], rows[7]
+        self.z, resid = rows[6], rows[7]
+        self.z.flags.writeable = resid.flags.writeable = False
+        self.u, self.delta = self.z[:op.n], self.z[op.n:]
+        self.rho, self.r = resid[:op.n], resid[op.n:]
         # beta, oldb, dbar, epsln, phibar, cs, sn, steps, ||r||_2, ||r||_inf
         self._scal = np.array([beta1, 0.0, 0.0, 0.0, beta1, -1.0, 0.0, 0.0,
-                               beta1, self._resid_norm_inf])
-
-    # -- copies -------------------------------------------------------
-
-    @property
-    def z(self):
-        return self._z.copy()
-
-    @property
-    def u(self):
-        return self._z[:self.op.n].copy()
-
-    @property
-    def delta(self):
-        return self._z[self.op.n:].copy()
-
-    @property
-    def rho(self):
-        return self._resid[:self.op.n].copy()
-
-    @property
-    def r(self):
-        return self._resid[self.op.n:].copy()
-
-    @property
-    def resid_norm(self):
-        """Euclidean norm of the stacked residual (recomputed, true)."""
-        return self._resid_norm
-
-    @property
-    def resid_norm_inf(self):
-        """Infinity norm of the stacked residual; NaN if it holds one."""
-        return self._resid_norm_inf
-
-    # -- stepping -----------------------------------------------------
+                               beta1, self.resid_norm_inf])
 
     def step(self):
         """Advance one Lanczos/Givens step; no-op once converged."""
         if self.breakdown or self.stalled:
             return self
-        if self._resid_norm == 0.0 or self._beta1 == 0.0:
+        if self.resid_norm == 0.0 or self._beta1 == 0.0:
             # stepping an already-converged state: flag and leave alone
             self.breakdown = True
             return self
         kernels.minres_step(*self.op.csr, self.rhs, self._work, self._scal)
-        beta, *_, steps, self._resid_norm, self._resid_norm_inf = \
+        beta, *_, steps, self.resid_norm, self.resid_norm_inf = \
             self._scal.tolist()
         self.iteration = int(steps)
 
         if beta < BREAKDOWN_TOL:
             self.breakdown = True
 
-        if self._resid_norm < self._best_norm:
-            self._best_norm = self._resid_norm
+        if self.resid_norm < self._best_norm:
+            self._best_norm = self.resid_norm
         if self.iteration % STALL_WINDOW == 0:
             if self._best_norm > (1.0 - STALL_IMPROVEMENT) * self._window_best:
                 self.stalled = True

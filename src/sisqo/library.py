@@ -156,6 +156,17 @@ class ControlProblemSpec:
             raise ValueError("bad regularization or noise parameters")
 
 
+def _reference_targets(spec, axis):
+    """The N-by-N grid of reference states on the square grid with the
+    given coordinates per side (nodes in row-major order); row
+    (i - 1) N + (j - 1) holds term (i, j)."""
+    x1, x2 = np.repeat(axis, len(axis)), np.tile(axis, len(axis))
+    n = spec.n_terms
+    return np.array([reference_function_value(i, j, n, spec.eps_n, spec.eps_s,
+                                              x1, x2)
+                     for i in range(1, n + 1) for j in range(1, n + 1)])
+
+
 def _tracking_problem(name, spec, state_dim, control_dim, jac, targets,
                       state_weights, control_weights, x0, extra_info):
     """Assemble a quadratic tracking Problem from precomputed pieces.
@@ -248,14 +259,7 @@ def build_poisson_control(spec):
                                      np.array(rows), np.array(cols),
                                      np.array(vals))
 
-    coords1 = np.repeat((np.arange(nh) + 1) * h, nh)
-    coords2 = np.tile((np.arange(nh) + 1) * h, nh)
-    targets = np.empty((spec.n_terms ** 2, dim))
-    for i in range(1, spec.n_terms + 1):
-        for j in range(1, spec.n_terms + 1):
-            targets[(i - 1) * spec.n_terms + (j - 1)] = \
-                reference_function_value(i, j, spec.n_terms, spec.eps_n,
-                                         spec.eps_s, coords1, coords2)
+    targets = _reference_targets(spec, (np.arange(nh) + 1) * h)
 
     x0 = np.concatenate([_checkerboard(nh), np.zeros(dim)])
     return _tracking_problem(
@@ -330,15 +334,7 @@ def build_neumann_control(spec):
         (dim, dim + n_ctrl), np.array(rows), np.array(cols), np.array(vals),
         sum_duplicates=True)
 
-    grid = np.arange(side) * h
-    coords1 = np.repeat(grid, side)
-    coords2 = np.tile(grid, side)
-    targets = np.empty((spec.n_terms ** 2, dim))
-    for i in range(1, spec.n_terms + 1):
-        for j in range(1, spec.n_terms + 1):
-            targets[(i - 1) * spec.n_terms + (j - 1)] = \
-                reference_function_value(i, j, spec.n_terms, spec.eps_n,
-                                         spec.eps_s, coords1, coords2)
+    targets = _reference_targets(spec, np.arange(side) * h)
 
     # trapezoidal mass weights: h^2 inside, halved along each boundary
     gamma = np.ones(side)

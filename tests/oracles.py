@@ -7,7 +7,10 @@ implementation of the MINRES step kept as a bit-for-bit oracle for the
 in-place one, the residual helpers, and the front ends at the end, which
 work out from raw arrays the parts (norms and products) that the
 engine's formulas take, so a test reaches the one implementation that
-``sqp_iterate`` runs.
+``sqp_iterate`` runs.  Among them, ``eager_termination_tests`` restates
+the termination tests in full, with the package's sparse products, as
+the reference for the engine's evaluation that stops at the first
+failing condition.
 """
 
 import math
@@ -213,6 +216,44 @@ def candidate_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev=1.0,
     ctx = _IterationContext(g, c, j, ns, y, tau_prev, beta, prev_pair_norm)
     ctx.set_rung(h)
     return _TestEvaluation(u, delta, rho, r, ctx, cfg)
+
+
+def eager_termination_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev,
+                            beta, prev_pair_norm):
+    """Conditions a, b and c and termination tests 1 and 2 for the
+    candidate (u, delta) with residual pair (rho, r), each formed in
+    full from the raw arrays with no early exit, as
+    ``candidate_tests`` poses them (its normal decrease is
+    ``||c|| - ||c + Jv||``).  Returns a dict keyed "a", "b", "c", "tt1"
+    and "tt2"; a comparison with NaN is false, so NaN fails a
+    condition."""
+    hu, hv, jv = h.apply(u), h.apply(v), j.apply(v)
+    rho_norm = float(np.linalg.norm(rho))
+    c_norm = float(np.linalg.norm(c))
+    v_norm = float(np.linalg.norm(v))
+    uhu, u_sq = float(np.dot(u, hu)), float(np.dot(u, u))
+    stat = rho - hu - hv  # = g + J'(y + delta) at a true residual
+    current = float(np.sqrt(np.dot(stat, stat) + np.dot(c, c)))
+    out = {
+        "a": rho_norm <= cfg.kappa * min(current, prev_pair_norm),
+        "b": (rho_norm <= cfg.kappa_rho * beta
+              and float(np.linalg.norm(r)) <= cfg.kappa_r * beta),
+        "c": (math.sqrt(u_sq) <= cfg.kappa_u * v_norm
+              or (uhu >= cfg.eps_u * u_sq
+                  and float(np.dot(g + hv, u)) + 0.5 * uhu
+                  <= cfg.kappa_v * v_norm)),
+    }
+    decrease_v = c_norm - float(np.linalg.norm(c + jv))
+    norm_c_plus_jd = float(np.linalg.norm(c + jv + r))
+    g_dot_d = float(np.dot(g, v)) + float(np.dot(g, u))
+    reduction = -tau_prev * g_dot_d + c_norm - norm_c_plus_jd
+    required = cfg.sigma_u * tau_prev * max(uhu, cfg.eps_u * u_sq) \
+        + cfg.sigma_c * decrease_v
+    common = out["a"] and out["b"] and out["c"]
+    out["tt1"] = common and reduction >= required
+    out["tt2"] = (common and c_norm - norm_c_plus_jd >= cfg.eps_r * decrease_v
+                  and cfg.eps_r * decrease_v > 0.0)
+    return out
 
 
 def model_reduction_holds(tau, g, c, j, v, u, h, cfg):

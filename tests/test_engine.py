@@ -201,9 +201,9 @@ def test_termination_tests_cap_the_constraint_residual():
                                f["u"], f["delta"], np.zeros(6), r, CFG,
                                tau_prev=1e-3, beta=beta)
 
-    assert evaluate(0.03).cond_b  # cap 3.0
+    assert evaluate(0.03).failed != "b"  # cap 3.0
     rejected = evaluate(0.02)  # cap 2.0
-    assert not rejected.cond_b
+    assert rejected.failed == "b"
     assert not rejected.tt1 and not rejected.tt2
 
 

@@ -1,16 +1,21 @@
 """Property tests of the closed-form parameter and step-size rules on
 inputs that mix finite values with NaN and inf: each call returns a
 value that keeps its invariant, or raises an EngineError, within a
-bound known before it starts."""
+bound known before it starts.  The termination tests, which stop at the
+first failing condition, must decide as their eager restatement does
+on candidates with such entries."""
 
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sisqo.engine
+from oracles import candidate_tests, eager_termination_tests
 from sisqo.engine import (EngineError, SolverConfig, select_step_size,
                           step_size_bounds, tau_trial_and_update, xi_update)
+from sisqo.sparse import SparseMatrix
 
 CFG = SolverConfig()
 
@@ -109,3 +114,58 @@ def test_select_step_size_stays_under_cap(alpha_min, alpha_suff, beta, theta,
     if alpha_suff >= 1e-300:
         assert alpha == _expansion_reference(alpha_min, alpha_suff, beta,
                                              theta, varphi)
+
+
+# -- termination tests ---------------------------------------------------------
+
+def _tangential_problem():
+    """A fixed 3-variable, 1-constraint subproblem with an indefinite
+    Hessian, so a candidate can fail condition c on curvature."""
+    h = SparseMatrix.from_dense(np.array([[2.0, 0.5, 0.0],
+                                          [0.5, -1.0, 0.0],
+                                          [0.0, 0.0, 0.5]]))
+    j = SparseMatrix.from_dense(np.array([[1.0, -1.0, 2.0]]))
+    c = np.array([0.7])
+    v = -c[0] / 6.0 * np.array([1.0, -1.0, 2.0])  # min-norm J v = -c
+    return {"g": np.array([0.3, -0.2, 0.1]), "c": c, "j": j, "v": v,
+            "y": np.array([0.4]), "h": h}
+
+
+TANGENTIAL = _tangential_problem()
+
+# candidate entries: mostly small finite values, with zero (which lets
+# the residual conditions hold) and NaN and inf drawn often
+entries = st.one_of(st.floats(-2.0, 2.0),
+                    st.sampled_from([0.0, 0.0, math.nan, math.inf,
+                                     -math.inf, 1e-3, 1e300]))
+
+
+def vectors(size):
+    return st.lists(entries, min_size=size, max_size=size).map(np.array)
+
+
+@settings(max_examples=600)
+@given(vectors(3), vectors(1), vectors(3), vectors(1),
+       st.floats(1e-6, 10.0), st.floats(1e-4, 1.0),
+       st.one_of(st.floats(0.0), st.sampled_from([math.nan, math.inf])))
+# accepted by test 1, by test 2 alone, and with a NaN previous measure
+@example(np.zeros(3), np.zeros(1), np.zeros(3), np.zeros(1), 1.0, 1.0,
+         math.inf)
+@example(np.array([0.3, 0.3, 0.2]), np.zeros(1), np.zeros(3), np.zeros(1),
+         10.0, 1.0, math.inf)
+@example(np.zeros(3), np.zeros(1), np.zeros(3), np.zeros(1), 1.0, 1.0,
+         math.nan)
+def test_termination_tests_match_eager_evaluation(u, delta, rho, r, tau_prev,
+                                                  beta, prev_pair_norm):
+    f = TANGENTIAL
+    args = (f["g"], f["c"], f["j"], f["v"], f["y"], f["h"], u, delta, rho, r,
+            CFG)
+    with np.errstate(all="ignore"):
+        ev = candidate_tests(*args, tau_prev=tau_prev, beta=beta,
+                             prev_pair_norm=prev_pair_norm)
+        eager = eager_termination_tests(*args, tau_prev, beta,
+                                        prev_pair_norm)
+    assert ev.failed == next((name for name in "bac" if not eager[name]),
+                             None)
+    assert (ev.tt1, ev.tt2) == (eager["tt1"], eager["tt2"])
+    assert ev.accepted == (1 if eager["tt1"] else 2 if eager["tt2"] else 0)

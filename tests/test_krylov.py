@@ -271,20 +271,32 @@ def test_minres_zero_rhs_is_immediately_converged():
     np.testing.assert_array_equal(state.u, np.zeros(3))
 
 
-def test_minres_earlier_candidates_stay_frozen():
-    # stepping reallocates z, so a view taken at step t keeps its values
-    # after later steps; accepted candidates need no defensive copy
+def test_minres_candidate_views_are_read_only_and_follow_step():
+    # the iterate and residual are views of the state's own buffers:
+    # a caller cannot write through them, and a view taken at step t
+    # shows step t + 1 after the next step
     rng = np.random.default_rng(32)
     h_dense = random_spd(rng, 4)
     j_dense = random_full_rank(rng, 2, 4)
     op = KktOperator(make_sparse(h_dense), make_sparse(j_dense))
     state = MinresState(op, (rng.standard_normal(4), rng.standard_normal(2)))
     state.step()
-    u_view = state.u
-    u_copy = state.u.copy()
+    views = {name: getattr(state, name)
+             for name in ("z", "u", "delta", "rho", "r")}
+    for name, view in views.items():
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1.0
+        assert getattr(state, name) is view
+    before = {name: view.copy() for name, view in views.items()}
     state.step()
-    np.testing.assert_array_equal(u_view, u_copy)
-    assert not np.array_equal(state.u, u_copy)
+    for name, view in views.items():
+        assert getattr(state, name) is view
+        assert not np.array_equal(view, before[name])
+    np.testing.assert_array_equal(state.u, state.z[:4])
+    np.testing.assert_array_equal(state.delta, state.z[4:])
+    resid = op.apply(state.z) + state.rhs
+    np.testing.assert_array_equal(np.concatenate([state.rho, state.r]),
+                                  resid)
 
 
 @pytest.mark.parametrize("name", kernels.available_backends())
