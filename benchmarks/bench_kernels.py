@@ -1,11 +1,14 @@
 """Timing comparison of the compiled CSR kernels vs the numpy fallback.
 
-For each mesh it measures raw matvec/rmatvec throughput on the
-discretized Poisson control problem's Jacobian, the fused KKT apply
-``(H u + J.T delta, J u)`` on its Hessian and Jacobian, and one isolated
-MINRES step (the mean over a solve of ``--minres-steps`` steps), printed
-next to the two KKT applies the step contains.  Run from the repository
-root of a source checkout (an installed package needs no ``PYTHONPATH``):
+For each mesh it measures, on the discretized Poisson control problem,
+raw matvec/rmatvec throughput on its Jacobian J, the matvec of its
+Hessian H, and one isolated MINRES step (the mean over a solve of
+``--minres-steps`` steps).  The step is printed next to the two KKT
+applies ``(H u + J.T delta, J u)`` it contains, each counted as the sum
+of its three isolated CSR product times rather than timed through the
+Python composition ``kernels.kkt_apply``, whose slicing and temporary
+the compiled step does not pay.  Run from the repository root of a
+source checkout (an installed package needs no ``PYTHONPATH``):
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py --mesh 16 32 --repeats 200
 """
@@ -40,21 +43,20 @@ def _time(fn, repeats):
 
 
 def bench_kernels(h, j, repeats):
+    """Best seconds of J x, J.T y and H x."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal(j.cols)
     xt = rng.standard_normal(j.rows)
-    z = rng.standard_normal(h.rows + j.rows)
     out = np.empty(j.rows)
     out_t = np.empty(j.cols)
-    out_z = np.empty(len(z))
+    out_h = np.empty(h.rows)
     fwd = _time(lambda: kernels.csr_matvec(j.indptr, j.indices, j.data, x,
                                            out), repeats)
     rev = _time(lambda: kernels.csr_rmatvec(j.indptr, j.indices, j.data, xt,
                                             out_t), repeats)
-    kkt = _time(lambda: kernels.kkt_apply(h.indptr, h.indices, h.data,
-                                          j.indptr, j.indices, j.data, z,
-                                          out_z), repeats)
-    return fwd, rev, kkt
+    hfwd = _time(lambda: kernels.csr_matvec(h.indptr, h.indices, h.data, x,
+                                            out_h), repeats)
+    return fwd, rev, hfwd
 
 
 def bench_minres_step(h, j, steps, repeats):
@@ -76,30 +78,33 @@ def bench_minres_step(h, j, steps, repeats):
 
 
 def bench_mesh(mesh, args):
-    """Prints, per backend, matvec, rmatvec, kkt_apply and one MINRES
-    step on the Poisson control problem at ``mesh``."""
+    """Prints, per backend, the J matvec and rmatvec, the H matvec and
+    one MINRES step on the Poisson control problem at ``mesh``."""
     problem, h, j = _build(mesh)
     print(f"\nproblem {problem.name}: n={problem.n} m={problem.m}"
           f" jacobian nnz={j.nnz} hessian nnz={h.nnz}")
     results = {}
     for name in kernels.available_backends():
         kernels.use_backend(name)
-        fwd, rev, kkt = bench_kernels(h, j, args.repeats)
+        fwd, rev, hfwd = bench_kernels(h, j, args.repeats)
         step = bench_minres_step(h, j, args.minres_steps,
                                  max(3, args.repeats // 20))
-        results[name] = (fwd, rev, kkt, step)
+        results[name] = (fwd, rev, hfwd, step)
 
-    print(f"{'backend':<10} {'matvec':>10} {'rmatvec':>10} {'kkt_apply':>10}"
-          f" {'2 x kkt':>10} {'minres step':>12} {'step/2 kkt':>11}")
-    for name, (fwd, rev, kkt, step) in sorted(results.items()):
+    # two KKT applies: twice J x + J.T y + H x
+    print(f"{'backend':<10} {'J matvec':>10} {'J rmatvec':>10}"
+          f" {'H matvec':>10} {'2 x 3 csr':>10} {'minres step':>12}"
+          f" {'step/6 csr':>11}")
+    for name, (fwd, rev, hfwd, step) in sorted(results.items()):
+        applies = 2 * (fwd + rev + hfwd)
         print(f"{name:<10} {fwd * 1e6:>8.2f}us {rev * 1e6:>8.2f}us"
-              f" {kkt * 1e6:>8.2f}us {2 * kkt * 1e6:>8.2f}us"
-              f" {step * 1e6:>10.2f}us {step / (2 * kkt):>10.2f}x")
+              f" {hfwd * 1e6:>8.2f}us {applies * 1e6:>8.2f}us"
+              f" {step * 1e6:>10.2f}us {step / applies:>10.2f}x")
     if len(results) == 2:
         py, comp = results["python"], results["compiled"]
-        print(f"speedup (python/compiled): matvec {py[0] / comp[0]:.2f}x,"
-              f" rmatvec {py[1] / comp[1]:.2f}x,"
-              f" kkt_apply {py[2] / comp[2]:.2f}x,"
+        print(f"speedup (python/compiled): J matvec {py[0] / comp[0]:.2f}x,"
+              f" J rmatvec {py[1] / comp[1]:.2f}x,"
+              f" H matvec {py[2] / comp[2]:.2f}x,"
               f" minres step {py[3] / comp[3]:.2f}x")
 
 

@@ -10,8 +10,6 @@ import configparser
 from dataclasses import fields
 from importlib import resources
 
-import numpy as np
-
 from .engine import ConfigError, SolverConfig
 from .library import (ControlProblemSpec, SyntheticQpSpec,
                       build_neumann_control, build_poisson_control,
@@ -89,22 +87,11 @@ def build_problem(config):
     section = dict(config.get("problem", {}))
     kind = section.pop("kind", None)
     if kind == "synthetic_qp":
-        known = {"n", "m", "problem_seed", "cond_target", "curvature_floor"}
-        _reject_unknown(section, known, "problem")
-        problem = build_synthetic_qp(SyntheticQpSpec(
-            n=section.get("n", 40), m=section.get("m", 15),
-            seed=section.get("problem_seed", 0),
-            cond_target=section.get("cond_target", 10.0),
-            curvature_floor=section.get("curvature_floor", 1.0)))
+        problem = build_synthetic_qp(
+            _spec(SyntheticQpSpec, section, {"seed": "problem_seed"}))
     elif kind in ("poisson_control", "neumann_control"):
-        known = {"mesh_size", "n_terms", "regularization", "eps_s"}
-        _reject_unknown(section, known, "problem")
-        spec = ControlProblemSpec(
-            mesh_size=section.get("mesh_size", 16),
-            n_terms=section.get("n_terms", 3),
-            regularization=section.get("regularization", 1e-5),
-            eps_n=oracle_settings(config)[1],
-            eps_s=section.get("eps_s", float(np.sqrt(15.0))))
+        spec = _spec(ControlProblemSpec, section, {},
+                     eps_n=oracle_settings(config)[1])
         build = build_poisson_control if kind == "poisson_control" \
             else build_neumann_control
         problem = build(spec)
@@ -116,10 +103,17 @@ def build_problem(config):
     return problem
 
 
-def _reject_unknown(section, known, name):
-    extra = set(section) - known
+def _spec(spec_cls, section, renamed, **fixed):
+    """``spec_cls`` from the [problem] keys in ``section``: one key per
+    field not in ``fixed``, under its ``renamed`` name if it has one; the
+    spec's own defaults fill in missing keys."""
+    fields_by_key = {renamed.get(f.name, f.name): f.name
+                     for f in fields(spec_cls) if f.name not in fixed}
+    extra = set(section) - set(fields_by_key)
     if extra:
-        raise ConfigError(f"unknown [{name}] keys: {sorted(extra)}")
+        raise ConfigError(f"unknown [problem] keys: {sorted(extra)}")
+    return spec_cls(**{fields_by_key[k]: v for k, v in section.items()},
+                    **fixed)
 
 
 def build_solver_config(config, **extra):

@@ -1,10 +1,11 @@
-"""CSR matvec, KKT-apply and MINRES-step kernels with a compiled core and
-a numpy fallback.
+"""CSR matvec and MINRES-step kernels with a compiled core and a numpy
+fallback, and the KKT apply composed from them.
 
-The kernels are ``csr_matvec``, ``csr_rmatvec``, ``kkt_apply`` (the
-saddle operator ``(H u + J.T delta, J u)`` in one call) and
-``minres_step`` (one whole MINRES step on that operator, over buffers its
-caller owns).
+The kernels are ``csr_matvec``, ``csr_rmatvec`` and ``minres_step`` (one
+whole MINRES step on the saddle operator ``(H u + J.T delta, J u)``, over
+arrays its caller owns).  ``kkt_apply`` applies that operator with three
+calls of the two CSR kernels; the compiled step's fused product has the
+same bits.
 
 The compiled core is the C extension ``_csrkern``.  An install built by
 ``setup.py`` ships it.  In a source checkout it is compiled from
@@ -173,8 +174,23 @@ def csr_rmatvec(indptr, indices, data, x, out):
 
 def kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,
               out):
-    _active.kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices,
-                      j_data, z, out)
+    """out = (H u + J.T delta, J u) for z = (u, delta), with H n-by-n and
+    J m-by-n in CSR form; n and m are read from the indptr lengths.  out
+    must not overlap z."""
+    if not (isinstance(z, numpy.ndarray) and isinstance(out, numpy.ndarray)):
+        raise TypeError("z and out must be numpy arrays")
+    n, m = h_indptr.shape[0] - 1, j_indptr.shape[0] - 1
+    if z.shape != (n + m,) or out.shape != (n + m,):
+        raise ValueError("z and out must both have length n + m")
+    if numpy.may_share_memory(z, out):
+        raise ValueError("out overlaps z")
+    top, bot = out[:n], out[n:]
+    csr_matvec(h_indptr, h_indices, h_data, z[:n], top)
+    if bot.size:
+        jtd = numpy.empty(n)
+        csr_rmatvec(j_indptr, j_indices, j_data, z[n:], jtd)
+        top += jtd
+        csr_matvec(j_indptr, j_indices, j_data, z[:n], bot)
 
 
 def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,

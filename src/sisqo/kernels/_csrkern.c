@@ -1,7 +1,6 @@
 /*
- * Compiled CSR kernels: row-major matvec, transpose matvec, the
- * saddle-point (KKT) apply that fuses three of them, and one whole MINRES
- * step on that saddle operator.
+ * Compiled CSR kernels: row-major matvec, transpose matvec, and one whole
+ * MINRES step on the saddle-point (KKT) operator of H and J.
  *
  * These loops sit inside every Lanczos/CG iteration and dominate the
  * solver's runtime, hence the C implementation.  Signatures mirror
@@ -9,31 +8,32 @@
  *
  *     csr_matvec(indptr, indices, data, x, out)    out = A @ x
  *     csr_rmatvec(indptr, indices, data, x, out)   out = A.T @ x
- *     kkt_apply(h_indptr, h_indices, h_data,
- *               j_indptr, j_indices, j_data, z, out)
- *                                   out = (H u + J.T delta, J u), z = (u, delta)
  *     minres_step(h_indptr, h_indices, h_data,
  *                 j_indptr, j_indices, j_data, rhs, work, scal)
- *                                   one MINRES step on K z = -rhs, K as above
+ *                 one MINRES step on K z = -rhs, K z = (H u + J.T delta, J u)
+ *                 for z = (u, delta)
  *
- * Every argument is a 1-D C-contiguous buffer: ``*indptr`` and ``*indices``
- * hold 8-byte signed integers, everything else holds float64, and ``out``,
- * ``work`` and ``scal`` must be writable.  The array lengths are checked
- * against each other; the index values are not (that would cost a pass
- * over the matrix), so a malformed CSR structure reads out of bounds.
+ * Every argument is a 1-D C-contiguous numpy array in native byte order:
+ * ``*indptr`` and ``*indices`` hold 8-byte signed integers, everything
+ * else holds float64, and ``out``, ``work`` and ``scal`` must be writable.
+ * The arrays are borrowed for the call, not copied.  Their lengths are
+ * checked against each other; the index values are not (that would cost
+ * a pass over the matrix), so a malformed CSR structure reads out of
+ * bounds.
  *
  * The loop order is fixed -- a sequential per-row sum for matvec, and
  * zero-then-scatter for rmatvec -- so results are reproducible bit for bit
- * for a given compiler and flags.  ``kkt_apply`` keeps that order for each
- * block and adds the row sum of H u to the scattered J.T delta, so its
- * output has the bits of the three separate kernel calls.  ``minres_step``
- * takes its three dot products from numpy's own float64 ``dotfunc``, the
- * function ``ndarray.dot`` calls for 1-D vectors, and does everything else
+ * for a given compiler and flags.  The KKT product inside ``minres_step``
+ * keeps that order for each block and adds the row sum of H u to the
+ * scattered J.T delta, so it has the bits of the three separate kernel
+ * calls that ``sisqo.kernels.kkt_apply`` makes.  ``minres_step`` takes its
+ * three dot products from numpy's own float64 ``dotfunc``, the function
+ * ``ndarray.dot`` calls for 1-D vectors, and does everything else
  * elementwise in the order of the numpy step in ``reference.py``; built
  * without floating-point contraction, its iterates have the bits of that
- * step run on this module's ``kkt_apply``.  Built by setup.py at install
- * time, or by ``sisqo.kernels`` on first import in a source checkout, with
- * numpy's headers either way.
+ * step run on this module's matvec and rmatvec.  Built by setup.py at
+ * install time, or by ``sisqo.kernels`` on first import in a source
+ * checkout, with numpy's headers either way.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -44,7 +44,6 @@
 
 #include <float.h>
 #include <math.h>
-#include <string.h>
 
 #if NPY_ABI_VERSION < 0x02000000
 #define PyDataType_GetArrFuncs(descr) ((descr)->f)
@@ -53,132 +52,88 @@
 /* numpy's float64 dot product, fetched once at module init */
 static PyArray_DotFunc *double_dot;
 
-/* Accept only native-order formats: '@', '=' and the native explicit
- * byte-order prefix; '>' / '<' / '!' for the other order are rejected. */
-static const char *
-native_kind(const char *format)
-{
-    if (format == NULL)
-        return "B";
-    if (*format == '@' || *format == '=')
-        return format + 1;
-#if PY_LITTLE_ENDIAN
-    if (*format == '<')
-        return format + 1;
-#else
-    if (*format == '>' || *format == '!')
-        return format + 1;
-#endif
-    return format;
-}
-
-/* Fill ``view`` with a 1-D C-contiguous buffer of 8-byte items whose
- * format is one of ``kinds``; ``what`` names the argument in errors. */
+/* Check that each of ``objs`` is a 1-D C-contiguous native-order numpy
+ * array of 8-byte items: signed integers where ``kinds`` has 'i', float64
+ * where it has 'd', writable float64 where it has 'w'.  ``names`` name the
+ * arguments in errors.  The arrays are borrowed: the argument tuple holds
+ * them for the whole call. */
 static int
-get_vector(PyObject *obj, Py_buffer *view, const char *kinds, int writable,
-           const char *what)
+check_arrays(PyObject **objs, const char *kinds, char **names)
 {
-    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT;
-    const char *kind;
-
-    if (writable)
-        flags |= PyBUF_WRITABLE;
-    if (PyObject_GetBuffer(obj, view, flags) < 0)
-        return -1;
-    kind = native_kind(view->format);
-    if (view->ndim != 1) {
-        PyErr_Format(PyExc_ValueError,
-                     "%s: expected a 1-D buffer, got %d dimensions",
-                     what, view->ndim);
-    }
-    else if (view->itemsize != 8 || kind[0] == '\0' || kind[1] != '\0'
-             || strchr(kinds, kind[0]) == NULL) {
-        PyErr_Format(PyExc_ValueError,
-                     "%s: expected %s, got format '%s' with itemsize %zd",
-                     what, kinds[0] == 'd' ? "float64" : "int64",
-                     view->format ? view->format : "B", view->itemsize);
-    }
-    else {
-        return 0;
-    }
-    PyBuffer_Release(view);
-    return -1;
-}
-
-#define INT64_KINDS "qln"
-#define FLOAT64_KINDS "d"
-#define NARGS 5
-#define KKT_NARGS 8
-#define MINRES_NARGS 9
-
-static void
-release_views(Py_buffer *views, int count)
-{
-    while (--count >= 0)
-        PyBuffer_Release(&views[count]);
-}
-
-/* Acquire one buffer per object; those from ``first_writable`` on must be
- * writable. */
-static int
-get_vectors(PyObject **objs, Py_buffer *views, const char **kinds,
-            char **names, int count, int first_writable)
-{
+    PyArrayObject *arr;
     int i;
 
-    for (i = 0; i < count; i++) {
-        if (get_vector(objs[i], &views[i], kinds[i], i >= first_writable,
-                       names[i]) < 0) {
-            release_views(views, i);
+    for (i = 0; kinds[i] != '\0'; i++) {
+        arr = (PyArrayObject *)objs[i];
+        if (!PyArray_Check(objs[i])) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s: expected a numpy array, got %.200s", names[i],
+                         Py_TYPE(objs[i])->tp_name);
+            return -1;
+        }
+        if (PyArray_NDIM(arr) != 1 || !PyArray_IS_C_CONTIGUOUS(arr)) {
+            PyErr_Format(PyExc_ValueError,
+                         "%s: expected a 1-D C-contiguous array", names[i]);
+            return -1;
+        }
+        if (PyArray_ITEMSIZE(arr) != 8 || !PyArray_ISNOTSWAPPED(arr)
+            || (kinds[i] == 'i' ? !PyArray_ISSIGNED(arr)
+                : PyArray_TYPE(arr) != NPY_DOUBLE)) {
+            PyErr_Format(PyExc_ValueError, "%s: expected native %s, got %S",
+                         names[i], kinds[i] == 'i' ? "int64" : "float64",
+                         (PyObject *)PyArray_DESCR(arr));
+            return -1;
+        }
+        if (kinds[i] == 'w' && !PyArray_ISWRITEABLE(arr)) {
+            PyErr_Format(PyExc_ValueError, "%s: the array is read-only",
+                         names[i]);
             return -1;
         }
     }
     return 0;
 }
 
-static int
-overlaps(const Py_buffer *a, const Py_buffer *b)
-{
-    const char *pa = a->buf, *pb = b->buf;
+#define LEN(obj) PyArray_DIM((PyArrayObject *)(obj), 0)
+#define DATA(obj) PyArray_DATA((PyArrayObject *)(obj))
 
-    return a->len > 0 && b->len > 0 && pa < pb + b->len && pb < pa + a->len;
+static int
+overlaps(PyObject *a, PyObject *b)
+{
+    const char *pa = DATA(a), *pb = DATA(b);
+    Py_ssize_t la = PyArray_NBYTES((PyArrayObject *)a),
+        lb = PyArray_NBYTES((PyArrayObject *)b);
+
+    return la > 0 && lb > 0 && pa < pb + lb && pb < pa + la;
 }
 
-/* Acquire all five buffers and check their lengths against each other.
- * ``rows_arg`` is the argument whose length is the number of matrix rows:
- * ``out`` for matvec, ``x`` for rmatvec. */
+/* Parse and check the five arguments of a CSR kernel and check their
+ * lengths against each other.  ``rows_arg`` is the argument whose length
+ * is the number of matrix rows: ``out`` for matvec, ``x`` for rmatvec. */
 static int
 get_csr_args(PyObject *args, PyObject *kwargs, const char *format,
-             Py_buffer views[NARGS], int rows_arg)
+             PyObject *objs[5], int rows_arg)
 {
     static char *kwlist[] = {"indptr", "indices", "data", "x", "out", NULL};
-    static const char *kinds[NARGS] = {INT64_KINDS, INT64_KINDS,
-                                       FLOAT64_KINDS, FLOAT64_KINDS,
-                                       FLOAT64_KINDS};
-    PyObject *objs[NARGS];
     Py_ssize_t rows;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, format, kwlist, &objs[0],
-                                     &objs[1], &objs[2], &objs[3], &objs[4]))
+                                     &objs[1], &objs[2], &objs[3], &objs[4])
+        || check_arrays(objs, "iiddw", kwlist) < 0)
         return -1;
-    if (get_vectors(objs, views, kinds, kwlist, NARGS, NARGS - 1) < 0)
-        return -1;
-    rows = views[rows_arg].shape[0];
-    if (views[0].shape[0] != rows + 1) {
+    rows = LEN(objs[rows_arg]);
+    if (LEN(objs[0]) != rows + 1) {
         PyErr_Format(PyExc_ValueError,
                      "indptr: expected length %zd (rows + 1), got %zd",
-                     rows + 1, views[0].shape[0]);
+                     rows + 1, LEN(objs[0]));
+        return -1;
     }
-    else if (views[1].shape[0] != views[2].shape[0]) {
+    if (LEN(objs[1]) != LEN(objs[2])) {
         PyErr_Format(PyExc_ValueError,
                      "indices and data differ in length: %zd != %zd",
-                     views[1].shape[0], views[2].shape[0]);
+                     LEN(objs[1]), LEN(objs[2]));
+        return -1;
     }
-    else {
-        return 0;
-    }
-    release_views(views, NARGS);
-    return -1;
+    return 0;
 }
 
 PyDoc_STRVAR(csr_matvec_doc,
@@ -189,7 +144,7 @@ PyDoc_STRVAR(csr_matvec_doc,
 static PyObject *
 csr_matvec(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    Py_buffer views[NARGS];
+    PyObject *objs[5];
     const long long *indptr, *indices;
     const double *data, *x;
     double *out;
@@ -197,14 +152,14 @@ csr_matvec(PyObject *self, PyObject *args, PyObject *kwargs)
     long long k, end;
     double acc;
 
-    if (get_csr_args(args, kwargs, "OOOOO:csr_matvec", views, 4) < 0)
+    if (get_csr_args(args, kwargs, "OOOOO:csr_matvec", objs, 4) < 0)
         return NULL;
-    indptr = views[0].buf;
-    indices = views[1].buf;
-    data = views[2].buf;
-    x = views[3].buf;
-    out = views[4].buf;
-    nrows = views[4].shape[0];
+    indptr = DATA(objs[0]);
+    indices = DATA(objs[1]);
+    data = DATA(objs[2]);
+    x = DATA(objs[3]);
+    out = DATA(objs[4]);
+    nrows = LEN(objs[4]);
     for (i = 0; i < nrows; i++) {
         acc = 0.0;
         end = indptr[i + 1];
@@ -212,7 +167,6 @@ csr_matvec(PyObject *self, PyObject *args, PyObject *kwargs)
             acc += data[k] * x[indices[k]];
         out[i] = acc;
     }
-    release_views(views, NARGS);
     Py_RETURN_NONE;
 }
 
@@ -224,22 +178,22 @@ PyDoc_STRVAR(csr_rmatvec_doc,
 static PyObject *
 csr_rmatvec(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    Py_buffer views[NARGS];
+    PyObject *objs[5];
     const long long *indptr, *indices;
     const double *data, *x;
     double *out;
     Py_ssize_t i, nrows, ncols;
     long long k, end;
 
-    if (get_csr_args(args, kwargs, "OOOOO:csr_rmatvec", views, 3) < 0)
+    if (get_csr_args(args, kwargs, "OOOOO:csr_rmatvec", objs, 3) < 0)
         return NULL;
-    indptr = views[0].buf;
-    indices = views[1].buf;
-    data = views[2].buf;
-    x = views[3].buf;
-    out = views[4].buf;
-    nrows = views[3].shape[0];
-    ncols = views[4].shape[0];
+    indptr = DATA(objs[0]);
+    indices = DATA(objs[1]);
+    data = DATA(objs[2]);
+    x = DATA(objs[3]);
+    out = DATA(objs[4]);
+    nrows = LEN(objs[3]);
+    ncols = LEN(objs[4]);
     for (i = 0; i < ncols; i++)
         out[i] = 0.0;
     for (i = 0; i < nrows; i++) {
@@ -247,7 +201,6 @@ csr_rmatvec(PyObject *self, PyObject *args, PyObject *kwargs)
         for (k = indptr[i]; k < end; k++)
             out[indices[k]] += data[k] * x[i];
     }
-    release_views(views, NARGS);
     Py_RETURN_NONE;
 }
 
@@ -257,39 +210,6 @@ typedef struct {
     const long long *h_indptr, *h_indices, *j_indptr, *j_indices;
     const double *h_data, *j_data;
 } kkt_op;
-
-/* Acquire one buffer per object -- the six CSR arrays of H and J, then
- * the vectors, those from ``first_writable`` on writable -- and read the
- * operator from the CSR arrays.  On failure every view is released. */
-static int
-get_kkt_args(PyObject **objs, Py_buffer *views, const char **kinds,
-             char **names, int count, int first_writable, kkt_op *op)
-{
-    if (get_vectors(objs, views, kinds, names, count, first_writable) < 0)
-        return -1;
-    op->n = views[0].shape[0] - 1;
-    op->m = views[3].shape[0] - 1;
-    if (op->n < 0 || op->m < 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "h_indptr and j_indptr need at least one entry");
-    }
-    else if (views[1].shape[0] != views[2].shape[0]
-             || views[4].shape[0] != views[5].shape[0]) {
-        PyErr_SetString(PyExc_ValueError,
-                        "indices and data differ in length");
-    }
-    else {
-        op->h_indptr = views[0].buf;
-        op->h_indices = views[1].buf;
-        op->h_data = views[2].buf;
-        op->j_indptr = views[3].buf;
-        op->j_indices = views[4].buf;
-        op->j_data = views[5].buf;
-        return 0;
-    }
-    release_views(views, count);
-    return -1;
-}
 
 /* out = K z; out must not overlap z. */
 static void
@@ -329,53 +249,6 @@ kkt_product(const kkt_op *op, const double *z, double *out)
             acc += op->h_data[k] * u[op->h_indices[k]];
         top[i] = m > 0 ? acc + top[i] : acc;
     }
-}
-
-static char *kkt_kwlist[] = {"h_indptr", "h_indices", "h_data", "j_indptr",
-                             "j_indices", "j_data", "z", "out", NULL};
-static const char *kkt_kinds[MINRES_NARGS] = {
-    INT64_KINDS, INT64_KINDS, FLOAT64_KINDS, INT64_KINDS, INT64_KINDS,
-    FLOAT64_KINDS, FLOAT64_KINDS, FLOAT64_KINDS, FLOAT64_KINDS};
-
-PyDoc_STRVAR(kkt_apply_doc,
-"kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z, out)\n"
-"--\n\n"
-"out = (H u + J.T delta, J u) for z = (u, delta), with H n-by-n and J\n"
-"m-by-n in CSR form; n and m are read from the indptr lengths.  out must\n"
-"not overlap z.");
-
-static PyObject *
-kkt_apply(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    PyObject *objs[KKT_NARGS];
-    Py_buffer views[KKT_NARGS];
-    kkt_op op;
-    Py_ssize_t dim;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOOO:kkt_apply",
-                                     kkt_kwlist, &objs[0], &objs[1],
-                                     &objs[2], &objs[3], &objs[4], &objs[5],
-                                     &objs[6], &objs[7]))
-        return NULL;
-    if (get_kkt_args(objs, views, kkt_kinds, kkt_kwlist, KKT_NARGS,
-                     KKT_NARGS - 1, &op) < 0)
-        return NULL;
-    dim = op.n + op.m;
-    if (views[6].shape[0] != dim || views[7].shape[0] != dim) {
-        PyErr_Format(PyExc_ValueError,
-                     "z and out: expected length %zd (n + m), got %zd and %zd",
-                     dim, views[6].shape[0], views[7].shape[0]);
-    }
-    else if (overlaps(&views[6], &views[7])) {
-        PyErr_SetString(PyExc_ValueError, "out overlaps z");
-    }
-    else {
-        kkt_product(&op, views[6].buf, views[7].buf);
-        release_views(views, KKT_NARGS);
-        Py_RETURN_NONE;
-    }
-    release_views(views, KKT_NARGS);
-    return NULL;
 }
 
 /* Slots of the ``scal`` array of minres_step. */
@@ -429,7 +302,8 @@ PyDoc_STRVAR(minres_step_doc,
 "minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,\n"
 "            rhs, work, scal)\n"
 "--\n\n"
-"One MINRES step on K z = -rhs, K = [[H, J.T], [J, 0]] as in kkt_apply.\n"
+"One MINRES step on K z = -rhs, K = [[H, J.T], [J, 0]], with H n-by-n and\n"
+"J m-by-n in CSR form; n and m are read from the indptr lengths.\n"
 "work holds eight vectors of length dim = n + m, in this order: v, r1,\n"
 "r2, y, w, w2, the iterate z and the residual K z + rhs.  scal holds\n"
 "beta, the previous beta, dbar, epsln, phibar, cs, sn, the step count,\n"
@@ -442,8 +316,7 @@ minres_step(PyObject *self, PyObject *args, PyObject *kwargs)
     static char *kwlist[] = {"h_indptr", "h_indices", "h_data", "j_indptr",
                              "j_indices", "j_data", "rhs", "work", "scal",
                              NULL};
-    PyObject *objs[MINRES_NARGS];
-    Py_buffer views[MINRES_NARGS];
+    PyObject *objs[9];
     kkt_op op;
     const double *rhs;
     double *scal, *v, *r1, *r2, *y, *w, *w2, *z, *resid;
@@ -454,29 +327,43 @@ minres_step(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOOOO:minres_step",
                                      kwlist, &objs[0], &objs[1], &objs[2],
                                      &objs[3], &objs[4], &objs[5], &objs[6],
-                                     &objs[7], &objs[8]))
+                                     &objs[7], &objs[8])
+        || check_arrays(objs, "iidiiddww", kwlist) < 0)
         return NULL;
-    if (get_kkt_args(objs, views, kkt_kinds, kwlist, MINRES_NARGS, 7,
-                     &op) < 0)
-        return NULL;
+    op.n = LEN(objs[0]) - 1;
+    op.m = LEN(objs[3]) - 1;
     dim = op.n + op.m;
-    if (views[6].shape[0] != dim || views[7].shape[0] != 8 * dim
-        || views[8].shape[0] != SCAL_LEN) {
+    if (op.n < 0 || op.m < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "h_indptr and j_indptr need at least one entry");
+        return NULL;
+    }
+    if (LEN(objs[1]) != LEN(objs[2]) || LEN(objs[4]) != LEN(objs[5])) {
+        PyErr_SetString(PyExc_ValueError,
+                        "indices and data differ in length");
+        return NULL;
+    }
+    if (LEN(objs[6]) != dim || LEN(objs[7]) != 8 * dim
+        || LEN(objs[8]) != SCAL_LEN) {
         PyErr_Format(PyExc_ValueError,
                      "rhs, work and scal: expected lengths %zd (n + m), %zd"
                      " and %d, got %zd, %zd and %zd", dim, 8 * dim, SCAL_LEN,
-                     views[6].shape[0], views[7].shape[0], views[8].shape[0]);
-        release_views(views, MINRES_NARGS);
+                     LEN(objs[6]), LEN(objs[7]), LEN(objs[8]));
         return NULL;
     }
-    if (overlaps(&views[6], &views[7]) || overlaps(&views[6], &views[8])
-        || overlaps(&views[7], &views[8])) {
+    if (overlaps(objs[6], objs[7]) || overlaps(objs[6], objs[8])
+        || overlaps(objs[7], objs[8])) {
         PyErr_SetString(PyExc_ValueError, "rhs, work and scal overlap");
-        release_views(views, MINRES_NARGS);
         return NULL;
     }
-    rhs = views[6].buf;
-    v = views[7].buf;
+    op.h_indptr = DATA(objs[0]);
+    op.h_indices = DATA(objs[1]);
+    op.h_data = DATA(objs[2]);
+    op.j_indptr = DATA(objs[3]);
+    op.j_indices = DATA(objs[4]);
+    op.j_data = DATA(objs[5]);
+    rhs = DATA(objs[6]);
+    v = DATA(objs[7]);
     r1 = v + dim;
     r2 = r1 + dim;
     y = r2 + dim;
@@ -484,7 +371,7 @@ minres_step(PyObject *self, PyObject *args, PyObject *kwargs)
     w2 = w + dim;
     z = w2 + dim;
     resid = z + dim;
-    scal = views[8].buf;
+    scal = DATA(objs[8]);
 
     /* Lanczos: v = r2 / beta, y = K v - (beta / oldb) r1 - alfa / beta r2;
      * then r1 takes r2 and r2 takes y */
@@ -551,7 +438,6 @@ minres_step(PyObject *self, PyObject *args, PyObject *kwargs)
     scal[S_STEPS] += 1.0;
     scal[S_RNORM] = rnorm;
     scal[S_RINF] = isnan(rnorm) ? rnorm : max_abs(resid, dim);
-    release_views(views, MINRES_NARGS);
     Py_RETURN_NONE;
 }
 
@@ -560,8 +446,6 @@ static PyMethodDef csrkern_methods[] = {
      METH_VARARGS | METH_KEYWORDS, csr_matvec_doc},
     {"csr_rmatvec", (PyCFunction)(void (*)(void))csr_rmatvec,
      METH_VARARGS | METH_KEYWORDS, csr_rmatvec_doc},
-    {"kkt_apply", (PyCFunction)(void (*)(void))kkt_apply,
-     METH_VARARGS | METH_KEYWORDS, kkt_apply_doc},
     {"minres_step", (PyCFunction)(void (*)(void))minres_step,
      METH_VARARGS | METH_KEYWORDS, minres_step_doc},
     {NULL, NULL, 0, NULL}
@@ -570,8 +454,7 @@ static PyMethodDef csrkern_methods[] = {
 static struct PyModuleDef csrkern_module = {
     PyModuleDef_HEAD_INIT,
     "_csrkern",
-    "Compiled CSR kernels: matvec, transpose matvec, the KKT apply and a"
-    " MINRES step.",
+    "Compiled CSR kernels: matvec, transpose matvec and a MINRES step.",
     0,
     csrkern_methods,
     NULL,

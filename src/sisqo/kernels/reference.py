@@ -3,12 +3,16 @@
 Semantics match ``_csrkern`` bit-for-bit in exact arithmetic; floating
 point sums may differ at round-off because the vectorized reductions
 associate differently.  ``minres_step`` is the step the compiled one
-reproduces: given the same KKT products, their iterates agree bit for bit.
+reproduces.  It takes its KKT products from ``sisqo.kernels.kkt_apply``,
+on whichever backend is active, so with the compiled backend active the
+two steps agree bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from .. import kernels
 
 # floor of the Givens norm gamma
 _EPS = float(np.finfo(float).eps)
@@ -31,27 +35,10 @@ def csr_rmatvec(indptr, indices, data, x, out):
     out[:] = np.bincount(indices, weights=data * x[rows], minlength=out.shape[0])
 
 
-def kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,
-              out):
-    """out = (H u + J.T delta, J u) for z = (u, delta); out must not
-    overlap z.  Composes the two kernels above in the compiled order."""
-    n, m = h_indptr.shape[0] - 1, j_indptr.shape[0] - 1
-    if z.shape != (n + m,) or out.shape != (n + m,):
-        raise ValueError("z and out must both have length n + m")
-    if np.may_share_memory(z, out):
-        raise ValueError("out overlaps z")
-    top, bot = out[:n], out[n:]
-    csr_matvec(h_indptr, h_indices, h_data, z[:n], top)
-    if bot.size:
-        jtd = np.empty(n)
-        csr_rmatvec(j_indptr, j_indices, j_data, z[n:], jtd)
-        top += jtd
-        csr_matvec(j_indptr, j_indices, j_data, z[:n], bot)
-
-
 def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
                 rhs, work, scal):
-    """One MINRES step on ``K z = -rhs``, K as in :func:`kkt_apply`.
+    """One MINRES step on ``K z = -rhs``, K as in
+    :func:`sisqo.kernels.kkt_apply`.
 
     ``work`` holds eight vectors of length dim = n + m, in this order:
     v, r1, r2, y, w, w2, the iterate z and the residual ``K z + rhs``.
@@ -72,7 +59,7 @@ def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
     # scalars are Python floats: the same IEEE operations in the same
     # order as the textbook form, with less call overhead.
     np.multiply(1.0 / beta, r2, vec)
-    kkt_apply(*csr, vec, y)
+    kernels.kkt_apply(*csr, vec, y)
     if steps >= 1:
         y -= np.multiply(beta / oldb, r1, resid)
     alfa = float(vec.dot(y))
@@ -102,7 +89,7 @@ def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
     z += np.multiply(phi, w, resid)
 
     # true residual, recomputed from the operator every step
-    kkt_apply(*csr, z, resid)
+    kernels.kkt_apply(*csr, z, resid)
     resid += rhs
     scal[:] = (beta, oldb, dbar, epsln, phibar, cs, sn, steps + 1,
                math.sqrt(float(resid.dot(resid))),

@@ -54,8 +54,8 @@ class SyntheticQpSpec:
     is guaranteed by construction (and re-verified numerically).
     """
 
-    n: int
-    m: int
+    n: int = 40
+    m: int = 15
     seed: int = 0
     cond_target: float = 10.0
     curvature_floor: float = 1.0

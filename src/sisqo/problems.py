@@ -96,11 +96,16 @@ def gaussian_oracle_sample(problem, x, eps_n, rng):
     return g + (eps_n / np.sqrt(problem.n)) * rng.standard_normal(problem.n)
 
 
+def _term_grid(problem):
+    """N of the problem's N-by-N grid of finite-sum terms."""
+    if problem.term_grid is None or problem.eval_term_grad is None:
+        raise ValueError(f"problem {problem.name} exposes no finite-sum terms")
+    return problem.term_grid
+
+
 def finite_sum_oracle_sample(problem, x, rng):
     """Gradient of one uniformly drawn (i, j) term of the finite sum."""
-    n_terms = problem.term_grid
-    if n_terms is None or problem.eval_term_grad is None:
-        raise ValueError(f"problem {problem.name} exposes no finite-sum terms")
+    n_terms = _term_grid(problem)
     i = int(rng.integers(1, n_terms + 1))
     j = int(rng.integers(1, n_terms + 1))
     return problem.eval_term_grad(x, i, j)
@@ -146,7 +151,7 @@ class GradientOracle:
             return 0.0
         if self.kind == "gaussian":
             return self.eps_n ** 2
-        n_terms = problem.term_grid
+        n_terms = _term_grid(problem)
         x0 = problem.x0
         full = problem.eval_grad_f(x0)
         worst = 0.0

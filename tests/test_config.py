@@ -12,6 +12,8 @@ from sisqo.config import (apply_overrides, available_profiles, build_problem,
                           build_solver_config, harness_settings, load_config,
                           oracle_settings)
 from sisqo.engine import ConfigError, SolverConfig
+from sisqo.library import (ControlProblemSpec, SyntheticQpSpec,
+                           build_poisson_control, build_synthetic_qp)
 
 
 def test_bundled_profiles_are_listed():
@@ -95,6 +97,20 @@ def test_build_problem_synthetic_qp():
     assert problem.m == 3
 
 
+def test_build_problem_defaults_are_the_spec_defaults():
+    def same(a, b):
+        return (a.x0.tobytes() == b.x0.tobytes()
+                and a.eval_grad_f(a.x0).tobytes()
+                == b.eval_grad_f(b.x0).tobytes())
+
+    qp = build_problem({"problem": {"kind": "synthetic_qp"}})
+    assert (qp.n, qp.m) == (40, 15)
+    assert same(qp, build_synthetic_qp(SyntheticQpSpec()))
+    control = build_problem({"problem": {"kind": "poisson_control"},
+                             "oracle": {"eps_n": 1e-2}})
+    assert same(control, build_poisson_control(ControlProblemSpec()))
+
+
 def test_build_problem_controls_take_eps_n_from_oracle():
     config = {"problem": {"kind": "poisson_control", "mesh_size": 4,
                           "n_terms": 3},
@@ -127,6 +143,12 @@ def test_build_problem_rejects_unknown_keys_and_kind():
         build_problem({"problem": {"kind": "synthetic_qp", "mesh_size": 4}})
     with pytest.raises(ConfigError, match=r"unknown \[problem\] keys"):
         build_problem({"problem": {"kind": "poisson_control", "n": 8}})
+    # the QP's seed is problem_seed; a control problem's eps_n is the
+    # oracle's
+    with pytest.raises(ConfigError, match=r"unknown \[problem\] keys"):
+        build_problem({"problem": {"kind": "synthetic_qp", "seed": 1}})
+    with pytest.raises(ConfigError, match=r"unknown \[problem\] keys"):
+        build_problem({"problem": {"kind": "poisson_control", "eps_n": 1}})
     with pytest.raises(ConfigError, match="unknown problem kind"):
         build_problem({"problem": {"kind": "rosenbrock"}})
     with pytest.raises(ConfigError, match="unknown problem kind"):

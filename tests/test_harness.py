@@ -66,6 +66,13 @@ def test_run_single_outer_cap():
     assert record.rows == []
 
 
+def test_run_single_finite_sum_oracle_needs_finite_sum_terms():
+    # the M_g metadata is computed before the run starts; a problem with
+    # no finite-sum terms is refused by the oracle's own check
+    with pytest.raises(ValueError, match="exposes no finite-sum terms"):
+        run_single(_qp(), SolverConfig(), 0, oracle_kind="finite_sum")
+
+
 def test_run_single_minres_budget():
     problem = _qp()
     for feasibility_tol, rule in ((1e-6, "min feasibility"),
