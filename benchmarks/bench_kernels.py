@@ -3,11 +3,13 @@
 For each mesh it measures, on the discretized Poisson control problem,
 raw matvec/rmatvec throughput on its Jacobian J, the matvec of its
 Hessian H, and one isolated MINRES step (the mean over a solve of
-``--minres-steps`` steps).  The step is printed next to the two KKT
-applies ``(H u + J.T delta, J u)`` it contains, each counted as the sum
-of its three isolated CSR product times rather than timed through the
-Python composition ``kernels.kkt_apply``, whose slicing and temporary
-the compiled step does not pay.  Run from the repository root of a
+``--minres-steps`` steps).  Every figure is timed ``--repeats`` times and
+printed as best/median.  The step is printed next to the two KKT applies
+``(H u + J.T delta, J u)`` it contains, each counted as the sum of its
+three isolated CSR product times rather than timed through the Python
+composition ``kernels.kkt_apply``, whose slicing and temporary the
+compiled step does not pay; their ratio is read from the medians.  Run
+from the repository root of a
 source checkout (an installed package needs no ``PYTHONPATH``):
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py --mesh 16 32 --repeats 200
@@ -34,16 +36,17 @@ def _build(mesh):
 
 
 def _time(fn, repeats):
-    best = np.inf
+    """Best and median seconds of ``repeats`` calls of ``fn``."""
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    return np.array([min(times), np.median(times)])
 
 
 def bench_kernels(h, j, repeats):
-    """Best seconds of J x, J.T y and H x."""
+    """Best and median seconds of J x, J.T y and H x."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal(j.cols)
     xt = rng.standard_normal(j.rows)
@@ -60,8 +63,8 @@ def bench_kernels(h, j, repeats):
 
 
 def bench_minres_step(h, j, steps, repeats):
-    """Seconds per MINRES step: the best solve of at most ``steps`` steps
-    divided by the steps it took."""
+    """Best and median seconds per MINRES step: the times of ``repeats``
+    solves of at most ``steps`` steps, divided by the steps one took."""
     op = KktOperator(h, j)
     rng = np.random.default_rng(1)
     rhs = (rng.standard_normal(op.n), rng.standard_normal(op.m))
@@ -87,25 +90,26 @@ def bench_mesh(mesh, args):
     for name in kernels.available_backends():
         kernels.use_backend(name)
         fwd, rev, hfwd = bench_kernels(h, j, args.repeats)
-        step = bench_minres_step(h, j, args.minres_steps,
-                                 max(3, args.repeats // 20))
-        results[name] = (fwd, rev, hfwd, step)
+        step = bench_minres_step(h, j, args.minres_steps, args.repeats)
+        # two KKT applies: twice J x + J.T y + H x
+        results[name] = (fwd, rev, hfwd, 2 * (fwd + rev + hfwd), step)
 
-    # two KKT applies: twice J x + J.T y + H x
-    print(f"{'backend':<10} {'J matvec':>10} {'J rmatvec':>10}"
-          f" {'H matvec':>10} {'2 x 3 csr':>10} {'minres step':>12}"
-          f" {'step/6 csr':>11}")
-    for name, (fwd, rev, hfwd, step) in sorted(results.items()):
-        applies = 2 * (fwd + rev + hfwd)
-        print(f"{name:<10} {fwd * 1e6:>8.2f}us {rev * 1e6:>8.2f}us"
-              f" {hfwd * 1e6:>8.2f}us {applies * 1e6:>8.2f}us"
-              f" {step * 1e6:>10.2f}us {step / applies:>10.2f}x")
+    print("best/median, microseconds; step/6 csr from the medians")
+    print(f"{'backend':<10}" + "".join(
+        f" {title:>15}" for title in ("J matvec", "J rmatvec", "H matvec",
+                                      "2 x 3 csr", "minres step"))
+        + f" {'step/6 csr':>11}")
+    for name, times in sorted(results.items()):
+        print(f"{name:<10}" + "".join(
+            f" {best * 1e6:>7.2f}/{median * 1e6:<7.2f}"
+            for best, median in times)
+            + f" {times[4][1] / times[3][1]:>10.2f}x")
     if len(results) == 2:
         py, comp = results["python"], results["compiled"]
-        print(f"speedup (python/compiled): J matvec {py[0] / comp[0]:.2f}x,"
-              f" J rmatvec {py[1] / comp[1]:.2f}x,"
-              f" H matvec {py[2] / comp[2]:.2f}x,"
-              f" minres step {py[3] / comp[3]:.2f}x")
+        print("speedup of the medians (python/compiled): "
+              + ", ".join(f"{title} {p[1] / c[1]:.2f}x" for title, p, c in
+                          zip(("J matvec", "J rmatvec", "H matvec"), py, comp))
+              + f", minres step {py[4][1] / comp[4][1]:.2f}x")
 
 
 def main(argv=None):
@@ -114,7 +118,7 @@ def main(argv=None):
                         help="interior grid points per side, one or more"
                              " (default 16 32)")
     parser.add_argument("--repeats", type=int, default=100,
-                        help="timing repeats, best-of (default 100)")
+                        help="timing repeats of each figure (default 100)")
     parser.add_argument("--minres-steps", type=int, default=200,
                         help="MINRES steps per timed solve (default 200)")
     args = parser.parse_args(argv)

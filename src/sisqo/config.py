@@ -112,8 +112,31 @@ def _spec(spec_cls, section, renamed, **fixed):
     extra = set(section) - set(fields_by_key)
     if extra:
         raise ConfigError(f"unknown [problem] keys: {sorted(extra)}")
-    return spec_cls(**{fields_by_key[k]: v for k, v in section.items()},
-                    **fixed)
+    return _build(spec_cls,
+                  {fields_by_key[k]: v for k, v in section.items()}, **fixed)
+
+
+def _build(cls, kwargs, **fixed):
+    """``cls(**kwargs, **fixed)`` once each value in ``kwargs`` has the
+    type of its dataclass field (an int stands for a float); a wrong type
+    and a ValueError of ``cls`` itself are ConfigErrors."""
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in kwargs.items():
+        want = types[key]
+        if isinstance(value, bool):
+            ok = want is bool
+        else:
+            ok = isinstance(value, want) or (want is float
+                                             and isinstance(value, int))
+        if not ok:
+            raise ConfigError(f"{key} must be {want.__name__},"
+                              f" got {value!r}")
+    try:
+        return cls(**kwargs, **fixed)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_solver_config(config, **extra):
@@ -133,10 +156,13 @@ def build_solver_config(config, **extra):
     if unknown:
         raise ConfigError(f"unknown solver settings: {sorted(unknown)}")
     _check_seeds([kwargs.get("seed", 0)])
-    return SolverConfig(**kwargs)
+    return _build(SolverConfig, kwargs)
 
 
 def _check_seeds(seeds):
+    not_int = [s for s in seeds if type(s) is not int]
+    if not_int:
+        raise ConfigError(f"seeds must be integers, got {not_int}")
     negative = [s for s in seeds if s < 0]
     if negative:
         raise ConfigError(f"seeds must be non-negative, got {negative}")
@@ -151,10 +177,10 @@ def oracle_settings(config):
     return kind, float(section.get("eps_n", 0.0))
 
 
-def _as_list(value, cast):
+def _as_list(value):
     if isinstance(value, (int, float)):
-        return [cast(value)]
-    return [cast(_coerce(tok)) for tok in str(value).replace(",", " ").split()]
+        return [value]
+    return [_coerce(tok) for tok in str(value).replace(",", " ").split()]
 
 
 def harness_settings(config):
@@ -162,10 +188,10 @@ def harness_settings(config):
     section = dict(config.get("harness", {}))
     return {
         "seeds": _check_seeds(
-            _as_list(section.get("seeds", section.get("seed", 0)), int)),
-        "eps_n_list": _as_list(
+            _as_list(section.get("seeds", section.get("seed", 0)))),
+        "eps_n_list": [float(v) for v in _as_list(
             section.get("eps_n_list",
-                        config.get("oracle", {}).get("eps_n", 0.0)), float),
+                        config.get("oracle", {}).get("eps_n", 0.0)))],
         "kappa_exact": float(section.get("kappa_exact", 1e-7)),
         "output": section.get("output", "results.csv"),
     }

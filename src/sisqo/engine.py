@@ -31,11 +31,13 @@ import numpy as np
 from .krylov import (MinresState, cg_normal_solve, least_squares_multipliers,
                      norm_pair)
 from .problems import estimate_lipschitz
-from .sparse import KktOperator, SparseMatrix, blend_with_identity
+from .sparse import (KktOperator, SparseMatrix, blend_with_identity,
+                     is_symmetric)
 
 __all__ = ["SolverConfig", "IterateState", "StepResult", "NormalStepResult",
            "ConfigError", "EngineError", "IterationFailure", "InvariantBreach",
-           "StationaryPointDetected", "NonFiniteValue", "model_reduction",
+           "StationaryPointDetected", "NonFiniteValue", "InvalidValue",
+           "model_reduction",
            "compute_normal_step", "tau_trial_and_update", "xi_update",
            "evaluate_varphi", "step_size_bounds", "select_step_size",
            "update_duals", "beta_for_iteration", "init_state", "sqp_iterate",
@@ -116,13 +118,33 @@ class NonFiniteValue(EngineError):
     status = "nonfinite"
 
 
-def _finite(value, quantity, k):
-    """``value`` (a float, an array or a SparseMatrix) when all its
-    entries are finite, else NonFiniteValue."""
-    entries = value.data if isinstance(value, SparseMatrix) else value
-    if not np.isfinite(entries).all():
+class InvalidValue(EngineError):
+    """An evaluated quantity has the wrong shape, or a Hessian is not
+    symmetric; diagnostics: the ``quantity`` and the iterate ``k`` it
+    was evaluated at."""
+
+    status = "invalid"
+
+
+def _checked(value, quantity, k, shape=None, symmetric=False):
+    """``value`` (a float, an array or a SparseMatrix) when it has
+    ``shape`` (unless None), all its entries are finite and, with
+    ``symmetric``, it passes :func:`is_symmetric`; else InvalidValue or
+    NonFiniteValue."""
+    diagnostics = {"quantity": quantity, "k": k}
+    is_sparse = isinstance(value, SparseMatrix)
+    if shape is not None:
+        got = value.shape if is_sparse else np.shape(value)
+        if got != shape:
+            raise InvalidValue(f"{quantity} at iterate {k} has shape {got},"
+                               f" expected {shape}", diagnostics)
+    if not np.isfinite(value.data if is_sparse else value).all():
         raise NonFiniteValue(f"non-finite {quantity} at iterate {k}",
-                             {"quantity": quantity, "k": k})
+                             diagnostics)
+    if symmetric and not is_symmetric(value):
+        raise InvalidValue(f"{quantity} at iterate {k} is not symmetric"
+                           f" (defect {value.symmetry_defect():.3e})",
+                           diagnostics)
     return value
 
 
@@ -603,9 +625,11 @@ def init_state(problem, cfg, x0=None, y0=None):
     if x.shape != (problem.n,) or y.shape != (problem.m,):
         raise ValueError("bad x0 or y0 shape")
     return IterateState(k=0, x=x, y=y, tau=cfg.tau_init, xi=cfg.xi_init,
-                        f=_finite(problem.eval_f(x), "f(x)", 0),
-                        c=_finite(problem.eval_c(x), "c(x)", 0),
-                        j=_finite(problem.eval_jacobian(x), "J(x)", 0))
+                        f=_checked(problem.eval_f(x), "f(x)", 0, ()),
+                        c=_checked(problem.eval_c(x), "c(x)", 0,
+                                   (problem.m,)),
+                        j=_checked(problem.eval_jacobian(x), "J(x)", 0,
+                                   (problem.m, problem.n)))
 
 
 def _stationary(residual, resampled):
@@ -626,8 +650,8 @@ def _check_stationary(state, problem, oracle, g):
         if residual >= STATIONARY_TOL:
             return g
         if oracle.is_stochastic and not resampled:
-            g = _finite(oracle.sample(problem, state.x), "sampled gradient",
-                        state.k)
+            g = _checked(oracle.sample(problem, state.x),
+                         "sampled gradient", state.k, (problem.n,))
             resampled = True
             continue
         raise _stationary(residual, resampled)
@@ -732,8 +756,8 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
 def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
     """The body of ``sqp_iterate``; appends one record per Hessian rung
     tried to ``rungs``."""
-    g = _finite(oracle.sample(problem, state.x), "sampled gradient",
-                state.k)
+    g = _checked(oracle.sample(problem, state.x), "sampled gradient",
+                 state.k, (problem.n,))
     g = _check_stationary(state, problem, oracle, g)
 
     if cfg.lipschitz_mode == "fixed":
@@ -742,15 +766,16 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
         radius = PROBE_RADIUS_SCALE * max(1.0, float(np.linalg.norm(state.x)))
         lip_l, lip_gamma = estimate_lipschitz(problem, state.x, state.j,
                                               radius, probe_rng)
-    _finite((lip_l, lip_gamma), "Lipschitz constants", state.k)
+    _checked((lip_l, lip_gamma), "Lipschitz constants", state.k)
 
     ns = compute_normal_step(state.c, state.j, cfg)
     beta = beta_for_iteration(cfg, state.k)
 
     ctx = _IterationContext(g, state.c, state.j, ns, state.y, state.tau, beta,
                             state.prev_pair_norm)
-    hess = _finite(problem.eval_lagrangian_hessian(state.x, state.y),
-                   "Lagrangian Hessian", state.k)
+    hess = _checked(problem.eval_lagrangian_hessian(state.x, state.y),
+                    "Lagrangian Hessian", state.k, (problem.n, problem.n),
+                    symmetric=True)
     total_minres = 0
     for rung in range(MAX_RUNG + 2):
         ctx.set_rung(ladder_matrix(hess, rung))
@@ -814,8 +839,9 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
     # merit decrease against the model bound: guaranteed when the
     # Lipschitz constants are true upper bounds and g is exact, so a
     # breach is only flagged in that mode and logged otherwise
-    f_next = _finite(problem.eval_f(x_next), "f(x)", state.k + 1)
-    c_next = _finite(problem.eval_c(x_next), "c(x)", state.k + 1)
+    f_next = _checked(problem.eval_f(x_next), "f(x)", state.k + 1, ())
+    c_next = _checked(problem.eval_c(x_next), "c(x)", state.k + 1,
+                      (problem.m,))
     merit_drop = merit_value(tau_new, f_next, c_next) \
         - merit_value(tau_new, state.f, state.c)
     bound = -alpha * delta_l * (1.0 - (1.0 - cfg.eta) * beta)
@@ -839,7 +865,8 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
     state_next = IterateState(
         k=state.k + 1, x=x_next, y=y_next, tau=tau_new, xi=xi_new,
         f=f_next, c=c_next,
-        j=_finite(problem.eval_jacobian(x_next), "J(x)", state.k + 1),
+        j=_checked(problem.eval_jacobian(x_next), "J(x)", state.k + 1,
+                   (problem.m, problem.n)),
         prev_pair_norm=norm_pair(g + state.j.apply_transpose(y_next),
                                  state.c))
     return state_next, step

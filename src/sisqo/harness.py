@@ -30,8 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import (EngineError, InvariantBreach, IterationFailure,
-                     NonFiniteValue, init_state, sqp_iterate)
+from .engine import (EngineError, InvalidValue, InvariantBreach,
+                     IterationFailure, NonFiniteValue, init_state,
+                     sqp_iterate)
 from .krylov import least_squares_multipliers
 from .problems import GradientOracle, substream
 
@@ -56,7 +57,8 @@ OUTPUT_DIR_ENV = "SISQO_OUTPUT_DIR"
 # endings with no usable result: kept out of the error statistics, they
 # abort a budget-matched pair and make the command line exit 1
 FAILED_STATUSES = frozenset(
-    e.status for e in (IterationFailure, InvariantBreach, NonFiniteValue))
+    e.status for e in (IterationFailure, InvariantBreach, NonFiniteValue,
+                       InvalidValue))
 
 
 @dataclass

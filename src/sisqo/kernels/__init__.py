@@ -3,21 +3,23 @@ fallback, and the KKT apply composed from them.
 
 The kernels are ``csr_matvec``, ``csr_rmatvec`` and ``minres_step`` (one
 whole MINRES step on the saddle operator ``(H u + J.T delta, J u)``, over
-arrays its caller owns).  ``kkt_apply`` applies that operator with three
-calls of the two CSR kernels; the compiled step's fused product has the
-same bits.
+arrays its caller owns).  A backend is a module that defines these three
+functions; :func:`use_backend` binds this module's names to the chosen
+backend's own functions, so callers look them up here at call time.
+``kkt_apply`` applies the saddle operator with three calls of the two
+CSR kernels; the compiled step's fused product has the same bits.
 
-The compiled core is the C extension ``_csrkern``.  An install built by
-``setup.py`` ships it.  In a source checkout it is compiled from
+The compiled core is the C extension ``_csrkern``.  It is compiled from
 ``_csrkern.c`` on first import, with the interpreter's ``sysconfig``
 compiler settings and numpy's headers, and cached in this package's
 ``__pycache__`` directory under a name keyed by the source, the compile
 flags, the numpy version and the interpreter's extension suffix; later
-imports load the cached file without starting a process.
+imports load the cached file without starting a process.  A checkout and
+an installed package build it the same way.
 Once a build is loaded, older builds for the same extension suffix are
-deleted; builds for other interpreters are kept.  If the core can be
-neither imported nor built, one warning is logged and the numpy
-reference implementation is used.
+deleted; builds for other interpreters are kept.  If the core cannot be
+built (no compiler, or a read-only package directory), one warning is
+logged and the numpy reference implementation is used.
 
 Set the environment variable ``SISQO_KERNELS=python`` (before import) or
 call :func:`use_backend` to force the numpy reference implementation.
@@ -40,9 +42,9 @@ _log = logging.getLogger(__name__)
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_csrkern.c")
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
-# appended after the interpreter's CFLAGS, as setup.py does; without
-# contraction into fused multiply-adds, minres_step keeps the bits of the
-# numpy step on every platform
+# appended after the interpreter's CFLAGS; without contraction into
+# fused multiply-adds, minres_step keeps the bits of the numpy step on
+# every platform
 _EXTRA_COMPILE_ARGS = ["-O3", "-ffp-contract=off"]
 
 
@@ -108,13 +110,7 @@ def _compile(target):
 
 
 def _load_compiled():
-    """The compiled core, installed or built from source; None if neither."""
-    try:
-        from . import _csrkern
-
-        return _csrkern
-    except ImportError:
-        pass
+    """The compiled core, cached or built now; None if the build fails."""
     try:
         target = _cached_path()
         if not os.path.exists(target):
@@ -132,44 +128,28 @@ def _load_compiled():
     return module
 
 
-_BACKENDS = {"python": reference}
-_csrkern = _load_compiled()
-if _csrkern is not None:
-    _BACKENDS["compiled"] = _csrkern
-
-if os.environ.get("SISQO_KERNELS", "") == "python" or _csrkern is None:
-    _active_name = "python"
-else:
-    _active_name = "compiled"
-_active = _BACKENDS[_active_name]
-
-
 def available_backends():
     """Names of the importable kernel backends."""
     return sorted(_BACKENDS)
 
 
 def active_backend():
-    """Name of the backend currently dispatched to."""
+    """Name of the backend currently bound."""
     return _active_name
 
 
 def use_backend(name):
-    """Switch kernel backend at runtime (used by tests and benchmarks)."""
-    global _active, _active_name
+    """Bind ``csr_matvec``, ``csr_rmatvec`` and ``minres_step`` to the
+    functions of backend ``name`` (used by tests and benchmarks)."""
+    global _active_name, csr_matvec, csr_rmatvec, minres_step
     if name not in _BACKENDS:
         raise ValueError(f"unknown kernel backend {name!r}; "
                          f"available: {available_backends()}")
+    backend = _BACKENDS[name]
     _active_name = name
-    _active = _BACKENDS[name]
-
-
-def csr_matvec(indptr, indices, data, x, out):
-    _active.csr_matvec(indptr, indices, data, x, out)
-
-
-def csr_rmatvec(indptr, indices, data, x, out):
-    _active.csr_rmatvec(indptr, indices, data, x, out)
+    csr_matvec = backend.csr_matvec
+    csr_rmatvec = backend.csr_rmatvec
+    minres_step = backend.minres_step
 
 
 def kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,
@@ -193,7 +173,9 @@ def kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,
         csr_matvec(j_indptr, j_indices, j_data, z[:n], bot)
 
 
-def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
-                rhs, work, scal):
-    _active.minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices,
-                        j_data, rhs, work, scal)
+_BACKENDS = {"python": reference}
+_csrkern = _load_compiled()
+if _csrkern is not None:
+    _BACKENDS["compiled"] = _csrkern
+use_backend("python" if os.environ.get("SISQO_KERNELS", "") == "python"
+            or _csrkern is None else "compiled")

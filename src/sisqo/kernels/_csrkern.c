@@ -13,13 +13,13 @@
  *                 one MINRES step on K z = -rhs, K z = (H u + J.T delta, J u)
  *                 for z = (u, delta)
  *
- * Every argument is a 1-D C-contiguous numpy array in native byte order:
- * ``*indptr`` and ``*indices`` hold 8-byte signed integers, everything
- * else holds float64, and ``out``, ``work`` and ``scal`` must be writable.
- * The arrays are borrowed for the call, not copied.  Their lengths are
- * checked against each other; the index values are not (that would cost
- * a pass over the matrix), so a malformed CSR structure reads out of
- * bounds.
+ * Every argument is a 1-D C-contiguous aligned numpy array in native
+ * byte order: ``*indptr`` and ``*indices`` hold 8-byte signed integers,
+ * everything else holds float64, and ``out``, ``work`` and ``scal`` must
+ * be writable.  The arrays are borrowed for the call, not copied.  Their
+ * lengths are checked against each other; the index values are not (that
+ * would cost a pass over the matrix), so a malformed CSR structure reads
+ * out of bounds.
  *
  * The loop order is fixed -- a sequential per-row sum for matvec, and
  * zero-then-scatter for rmatvec -- so results are reproducible bit for bit
@@ -31,9 +31,8 @@
  * ``ndarray.dot`` calls for 1-D vectors, and does everything else
  * elementwise in the order of the numpy step in ``reference.py``; built
  * without floating-point contraction, its iterates have the bits of that
- * step run on this module's matvec and rmatvec.  Built by setup.py at
- * install time, or by ``sisqo.kernels`` on first import in a source
- * checkout, with numpy's headers either way.
+ * step run on this module's matvec and rmatvec.  Built by
+ * ``sisqo.kernels`` on first import, against numpy's headers.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -52,11 +51,11 @@
 /* numpy's float64 dot product, fetched once at module init */
 static PyArray_DotFunc *double_dot;
 
-/* Check that each of ``objs`` is a 1-D C-contiguous native-order numpy
- * array of 8-byte items: signed integers where ``kinds`` has 'i', float64
- * where it has 'd', writable float64 where it has 'w'.  ``names`` name the
- * arguments in errors.  The arrays are borrowed: the argument tuple holds
- * them for the whole call. */
+/* Check that each of ``objs`` is a 1-D C-contiguous aligned native-order
+ * numpy array of 8-byte items: signed integers where ``kinds`` has 'i',
+ * float64 where it has 'd', writable float64 where it has 'w'.  ``names``
+ * name the arguments in errors.  The arrays are borrowed: the argument
+ * tuple holds them for the whole call. */
 static int
 check_arrays(PyObject **objs, const char *kinds, char **names)
 {
@@ -74,6 +73,11 @@ check_arrays(PyObject **objs, const char *kinds, char **names)
         if (PyArray_NDIM(arr) != 1 || !PyArray_IS_C_CONTIGUOUS(arr)) {
             PyErr_Format(PyExc_ValueError,
                          "%s: expected a 1-D C-contiguous array", names[i]);
+            return -1;
+        }
+        if (!PyArray_ISALIGNED(arr)) {
+            PyErr_Format(PyExc_ValueError, "%s: the array is not aligned",
+                         names[i]);
             return -1;
         }
         if (PyArray_ITEMSIZE(arr) != 8 || !PyArray_ISNOTSWAPPED(arr)

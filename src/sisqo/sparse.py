@@ -15,7 +15,7 @@ import numpy as np
 from . import kernels
 
 __all__ = ["SparseMatrix", "KktOperator", "blend_with_identity",
-           "frobenius_distance"]
+           "frobenius_distance", "is_symmetric"]
 
 
 class SparseMatrix:
@@ -244,12 +244,22 @@ def frobenius_distance(a, b):
     return float(np.linalg.norm(_combine(a, b, 1.0, -1.0).data))
 
 
+def is_symmetric(h):
+    """Whether H is symmetric to 1e-12 of its largest entry (or of 1);
+    the defect is cached on H, so a constant H pays for one check."""
+    defect = h.symmetry_defect()
+    if defect == 0.0:
+        return True
+    scale = max(1.0, float(np.max(np.abs(h.data))) if h.nnz else 0.0)
+    return not defect > 1e-12 * scale
+
+
 class KktOperator:
     """Symmetric saddle operator (u, d) -> (H u + J.T d, J u).
 
-    H must be symmetric n-by-n, to 1e-12 of its largest entry (or of
-    1); J is m-by-n with m possibly zero.  The operator is applied to
-    stacked vectors of length n + m, in one kernel call.
+    H must be n-by-n and pass :func:`is_symmetric`; J is m-by-n with m
+    possibly zero.  The operator is applied to stacked vectors of length
+    n + m, in one kernel call.
     """
 
     __slots__ = ("h", "j", "n", "m", "dim", "csr")
@@ -259,10 +269,9 @@ class KktOperator:
             raise ValueError("H must be square")
         if j.cols != h.rows:
             raise ValueError("J column count must match H dimension")
-        scale = max(1.0, float(np.max(np.abs(h.data))) if h.nnz else 0.0)
-        defect = h.symmetry_defect()
-        if defect > 1e-12 * scale:
-            raise ValueError(f"H is not symmetric (defect {defect:.3e})")
+        if not is_symmetric(h):
+            raise ValueError(f"H is not symmetric"
+                             f" (defect {h.symmetry_defect():.3e})")
         self.h = h
         self.j = j
         self.n = h.rows

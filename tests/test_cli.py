@@ -123,6 +123,28 @@ def test_nan_settings_are_rejected(tmp_path, capsys, override):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("profile, overrides, message", [
+    ("control_finite_sum", ["problem.mesh_size=4.5"], "mesh_size must be int"),
+    ("control_finite_sum", ["problem.mesh_size=4", "oracle.eps_n=-1"],
+     "noise parameters"),
+    ("qp_gaussian", ["solver.kappa=abc"] + _TINY, "kappa must be float"),
+    ("qp_gaussian", ["solver.debug_checks=1"] + _TINY,
+     "debug_checks must be bool"),
+    ("qp_gaussian", _TINY + ["harness.seeds=1.5"], "seeds must be integers"),
+])
+def test_mistyped_and_invalid_settings_exit_2(tmp_path, capsys, profile,
+                                              overrides, message):
+    out = str(tmp_path / "run.csv")
+    assert main(["run", "-c", profile, "-o", out] + overrides) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_int_setting_is_accepted_as_float(tmp_path):
+    out = str(tmp_path / "run.csv")
+    assert main(["run", "-c", "qp_gaussian", "-o", out, "algorithm.xi_init=1"]
+                + _TINY) == 0
+
+
 def test_unwritable_output_exits_1(tmp_path):
     out = tmp_path / "missing_dir" / "run.csv"
     code = main(["run", "-c", "qp_gaussian", "-o", str(out)] + _TINY)

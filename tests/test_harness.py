@@ -222,6 +222,14 @@ _INJECTIONS = {
     "c(x2)": ("eval_c", 3, _nan, "nonfinite", "c(x)", 2),
     "f(x2)": ("eval_f", 3, lambda f: math.inf, "nonfinite", "f(x)", 2),
     "f(x0)": ("eval_f", 1, lambda f: math.nan, "nonfinite", "f(x)", 0),
+    "asymmetric Hessian": (
+        "eval_lagrangian_hessian", 1,
+        lambda h: SparseMatrix.from_dense(np.triu(h.to_dense() + 1.0)),
+        "invalid", "Lagrangian Hessian", 0),
+    # J is evaluated at x0, by the Lipschitz probe, then at x1
+    "J(x1) shape": ("eval_jacobian", 3,
+                    lambda j: SparseMatrix.from_dense(j.to_dense()[:-1]),
+                    "invalid", "J(x)", 1),
 }
 
 
@@ -257,9 +265,9 @@ def test_every_injected_fault_ends_in_a_recorded_status(monkeypatch, case):
     # the steps of the iteration that raised count too: c(x2) ends the
     # run after 19 steps, 6 of them in the one recorded row
     assert record.total_minres_iters == len(steps)
-    if status == "nonfinite":
+    if status in ("nonfinite", "invalid"):
         assert record.info["diagnostics"] == {"quantity": quantity, "k": k}
-        # no MINRES step after the non-finite value was evaluated
+        # no MINRES step after the bad value was evaluated
         assert at_fault == [len(steps)]
     if k == 0:
         assert record.outer_iters == 0
@@ -443,9 +451,10 @@ def test_aggregate_excludes_every_failed_status():
     records += [_stub_record(seed=2 + i, status=status, feas=math.nan,
                              stat=math.nan)
                 for i, status in enumerate(sorted(FAILED_STATUSES))]
-    assert sorted(FAILED_STATUSES) == ["breach", "failed", "nonfinite"]
+    assert sorted(FAILED_STATUSES) == ["breach", "failed", "invalid",
+                                       "nonfinite"]
     row, = aggregate(records)
-    assert (row["count"], row["n_failed"]) == (5, 3)
+    assert (row["count"], row["n_failed"]) == (6, 4)
     assert row["mean_feas"] == pytest.approx(2e-7)
 
 

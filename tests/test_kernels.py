@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +226,13 @@ def test_backends_agree():
                                    err_msg=name)
 
 
+def test_use_backend_binds_the_backends_own_functions(backend):
+    # no wrapper between a caller and the kernel it calls
+    module = kernels.reference if backend == "python" else kernels._csrkern
+    for name in ("csr_matvec", "csr_rmatvec", "minres_step"):
+        assert getattr(kernels, name) is getattr(module, name)
+
+
 def test_use_backend_rejects_unknown():
     with pytest.raises(ValueError, match="unknown kernel backend"):
         kernels.use_backend("fortran")
@@ -279,6 +287,10 @@ def _read_only(a):
     ("indptr", np.array([0, 2, 3], dtype=">i8"), ValueError),
     ("indptr", np.array([0, 2, 3], dtype=np.longlong), None),
     ("x", memoryview(np.ones(3)), TypeError),
+    ("x", np.frombuffer(bytearray(25), np.float64, offset=1, count=3),
+     ValueError),
+    ("indices", np.frombuffer(bytearray(25), np.int64, offset=1, count=3),
+     ValueError),
 ])
 def test_compiled_rejects_bad_buffers(compiled, name, bad, error):
     args = _good_args()
@@ -368,7 +380,8 @@ def test_compiled_rmatvec_checks_rows_against_x(compiled):
 # Imports sisqo.kernels in a fresh interpreter from a copy of the package,
 # so its build cache starts empty.  "missing" points the recorded compiler
 # at a path that does not exist; "cached" refuses to start processes or
-# import setuptools.
+# import setuptools; "where" also prints the file the compiled core was
+# loaded from.
 _CHILD = """
 import logging, subprocess, sys, sysconfig
 logging.basicConfig(format="WARNING %(name)s: %(message)s")
@@ -381,6 +394,8 @@ elif sys.argv[1] == "cached":
     sys.modules["setuptools"] = None
 from sisqo import kernels
 print(kernels.active_backend(), *kernels.available_backends())
+if sys.argv[1] == "where":
+    print(kernels._csrkern.__file__)
 """
 
 needs_source = pytest.mark.skipif(not os.path.exists(kernels._SOURCE),
@@ -465,6 +480,47 @@ def test_build_is_cached_and_reused(tmp_path):
 
 
 @needs_source
+def test_in_tree_extension_is_not_loaded(tmp_path, compiled):
+    # an importable _csrkern<EXT_SUFFIX> beside the source (what an
+    # in-place extension build leaves) would hide later edits of
+    # _csrkern.c; the loader takes only the build keyed by the source
+    kernel_dir = _package_copy(tmp_path)
+    decoy = kernel_dir / ("_csrkern"
+                          + importlib.machinery.EXTENSION_SUFFIXES[0])
+    shutil.copyfile(kernels._csrkern.__file__, decoy)
+    out, warnings = _import_in_child(tmp_path, "where")
+    assert out[:3] == ["compiled", "compiled", "python"] and not warnings
+    loaded = os.path.realpath(out[3])
+    assert loaded != os.path.realpath(decoy)
+    assert os.path.dirname(loaded) == os.path.realpath(
+        kernel_dir / "__pycache__")
+
+
+@needs_source
+def test_built_package_imports_with_compiled_backend(tmp_path):
+    # the package as setuptools lays it out for an install carries
+    # _csrkern.c and compiles it on first import, as a checkout does
+    root = Path(__file__).resolve().parents[1]
+    if not (root / "pyproject.toml").exists():
+        pytest.skip("not run from a source checkout")
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copyfile(root / name, checkout / name)
+    shutil.copytree(root / "src", checkout / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so",
+                                                  "*.egg-info"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from setuptools import setup; setup()",
+         "-q", "build_py", "--build-lib", str(tmp_path / "lib")],
+        cwd=checkout, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "lib" / "sisqo" / "kernels" / "_csrkern.c").exists()
+    assert _import_in_child(tmp_path / "lib", "plain") == (
+        ["compiled", "compiled", "python"], [])
+
+
+@needs_source
 def test_kernel_source_compiles_without_warnings():
     # the interpreter's compiler, as the package build uses it, with
     # every common warning an error
@@ -492,7 +548,6 @@ def test_cache_name_follows_the_numpy_version(monkeypatch):
 def test_bench_kernels_script_runs(capsys):
     # the benchmark script lives outside the package; load it by path
     import importlib.util
-    from pathlib import Path
 
     script = Path(__file__).resolve().parents[1] / "benchmarks" \
         / "bench_kernels.py"
@@ -507,9 +562,20 @@ def test_bench_kernels_script_runs(capsys):
     finally:
         kernels.use_backend(previous)
     out = capsys.readouterr().out
-    # one table per mesh, one row per backend: the isolated step next
-    # to its two KKT applies, counted as six isolated CSR products
-    assert out.count("step/6 csr") == 2
+    # one table per mesh, one row per backend: best/median of the three
+    # CSR products, of the two KKT applies they add up to and of the
+    # isolated step, then the step over the applies from the medians
+    assert out.count("best/median, microseconds; step/6 csr from the"
+                     " medians") == 2
     assert "n=18 m=9" in out and "n=32 m=16" in out
     for name in kernels.available_backends():
-        assert out.count(f"\n{name} ") == 2
+        rows = [ln.split() for ln in out.splitlines()
+                if ln.startswith(f"{name} ")]
+        assert len(rows) == 2
+        for row in rows:
+            assert len(row) == 7 and row[-1].endswith("x")
+            cells = [tuple(map(float, cell.split("/"))) for cell in row[1:6]]
+            assert all(0.0 < best <= median for best, median in cells)
+            step, applies = cells[4][1], cells[3][1]
+            assert float(row[-1][:-1]) == pytest.approx(
+                step / applies, rel=0.02, abs=0.01)
