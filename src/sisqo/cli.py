@@ -157,6 +157,7 @@ def _cmd_validate(args, config):
     problem = build_problem(config)
     cfg = build_solver_config(config)
     kind, eps_n = oracle_settings(config)
+    harness_settings(config)
     print(f"problem {problem.name}: n={problem.n} m={problem.m}"
           f" oracle={kind} eps_n={eps_n:g}")
     print(f"solver config ok (kappa={cfg.kappa:g},"

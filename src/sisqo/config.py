@@ -3,7 +3,8 @@ construction of problems / solver settings from a parsed config.
 
 A config is a plain dict of sections {problem, oracle, algorithm,
 solver, harness}, each a dict of coerced values.  Overrides use
-``section.key=value`` syntax.
+``section.key=value`` syntax.  An unknown key, a value of the wrong
+type and a value out of range are ConfigErrors, in every section.
 """
 
 import configparser
@@ -22,6 +23,12 @@ __all__ = ["load_config", "apply_overrides", "build_problem",
 SECTIONS = ("problem", "oracle", "algorithm", "solver", "harness")
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False}
+
+# the [harness] keys that SolverConfig takes, and all of them
+_SOLVER_HARNESS_KEYS = ("feasibility_tol", "stationarity_tol",
+                        "max_outer_iterations", "seed")
+_HARNESS_KEYS = ("seeds", "eps_n_list", "kappa_exact", "output",
+                 *_SOLVER_HARNESS_KEYS)
 
 
 def _coerce(text):
@@ -109,28 +116,37 @@ def _spec(spec_cls, section, renamed, **fixed):
     spec's own defaults fill in missing keys."""
     fields_by_key = {renamed.get(f.name, f.name): f.name
                      for f in fields(spec_cls) if f.name not in fixed}
-    extra = set(section) - set(fields_by_key)
-    if extra:
-        raise ConfigError(f"unknown [problem] keys: {sorted(extra)}")
+    _check_keys("problem", section, fields_by_key)
     return _build(spec_cls,
                   {fields_by_key[k]: v for k, v in section.items()}, **fixed)
 
 
+def _check_keys(name, section, known):
+    unknown = set(section) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown [{name}] keys: {sorted(unknown)}")
+
+
+def _check_type(key, value, want):
+    """``value`` when it has type ``want`` (an int stands for a float,
+    and only a bool for a bool), else a ConfigError."""
+    if isinstance(value, bool):
+        ok = want is bool
+    else:
+        ok = isinstance(value, want) or (want is float
+                                         and isinstance(value, int))
+    if not ok:
+        raise ConfigError(f"{key} must be {want.__name__}, got {value!r}")
+    return value
+
+
 def _build(cls, kwargs, **fixed):
     """``cls(**kwargs, **fixed)`` once each value in ``kwargs`` has the
-    type of its dataclass field (an int stands for a float); a wrong type
-    and a ValueError of ``cls`` itself are ConfigErrors."""
+    type of its dataclass field; a wrong type and a ValueError of ``cls``
+    itself are ConfigErrors."""
     types = {f.name: f.type for f in fields(cls)}
     for key, value in kwargs.items():
-        want = types[key]
-        if isinstance(value, bool):
-            ok = want is bool
-        else:
-            ok = isinstance(value, want) or (want is float
-                                             and isinstance(value, int))
-        if not ok:
-            raise ConfigError(f"{key} must be {want.__name__},"
-                              f" got {value!r}")
+        _check_type(key, value, types[key])
     try:
         return cls(**kwargs, **fixed)
     except ConfigError:
@@ -146,8 +162,7 @@ def build_solver_config(config, **extra):
     kwargs.update(config.get("algorithm", {}))
     kwargs.update(config.get("solver", {}))
     harness = config.get("harness", {})
-    for key in ("feasibility_tol", "stationarity_tol",
-                "max_outer_iterations", "seed"):
+    for key in _SOLVER_HARNESS_KEYS:
         if key in harness:
             kwargs[key] = harness[key]
     kwargs.update(extra)
@@ -169,12 +184,22 @@ def _check_seeds(seeds):
     return seeds
 
 
+def _noise_level(key, value):
+    """``value`` as a float when it is a non-negative number."""
+    if not _check_type(key, value, float) >= 0.0:
+        raise ConfigError(f"bad noise parameters: {key} must be"
+                          f" non-negative, got {value!r}")
+    return float(value)
+
+
 def oracle_settings(config):
+    """(kind, eps_n) of the [oracle] section."""
     section = config.get("oracle", {})
+    _check_keys("oracle", section, ("kind", "eps_n"))
     kind = section.get("kind", "gaussian")
     if kind not in ("gaussian", "finite_sum", "exact"):
         raise ConfigError(f"unknown oracle kind {kind!r}")
-    return kind, float(section.get("eps_n", 0.0))
+    return kind, _noise_level("eps_n", section.get("eps_n", 0.0))
 
 
 def _as_list(value):
@@ -184,14 +209,19 @@ def _as_list(value):
 
 
 def harness_settings(config):
-    """Sweep and output settings with defaults filled in."""
-    section = dict(config.get("harness", {}))
+    """Sweep and output settings with defaults filled in.  The keys that
+    SolverConfig takes are typed when it is built; ``seed`` is checked
+    here too, as a run's seed list replaces it."""
+    section = config.get("harness", {})
+    _check_keys("harness", section, _HARNESS_KEYS)
+    seed = _check_seeds([section.get("seed", 0)])
+    levels = section.get("eps_n_list", oracle_settings(config)[1])
     return {
-        "seeds": _check_seeds(
-            _as_list(section.get("seeds", section.get("seed", 0)))),
-        "eps_n_list": [float(v) for v in _as_list(
-            section.get("eps_n_list",
-                        config.get("oracle", {}).get("eps_n", 0.0)))],
-        "kappa_exact": float(section.get("kappa_exact", 1e-7)),
-        "output": section.get("output", "results.csv"),
+        "seeds": _check_seeds(_as_list(section.get("seeds", seed[0]))),
+        "eps_n_list": [_noise_level("eps_n_list", v)
+                       for v in _as_list(levels)],
+        "kappa_exact": float(_check_type(
+            "kappa_exact", section.get("kappa_exact", 1e-7), float)),
+        "output": _check_type("output", section.get("output", "results.csv"),
+                              str),
     }

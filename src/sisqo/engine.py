@@ -16,15 +16,22 @@ formula exercises the arithmetic of the solver itself.
 Every condition that ends a run is an ``EngineError`` with a
 class-level ``status`` and a ``diagnostics`` dict: a stationary iterate,
 a step no Hessian rung accepts, a broken invariant, and a NaN or inf in
-f, c, J, the Lagrangian Hessian, a sampled gradient or the Lipschitz
-estimates, each checked once where it is evaluated.  The step-size
-expansion has a trial bound computed before its loop.
+f, c, J, the Lagrangian Hessian, a sampled gradient, the values of the
+Lipschitz probe or the Lipschitz estimates, each checked once where it
+is evaluated.  The step-size expansion has a trial bound computed before
+its loop.
+
+Each update rule enforces its guarantees where it computes them, or
+raises.  Every step checks the three that no rule enforces, recording a
+failure in ``StepResult.violations``: model reduction at the updated
+tau, varphi(alpha) <= 0, and the merit decrease bound, which holds only
+for true Lipschitz constants and an exact gradient.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,8 +52,8 @@ __all__ = ["SolverConfig", "IterateState", "StepResult", "NormalStepResult",
 
 logger = logging.getLogger(__name__)
 
-# relative slack for invariant re-verification; guards against flagging
-# pure round-off at equality boundaries
+# relative slack for the checks of each step's guarantees; guards
+# against flagging pure round-off at equality boundaries
 REL_SLACK = 1e-9
 
 # implementation tolerances, one value for every problem and profile:
@@ -148,6 +155,19 @@ def _checked(value, quantity, k, shape=None, symmetric=False):
     return value
 
 
+def _probe_view(problem, k):
+    """What the Lipschitz probe at iterate ``k`` reads of ``problem``: n,
+    and the gradient and Jacobian, whose values pass :func:`_checked`
+    before the probe's differences could broadcast a wrong shape away."""
+    n, m = problem.n, problem.m
+    return SimpleNamespace(
+        n=n,
+        eval_grad_f=lambda x: _checked(problem.eval_grad_f(x),
+                                       "probe gradient", k, (n,)),
+        eval_jacobian=lambda x: _checked(problem.eval_jacobian(x),
+                                         "probe Jacobian", k, (m, n)))
+
+
 @dataclass
 class SolverConfig:
     """All tunable constants of the method; the implementation
@@ -189,8 +209,6 @@ class SolverConfig:
     stationarity_tol: float = 1e-2
     max_outer_iterations: int = 500
     seed: int = 0
-    dual_update: str = "direct"
-    debug_checks: bool = False
 
     def __post_init__(self):
         unit_open = {"eta": self.eta, "sigma_c": self.sigma_c,
@@ -232,8 +250,6 @@ class SolverConfig:
                     raise ConfigError(
                         "step-size normalization 2(1-eta) beta0 xi0 tau0 /"
                         f" gamma = {scale:.3g} falls outside (0, 1]")
-        if self.dual_update not in ("direct", "least_squares"):
-            raise ConfigError(f"unknown dual_update {self.dual_update!r}")
         if self.max_outer_iterations < 0:
             raise ConfigError("max_outer_iterations must be >= 0")
 
@@ -284,16 +300,11 @@ class StepResult:
     v: np.ndarray
     u: np.ndarray
     delta: np.ndarray
-    d: np.ndarray
-    rho: np.ndarray
-    r: np.ndarray
     accepted_test: int
     minres_iters: int
     cg_iters: int
     hessian_rung: int
-    tau_trial: float
     tau: float
-    xi_trial: float
     xi: float
     beta: float
     lip_l: float
@@ -302,7 +313,6 @@ class StepResult:
     alpha_min: float
     alpha_suff: float
     alpha: float
-    merit_gap: Optional[float] = None
     violations: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
 
@@ -389,8 +399,8 @@ class _IterationContext:
 
 
 class _TestEvaluation:
-    """Both termination tests for one MINRES candidate (u, delta) and
-    its residual pair (rho, r), which it keeps.
+    """Both termination tests for one MINRES candidate (u, delta) with
+    residual pair (rho, r), of which it keeps u, delta and r.
 
     Conditions a (dual residual contraction), b (residuals within the
     beta-scaled caps) and c (small or positively curved tangential step)
@@ -405,11 +415,11 @@ class _TestEvaluation:
     of the accepted step read.
     """
 
-    __slots__ = ("u", "delta", "rho", "r", "ctx", "failed", "tt1", "tt2",
+    __slots__ = ("u", "delta", "r", "ctx", "failed", "tt1", "tt2",
                  "g_dot_d", "max_term", "norm_c_plus_jd")
 
     def __init__(self, u, delta, rho, r, ctx, cfg):
-        self.u, self.delta, self.rho, self.r = u, delta, rho, r
+        self.u, self.delta, self.r = u, delta, r
         self.ctx = ctx
         self.tt1 = self.tt2 = False
         rho_norm = float(np.linalg.norm(rho))
@@ -460,7 +470,7 @@ class _TestEvaluation:
         """Sufficient model reduction of d = v + u at merit parameter tau:
         the reduction covers sigma_u tau max(u'Hu, eps_u ||u||^2) plus
         sigma_c times the normal decrease.  ``relaxed`` forgives round-off
-        at the boundary, for rechecks at an updated tau."""
+        at the boundary, for the check at an updated tau."""
         lhs = model_reduction(tau, self.g_dot_d, self.ctx.c_norm,
                               self.norm_c_plus_jd)
         rhs = cfg.sigma_u * tau * self.max_term \
@@ -476,18 +486,15 @@ def tau_trial_and_update(tau_prev, g_dot_d, max_term, c_norm, norm_c_plus_jd,
                          cfg):
     """Merit parameter update after a test-2 acceptance, from g'd,
     max(u'Hu, eps_u ||u||^2), ||c|| and ||c + Jd||; returns
-    (tau_trial, tau)."""
+    (tau_trial, tau).  tau never increases or exceeds tau_trial, and a
+    fall is at least by the factor 1 - eps_tau; a tau that is not
+    positive, or a NaN trial value, is an InvariantBreach."""
     denom = g_dot_d + max_term
-    if denom <= 0.0:
-        tau_trial = math.inf
-    else:
-        tau_trial = (1.0 - cfg.sigma_c / cfg.eps_r) \
-            * (c_norm - norm_c_plus_jd) / denom
-    if tau_prev <= tau_trial:
-        tau_new = tau_prev
-    else:
-        tau_new = min((1.0 - cfg.eps_tau) * tau_prev, tau_trial)
-    if not tau_new > 0.0:
+    tau_trial = math.inf if denom <= 0.0 else \
+        (1.0 - cfg.sigma_c / cfg.eps_r) * (c_norm - norm_c_plus_jd) / denom
+    tau_new = tau_prev if tau_prev <= tau_trial \
+        else min((1.0 - cfg.eps_tau) * tau_prev, tau_trial)
+    if not 0.0 < tau_new <= tau_trial:
         raise InvariantBreach(
             f"merit parameter collapsed to {tau_new:.3e}"
             f" (trial {tau_trial:.3e})")
@@ -496,17 +503,18 @@ def tau_trial_and_update(tau_prev, g_dot_d, max_term, c_norm, norm_c_plus_jd,
 
 def xi_update(xi_prev, tau, delta_l, d_sq, cfg):
     """Ratio parameter update from d_sq = ||d||^2; the trial value is
-    the realized reduction-to-step ratio delta_l / (tau ||d||^2)."""
+    the realized reduction-to-step ratio delta_l / (tau ||d||^2).  xi
+    never increases or exceeds xi_trial; a model reduction or step that
+    is not positive, or a NaN ratio, is an InvariantBreach."""
     scale = tau * d_sq
-    if not (delta_l > 0.0 and scale > 0.0):
+    xi_trial = delta_l / scale if delta_l > 0.0 and scale > 0.0 \
+        else math.nan
+    xi_new = xi_prev if xi_prev <= xi_trial \
+        else min((1.0 - cfg.eps_xi) * xi_prev, xi_trial)
+    if not xi_new <= xi_trial:
         raise InvariantBreach(
-            f"nonpositive model reduction or step (delta_l = {delta_l:.3e},"
-            f" tau ||d||^2 = {scale:.3e}) reached the ratio update")
-    xi_trial = delta_l / scale
-    if xi_prev <= xi_trial:
-        xi_new = xi_prev
-    else:
-        xi_new = min((1.0 - cfg.eps_xi) * xi_prev, xi_trial)
+            f"no ratio update from model reduction delta_l = {delta_l:.3e}"
+            f" and step tau ||d||^2 = {scale:.3e}")
     return xi_trial, xi_new
 
 
@@ -597,26 +605,15 @@ def beta_for_iteration(cfg, k):
 
 # -- dual update and the outer iteration -------------------------------------
 
-def _residual_norm(g, j, y):
-    """Stationarity residual ||g + J'y||."""
-    return float(np.linalg.norm(g + j.apply_transpose(y)))
-
-
-def _least_squares_fit(g, j):
-    """Least-squares multipliers for g and their residual."""
+def _least_squares_residual(g, j):
+    """||g + J'y|| at the least-squares multipliers y for g."""
     y_ls = least_squares_multipliers(j, g)
-    return y_ls, _residual_norm(g, j, y_ls)
+    return float(np.linalg.norm(g + j.apply_transpose(y_ls)))
 
 
-def update_duals(y, delta, g, j, cfg):
-    """Shifted duals y + delta, or in least-squares mode the minimum
-    residual multipliers when they beat the shifted ones."""
-    y_plus = y + delta
-    if cfg.dual_update == "least_squares":
-        y_ls, res_ls = _least_squares_fit(g, j)
-        if res_ls <= _residual_norm(g, j, y_plus):
-            return y_ls
-    return y_plus
+def update_duals(y, delta):
+    """The shifted duals y + delta."""
+    return y + delta
 
 
 def init_state(problem, cfg, x0=None, y0=None):
@@ -646,7 +643,7 @@ def _check_stationary(state, problem, oracle, g):
         return g
     resampled = False
     while True:
-        _, residual = _least_squares_fit(g, state.j)
+        residual = _least_squares_residual(g, state.j)
         if residual >= STATIONARY_TOL:
             return g
         if oracle.is_stochastic and not resampled:
@@ -690,46 +687,33 @@ def _tangential_solve(ctx, cfg):
                          "resid_norm": mstate.resid_norm}
 
 
-def _debug_verify(step, ctx, varphi, cfg):
-    """Recheck every guaranteed inequality of the accepted step; returns
-    a list of violation descriptions (empty when clean)."""
+def _verify(ev, step, varphi, d_sq, merit_drop, guaranteed, cfg):
+    """The violations (empty when clean) of the three guarantees of the
+    accepted step that no update rule enforces: sufficient model
+    reduction at the updated tau, varphi(alpha) <= 0, and the merit
+    decrease bound, which is logged instead unless ``guaranteed``."""
     out = []
-    ev = _TestEvaluation(step.u, step.delta, step.rho, step.r, ctx, cfg)
-    if not (ev.tt1 if step.accepted_test == 1 else ev.tt2):
-        out.append(f"accepted test {step.accepted_test} fails on recompute")
     if not ev.reduces_model(step.tau, cfg, relaxed=True):
         out.append("model reduction condition fails at updated tau")
-
-    d_norm = float(np.linalg.norm(step.d))
-    if d_norm <= 0.0:
-        out.append("zero search direction")
-    if step.delta_l <= 0.0:
-        out.append(f"nonpositive model reduction {step.delta_l:.6e}")
-
-    if step.alpha_min > step.alpha_suff + _slack(step.alpha_suff):
-        out.append(f"alpha_min {step.alpha_min:.6e} exceeds"
-                   f" alpha_suff {step.alpha_suff:.6e}")
-    cap = step.alpha_min + cfg.theta * step.beta ** 2
-    if step.alpha > cap + _slack(cap):
-        out.append(f"alpha {step.alpha:.6e} exceeds cap {cap:.6e}")
-    if step.alpha >= _EXPAND + _slack(1.0):
-        out.append(f"alpha {step.alpha:.6e} at or above the expansion limit")
-    phi_scale = (1.0 - cfg.eta) * step.alpha * step.beta * step.delta_l \
-        + 0.5 * (step.tau * step.lip_l + step.lip_gamma) \
-        * step.alpha ** 2 * d_norm ** 2 + step.alpha * ctx.c_norm
-    phi_val = varphi(step.alpha)
-    if phi_val > _slack(phi_scale):
-        out.append(f"varphi({step.alpha:.6e}) = {phi_val:.6e} > 0")
-
-    if step.tau > ctx.tau_prev:
-        out.append(f"tau increased {ctx.tau_prev:.6e} -> {step.tau:.6e}")
-    elif step.tau < ctx.tau_prev and \
-            step.tau > (1.0 - cfg.eps_tau) * ctx.tau_prev + _slack(step.tau):
-        out.append("tau decrease smaller than the geometric fraction")
-    if step.tau > step.tau_trial + _slack(step.tau):
-        out.append(f"tau {step.tau:.6e} exceeds trial {step.tau_trial:.6e}")
-    if step.xi_trial < step.xi - _slack(step.xi):
-        out.append(f"xi {step.xi:.6e} exceeds trial {step.xi_trial:.6e}")
+    alpha = step.alpha
+    phi_scale = (1.0 - cfg.eta) * alpha * step.beta * step.delta_l \
+        + 0.5 * (step.tau * step.lip_l + step.lip_gamma) * alpha ** 2 * d_sq \
+        + alpha * ev.ctx.c_norm
+    phi_val = varphi(alpha)
+    if not phi_val <= _slack(phi_scale):
+        out.append(f"varphi({alpha:.6e}) = {phi_val:.6e} > 0")
+    bound = -alpha * step.delta_l * (1.0 - (1.0 - cfg.eta) * step.beta)
+    gap = merit_drop - bound
+    if not gap <= _slack(abs(merit_drop), abs(bound), step.delta_l):
+        if guaranteed:
+            out.append(f"merit change {merit_drop:.6e} above bound"
+                       f" {bound:.6e}")
+        else:
+            logger.debug("merit bound exceeded by %.3e at iteration %d",
+                         gap, step.k)
+    for message in out:
+        logger.warning("invariant violation at iteration %d: %s", step.k,
+                       message)
     return out
 
 
@@ -764,8 +748,9 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
         lip_l, lip_gamma = cfg.lip_l, cfg.lip_gamma
     else:
         radius = PROBE_RADIUS_SCALE * max(1.0, float(np.linalg.norm(state.x)))
-        lip_l, lip_gamma = estimate_lipschitz(problem, state.x, state.j,
-                                              radius, probe_rng)
+        lip_l, lip_gamma = estimate_lipschitz(_probe_view(problem, state.k),
+                                              state.x, state.j, radius,
+                                              probe_rng)
     _checked((lip_l, lip_gamma), "Lipschitz constants", state.k)
 
     ns = compute_normal_step(state.c, state.j, cfg)
@@ -794,9 +779,9 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
                          "rhs_norm": float(np.linalg.norm(ctx.rhs_top))})
 
     if ev.accepted == 1:
-        tau_trial, tau_new = math.inf, state.tau
+        tau_new = state.tau
     else:
-        tau_trial, tau_new = tau_trial_and_update(
+        _, tau_new = tau_trial_and_update(
             state.tau, ev.g_dot_d, ev.max_term, ctx.c_norm,
             ev.norm_c_plus_jd, cfg)
 
@@ -807,10 +792,10 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
         # (any cancellation fails both tests), which certifies the
         # iterate as stationary for the sampled gradient to working
         # precision even when the explicit gate has not fired yet
-        raise _stationary(_least_squares_fit(g, state.j)[1], False)
+        raise _stationary(_least_squares_residual(g, state.j), False)
     delta_l = model_reduction(tau_new, ev.g_dot_d, ctx.c_norm,
                               ev.norm_c_plus_jd)
-    xi_trial, xi_new = xi_update(state.xi, tau_new, delta_l, d_sq, cfg)
+    _, xi_new = xi_update(state.xi, tau_new, delta_l, d_sq, cfg)
     alpha_min, alpha_suff = step_size_bounds(tau_new, xi_new, beta, delta_l,
                                              d_sq, lip_l, lip_gamma, cfg)
 
@@ -824,43 +809,25 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
     alpha = select_step_size(alpha_min, alpha_suff, beta, cfg.theta, varphi)
 
     x_next = state.x + alpha * d
-    y_next = update_duals(state.y, ev.delta, g, state.j, cfg)
+    y_next = update_duals(state.y, ev.delta)
 
     step = StepResult(
-        k=state.k, v=ns.v, u=ev.u, delta=ev.delta, d=d, rho=ev.rho, r=ev.r,
-        accepted_test=ev.accepted, minres_iters=total_minres,
-        cg_iters=ns.iterations, hessian_rung=rung,
-        tau_trial=tau_trial, tau=tau_new, xi_trial=xi_trial, xi=xi_new,
-        beta=beta, lip_l=lip_l, lip_gamma=lip_gamma, delta_l=delta_l,
-        alpha_min=alpha_min, alpha_suff=alpha_suff, alpha=alpha,
-        info={"rungs": rungs, "c_norm": ctx.c_norm,
-              "decrease_v": ctx.decrease_v})
+        k=state.k, v=ns.v, u=ev.u, delta=ev.delta, accepted_test=ev.accepted,
+        minres_iters=total_minres, cg_iters=ns.iterations, hessian_rung=rung,
+        tau=tau_new, xi=xi_new, beta=beta, lip_l=lip_l, lip_gamma=lip_gamma,
+        delta_l=delta_l, alpha_min=alpha_min, alpha_suff=alpha_suff,
+        alpha=alpha, info={"rungs": rungs, "c_norm": ctx.c_norm,
+                           "decrease_v": ctx.decrease_v})
 
-    # merit decrease against the model bound: guaranteed when the
-    # Lipschitz constants are true upper bounds and g is exact, so a
-    # breach is only flagged in that mode and logged otherwise
     f_next = _checked(problem.eval_f(x_next), "f(x)", state.k + 1, ())
     c_next = _checked(problem.eval_c(x_next), "c(x)", state.k + 1,
                       (problem.m,))
+    # the merit bound holds for true Lipschitz upper bounds and exact g
     merit_drop = merit_value(tau_new, f_next, c_next) \
         - merit_value(tau_new, state.f, state.c)
-    bound = -alpha * delta_l * (1.0 - (1.0 - cfg.eta) * beta)
-    step.merit_gap = merit_drop - bound
-    guaranteed = cfg.lipschitz_mode == "fixed" and not oracle.is_stochastic
-    if step.merit_gap > _slack(abs(merit_drop), abs(bound), delta_l):
-        if guaranteed:
-            step.violations.append(
-                f"merit change {merit_drop:.6e} above bound {bound:.6e}")
-        else:
-            logger.debug("merit bound exceeded by %.3e at iteration %d"
-                         " (estimated Lipschitz constants)",
-                         step.merit_gap, state.k)
-
-    if cfg.debug_checks:
-        step.violations.extend(_debug_verify(step, ctx, varphi, cfg))
-        for message in step.violations:
-            logger.warning("invariant violation at iteration %d: %s",
-                           state.k, message)
+    step.violations = _verify(
+        ev, step, varphi, d_sq, merit_drop,
+        cfg.lipschitz_mode == "fixed" and not oracle.is_stochastic, cfg)
 
     state_next = IterateState(
         k=state.k + 1, x=x_next, y=y_next, tau=tau_new, xi=xi_new,

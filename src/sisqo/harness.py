@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import (EngineError, InvalidValue, InvariantBreach,
-                     IterationFailure, NonFiniteValue, init_state,
+                     IterationFailure, NonFiniteValue, _checked, init_state,
                      sqp_iterate)
 from .krylov import least_squares_multipliers
 from .problems import GradientOracle, substream
@@ -123,12 +123,13 @@ def _config_digest(cfg, oracle_kind, eps_n):
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def true_kkt_errors(problem, x, c, j):
+def true_kkt_errors(problem, x, c, j, k=None):
     """Infinity-norm feasibility and true-gradient stationarity with
-    least-squares multipliers, from c = c(x) and j = J(x); returns
-    (feas, stat, y_ls)."""
+    least-squares multipliers, from c = c(x), j = J(x) and the gradient
+    at iterate ``k``, checked; returns (feas, stat, y_ls)."""
     feas = float(np.max(np.abs(c), initial=0.0))
-    grad = problem.eval_grad_f(x)
+    grad = _checked(problem.eval_grad_f(x), "true gradient", k,
+                    (problem.n,))
     y_ls = least_squares_multipliers(j, grad)
     stat = float(np.max(np.abs(grad + j.apply_transpose(y_ls)), initial=0.0))
     return feas, stat, y_ls
@@ -172,7 +173,7 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
         state = init_state(problem, cfg)
         while True:
             feas, stat, y_ls = true_kkt_errors(problem, state.x, state.c,
-                                               state.j)
+                                               state.j, state.k)
             if budget is None:
                 if feas <= cfg.feasibility_tol \
                         and stat <= cfg.stationarity_tol:

@@ -87,13 +87,14 @@ class Problem:
 # -- gradient oracles ----------------------------------------------------
 
 def gaussian_oracle_sample(problem, x, eps_n, rng):
-    """True gradient plus N(0, (eps_n^2/n) I) noise; M_g = eps_n^2."""
+    """True gradient plus N(0, (eps_n^2/n) I) noise, drawn in the
+    gradient's shape so a wrong one is not broadcast away; M_g = eps_n^2."""
     if eps_n < 0:
         raise ValueError("eps_n must be non-negative")
     g = problem.eval_grad_f(x)
     if eps_n == 0.0:
         return g
-    return g + (eps_n / np.sqrt(problem.n)) * rng.standard_normal(problem.n)
+    return g + (eps_n / np.sqrt(problem.n)) * rng.standard_normal(np.shape(g))
 
 
 def _term_grid(problem):

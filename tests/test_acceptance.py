@@ -95,7 +95,6 @@ def test_02_invariant_battery(capsys):
                 problem = build_synthetic_qp(
                     SyntheticQpSpec(n=n, m=m, seed=seed))
                 cfg = build_solver_config(qp_base, seed=seed,
-                                          debug_checks=True,
                                           max_outer_iterations=40)
                 rec = run_single(problem, cfg, seed, oracle_kind="gaussian",
                                  eps_n=eps_n)
@@ -108,7 +107,6 @@ def test_02_invariant_battery(capsys):
             for seed in (0, 1, 2):
                 problem = build(_control_spec(8, eps_n))
                 cfg = build_solver_config(ctrl_base, seed=seed,
-                                          debug_checks=True,
                                           max_outer_iterations=40)
                 rec = run_single(problem, cfg, seed,
                                  oracle_kind="finite_sum", eps_n=eps_n)
@@ -420,12 +418,9 @@ def test_07_formula_examples(capsys):
     # dual update behavior
     y, delta = np.array([1.0, -2.0]), np.array([0.5, 0.5])
     check("dual update default additive",
-          np.array_equal(update_duals(y, delta, g6[:2],
-                                      make_sparse(np.eye(2)), cfg),
-                         y + delta))
+          np.array_equal(update_duals(y, delta), y + delta))
     check("dual update zero delta",
-          np.array_equal(update_duals(y, np.zeros(2), g6[:2],
-                                      make_sparse(np.eye(2)), cfg), y))
+          np.array_equal(update_duals(y, np.zeros(2)), y))
 
     # residual pair conventions
     rho, r = residual_pair(h6, j62, g6, v6, np.zeros(m2), np.zeros(n6),

@@ -128,14 +128,35 @@ def test_nan_settings_are_rejected(tmp_path, capsys, override):
     ("control_finite_sum", ["problem.mesh_size=4", "oracle.eps_n=-1"],
      "noise parameters"),
     ("qp_gaussian", ["solver.kappa=abc"] + _TINY, "kappa must be float"),
-    ("qp_gaussian", ["solver.debug_checks=1"] + _TINY,
-     "debug_checks must be bool"),
+    ("qp_gaussian", ["solver.kappa=true"] + _TINY, "kappa must be float"),
     ("qp_gaussian", _TINY + ["harness.seeds=1.5"], "seeds must be integers"),
 ])
 def test_mistyped_and_invalid_settings_exit_2(tmp_path, capsys, profile,
                                               overrides, message):
     out = str(tmp_path / "run.csv")
     assert main(["run", "-c", profile, "-o", out] + overrides) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, override, message", [
+    ("validate", "harness.seedz=5", "unknown [harness] keys: ['seedz']"),
+    ("validate", "oracle.epsn=3", "unknown [oracle] keys: ['epsn']"),
+    ("run", "oracle.eps_n=abc", "eps_n must be float"),
+    ("run", "harness.kappa_exact=abc", "kappa_exact must be float"),
+    ("run", "harness.eps_n_list=1e-2 abc", "eps_n_list must be float"),
+    ("run", "harness.output=1", "output must be str"),
+    ("run", "oracle.eps_n=-1", "eps_n must be non-negative"),
+])
+def test_oracle_and_harness_keys_are_known_and_typed(tmp_path, capsys, verb,
+                                                     override, message):
+    # the qp_gaussian defaults: a Gaussian oracle, so a negative eps_n
+    # meets no problem spec that would reject it
+    out = str(tmp_path / "run.csv")
+    args = [verb, "-c", "qp_gaussian", "problem.n=6", "problem.m=2",
+            "harness.seeds=0", "harness.max_outer_iterations=5", override]
+    if verb == "run":
+        args[1:1] = ["-o", out]
+    assert main(args) == 2
     assert message in capsys.readouterr().err
 
 

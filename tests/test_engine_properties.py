@@ -34,24 +34,33 @@ thetas = st.one_of(st.floats(0.0, exclude_min=True),
 
 @settings(max_examples=400)
 @given(values, values, values, values, values)
+# a NaN trial value, which min() would pass over
+@example(1.0, math.nan, 0.0, 1.0, 0.0)
 def test_tau_never_increases(tau_prev, g_dot_d, max_term, c_norm,
                              norm_c_plus_jd):
     try:
-        _, tau = tau_trial_and_update(tau_prev, g_dot_d, max_term, c_norm,
-                                      norm_c_plus_jd, CFG)
+        tau_trial, tau = tau_trial_and_update(tau_prev, g_dot_d, max_term,
+                                              c_norm, norm_c_plus_jd, CFG)
     except EngineError:
         return
     assert 0.0 < tau <= tau_prev
+    assert tau <= tau_trial
+    if tau < tau_prev:
+        assert tau <= (1.0 - CFG.eps_tau) * tau_prev
 
 
 @settings(max_examples=400)
 @given(st.floats(0.0), values, values, values)
+# the trial value inf / inf
+@example(1.0, 1.0, math.inf, math.inf)
 def test_xi_never_increases(xi_prev, tau, delta_l, d_sq):
     try:
-        _, xi = xi_update(xi_prev, tau, delta_l, d_sq, CFG)
+        xi_trial, xi = xi_update(xi_prev, tau, delta_l, d_sq, CFG)
     except EngineError:
         return
+    assert delta_l > 0.0 and tau * d_sq > 0.0
     assert xi <= xi_prev
+    assert xi <= xi_trial
 
 
 @settings(max_examples=400)
@@ -110,6 +119,8 @@ def test_select_step_size_stays_under_cap(alpha_min, alpha_suff, beta, theta,
         assert calls == []
         return
     assert 0.0 < alpha <= alpha_min + theta * beta ** 2
+    if alpha_suff <= 1.0:
+        assert alpha < 1.1
     assert len(calls) <= sisqo.engine._MAX_EXPANSIONS
     if alpha_suff >= 1e-300:
         assert alpha == _expansion_reference(alpha_min, alpha_suff, beta,

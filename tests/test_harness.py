@@ -200,6 +200,14 @@ def _nan(value):
     return np.full_like(value, np.nan)
 
 
+def _first(value):
+    return value[:1]
+
+
+def _drop_row(j):
+    return SparseMatrix.from_dense(j.to_dense()[:-1])
+
+
 def _lose_to_cauchy_point(monkeypatch):
     # a normal-step CG that returns v = 0 loses to the Cauchy point
     monkeypatch.setattr(sisqo.engine, "cg_normal_solve",
@@ -217,7 +225,10 @@ _INJECTIONS = {
                 lambda h: SparseMatrix.diagonal(np.full(h.rows, np.nan)),
                 "nonfinite", "Lagrangian Hessian", 0),
     "probe gradient": ("eval_grad_f", 3, _nan, "nonfinite",
-                       "Lipschitz constants", 0),
+                       "probe gradient", 0),
+    # finite probe values whose difference overflows the norm
+    "probe overflow": ("eval_grad_f", 3, lambda g: np.full_like(g, 1e308),
+                       "nonfinite", "Lipschitz constants", 0),
     "normal step": (None, None, None, "breach", None, None),
     "c(x2)": ("eval_c", 3, _nan, "nonfinite", "c(x)", 2),
     "f(x2)": ("eval_f", 3, lambda f: math.inf, "nonfinite", "f(x)", 2),
@@ -227,9 +238,19 @@ _INJECTIONS = {
         lambda h: SparseMatrix.from_dense(np.triu(h.to_dense() + 1.0)),
         "invalid", "Lagrangian Hessian", 0),
     # J is evaluated at x0, by the Lipschitz probe, then at x1
-    "J(x1) shape": ("eval_jacobian", 3,
-                    lambda j: SparseMatrix.from_dense(j.to_dense()[:-1]),
-                    "invalid", "J(x)", 1),
+    "J(x1) shape": ("eval_jacobian", 3, _drop_row, "invalid", "J(x)", 1),
+    # a gradient of shape (1,) at each of its four calls of iteration 0:
+    # numpy would broadcast it against one of shape (n,)
+    "true gradient shape": ("eval_grad_f", 1, _first, "invalid",
+                            "true gradient", 0),
+    "oracle gradient shape": ("eval_grad_f", 2, _first, "invalid",
+                              "sampled gradient", 0),
+    "probe gradient at x' shape": ("eval_grad_f", 3, _first, "invalid",
+                                   "probe gradient", 0),
+    "probe gradient at x shape": ("eval_grad_f", 4, _first, "invalid",
+                                  "probe gradient", 0),
+    "probe Jacobian shape": ("eval_jacobian", 2, _drop_row, "invalid",
+                             "probe Jacobian", 0),
 }
 
 
@@ -272,6 +293,49 @@ def test_every_injected_fault_ends_in_a_recorded_status(monkeypatch, case):
     if k == 0:
         assert record.outer_iters == 0
         np.testing.assert_array_equal(record.x_final, problem.x0)
+
+
+def _qp_gaussian_run(overrides=()):
+    config = apply_overrides(load_config("qp_gaussian"), list(overrides))
+    kind, eps_n = oracle_settings(config)
+    return run_single(build_problem(config),
+                      build_solver_config(config, seed=0), 0,
+                      oracle_kind=kind, eps_n=eps_n)
+
+
+def test_a_step_past_the_step_size_model_is_a_recorded_violation(
+        monkeypatch):
+    # the first step is doubled until varphi(alpha) > 0, which the
+    # step-size rule never allows
+    select = sisqo.engine.select_step_size
+    stretched = []
+
+    def too_long(alpha_min, alpha_suff, beta, theta, varphi):
+        alpha = select(alpha_min, alpha_suff, beta, theta, varphi)
+        if not stretched:
+            for _ in range(100):
+                if varphi(alpha) > 0.0:
+                    break
+                alpha *= 2.0
+            stretched.append(alpha)
+        return alpha
+
+    monkeypatch.setattr(sisqo.engine, "select_step_size", too_long)
+    record = _qp_gaussian_run()
+    assert [(k, message.split(" = ")[0]) for k, message
+            in record.info["violations"]] \
+        == [(0, f"varphi({stretched[0]:.6e})")]
+
+
+def test_test_2_steps_keep_their_guarantees():
+    # from tau = 1 the merit parameter must fall, by test-2 steps, and
+    # the model reduction is then checked at the updated tau
+    record = _qp_gaussian_run(["algorithm.tau_init=1"])
+    assert record.status == "converged"
+    test_2 = [row for row in record.rows if row.accepted_test == 2]
+    assert test_2
+    assert min(row.tau for row in test_2) < 1.0
+    assert record.info.get("violations") is None
 
 
 @pytest.mark.parametrize("fault", ["failed", "breach", "nonfinite"])
