@@ -35,7 +35,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .krylov import (MinresState, cg_normal_solve, least_squares_multipliers,
+# least_squares_multipliers is not called here; the name stays bound
+# because perfbench/tracing.py wraps it in this module
+from .krylov import (MinresState, cg_normal_solve,  # noqa: F401
+                     least_squares_multipliers, least_squares_residual,
                      norm_pair)
 from .problems import estimate_lipschitz
 from .sparse import (KktOperator, SparseMatrix, blend_with_identity,
@@ -607,8 +610,7 @@ def beta_for_iteration(cfg, k):
 
 def _least_squares_residual(g, j):
     """||g + J'y|| at the least-squares multipliers y for g."""
-    y_ls = least_squares_multipliers(j, g)
-    return float(np.linalg.norm(g + j.apply_transpose(y_ls)))
+    return float(np.linalg.norm(least_squares_residual(j, g)[1]))
 
 
 def update_duals(y, delta):

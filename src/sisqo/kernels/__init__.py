@@ -1,9 +1,10 @@
-"""CSR matvec and MINRES-step kernels with a compiled core and a numpy
-fallback, and the KKT apply composed from them.
+"""CSR matvec, MINRES-step and CG kernels with a compiled core and a
+numpy fallback, and the KKT apply composed from them.
 
-The kernels are ``csr_matvec``, ``csr_rmatvec`` and ``minres_step`` (one
+The kernels are ``csr_matvec``, ``csr_rmatvec``, ``minres_step`` (one
 whole MINRES step on the saddle operator ``(H u + J.T delta, J u)``, over
-arrays its caller owns).  A backend is a module that defines these three
+arrays its caller owns) and ``cg`` (one whole conjugate-gradient solve on
+``J.T J`` or ``J J.T``).  A backend is a module that defines these four
 functions; :func:`use_backend` binds this module's names to the chosen
 backend's own functions, so callers look them up here at call time.
 ``kkt_apply`` applies the saddle operator with three calls of the two
@@ -43,8 +44,8 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_csrkern.c")
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
 # appended after the interpreter's CFLAGS; without contraction into
-# fused multiply-adds, minres_step keeps the bits of the numpy step on
-# every platform
+# fused multiply-adds, minres_step and cg keep the bits of the numpy
+# loops on every platform
 _EXTRA_COMPILE_ARGS = ["-O3", "-ffp-contract=off"]
 
 
@@ -139,9 +140,9 @@ def active_backend():
 
 
 def use_backend(name):
-    """Bind ``csr_matvec``, ``csr_rmatvec`` and ``minres_step`` to the
-    functions of backend ``name`` (used by tests and benchmarks)."""
-    global _active_name, csr_matvec, csr_rmatvec, minres_step
+    """Bind ``csr_matvec``, ``csr_rmatvec``, ``minres_step`` and ``cg`` to
+    the functions of backend ``name`` (used by tests and benchmarks)."""
+    global _active_name, csr_matvec, csr_rmatvec, minres_step, cg
     if name not in _BACKENDS:
         raise ValueError(f"unknown kernel backend {name!r}; "
                          f"available: {available_backends()}")
@@ -150,6 +151,7 @@ def use_backend(name):
     csr_matvec = backend.csr_matvec
     csr_rmatvec = backend.csr_rmatvec
     minres_step = backend.minres_step
+    cg = backend.cg
 
 
 def kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,

@@ -1,6 +1,7 @@
 /*
- * Compiled CSR kernels: row-major matvec, transpose matvec, and one whole
- * MINRES step on the saddle-point (KKT) operator of H and J.
+ * Compiled CSR kernels: row-major matvec, transpose matvec, one whole
+ * MINRES step on the saddle-point (KKT) operator of H and J, and one whole
+ * conjugate-gradient solve on J.T J or J J.T.
  *
  * These loops sit inside every Lanczos/CG iteration and dominate the
  * solver's runtime, hence the C implementation.  Signatures mirror
@@ -12,26 +13,30 @@
  *                 j_indptr, j_indices, j_data, rhs, work, scal)
  *                 one MINRES step on K z = -rhs, K z = (H u + J.T delta, J u)
  *                 for z = (u, delta)
+ *     cg(indptr, indices, data, normal, b, x, work, threshold, max_iter)
+ *                 -> (iterations, converged, resid_norm)
+ *                 CG on A x = b from x = 0, A = J.T J if normal else J J.T
  *
- * Every argument is a 1-D C-contiguous aligned numpy array in native
+ * Every array argument is a 1-D C-contiguous aligned numpy array in native
  * byte order: ``*indptr`` and ``*indices`` hold 8-byte signed integers,
- * everything else holds float64, and ``out``, ``work`` and ``scal`` must
- * be writable.  The arrays are borrowed for the call, not copied.  Their
- * lengths are checked against each other; the index values are not (that
- * would cost a pass over the matrix), so a malformed CSR structure reads
- * out of bounds.
+ * everything else holds float64, and the arrays a kernel writes --
+ * ``out``, ``work``, ``scal`` and the ``x`` of ``cg`` -- must be writable.
+ * The arrays are borrowed for the call, not copied.  Their lengths are
+ * checked against each other; the index values are not (that would cost a
+ * pass over the matrix), so a malformed CSR structure reads out of bounds.
  *
  * The loop order is fixed -- a sequential per-row sum for matvec, and
  * zero-then-scatter for rmatvec -- so results are reproducible bit for bit
- * for a given compiler and flags.  The KKT product inside ``minres_step``
- * keeps that order for each block and adds the row sum of H u to the
- * scattered J.T delta, so it has the bits of the three separate kernel
- * calls that ``sisqo.kernels.kkt_apply`` makes.  ``minres_step`` takes its
- * three dot products from numpy's own float64 ``dotfunc``, the function
- * ``ndarray.dot`` calls for 1-D vectors, and does everything else
- * elementwise in the order of the numpy step in ``reference.py``; built
- * without floating-point contraction, its iterates have the bits of that
- * step run on this module's matvec and rmatvec.  Built by
+ * for a given compiler and flags.  ``cg`` runs its products through the
+ * same two loops.  The KKT product inside ``minres_step`` keeps that
+ * order for each block and adds the row sum of H u to the scattered
+ * J.T delta, so it has the bits of the three separate kernel calls that
+ * ``sisqo.kernels.kkt_apply`` makes.  ``minres_step`` and ``cg`` take
+ * their dot products from numpy's own float64 ``dotfunc``, the function
+ * ``ndarray.dot`` calls for 1-D vectors, and do everything else
+ * elementwise in the order of the numpy loops in ``reference.py``; built
+ * without floating-point contraction, their results have the bits of
+ * those loops run on this module's matvec and rmatvec.  Built by
  * ``sisqo.kernels`` on first import, against numpy's headers.
  */
 
@@ -43,6 +48,7 @@
 
 #include <float.h>
 #include <math.h>
+#include <string.h>
 
 #if NPY_ABI_VERSION < 0x02000000
 #define PyDataType_GetArrFuncs(descr) ((descr)->f)
@@ -140,6 +146,43 @@ get_csr_args(PyObject *args, PyObject *kwargs, const char *format,
     return 0;
 }
 
+/* out = A x for the CSR matrix A of nrows rows: a sequential sum per
+ * row. */
+static void
+matvec(const long long *indptr, const long long *indices, const double *data,
+       const double *x, double *out, Py_ssize_t nrows)
+{
+    Py_ssize_t i;
+    long long k, end;
+    double acc;
+
+    for (i = 0; i < nrows; i++) {
+        acc = 0.0;
+        end = indptr[i + 1];
+        for (k = indptr[i]; k < end; k++)
+            acc += data[k] * x[indices[k]];
+        out[i] = acc;
+    }
+}
+
+/* out = A.T x for the nrows-by-ncols CSR matrix A: zero, then scatter
+ * row by row. */
+static void
+rmatvec(const long long *indptr, const long long *indices, const double *data,
+        const double *x, Py_ssize_t nrows, double *out, Py_ssize_t ncols)
+{
+    Py_ssize_t i;
+    long long k, end;
+
+    for (i = 0; i < ncols; i++)
+        out[i] = 0.0;
+    for (i = 0; i < nrows; i++) {
+        end = indptr[i + 1];
+        for (k = indptr[i]; k < end; k++)
+            out[indices[k]] += data[k] * x[i];
+    }
+}
+
 PyDoc_STRVAR(csr_matvec_doc,
 "csr_matvec(indptr, indices, data, x, out)\n"
 "--\n\n"
@@ -149,28 +192,11 @@ static PyObject *
 csr_matvec(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     PyObject *objs[5];
-    const long long *indptr, *indices;
-    const double *data, *x;
-    double *out;
-    Py_ssize_t i, nrows;
-    long long k, end;
-    double acc;
 
     if (get_csr_args(args, kwargs, "OOOOO:csr_matvec", objs, 4) < 0)
         return NULL;
-    indptr = DATA(objs[0]);
-    indices = DATA(objs[1]);
-    data = DATA(objs[2]);
-    x = DATA(objs[3]);
-    out = DATA(objs[4]);
-    nrows = LEN(objs[4]);
-    for (i = 0; i < nrows; i++) {
-        acc = 0.0;
-        end = indptr[i + 1];
-        for (k = indptr[i]; k < end; k++)
-            acc += data[k] * x[indices[k]];
-        out[i] = acc;
-    }
+    matvec(DATA(objs[0]), DATA(objs[1]), DATA(objs[2]), DATA(objs[3]),
+           DATA(objs[4]), LEN(objs[4]));
     Py_RETURN_NONE;
 }
 
@@ -183,28 +209,11 @@ static PyObject *
 csr_rmatvec(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     PyObject *objs[5];
-    const long long *indptr, *indices;
-    const double *data, *x;
-    double *out;
-    Py_ssize_t i, nrows, ncols;
-    long long k, end;
 
     if (get_csr_args(args, kwargs, "OOOOO:csr_rmatvec", objs, 3) < 0)
         return NULL;
-    indptr = DATA(objs[0]);
-    indices = DATA(objs[1]);
-    data = DATA(objs[2]);
-    x = DATA(objs[3]);
-    out = DATA(objs[4]);
-    nrows = LEN(objs[3]);
-    ncols = LEN(objs[4]);
-    for (i = 0; i < ncols; i++)
-        out[i] = 0.0;
-    for (i = 0; i < nrows; i++) {
-        end = indptr[i + 1];
-        for (k = indptr[i]; k < end; k++)
-            out[indices[k]] += data[k] * x[i];
-    }
+    rmatvec(DATA(objs[0]), DATA(objs[1]), DATA(objs[2]), DATA(objs[3]),
+            LEN(objs[3]), DATA(objs[4]), LEN(objs[4]));
     Py_RETURN_NONE;
 }
 
@@ -445,6 +454,141 @@ minres_step(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_RETURN_NONE;
 }
 
+PyDoc_STRVAR(cg_doc,
+"cg(indptr, indices, data, normal, b, x, work, threshold, max_iter)\n"
+"--\n\n"
+"Conjugate gradients on A x = b from x = 0, with A = J.T J if normal is\n"
+"true and A = J J.T if not, for J in CSR form.  Stops at the first\n"
+"iterate whose residual 2-norm is at most threshold, at p.A p <= 0, or\n"
+"after max_iter iterations.  x receives the converged iterate, or else\n"
+"the one of least residual.  work holds r, p, A p and the best iterate,\n"
+"each of length len(b), then J p (A = J.T J) or J.T p (A = J J.T), so\n"
+"for A = J J.T its length fixes J's column count.\n"
+"Returns (iterations, converged, resid_norm).");
+
+static PyObject *
+cg(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"indptr", "indices", "data", "normal", "b", "x",
+                             "work", "threshold", "max_iter", NULL};
+    static char *names[] = {"indptr", "indices", "data", "b", "x", "work",
+                            NULL};
+    PyObject *objs[6];
+    const long long *indptr, *indices;
+    const double *data, *b;
+    double *x, *r, *p, *ap, *best, *jp;
+    double threshold, rs, rs_new, rnorm, best_norm, pap, alpha, beta;
+    Py_ssize_t max_iter, rows, len, other, t, i, iterations = 0;
+    int normal, converged = 0;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOpOOOdn:cg", kwlist,
+                                     &objs[0], &objs[1], &objs[2], &normal,
+                                     &objs[3], &objs[4], &objs[5],
+                                     &threshold, &max_iter)
+        || check_arrays(objs, "iiddww", names) < 0)
+        return NULL;
+    rows = LEN(objs[0]) - 1;
+    len = LEN(objs[3]);
+    other = LEN(objs[5]) - 4 * len;
+    if (rows < 0) {
+        PyErr_SetString(PyExc_ValueError, "indptr needs at least one entry");
+        return NULL;
+    }
+    if (LEN(objs[1]) != LEN(objs[2])) {
+        PyErr_SetString(PyExc_ValueError,
+                        "indices and data differ in length");
+        return NULL;
+    }
+    if (!normal && len != rows) {
+        PyErr_Format(PyExc_ValueError,
+                     "b: expected length %zd (rows of J), got %zd", rows,
+                     len);
+        return NULL;
+    }
+    if (LEN(objs[4]) != len) {
+        PyErr_Format(PyExc_ValueError,
+                     "x: expected length %zd (that of b), got %zd", len,
+                     LEN(objs[4]));
+        return NULL;
+    }
+    if (normal ? other != rows : other < 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "work: expected length %s%zd, got %zd",
+                     normal ? "" : "at least ", 4 * len + (normal ? rows : 0),
+                     LEN(objs[5]));
+        return NULL;
+    }
+    if (overlaps(objs[3], objs[4]) || overlaps(objs[3], objs[5])
+        || overlaps(objs[4], objs[5])) {
+        PyErr_SetString(PyExc_ValueError, "b, x and work overlap");
+        return NULL;
+    }
+    indptr = DATA(objs[0]);
+    indices = DATA(objs[1]);
+    data = DATA(objs[2]);
+    b = DATA(objs[3]);
+    x = DATA(objs[4]);
+    r = DATA(objs[5]);
+    p = r + len;
+    ap = p + len;
+    best = ap + len;
+    jp = best + len;
+
+    for (i = 0; i < len; i++) {
+        x[i] = 0.0;
+        r[i] = b[i];
+    }
+    rs = dot(r, r, len);
+    rnorm = sqrt(rs);
+    if (rnorm <= threshold)
+        return Py_BuildValue("nOd", iterations, Py_True, rnorm);
+    for (i = 0; i < len; i++) {
+        p[i] = r[i];
+        best[i] = 0.0;
+    }
+    best_norm = rnorm;
+    for (t = 1; t <= max_iter; t++) {
+        if (normal) {
+            matvec(indptr, indices, data, p, jp, rows);
+            rmatvec(indptr, indices, data, jp, rows, ap, len);
+        }
+        else {
+            rmatvec(indptr, indices, data, p, rows, jp, other);
+            matvec(indptr, indices, data, jp, ap, rows);
+        }
+        /* round-off pushed p outside the range space; a NaN goes on */
+        pap = dot(p, ap, len);
+        if (pap <= 0.0)
+            break;
+        alpha = rs / pap;
+        for (i = 0; i < len; i++) {
+            x[i] = x[i] + alpha * p[i];
+            r[i] = r[i] - alpha * ap[i];
+        }
+        rs_new = dot(r, r, len);
+        rnorm = sqrt(rs_new);
+        iterations = t;
+        if (rnorm < best_norm) {
+            memcpy(best, x, len * sizeof(double));
+            best_norm = rnorm;
+        }
+        if (rnorm <= threshold) {
+            converged = 1;
+            break;
+        }
+        beta = rs_new / rs;
+        for (i = 0; i < len; i++)
+            p[i] = r[i] + beta * p[i];
+        rs = rs_new;
+    }
+    if (!converged) {
+        memcpy(x, best, len * sizeof(double));
+        rnorm = best_norm;
+    }
+    return Py_BuildValue("nOd", iterations, converged ? Py_True : Py_False,
+                         rnorm);
+}
+
 static PyMethodDef csrkern_methods[] = {
     {"csr_matvec", (PyCFunction)(void (*)(void))csr_matvec,
      METH_VARARGS | METH_KEYWORDS, csr_matvec_doc},
@@ -452,13 +596,16 @@ static PyMethodDef csrkern_methods[] = {
      METH_VARARGS | METH_KEYWORDS, csr_rmatvec_doc},
     {"minres_step", (PyCFunction)(void (*)(void))minres_step,
      METH_VARARGS | METH_KEYWORDS, minres_step_doc},
+    {"cg", (PyCFunction)(void (*)(void))cg, METH_VARARGS | METH_KEYWORDS,
+     cg_doc},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef csrkern_module = {
     PyModuleDef_HEAD_INIT,
     "_csrkern",
-    "Compiled CSR kernels: matvec, transpose matvec and a MINRES step.",
+    "Compiled CSR kernels: matvec, transpose matvec, a MINRES step and a\n"
+    "CG solve.",
     0,
     csrkern_methods,
     NULL,

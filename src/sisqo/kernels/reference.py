@@ -1,11 +1,12 @@
 """Pure-numpy CSR kernels, the fallback when the compiled core is absent.
 
-Semantics match ``_csrkern`` bit-for-bit in exact arithmetic; floating
-point sums may differ at round-off because the vectorized reductions
-associate differently.  ``minres_step`` is the step the compiled one
-reproduces.  It takes its KKT products from ``sisqo.kernels.kkt_apply``,
-on whichever backend is active, so with the compiled backend active the
-two steps agree bit for bit.
+The four functions match ``_csrkern`` bit-for-bit in exact arithmetic;
+floating point sums may differ at round-off because the vectorized
+reductions associate differently.  ``minres_step`` and ``cg`` are the
+loops the compiled ones reproduce.  They take their products from
+``sisqo.kernels`` (``kkt_apply``, ``csr_matvec`` and ``csr_rmatvec``), on
+whichever backend is active, so with the compiled backend active each
+agrees bit for bit with its compiled twin.
 """
 
 import math
@@ -94,3 +95,61 @@ def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
     scal[:] = (beta, oldb, dbar, epsln, phibar, cs, sn, steps + 1,
                math.sqrt(float(resid.dot(resid))),
                float(np.max(np.abs(resid))) if dim else 0.0)
+
+
+def cg(indptr, indices, data, normal, b, x, work, threshold, max_iter):
+    """Conjugate gradients on ``A x = b`` from x = 0, with ``A = J.T J``
+    if ``normal`` is true and ``A = J J.T`` if not, for J in CSR form.
+
+    Stops at the first iterate whose residual 2-norm is at most
+    ``threshold``, at ``p.A p <= 0``, or after ``max_iter`` iterations.
+    ``x`` receives the converged iterate, or else the one of least
+    residual.  ``work`` is laid out as the compiled ``cg`` reads it: four
+    vectors of length ``len(b)``, then one of J's other dimension, which
+    fixes J's column count when ``normal`` is false; only its length is
+    used here.  Returns ``(iterations, converged, resid_norm)``.
+    """
+    rows, size = indptr.shape[0] - 1, b.shape[0]
+    # the length of J p (A = J.T J) or of J.T p (A = J J.T)
+    inner = work.shape[0] - 4 * size
+    if x.shape != (size,) or (inner != rows if normal
+                              else inner < 0 or size != rows):
+        raise ValueError("b, x and work do not match J and each other")
+    first, second = ((kernels.csr_matvec, kernels.csr_rmatvec) if normal
+                     else (kernels.csr_rmatvec, kernels.csr_matvec))
+
+    def apply_a(p):
+        jp, out = np.empty(inner), np.empty(size)
+        first(indptr, indices, data, p, jp)
+        second(indptr, indices, data, jp, out)
+        return out
+
+    x[:] = 0.0
+    r = b.copy()
+    rs = float(np.dot(r, r))
+    rnorm = math.sqrt(rs)
+    if rnorm <= threshold:
+        return 0, True, rnorm
+    p = r.copy()
+    best_x, best_norm = x.copy(), rnorm
+    iterations = 0
+    for t in range(1, max_iter + 1):
+        ap = apply_a(p)
+        pap = float(np.dot(p, ap))
+        if pap <= 0.0:
+            # round-off pushed p outside the range space; stop here
+            break
+        alpha = rs / pap
+        x[:] = x + alpha * p
+        r = r - alpha * ap
+        rs_new = float(np.dot(r, r))
+        rnorm = math.sqrt(rs_new)
+        iterations = t
+        if rnorm < best_norm:
+            best_x, best_norm = x.copy(), rnorm
+        if rnorm <= threshold:
+            return t, True, rnorm
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    x[:] = best_x
+    return iterations, False, best_norm

@@ -3,14 +3,19 @@
 Three pieces live here:
 
 * conjugate gradients on the normal equations ``J.T J v = -J.T c`` for
-  the normal (feasibility) step, applied as J then J.T so the product
-  matrix is never formed;
+  the normal (feasibility) step;
 * conjugate gradients on ``J J.T y = -J g`` for least-squares
-  multiplier estimates;
+  multiplier estimates, and the stationarity residual ``g + J.T y``
+  they leave;
 * a streaming MINRES on the symmetric saddle system whose iterate
   ``(u_t, delta_t)`` and residual pair ``(rho_t, r_t)`` are read in
   place, as read-only views that stay valid until the next step, so the
   caller can interleave termination tests with the Lanczos recurrence.
+
+Each CG solve is one call of :func:`sisqo.kernels.cg`, which applies
+its operator as two CSR products (J then J.T, or J.T then J), so the
+product matrix is never formed.  It starts from zero, keeps the iterate
+of least residual, and stops early when ``p.A p <= 0``.
 
 MINRES follows the classical Lanczos + Givens formulation; one step is
 one call of :func:`sisqo.kernels.minres_step`, which updates the Lanczos
@@ -36,7 +41,7 @@ import numpy as np
 from . import kernels
 
 __all__ = ["CgResult", "cg_normal_solve", "least_squares_multipliers",
-           "MinresState", "norm_pair"]
+           "least_squares_residual", "MinresState", "norm_pair"]
 
 logger = logging.getLogger(__name__)
 
@@ -69,38 +74,6 @@ class CgResult:
     resid_norm: float
 
 
-def _cg(apply_a, b, threshold, max_iter):
-    """CG on a PSD system from the zero start, tracking the best iterate."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    rs = float(np.dot(r, r))
-    rnorm = np.sqrt(rs)
-    if rnorm <= threshold:
-        return CgResult(x, 0, True, rnorm)
-    p = r.copy()
-    best_x, best_norm = x.copy(), rnorm
-    iterations = 0
-    for t in range(1, max_iter + 1):
-        ap = apply_a(p)
-        pap = float(np.dot(p, ap))
-        if pap <= 0.0:
-            # round-off pushed p outside the range space; stop here
-            break
-        alpha = rs / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(np.dot(r, r))
-        rnorm = np.sqrt(rs_new)
-        iterations = t
-        if rnorm < best_norm:
-            best_x, best_norm = x.copy(), rnorm
-        if rnorm <= threshold:
-            return CgResult(x, t, True, rnorm)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return CgResult(best_x, iterations, False, best_norm)
-
-
 def cg_normal_solve(j, c, rel_tol, abs_floor, max_iter=None):
     """Solve min ||c + J v|| over the row space of J by CG.
 
@@ -120,7 +93,9 @@ def cg_normal_solve(j, c, rel_tol, abs_floor, max_iter=None):
     if max_iter is None:
         max_iter = 4 * max(m, 1) + 10
     threshold = max(rel_tol * bnorm, abs_floor)
-    result = _cg(lambda p: j.apply_transpose(j.apply(p)), b, threshold, max_iter)
+    v = np.empty(n)
+    result = CgResult(v, *kernels.cg(j.indptr, j.indices, j.data, True, b, v,
+                                     np.empty(4 * n + m), threshold, max_iter))
     if not result.converged:
         logger.warning("normal-step CG hit max_iter=%d (resid %.3e, target %.3e)",
                        max_iter, result.resid_norm, threshold)
@@ -135,7 +110,7 @@ def least_squares_multipliers(j, g, tol=1e-10):
     or an exhausted iteration budget logs a warning and returns the best
     iterate reached.
     """
-    m = j.shape[0]
+    m, n = j.shape
     if m == 0:
         return np.zeros(0)
     b = -j.apply(g)
@@ -143,13 +118,23 @@ def least_squares_multipliers(j, g, tol=1e-10):
     if bnorm == 0.0:
         return np.zeros(m)
     threshold = max(tol * bnorm, 1e-14)
-    result = _cg(lambda p: j.apply(j.apply_transpose(p)), b, threshold,
-                 4 * m + 10)
-    if not result.converged:
+    y = np.empty(m)
+    iterations, converged, resid_norm = kernels.cg(
+        j.indptr, j.indices, j.data, False, b, y, np.empty(4 * m + n),
+        threshold, 4 * m + 10)
+    if not converged:
         logger.warning("multiplier CG stopped at resid %.3e (target %.3e) "
-                       "after %d iterations", result.resid_norm, threshold,
-                       result.iterations)
-    return result.v
+                       "after %d iterations", resid_norm, threshold,
+                       iterations)
+    return y
+
+
+def least_squares_residual(j, g):
+    """The least-squares multipliers y for g, as
+    :func:`least_squares_multipliers` returns them, and the stationarity
+    residual ``g + J.T y`` they leave; returns ``(y, g + J.T y)``."""
+    y = least_squares_multipliers(j, g)
+    return y, g + j.apply_transpose(y)
 
 
 class MinresState:

@@ -199,6 +199,69 @@ def test_minres_step_infinity_norm_propagates_nan(backend, where):
     assert np.isnan(scal[8]) and np.isnan(scal[9])
 
 
+def _cg_system(rng, rows, cols, normal, case):
+    """CSR arrays of a random J (rows-by-cols), b in the range of A
+    (J.T J if ``normal``, else J J.T) as the solver's right-hand sides
+    are, and the threshold and max_iter of a solve that ends as ``case``
+    says."""
+    dense = rng.standard_normal((rows, cols))
+    dense[rng.uniform(size=dense.shape) > 0.6] = 0.0
+    b = dense.T @ rng.standard_normal(rows) if normal \
+        else dense @ rng.standard_normal(cols)
+    threshold, max_iter = 1e-12 * float(np.linalg.norm(b)), 4 * len(b) + 10
+    if case == "max_iter":
+        threshold, max_iter = 0.0, 2
+    elif case == "zero_row":
+        # b on a zero row of J (a zero column for J.T J): A b = 0
+        if normal:
+            dense[:, 0] = 0.0
+        else:
+            dense[0] = 0.0
+        b = np.zeros(len(b))
+        b[0] = 1.0
+    elif case == "nan":
+        b[0] = np.nan
+    return _csr_from_dense(dense), b, threshold, max_iter
+
+
+@pytest.mark.parametrize("normal", [True, False])
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5), (0, 4), (4, 1)])
+@pytest.mark.parametrize("case", ["solve", "max_iter", "zero_row", "nan"])
+def test_cg_matches_reference(backend, normal, shape, case):
+    # the numpy loop on this backend's CSR products, bit for bit: x, the
+    # iteration count, the flag and the residual norm
+    rows, cols = shape
+    size = cols if normal else rows
+    if size == 0 and case != "solve":
+        pytest.skip("an empty b converges at once")
+    rng = np.random.default_rng(17)
+    j, b, threshold, max_iter = _cg_system(rng, rows, cols, normal, case)
+    results = []
+    for cg in (kernels.cg, kernels.reference.cg):
+        x = np.full(size, np.nan)
+        work = np.full(4 * size + (rows if normal else cols), np.nan)
+        iterations, converged, resid = cg(*j, normal, b, x, work, threshold,
+                                          max_iter)
+        results.append((x.tobytes(), iterations, converged,
+                        np.float64(resid).tobytes()))
+    assert results[0] == results[1]
+    _, iterations, converged, resid = results[0]
+    resid = np.frombuffer(resid)[0]
+    if case == "solve":
+        assert converged and resid <= threshold
+    elif case == "max_iter":
+        # ranks of 3 and more need more than two iterations
+        assert iterations <= 2
+        if min(shape) >= 3:
+            assert (iterations, converged) == (2, False)
+    elif case == "zero_row":
+        assert (iterations, converged) == (0, False) and resid == 1.0
+        assert np.frombuffer(results[0][0]).tolist() == [0.0] * size
+    else:
+        assert (iterations, converged) == (max_iter, False)
+        assert np.isnan(resid)
+
+
 def test_backends_agree():
     rng = np.random.default_rng(13)
     _, indptr, indices, data = _csr_arrays(rng, 40, 25)
@@ -229,7 +292,7 @@ def test_backends_agree():
 def test_use_backend_binds_the_backends_own_functions(backend):
     # no wrapper between a caller and the kernel it calls
     module = kernels.reference if backend == "python" else kernels._csrkern
-    for name in ("csr_matvec", "csr_rmatvec", "minres_step"):
+    for name in ("csr_matvec", "csr_rmatvec", "minres_step", "cg"):
         assert getattr(kernels, name) is getattr(module, name)
 
 
@@ -365,6 +428,72 @@ def test_compiled_minres_step_rejects_overlap(compiled):
     args["work"], args["scal"] = buf[:24], buf[23:33]
     with pytest.raises(ValueError, match="overlap"):
         kernels.minres_step(**args)
+
+
+def _good_cg_args():
+    # J = [[1, 0, 2], [0, 3, 0]], A = J J.T = diag(5, 9), b = (5, 9)
+    args = _good_args()
+    del args["x"], args["out"]
+    args.update(normal=False, b=np.array([5.0, 9.0]), x=np.empty(2),
+                work=np.empty(4 * 2 + 3), threshold=1e-12, max_iter=10)
+    return args
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({"b": None}, TypeError),
+    ({"b": [5.0, 9.0]}, TypeError),
+    ({"b": np.ones((2, 1))}, ValueError),
+    ({"x": np.empty(4)[::2]}, ValueError),
+    ({"work": np.empty((11, 1))}, ValueError),
+    ({"b": np.frombuffer(bytearray(17), np.float64, offset=1, count=2)},
+     ValueError),
+    ({"work": np.frombuffer(bytearray(89), np.float64, offset=1,
+                            count=11)}, ValueError),
+    ({"b": np.array([5.0, 9.0], dtype=">f8")}, ValueError),
+    ({"indptr": np.array([0, 2, 3], dtype=np.int32)}, ValueError),
+    ({"indices": np.array([0, 2, 1], dtype=np.int32)}, ValueError),
+    ({"work": np.empty(11, dtype=np.int64)}, ValueError),
+    ({"x": _read_only(np.empty(2))}, (ValueError, BufferError)),
+    ({"work": _read_only(np.empty(11))}, (ValueError, BufferError)),
+    ({"indptr": np.zeros(0, dtype=np.int64)}, ValueError),
+    ({"data": np.array([1.0, 2.0])}, ValueError),
+    ({"b": np.ones(3), "x": np.empty(3)}, ValueError),
+    ({"x": np.empty(3)}, ValueError),
+    ({"work": np.empty(7)}, ValueError),
+    ({"normal": True}, ValueError),
+    ({"normal": True, "b": np.ones(3), "x": np.empty(3),
+      "work": np.empty(4 * 3 + 3)}, ValueError),
+    ({"threshold": "small"}, TypeError),
+    ({"max_iter": 2.5}, TypeError),
+])
+def test_compiled_cg_rejects_bad_buffers(compiled, changes, error):
+    args = _good_cg_args()
+    args.update(changes)
+    with pytest.raises(error):
+        kernels.cg(**args)
+    # a work longer than 4 len(b) + 3 gives J two zero columns more; A
+    # has two distinct nonzero eigenvalues either way
+    for normal, b, work, x in ((False, [5.0, 9.0], 4 * 2 + 5, [1.0, 1.0]),
+                               (True, [1.0, 3.0, 2.0], 4 * 3 + 2, None)):
+        args = _good_cg_args()
+        args.update(normal=normal, b=np.array(b), x=np.empty(len(b)),
+                    work=np.empty(work))
+        assert kernels.cg(**args)[:2] == (2, True)
+        if x is not None:
+            np.testing.assert_allclose(args["x"], x, rtol=1e-14)
+
+
+def test_compiled_cg_rejects_overlap(compiled):
+    buf = np.zeros(15)
+    for b, x, work in ((buf[:2], buf[1:3], buf[4:]),
+                       (buf[:2], buf[2:4], buf[3:14]),
+                       (buf[:2], buf[4:6], buf[:11]),
+                       (buf[:2], buf[:2], buf[4:])):
+        args = _good_cg_args()
+        b[:] = args["b"]
+        args.update(b=b, x=x, work=work)
+        with pytest.raises(ValueError, match="overlap"):
+            kernels.cg(**args)
 
 
 def test_compiled_rmatvec_checks_rows_against_x(compiled):
@@ -545,9 +674,10 @@ def test_cache_name_follows_the_numpy_version(monkeypatch):
     assert os.path.dirname(other) == os.path.dirname(built_for)
 
 
-def test_bench_kernels_script_runs(capsys):
+def test_bench_kernels_script_runs(capsys, tmp_path):
     # the benchmark script lives outside the package; load it by path
     import importlib.util
+    import json
 
     script = Path(__file__).resolve().parents[1] / "benchmarks" \
         / "bench_kernels.py"
@@ -555,27 +685,48 @@ def test_bench_kernels_script_runs(capsys):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     previous = kernels.active_backend()
+    record_path = tmp_path / "bench.json"
     try:
         assert bench.main(["--mesh", "3", "4", "--repeats", "2",
-                           "--minres-steps", "3"]) == 0
+                           "--minres-steps", "3",
+                           "--json", str(record_path)]) == 0
         assert kernels.active_backend() == previous
     finally:
         kernels.use_backend(previous)
     out = capsys.readouterr().out
     # one table per mesh, one row per backend: best/median of the three
-    # CSR products, of the two KKT applies they add up to and of the
-    # isolated step, then the step over the applies from the medians
+    # CSR products, of the two KKT applies they add up to, of the
+    # isolated step and of a multiplier-CG iteration, then the step over
+    # the applies from the medians
     assert out.count("best/median, microseconds; step/6 csr from the"
                      " medians") == 2
+    headers = [ln for ln in out.splitlines() if ln.startswith("backend ")]
+    assert len(headers) == 2 and all("cg iter" in ln for ln in headers)
+    if "compiled" in kernels.available_backends():
+        assert out.count("cg iter over the numpy loop, both on compiled"
+                         " products") == 2
     assert "n=18 m=9" in out and "n=32 m=16" in out
     for name in kernels.available_backends():
         rows = [ln.split() for ln in out.splitlines()
                 if ln.startswith(f"{name} ")]
         assert len(rows) == 2
         for row in rows:
-            assert len(row) == 7 and row[-1].endswith("x")
-            cells = [tuple(map(float, cell.split("/"))) for cell in row[1:6]]
+            assert len(row) == 8 and row[-1].endswith("x")
+            cells = [tuple(map(float, cell.split("/"))) for cell in row[1:7]]
             assert all(0.0 < best <= median for best, median in cells)
             step, applies = cells[4][1], cells[3][1]
             assert float(row[-1][:-1]) == pytest.approx(
                 step / applies, rel=0.02, abs=0.01)
+    # the JSON holds the same figures, one record per mesh and backend
+    records = json.loads(record_path.read_text())["records"]
+    assert [(r["mesh"], r["backend"]) for r in records] == [
+        (mesh, name) for mesh in (3, 4)
+        for name in kernels.available_backends()]
+    for record in records:
+        assert sorted(record) == sorted(
+            ["mesh", "n", "m", "backend", "cg_iterations"]
+            + list(bench.RECORD_KEYS))
+        assert record["cg_iterations"] > 0
+        for key in bench.RECORD_KEYS:
+            best, median = record[key]
+            assert 0.0 < best <= median
