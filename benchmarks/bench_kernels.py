@@ -4,8 +4,9 @@ For each mesh it measures, on the discretized Poisson control problem,
 raw matvec/rmatvec throughput on its Jacobian J, the matvec of its
 Hessian H, one isolated MINRES step (the mean over a solve of
 ``--minres-steps`` steps) and one iteration of the least-squares
-multiplier CG (``J J.T y = -J g`` at the initial point, to the relative
-tolerance 1e-10 of the KKT metric; the mean over the whole solve).
+multiplier CG (``J J.T y = -J g`` at the initial point, to the
+tolerance, floor and iteration cap of ``sisqo.krylov``'s multiplier
+solve; the mean over the whole solve).
 Every figure is timed ``--repeats`` times and printed as best/median.
 The step is printed next to the two KKT applies ``(H u + J.T delta,
 J u)`` it contains, each counted as the sum of its three isolated CSR
@@ -32,7 +33,8 @@ import time
 import numpy as np
 
 from sisqo import kernels
-from sisqo.krylov import MinresState
+from sisqo.krylov import (MULTIPLIER_ABS_FLOOR, MULTIPLIER_REL_TOL,
+                          MinresState, cg_max_iter)
 from sisqo.library import ControlProblemSpec, build_poisson_control
 from sisqo.sparse import KktOperator
 
@@ -46,9 +48,7 @@ RECORD_KEYS = ("j_matvec_us", "j_rmatvec_us", "h_matvec_us",
 
 
 def _build(mesh):
-    spec = ControlProblemSpec(mesh_size=mesh, n_terms=3, regularization=1e-5,
-                              eps_n=1e-2, eps_s=float(np.sqrt(15.0)))
-    problem = build_poisson_control(spec)
+    problem = build_poisson_control(ControlProblemSpec(mesh_size=mesh))
     j = problem.eval_jacobian(problem.x0)
     h = problem.eval_lagrangian_hessian(problem.x0, np.zeros(problem.m))
     return problem, h, j
@@ -104,14 +104,15 @@ def bench_cg(problem, j, repeats):
     ``kernels.cg`` and for the numpy loop ``kernels.reference.cg`` on
     the active backend's products, and the iterations of one solve."""
     b = -j.apply(problem.eval_grad_f(problem.x0))
-    threshold = max(1e-10 * float(np.linalg.norm(b)), 1e-14)
-    y, work = np.empty(j.rows), np.empty(4 * j.rows + j.cols)
+    threshold = max(MULTIPLIER_REL_TOL * float(np.linalg.norm(b)),
+                    MULTIPLIER_ABS_FLOOR)
+    y = np.empty(j.rows)
     taken = []
 
     def per_iteration(cg):
         return _time(lambda: taken.append(cg(
-            j.indptr, j.indices, j.data, False, b, y, work, threshold,
-            4 * j.rows + 10)[0]), repeats) / max(taken[0], 1)
+            j.indptr, j.indices, j.data, j.cols, False, b, y, threshold,
+            cg_max_iter(j.rows))[0]), repeats) / max(taken[0], 1)
 
     cg = per_iteration(kernels.cg)
     # the numpy backend's cg is the loop itself

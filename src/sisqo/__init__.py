@@ -2,9 +2,11 @@
 
 Modules:
 
-* ``kernels``   CSR matrix-vector kernels (compiled core, numpy fallback)
+* ``kernels``   CSR matrix-vector kernels, a MINRES step and a CG solve
+                (compiled core, numpy fallback)
 * ``sparse``    CSR matrices and the symmetric saddle (KKT) operator
-* ``krylov``    CG on the normal equations, streaming MINRES
+* ``krylov``    CG on the normal equations, least-squares multipliers,
+                streaming MINRES
 * ``problems``  problem abstraction, gradient oracles, Lipschitz probes
 * ``library``   synthetic QPs and the two PDE control problems
 * ``engine``    one SQP iteration: steps, Hessian ladder, tests, parameter

@@ -3,10 +3,13 @@ numpy fallback, and the KKT apply composed from them.
 
 The kernels are ``csr_matvec``, ``csr_rmatvec``, ``minres_step`` (one
 whole MINRES step on the saddle operator ``(H u + J.T delta, J u)``, over
-arrays its caller owns) and ``cg`` (one whole conjugate-gradient solve on
-``J.T J`` or ``J J.T``).  A backend is a module that defines these four
-functions; :func:`use_backend` binds this module's names to the chosen
-backend's own functions, so callers look them up here at call time.
+arrays its caller owns, since they carry the solve from step to step) and
+``cg`` (one whole conjugate-gradient solve on ``J.T J`` or ``J J.T``,
+which keeps nothing between calls and sizes its own scratch from J's
+row count and the ``ncols`` it is given).  A backend is a module that
+defines these four functions; :func:`use_backend` binds this module's
+names to the chosen backend's own functions, so callers look them up
+here at call time.
 ``kkt_apply`` applies the saddle operator with three calls of the two
 CSR kernels; the compiled step's fused product has the same bits.
 

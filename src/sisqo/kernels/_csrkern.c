@@ -13,17 +13,22 @@
  *                 j_indptr, j_indices, j_data, rhs, work, scal)
  *                 one MINRES step on K z = -rhs, K z = (H u + J.T delta, J u)
  *                 for z = (u, delta)
- *     cg(indptr, indices, data, normal, b, x, work, threshold, max_iter)
+ *     cg(indptr, indices, data, ncols, normal, b, x, threshold, max_iter)
  *                 -> (iterations, converged, resid_norm)
- *                 CG on A x = b from x = 0, A = J.T J if normal else J J.T
+ *                 CG on A x = b from x = 0, A = J.T J if normal else J J.T,
+ *                 for J with ncols columns
  *
  * Every array argument is a 1-D C-contiguous aligned numpy array in native
  * byte order: ``*indptr`` and ``*indices`` hold 8-byte signed integers,
  * everything else holds float64, and the arrays a kernel writes --
- * ``out``, ``work``, ``scal`` and the ``x`` of ``cg`` -- must be writable.
- * The arrays are borrowed for the call, not copied.  Their lengths are
- * checked against each other; the index values are not (that would cost a
- * pass over the matrix), so a malformed CSR structure reads out of bounds.
+ * ``out``, ``work``, ``scal`` and the ``x`` of ``cg`` -- must be writable
+ * and overlap neither each other nor the ``x``, ``b`` or ``rhs`` the
+ * kernel reads (the matrix arrays are not checked).  The arrays are
+ * borrowed for the call, not copied.  Their lengths are checked against
+ * each other; the index values are not (that would cost a pass over the
+ * matrix), so a malformed CSR structure reads out of bounds.  ``cg``
+ * keeps nothing between calls: it allocates its scratch vectors itself
+ * and frees them before it returns.
  *
  * The loop order is fixed -- a sequential per-row sum for matvec, and
  * zero-then-scatter for rmatvec -- so results are reproducible bit for bit
@@ -116,6 +121,26 @@ overlaps(PyObject *a, PyObject *b)
     return la > 0 && lb > 0 && pa < pb + lb && pb < pa + la;
 }
 
+/* The row count of the CSR matrix whose checked indptr, indices and data
+ * are ``objs[0..2]``, named with ``prefix``; -1 with ValueError set if
+ * indptr is empty or indices and data differ in length. */
+static Py_ssize_t
+csr_rows(PyObject **objs, const char *prefix)
+{
+    if (LEN(objs[0]) < 1) {
+        PyErr_Format(PyExc_ValueError, "%sindptr needs at least one entry",
+                     prefix);
+        return -1;
+    }
+    if (LEN(objs[1]) != LEN(objs[2])) {
+        PyErr_Format(PyExc_ValueError,
+                     "%sindices and %sdata differ in length: %zd != %zd",
+                     prefix, prefix, LEN(objs[1]), LEN(objs[2]));
+        return -1;
+    }
+    return LEN(objs[0]) - 1;
+}
+
 /* Parse and check the five arguments of a CSR kernel and check their
  * lengths against each other.  ``rows_arg`` is the argument whose length
  * is the number of matrix rows: ``out`` for matvec, ``x`` for rmatvec. */
@@ -128,19 +153,17 @@ get_csr_args(PyObject *args, PyObject *kwargs, const char *format,
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, format, kwlist, &objs[0],
                                      &objs[1], &objs[2], &objs[3], &objs[4])
-        || check_arrays(objs, "iiddw", kwlist) < 0)
+        || check_arrays(objs, "iiddw", kwlist) < 0
+        || (rows = csr_rows(objs, "")) < 0)
         return -1;
-    rows = LEN(objs[rows_arg]);
-    if (LEN(objs[0]) != rows + 1) {
+    if (rows != LEN(objs[rows_arg])) {
         PyErr_Format(PyExc_ValueError,
                      "indptr: expected length %zd (rows + 1), got %zd",
-                     rows + 1, LEN(objs[0]));
+                     LEN(objs[rows_arg]) + 1, LEN(objs[0]));
         return -1;
     }
-    if (LEN(objs[1]) != LEN(objs[2])) {
-        PyErr_Format(PyExc_ValueError,
-                     "indices and data differ in length: %zd != %zd",
-                     LEN(objs[1]), LEN(objs[2]));
+    if (overlaps(objs[3], objs[4])) {
+        PyErr_SetString(PyExc_ValueError, "x and out overlap");
         return -1;
     }
     return 0;
@@ -341,21 +364,11 @@ minres_step(PyObject *self, PyObject *args, PyObject *kwargs)
                                      kwlist, &objs[0], &objs[1], &objs[2],
                                      &objs[3], &objs[4], &objs[5], &objs[6],
                                      &objs[7], &objs[8])
-        || check_arrays(objs, "iidiiddww", kwlist) < 0)
+        || check_arrays(objs, "iidiiddww", kwlist) < 0
+        || (op.n = csr_rows(objs, "h_")) < 0
+        || (op.m = csr_rows(objs + 3, "j_")) < 0)
         return NULL;
-    op.n = LEN(objs[0]) - 1;
-    op.m = LEN(objs[3]) - 1;
     dim = op.n + op.m;
-    if (op.n < 0 || op.m < 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "h_indptr and j_indptr need at least one entry");
-        return NULL;
-    }
-    if (LEN(objs[1]) != LEN(objs[2]) || LEN(objs[4]) != LEN(objs[5])) {
-        PyErr_SetString(PyExc_ValueError,
-                        "indices and data differ in length");
-        return NULL;
-    }
     if (LEN(objs[6]) != dim || LEN(objs[7]) != 8 * dim
         || LEN(objs[8]) != SCAL_LEN) {
         PyErr_Format(PyExc_ValueError,
@@ -455,54 +468,46 @@ minres_step(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 PyDoc_STRVAR(cg_doc,
-"cg(indptr, indices, data, normal, b, x, work, threshold, max_iter)\n"
+"cg(indptr, indices, data, ncols, normal, b, x, threshold, max_iter)\n"
 "--\n\n"
 "Conjugate gradients on A x = b from x = 0, with A = J.T J if normal is\n"
-"true and A = J J.T if not, for J in CSR form.  Stops at the first\n"
-"iterate whose residual 2-norm is at most threshold, at p.A p <= 0, or\n"
-"after max_iter iterations.  x receives the converged iterate, or else\n"
-"the one of least residual.  work holds r, p, A p and the best iterate,\n"
-"each of length len(b), then J p (A = J.T J) or J.T p (A = J J.T), so\n"
-"for A = J J.T its length fixes J's column count.\n"
+"true and A = J J.T if not, for J in CSR form with ncols columns.  Stops\n"
+"at the first iterate whose residual 2-norm is at most threshold, at\n"
+"p.A p <= 0, or after max_iter iterations.  x receives the converged\n"
+"iterate, or else the one of least residual.\n"
 "Returns (iterations, converged, resid_norm).");
 
 static PyObject *
 cg(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"indptr", "indices", "data", "normal", "b", "x",
-                             "work", "threshold", "max_iter", NULL};
-    static char *names[] = {"indptr", "indices", "data", "b", "x", "work",
-                            NULL};
-    PyObject *objs[6];
+    static char *kwlist[] = {"indptr", "indices", "data", "ncols", "normal",
+                             "b", "x", "threshold", "max_iter", NULL};
+    static char *names[] = {"indptr", "indices", "data", "b", "x", NULL};
+    PyObject *objs[5];
     const long long *indptr, *indices;
     const double *data, *b;
     double *x, *r, *p, *ap, *best, *jp;
     double threshold, rs, rs_new, rnorm, best_norm, pap, alpha, beta;
-    Py_ssize_t max_iter, rows, len, other, t, i, iterations = 0;
-    int normal, converged = 0;
+    Py_ssize_t ncols, max_iter, rows, len, other, t, i, iterations = 0;
+    int normal, converged;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOpOOOdn:cg", kwlist,
-                                     &objs[0], &objs[1], &objs[2], &normal,
-                                     &objs[3], &objs[4], &objs[5],
-                                     &threshold, &max_iter)
-        || check_arrays(objs, "iiddww", names) < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOnpOOdn:cg", kwlist,
+                                     &objs[0], &objs[1], &objs[2], &ncols,
+                                     &normal, &objs[3], &objs[4], &threshold,
+                                     &max_iter)
+        || check_arrays(objs, "iiddw", names) < 0
+        || (rows = csr_rows(objs, "")) < 0)
         return NULL;
-    rows = LEN(objs[0]) - 1;
     len = LEN(objs[3]);
-    other = LEN(objs[5]) - 4 * len;
-    if (rows < 0) {
-        PyErr_SetString(PyExc_ValueError, "indptr needs at least one entry");
-        return NULL;
-    }
-    if (LEN(objs[1]) != LEN(objs[2])) {
-        PyErr_SetString(PyExc_ValueError,
-                        "indices and data differ in length");
-        return NULL;
-    }
-    if (!normal && len != rows) {
+    if (ncols < 0) {
         PyErr_Format(PyExc_ValueError,
-                     "b: expected length %zd (rows of J), got %zd", rows,
-                     len);
+                     "ncols: expected a non-negative count, got %zd", ncols);
+        return NULL;
+    }
+    if (len != (normal ? ncols : rows)) {
+        PyErr_Format(PyExc_ValueError, "b: expected length %zd (%s of J),"
+                     " got %zd", normal ? ncols : rows,
+                     normal ? "columns" : "rows", len);
         return NULL;
     }
     if (LEN(objs[4]) != len) {
@@ -511,16 +516,8 @@ cg(PyObject *self, PyObject *args, PyObject *kwargs)
                      LEN(objs[4]));
         return NULL;
     }
-    if (normal ? other != rows : other < 0) {
-        PyErr_Format(PyExc_ValueError,
-                     "work: expected length %s%zd, got %zd",
-                     normal ? "" : "at least ", 4 * len + (normal ? rows : 0),
-                     LEN(objs[5]));
-        return NULL;
-    }
-    if (overlaps(objs[3], objs[4]) || overlaps(objs[3], objs[5])
-        || overlaps(objs[4], objs[5])) {
-        PyErr_SetString(PyExc_ValueError, "b, x and work overlap");
+    if (overlaps(objs[3], objs[4])) {
+        PyErr_SetString(PyExc_ValueError, "b and x overlap");
         return NULL;
     }
     indptr = DATA(objs[0]);
@@ -528,7 +525,12 @@ cg(PyObject *self, PyObject *args, PyObject *kwargs)
     data = DATA(objs[2]);
     b = DATA(objs[3]);
     x = DATA(objs[4]);
-    r = DATA(objs[5]);
+    /* scratch: r, p, A p and the best iterate, then J p (A = J.T J) or
+     * J.T p (A = J J.T) */
+    other = normal ? rows : ncols;
+    if (other > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double) - 4 * len
+        || (r = PyMem_Malloc((4 * len + other) * sizeof(double))) == NULL)
+        return PyErr_NoMemory();
     p = r + len;
     ap = p + len;
     best = ap + len;
@@ -537,17 +539,13 @@ cg(PyObject *self, PyObject *args, PyObject *kwargs)
     for (i = 0; i < len; i++) {
         x[i] = 0.0;
         r[i] = b[i];
-    }
-    rs = dot(r, r, len);
-    rnorm = sqrt(rs);
-    if (rnorm <= threshold)
-        return Py_BuildValue("nOd", iterations, Py_True, rnorm);
-    for (i = 0; i < len; i++) {
-        p[i] = r[i];
+        p[i] = b[i];
         best[i] = 0.0;
     }
-    best_norm = rnorm;
-    for (t = 1; t <= max_iter; t++) {
+    rs = dot(r, r, len);
+    best_norm = rnorm = sqrt(rs);
+    converged = rnorm <= threshold;
+    for (t = 1; t <= max_iter && !converged; t++) {
         if (normal) {
             matvec(indptr, indices, data, p, jp, rows);
             rmatvec(indptr, indices, data, jp, rows, ap, len);
@@ -585,6 +583,7 @@ cg(PyObject *self, PyObject *args, PyObject *kwargs)
         memcpy(x, best, len * sizeof(double));
         rnorm = best_norm;
     }
+    PyMem_Free(r);
     return Py_BuildValue("nOd", iterations, converged ? Py_True : Py_False,
                          rnorm);
 }

@@ -1,12 +1,13 @@
 """Pure-numpy CSR kernels, the fallback when the compiled core is absent.
 
-The four functions match ``_csrkern`` bit-for-bit in exact arithmetic;
-floating point sums may differ at round-off because the vectorized
-reductions associate differently.  ``minres_step`` and ``cg`` are the
-loops the compiled ones reproduce.  They take their products from
-``sisqo.kernels`` (``kkt_apply``, ``csr_matvec`` and ``csr_rmatvec``), on
-whichever backend is active, so with the compiled backend active each
-agrees bit for bit with its compiled twin.
+The four functions take the arguments of their ``_csrkern`` twins and
+agree with them in exact arithmetic; floating point sums may differ at
+round-off because the vectorized reductions associate differently.
+``minres_step`` and ``cg`` are the loops the compiled ones reproduce;
+like its twin, ``cg`` allocates its own vectors.  They take their
+products from ``sisqo.kernels`` (``kkt_apply``, ``csr_matvec`` and
+``csr_rmatvec``), on whichever backend is active, so with the compiled
+backend active each agrees bit for bit with its compiled twin.
 """
 
 import math
@@ -97,24 +98,21 @@ def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
                float(np.max(np.abs(resid))) if dim else 0.0)
 
 
-def cg(indptr, indices, data, normal, b, x, work, threshold, max_iter):
+def cg(indptr, indices, data, ncols, normal, b, x, threshold, max_iter):
     """Conjugate gradients on ``A x = b`` from x = 0, with ``A = J.T J``
-    if ``normal`` is true and ``A = J J.T`` if not, for J in CSR form.
+    if ``normal`` is true and ``A = J J.T`` if not, for J in CSR form with
+    ``ncols`` columns.
 
     Stops at the first iterate whose residual 2-norm is at most
     ``threshold``, at ``p.A p <= 0``, or after ``max_iter`` iterations.
     ``x`` receives the converged iterate, or else the one of least
-    residual.  ``work`` is laid out as the compiled ``cg`` reads it: four
-    vectors of length ``len(b)``, then one of J's other dimension, which
-    fixes J's column count when ``normal`` is false; only its length is
-    used here.  Returns ``(iterations, converged, resid_norm)``.
+    residual.  Returns ``(iterations, converged, resid_norm)``.
     """
     rows, size = indptr.shape[0] - 1, b.shape[0]
+    if ncols < 0 or x.shape != (size,) or size != (ncols if normal else rows):
+        raise ValueError("b and x do not match J and each other")
     # the length of J p (A = J.T J) or of J.T p (A = J J.T)
-    inner = work.shape[0] - 4 * size
-    if x.shape != (size,) or (inner != rows if normal
-                              else inner < 0 or size != rows):
-        raise ValueError("b, x and work do not match J and each other")
+    inner = rows if normal else ncols
     first, second = ((kernels.csr_matvec, kernels.csr_rmatvec) if normal
                      else (kernels.csr_rmatvec, kernels.csr_matvec))
 

@@ -54,6 +54,10 @@ BREAKDOWN_TOL = 1e-14
 STALL_WINDOW = 50
 STALL_IMPROVEMENT = 1e-4
 
+# the multiplier CG's tolerance, relative to ||J g||, and its floor
+MULTIPLIER_REL_TOL = 1e-10
+MULTIPLIER_ABS_FLOOR = 1e-14
+
 
 def norm_pair(a, b):
     """Euclidean norm of the stacked vector (a; b)."""
@@ -74,59 +78,50 @@ class CgResult:
     resid_norm: float
 
 
+def cg_max_iter(m):
+    """The default CG iteration cap for a J of m rows."""
+    return 4 * m + 10
+
+
+def _cg(j, normal, b, rel_tol, abs_floor, max_iter=None):
+    """CG on ``A x = b`` from x = 0 (A = J.T J if ``normal``, else J J.T) to
+    ``max(rel_tol * ||b||, abs_floor)`` in at most ``max_iter`` iterations
+    (default :func:`cg_max_iter` of J's rows); warns unless it converged."""
+    threshold = max(rel_tol * float(np.linalg.norm(b)), abs_floor)
+    max_iter = cg_max_iter(j.shape[0]) if max_iter is None else max_iter
+    x = np.empty(b.shape[0])
+    result = CgResult(x, *kernels.cg(j.indptr, j.indices, j.data, j.shape[1],
+                                     normal, b, x, threshold, max_iter))
+    if not result.converged:
+        logger.warning("%s CG stopped at resid %.3e (target %.3e) after %d "
+                       "iterations", "normal-step" if normal else "multiplier",
+                       result.resid_norm, threshold, result.iterations)
+    return result
+
+
 def cg_normal_solve(j, c, rel_tol, abs_floor, max_iter=None):
     """Solve min ||c + J v|| over the row space of J by CG.
 
     Works on the normal equations ``J.T J v = -J.T c`` applied
     matrix-free (J then J.T).  Starts from v = 0 and stops at the first
     iterate with ``||J.T J v + J.T c|| <= max(rel_tol * ||J.T c||,
-    abs_floor)``.  A zero right-hand side returns v = 0 immediately.
+    abs_floor)``, so a zero right-hand side returns v = 0 at once.
 
-    Returns a :class:`CgResult`; non-convergence within ``max_iter`` is
-    reported through ``converged=False`` with the best iterate kept.
+    Returns a :class:`CgResult`; non-convergence within ``max_iter``
+    (default :func:`cg_max_iter` of J's rows) is reported through
+    ``converged=False`` with the best iterate kept.
     """
-    m, n = j.shape
-    b = -j.apply_transpose(c)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return CgResult(np.zeros(n), 0, True, 0.0)
-    if max_iter is None:
-        max_iter = 4 * max(m, 1) + 10
-    threshold = max(rel_tol * bnorm, abs_floor)
-    v = np.empty(n)
-    result = CgResult(v, *kernels.cg(j.indptr, j.indices, j.data, True, b, v,
-                                     np.empty(4 * n + m), threshold, max_iter))
-    if not result.converged:
-        logger.warning("normal-step CG hit max_iter=%d (resid %.3e, target %.3e)",
-                       max_iter, result.resid_norm, threshold)
-    return result
+    return _cg(j, True, -j.apply_transpose(c), rel_tol, abs_floor, max_iter)
 
 
-def least_squares_multipliers(j, g, tol=1e-10):
+def least_squares_multipliers(j, g, tol=MULTIPLIER_REL_TOL):
     """Least-squares multipliers: CG on ``J J.T y = -J g``.
 
-    ``tol`` is relative to the right-hand side norm, with an absolute
-    floor of 1e-14; the CG runs at most 4m + 10 iterations.  Stagnation
-    or an exhausted iteration budget logs a warning and returns the best
-    iterate reached.
-    """
-    m, n = j.shape
-    if m == 0:
-        return np.zeros(0)
-    b = -j.apply(g)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(m)
-    threshold = max(tol * bnorm, 1e-14)
-    y = np.empty(m)
-    iterations, converged, resid_norm = kernels.cg(
-        j.indptr, j.indices, j.data, False, b, y, np.empty(4 * m + n),
-        threshold, 4 * m + 10)
-    if not converged:
-        logger.warning("multiplier CG stopped at resid %.3e (target %.3e) "
-                       "after %d iterations", resid_norm, threshold,
-                       iterations)
-    return y
+    ``tol`` is relative to the right-hand side norm, with the absolute
+    floor ``MULTIPLIER_ABS_FLOOR``, in at most :func:`cg_max_iter` of m
+    iterations; an unconverged solve logs a warning and returns the best
+    iterate reached."""
+    return _cg(j, False, -j.apply(g), tol, MULTIPLIER_ABS_FLOOR).v
 
 
 def least_squares_residual(j, g):

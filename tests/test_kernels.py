@@ -1,6 +1,7 @@
 """Kernel backends: both must exist and agree with dense products."""
 
 import importlib.machinery
+import inspect
 import os
 import shlex
 import shutil
@@ -239,8 +240,7 @@ def test_cg_matches_reference(backend, normal, shape, case):
     results = []
     for cg in (kernels.cg, kernels.reference.cg):
         x = np.full(size, np.nan)
-        work = np.full(4 * size + (rows if normal else cols), np.nan)
-        iterations, converged, resid = cg(*j, normal, b, x, work, threshold,
+        iterations, converged, resid = cg(*j, cols, normal, b, x, threshold,
                                           max_iter)
         results.append((x.tobytes(), iterations, converged,
                         np.float64(resid).tobytes()))
@@ -434,8 +434,8 @@ def _good_cg_args():
     # J = [[1, 0, 2], [0, 3, 0]], A = J J.T = diag(5, 9), b = (5, 9)
     args = _good_args()
     del args["x"], args["out"]
-    args.update(normal=False, b=np.array([5.0, 9.0]), x=np.empty(2),
-                work=np.empty(4 * 2 + 3), threshold=1e-12, max_iter=10)
+    args.update(ncols=3, normal=False, b=np.array([5.0, 9.0]),
+                x=np.empty(2), threshold=1e-12, max_iter=10)
     return args
 
 
@@ -444,56 +444,73 @@ def _good_cg_args():
     ({"b": [5.0, 9.0]}, TypeError),
     ({"b": np.ones((2, 1))}, ValueError),
     ({"x": np.empty(4)[::2]}, ValueError),
-    ({"work": np.empty((11, 1))}, ValueError),
+    ({"x": np.empty((2, 1))}, ValueError),
     ({"b": np.frombuffer(bytearray(17), np.float64, offset=1, count=2)},
      ValueError),
-    ({"work": np.frombuffer(bytearray(89), np.float64, offset=1,
-                            count=11)}, ValueError),
+    ({"x": np.frombuffer(bytearray(17), np.float64, offset=1, count=2)},
+     ValueError),
     ({"b": np.array([5.0, 9.0], dtype=">f8")}, ValueError),
     ({"indptr": np.array([0, 2, 3], dtype=np.int32)}, ValueError),
     ({"indices": np.array([0, 2, 1], dtype=np.int32)}, ValueError),
-    ({"work": np.empty(11, dtype=np.int64)}, ValueError),
+    ({"x": np.empty(2, dtype=np.int64)}, ValueError),
     ({"x": _read_only(np.empty(2))}, (ValueError, BufferError)),
-    ({"work": _read_only(np.empty(11))}, (ValueError, BufferError)),
+    ({"ncols": 2.5}, TypeError),
     ({"indptr": np.zeros(0, dtype=np.int64)}, ValueError),
     ({"data": np.array([1.0, 2.0])}, ValueError),
     ({"b": np.ones(3), "x": np.empty(3)}, ValueError),
     ({"x": np.empty(3)}, ValueError),
-    ({"work": np.empty(7)}, ValueError),
+    ({"ncols": -1}, ValueError),
     ({"normal": True}, ValueError),
-    ({"normal": True, "b": np.ones(3), "x": np.empty(3),
-      "work": np.empty(4 * 3 + 3)}, ValueError),
+    ({"normal": True, "b": np.ones(4), "x": np.empty(4)}, ValueError),
     ({"threshold": "small"}, TypeError),
     ({"max_iter": 2.5}, TypeError),
+    # scratch of more than PY_SSIZE_T_MAX bytes: refused before allocating
+    ({"ncols": 2 ** 62}, MemoryError),
 ])
 def test_compiled_cg_rejects_bad_buffers(compiled, changes, error):
     args = _good_cg_args()
     args.update(changes)
     with pytest.raises(error):
         kernels.cg(**args)
-    # a work longer than 4 len(b) + 3 gives J two zero columns more; A
-    # has two distinct nonzero eigenvalues either way
-    for normal, b, work, x in ((False, [5.0, 9.0], 4 * 2 + 5, [1.0, 1.0]),
-                               (True, [1.0, 3.0, 2.0], 4 * 3 + 2, None)):
+    # ncols = 5 gives J two zero columns more; A has two distinct nonzero
+    # eigenvalues either way
+    for normal, b, ncols, x in ((False, [5.0, 9.0], 5, [1.0, 1.0]),
+                                (True, [1.0, 3.0, 2.0], 3, None)):
         args = _good_cg_args()
-        args.update(normal=normal, b=np.array(b), x=np.empty(len(b)),
-                    work=np.empty(work))
+        args.update(ncols=ncols, normal=normal, b=np.array(b),
+                    x=np.empty(len(b)))
         assert kernels.cg(**args)[:2] == (2, True)
         if x is not None:
             np.testing.assert_allclose(args["x"], x, rtol=1e-14)
 
 
 def test_compiled_cg_rejects_overlap(compiled):
-    buf = np.zeros(15)
-    for b, x, work in ((buf[:2], buf[1:3], buf[4:]),
-                       (buf[:2], buf[2:4], buf[3:14]),
-                       (buf[:2], buf[4:6], buf[:11]),
-                       (buf[:2], buf[:2], buf[4:])):
-        args = _good_cg_args()
-        b[:] = args["b"]
-        args.update(b=b, x=x, work=work)
-        with pytest.raises(ValueError, match="overlap"):
-            kernels.cg(**args)
+    args = _good_cg_args()
+    args["x"] = args["b"]
+    with pytest.raises(ValueError, match="overlap"):
+        kernels.cg(**args)
+    np.testing.assert_array_equal(args["b"], [5.0, 9.0])
+
+
+def test_compiled_csr_kernels_reject_overlap(compiled):
+    # A = [[0, 1], [1, 0]]: out written over x would feed back into the
+    # product
+    indptr, indices, data = _csr_from_dense(np.array([[0.0, 1.0],
+                                                      [1.0, 0.0]]))
+    for kernel in (kernels.csr_matvec, kernels.csr_rmatvec):
+        buf = np.array([1.0, 2.0, 3.0])
+        for x, out in ((buf[:2], buf[:2]), (buf[:2], buf[1:]),
+                       (buf[1:], buf[:2])):
+            with pytest.raises(ValueError, match="x and out overlap"):
+                kernel(indptr, indices, data, x, out)
+        np.testing.assert_array_equal(buf, [1.0, 2.0, 3.0])
+
+
+def test_backends_share_signatures(compiled):
+    # the compiled signatures are read from their "--" doc strings
+    for name in ("csr_matvec", "csr_rmatvec", "minres_step", "cg"):
+        assert inspect.signature(getattr(kernels._csrkern, name)) \
+            == inspect.signature(getattr(kernels.reference, name)), name
 
 
 def test_compiled_rmatvec_checks_rows_against_x(compiled):

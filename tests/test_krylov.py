@@ -1,5 +1,7 @@
 """Iterative solvers against dense direct references."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -39,11 +41,15 @@ def test_cg_identity_constraints():
 
 
 def test_cg_zero_rhs():
-    j = make_sparse(np.array([[1.0, 2.0, 0.0]]))
-    res = cg_normal_solve(j, np.zeros(1), rel_tol=0.1, abs_floor=1e-10)
-    assert res.iterations == 0
-    assert res.converged
-    np.testing.assert_array_equal(res.v, np.zeros(3))
+    # c = 0, and a c whose J.T c is exactly zero: the zero start converges
+    for rows, c in (([[1.0, 2.0, 0.0]], [0.0]),
+                    ([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]], [1.0, -1.0])):
+        j = make_sparse(np.array(rows))
+        res = cg_normal_solve(j, np.array(c), rel_tol=0.1, abs_floor=1e-10)
+        assert res.iterations == 0
+        assert res.converged
+        assert res.resid_norm == 0.0
+        np.testing.assert_array_equal(res.v, np.zeros(3))
 
 
 def test_cg_matches_pseudoinverse():
@@ -112,6 +118,15 @@ def test_multipliers_match_dense_lstsq():
     y = least_squares_multipliers(make_sparse(j_dense), g, tol=1e-12)
     np.testing.assert_allclose(y, dense_least_squares_multipliers(j_dense, g),
                                rtol=0, atol=1e-8)
+
+
+def test_multipliers_exact_zero_for_null_gradient(caplog):
+    # J g = 0 exactly: +0.0 multipliers from the zero start, no warning
+    j = make_sparse(np.array([[1.0, 0.0]]))
+    with caplog.at_level(logging.WARNING, logger="sisqo.krylov"):
+        y = least_squares_multipliers(j, np.array([0.0, 1.0]))
+    assert y.tobytes() == np.zeros(1).tobytes()
+    assert caplog.records == []
 
 
 def test_multipliers_empty_constraint_block():
