@@ -10,11 +10,12 @@ solve; the mean over the whole solve).
 Every figure is timed ``--repeats`` times and printed as best/median.
 The step is printed next to the two KKT applies ``(H u + J.T delta,
 J u)`` it contains, each counted as the sum of its three isolated CSR
-product times rather than timed through the Python composition
-``kernels.kkt_apply``, whose slicing and temporary the compiled step
-does not pay; their ratio is read from the medians.  The CG iteration of
-each backend is also compared with the numpy loop of
-``kernels.reference.cg`` run on that backend's CSR products.
+product times rather than timed through the numpy step's Python
+composition ``kernels.reference._kkt_apply``, whose slicing and
+temporary the compiled step does not pay; their ratio is read from the
+medians.  The CG iteration of each backend is also compared with the
+numpy loop of ``kernels.reference.cg`` run on that backend's CSR
+products.
 ``--json PATH`` also writes every figure, one record per mesh and
 backend.  Run from the repository root of a source checkout (an
 installed package needs no ``PYTHONPATH``):

@@ -11,6 +11,8 @@ import configparser
 from dataclasses import fields
 from importlib import resources
 
+import numpy as np
+
 from .engine import ConfigError, SolverConfig
 from .library import (ControlProblemSpec, SyntheticQpSpec,
                       build_neumann_control, build_poisson_control,
@@ -94,8 +96,11 @@ def build_problem(config):
     section = dict(config.get("problem", {}))
     kind = section.pop("kind", None)
     if kind == "synthetic_qp":
-        problem = build_synthetic_qp(
-            _spec(SyntheticQpSpec, section, {"seed": "problem_seed"}))
+        spec = _spec(SyntheticQpSpec, section, {"seed": "problem_seed"})
+        try:
+            problem = build_synthetic_qp(spec)
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            raise ConfigError(f"no QP for {spec}: {exc}") from exc
     elif kind in ("poisson_control", "neumann_control"):
         spec = _spec(ControlProblemSpec, section, {},
                      eps_n=oracle_settings(config)[1])
@@ -185,10 +190,10 @@ def _check_seeds(seeds):
 
 
 def _noise_level(key, value):
-    """``value`` as a float when it is a non-negative number."""
-    if not _check_type(key, value, float) >= 0.0:
+    """``value`` as a float when it is a finite non-negative number."""
+    if not 0.0 <= _check_type(key, value, float) < np.inf:
         raise ConfigError(f"bad noise parameters: {key} must be"
-                          f" non-negative, got {value!r}")
+                          f" non-negative and finite, got {value!r}")
     return float(value)
 
 

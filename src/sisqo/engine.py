@@ -224,17 +224,19 @@ class SolverConfig:
             raise ConfigError("eps_r must lie in (0, 1]")
         if self.sigma_c >= self.eps_r:
             raise ConfigError("sigma_c < eps_r required for the tau update")
-        # written as "not (val > 0.0)" so that NaN fails them too
+        # written as "not 0.0 < val <= top" so that NaN fails them too;
+        # only a tolerance may be inf, which sets no bound
         positive = {"tau_init": self.tau_init, "xi_init": self.xi_init,
                     "eps_c": self.eps_c, "eps_u": self.eps_u,
                     "kappa_rho": self.kappa_rho, "kappa_r": self.kappa_r,
                     "kappa_u": self.kappa_u, "kappa_v": self.kappa_v,
-                    "theta": self.theta,
+                    "theta": self.theta, "lip_l": self.lip_l,
                     "feasibility_tol": self.feasibility_tol,
                     "stationarity_tol": self.stationarity_tol}
         for name, val in positive.items():
-            if not val > 0.0:
-                raise ConfigError(f"{name} must be positive, got {val}")
+            top = math.inf if name.endswith("_tol") else np.finfo(float).max
+            if not 0.0 < val <= top:
+                raise ConfigError(f"{name} = {val} lies outside (0, {top:g}]")
         if not self.eps_c <= 1.0:
             raise ConfigError("eps_c must lie in (0, 1]")
         if not 0.0 < self.beta0 <= 1.0:
@@ -244,8 +246,8 @@ class SolverConfig:
         if self.lipschitz_mode not in ("fixed", "estimate"):
             raise ConfigError(f"unknown lipschitz_mode {self.lipschitz_mode!r}")
         if self.lipschitz_mode == "fixed":
-            if not (self.lip_l > 0.0 and self.lip_gamma >= 0.0):
-                raise ConfigError("fixed mode needs lip_l > 0, lip_gamma >= 0")
+            if not self.lip_gamma >= 0.0:
+                raise ConfigError("fixed mode needs lip_gamma >= 0")
             if self.lip_gamma > 0.0:
                 scale = 2.0 * (1.0 - self.eta) * self.beta0 * self.xi_init \
                     * self.tau_init / self.lip_gamma
@@ -618,12 +620,11 @@ def update_duals(y, delta):
     return y + delta
 
 
-def init_state(problem, cfg, x0=None, y0=None):
-    x = np.array(problem.x0 if x0 is None else x0, dtype=np.float64)
-    y = np.zeros(problem.m) if y0 is None else np.array(y0, dtype=np.float64)
-    if x.shape != (problem.n,) or y.shape != (problem.m,):
-        raise ValueError("bad x0 or y0 shape")
-    return IterateState(k=0, x=x, y=y, tau=cfg.tau_init, xi=cfg.xi_init,
+def init_state(problem, cfg):
+    """The state at k = 0: ``problem.x0`` and zero duals."""
+    x = np.array(problem.x0, dtype=np.float64)
+    return IterateState(k=0, x=x, y=np.zeros(problem.m), tau=cfg.tau_init,
+                        xi=cfg.xi_init,
                         f=_checked(problem.eval_f(x), "f(x)", 0, ()),
                         c=_checked(problem.eval_c(x), "c(x)", 0,
                                    (problem.m,)),
@@ -766,6 +767,7 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
     total_minres = 0
     for rung in range(MAX_RUNG + 2):
         ctx.set_rung(ladder_matrix(hess, rung))
+        _checked(ctx.rhs_top, "tangential right-hand side", state.k)
         ev, iters, solver_info = _tangential_solve(ctx, cfg)
         total_minres += iters
         rungs.append({"rung": rung, "minres_iters": iters, **solver_info})

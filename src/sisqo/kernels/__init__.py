@@ -1,5 +1,5 @@
 """CSR matvec, MINRES-step and CG kernels with a compiled core and a
-numpy fallback, and the KKT apply composed from them.
+numpy fallback.
 
 The kernels are ``csr_matvec``, ``csr_rmatvec``, ``minres_step`` (one
 whole MINRES step on the saddle operator ``(H u + J.T delta, J u)``, over
@@ -10,8 +10,6 @@ row count and the ``ncols`` it is given).  A backend is a module that
 defines these four functions; :func:`use_backend` binds this module's
 names to the chosen backend's own functions, so callers look them up
 here at call time.
-``kkt_apply`` applies the saddle operator with three calls of the two
-CSR kernels; the compiled step's fused product has the same bits.
 
 The compiled core is the C extension ``_csrkern``.  It is compiled from
 ``_csrkern.c`` on first import, with the interpreter's ``sysconfig``
@@ -155,27 +153,6 @@ def use_backend(name):
     csr_rmatvec = backend.csr_rmatvec
     minres_step = backend.minres_step
     cg = backend.cg
-
-
-def kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,
-              out):
-    """out = (H u + J.T delta, J u) for z = (u, delta), with H n-by-n and
-    J m-by-n in CSR form; n and m are read from the indptr lengths.  out
-    must not overlap z."""
-    if not (isinstance(z, numpy.ndarray) and isinstance(out, numpy.ndarray)):
-        raise TypeError("z and out must be numpy arrays")
-    n, m = h_indptr.shape[0] - 1, j_indptr.shape[0] - 1
-    if z.shape != (n + m,) or out.shape != (n + m,):
-        raise ValueError("z and out must both have length n + m")
-    if numpy.may_share_memory(z, out):
-        raise ValueError("out overlaps z")
-    top, bot = out[:n], out[n:]
-    csr_matvec(h_indptr, h_indices, h_data, z[:n], top)
-    if bot.size:
-        jtd = numpy.empty(n)
-        csr_rmatvec(j_indptr, j_indices, j_data, z[n:], jtd)
-        top += jtd
-        csr_matvec(j_indptr, j_indices, j_data, z[:n], bot)
 
 
 _BACKENDS = {"python": reference}

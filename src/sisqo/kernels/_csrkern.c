@@ -36,13 +36,14 @@
  * same two loops.  The KKT product inside ``minres_step`` keeps that
  * order for each block and adds the row sum of H u to the scattered
  * J.T delta, so it has the bits of the three separate kernel calls that
- * ``sisqo.kernels.kkt_apply`` makes.  ``minres_step`` and ``cg`` take
- * their dot products from numpy's own float64 ``dotfunc``, the function
- * ``ndarray.dot`` calls for 1-D vectors, and do everything else
- * elementwise in the order of the numpy loops in ``reference.py``; built
- * without floating-point contraction, their results have the bits of
- * those loops run on this module's matvec and rmatvec.  Built by
- * ``sisqo.kernels`` on first import, against numpy's headers.
+ * the numpy step's helper ``sisqo.kernels.reference._kkt_apply`` makes.
+ * ``minres_step`` and ``cg`` take their dot products from numpy's own
+ * float64 ``dotfunc``, the function ``ndarray.dot`` calls for 1-D
+ * vectors, and do everything else elementwise in the order of the numpy
+ * loops in ``reference.py``; built without floating-point contraction,
+ * their results have the bits of those loops run on this module's
+ * matvec and rmatvec.  Built by ``sisqo.kernels`` on first import,
+ * against numpy's headers.
  */
 
 #define PY_SSIZE_T_CLEAN

@@ -5,9 +5,9 @@ agree with them in exact arithmetic; floating point sums may differ at
 round-off because the vectorized reductions associate differently.
 ``minres_step`` and ``cg`` are the loops the compiled ones reproduce;
 like its twin, ``cg`` allocates its own vectors.  They take their
-products from ``sisqo.kernels`` (``kkt_apply``, ``csr_matvec`` and
-``csr_rmatvec``), on whichever backend is active, so with the compiled
-backend active each agrees bit for bit with its compiled twin.
+products from ``sisqo.kernels.csr_matvec`` and ``csr_rmatvec`` (the step
+through :func:`_kkt_apply`) on whichever backend is active, so with the
+compiled backend active each agrees bit for bit with its compiled twin.
 """
 
 import math
@@ -37,10 +37,25 @@ def csr_rmatvec(indptr, indices, data, x, out):
     out[:] = np.bincount(indices, weights=data * x[rows], minlength=out.shape[0])
 
 
+def _kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,
+               out):
+    """out = (H u + J.T delta, J u) for z = (u, delta), with H n-by-n and
+    J m-by-n in CSR form, as three products of the active backend; the
+    compiled step's fused product has the same bits.  ``out`` has length
+    n + m and does not overlap ``z``."""
+    n = h_indptr.shape[0] - 1
+    top, bot = out[:n], out[n:]
+    kernels.csr_matvec(h_indptr, h_indices, h_data, z[:n], top)
+    if bot.size:
+        jtd = np.empty(n)
+        kernels.csr_rmatvec(j_indptr, j_indices, j_data, z[n:], jtd)
+        top += jtd
+        kernels.csr_matvec(j_indptr, j_indices, j_data, z[:n], bot)
+
+
 def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
                 rhs, work, scal):
-    """One MINRES step on ``K z = -rhs``, K as in
-    :func:`sisqo.kernels.kkt_apply`.
+    """One MINRES step on ``K z = -rhs``, K as in :func:`_kkt_apply`.
 
     ``work`` holds eight vectors of length dim = n + m, in this order:
     v, r1, r2, y, w, w2, the iterate z and the residual ``K z + rhs``.
@@ -61,7 +76,7 @@ def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
     # scalars are Python floats: the same IEEE operations in the same
     # order as the textbook form, with less call overhead.
     np.multiply(1.0 / beta, r2, vec)
-    kernels.kkt_apply(*csr, vec, y)
+    _kkt_apply(*csr, vec, y)
     if steps >= 1:
         y -= np.multiply(beta / oldb, r1, resid)
     alfa = float(vec.dot(y))
@@ -91,7 +106,7 @@ def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
     z += np.multiply(phi, w, resid)
 
     # true residual, recomputed from the operator every step
-    kernels.kkt_apply(*csr, z, resid)
+    _kkt_apply(*csr, z, resid)
     resid += rhs
     scal[:] = (beta, oldb, dbar, epsln, phibar, cs, sn, steps + 1,
                math.sqrt(float(resid.dot(resid))),

@@ -79,19 +79,19 @@ class CgResult:
 
 
 def cg_max_iter(m):
-    """The default CG iteration cap for a J of m rows."""
+    """The CG iteration cap for a J of m rows."""
     return 4 * m + 10
 
 
-def _cg(j, normal, b, rel_tol, abs_floor, max_iter=None):
+def _cg(j, normal, b, rel_tol, abs_floor):
     """CG on ``A x = b`` from x = 0 (A = J.T J if ``normal``, else J J.T) to
-    ``max(rel_tol * ||b||, abs_floor)`` in at most ``max_iter`` iterations
-    (default :func:`cg_max_iter` of J's rows); warns unless it converged."""
+    ``max(rel_tol * ||b||, abs_floor)`` in at most :func:`cg_max_iter`
+    iterations; warns unless it converged."""
     threshold = max(rel_tol * float(np.linalg.norm(b)), abs_floor)
-    max_iter = cg_max_iter(j.shape[0]) if max_iter is None else max_iter
     x = np.empty(b.shape[0])
     result = CgResult(x, *kernels.cg(j.indptr, j.indices, j.data, j.shape[1],
-                                     normal, b, x, threshold, max_iter))
+                                     normal, b, x, threshold,
+                                     cg_max_iter(j.shape[0])))
     if not result.converged:
         logger.warning("%s CG stopped at resid %.3e (target %.3e) after %d "
                        "iterations", "normal-step" if normal else "multiplier",
@@ -99,7 +99,7 @@ def _cg(j, normal, b, rel_tol, abs_floor, max_iter=None):
     return result
 
 
-def cg_normal_solve(j, c, rel_tol, abs_floor, max_iter=None):
+def cg_normal_solve(j, c, rel_tol, abs_floor):
     """Solve min ||c + J v|| over the row space of J by CG.
 
     Works on the normal equations ``J.T J v = -J.T c`` applied
@@ -107,11 +107,11 @@ def cg_normal_solve(j, c, rel_tol, abs_floor, max_iter=None):
     iterate with ``||J.T J v + J.T c|| <= max(rel_tol * ||J.T c||,
     abs_floor)``, so a zero right-hand side returns v = 0 at once.
 
-    Returns a :class:`CgResult`; non-convergence within ``max_iter``
-    (default :func:`cg_max_iter` of J's rows) is reported through
+    Returns a :class:`CgResult`; non-convergence within
+    :func:`cg_max_iter` of J's rows iterations is reported through
     ``converged=False`` with the best iterate kept.
     """
-    return _cg(j, True, -j.apply_transpose(c), rel_tol, abs_floor, max_iter)
+    return _cg(j, True, -j.apply_transpose(c), rel_tol, abs_floor)
 
 
 def least_squares_multipliers(j, g, tol=MULTIPLIER_REL_TOL):

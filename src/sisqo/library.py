@@ -63,8 +63,10 @@ class SyntheticQpSpec:
     def __post_init__(self):
         if not (0 < self.m <= self.n):
             raise ValueError("need 0 < m <= n")
-        if self.cond_target < 1.0 or self.curvature_floor <= 0.0:
-            raise ValueError("cond_target >= 1 and curvature_floor > 0 required")
+        if not (1.0 <= self.cond_target < np.inf
+                and 0.0 < self.curvature_floor < np.inf):
+            raise ValueError("finite cond_target >= 1 and curvature_floor > 0"
+                             " required")
 
 
 _QP_MIN_SINGULAR = 1e-3
@@ -152,8 +154,10 @@ class ControlProblemSpec:
     def __post_init__(self):
         if self.mesh_size < 1 or self.n_terms < 1:
             raise ValueError("mesh_size and n_terms must be positive")
-        if self.regularization <= 0 or self.eps_n < 0 or self.eps_s <= 0:
-            raise ValueError("bad regularization or noise parameters")
+        if not (0.0 < self.regularization < np.inf
+                and 0.0 < self.eps_s < np.inf and 0.0 <= self.eps_n < np.inf):
+            raise ValueError("finite regularization > 0, eps_s > 0 and"
+                             " eps_n >= 0 required")
 
 
 def _reference_targets(spec, axis):

@@ -27,6 +27,10 @@ STREAMS = {"oracle": 1, "lipschitz": 2, "problem": 3}
 # a positive step-size denominator
 LIP_FLOOR = 1e-8
 
+# validate_problem's probe count, and its difference step per max(1, ||x0||)
+VALIDATION_POINTS = 20
+VALIDATION_FD_STEP = 1e-6
+
 
 def substream(seed, name):
     """Named Philox substream; (seed, name) fully determines the draws."""
@@ -194,10 +198,10 @@ def estimate_lipschitz(problem, x, j, probe_radius, rng):
 
 # -- derivative validation -------------------------------------------------
 
-def validate_problem(problem, seed=0, n_points=20, fd_step=1e-6):
+def validate_problem(problem, seed=0):
     """Central finite-difference checks of the declared derivatives.
 
-    Returns a dict of worst-case relative errors over ``n_points``
+    Returns a dict of worst-case relative errors over VALIDATION_POINTS
     random probes: gradient vs f, Jacobian vs c, and Lagrangian Hessian
     vs the Lagrangian gradient.
     """
@@ -205,12 +209,12 @@ def validate_problem(problem, seed=0, n_points=20, fd_step=1e-6):
     x_base = problem.x0
     scale = max(1.0, float(np.linalg.norm(x_base)))
     grad_err = jac_err = hess_err = 0.0
-    for _ in range(n_points):
+    for _ in range(VALIDATION_POINTS):
         x = x_base + 0.5 * scale * rng.standard_normal(problem.n)
         y = rng.standard_normal(problem.m)
         d = rng.standard_normal(problem.n)
         d /= np.linalg.norm(d)
-        h = fd_step * scale
+        h = VALIDATION_FD_STEP * scale
 
         fd = (problem.eval_f(x + h * d) - problem.eval_f(x - h * d)) / (2 * h)
         an = float(np.dot(problem.eval_grad_f(x), d))

@@ -259,7 +259,7 @@ class KktOperator:
 
     H must be n-by-n and pass :func:`is_symmetric`; J is m-by-n with m
     possibly zero.  The operator is applied to stacked vectors of length
-    n + m, in one kernel call.
+    n + m, as three CSR products.
     """
 
     __slots__ = ("h", "j", "n", "m", "dim", "csr")
@@ -278,24 +278,17 @@ class KktOperator:
         self.m = j.rows
         self.dim = self.n + self.m
         # the six CSR arrays of H and J, the leading arguments of
-        # kernels.kkt_apply and kernels.minres_step
+        # kernels.minres_step
         self.csr = (h.indptr, h.indices, h.data, j.indptr, j.indices,
                     j.data)
 
-    def apply(self, z, out=None):
-        """Stacked apply on z = (u, delta).
-
-        ``out``, when given, must be a C-contiguous float64 vector of
-        length ``dim``; it may alias ``z``.
-        """
+    def apply(self, z):
+        """Stacked apply on z = (u, delta), into a new vector."""
         z = np.ascontiguousarray(z, dtype=np.float64)
         if z.shape != (self.dim,):
             raise ValueError(f"expected stacked vector of length {self.dim}")
-        if out is None:
-            out = np.empty(self.dim)
-        elif np.may_share_memory(z, out):
-            z = z.copy()
-        kernels.kkt_apply(*self.csr, z, out)
+        out = np.empty(self.dim)
+        kernels.reference._kkt_apply(*self.csr, z, out)
         return out
 
     def __repr__(self):

@@ -160,6 +160,51 @@ def test_oracle_and_harness_keys_are_known_and_typed(tmp_path, capsys, verb,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, profile, overrides, key", [
+    ("run", "qp_gaussian", ["algorithm.tau_init=inf"], "tau_init"),
+    ("run", "qp_gaussian", ["algorithm.theta=inf"], "theta"),
+    ("run", "qp_gaussian", ["oracle.eps_n=inf"], "eps_n"),
+    ("run", "qp_gaussian",
+     ["algorithm.lip_l=inf", "algorithm.lipschitz_mode=fixed"], "lip_l"),
+    ("run", "qp_gaussian", ["algorithm.xi_init=inf"], "xi_init"),
+    ("run", "qp_gaussian", ["problem.cond_target=inf"], "cond_target"),
+    # finite, but beyond what the QP generator can build
+    ("run", "qp_gaussian", ["problem.cond_target=1e300"], "cond_target"),
+    pytest.param("run", "qp_gaussian",
+                 ["problem.curvature_floor=1e300", "problem.cond_target=1e10"],
+                 "curvature_floor", marks=pytest.mark.filterwarnings(
+                     "ignore::RuntimeWarning")),
+    ("validate", "control_finite_sum", ["problem.regularization=inf"],
+     "regularization"),
+    ("validate", "control_finite_sum", ["problem.eps_s=inf"], "eps_s"),
+    ("validate", "control_finite_sum", ["algorithm.kappa_u=inf"], "kappa_u"),
+])
+def test_non_finite_settings_exit_2(tmp_path, capsys, verb, profile,
+                                    overrides, key):
+    # a run on such a setting failed, "converged" or raised, and a
+    # validation reported every check ok
+    if verb == "run":
+        args = [verb, "-c", profile, "-o", str(tmp_path / "run.csv"),
+                "harness.seeds=0", "harness.max_outer_iterations=5"]
+    else:
+        args = [verb, "-c", profile, "problem.mesh_size=4"]
+    args += overrides
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+
+
+def test_infinite_tolerances_set_no_bound(tmp_path):
+    # unlike every other float setting, a tolerance may be inf: the
+    # start point then converges
+    out = str(tmp_path / "run.csv")
+    assert main(["run", "-c", "qp_gaussian", "-o", out,
+                 "harness.feasibility_tol=inf",
+                 "harness.stationarity_tol=inf"] + _TINY) == 0
+    [record] = load_results(out)
+    assert record.status == "converged" and record.outer_iters == 0
+
+
 def test_int_setting_is_accepted_as_float(tmp_path):
     out = str(tmp_path / "run.csv")
     assert main(["run", "-c", "qp_gaussian", "-o", out, "algorithm.xi_init=1"]

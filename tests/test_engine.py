@@ -438,8 +438,6 @@ def test_init_state_shapes_and_defaults():
     np.testing.assert_array_equal(state.y, np.zeros(2))
     assert state.f == problem.eval_f(problem.x0)
     np.testing.assert_array_equal(state.c, problem.eval_c(problem.x0))
-    with pytest.raises(ValueError, match="bad x0"):
-        init_state(problem, cfg, x0=np.zeros(3))
 
 
 def test_iterate_detects_stationary_start():

@@ -1,0 +1,56 @@
+"""The bit fingerprint of ``benchmarks/fingerprint.py`` is reproducible
+across interpreters, and names where two fingerprints differ."""
+
+import copy
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from sisqo import kernels
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "benchmarks" / "fingerprint.py"
+
+
+def _load():
+    # the script lives outside the package; load it by path
+    spec = importlib.util.spec_from_file_location("fingerprint", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_small_fingerprint_matches_a_fresh_interpreter(tmp_path):
+    fingerprint = _load()
+    here = fingerprint.fingerprint(["small"])
+    assert len(here["runs"]) == 4
+    assert fingerprint.first_difference(here, copy.deepcopy(here)) is None
+
+    out = tmp_path / "small.json"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path,
+               SISQO_KERNELS=kernels.active_backend())
+    subprocess.run([sys.executable, str(SCRIPT), "small", "--json", str(out)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    child = json.loads(out.read_text())
+    assert child["backend"] == here["backend"]
+    assert [r["digest"] for r in child["runs"]] == \
+        [r["digest"] for r in here["runs"]]
+    assert child["total"] == here["total"]
+
+    # one changed bit of one row is reported by run, row and field
+    changed = copy.deepcopy(here)
+    run = changed["runs"][2]
+    row = run["rows"][1]
+    old = row["tau"]
+    row["tau"] = ("1" if old[0] == "0" else "0") + old[1:]
+    run["digest"] = "0" * 64
+    assert fingerprint.first_difference(here, changed) == (
+        f"{run['run']}: IterationRow 1 field tau:"
+        f" {fingerprint._shown(old)!r} here,"
+        f" {fingerprint._shown(row['tau'])!r} there")
+    assert fingerprint._shown(old) != fingerprint._shown(row["tau"])

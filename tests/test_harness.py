@@ -19,6 +19,7 @@ from sisqo.harness import (FAILED_STATUSES, ComparisonRecord, aggregate,
                            true_kkt_errors, CSV_COLUMNS)
 from sisqo.krylov import CgResult, MinresState
 from sisqo.library import SyntheticQpSpec, build_synthetic_qp
+from sisqo.problems import Problem
 from sisqo.sparse import SparseMatrix
 
 
@@ -293,6 +294,28 @@ def test_every_injected_fault_ends_in_a_recorded_status(monkeypatch, case):
     if k == 0:
         assert record.outer_iters == 0
         np.testing.assert_array_equal(record.x_final, problem.x0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_tangential_rhs_ends_the_run_nonfinite():
+    # every evaluation is finite, but the right-hand side g + H v (+ J'y)
+    # of the first rung overflows: v = (0.9, 0, 0) and H = 1.7e308 I
+    g = np.array([1e308, 0.0, 0.0])
+    h = SparseMatrix.diagonal(np.full(3, 1.7e308))
+    j = SparseMatrix.from_dense(np.array([[1.0, 0.0, 0.0]]))
+    problem = Problem(name="overflow", n=3, m=1,
+                      eval_f=lambda x: float(g @ x),
+                      eval_grad_f=lambda x: g.copy(),
+                      eval_c=lambda x: x[:1] - 1.0,
+                      eval_jacobian=lambda x: j,
+                      eval_lagrangian_hessian=lambda x, y: h,
+                      x0=np.array([0.1, 0.0, 0.0]))
+    record = run_single(problem, SolverConfig(lipschitz_mode="fixed"), 0,
+                        oracle_kind="exact")
+    assert record.status == "nonfinite"
+    assert record.info["diagnostics"] == {
+        "quantity": "tangential right-hand side", "k": 0}
+    assert record.total_minres_iters == 0
 
 
 def _qp_gaussian_run(overrides=()):

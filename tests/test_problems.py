@@ -216,7 +216,7 @@ def test_estimate_lipschitz_deterministic_given_stream():
     lambda: build_neumann_control(ControlProblemSpec(mesh_size=3)),
 ], ids=["qp", "poisson", "neumann"])
 def test_validate_problem_passes_library(build):
-    errors = validate_problem(build(), seed=1, n_points=10)
+    errors = validate_problem(build(), seed=1)
     assert errors["gradient"] <= 1e-5
     assert errors["jacobian"] <= 1e-5
     assert errors["hessian"] <= 1e-4
@@ -232,4 +232,4 @@ def test_validate_problem_catches_wrong_gradient():
         eval_jacobian=problem.eval_jacobian,
         eval_lagrangian_hessian=problem.eval_lagrangian_hessian,
         x0=problem.x0)
-    assert validate_problem(broken, n_points=5)["gradient"] > 1e-2
+    assert validate_problem(broken)["gradient"] > 1e-2

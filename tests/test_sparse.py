@@ -226,17 +226,6 @@ def test_symmetry_is_checked_once_per_matrix(monkeypatch):
     assert calls == [h, asym]
 
 
-def test_kkt_apply_allows_out_aliasing_z():
-    rng = np.random.default_rng(11)
-    op = KktOperator(SparseMatrix.from_dense(random_symmetric(rng, 4)),
-                     SparseMatrix.from_dense(rng.standard_normal((2, 4))))
-    z = rng.standard_normal(6)
-    expected = op.apply(z)
-    out = op.apply(z, out=z)
-    assert out is z
-    assert z.tobytes() == expected.tobytes()
-
-
 def test_kkt_operator_is_symmetric():
     rng = np.random.default_rng(8)
     for n, m in ((4, 2), (6, 0), (3, 3)):
