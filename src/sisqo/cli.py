@@ -166,8 +166,9 @@ def _cmd_validate(args, config):
     status = 0
     for name, err in errors.items():
         tol = _VALIDATE_TOL[name]
+        # "not err <= tol" so that a NaN error fails
         flag = "ok" if err <= tol else "FAIL"
-        if err > tol:
+        if not err <= tol:
             status = 1
         print(f"  {name:<9} max relative error {err:.3e}"
               f" (tolerance {tol:g}) {flag}")

@@ -75,6 +75,22 @@ PROBE_RADIUS_SCALE = 1e-4
 # last blended rung of the Hessian ladder before the identity
 MAX_RUNG = 10
 
+# the method's parameters that no run varies; the ones runs set are
+# SolverConfig's fields
+XI_INIT = 1.0  # initial ratio parameter xi_0
+EPS_C = 1.0  # Cauchy decrease fraction the normal step must certify
+EPS_U = 5e-9  # curvature threshold: max(u'Hu, EPS_U ||u||^2)
+SIGMA_U = 1.0 - 1e-12  # model reduction's share of the curvature term
+SIGMA_C = 0.1  # and of the normal decrease; SIGMA_C < EPS_R
+EPS_TAU = 0.01  # least fractional fall of tau, when it falls
+EPS_XI = 0.01  # and of xi
+KAPPA_RHO = 100.0  # condition b: ||rho|| <= KAPPA_RHO beta
+KAPPA_R = 100.0  # and ||r|| <= KAPPA_R beta
+KAPPA_U = 0.1  # condition c: ||u|| <= KAPPA_U ||v||, or a curved u
+KAPPA_V = 0.1  # whose model value is at most KAPPA_V ||v||
+THETA = 1e4  # step-size cap alpha_min + THETA beta^2
+EPS_R = 1.0 - 1e-4  # share of the normal decrease that test 2 retains
+
 
 def ladder_matrix(hess, rung):
     """The Hessian ladder iota H + (1 - iota) I at ``rung``: iota = 10^-rung
@@ -173,33 +189,20 @@ def _probe_view(problem, k):
 
 @dataclass
 class SolverConfig:
-    """All tunable constants of the method; the implementation
+    """The settings that some run sets differently, or that the harness
+    reads; the method's other parameters and the implementation
     tolerances are the module constants above.
 
     Defaults follow the recommended settings for the stochastic runs:
-    adaptive parameters start at tau = 0.1 and xi = 1, the two residual
-    contractions share kappa = 0.1, and Lipschitz constants are
-    re-estimated by finite differences at every iterate.
+    tau starts at 0.1, the two residual contractions share kappa = 0.1,
+    and Lipschitz constants are re-estimated by finite differences at
+    every iterate.
     """
 
-    # adaptive parameter initial values
+    # initial merit parameter, decrease fraction and inexactness
     tau_init: float = 0.1
-    xi_init: float = 1.0
-    # decrease fractions and curvature thresholds
-    eps_c: float = 1.0
-    eps_u: float = 5e-9
-    sigma_u: float = 1.0 - 1e-12
-    sigma_c: float = 0.1
-    eps_tau: float = 0.01
-    eps_xi: float = 0.01
     eta: float = 0.1
     kappa: float = 0.1
-    kappa_rho: float = 100.0
-    kappa_r: float = 100.0
-    kappa_u: float = 0.1
-    kappa_v: float = 0.1
-    theta: float = 1e4
-    eps_r: float = 1.0 - 1e-4
     # step-size scale schedule
     beta_mode: str = "constant"
     beta0: float = 1.0
@@ -214,31 +217,18 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        unit_open = {"eta": self.eta, "sigma_c": self.sigma_c,
-                     "sigma_u": self.sigma_u, "eps_tau": self.eps_tau,
-                     "eps_xi": self.eps_xi, "kappa": self.kappa}
-        for name, val in unit_open.items():
+        for name, val in {"eta": self.eta, "kappa": self.kappa}.items():
             if not 0.0 < val < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {val}")
-        if not 0.0 < self.eps_r <= 1.0:
-            raise ConfigError("eps_r must lie in (0, 1]")
-        if self.sigma_c >= self.eps_r:
-            raise ConfigError("sigma_c < eps_r required for the tau update")
         # written as "not 0.0 < val <= top" so that NaN fails them too;
         # only a tolerance may be inf, which sets no bound
-        positive = {"tau_init": self.tau_init, "xi_init": self.xi_init,
-                    "eps_c": self.eps_c, "eps_u": self.eps_u,
-                    "kappa_rho": self.kappa_rho, "kappa_r": self.kappa_r,
-                    "kappa_u": self.kappa_u, "kappa_v": self.kappa_v,
-                    "theta": self.theta, "lip_l": self.lip_l,
+        positive = {"tau_init": self.tau_init, "lip_l": self.lip_l,
                     "feasibility_tol": self.feasibility_tol,
                     "stationarity_tol": self.stationarity_tol}
         for name, val in positive.items():
             top = math.inf if name.endswith("_tol") else np.finfo(float).max
             if not 0.0 < val <= top:
                 raise ConfigError(f"{name} = {val} lies outside (0, {top:g}]")
-        if not self.eps_c <= 1.0:
-            raise ConfigError("eps_c must lie in (0, 1]")
         if not 0.0 < self.beta0 <= 1.0:
             raise ConfigError("beta0 must lie in (0, 1]")
         if self.beta_mode not in ("constant", "diminishing"):
@@ -249,12 +239,12 @@ class SolverConfig:
             if not self.lip_gamma >= 0.0:
                 raise ConfigError("fixed mode needs lip_gamma >= 0")
             if self.lip_gamma > 0.0:
-                scale = 2.0 * (1.0 - self.eta) * self.beta0 * self.xi_init \
+                scale = 2.0 * (1.0 - self.eta) * self.beta0 * XI_INIT \
                     * self.tau_init / self.lip_gamma
                 if not 0.0 < scale <= 1.0:
                     raise ConfigError(
                         "step-size normalization 2(1-eta) beta0 xi0 tau0 /"
-                        f" gamma = {scale:.3g} falls outside (0, 1]")
+                        f" lip_gamma = {scale:.3g} falls outside (0, 1]")
         if self.max_outer_iterations < 0:
             raise ConfigError("max_outer_iterations must be >= 0")
 
@@ -336,7 +326,7 @@ def model_reduction(tau, g_dot_d, c_norm, norm_c_plus_jd):
     return -tau * g_dot_d + c_norm - norm_c_plus_jd
 
 
-def compute_normal_step(c, j, cfg):
+def compute_normal_step(c, j):
     """Matrix-free CG on J'J v = -J'c, certified against the Cauchy
     decrease of the steepest-descent direction for 0.5||c + Jv||^2.
 
@@ -358,8 +348,7 @@ def compute_normal_step(c, j, cfg):
         jjtc = j.apply(jtc)
         denom = float(np.dot(jjtc, jjtc))
         alpha_c = jtc_sq / denom if denom > 0.0 else 0.0
-        rhs = cfg.eps_c * (c_norm
-                           - float(np.linalg.norm(c - alpha_c * jjtc)))
+        rhs = EPS_C * (c_norm - float(np.linalg.norm(c - alpha_c * jjtc)))
     if lhs < rhs - _slack(c_norm):
         raise InvariantBreach(
             f"normal step lost to the Cauchy point: decrease {lhs:.6e}"
@@ -428,8 +417,8 @@ class _TestEvaluation:
         self.ctx = ctx
         self.tt1 = self.tt2 = False
         rho_norm = float(np.linalg.norm(rho))
-        if not (rho_norm <= cfg.kappa_rho * ctx.beta
-                and float(np.linalg.norm(r)) <= cfg.kappa_r * ctx.beta):
+        if not (rho_norm <= KAPPA_RHO * ctx.beta
+                and float(np.linalg.norm(r)) <= KAPPA_R * ctx.beta):
             self.failed = "b"
             return
 
@@ -453,33 +442,32 @@ class _TestEvaluation:
         # Jd = Jv + r, again avoiding a Jacobian apply
         self.norm_c_plus_jd = float(np.linalg.norm(ctx.c_plus_jv + r))
         self.g_dot_d = ctx.g_dot_v + float(np.dot(ctx.g, u))
-        self.max_term = max(uhu, cfg.eps_u * u_sq)
-        if not math.sqrt(u_sq) <= cfg.kappa_u * ctx.v_norm:
-            curved = uhu >= cfg.eps_u * u_sq
+        self.max_term = max(uhu, EPS_U * u_sq)
+        if not math.sqrt(u_sq) <= KAPPA_U * ctx.v_norm:
+            curved = uhu >= EPS_U * u_sq
             if not (curved and float(np.dot(ctx.gv_vec, u)) + 0.5 * uhu
-                    <= cfg.kappa_v * ctx.v_norm):
+                    <= KAPPA_V * ctx.v_norm):
                 self.failed = "c"
                 return
 
         self.failed = None
-        self.tt1 = self.reduces_model(ctx.tau_prev, cfg)
+        self.tt1 = self.reduces_model(ctx.tau_prev)
         retained = ctx.c_norm - self.norm_c_plus_jd
-        floor = cfg.eps_r * ctx.decrease_v
+        floor = EPS_R * ctx.decrease_v
         self.tt2 = retained >= floor and floor > 0.0
 
     @property
     def accepted(self):
         return 1 if self.tt1 else (2 if self.tt2 else 0)
 
-    def reduces_model(self, tau, cfg, relaxed=False):
+    def reduces_model(self, tau, relaxed=False):
         """Sufficient model reduction of d = v + u at merit parameter tau:
         the reduction covers sigma_u tau max(u'Hu, eps_u ||u||^2) plus
         sigma_c times the normal decrease.  ``relaxed`` forgives round-off
         at the boundary, for the check at an updated tau."""
         lhs = model_reduction(tau, self.g_dot_d, self.ctx.c_norm,
                               self.norm_c_plus_jd)
-        rhs = cfg.sigma_u * tau * self.max_term \
-            + cfg.sigma_c * self.ctx.decrease_v
+        rhs = SIGMA_U * tau * self.max_term + SIGMA_C * self.ctx.decrease_v
         if relaxed:
             return lhs >= rhs - _slack(lhs, rhs)
         return lhs >= rhs
@@ -487,8 +475,7 @@ class _TestEvaluation:
 
 # -- parameter updates -------------------------------------------------------
 
-def tau_trial_and_update(tau_prev, g_dot_d, max_term, c_norm, norm_c_plus_jd,
-                         cfg):
+def tau_trial_and_update(tau_prev, g_dot_d, max_term, c_norm, norm_c_plus_jd):
     """Merit parameter update after a test-2 acceptance, from g'd,
     max(u'Hu, eps_u ||u||^2), ||c|| and ||c + Jd||; returns
     (tau_trial, tau).  tau never increases or exceeds tau_trial, and a
@@ -496,9 +483,9 @@ def tau_trial_and_update(tau_prev, g_dot_d, max_term, c_norm, norm_c_plus_jd,
     positive, or a NaN trial value, is an InvariantBreach."""
     denom = g_dot_d + max_term
     tau_trial = math.inf if denom <= 0.0 else \
-        (1.0 - cfg.sigma_c / cfg.eps_r) * (c_norm - norm_c_plus_jd) / denom
+        (1.0 - SIGMA_C / EPS_R) * (c_norm - norm_c_plus_jd) / denom
     tau_new = tau_prev if tau_prev <= tau_trial \
-        else min((1.0 - cfg.eps_tau) * tau_prev, tau_trial)
+        else min((1.0 - EPS_TAU) * tau_prev, tau_trial)
     if not 0.0 < tau_new <= tau_trial:
         raise InvariantBreach(
             f"merit parameter collapsed to {tau_new:.3e}"
@@ -506,7 +493,7 @@ def tau_trial_and_update(tau_prev, g_dot_d, max_term, c_norm, norm_c_plus_jd,
     return tau_trial, tau_new
 
 
-def xi_update(xi_prev, tau, delta_l, d_sq, cfg):
+def xi_update(xi_prev, tau, delta_l, d_sq):
     """Ratio parameter update from d_sq = ||d||^2; the trial value is
     the realized reduction-to-step ratio delta_l / (tau ||d||^2).  xi
     never increases or exceeds xi_trial; a model reduction or step that
@@ -515,7 +502,7 @@ def xi_update(xi_prev, tau, delta_l, d_sq, cfg):
     xi_trial = delta_l / scale if delta_l > 0.0 and scale > 0.0 \
         else math.nan
     xi_new = xi_prev if xi_prev <= xi_trial \
-        else min((1.0 - cfg.eps_xi) * xi_prev, xi_trial)
+        else min((1.0 - EPS_XI) * xi_prev, xi_trial)
     if not xi_new <= xi_trial:
         raise InvariantBreach(
             f"no ratio update from model reduction delta_l = {delta_l:.3e}"
@@ -566,11 +553,11 @@ _EXPAND = 1.1
 _MAX_EXPANSIONS = int(math.log(np.finfo(float).max) / math.log(_EXPAND))
 
 
-def select_step_size(alpha_min, alpha_suff, beta, theta, varphi):
+def select_step_size(alpha_min, alpha_suff, beta, varphi):
     """Step size selection between the safe bounds.
 
     A full step wins when alpha_suff reaches 1.  Otherwise the capped
-    lower bound alpha_min + theta beta^2 is taken when it does not
+    lower bound alpha_min + THETA beta^2 is taken when it does not
     exceed alpha_suff; failing that, alpha_suff is expanded by factors
     of 1.1 while the merit model stays nonpositive, the cap is
     respected, and the previous trial was below 1.  The unexpanded
@@ -578,7 +565,7 @@ def select_step_size(alpha_min, alpha_suff, beta, theta, varphi):
     Raises InvariantBreach unless alpha_suff and the cap are finite and
     positive.
     """
-    cap = alpha_min + theta * beta ** 2
+    cap = alpha_min + THETA * beta ** 2
     if not (0.0 < alpha_suff < math.inf and 0.0 < cap < math.inf):
         raise InvariantBreach(f"step-size bounds alpha_suff = {alpha_suff:.3e}"
                               f" and cap = {cap:.3e} must be finite, > 0")
@@ -624,7 +611,7 @@ def init_state(problem, cfg):
     """The state at k = 0: ``problem.x0`` and zero duals."""
     x = np.array(problem.x0, dtype=np.float64)
     return IterateState(k=0, x=x, y=np.zeros(problem.m), tau=cfg.tau_init,
-                        xi=cfg.xi_init,
+                        xi=XI_INIT,
                         f=_checked(problem.eval_f(x), "f(x)", 0, ()),
                         c=_checked(problem.eval_c(x), "c(x)", 0,
                                    (problem.m,)),
@@ -696,7 +683,7 @@ def _verify(ev, step, varphi, d_sq, merit_drop, guaranteed, cfg):
     reduction at the updated tau, varphi(alpha) <= 0, and the merit
     decrease bound, which is logged instead unless ``guaranteed``."""
     out = []
-    if not ev.reduces_model(step.tau, cfg, relaxed=True):
+    if not ev.reduces_model(step.tau, relaxed=True):
         out.append("model reduction condition fails at updated tau")
     alpha = step.alpha
     phi_scale = (1.0 - cfg.eta) * alpha * step.beta * step.delta_l \
@@ -756,7 +743,7 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
                                               probe_rng)
     _checked((lip_l, lip_gamma), "Lipschitz constants", state.k)
 
-    ns = compute_normal_step(state.c, state.j, cfg)
+    ns = compute_normal_step(state.c, state.j)
     beta = beta_for_iteration(cfg, state.k)
 
     ctx = _IterationContext(g, state.c, state.j, ns, state.y, state.tau, beta,
@@ -787,7 +774,7 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
     else:
         _, tau_new = tau_trial_and_update(
             state.tau, ev.g_dot_d, ev.max_term, ctx.c_norm,
-            ev.norm_c_plus_jd, cfg)
+            ev.norm_c_plus_jd)
 
     d = ns.v + ev.u
     d_sq = float(np.dot(d, d))
@@ -799,7 +786,7 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
         raise _stationary(_least_squares_residual(g, state.j), False)
     delta_l = model_reduction(tau_new, ev.g_dot_d, ctx.c_norm,
                               ev.norm_c_plus_jd)
-    _, xi_new = xi_update(state.xi, tau_new, delta_l, d_sq, cfg)
+    _, xi_new = xi_update(state.xi, tau_new, delta_l, d_sq)
     alpha_min, alpha_suff = step_size_bounds(tau_new, xi_new, beta, delta_l,
                                              d_sq, lip_l, lip_gamma, cfg)
 
@@ -810,7 +797,7 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
                                ctx.c, ctx.c_norm, jd, ev.norm_c_plus_jd, d_sq,
                                cfg)
 
-    alpha = select_step_size(alpha_min, alpha_suff, beta, cfg.theta, varphi)
+    alpha = select_step_size(alpha_min, alpha_suff, beta, varphi)
 
     x_next = state.x + alpha * d
     y_next = update_duals(state.y, ev.delta)

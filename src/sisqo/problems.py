@@ -203,7 +203,7 @@ def validate_problem(problem, seed=0):
 
     Returns a dict of worst-case relative errors over VALIDATION_POINTS
     random probes: gradient vs f, Jacobian vs c, and Lagrangian Hessian
-    vs the Lagrangian gradient.
+    vs the Lagrangian gradient.  An error is NaN when any probe's is.
     """
     rng = substream(seed, "problem")
     x_base = problem.x0
@@ -218,12 +218,12 @@ def validate_problem(problem, seed=0):
 
         fd = (problem.eval_f(x + h * d) - problem.eval_f(x - h * d)) / (2 * h)
         an = float(np.dot(problem.eval_grad_f(x), d))
-        grad_err = max(grad_err, abs(fd - an) / max(1.0, abs(an)))
+        grad_err = np.maximum(grad_err, abs(fd - an) / max(1.0, abs(an)))
 
         cd = (problem.eval_c(x + h * d) - problem.eval_c(x - h * d)) / (2 * h)
         jd = problem.eval_jacobian(x).apply(d)
-        jac_err = max(jac_err, float(np.max(np.abs(cd - jd)))
-                      / max(1.0, float(np.max(np.abs(jd)))))
+        jac_err = np.maximum(jac_err, float(np.max(np.abs(cd - jd)))
+                             / max(1.0, float(np.max(np.abs(jd)))))
 
         def lagr_grad(z):
             return problem.eval_grad_f(z) + \
@@ -231,6 +231,7 @@ def validate_problem(problem, seed=0):
 
         hd_fd = (lagr_grad(x + h * d) - lagr_grad(x - h * d)) / (2 * h)
         hd = problem.eval_lagrangian_hessian(x, y).apply(d)
-        hess_err = max(hess_err, float(np.max(np.abs(hd_fd - hd)))
-                       / max(1.0, float(np.max(np.abs(hd)))))
-    return {"gradient": grad_err, "jacobian": jac_err, "hessian": hess_err}
+        hess_err = np.maximum(hess_err, float(np.max(np.abs(hd_fd - hd)))
+                              / max(1.0, float(np.max(np.abs(hd)))))
+    return {"gradient": float(grad_err), "jacobian": float(jac_err),
+            "hessian": float(hess_err)}

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+import sisqo.engine as engine
 from sisqo.engine import NormalStepResult, _IterationContext, _TestEvaluation
 from sisqo.sparse import SparseMatrix
 
@@ -186,11 +187,11 @@ def merit_model_parts(g, c, j, d):
             float(np.linalg.norm(c + j.apply(d))))
 
 
-def tau_parts(g, d, u, h, c, j, v, r, cfg):
-    """(g'd, max(u'Hu, eps_u ||u||^2), ||c||, ||c + Jv + r||) for
+def tau_parts(g, d, u, h, c, j, v, r):
+    """(g'd, max(u'Hu, EPS_U ||u||^2), ||c||, ||c + Jv + r||) for
     ``tau_trial_and_update``."""
     max_term = max(float(np.dot(u, h.apply(u))),
-                   cfg.eps_u * float(np.dot(u, u)))
+                   engine.EPS_U * float(np.dot(u, u)))
     return (float(np.dot(g, d)), max_term, float(np.linalg.norm(c)),
             float(np.linalg.norm(c + j.apply(v) + r)))
 
@@ -224,9 +225,9 @@ def eager_termination_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev,
     candidate (u, delta) with residual pair (rho, r), each formed in
     full from the raw arrays with no early exit, as
     ``candidate_tests`` poses them (its normal decrease is
-    ``||c|| - ||c + Jv||``).  Returns a dict keyed "a", "b", "c", "tt1"
-    and "tt2"; a comparison with NaN is false, so NaN fails a
-    condition."""
+    ``||c|| - ||c + Jv||``), at the engine's constants as they are at
+    the call.  Returns a dict keyed "a", "b", "c", "tt1" and "tt2"; a
+    comparison with NaN is false, so NaN fails a condition."""
     hu, hv, jv = h.apply(u), h.apply(v), j.apply(v)
     rho_norm = float(np.linalg.norm(rho))
     c_norm = float(np.linalg.norm(c))
@@ -236,23 +237,23 @@ def eager_termination_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev,
     current = float(np.sqrt(np.dot(stat, stat) + np.dot(c, c)))
     out = {
         "a": rho_norm <= cfg.kappa * min(current, prev_pair_norm),
-        "b": (rho_norm <= cfg.kappa_rho * beta
-              and float(np.linalg.norm(r)) <= cfg.kappa_r * beta),
-        "c": (math.sqrt(u_sq) <= cfg.kappa_u * v_norm
-              or (uhu >= cfg.eps_u * u_sq
+        "b": (rho_norm <= engine.KAPPA_RHO * beta
+              and float(np.linalg.norm(r)) <= engine.KAPPA_R * beta),
+        "c": (math.sqrt(u_sq) <= engine.KAPPA_U * v_norm
+              or (uhu >= engine.EPS_U * u_sq
                   and float(np.dot(g + hv, u)) + 0.5 * uhu
-                  <= cfg.kappa_v * v_norm)),
+                  <= engine.KAPPA_V * v_norm)),
     }
     decrease_v = c_norm - float(np.linalg.norm(c + jv))
     norm_c_plus_jd = float(np.linalg.norm(c + jv + r))
     g_dot_d = float(np.dot(g, v)) + float(np.dot(g, u))
     reduction = -tau_prev * g_dot_d + c_norm - norm_c_plus_jd
-    required = cfg.sigma_u * tau_prev * max(uhu, cfg.eps_u * u_sq) \
-        + cfg.sigma_c * decrease_v
+    required = engine.SIGMA_U * tau_prev * max(uhu, engine.EPS_U * u_sq) \
+        + engine.SIGMA_C * decrease_v
     common = out["a"] and out["b"] and out["c"]
     out["tt1"] = common and reduction >= required
-    out["tt2"] = (common and c_norm - norm_c_plus_jd >= cfg.eps_r * decrease_v
-                  and cfg.eps_r * decrease_v > 0.0)
+    floor = engine.EPS_R * decrease_v
+    out["tt2"] = common and c_norm - norm_c_plus_jd >= floor and floor > 0.0
     return out
 
 
@@ -263,4 +264,4 @@ def model_reduction_holds(tau, g, c, j, v, u, h, cfg):
     m = j.rows
     ev = candidate_tests(g, c, j, v, np.zeros(m), h, u, np.zeros(m),
                          np.zeros(len(u)), j.apply(u), cfg)
-    return ev.reduces_model(tau, cfg, relaxed=True)
+    return ev.reduces_model(tau, relaxed=True)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import sisqo.engine
 from oracles import (candidate_tests, dense_kkt_solve, dense_normal_step,
                      make_sparse, merit_model_parts, model_reduction_holds,
                      random_full_rank, random_spd, residual_pair, tau_parts,
@@ -262,7 +263,7 @@ def test_06_oracle_statistics(capsys):
             f" {elapsed:.1f}s")
 
 
-def test_07_formula_examples(capsys):
+def test_07_formula_examples(capsys, monkeypatch):
     t0 = time.perf_counter()
     cfg = SolverConfig()
     checks = []
@@ -285,18 +286,18 @@ def test_07_formula_examples(capsys):
               np.array([-1.0, 0.0]))) - 1.1) < 1e-15)
 
     # normal step: zero constraint, identity Jacobian, Cauchy certification
-    ns = compute_normal_step(np.zeros(2),
-                             SparseMatrix.identity(2), cfg)
+    ns = compute_normal_step(np.zeros(2), SparseMatrix.identity(2))
     check("normal step zero rhs", np.all(ns.v == 0.0) and ns.iterations == 0)
-    ns = compute_normal_step(np.array([3.0, 4.0]),
-                             SparseMatrix.identity(2), cfg)
+    ns = compute_normal_step(np.array([3.0, 4.0]), SparseMatrix.identity(2))
     check("normal step identity Jacobian",
           np.allclose(ns.v, [-3.0, -4.0], atol=1e-9)
           and abs(ns.cauchy_lhs - 5.0) < 1e-9)
     rng = np.random.default_rng(7)
     j38 = make_sparse(random_full_rank(rng, 3, 8))
     c38 = rng.standard_normal(3)
-    ns = compute_normal_step(c38, j38, SolverConfig(eps_c=1.0))
+    with monkeypatch.context() as patch:
+        patch.setattr(sisqo.engine, "EPS_C", 1.0)
+        ns = compute_normal_step(c38, j38)
     check("Cauchy certification at eps_c=1", ns.cauchy_lhs >= ns.cauchy_rhs
           - 1e-9 and ns.cauchy_rhs > 0.0)
 
@@ -335,8 +336,8 @@ def test_07_formula_examples(capsys):
                               beta=1.0).tt2)
     check("TT2 full retention at r=0",
           candidate_tests(g6, c6, j62, v6, np.zeros(m2), h6, np.zeros(n6),
-                          np.zeros(m2), np.zeros(n6), np.zeros(m2),
-                          SolverConfig(eps_r=0.9999), beta=1.0).tt2)
+                          np.zeros(m2), np.zeros(n6), np.zeros(m2), cfg,
+                          beta=1.0).tt2)
 
     # tau update branches
     g = np.array([-1.0])
@@ -345,32 +346,31 @@ def test_07_formula_examples(capsys):
     h1 = SparseMatrix.diagonal(np.full(1, 0.0))
     c1 = np.array([1.0])
     j11 = SparseMatrix.identity(1)
-    cfg_r1 = SolverConfig(eps_r=1.0)
-    trial, new = tau_trial_and_update(
-        0.1, *tau_parts(g, d, u0, h1, c1, j11, np.array([-0.5]), np.zeros(1),
-                        cfg_r1), cfg_r1)
-    check("tau infinite trial keeps tau", trial == np.inf and new == 0.1)
-    gd = np.array([9.0])
-    trial, new = tau_trial_and_update(
-        0.1, *tau_parts(gd, d, u0, h1, c1, j11, np.array([-0.5]),
-                        np.zeros(1), cfg_r1), cfg_r1)
-    check("tau takes small trial", abs(trial - 0.05) < 1e-12
-          and abs(new - 0.05) < 1e-12)
-    gd = np.array([0.45 / 0.0995])
-    trial, new = tau_trial_and_update(
-        0.1, *tau_parts(gd, d, u0, h1, c1, j11, np.array([-0.5]),
-                        np.zeros(1), cfg_r1), cfg_r1)
-    check("tau geometric decrease branch", abs(trial - 0.0995) < 1e-12
-          and abs(new - 0.099) < 1e-12)
+    v1, r1 = np.array([-0.5]), np.zeros(1)
+    with monkeypatch.context() as patch:
+        patch.setattr(sisqo.engine, "EPS_R", 1.0)
+        trial, new = tau_trial_and_update(
+            0.1, *tau_parts(g, d, u0, h1, c1, j11, v1, r1))
+        check("tau infinite trial keeps tau", trial == np.inf and new == 0.1)
+        gd = np.array([9.0])
+        trial, new = tau_trial_and_update(
+            0.1, *tau_parts(gd, d, u0, h1, c1, j11, v1, r1))
+        check("tau takes small trial", abs(trial - 0.05) < 1e-12
+              and abs(new - 0.05) < 1e-12)
+        gd = np.array([0.45 / 0.0995])
+        trial, new = tau_trial_and_update(
+            0.1, *tau_parts(gd, d, u0, h1, c1, j11, v1, r1))
+        check("tau geometric decrease branch", abs(trial - 0.0995) < 1e-12
+              and abs(new - 0.099) < 1e-12)
 
     # xi update branches
     d1 = np.array([1.0])
     d1_sq = float(np.dot(d1, d1))
-    trial, new = xi_update(1.0, 0.5, 1.0, d1_sq, cfg)  # trial 2.0
+    trial, new = xi_update(1.0, 0.5, 1.0, d1_sq)  # trial 2.0
     check("xi keeps when trial above", trial == 2.0 and new == 1.0)
-    trial, new = xi_update(1.0, 2.0, 1.0, d1_sq, cfg)  # trial 0.5
+    trial, new = xi_update(1.0, 2.0, 1.0, d1_sq)  # trial 0.5
     check("xi takes small trial", trial == 0.5 and new == 0.5)
-    trial, new = xi_update(1.0, 1.0, 0.995, d1_sq, cfg)
+    trial, new = xi_update(1.0, 1.0, 0.995, d1_sq)
     check("xi geometric decrease branch", abs(trial - 0.995) < 1e-12
           and abs(new - 0.99) < 1e-12)
 
@@ -401,17 +401,21 @@ def test_07_formula_examples(capsys):
                            SolverConfig(eta=0.5))[1] == 1.0)
 
     # alpha three-case selection
-    check("alpha full step",
-          select_step_size(0.5, 1.0, 1.0, 10.0, lambda a: 0.0) == 1.0)
-    check("alpha cap inside window",
-          select_step_size(0.2, 0.3, 1.0, 0.05, lambda a: 0.0) == 0.25)
     calls = []
 
     def varphi(a):
         calls.append(a)
         return -1.0 if a <= 0.40 else 1.0
 
-    alpha = select_step_size(0.01, 0.3, 1.0, 10.0, varphi)
+    with monkeypatch.context() as patch:
+        patch.setattr(sisqo.engine, "THETA", 10.0)
+        check("alpha full step",
+              select_step_size(0.5, 1.0, 1.0, lambda a: 0.0) == 1.0)
+        patch.setattr(sisqo.engine, "THETA", 0.05)
+        check("alpha cap inside window",
+              select_step_size(0.2, 0.3, 1.0, lambda a: 0.0) == 0.25)
+        patch.setattr(sisqo.engine, "THETA", 10.0)
+        alpha = select_step_size(0.01, 0.3, 1.0, varphi)
     check("alpha expansion stops at sign change",
           abs(alpha - 0.3 * 1.1 ** 3) < 1e-12 and max(calls) > 0.40)
 

@@ -82,6 +82,17 @@ def test_validate_passes_on_library_problems():
                  "problem.mesh_size=4"]) == 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validate_fails_on_a_nan_error(capsys):
+    # f overflows at the probes, so the finite-difference gradient and
+    # its error are NaN, which no tolerance accepts
+    assert main(["validate", "-c", "qp_gaussian",
+                 "problem.curvature_floor=1e307"]) == 1
+    out = capsys.readouterr().out
+    assert "gradient  max relative error nan" in out
+    assert "FAIL" in out
+
+
 def test_bad_config_paths_exit_2(tmp_path):
     assert main(["run", "-c", "no_such_profile"]) == 2
     assert main(["run", "-c", "qp_gaussian", "bogus-override"]) == 2
@@ -107,7 +118,7 @@ def test_negative_seed_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", [
     ["algorithm.tau_init=nan"],
-    ["algorithm.theta=nan"],
+    ["algorithm.beta0=nan"],
     ["algorithm.lipschitz_mode=fixed", "algorithm.lip_l=nan"],
     ["harness.feasibility_tol=nan"],
 ])
@@ -162,11 +173,11 @@ def test_oracle_and_harness_keys_are_known_and_typed(tmp_path, capsys, verb,
 
 @pytest.mark.parametrize("verb, profile, overrides, key", [
     ("run", "qp_gaussian", ["algorithm.tau_init=inf"], "tau_init"),
-    ("run", "qp_gaussian", ["algorithm.theta=inf"], "theta"),
+    ("run", "qp_gaussian", ["algorithm.eta=inf"], "eta"),
     ("run", "qp_gaussian", ["oracle.eps_n=inf"], "eps_n"),
     ("run", "qp_gaussian",
      ["algorithm.lip_l=inf", "algorithm.lipschitz_mode=fixed"], "lip_l"),
-    ("run", "qp_gaussian", ["algorithm.xi_init=inf"], "xi_init"),
+    ("run", "qp_gaussian", ["solver.kappa=inf"], "kappa"),
     ("run", "qp_gaussian", ["problem.cond_target=inf"], "cond_target"),
     # finite, but beyond what the QP generator can build
     ("run", "qp_gaussian", ["problem.cond_target=1e300"], "cond_target"),
@@ -177,7 +188,7 @@ def test_oracle_and_harness_keys_are_known_and_typed(tmp_path, capsys, verb,
     ("validate", "control_finite_sum", ["problem.regularization=inf"],
      "regularization"),
     ("validate", "control_finite_sum", ["problem.eps_s=inf"], "eps_s"),
-    ("validate", "control_finite_sum", ["algorithm.kappa_u=inf"], "kappa_u"),
+    ("validate", "control_finite_sum", ["algorithm.beta0=inf"], "beta0"),
 ])
 def test_non_finite_settings_exit_2(tmp_path, capsys, verb, profile,
                                     overrides, key):
@@ -207,7 +218,7 @@ def test_infinite_tolerances_set_no_bound(tmp_path):
 
 def test_int_setting_is_accepted_as_float(tmp_path):
     out = str(tmp_path / "run.csv")
-    assert main(["run", "-c", "qp_gaussian", "-o", out, "algorithm.xi_init=1"]
+    assert main(["run", "-c", "qp_gaussian", "-o", out, "algorithm.beta0=1"]
                 + _TINY) == 0
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sisqo
+import sisqo.engine as engine
 from sisqo.config import (apply_overrides, available_profiles, build_problem,
                           build_solver_config, harness_settings, load_config,
                           oracle_settings)
@@ -24,10 +25,7 @@ def test_bundled_profiles_are_listed():
 
 def test_qp_profile_round_trips_exact_floats():
     cfg = build_solver_config(load_config("qp_gaussian"))
-    assert cfg.sigma_u == 1.0 - 1e-12
-    assert cfg.eps_r == 0.9999
-    assert cfg.theta == 1e4
-    assert cfg.eps_u == 5e-9
+    assert cfg.tau_init == cfg.eta == cfg.kappa == 0.1
     assert cfg.lipschitz_mode == "estimate"
     assert cfg.max_outer_iterations == 500
     assert cfg.feasibility_tol == 1e-6
@@ -175,12 +173,49 @@ def test_build_solver_config_rejects_unknown_keys():
     ("solver", "cg_rel_tol"), ("solver", "cg_abs_floor"),
     ("solver", "minres_abs_floor"), ("solver", "minres_max_iter_scale"),
     ("solver", "ls_multiplier_tol"), ("solver", "max_rung"),
-    ("solver", "stationary_tol")])
+    ("solver", "stationary_tol"),
+    *(("algorithm", key) for key in (
+        "xi_init", "eps_c", "eps_u", "sigma_u", "sigma_c", "eps_tau",
+        "eps_xi", "kappa_rho", "kappa_r", "kappa_u", "kappa_v", "theta",
+        "eps_r"))])
 def test_fixed_tolerances_are_not_settings(section, key):
     config = apply_overrides(load_config("qp_gaussian"),
                              [f"{section}.{key}=1"])
     with pytest.raises(ConfigError, match=f"unknown solver settings.*{key}"):
         build_solver_config(config)
+
+
+def test_method_constants_meet_the_theory():
+    # what the convergence analysis asks of the parameters no run sets;
+    # the profiles set them to these values before they became constants
+    for value in (engine.SIGMA_C, engine.SIGMA_U, engine.EPS_TAU,
+                  engine.EPS_XI):
+        assert 0.0 < value < 1.0
+    assert 0.0 < engine.SIGMA_C < engine.EPS_R <= 1.0
+    assert 0.0 < engine.EPS_C <= 1.0
+    for value in (engine.XI_INIT, engine.EPS_U, engine.KAPPA_RHO,
+                  engine.KAPPA_R, engine.KAPPA_U, engine.KAPPA_V,
+                  engine.THETA):
+        assert 0.0 < value < math.inf
+    assert (engine.SIGMA_U, engine.EPS_R) == (0.999999999999, 0.9999)
+
+
+@pytest.mark.parametrize("settings, key", [
+    ({"eta": 0.0}, "eta"), ({"eta": 1.0}, "eta"),
+    ({"kappa": 0.0}, "kappa"), ({"kappa": 1.0}, "kappa"),
+    ({"beta0": 0.0}, "beta0"), ({"beta0": 1.5}, "beta0"),
+    ({"beta_mode": "linear"}, "beta_mode"),
+    ({"lipschitz_mode": "guess"}, "lipschitz_mode"),
+    ({"lipschitz_mode": "fixed", "lip_gamma": -1.0}, "lip_gamma"),
+    ({"lipschitz_mode": "fixed", "lip_gamma": math.nan}, "lip_gamma"),
+    # 2(1 - eta) beta0 xi0 tau0 / lip_gamma = 1.8 and 0
+    ({"lipschitz_mode": "fixed", "lip_gamma": 0.1}, "lip_gamma"),
+    ({"lipschitz_mode": "fixed", "lip_gamma": math.inf}, "lip_gamma"),
+    ({"max_outer_iterations": -1}, "max_outer_iterations"),
+])
+def test_out_of_range_settings_are_rejected(settings, key):
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        build_solver_config({}, **settings)
 
 
 def test_negative_seeds_are_rejected():

@@ -69,12 +69,11 @@ def test_merit_and_model_reduction_values():
 # -- normal step ----------------------------------------------------------------
 
 def test_normal_step_identity_jacobian():
-    ns = compute_normal_step(np.array([3.0, 4.0]), SparseMatrix.identity(2),
-                             CFG)
+    ns = compute_normal_step(np.array([3.0, 4.0]), SparseMatrix.identity(2))
     np.testing.assert_allclose(ns.v, [-3.0, -4.0], rtol=0, atol=1e-10)
     assert ns.iterations <= 2
     assert ns.cauchy_lhs == pytest.approx(5.0)
-    assert ns.cauchy_rhs == pytest.approx(5.0 * CFG.eps_c)
+    assert ns.cauchy_rhs == pytest.approx(5.0 * sisqo.engine.EPS_C)
 
 
 def test_normal_step_dominates_cauchy_point():
@@ -82,7 +81,7 @@ def test_normal_step_dominates_cauchy_point():
     for trial in range(5):
         j_dense = random_full_rank(rng, 3, 8)
         c = rng.standard_normal(3)
-        ns = compute_normal_step(c, make_sparse(j_dense), CFG)
+        ns = compute_normal_step(c, make_sparse(j_dense))
         assert ns.cauchy_lhs >= ns.cauchy_rhs - 1e-9
         assert np.linalg.norm(c + j_dense @ ns.v) <= np.linalg.norm(c)
 
@@ -95,8 +94,7 @@ def test_normal_step_losing_to_cauchy_point_breaches(monkeypatch):
                         lambda j, c, rel_tol, abs_floor: CgResult(
                             np.zeros(j.cols), 0, True, 0.0))
     with pytest.raises(InvariantBreach, match="lost to the Cauchy point"):
-        compute_normal_step(np.array([3.0, 4.0]), SparseMatrix.identity(2),
-                            CFG)
+        compute_normal_step(np.array([3.0, 4.0]), SparseMatrix.identity(2))
 
 
 def test_normal_step_tight_tolerance_matches_pseudoinverse(monkeypatch):
@@ -105,7 +103,7 @@ def test_normal_step_tight_tolerance_matches_pseudoinverse(monkeypatch):
     c = rng.standard_normal(4)
     monkeypatch.setattr(sisqo.engine, "CG_REL_TOL", 1e-12)
     monkeypatch.setattr(sisqo.engine, "CG_ABS_FLOOR", 1e-14)
-    ns = compute_normal_step(c, make_sparse(j_dense), CFG)
+    ns = compute_normal_step(c, make_sparse(j_dense))
     np.testing.assert_allclose(ns.v, dense_normal_step(j_dense, c),
                                rtol=0, atol=1e-8)
 
@@ -214,7 +212,7 @@ def test_termination_test_2_requires_constraint_progress():
                                np.zeros(6), np.zeros(2), CFG, beta=1.0).tt2
 
 
-def test_termination_test_2_retention_threshold():
+def test_termination_test_2_retention_threshold(monkeypatch):
     rng = np.random.default_rng(43)
     n, m = 5, 2
     j_dense = random_full_rank(rng, m, n)
@@ -227,12 +225,16 @@ def test_termination_test_2_retention_threshold():
     r = 0.25 * decrease * np.array([1.0, 0.0])
     u = np.zeros(n)
     args = (g, c, make_sparse(j_dense), v, np.zeros(m), h, u, np.zeros(m),
-            np.zeros(n), r)
-    assert candidate_tests(*args, SolverConfig(eps_r=0.7), beta=1.0).tt2
-    assert candidate_tests(*args, SolverConfig(eps_r=0.74), beta=1.0).tt2
-    assert not candidate_tests(*args, SolverConfig(eps_r=0.76), beta=1.0).tt2
-    assert not candidate_tests(*args, SolverConfig(eps_r=1.0 - 1e-4),
-                               beta=1.0).tt2
+            np.zeros(n), r, CFG)
+
+    def tt2(eps_r):
+        monkeypatch.setattr(sisqo.engine, "EPS_R", eps_r)
+        return candidate_tests(*args, beta=1.0).tt2
+
+    assert tt2(0.7)
+    assert tt2(0.74)
+    assert not tt2(0.76)
+    assert not tt2(1.0 - 1e-4)
 
 
 # -- merit parameter -------------------------------------------------------------
@@ -251,50 +253,49 @@ def _tau_ingredients(denom, retained, c_norm=1.0):
     return g, d, u, h, c, j, v, r
 
 
-def test_tau_keeps_value_when_denominator_is_negative():
-    cfg = SolverConfig(eps_r=1.0)
+def test_tau_keeps_value_when_denominator_is_negative(monkeypatch):
+    monkeypatch.setattr(sisqo.engine, "EPS_R", 1.0)
     g, d, u, h, c, j, v, r = _tau_ingredients(-1.0, 0.5)
     tau_trial, tau_new = tau_trial_and_update(
-        0.1, *tau_parts(g, d, u, h, c, j, v, r, cfg), cfg)
+        0.1, *tau_parts(g, d, u, h, c, j, v, r))
     assert tau_trial == math.inf
     assert tau_new == 0.1
 
 
-def test_tau_decreases_to_small_trial():
+def test_tau_decreases_to_small_trial(monkeypatch):
     # (1 - sigma_c/eps_r) = 0.9; trial = 0.9 * 0.5 / 9 = 0.05
-    cfg = SolverConfig(eps_r=1.0)
+    monkeypatch.setattr(sisqo.engine, "EPS_R", 1.0)
     g, d, u, h, c, j, v, r = _tau_ingredients(9.0, 0.5)
     tau_trial, tau_new = tau_trial_and_update(
-        0.1, *tau_parts(g, d, u, h, c, j, v, r, cfg), cfg)
+        0.1, *tau_parts(g, d, u, h, c, j, v, r))
     assert tau_trial == pytest.approx(0.05)
     assert tau_new == pytest.approx(0.05)
 
 
-def test_tau_decrease_is_at_least_geometric():
+def test_tau_decrease_is_at_least_geometric(monkeypatch):
     # trial 0.0995 sits between 0.099 and 0.1: the geometric fraction wins
-    cfg = SolverConfig(eps_r=1.0)
+    monkeypatch.setattr(sisqo.engine, "EPS_R", 1.0)
     g, d, u, h, c, j, v, r = _tau_ingredients(0.45 / 0.0995, 0.5)
     tau_trial, tau_new = tau_trial_and_update(
-        0.1, *tau_parts(g, d, u, h, c, j, v, r, cfg), cfg)
+        0.1, *tau_parts(g, d, u, h, c, j, v, r))
     assert tau_trial == pytest.approx(0.0995)
     assert tau_new == pytest.approx(0.099)
 
 
-def test_tau_unchanged_when_trial_is_larger():
-    cfg = SolverConfig(eps_r=1.0)
+def test_tau_unchanged_when_trial_is_larger(monkeypatch):
+    monkeypatch.setattr(sisqo.engine, "EPS_R", 1.0)
     g, d, u, h, c, j, v, r = _tau_ingredients(9.0, 0.5)
     tau_trial, tau_new = tau_trial_and_update(
-        0.01, *tau_parts(g, d, u, h, c, j, v, r, cfg), cfg)
+        0.01, *tau_parts(g, d, u, h, c, j, v, r))
     assert tau_trial == pytest.approx(0.05)
     assert tau_new == 0.01
 
 
-def test_tau_collapse_raises():
-    cfg = SolverConfig(eps_r=1.0)
+def test_tau_collapse_raises(monkeypatch):
+    monkeypatch.setattr(sisqo.engine, "EPS_R", 1.0)
     g, d, u, h, c, j, v, r = _tau_ingredients(9.0, -1.0)
     with pytest.raises(InvariantBreach, match="merit parameter"):
-        tau_trial_and_update(0.1, *tau_parts(g, d, u, h, c, j, v, r, cfg),
-                             cfg)
+        tau_trial_and_update(0.1, *tau_parts(g, d, u, h, c, j, v, r))
 
 
 # -- ratio parameter -------------------------------------------------------------
@@ -302,16 +303,16 @@ def test_tau_collapse_raises():
 def test_xi_update_cases():
     d = np.array([1.0])
     d_sq = float(np.dot(d, d))
-    assert xi_update(1.0, 1.0, 2.0, d_sq, CFG) == (2.0, 1.0)
-    assert xi_update(1.0, 1.0, 0.5, d_sq, CFG) == (0.5, 0.5)
-    trial, new = xi_update(1.0, 1.0, 0.995, d_sq, CFG)
+    assert xi_update(1.0, 1.0, 2.0, d_sq) == (2.0, 1.0)
+    assert xi_update(1.0, 1.0, 0.5, d_sq) == (0.5, 0.5)
+    trial, new = xi_update(1.0, 1.0, 0.995, d_sq)
     assert trial == pytest.approx(0.995)
     assert new == pytest.approx(0.99)
     with pytest.raises(InvariantBreach, match="model reduction"):
-        xi_update(1.0, 1.0, 0.0, d_sq, CFG)
+        xi_update(1.0, 1.0, 0.0, d_sq)
     zero = np.zeros(1)
     with pytest.raises(InvariantBreach, match="model reduction"):
-        xi_update(1.0, 1.0, 1.0, float(np.dot(zero, zero)), CFG)
+        xi_update(1.0, 1.0, 1.0, float(np.dot(zero, zero)))
 
 
 # -- step size --------------------------------------------------------------------
@@ -373,39 +374,44 @@ def test_step_size_bounds_validation():
 
 
 def test_select_step_size_full_step():
-    assert select_step_size(0.5, 1.0, 1.0, 1e4, lambda a: 0.0) == 1.0
+    assert select_step_size(0.5, 1.0, 1.0, lambda a: 0.0) == 1.0
 
 
-def test_select_step_size_capped_by_lower_bound():
+def test_select_step_size_capped_by_lower_bound(monkeypatch):
     # cap = alpha_min + theta beta^2 = 0.25 <= alpha_suff: take the cap
-    alpha = select_step_size(0.2, 0.3, 1.0, 0.05, lambda a: 0.0)
+    monkeypatch.setattr(sisqo.engine, "THETA", 0.05)
+    alpha = select_step_size(0.2, 0.3, 1.0, lambda a: 0.0)
     assert alpha == pytest.approx(0.25)
 
 
-def test_select_step_size_cap_below_one_wins_over_full_step():
-    alpha = select_step_size(1e-9, 1.0, 1e-3, 1e-9, lambda a: 0.0)
+def test_select_step_size_cap_below_one_wins_over_full_step(monkeypatch):
+    monkeypatch.setattr(sisqo.engine, "THETA", 1e-9)
+    alpha = select_step_size(1e-9, 1.0, 1e-3, lambda a: 0.0)
     assert alpha == pytest.approx(1e-9 + 1e-15)
 
 
-def test_select_step_size_expands_while_model_allows():
+def test_select_step_size_expands_while_model_allows(monkeypatch):
+    monkeypatch.setattr(sisqo.engine, "THETA", 10.0)
     calls = []
 
     def varphi(a):
         calls.append(a)
         return -1.0 if a <= 0.40 else 1.0
 
-    alpha = select_step_size(0.0, 0.3, 1.0, 10.0, varphi)
+    alpha = select_step_size(0.0, 0.3, 1.0, varphi)
     assert alpha == pytest.approx(0.3 * 1.1 ** 3)
     assert max(calls) > 0.40  # the rejected trial was probed
 
 
-def test_select_step_size_expansion_respects_cap():
-    alpha = select_step_size(0.0, 0.3, 1.0, 0.35, lambda a: -1.0)
+def test_select_step_size_expansion_respects_cap(monkeypatch):
+    monkeypatch.setattr(sisqo.engine, "THETA", 0.35)
+    alpha = select_step_size(0.0, 0.3, 1.0, lambda a: -1.0)
     assert alpha == pytest.approx(0.33)
 
 
-def test_select_step_size_stops_expanding_at_one():
-    alpha = select_step_size(0.0, 0.99, 1.0, 1e6, lambda a: -1.0)
+def test_select_step_size_stops_expanding_at_one(monkeypatch):
+    monkeypatch.setattr(sisqo.engine, "THETA", 1e6)
+    alpha = select_step_size(0.0, 0.99, 1.0, lambda a: -1.0)
     assert alpha == pytest.approx(0.99 * 1.1)
     assert alpha < 1.1
 
@@ -429,9 +435,10 @@ def test_update_duals_direct():
 
 # -- full iterations ---------------------------------------------------------------
 
-def test_init_state_shapes_and_defaults():
+def test_init_state_shapes_and_defaults(monkeypatch):
     problem = build_synthetic_qp(SyntheticQpSpec(n=6, m=2, seed=0))
-    cfg = SolverConfig(tau_init=0.25, xi_init=0.5)
+    monkeypatch.setattr(sisqo.engine, "XI_INIT", 0.5)
+    cfg = SolverConfig(tau_init=0.25)
     state = init_state(problem, cfg)
     assert state.k == 0
     assert state.tau == 0.25 and state.xi == 0.5
@@ -510,7 +517,7 @@ def test_iterate_monotone_merit_on_qp():
     oracle = GradientOracle("exact")
     state = init_state(problem, cfg)
     feas0 = np.abs(state.c).max()
-    tau_prev, xi_prev = cfg.tau_init, cfg.xi_init
+    tau_prev, xi_prev = cfg.tau_init, sisqo.engine.XI_INIT
     for _ in range(40):
         f_prev, c_prev = state.f, state.c
         try:

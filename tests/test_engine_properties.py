@@ -8,6 +8,7 @@ on candidates with such entries."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +25,9 @@ CFG = SolverConfig()
 values = st.one_of(st.floats(),
                    st.sampled_from([math.nan, math.inf, -math.inf, 0.0,
                                     5e-324, 1e-300, 1.0, 1e300]))
-# beta = beta0 / (k + 1) with beta0 in (0, 1], and theta > 0, are
-# validated config values: they range over [0, 1] and (0, inf) here,
-# plus NaN and inf
+# beta = beta0 / (k + 1) with beta0 in (0, 1] is a validated config
+# value, and THETA > 0 a constant: they range over [0, 1] and (0, inf)
+# here, plus NaN and inf
 betas = st.one_of(st.floats(0.0, 1.0), st.sampled_from([math.nan, math.inf]))
 thetas = st.one_of(st.floats(0.0, exclude_min=True),
                    st.sampled_from([math.nan]))
@@ -40,13 +41,13 @@ def test_tau_never_increases(tau_prev, g_dot_d, max_term, c_norm,
                              norm_c_plus_jd):
     try:
         tau_trial, tau = tau_trial_and_update(tau_prev, g_dot_d, max_term,
-                                              c_norm, norm_c_plus_jd, CFG)
+                                              c_norm, norm_c_plus_jd)
     except EngineError:
         return
     assert 0.0 < tau <= tau_prev
     assert tau <= tau_trial
     if tau < tau_prev:
-        assert tau <= (1.0 - CFG.eps_tau) * tau_prev
+        assert tau <= (1.0 - sisqo.engine.EPS_TAU) * tau_prev
 
 
 @settings(max_examples=400)
@@ -55,7 +56,7 @@ def test_tau_never_increases(tau_prev, g_dot_d, max_term, c_norm,
 @example(1.0, 1.0, math.inf, math.inf)
 def test_xi_never_increases(xi_prev, tau, delta_l, d_sq):
     try:
-        xi_trial, xi = xi_update(xi_prev, tau, delta_l, d_sq, CFG)
+        xi_trial, xi = xi_update(xi_prev, tau, delta_l, d_sq)
     except EngineError:
         return
     assert delta_l > 0.0 and tau * d_sq > 0.0
@@ -114,7 +115,9 @@ def test_select_step_size_stays_under_cap(alpha_min, alpha_suff, beta, theta,
         return varphi(a)
 
     try:
-        alpha = select_step_size(alpha_min, alpha_suff, beta, theta, counted)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sisqo.engine, "THETA", theta)
+            alpha = select_step_size(alpha_min, alpha_suff, beta, counted)
     except EngineError:
         assert calls == []
         return

@@ -25,22 +25,31 @@ def _load():
 
 def test_small_fingerprint_matches_a_fresh_interpreter(tmp_path):
     fingerprint = _load()
-    here = fingerprint.fingerprint(["small"])
-    assert len(here["runs"]) == 4
-    assert fingerprint.first_difference(here, copy.deepcopy(here)) is None
-
-    out = tmp_path / "small.json"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path,
-               SISQO_KERNELS=kernels.active_backend())
-    subprocess.run([sys.executable, str(SCRIPT), "small", "--json", str(out)],
-                   env=env, check=True, capture_output=True, timeout=300)
-    child = json.loads(out.read_text())
-    assert child["backend"] == here["backend"]
-    assert [r["digest"] for r in child["runs"]] == \
-        [r["digest"] for r in here["runs"]]
-    assert child["total"] == here["total"]
+    # fingerprints hold per backend, so each backend is checked
+    active = kernels.active_backend()
+    try:
+        for backend in kernels.available_backends():
+            kernels.use_backend(backend)
+            here = fingerprint.fingerprint(["small"])
+            assert here["backend"] == backend
+            assert len(here["runs"]) == 4
+            assert fingerprint.first_difference(here, copy.deepcopy(here)) \
+                is None
+
+            out = tmp_path / f"small-{backend}.json"
+            env = dict(os.environ, PYTHONPATH=path, SISQO_KERNELS=backend)
+            subprocess.run([sys.executable, str(SCRIPT), "small", "--json",
+                            str(out)], env=env, check=True,
+                           capture_output=True, timeout=300)
+            child = json.loads(out.read_text())
+            assert child["backend"] == backend
+            assert [r["digest"] for r in child["runs"]] == \
+                [r["digest"] for r in here["runs"]]
+            assert child["total"] == here["total"]
+    finally:
+        kernels.use_backend(active)
 
     # one changed bit of one row is reported by run, row and field
     changed = copy.deepcopy(here)

@@ -333,8 +333,8 @@ def test_a_step_past_the_step_size_model_is_a_recorded_violation(
     select = sisqo.engine.select_step_size
     stretched = []
 
-    def too_long(alpha_min, alpha_suff, beta, theta, varphi):
-        alpha = select(alpha_min, alpha_suff, beta, theta, varphi)
+    def too_long(alpha_min, alpha_suff, beta, varphi):
+        alpha = select(alpha_min, alpha_suff, beta, varphi)
         if not stretched:
             for _ in range(100):
                 if varphi(alpha) > 0.0:
