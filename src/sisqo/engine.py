@@ -235,9 +235,11 @@ class SolverConfig:
             raise ConfigError(f"unknown beta_mode {self.beta_mode!r}")
         if self.lipschitz_mode not in ("fixed", "estimate"):
             raise ConfigError(f"unknown lipschitz_mode {self.lipschitz_mode!r}")
+        # checked in every mode, as lip_l is, although only fixed mode
+        # reads it
+        if not self.lip_gamma >= 0.0:
+            raise ConfigError(f"lip_gamma must be >= 0, got {self.lip_gamma}")
         if self.lipschitz_mode == "fixed":
-            if not self.lip_gamma >= 0.0:
-                raise ConfigError("fixed mode needs lip_gamma >= 0")
             if self.lip_gamma > 0.0:
                 scale = 2.0 * (1.0 - self.eta) * self.beta0 * XI_INIT \
                     * self.tau_init / self.lip_gamma
@@ -362,11 +364,13 @@ def compute_normal_step(c, j):
 
 class _IterationContext:
     """Per-iterate cache shared across Hessian rungs and MINRES
-    candidates; ``set_rung`` adds the parts that depend on H."""
+    candidates; ``set_rung`` adds the parts that depend on H.  ``vecs``
+    holds g, H v, g + H v, c and c + J v, as
+    :func:`sisqo.kernels.tangential_solve` reads them."""
 
     __slots__ = ("g", "c", "j", "v", "y", "tau_prev", "beta",
                  "prev_pair_norm", "jv", "c_plus_jv", "c_norm", "decrease_v",
-                 "g_dot_v", "v_norm", "jty", "h", "hv", "gv_vec", "rhs_top")
+                 "g_dot_v", "v_norm", "jty", "h", "vecs", "rhs_top")
 
     def __init__(self, g, c, j, ns, y, tau_prev, beta, prev_pair_norm):
         self.g = g
@@ -384,77 +388,37 @@ class _IterationContext:
         self.g_dot_v = float(np.dot(g, ns.v))
         self.v_norm = float(np.linalg.norm(ns.v))
         self.jty = j.apply_transpose(y)
+        n = g.shape[0]
+        self.vecs = np.concatenate([g, np.empty(2 * n), c, ns.c_plus_jv])
 
     def set_rung(self, h):
         self.h = h
-        self.hv = h.apply(self.v)
-        self.gv_vec = self.g + self.hv
-        self.rhs_top = self.gv_vec + self.jty
+        n = self.g.shape[0]
+        hv, gv = self.vecs[n:2 * n], self.vecs[2 * n:3 * n]
+        hv[:] = h.apply(self.v)
+        np.add(self.g, hv, out=gv)
+        self.rhs_top = gv + self.jty
 
 
 class _TestEvaluation:
-    """Both termination tests for one MINRES candidate (u, delta) with
-    residual pair (rho, r), of which it keeps u, delta and r.
+    """The candidate (u, delta) with constraint residual r at which
+    :func:`sisqo.kernels.tangential_solve` stopped, read from the
+    solver's buffers in place, with the outcomes of termination tests 1
+    and 2 and the parts of its model reduction the kernel formed: g'd,
+    max(u'Hu, eps_u ||u||^2) and ||c + Jd||.  The tests themselves are
+    stated in ``sisqo.kernels.reference.tangential_solve``."""
 
-    Conditions a (dual residual contraction), b (residuals within the
-    beta-scaled caps) and c (small or positively curved tangential step)
-    are common to both tests.  Test 1 adds sufficient model reduction at
-    the incoming tau, test 2 retention of the normal constraint decrease.
+    __slots__ = ("u", "delta", "r", "ctx", "tt1", "tt2", "g_dot_d",
+                 "max_term", "norm_c_plus_jd")
 
-    The conditions are checked in the order b, a, c, cheapest first, and
-    the check stops at the first that fails: ``failed`` names it, or is
-    None when all three hold.  Each check reads ``not x <= bound``, so a
-    NaN fails it.  Only a candidate that passes a and b gets the parts
-    that condition c, the tests, the tau update and the model reduction
-    of the accepted step read.
-    """
-
-    __slots__ = ("u", "delta", "r", "ctx", "failed", "tt1", "tt2",
-                 "g_dot_d", "max_term", "norm_c_plus_jd")
-
-    def __init__(self, u, delta, rho, r, ctx, cfg):
-        self.u, self.delta, self.r = u, delta, r
+    def __init__(self, mstate, ctx, tt1, tt2, g_dot_d, max_term,
+                 norm_c_plus_jd):
+        self.u, self.delta, self.r = mstate.u, mstate.delta, mstate.r
         self.ctx = ctx
-        self.tt1 = self.tt2 = False
-        rho_norm = float(np.linalg.norm(rho))
-        if not (rho_norm <= KAPPA_RHO * ctx.beta
-                and float(np.linalg.norm(r)) <= KAPPA_R * ctx.beta):
-            self.failed = "b"
-            return
-
-        # dual residual against the smaller of the current and previous
-        # stationarity measures.  The smaller is never above the
-        # previous one, which rejects most candidates before H u is
-        # formed; a NaN previous measure passes this shortcut, as min()
-        # then picks the current one.  The identity
-        # g + J'(y + delta) = rho - Hu - Hv avoids a Jacobian apply
-        if rho_norm > cfg.kappa * ctx.prev_pair_norm:
-            self.failed = "a"
-            return
-        hu = ctx.h.apply(u)
-        current = norm_pair(rho - hu - ctx.hv, ctx.c)
-        if not rho_norm <= cfg.kappa * min(current, ctx.prev_pair_norm):
-            self.failed = "a"
-            return
-
-        uhu = float(np.dot(u, hu))
-        u_sq = float(np.dot(u, u))
-        # Jd = Jv + r, again avoiding a Jacobian apply
-        self.norm_c_plus_jd = float(np.linalg.norm(ctx.c_plus_jv + r))
-        self.g_dot_d = ctx.g_dot_v + float(np.dot(ctx.g, u))
-        self.max_term = max(uhu, EPS_U * u_sq)
-        if not math.sqrt(u_sq) <= KAPPA_U * ctx.v_norm:
-            curved = uhu >= EPS_U * u_sq
-            if not (curved and float(np.dot(ctx.gv_vec, u)) + 0.5 * uhu
-                    <= KAPPA_V * ctx.v_norm):
-                self.failed = "c"
-                return
-
-        self.failed = None
-        self.tt1 = self.reduces_model(ctx.tau_prev)
-        retained = ctx.c_norm - self.norm_c_plus_jd
-        floor = EPS_R * ctx.decrease_v
-        self.tt2 = retained >= floor and floor > 0.0
+        self.tt1, self.tt2 = tt1, tt2
+        self.g_dot_d = g_dot_d
+        self.max_term = max_term
+        self.norm_c_plus_jd = norm_c_plus_jd
 
     @property
     def accepted(self):
@@ -644,37 +608,42 @@ def _check_stationary(state, problem, oracle, g):
         raise _stationary(residual, resampled)
 
 
+def _test_params(ctx, cfg, cap):
+    """The scalars of the termination tests, as the ``tests`` tuple of
+    :func:`sisqo.kernels.tangential_solve`, for the gate ``cap`` on the
+    residual's infinity norm; the method constants are read at the
+    call."""
+    return (cap, ctx.beta, cfg.kappa, ctx.prev_pair_norm, ctx.tau_prev,
+            ctx.v_norm, ctx.g_dot_v, ctx.c_norm, ctx.decrease_v, KAPPA_RHO,
+            KAPPA_R, KAPPA_U, KAPPA_V, EPS_U, SIGMA_U, SIGMA_C, EPS_R)
+
+
 def _tangential_solve(ctx, cfg):
     """Run MINRES on the KKT system, checking the termination tests at
     every iterate whose residual passes the infinity-norm gate, until
-    one accepts.
+    one accepts: one call of :func:`sisqo.kernels.tangential_solve`.
+    A NaN residual passes the gate and then fails condition b.
 
-    Returns (evaluation, iterations, record): the evaluation of the
-    accepted candidate, which reads the solver's buffers in place (no
-    step follows it), or None when the solver gave out unaccepted; and
-    the solver's breakdown and stall flags and final residual norm.
+    Returns (evaluation, iterations, record): the accepted candidate,
+    which reads the solver's buffers in place (no step follows it), or
+    None when the solver gave out unaccepted; and the solver's breakdown
+    and stall flags, its final residual norm and, under ``rejected``,
+    the gated candidates that condition b, a or c, or both tests after
+    them, turned down.
     """
     op = KktOperator(ctx.h, ctx.j)
     mstate = MinresState(op, (ctx.rhs_top, np.zeros(ctx.j.rows)))
     cap = max(cfg.kappa * float(np.max(np.abs(ctx.rhs_top), initial=0.0)),
               MINRES_ABS_FLOOR)
-    max_iter = max(1, int(MINRES_MAX_ITER_SCALE * op.dim))
-    accepted = None
-    for t in range(max_iter + 1):
-        if t:
-            mstate.step()
-        # a NaN residual passes the gate and then fails condition b
-        if not mstate.resid_norm_inf > cap:
-            ev = _TestEvaluation(mstate.u, mstate.delta, mstate.rho,
-                                 mstate.r, ctx, cfg)
-            if ev.accepted:
-                accepted = ev
-                break
-        if mstate.breakdown or mstate.stalled:
-            break
-    return accepted, t, {"breakdown": mstate.breakdown,
-                         "stalled": mstate.stalled,
-                         "resid_norm": mstate.resid_norm}
+    steps, tt1, tt2, breakdown, stalled, *parts, rejected = mstate.run(
+        max(1, int(MINRES_MAX_ITER_SCALE * op.dim)), ctx.vecs,
+        _test_params(ctx, cfg, cap))
+    accepted = _TestEvaluation(mstate, ctx, tt1, tt2, *parts) \
+        if tt1 or tt2 else None
+    return accepted, steps, {"breakdown": breakdown, "stalled": stalled,
+                             "resid_norm": mstate.resid_norm,
+                             "rejected": dict(zip(("b", "a", "c", "tests"),
+                                                  rejected))}
 
 
 def _verify(ev, step, varphi, d_sq, merit_drop, guaranteed, cfg):

@@ -1,15 +1,19 @@
-"""CSR matvec, MINRES-step and CG kernels with a compiled core and a
-numpy fallback.
+"""CSR matvec, MINRES and CG kernels with a compiled core and a numpy
+fallback.
 
-The kernels are ``csr_matvec``, ``csr_rmatvec``, ``minres_step`` (one
-whole MINRES step on the saddle operator ``(H u + J.T delta, J u)``, over
-arrays its caller owns, since they carry the solve from step to step) and
-``cg`` (one whole conjugate-gradient solve on ``J.T J`` or ``J J.T``,
-which keeps nothing between calls and sizes its own scratch from J's
-row count and the ``ncols`` it is given).  A backend is a module that
-defines these four functions; :func:`use_backend` binds this module's
-names to the chosen backend's own functions, so callers look them up
-here at call time.
+The four kernels are ``csr_matvec``, ``csr_rmatvec``,
+``tangential_solve`` (MINRES steps on the saddle operator ``(H u + J.T
+delta, J u)``, with the solve's breakdown and stall rules, until the
+tangential step's termination tests accept an iterate or the solve
+ends: one call per Hessian rung, over arrays its caller owns, since they
+carry the solve from call to call; it is the one owner of the MINRES
+step and of those rules, and ``sisqo.krylov.MinresState.step`` runs it
+for one step) and ``cg`` (one whole conjugate-gradient solve on ``J.T
+J`` or ``J J.T``, which keeps nothing between calls and sizes its own
+scratch from J's row count and the ``ncols`` it is given).  A backend is
+a module that defines these four functions; :func:`use_backend` binds this module's names to the
+chosen backend's own functions, so callers look them up here at call
+time.
 
 The compiled core is the C extension ``_csrkern``.  It is compiled from
 ``_csrkern.c`` on first import, with the interpreter's ``sysconfig``
@@ -45,8 +49,8 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_csrkern.c")
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
 # appended after the interpreter's CFLAGS; without contraction into
-# fused multiply-adds, minres_step and cg keep the bits of the numpy
-# loops on every platform
+# fused multiply-adds, tangential_solve and cg keep the bits
+# of the numpy loops on every platform
 _EXTRA_COMPILE_ARGS = ["-O3", "-ffp-contract=off"]
 
 
@@ -141,9 +145,10 @@ def active_backend():
 
 
 def use_backend(name):
-    """Bind ``csr_matvec``, ``csr_rmatvec``, ``minres_step`` and ``cg`` to
-    the functions of backend ``name`` (used by tests and benchmarks)."""
-    global _active_name, csr_matvec, csr_rmatvec, minres_step, cg
+    """Bind ``csr_matvec``, ``csr_rmatvec``, ``tangential_solve`` and
+    ``cg`` to the functions of backend ``name`` (used by tests and
+    benchmarks)."""
+    global _active_name, csr_matvec, csr_rmatvec, tangential_solve, cg
     if name not in _BACKENDS:
         raise ValueError(f"unknown kernel backend {name!r}; "
                          f"available: {available_backends()}")
@@ -151,7 +156,7 @@ def use_backend(name):
     _active_name = name
     csr_matvec = backend.csr_matvec
     csr_rmatvec = backend.csr_rmatvec
-    minres_step = backend.minres_step
+    tangential_solve = backend.tangential_solve
     cg = backend.cg
 
 

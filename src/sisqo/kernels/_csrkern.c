@@ -1,6 +1,7 @@
 /*
  * Compiled CSR kernels: row-major matvec, transpose matvec, one whole
- * MINRES step on the saddle-point (KKT) operator of H and J, and one whole
+ * truncated MINRES solve on the saddle-point (KKT) operator of H and J
+ * with the termination tests of the tangential step, and one whole
  * conjugate-gradient solve on J.T J or J J.T.
  *
  * These loops sit inside every Lanczos/CG iteration and dominate the
@@ -9,10 +10,16 @@
  *
  *     csr_matvec(indptr, indices, data, x, out)    out = A @ x
  *     csr_rmatvec(indptr, indices, data, x, out)   out = A.T @ x
- *     minres_step(h_indptr, h_indices, h_data,
- *                 j_indptr, j_indices, j_data, rhs, work, scal)
- *                 one MINRES step on K z = -rhs, K z = (H u + J.T delta, J u)
- *                 for z = (u, delta)
+ *     tangential_solve(h_indptr, h_indices, h_data,
+ *                      j_indptr, j_indices, j_data, rhs, work, scal,
+ *                      rules, vecs, tests, max_iter)
+ *                 -> (steps, tt1, tt2, breakdown, stalled, g_dot_d,
+ *                     max_term, norm_c_plus_jd, rejected)
+ *                 up to max_iter MINRES steps on K z = -rhs,
+ *                 K z = (H u + J.T delta, J u) for z = (u, delta), with
+ *                 the breakdown and
+ *                 stall rules, each gated iterate checked against the
+ *                 termination tests until one accepts
  *     cg(indptr, indices, data, ncols, normal, b, x, threshold, max_iter)
  *                 -> (iterations, converged, resid_norm)
  *                 CG on A x = b from x = 0, A = J.T J if normal else J J.T,
@@ -22,28 +29,31 @@
  * byte order: ``*indptr`` and ``*indices`` hold 8-byte signed integers,
  * everything else holds float64, and the arrays a kernel writes --
  * ``out``, ``work``, ``scal`` and the ``x`` of ``cg`` -- must be writable
- * and overlap neither each other nor the ``x``, ``b`` or ``rhs`` the
- * kernel reads (the matrix arrays are not checked).  The arrays are
+ * and overlap neither each other nor the ``x``, ``b``, ``rhs`` or ``vecs``
+ * the kernel reads (the matrix arrays are not checked).  The arrays are
  * borrowed for the call, not copied.  Their lengths are checked against
  * each other; the index values are not (that would cost a pass over the
- * matrix), so a malformed CSR structure reads out of bounds.  ``cg``
- * keeps nothing between calls: it allocates its scratch vectors itself
- * and frees them before it returns.
+ * matrix), so a malformed CSR structure reads out of bounds.  ``cg`` and
+ * ``tangential_solve`` keep no scratch between calls: each takes one
+ * block from PyMem_Malloc and frees it before it returns.
  *
  * The loop order is fixed -- a sequential per-row sum for matvec, and
  * zero-then-scatter for rmatvec -- so results are reproducible bit for bit
  * for a given compiler and flags.  ``cg`` runs its products through the
- * same two loops.  The KKT product inside ``minres_step`` keeps that
+ * same two loops.  The KKT product inside the MINRES step keeps that
  * order for each block and adds the row sum of H u to the scattered
  * J.T delta, so it has the bits of the three separate kernel calls that
  * the numpy step's helper ``sisqo.kernels.reference._kkt_apply`` makes.
- * ``minres_step`` and ``cg`` take their dot products from numpy's own
- * float64 ``dotfunc``, the function ``ndarray.dot`` calls for 1-D
- * vectors, and do everything else elementwise in the order of the numpy
- * loops in ``reference.py``; built without floating-point contraction,
- * their results have the bits of those loops run on this module's
- * matvec and rmatvec.  Built by ``sisqo.kernels`` on first import,
- * against numpy's headers.
+ * The MINRES step, the termination tests and ``cg`` take their dot
+ * products from numpy's own float64 ``dotfunc``, the function
+ * ``ndarray.dot`` calls for 1-D vectors, their norms as the square root
+ * of one, as ``np.linalg.norm`` forms them, and do everything else
+ * elementwise in the order of the numpy loops in ``reference.py``; built
+ * without floating-point contraction, their results have the bits of
+ * those loops run on this module's matvec and rmatvec.  The breakdown
+ * and stall rules of a MINRES solve live in ``tangential_solve`` alone:
+ * ``sisqo.krylov.MinresState`` steps through it.  Built by
+ * ``sisqo.kernels`` on first import, against numpy's headers.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -288,10 +298,12 @@ kkt_product(const kkt_op *op, const double *z, double *out)
     }
 }
 
-/* Slots of the ``scal`` array of minres_step. */
+/* Slots of the ``scal`` array of tangential_solve: those of one MINRES
+ * step, then those of the solve's breakdown and stall rules. */
 enum {
     S_BETA, S_OLDB, S_DBAR, S_EPSLN, S_PHIBAR, S_CS, S_SN, S_STEPS,
-    S_RNORM, S_RINF, SCAL_LEN
+    S_RNORM, S_RINF, S_BETA1, S_BEST, S_WINDOW, S_BREAKDOWN, S_STALLED,
+    SCAL_LEN
 };
 
 /* a . b with the bits of ndarray.dot on 1-D float64 vectors: numpy's own
@@ -335,70 +347,17 @@ max_abs(const double *x, Py_ssize_t len)
     return m2 > m0 ? m2 : m0;
 }
 
-PyDoc_STRVAR(minres_step_doc,
-"minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,\n"
-"            rhs, work, scal)\n"
-"--\n\n"
-"One MINRES step on K z = -rhs, K = [[H, J.T], [J, 0]], with H n-by-n and\n"
-"J m-by-n in CSR form; n and m are read from the indptr lengths.\n"
-"work holds eight vectors of length dim = n + m, in this order: v, r1,\n"
-"r2, y, w, w2, the iterate z and the residual K z + rhs.  scal holds\n"
-"beta, the previous beta, dbar, epsln, phibar, cs, sn, the step count,\n"
-"and the residual's 2-norm and infinity norm (NaN if it holds a NaN).\n"
-"Both are updated in place; scal[0] must be nonzero.");
-
-static PyObject *
-minres_step(PyObject *self, PyObject *args, PyObject *kwargs)
+/* One MINRES step on the state in ``work`` and ``scal`` (see
+ * tangential_solve_doc); scal[S_BETA] must be nonzero. */
+static void
+step(const kkt_op *op, const double *rhs, double *work, double *scal)
 {
-    static char *kwlist[] = {"h_indptr", "h_indices", "h_data", "j_indptr",
-                             "j_indices", "j_data", "rhs", "work", "scal",
-                             NULL};
-    PyObject *objs[9];
-    kkt_op op;
-    const double *rhs;
-    double *scal, *v, *r1, *r2, *y, *w, *w2, *z, *resid;
+    const Py_ssize_t dim = op->n + op->m;
+    double *v = work, *r1 = v + dim, *r2 = r1 + dim, *y = r2 + dim,
+        *w = y + dim, *w2 = w + dim, *z = w2 + dim, *resid = z + dim;
     double beta, oldb, dbar, oldeps, phibar, cs, sn, alfa, s, delta, gbar,
         gamma, phi, wi, wn, rnorm;
-    Py_ssize_t i, dim;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOOOO:minres_step",
-                                     kwlist, &objs[0], &objs[1], &objs[2],
-                                     &objs[3], &objs[4], &objs[5], &objs[6],
-                                     &objs[7], &objs[8])
-        || check_arrays(objs, "iidiiddww", kwlist) < 0
-        || (op.n = csr_rows(objs, "h_")) < 0
-        || (op.m = csr_rows(objs + 3, "j_")) < 0)
-        return NULL;
-    dim = op.n + op.m;
-    if (LEN(objs[6]) != dim || LEN(objs[7]) != 8 * dim
-        || LEN(objs[8]) != SCAL_LEN) {
-        PyErr_Format(PyExc_ValueError,
-                     "rhs, work and scal: expected lengths %zd (n + m), %zd"
-                     " and %d, got %zd, %zd and %zd", dim, 8 * dim, SCAL_LEN,
-                     LEN(objs[6]), LEN(objs[7]), LEN(objs[8]));
-        return NULL;
-    }
-    if (overlaps(objs[6], objs[7]) || overlaps(objs[6], objs[8])
-        || overlaps(objs[7], objs[8])) {
-        PyErr_SetString(PyExc_ValueError, "rhs, work and scal overlap");
-        return NULL;
-    }
-    op.h_indptr = DATA(objs[0]);
-    op.h_indices = DATA(objs[1]);
-    op.h_data = DATA(objs[2]);
-    op.j_indptr = DATA(objs[3]);
-    op.j_indices = DATA(objs[4]);
-    op.j_data = DATA(objs[5]);
-    rhs = DATA(objs[6]);
-    v = DATA(objs[7]);
-    r1 = v + dim;
-    r2 = r1 + dim;
-    y = r2 + dim;
-    w = y + dim;
-    w2 = w + dim;
-    z = w2 + dim;
-    resid = z + dim;
-    scal = DATA(objs[8]);
+    Py_ssize_t i;
 
     /* Lanczos: v = r2 / beta, y = K v - (beta / oldb) r1 - alfa / beta r2;
      * then r1 takes r2 and r2 takes y */
@@ -406,7 +365,7 @@ minres_step(PyObject *self, PyObject *args, PyObject *kwargs)
     s = 1.0 / beta;
     for (i = 0; i < dim; i++)
         v[i] = s * r2[i];
-    kkt_product(&op, v, y);
+    kkt_product(op, v, y);
     if (scal[S_STEPS] >= 1.0) {
         s = beta / scal[S_OLDB];
         for (i = 0; i < dim; i++)
@@ -453,7 +412,7 @@ minres_step(PyObject *self, PyObject *args, PyObject *kwargs)
     /* the true residual K z + rhs and its norms.  A sum of squares is
      * NaN exactly when a term is, so a NaN 2-norm stands in for the
      * infinity norm, as np.max returns NaN for an array holding one. */
-    kkt_product(&op, z, resid);
+    kkt_product(op, z, resid);
     for (i = 0; i < dim; i++)
         resid[i] += rhs[i];
     rnorm = sqrt(dot(resid, resid, dim));
@@ -465,7 +424,275 @@ minres_step(PyObject *self, PyObject *args, PyObject *kwargs)
     scal[S_STEPS] += 1.0;
     scal[S_RNORM] = rnorm;
     scal[S_RINF] = isnan(rnorm) ? rnorm : max_abs(resid, dim);
-    Py_RETURN_NONE;
+}
+
+/* Check the nine leading arguments of tangential_solve, ``objs[0..8]``,
+ * and fill ``op`` from the CSR arrays; -1 with an exception set if they
+ * do not fit. */
+static int
+get_minres_args(PyObject **objs, char **names, kkt_op *op)
+{
+    Py_ssize_t dim;
+
+    if (check_arrays(objs, "iidiiddww", names) < 0
+        || (op->n = csr_rows(objs, "h_")) < 0
+        || (op->m = csr_rows(objs + 3, "j_")) < 0)
+        return -1;
+    dim = op->n + op->m;
+    if (LEN(objs[6]) != dim || LEN(objs[7]) != 8 * dim
+        || LEN(objs[8]) != SCAL_LEN) {
+        PyErr_Format(PyExc_ValueError,
+                     "rhs, work and scal: expected lengths %zd (n + m), %zd"
+                     " and %zd, got %zd, %zd and %zd", dim, 8 * dim,
+                     (Py_ssize_t)SCAL_LEN, LEN(objs[6]), LEN(objs[7]),
+                     LEN(objs[8]));
+        return -1;
+    }
+    if (overlaps(objs[6], objs[7]) || overlaps(objs[6], objs[8])
+        || overlaps(objs[7], objs[8])) {
+        PyErr_SetString(PyExc_ValueError, "rhs, work and scal overlap");
+        return -1;
+    }
+    op->h_indptr = DATA(objs[0]);
+    op->h_indices = DATA(objs[1]);
+    op->h_data = DATA(objs[2]);
+    op->j_indptr = DATA(objs[3]);
+    op->j_indices = DATA(objs[4]);
+    op->j_data = DATA(objs[5]);
+    return 0;
+}
+
+/* The MINRES solve's rules: breakdown below breakdown_tol, and a stall
+ * when the least residual falls by less than the factor 1 - improvement
+ * over a window of steps. */
+typedef struct {
+    double breakdown_tol;
+    Py_ssize_t window;
+    double improvement;
+} solve_rules;
+
+/* One step of a solve, as ``MinresState.step`` takes it: none once the
+ * solve broke down or stalled, and none but the breakdown flag when the
+ * residual or the right-hand side is zero. */
+static void
+guarded_step(const kkt_op *op, const double *rhs, double *work, double *scal,
+             const solve_rules *rules)
+{
+    if (scal[S_BREAKDOWN] != 0.0 || scal[S_STALLED] != 0.0)
+        return;
+    if (scal[S_RNORM] == 0.0 || scal[S_BETA1] == 0.0) {
+        scal[S_BREAKDOWN] = 1.0;
+        return;
+    }
+    step(op, rhs, work, scal);
+    if (scal[S_BETA] < rules->breakdown_tol)
+        scal[S_BREAKDOWN] = 1.0;
+    if (scal[S_RNORM] < scal[S_BEST])
+        scal[S_BEST] = scal[S_RNORM];
+    if ((Py_ssize_t)scal[S_STEPS] % rules->window == 0) {
+        if (scal[S_BEST] > (1.0 - rules->improvement) * scal[S_WINDOW])
+            scal[S_STALLED] = 1.0;
+        scal[S_WINDOW] = scal[S_BEST];
+    }
+}
+
+/* The scalars the termination tests read, in the order of the ``tests``
+ * tuple of tangential_solve. */
+typedef struct {
+    double cap, beta, kappa, prev_pair_norm, tau_prev, v_norm, g_dot_v,
+        c_norm, decrease_v, kappa_rho, kappa_r, kappa_u, kappa_v, eps_u,
+        sigma_u, sigma_c, eps_r;
+} test_params;
+
+/* What ``evaluate`` found: the condition that rejected the candidate,
+ * REJECT_TESTS when it passed them all and neither test, or ACCEPTED. */
+enum { REJECT_B, REJECT_A, REJECT_C, REJECT_TESTS, ACCEPTED };
+
+/* The termination tests' parts of the last candidate that passed
+ * conditions b and a. */
+typedef struct {
+    int tt1, tt2;
+    double g_dot_d, max_term, norm_c_plus_jd;
+} candidate;
+
+/* Conditions b, a and c, then tests 1 and 2, for the candidate in the
+ * iterate and residual rows of ``work``; ``vecs`` holds g, H v, g + H v,
+ * c and c + J v, and ``hu``, ``stat`` and ``cjd`` are scratch of n, n and
+ * m entries.  Each check reads "not x <= bound", so a NaN fails it. */
+static int
+evaluate(const kkt_op *op, const double *work, const double *vecs,
+         const test_params *p, double *hu, double *stat, double *cjd,
+         candidate *out)
+{
+    const Py_ssize_t n = op->n, m = op->m, dim = n + m;
+    const double *u = work + 6 * dim, *rho = work + 7 * dim, *r = rho + n;
+    const double *g = vecs, *hv = g + n, *gv = hv + n, *c = gv + n,
+        *c_plus_jv = c + m;
+    double rho_norm, current, least, uhu, u_sq, eps_term, lhs, rhs, floor;
+    Py_ssize_t i;
+
+    rho_norm = sqrt(dot(rho, rho, n));
+    if (!(rho_norm <= p->kappa_rho * p->beta
+          && sqrt(dot(r, r, m)) <= p->kappa_r * p->beta))
+        return REJECT_B;
+    /* the dual residual against min(current, previous), tried against
+     * the previous one first; current = ||(rho - Hu - Hv; c)||, and
+     * min() keeps the current one when the previous is NaN */
+    if (rho_norm > p->kappa * p->prev_pair_norm)
+        return REJECT_A;
+    matvec(op->h_indptr, op->h_indices, op->h_data, u, hu, n);
+    for (i = 0; i < n; i++)
+        stat[i] = (rho[i] - hu[i]) - hv[i];
+    current = sqrt(dot(stat, stat, n) + dot(c, c, m));
+    least = p->prev_pair_norm < current ? p->prev_pair_norm : current;
+    if (!(rho_norm <= p->kappa * least))
+        return REJECT_A;
+
+    uhu = dot(u, hu, n);
+    u_sq = dot(u, u, n);
+    for (i = 0; i < m; i++)
+        cjd[i] = c_plus_jv[i] + r[i];
+    out->norm_c_plus_jd = sqrt(dot(cjd, cjd, m));
+    out->g_dot_d = p->g_dot_v + dot(g, u, n);
+    eps_term = p->eps_u * u_sq;
+    out->max_term = eps_term > uhu ? eps_term : uhu;
+    if (!(sqrt(u_sq) <= p->kappa_u * p->v_norm)
+        && !(uhu >= eps_term
+             && dot(gv, u, n) + 0.5 * uhu <= p->kappa_v * p->v_norm))
+        return REJECT_C;
+
+    lhs = -p->tau_prev * out->g_dot_d + p->c_norm - out->norm_c_plus_jd;
+    rhs = p->sigma_u * p->tau_prev * out->max_term
+        + p->sigma_c * p->decrease_v;
+    out->tt1 = lhs >= rhs;
+    floor = p->eps_r * p->decrease_v;
+    out->tt2 = p->c_norm - out->norm_c_plus_jd >= floor && floor > 0.0;
+    return out->tt1 || out->tt2 ? ACCEPTED : REJECT_TESTS;
+}
+
+PyDoc_STRVAR(tangential_solve_doc,
+"tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,\n"
+"                 rhs, work, scal, rules, vecs, tests, max_iter)\n"
+"--\n\n"
+"MINRES on K z = -rhs from the state in work and scal, truncated at the\n"
+"first iterate the termination tests accept.  For t = 0 ... max_iter:\n"
+"at t > 0 one step, none once the solve broke down or stalled and none\n"
+"but the breakdown flag when ||r|| or beta1 is zero; then, if vecs is\n"
+"not None and not ||r||_inf > cap, conditions b, a and c and tests 1\n"
+"and 2 for the iterate; the loop ends at an accepted iterate, then at a\n"
+"breakdown or stall.  K = [[H, J.T], [J, 0]], with H n-by-n and J\n"
+"m-by-n in CSR form; n and m are read from the indptr lengths.  work\n"
+"holds eight vectors of length dim = n + m, in this order: v, r1, r2, y,\n"
+"w, w2, the iterate z and the residual K z + rhs.  scal holds beta, the\n"
+"previous beta, dbar, epsln, phibar, cs, sn, the step count, the\n"
+"residual's 2-norm and infinity norm (NaN if it holds a NaN), beta1, the\n"
+"least residual, the least at the last window's end, and the breakdown\n"
+"and stall flags (1.0 when set).  Both are updated in place.\n"
+"rules = (breakdown_tol, stall_window,\n"
+"stall_improvement).  vecs holds g, H v, g + H v (n each), c and c + J v\n"
+"(m each); tests = (cap, beta, kappa, prev_pair_norm, tau_prev, ||v||,\n"
+"g'v, ||c||, normal decrease, kappa_rho, kappa_r, kappa_u, kappa_v,\n"
+"eps_u, sigma_u, sigma_c, eps_r); both are None or neither.\n"
+"Returns (steps, tt1, tt2, breakdown, stalled, g_dot_d, max_term,\n"
+"norm_c_plus_jd, rejected): the t it stopped at, the tests' outcomes for\n"
+"the accepted iterate (False if none), the flags, g'd, max(u'Hu,\n"
+"eps_u ||u||^2) and ||c + Jd|| of the last iterate to pass conditions b\n"
+"and a (NaN if none), and the counts of iterates rejected by condition\n"
+"b, a or c, and by the tests after passing all three.");
+
+static PyObject *
+tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"h_indptr", "h_indices", "h_data", "j_indptr",
+                             "j_indices", "j_data", "rhs", "work", "scal",
+                             "rules", "vecs", "tests", "max_iter", NULL};
+    static char *vecs_name[] = {"vecs"};
+    PyObject *objs[9], *vecs_obj, *tests_obj;
+    kkt_op op;
+    solve_rules rules;
+    test_params p;
+    candidate found = {0, 0, NAN, NAN, NAN};
+    Py_ssize_t max_iter, t, rejected[4] = {0, 0, 0, 0};
+    const double *rhs, *vecs = NULL;
+    double *work, *scal, *hu = NULL;
+    int verdict;
+
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwargs, "OOOOOOOOO(dnd)OOn:tangential_solve", kwlist,
+            &objs[0], &objs[1], &objs[2], &objs[3], &objs[4], &objs[5],
+            &objs[6], &objs[7], &objs[8], &rules.breakdown_tol,
+            &rules.window, &rules.improvement, &vecs_obj, &tests_obj,
+            &max_iter)
+        || get_minres_args(objs, kwlist, &op) < 0)
+        return NULL;
+    if (rules.window < 1 || max_iter < 0) {
+        PyErr_Format(PyExc_ValueError, "stall_window and max_iter: expected"
+                     " at least 1 and 0, got %zd and %zd", rules.window,
+                     max_iter);
+        return NULL;
+    }
+    if ((vecs_obj == Py_None) != (tests_obj == Py_None)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "vecs and tests: pass both or neither");
+        return NULL;
+    }
+    if (vecs_obj != Py_None) {
+        if (!PyTuple_Check(tests_obj)) {
+            PyErr_Format(PyExc_TypeError, "tests: expected a tuple, got"
+                         " %.200s", Py_TYPE(tests_obj)->tp_name);
+            return NULL;
+        }
+        if (!PyArg_ParseTuple(tests_obj, "ddddddddddddddddd", &p.cap,
+                              &p.beta, &p.kappa, &p.prev_pair_norm,
+                              &p.tau_prev, &p.v_norm, &p.g_dot_v, &p.c_norm,
+                              &p.decrease_v, &p.kappa_rho, &p.kappa_r,
+                              &p.kappa_u, &p.kappa_v, &p.eps_u, &p.sigma_u,
+                              &p.sigma_c, &p.eps_r)
+            || check_arrays(&vecs_obj, "d", vecs_name) < 0)
+            return NULL;
+        if (LEN(vecs_obj) != 3 * op.n + 2 * op.m) {
+            PyErr_Format(PyExc_ValueError, "vecs: expected length %zd"
+                         " (3 n + 2 m), got %zd", 3 * op.n + 2 * op.m,
+                         LEN(vecs_obj));
+            return NULL;
+        }
+        if (overlaps(vecs_obj, objs[7]) || overlaps(vecs_obj, objs[8])) {
+            PyErr_SetString(PyExc_ValueError, "vecs overlaps work or scal");
+            return NULL;
+        }
+        vecs = DATA(vecs_obj);
+        /* scratch: H u, the stationarity residual and c + J d */
+        if ((hu = PyMem_Malloc((2 * op.n + op.m) * sizeof(double)))
+            == NULL)
+            return PyErr_NoMemory();
+    }
+    rhs = DATA(objs[6]);
+    work = DATA(objs[7]);
+    scal = DATA(objs[8]);
+
+    for (t = 0;; t++) {
+        if (t > 0)
+            guarded_step(&op, rhs, work, scal, &rules);
+        if (vecs != NULL && !(scal[S_RINF] > p.cap)) {
+            verdict = evaluate(&op, work, vecs, &p, hu, hu + op.n,
+                               hu + 2 * op.n, &found);
+            if (verdict == ACCEPTED)
+                break;
+            rejected[verdict]++;
+        }
+        if (scal[S_BREAKDOWN] != 0.0 || scal[S_STALLED] != 0.0
+            || t == max_iter)
+            break;
+    }
+    PyMem_Free(hu);
+    /* a candidate that passed a test was accepted, so tt1 and tt2 are
+     * still 0 unless the loop stopped at an accepted one */
+    return Py_BuildValue("nOOOOddd(nnnn)", t, found.tt1 ? Py_True : Py_False,
+                         found.tt2 ? Py_True : Py_False,
+                         scal[S_BREAKDOWN] != 0.0 ? Py_True : Py_False,
+                         scal[S_STALLED] != 0.0 ? Py_True : Py_False,
+                         found.g_dot_d, found.max_term, found.norm_c_plus_jd,
+                         rejected[0], rejected[1], rejected[2], rejected[3]);
 }
 
 PyDoc_STRVAR(cg_doc,
@@ -594,8 +821,8 @@ static PyMethodDef csrkern_methods[] = {
      METH_VARARGS | METH_KEYWORDS, csr_matvec_doc},
     {"csr_rmatvec", (PyCFunction)(void (*)(void))csr_rmatvec,
      METH_VARARGS | METH_KEYWORDS, csr_rmatvec_doc},
-    {"minres_step", (PyCFunction)(void (*)(void))minres_step,
-     METH_VARARGS | METH_KEYWORDS, minres_step_doc},
+    {"tangential_solve", (PyCFunction)(void (*)(void))tangential_solve,
+     METH_VARARGS | METH_KEYWORDS, tangential_solve_doc},
     {"cg", (PyCFunction)(void (*)(void))cg, METH_VARARGS | METH_KEYWORDS,
      cg_doc},
     {NULL, NULL, 0, NULL}
@@ -604,8 +831,8 @@ static PyMethodDef csrkern_methods[] = {
 static struct PyModuleDef csrkern_module = {
     PyModuleDef_HEAD_INIT,
     "_csrkern",
-    "Compiled CSR kernels: matvec, transpose matvec, a MINRES step and a\n"
-    "CG solve.",
+    "Compiled CSR kernels: matvec, transpose matvec, a MINRES step, a\n"
+    "truncated tangential MINRES solve and a CG solve.",
     0,
     csrkern_methods,
     NULL,

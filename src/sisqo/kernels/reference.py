@@ -3,11 +3,16 @@
 The four functions take the arguments of their ``_csrkern`` twins and
 agree with them in exact arithmetic; floating point sums may differ at
 round-off because the vectorized reductions associate differently.
-``minres_step`` and ``cg`` are the loops the compiled ones reproduce;
-like its twin, ``cg`` allocates its own vectors.  They take their
-products from ``sisqo.kernels.csr_matvec`` and ``csr_rmatvec`` (the step
-through :func:`_kkt_apply`) on whichever backend is active, so with the
-compiled backend active each agrees bit for bit with its compiled twin.
+``tangential_solve`` and ``cg`` are the loops the compiled ones
+reproduce, and like their twins allocate their own scratch.  They take
+their products from ``sisqo.kernels.csr_matvec`` and ``csr_rmatvec``
+(the MINRES step, :func:`_minres_step`, through :func:`_kkt_apply`) on
+whichever backend is active, so with the compiled backend active each
+agrees bit for bit with its compiled twin.
+
+``tangential_solve`` holds the one statement of the tangential step's
+termination tests in Python, and, with its twin, the MINRES step and the
+breakdown and stall rules of a MINRES solve.
 """
 
 import math
@@ -53,21 +58,13 @@ def _kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,
         kernels.csr_matvec(j_indptr, j_indices, j_data, z[:n], bot)
 
 
-def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
-                rhs, work, scal):
-    """One MINRES step on ``K z = -rhs``, K as in :func:`_kkt_apply`.
-
-    ``work`` holds eight vectors of length dim = n + m, in this order:
-    v, r1, r2, y, w, w2, the iterate z and the residual ``K z + rhs``.
-    ``scal`` holds beta, the previous beta, dbar, epsln, phibar, cs, sn,
-    the step count, and the residual's 2-norm and infinity norm.  Both
-    are updated in place; ``scal[0]`` must be nonzero.
+def _minres_step(csr, rhs, work, scal):
+    """One MINRES step on ``K z = -rhs``, K as in :func:`_kkt_apply` for
+    the six CSR arrays ``csr``; ``work`` and ``scal[:10]`` as
+    :func:`tangential_solve` takes them, updated in place.
+    ``scal[0]`` must be nonzero.
     """
-    dim = h_indptr.shape[0] + j_indptr.shape[0] - 2
-    if rhs.shape != (dim,) or work.shape != (8 * dim,) or scal.shape != (10,):
-        raise ValueError("rhs, work and scal must have lengths n + m,"
-                         " 8 (n + m) and 10")
-    csr = (h_indptr, h_indices, h_data, j_indptr, j_indices, j_data)
+    dim = rhs.shape[0]
     vec, r1, r2, y, w, w2, z, resid = work.reshape(8, dim)
     beta, oldb, dbar, oldeps, phibar, cs, sn, steps = scal[:8].tolist()
     # r2 holds the latest unnormalized Lanczos vector.  Every vector
@@ -108,9 +105,168 @@ def minres_step(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,
     # true residual, recomputed from the operator every step
     _kkt_apply(*csr, z, resid)
     resid += rhs
-    scal[:] = (beta, oldb, dbar, epsln, phibar, cs, sn, steps + 1,
+    scal[:10] = (beta, oldb, dbar, epsln, phibar, cs, sn, steps + 1,
                math.sqrt(float(resid.dot(resid))),
                float(np.max(np.abs(resid))) if dim else 0.0)
+
+
+# the slots of tangential_solve's scal past the ten of one MINRES step:
+# beta1, the least residual, the least at the end of the last stall
+# window, and the breakdown and stall flags
+_BETA1, _BEST, _WINDOW, _BREAKDOWN, _STALLED = range(10, 15)
+_SCAL_LEN = 15
+
+
+def _guarded_step(csr, rhs, work, scal, rules):
+    """One step of a solve, as ``MinresState.step`` takes it: none once the
+    solve broke down or stalled, and none but the breakdown flag when the
+    residual or the right-hand side is zero."""
+    if scal[_BREAKDOWN] or scal[_STALLED]:
+        return
+    if scal[8] == 0.0 or scal[_BETA1] == 0.0:
+        scal[_BREAKDOWN] = 1.0
+        return
+    _minres_step(csr, rhs, work, scal)
+    breakdown_tol, window, improvement = rules
+    beta, steps, rnorm, best = scal[[0, 7, 8, _BEST]].tolist()
+    if beta < breakdown_tol:
+        scal[_BREAKDOWN] = 1.0
+    if rnorm < best:
+        scal[_BEST] = best = rnorm
+    if int(steps) % window == 0:
+        if best > (1.0 - improvement) * float(scal[_WINDOW]):
+            scal[_STALLED] = 1.0
+        scal[_WINDOW] = best
+
+
+def _candidate(h_csr, u, rho, r, vecs, tests):
+    """Conditions b, a and c, then termination tests 1 and 2, for the
+    candidate (u, delta) with residual pair (rho, r); ``vecs`` and
+    ``tests`` as :func:`tangential_solve` takes them.
+
+    Condition b keeps the residuals within the beta-scaled caps, a
+    contracts the dual residual, and c asks for a small or positively
+    curved tangential step; test 1 adds sufficient model reduction at the
+    incoming tau, test 2 retention of the normal constraint decrease.
+    The conditions are checked cheapest first, and each check reads
+    ``not x <= bound``, so a NaN fails it.  Returns ``(rejected_by, tt1,
+    tt2, parts)``: the index in ``(b, a, c, tests)`` of what rejected the
+    candidate, or None when a test accepts it, and (g'd, max(u'Hu, eps_u
+    ||u||^2), ||c + Jd||) once it passed b and a, else None.
+    """
+    (_, beta, kappa, prev_pair_norm, tau, v_norm, g_dot_v, c_norm,
+     decrease_v, kappa_rho, kappa_r, kappa_u, kappa_v, eps_u, sigma_u,
+     sigma_c, eps_r) = tests
+    n, m = u.shape[0], r.shape[0]
+    g, hv, gv = vecs[:n], vecs[n:2 * n], vecs[2 * n:3 * n]
+    c, c_plus_jv = vecs[3 * n:3 * n + m], vecs[3 * n + m:]
+    rho_norm = float(np.linalg.norm(rho))
+    if not (rho_norm <= kappa_rho * beta
+            and float(np.linalg.norm(r)) <= kappa_r * beta):
+        return 0, False, False, None
+    # the dual residual against the smaller of the current and previous
+    # stationarity measures.  The smaller is never above the previous
+    # one, which rejects most candidates before H u is formed; a NaN
+    # previous measure passes this shortcut, as min() then picks the
+    # current one.  The identity g + J'(y + delta) = rho - Hu - Hv
+    # avoids a Jacobian apply
+    if rho_norm > kappa * prev_pair_norm:
+        return 1, False, False, None
+    hu = np.empty(n)
+    kernels.csr_matvec(*h_csr, u, hu)
+    stat = rho - hu - hv
+    current = float(np.sqrt(np.dot(stat, stat) + np.dot(c, c)))
+    if not rho_norm <= kappa * min(current, prev_pair_norm):
+        return 1, False, False, None
+
+    uhu = float(np.dot(u, hu))
+    u_sq = float(np.dot(u, u))
+    # Jd = Jv + r, again avoiding a Jacobian apply
+    norm_c_plus_jd = float(np.linalg.norm(c_plus_jv + r))
+    g_dot_d = g_dot_v + float(np.dot(g, u))
+    max_term = max(uhu, eps_u * u_sq)
+    parts = (g_dot_d, max_term, norm_c_plus_jd)
+    if not math.sqrt(u_sq) <= kappa_u * v_norm:
+        curved = uhu >= eps_u * u_sq
+        if not (curved and float(np.dot(gv, u)) + 0.5 * uhu
+                <= kappa_v * v_norm):
+            return 2, False, False, parts
+
+    # test 1 at the incoming tau, as the engine's model_reduction forms it
+    tt1 = -tau * g_dot_d + c_norm - norm_c_plus_jd \
+        >= sigma_u * tau * max_term + sigma_c * decrease_v
+    floor = eps_r * decrease_v
+    tt2 = c_norm - norm_c_plus_jd >= floor and floor > 0.0
+    return (None if tt1 or tt2 else 3), tt1, tt2, parts
+
+
+def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
+                     j_data, rhs, work, scal, rules, vecs, tests, max_iter):
+    """MINRES on ``K z = -rhs`` from the state in ``work`` and ``scal``,
+    truncated at the first iterate the termination tests accept.
+
+    For t = 0 ... max_iter: at t > 0 one step, none once the solve broke
+    down or stalled and none but the breakdown flag when ||r|| or beta1
+    is zero; then, if ``vecs`` is not None and not ``||r||_inf > cap``,
+    :func:`_candidate` for the iterate.  The loop ends at an accepted
+    iterate, then at a breakdown or stall.
+
+    K = [[H, J.T], [J, 0]], with H n-by-n and J m-by-n in CSR form.
+    ``work`` holds eight vectors of length dim = n + m, in this order:
+    v, r1, r2, y, w, w2, the iterate z and the residual ``K z + rhs``.
+    ``scal`` holds beta, the previous beta, dbar, epsln, phibar, cs, sn,
+    the step count, the residual's 2-norm and infinity norm, beta1, the
+    least residual, the least at the end of the last window, and the
+    breakdown and stall flags (1.0 when set).  Both are updated in place.
+    ``rules = (breakdown_tol, stall_window, stall_improvement)``.
+    ``vecs`` holds g, H v, g + H v (n each), c and c + J v (m each), and
+    ``tests = (cap, beta, kappa, prev_pair_norm, tau_prev, ||v||, g'v,
+    ||c||, normal decrease, kappa_rho, kappa_r, kappa_u, kappa_v, eps_u,
+    sigma_u, sigma_c, eps_r)``; both are None or neither.
+
+    Returns ``(steps, tt1, tt2, breakdown, stalled, g_dot_d, max_term,
+    norm_c_plus_jd, rejected)``: the t it stopped at, the tests' outcomes
+    for the accepted iterate (False if none), the flags, the parts of the
+    last iterate to pass conditions b and a (NaN if none), and the counts
+    of iterates rejected by condition b, a or c, and by the tests after
+    passing all three.
+    """
+    n, m = h_indptr.shape[0] - 1, j_indptr.shape[0] - 1
+    dim = n + m
+    if rhs.shape != (dim,) or work.shape != (8 * dim,) \
+            or scal.shape != (_SCAL_LEN,):
+        raise ValueError("rhs, work and scal must have lengths n + m,"
+                         " 8 (n + m) and 15")
+    if (vecs is None) != (tests is None):
+        raise ValueError("vecs and tests: pass both or neither")
+    if vecs is not None and vecs.shape != (3 * n + 2 * m,):
+        raise ValueError("vecs must have length 3 n + 2 m")
+    if rules[1] < 1 or max_iter < 0:
+        raise ValueError("stall_window and max_iter must be at least 1"
+                         " and 0")
+    csr = (h_indptr, h_indices, h_data, j_indptr, j_indices, j_data)
+    u, resid = work[6 * dim:6 * dim + n], work[7 * dim:]
+    rho, r = resid[:n], resid[n:]
+    rejected = [0, 0, 0, 0]
+    tt1 = tt2 = False
+    parts = (math.nan,) * 3
+    t = 0
+    while True:
+        if t:
+            _guarded_step(csr, rhs, work, scal, rules)
+        if vecs is not None and not scal[9] > tests[0]:
+            rejected_by, tt1, tt2, found = _candidate(csr[:3], u, rho, r,
+                                                      vecs, tests)
+            if found is not None:
+                parts = found
+            if rejected_by is None:
+                break
+            rejected[rejected_by] += 1
+        if scal[_BREAKDOWN] or scal[_STALLED] or t == max_iter:
+            break
+        t += 1
+    return (t, tt1, tt2, bool(scal[_BREAKDOWN]), bool(scal[_STALLED]),
+            *parts, tuple(rejected))
 
 
 def cg(indptr, indices, data, ncols, normal, b, x, threshold, max_iter):

@@ -9,17 +9,23 @@ Three pieces live here:
   they leave;
 * a streaming MINRES on the symmetric saddle system whose iterate
   ``(u_t, delta_t)`` and residual pair ``(rho_t, r_t)`` are read in
-  place, as read-only views that stay valid until the next step, so the
-  caller can interleave termination tests with the Lanczos recurrence.
+  place, as read-only views that stay valid until the next step; it
+  advances one step at a time, or runs until the tangential step's
+  termination tests accept an iterate.
 
 Each CG solve is one call of :func:`sisqo.kernels.cg`, which applies
 its operator as two CSR products (J then J.T, or J.T then J), so the
 product matrix is never formed.  It starts from zero, keeps the iterate
 of least residual, and stops early when ``p.A p <= 0``.
 
-MINRES follows the classical Lanczos + Givens formulation; one step is
-one call of :func:`sisqo.kernels.minres_step`, which updates the Lanczos
-and search-direction vectors, the iterate and the residual in place.
+MINRES follows the classical Lanczos + Givens formulation, and its
+state lives in two arrays the kernels update in place: the Lanczos and
+search-direction vectors, the iterate and the residual in one, the
+scalars of the recurrence and of the breakdown and stall rules in the
+other.  :func:`sisqo.kernels.tangential_solve` owns those rules; one
+:meth:`MinresState.step` is one call of it for a single step, and
+:meth:`MinresState.run` one call for a whole truncated solve, which
+checks the termination tests at each gated iterate in the same loop.
 The residual pair is recomputed from the operator at every step (one
 extra apply), so the reported residual is always the true one; this
 subsumes the periodic drift-guard recompute that recurrence-based
@@ -136,9 +142,10 @@ class MinresState:
     """Streaming MINRES on ``K z = -rhs`` for the saddle operator K.
 
     The state owns the Lanczos vectors, the running Givens rotation, the
-    iterate ``z = (u, delta)`` and the residual pair ``(rho, r) = K z +
-    rhs``, in the buffers :func:`sisqo.kernels.minres_step` updates in
-    place.  It is single-owner: advance it only through :meth:`step`.
+    iterate ``z = (u, delta)``, the residual pair ``(rho, r) = K z +
+    rhs`` and the breakdown and stall bookkeeping, in the buffers
+    :func:`sisqo.kernels.tangential_solve` updates in place.  It is
+    single-owner: advance it only through :meth:`step` and :meth:`run`.
 
     Attributes
     ----------
@@ -176,11 +183,8 @@ class MinresState:
 
         b = -self.rhs
         beta1 = float(np.linalg.norm(b))
-        self._beta1 = beta1
         self.resid_norm = beta1
         self.resid_norm_inf = float(np.max(np.abs(b), initial=0.0))
-        self._best_norm = beta1
-        self._window_best = beta1
         # rows v, r1, r2, y, w, w2, z and the residual; r1 and r2 start
         # as the first unnormalized Lanczos vector, the residual as rhs
         self._work = np.zeros(8 * op.dim)
@@ -191,30 +195,30 @@ class MinresState:
         self.z.flags.writeable = resid.flags.writeable = False
         self.u, self.delta = self.z[:op.n], self.z[op.n:]
         self.rho, self.r = resid[:op.n], resid[op.n:]
-        # beta, oldb, dbar, epsln, phibar, cs, sn, steps, ||r||_2, ||r||_inf
+        # beta, oldb, dbar, epsln, phibar, cs, sn, steps, ||r||_2,
+        # ||r||_inf; then beta1, the best residual, the best at the last
+        # window's end, and the breakdown and stall flags
         self._scal = np.array([beta1, 0.0, 0.0, 0.0, beta1, -1.0, 0.0, 0.0,
-                               beta1, self.resid_norm_inf])
+                               beta1, self.resid_norm_inf,
+                               beta1, beta1, beta1, 0.0, 0.0])
+
+    def run(self, max_iter, vecs=None, tests=None):
+        """Up to ``max_iter`` steps, none once converged, by one call of
+        :func:`sisqo.kernels.tangential_solve`; with ``vecs`` and
+        ``tests``, it also checks the termination tests at each gated
+        iterate, from the current one on, and stops at the first they
+        accept.  Returns the kernel's outcome tuple."""
+        out = kernels.tangential_solve(
+            *self.op.csr, self.rhs, self._work, self._scal,
+            (BREAKDOWN_TOL, STALL_WINDOW, STALL_IMPROVEMENT), vecs, tests,
+            max_iter)
+        (*_, steps, self.resid_norm, self.resid_norm_inf, _, _, _, breakdown,
+         stalled) = self._scal.tolist()
+        self.iteration = int(steps)
+        self.breakdown, self.stalled = bool(breakdown), bool(stalled)
+        return out
 
     def step(self):
         """Advance one Lanczos/Givens step; no-op once converged."""
-        if self.breakdown or self.stalled:
-            return self
-        if self.resid_norm == 0.0 or self._beta1 == 0.0:
-            # stepping an already-converged state: flag and leave alone
-            self.breakdown = True
-            return self
-        kernels.minres_step(*self.op.csr, self.rhs, self._work, self._scal)
-        beta, *_, steps, self.resid_norm, self.resid_norm_inf = \
-            self._scal.tolist()
-        self.iteration = int(steps)
-
-        if beta < BREAKDOWN_TOL:
-            self.breakdown = True
-
-        if self.resid_norm < self._best_norm:
-            self._best_norm = self.resid_norm
-        if self.iteration % STALL_WINDOW == 0:
-            if self._best_norm > (1.0 - STALL_IMPROVEMENT) * self._window_best:
-                self.stalled = True
-            self._window_best = self._best_norm
+        self.run(1)
         return self

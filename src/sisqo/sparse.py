@@ -278,7 +278,7 @@ class KktOperator:
         self.m = j.rows
         self.dim = self.n + self.m
         # the six CSR arrays of H and J, the leading arguments of
-        # kernels.minres_step
+        # kernels.tangential_solve
         self.csr = (h.indptr, h.indices, h.data, j.indptr, j.indices,
                     j.data)
 

@@ -9,17 +9,19 @@ work out from raw arrays the parts (norms and products) that the
 engine's formulas take, so a test reaches the one implementation that
 ``sqp_iterate`` runs.  Among them, ``eager_termination_tests`` restates
 the termination tests in full, with the package's sparse products, as
-the reference for the engine's evaluation that stops at the first
+the reference for the kernel's evaluation that stops at the first
 failing condition.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 import sisqo.engine as engine
 from sisqo.engine import NormalStepResult, _IterationContext, _TestEvaluation
-from sisqo.sparse import SparseMatrix
+from sisqo.krylov import MinresState
+from sisqo.sparse import KktOperator, SparseMatrix
 
 
 def dense_kkt_matrix(h_dense, j_dense):
@@ -203,11 +205,11 @@ def varphi_parts(c, j, d):
             float(np.dot(d, d)))
 
 
-def candidate_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev=1.0,
-                    beta=1.0, prev_pair_norm=math.inf):
-    """The engine's evaluation of both termination tests for the
-    candidate (u, delta) with residual pair (rho, r), for a given normal
-    step v rather than the one the CG would compute."""
+def tangential_setup(g, c, j, v, y, h, tau_prev=1.0, beta=1.0,
+                     prev_pair_norm=math.inf):
+    """The engine's iteration context for a given normal step v rather
+    than the one the CG would compute, at the Hessian ``h``, and a fresh
+    MINRES state on its tangential system; returns (ctx, state)."""
     jv = j.apply(v)
     c_norm = float(np.linalg.norm(c))
     ns = NormalStepResult(
@@ -216,7 +218,38 @@ def candidate_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev=1.0,
         cauchy_rhs=math.nan, jv=jv, c_plus_jv=c + jv, c_norm=c_norm)
     ctx = _IterationContext(g, c, j, ns, y, tau_prev, beta, prev_pair_norm)
     ctx.set_rung(h)
-    return _TestEvaluation(u, delta, rho, r, ctx, cfg)
+    state = MinresState(KktOperator(h, j), (ctx.rhs_top, np.zeros(j.rows)))
+    return ctx, state
+
+
+def candidate_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev=1.0,
+                    beta=1.0, prev_pair_norm=math.inf):
+    """The evaluation of both termination tests for the candidate
+    (u, delta) with residual pair (rho, r), on the context of
+    :func:`tangential_setup`: ``kernels.tangential_solve`` on the active
+    backend, run for ``max_iter = 0`` with an infinite cap on a MINRES
+    state whose iterate and residual rows hold the candidate, with the
+    engine's test parameters.
+
+    Returns a namespace of ``failed`` (the condition, of "b", "a" and
+    "c" in the order they are checked, that rejected the candidate, or
+    None), ``tt1``, ``tt2``, ``accepted`` and ``reduces_model``, the
+    engine record's recheck of the model reduction, which needs a
+    candidate that passed conditions b and a."""
+    ctx, state = tangential_setup(g, c, j, v, y, h, tau_prev, beta,
+                                  prev_pair_norm)
+    rows = state._work.reshape(8, -1)
+    rows[6] = np.concatenate([u, delta])
+    rows[7] = np.concatenate([rho, r])
+    steps, tt1, tt2, _, _, *parts, rejected = state.run(
+        0, ctx.vecs, engine._test_params(ctx, cfg, math.inf))
+    assert steps == 0 and sum(rejected) == (0 if tt1 or tt2 else 1)
+    ev = _TestEvaluation(state, ctx, tt1, tt2, *parts)
+    return SimpleNamespace(
+        failed=next((name for name, count in zip("bac", rejected) if count),
+                    None),
+        tt1=tt1, tt2=tt2, accepted=ev.accepted,
+        reduces_model=ev.reduces_model)
 
 
 def eager_termination_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev,

@@ -134,6 +134,18 @@ def test_nan_settings_are_rejected(tmp_path, capsys, override):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-5", "nan"])
+def test_validate_rejects_a_bad_lip_gamma_in_estimate_mode(capsys, value):
+    # lip_gamma is unread in estimate mode but checked as lip_l is: a
+    # negative or NaN value passed as "solver config ok" before
+    assert main(["validate", "-c", "qp_gaussian",
+                 f"algorithm.lip_gamma={value}"]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "lip_gamma" in captured.err
+    assert "solver config ok" not in captured.out
+
+
 @pytest.mark.parametrize("profile, overrides, message", [
     ("control_finite_sum", ["problem.mesh_size=4.5"], "mesh_size must be int"),
     ("control_finite_sum", ["problem.mesh_size=4", "oracle.eps_n=-1"],

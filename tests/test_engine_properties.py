@@ -3,7 +3,7 @@ inputs that mix finite values with NaN and inf: each call returns a
 value that keeps its invariant, or raises an EngineError, within a
 bound known before it starts.  The termination tests, which stop at the
 first failing condition, must decide as their eager restatement does
-on candidates with such entries."""
+on candidates with such entries, on each kernel backend."""
 
 import math
 
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import sisqo.engine
 from oracles import candidate_tests, eager_termination_tests
+from sisqo import kernels
 from sisqo.engine import (EngineError, SolverConfig, select_step_size,
                           step_size_bounds, tau_trial_and_update, xi_update)
 from sisqo.sparse import SparseMatrix
@@ -171,15 +172,24 @@ def vectors(size):
          math.nan)
 def test_termination_tests_match_eager_evaluation(u, delta, rho, r, tau_prev,
                                                   beta, prev_pair_norm):
+    # the kernel's evaluation on each backend, for one candidate
     f = TANGENTIAL
     args = (f["g"], f["c"], f["j"], f["v"], f["y"], f["h"], u, delta, rho, r,
             CFG)
     with np.errstate(all="ignore"):
-        ev = candidate_tests(*args, tau_prev=tau_prev, beta=beta,
-                             prev_pair_norm=prev_pair_norm)
         eager = eager_termination_tests(*args, tau_prev, beta,
                                         prev_pair_norm)
-    assert ev.failed == next((name for name in "bac" if not eager[name]),
-                             None)
-    assert (ev.tt1, ev.tt2) == (eager["tt1"], eager["tt2"])
-    assert ev.accepted == (1 if eager["tt1"] else 2 if eager["tt2"] else 0)
+    previous = kernels.active_backend()
+    try:
+        for name in kernels.available_backends():
+            kernels.use_backend(name)
+            with np.errstate(all="ignore"):
+                ev = candidate_tests(*args, tau_prev=tau_prev, beta=beta,
+                                     prev_pair_norm=prev_pair_norm)
+            assert ev.failed == next(
+                (cond for cond in "bac" if not eager[cond]), None), name
+            assert (ev.tt1, ev.tt2) == (eager["tt1"], eager["tt2"]), name
+            assert ev.accepted == (1 if eager["tt1"]
+                                   else 2 if eager["tt2"] else 0), name
+    finally:
+        kernels.use_backend(previous)

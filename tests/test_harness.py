@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sisqo.engine
+import sisqo.kernels
 from sisqo.config import (apply_overrides, build_problem, build_solver_config,
                           harness_settings, load_config, oracle_settings)
 from sisqo.engine import SolverConfig
@@ -261,19 +262,21 @@ def test_every_injected_fault_ends_in_a_recorded_status(monkeypatch, case):
     config = load_config("qp_gaussian")
     kind, eps_n = oracle_settings(config)
     problem = build_problem(config)
-    # MINRES steps taken, and how many of them before the fault
+    # MINRES steps taken per tangential solve, and how many of them
+    # before the fault
     steps, at_fault = [], []
-    step = MinresState.step
+    solve = sisqo.kernels.tangential_solve
 
-    def counted_step(self):
-        steps.append(1)
-        return step(self)
+    def counted_solve(*args):
+        out = solve(*args)
+        steps.append(out[0])
+        return out
 
     def spoil_and_mark(value):
-        at_fault.append(len(steps))
+        at_fault.append(sum(steps))
         return spoil(value)
 
-    monkeypatch.setattr(MinresState, "step", counted_step)
+    monkeypatch.setattr(sisqo.kernels, "tangential_solve", counted_solve)
     if name is None:
         _lose_to_cauchy_point(monkeypatch)
     else:
@@ -286,14 +289,58 @@ def test_every_injected_fault_ends_in_a_recorded_status(monkeypatch, case):
     assert record.outer_iters == len(record.rows)
     # the steps of the iteration that raised count too: c(x2) ends the
     # run after 19 steps, 6 of them in the one recorded row
-    assert record.total_minres_iters == len(steps)
+    assert record.total_minres_iters == sum(steps)
     if status in ("nonfinite", "invalid"):
         assert record.info["diagnostics"] == {"quantity": quantity, "k": k}
         # no MINRES step after the bad value was evaluated
-        assert at_fault == [len(steps)]
+        assert at_fault == [sum(steps)]
     if k == 0:
         assert record.outer_iters == 0
         np.testing.assert_array_equal(record.x_final, problem.x0)
+
+
+def test_one_kernel_call_per_hessian_rung():
+    # on the compiled backend each rung's MINRES solve and its
+    # termination tests are one kernels.tangential_solve call, with no
+    # MinresState.step from Python; each rung record carries the call's
+    # step count and rejection counts
+    if "compiled" not in sisqo.kernels.available_backends():
+        pytest.skip("the compiled core was not built")
+    config = load_config("qp_gaussian")
+    kind, eps_n = oracle_settings(config)
+    problem = build_problem(config)
+    outcomes, steps, rungs = [], [], []
+    solve, iterate = sisqo.kernels.tangential_solve, sisqo.harness.sqp_iterate
+
+    def counted_solve(*args):
+        outcomes.append(solve(*args))
+        return outcomes[-1]
+
+    def recorded_iterate(*args, **kwargs):
+        state, step = iterate(*args, **kwargs)
+        rungs.extend(step.info["rungs"])
+        return state, step
+
+    previous = sisqo.kernels.active_backend()
+    sisqo.kernels.use_backend("compiled")
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sisqo.kernels, "tangential_solve", counted_solve)
+            patch.setattr(MinresState, "step",
+                          lambda self: steps.append(self))
+            patch.setattr(sisqo.harness, "sqp_iterate", recorded_iterate)
+            record = run_single(problem, build_solver_config(config, seed=0),
+                                0, oracle_kind=kind, eps_n=eps_n)
+    finally:
+        sisqo.kernels.use_backend(previous)
+    assert record.status == "converged" and record.outer_iters > 0
+    assert len(outcomes) == len(rungs) \
+        == sum(row.hessian_rung + 1 for row in record.rows)
+    assert steps == []
+    for rung, out in zip(rungs, outcomes):
+        assert rung["minres_iters"] == out[0]
+        assert list(rung["rejected"]) == ["b", "a", "c", "tests"]
+        assert tuple(rung["rejected"].values()) == out[8]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

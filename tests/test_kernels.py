@@ -10,10 +10,20 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
-from sisqo import kernels
+import sisqo.engine as engine
+from oracles import tangential_setup
+from sisqo import kernels, krylov
+from sisqo.config import (apply_overrides, build_problem, build_solver_config,
+                          load_config, oracle_settings)
+from sisqo.harness import run_single
+from sisqo.krylov import MinresState
+from sisqo.sparse import KktOperator, SparseMatrix
 
 
 def _csr_from_dense(dense):
@@ -122,9 +132,12 @@ def test_kkt_apply_matches_composed_kernels(backend, n, m):
     assert out.tobytes() == np.concatenate([top, bot]).tobytes()
 
 
+RULES = (krylov.BREAKDOWN_TOL, krylov.STALL_WINDOW, krylov.STALL_IMPROVEMENT)
+
+
 def _minres_start(rhs):
     """work and scal of a MINRES state at z = 0 for K z = -rhs, laid out
-    as ``kernels.minres_step`` reads them."""
+    as ``kernels.tangential_solve`` reads them."""
     dim = len(rhs)
     work = np.zeros(8 * dim)
     rows = work.reshape(8, dim)
@@ -132,8 +145,15 @@ def _minres_start(rhs):
     rows[7] = rhs
     beta1 = float(np.linalg.norm(rhs))
     scal = np.array([beta1, 0.0, 0.0, 0.0, beta1, -1.0, 0.0, 0.0, beta1,
-                     float(np.max(np.abs(rhs)))])
+                     float(np.max(np.abs(rhs))), beta1, beta1, beta1, 0.0,
+                     0.0])
     return work, scal
+
+
+def _one_step(solve, h, j, rhs, work, scal):
+    """One MINRES step by ``solve``, a backend's tangential_solve, without
+    the termination tests."""
+    return solve(*h, *j, rhs, work, scal, RULES, None, None, 1)
 
 
 def _symmetric_kkt_blocks(rng, n, m):
@@ -146,7 +166,8 @@ def _symmetric_kkt_blocks(rng, n, m):
 @pytest.mark.parametrize("n, m", [(7, 3), (6, 0), (5, 5), (1, 0)])
 def test_minres_step_matches_reference(backend, n, m):
     # the numpy step on this backend's KKT products, bit for bit: work
-    # and scal agree after every step, m = 0 and dim = 1 included
+    # and scal agree after every one-step solve, m = 0 and dim = 1
+    # included
     rng = np.random.default_rng(15)
     if n == 1:
         h = _csr_from_dense(np.array([[2.5]]))
@@ -157,11 +178,12 @@ def test_minres_step_matches_reference(backend, n, m):
     work, scal = _minres_start(rhs)
     ref_work, ref_scal = work.copy(), scal.copy()
     for _ in range(n + m):
-        kernels.minres_step(*h, *j, rhs, work, scal)
-        kernels.reference.minres_step(*h, *j, rhs, ref_work, ref_scal)
+        _one_step(kernels.tangential_solve, h, j, rhs, work, scal)
+        _one_step(kernels.reference.tangential_solve, h, j, rhs, ref_work,
+                  ref_scal)
         assert work.tobytes() == ref_work.tobytes()
         assert scal.tobytes() == ref_scal.tobytes()
-        if scal[0] < 1e-14:
+        if scal[13]:
             break
     assert scal[7] >= 1
 
@@ -173,7 +195,7 @@ def test_minres_step_infinity_norm_propagates_nan(backend, where):
     rhs = rng.standard_normal(9)
     work, scal = _minres_start(rhs)
     rhs[where] = np.nan
-    kernels.minres_step(*h, *j, rhs, work, scal)
+    _one_step(kernels.tangential_solve, h, j, rhs, work, scal)
     assert np.isnan(scal[8]) and np.isnan(scal[9])
 
 
@@ -269,7 +291,7 @@ def test_backends_agree():
 def test_use_backend_binds_the_backends_own_functions(backend):
     # no wrapper between a caller and the kernel it calls
     module = kernels.reference if backend == "python" else kernels._csrkern
-    for name in ("csr_matvec", "csr_rmatvec", "minres_step", "cg"):
+    for name in ("csr_matvec", "csr_rmatvec", "tangential_solve", "cg"):
         assert getattr(kernels, name) is getattr(module, name)
 
 
@@ -354,7 +376,8 @@ def _good_minres_args():
                 j_indptr=np.array([0, 1], dtype=np.int64),
                 j_indices=np.array([1], dtype=np.int64),
                 j_data=np.array([4.0]),
-                rhs=np.array([1.0, -2.0, 0.5]))
+                rhs=np.array([1.0, -2.0, 0.5]), rules=RULES, vecs=None,
+                tests=None, max_iter=1)
     args["work"], args["scal"] = _minres_start(args["rhs"])
     return args
 
@@ -364,30 +387,240 @@ def _good_minres_args():
     ("work", np.zeros(25), ValueError),
     ("scal", np.zeros(9), ValueError),
     ("work", _read_only(np.zeros(24)), (ValueError, BufferError)),
-    ("scal", _read_only(np.zeros(10)), (ValueError, BufferError)),
+    ("scal", _read_only(np.zeros(15)), (ValueError, BufferError)),
     ("work", np.zeros(24, dtype=np.int64), ValueError),
-    ("scal", np.zeros(10, dtype=np.int64), ValueError),
+    ("scal", np.zeros(15, dtype=np.int64), ValueError),
     ("rhs", np.array([1, -2, 0], dtype=np.int64), ValueError),
     ("rhs", np.ones(4), ValueError),
 ])
 def test_compiled_minres_step_rejects_bad_buffers(compiled, name, bad,
                                                   error):
+    # the MINRES state's checks, on a one-step solve without the tests
     args = _good_minres_args()
     args[name] = bad
     with pytest.raises(error):
-        kernels.minres_step(**args)
+        kernels.tangential_solve(**args)
     args = _good_minres_args()
-    kernels.minres_step(**args)
+    kernels.tangential_solve(**args)
     assert args["scal"][7] == 1.0 and np.isfinite(args["work"]).all()
 
 
 def test_compiled_minres_step_rejects_overlap(compiled):
     args = _good_minres_args()
-    buf = np.zeros(34)
+    buf = np.zeros(39)
     buf[:24], buf[24:] = args["work"], args["scal"]
-    args["work"], args["scal"] = buf[:24], buf[23:33]
+    args["work"], args["scal"] = buf[:24], buf[23:38]
     with pytest.raises(ValueError, match="overlap"):
-        kernels.minres_step(**args)
+        kernels.tangential_solve(**args)
+
+
+@functools.lru_cache(maxsize=None)
+def _captured_solves(overrides):
+    """The arguments of every ``kernels.tangential_solve`` call of the
+    first three iterations of qp_gaussian seed 0 with ``overrides``,
+    copied before the call."""
+    config = apply_overrides(load_config("qp_gaussian"), list(overrides))
+    kind, eps_n = oracle_settings(config)
+    captured = []
+    solve = kernels.tangential_solve
+
+    def capture(*args):
+        captured.append([_copy(a) for a in args])
+        return solve(*args)
+
+    kernels.tangential_solve = capture
+    try:
+        run_single(build_problem(config),
+                   build_solver_config(config, seed=0,
+                                       max_outer_iterations=3),
+                   0, oracle_kind=kind, eps_n=eps_n)
+    finally:
+        kernels.tangential_solve = solve
+    return captured
+
+
+def _copy(arg):
+    return arg.copy() if isinstance(arg, np.ndarray) else arg
+
+
+def _synthetic_solve(n, m, max_iter):
+    """Arguments of a tangential solve of random data: a symmetric H with
+    an empty row, a random J, g, c, v and y, at the engine's parameters
+    with no gate on the residual."""
+    rng = np.random.default_rng(18 + n + m)
+    h = rng.standard_normal((n, n))
+    h = h + h.T
+    h[0] = h[:, 0] = 0.0
+    j = rng.standard_normal((m, n))
+    ctx, state = tangential_setup(
+        rng.standard_normal(n), rng.standard_normal(m),
+        SparseMatrix.from_dense(j), rng.standard_normal(n),
+        rng.standard_normal(m), SparseMatrix.from_dense(h))
+    tests = engine._test_params(ctx, engine.SolverConfig(), math.inf)
+    return [*state.op.csr, state.rhs, state._work, state._scal, RULES,
+            ctx.vecs, tests, max_iter]
+
+
+def _solve_case(case):
+    """Arguments of a tangential solve that ends as ``case`` says."""
+    if case in ("m0", "n1", "n1m1"):
+        return _synthetic_solve(*{"m0": (6, 0), "n1": (1, 0),
+                                  "n1m1": (1, 1)}[case], max_iter=12)
+    # copies: the captured arrays are shared by every case
+    if case == "test1":
+        return [_copy(a) for a in _captured_solves(())[0]]
+    args = [_copy(a) for a in _captured_solves(("algorithm.tau_init=1",))[1]]
+    if case == "max_iter":
+        args[12] = 20
+    elif case == "stall":
+        # a 90% fall of the least residual every 10 steps
+        args[9] = (krylov.BREAKDOWN_TOL, 10, 0.9)
+    elif case == "breakdown":
+        args[9] = (1e300, krylov.STALL_WINDOW, krylov.STALL_IMPROVEMENT)
+    elif case == "zero_rhs":
+        n, m = len(args[0]) - 1, len(args[3]) - 1
+        state = MinresState(KktOperator(
+            SparseMatrix((n, n), *args[:3]), SparseMatrix((m, n), *args[3:6])),
+            (np.zeros(n), np.zeros(m)))
+        # u = 0 at a zero residual passes test 2 here, so no tests
+        args[6:12] = state.rhs, state._work, state._scal, RULES, None, None
+    elif case in ("nan", "nan_no_stall"):
+        args[6][3] = np.nan
+        if case == "nan_no_stall":
+            # the least residual never falls, which is a stall only
+            # when a fall is asked for
+            args[9] = (krylov.BREAKDOWN_TOL, krylov.STALL_WINDOW, 0.0)
+    return args
+
+
+def _bits(out):
+    return tuple(np.float64(x).tobytes() if isinstance(x, float) else x
+                 for x in out)
+
+
+@pytest.mark.parametrize("case", ["test1", "test2", "max_iter", "stall",
+                                  "breakdown", "zero_rhs", "nan",
+                                  "nan_no_stall", "m0", "n1", "n1m1"])
+def test_tangential_solve_matches_reference(compiled, case):
+    # the numpy loop on compiled products, bit for bit: the outcome, the
+    # iterate, the residual and every vector and scalar of the state
+    args = _solve_case(case)
+    results = []
+    for solve in (kernels.tangential_solve,
+                  kernels.reference.tangential_solve):
+        run = [_copy(a) for a in args]
+        out = solve(*run)
+        results.append((_bits(out), run[7].tobytes(), run[8].tobytes()))
+    assert results[0] == results[1]
+    steps, tt1, tt2, breakdown, stalled, *parts, rejected = out
+    scal = run[8]
+    assert 0 <= steps <= args[12] and scal[7] <= steps
+    assert len(rejected) == 4 and all(count >= 0 for count in rejected)
+    ending = {"test1": tt1, "test2": tt2 and not tt1,
+              "max_iter": (steps, tt1, tt2, breakdown, stalled)
+              == (20, False, False, False, False) and sum(rejected) > 0,
+              "stall": stalled and not breakdown and sum(rejected) > 0,
+              "breakdown": breakdown and steps == scal[7] == 1,
+              "zero_rhs": breakdown and (steps, scal[7]) == (1, 0.0),
+              "nan": rejected[0] > 0 and math.isnan(scal[8]) and stalled,
+              "nan_no_stall": rejected[0] > 0 and steps == args[12]
+              and not stalled}
+    assert ending.get(case, steps == args[12] or breakdown or stalled)
+    if tt1 or tt2:
+        assert all(math.isfinite(x) for x in parts)
+
+
+def test_one_step_solves_match_a_whole_solve(backend):
+    # a solve stepped one call at a time, without tests, walks the
+    # iterates of the whole solve: the loop of MinresState.step
+    args = _solve_case("max_iter")
+    whole = [_copy(a) for a in args]
+    whole[10] = whole[11] = None
+    kernels.tangential_solve(*whole)
+    stepped = [_copy(a) for a in args]
+    stepped[10:] = None, None, 1
+    for _ in range(20):
+        assert kernels.tangential_solve(*stepped)[0] == 1
+    assert stepped[7].tobytes() == whole[7].tobytes()
+    assert stepped[8].tobytes() == whole[8].tobytes()
+
+
+def test_rejection_counts_add_up_to_the_gated_candidates(backend):
+    # every candidate past the gate is rejected by one condition, or by
+    # the tests, or accepted: replayed step by step, the gated
+    # candidates of each solve of the first three iterations
+    for overrides in ((), ("algorithm.tau_init=1",)):
+        for args in _captured_solves(overrides):
+            out = kernels.tangential_solve(*[_copy(a) for a in args])
+            steps, tt1, tt2 = out[:3]
+            replay = [_copy(a) for a in args]
+            replay[10:] = None, None, 1
+            cap, scal, gated = args[11][0], replay[8], 0
+            for t in range(steps + 1):
+                if t:
+                    kernels.tangential_solve(*replay)
+                gated += not scal[9] > cap
+            assert sum(out[8]) + (tt1 or tt2) == gated
+
+
+def _good_solve_args():
+    args = dict(zip(
+        ("h_indptr", "h_indices", "h_data", "j_indptr", "j_indices",
+         "j_data", "rhs", "work", "scal", "rules", "vecs", "tests",
+         "max_iter"), _synthetic_solve(4, 2, max_iter=6)))
+    return args
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({"work": np.zeros(47)}, ValueError),
+    ({"scal": np.zeros(10)}, ValueError),
+    ({"rhs": np.ones(5)}, ValueError),
+    ({"vecs": np.zeros(15)}, ValueError),
+    ({"vecs": np.zeros(17)}, ValueError),
+    ({"work": _read_only(np.zeros(48))}, (ValueError, BufferError)),
+    ({"scal": _read_only(np.zeros(15))}, (ValueError, BufferError)),
+    ({"work": np.frombuffer(bytearray(385), np.float64, offset=1, count=48)},
+     ValueError),
+    ({"vecs": np.frombuffer(bytearray(129), np.float64, offset=1, count=16)},
+     ValueError),
+    ({"vecs": np.zeros(16, dtype=np.float32)}, ValueError),
+    ({"vecs": list(np.zeros(16))}, TypeError),
+    ({"vecs": None}, ValueError),
+    ({"tests": None}, ValueError),
+    ({"tests": (1.0,) * 16}, TypeError),
+    ({"tests": [1.0] * 17}, TypeError),
+    ({"rules": (1e-14, 50)}, TypeError),
+    ({"rules": (1e-14, 0, 1e-4)}, ValueError),
+    ({"max_iter": -1}, ValueError),
+    ({"max_iter": 2.5}, TypeError),
+])
+def test_compiled_tangential_solve_rejects_bad_arguments(compiled, changes,
+                                                         error):
+    args = _good_solve_args()
+    args.update(changes)
+    with pytest.raises(error):
+        kernels.tangential_solve(**args)
+    args = _good_solve_args()
+    assert kernels.tangential_solve(**args)[0] >= 1
+    args = _good_solve_args()
+    args.update(vecs=None, tests=None)
+    assert kernels.tangential_solve(**args)[0] == 6
+
+
+def test_compiled_tangential_solve_rejects_overlap(compiled):
+    args = _good_solve_args()
+    buf = np.zeros(48 + 15)
+    args["work"], args["vecs"] = buf[:48], buf[40:56]
+    with pytest.raises(ValueError, match="overlap"):
+        kernels.tangential_solve(**args)
+    args = _good_solve_args()
+    args["scal"], args["vecs"] = buf[:15], buf[10:26]
+    with pytest.raises(ValueError, match="overlap"):
+        kernels.tangential_solve(**args)
+    args = _good_solve_args()
+    args["rhs"], args["scal"] = buf[:6], buf[5:20]
+    with pytest.raises(ValueError, match="overlap"):
+        kernels.tangential_solve(**args)
 
 
 def _good_cg_args():
@@ -468,7 +701,7 @@ def test_compiled_csr_kernels_reject_overlap(compiled):
 
 def test_backends_share_signatures(compiled):
     # the compiled signatures are read from their "--" doc strings
-    for name in ("csr_matvec", "csr_rmatvec", "minres_step", "cg"):
+    for name in ("csr_matvec", "csr_rmatvec", "tangential_solve", "cg"):
         assert inspect.signature(getattr(kernels._csrkern, name)) \
             == inspect.signature(getattr(kernels.reference, name)), name
 
@@ -664,46 +897,51 @@ def test_bench_kernels_script_runs(capsys, tmp_path):
     previous = kernels.active_backend()
     record_path = tmp_path / "bench.json"
     try:
-        assert bench.main(["--mesh", "3", "4", "--repeats", "2",
+        assert bench.main(["--mesh", "3", "4", "--qp", "--repeats", "2",
                            "--minres-steps", "3",
                            "--json", str(record_path)]) == 0
         assert kernels.active_backend() == previous
+        assert kernels.tangential_solve is getattr(
+            kernels._BACKENDS[previous], "tangential_solve")
     finally:
         kernels.use_backend(previous)
     out = capsys.readouterr().out
-    # one table per mesh, one row per backend: best/median of the three
-    # CSR products, of the two KKT applies they add up to, of the
-    # isolated step and of a multiplier-CG iteration, then the step over
-    # the applies from the medians
+    # one table per problem, one row per backend: best/median of the
+    # three CSR products, of the two KKT applies they add up to, of the
+    # isolated step, of a multiplier-CG iteration and of a tangential
+    # solve, then the step over the applies from the medians
     assert out.count("best/median, microseconds; step/6 csr from the"
-                     " medians") == 2
+                     " medians") == 3
     headers = [ln for ln in out.splitlines() if ln.startswith("backend ")]
-    assert len(headers) == 2 and all("cg iter" in ln for ln in headers)
+    assert len(headers) == 3 and all("cg iter" in ln and "tangential" in ln
+                                     for ln in headers)
+    assert out.count("tangential is one solve of ") == 3
     if "compiled" in kernels.available_backends():
         assert out.count("cg iter over the numpy loop, both on compiled"
-                         " products") == 2
-    assert "n=18 m=9" in out and "n=32 m=16" in out
+                         " products") == 3
+    assert "n=18 m=9" in out and "n=32 m=16" in out and "n=40 m=15" in out
     for name in kernels.available_backends():
         rows = [ln.split() for ln in out.splitlines()
                 if ln.startswith(f"{name} ")]
-        assert len(rows) == 2
+        assert len(rows) == 3
         for row in rows:
-            assert len(row) == 8 and row[-1].endswith("x")
-            cells = [tuple(map(float, cell.split("/"))) for cell in row[1:7]]
+            assert len(row) == 9 and row[-1].endswith("x")
+            cells = [tuple(map(float, cell.split("/"))) for cell in row[1:8]]
             assert all(0.0 < best <= median for best, median in cells)
             step, applies = cells[4][1], cells[3][1]
             assert float(row[-1][:-1]) == pytest.approx(
                 step / applies, rel=0.02, abs=0.01)
-    # the JSON holds the same figures, one record per mesh and backend
+    # the JSON holds the same figures, one record per problem and backend
     records = json.loads(record_path.read_text())["records"]
-    assert [(r["mesh"], r["backend"]) for r in records] == [
-        (mesh, name) for mesh in (3, 4)
+    assert [(r["mesh"], r["profile"], r["backend"]) for r in records] == [
+        (mesh, profile, name)
+        for mesh, profile in ((3, None), (4, None), (None, "qp_gaussian"))
         for name in kernels.available_backends()]
     for record in records:
         assert sorted(record) == sorted(
-            ["mesh", "n", "m", "backend", "cg_iterations"]
-            + list(bench.RECORD_KEYS))
-        assert record["cg_iterations"] > 0
+            ["mesh", "profile", "n", "m", "backend", "cg_iterations",
+             "tangential_steps"] + list(bench.RECORD_KEYS))
+        assert record["cg_iterations"] > 0 and record["tangential_steps"] > 0
         for key in bench.RECORD_KEYS:
             best, median = record[key]
             assert 0.0 < best <= median
