@@ -221,12 +221,16 @@ def harness_settings(config):
     _check_keys("harness", section, _HARNESS_KEYS)
     seed = _check_seeds([section.get("seed", 0)])
     levels = section.get("eps_n_list", oracle_settings(config)[1])
+    # the kappa of the near-exact runs, in the range of SolverConfig.kappa
+    kappa_exact = _check_type("kappa_exact", section.get("kappa_exact", 1e-7),
+                              float)
+    if not 0.0 < kappa_exact < 1.0:
+        raise ConfigError(f"kappa_exact must lie in (0, 1), got {kappa_exact}")
     return {
         "seeds": _check_seeds(_as_list(section.get("seeds", seed[0]))),
         "eps_n_list": [_noise_level("eps_n_list", v)
                        for v in _as_list(levels)],
-        "kappa_exact": float(_check_type(
-            "kappa_exact", section.get("kappa_exact", 1e-7), float)),
+        "kappa_exact": kappa_exact,
         "output": _check_type("output", section.get("output", "results.csv"),
                               str),
     }

@@ -35,6 +35,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .kernels import EPS_R, SIGMA_C, SIGMA_U
 # least_squares_multipliers is not called here; the name stays bound
 # because perfbench/tracing.py wraps it in this module
 from .krylov import (MinresState, cg_normal_solve,  # noqa: F401
@@ -60,9 +61,6 @@ logger = logging.getLogger(__name__)
 REL_SLACK = 1e-9
 
 # implementation tolerances, one value for every problem and profile:
-# the normal-step CG stops at max(CG_REL_TOL * ||J'c||, CG_ABS_FLOOR)
-CG_REL_TOL = 0.1
-CG_ABS_FLOOR = 1e-10
 # the MINRES residual cap never drops below MINRES_ABS_FLOOR, and one
 # rung runs at most MINRES_MAX_ITER_SCALE * (n + m) steps
 MINRES_ABS_FLOOR = 1e-12
@@ -76,20 +74,13 @@ PROBE_RADIUS_SCALE = 1e-4
 MAX_RUNG = 10
 
 # the method's parameters that no run varies; the ones runs set are
-# SolverConfig's fields
+# SolverConfig's fields, and those of the termination tests are
+# constants of sisqo.kernels, which builds them into the compiled core
 XI_INIT = 1.0  # initial ratio parameter xi_0
 EPS_C = 1.0  # Cauchy decrease fraction the normal step must certify
-EPS_U = 5e-9  # curvature threshold: max(u'Hu, EPS_U ||u||^2)
-SIGMA_U = 1.0 - 1e-12  # model reduction's share of the curvature term
-SIGMA_C = 0.1  # and of the normal decrease; SIGMA_C < EPS_R
 EPS_TAU = 0.01  # least fractional fall of tau, when it falls
 EPS_XI = 0.01  # and of xi
-KAPPA_RHO = 100.0  # condition b: ||rho|| <= KAPPA_RHO beta
-KAPPA_R = 100.0  # and ||r|| <= KAPPA_R beta
-KAPPA_U = 0.1  # condition c: ||u|| <= KAPPA_U ||v||, or a curved u
-KAPPA_V = 0.1  # whose model value is at most KAPPA_V ||v||
 THETA = 1e4  # step-size cap alpha_min + THETA beta^2
-EPS_R = 1.0 - 1e-4  # share of the normal decrease that test 2 retains
 
 
 def ladder_matrix(hess, rung):
@@ -335,7 +326,7 @@ def compute_normal_step(c, j):
     Raises InvariantBreach if the certification fails, since the CG
     iterates should dominate the Cauchy point by construction.
     """
-    res = cg_normal_solve(j, c, CG_REL_TOL, CG_ABS_FLOOR)
+    res = cg_normal_solve(j, c)
     v = res.v
     c_norm = float(np.linalg.norm(c))
     jv = j.apply(v)
@@ -609,13 +600,11 @@ def _check_stationary(state, problem, oracle, g):
 
 
 def _test_params(ctx, cfg, cap):
-    """The scalars of the termination tests, as the ``tests`` tuple of
-    :func:`sisqo.kernels.tangential_solve`, for the gate ``cap`` on the
-    residual's infinity norm; the method constants are read at the
-    call."""
+    """The per-iterate scalars of the termination tests, as the ``tests``
+    tuple of :func:`sisqo.kernels.tangential_solve`, for the gate ``cap``
+    on the residual's infinity norm."""
     return (cap, ctx.beta, cfg.kappa, ctx.prev_pair_norm, ctx.tau_prev,
-            ctx.v_norm, ctx.g_dot_v, ctx.c_norm, ctx.decrease_v, KAPPA_RHO,
-            KAPPA_R, KAPPA_U, KAPPA_V, EPS_U, SIGMA_U, SIGMA_C, EPS_R)
+            ctx.v_norm, ctx.g_dot_v, ctx.c_norm, ctx.decrease_v)
 
 
 def _tangential_solve(ctx, cfg):

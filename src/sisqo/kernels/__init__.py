@@ -2,30 +2,30 @@
 fallback.
 
 The four kernels are ``csr_matvec``, ``csr_rmatvec``,
-``tangential_solve`` (MINRES steps on the saddle operator ``(H u + J.T
-delta, J u)``, with the solve's breakdown and stall rules, until the
-tangential step's termination tests accept an iterate or the solve
-ends: one call per Hessian rung, over arrays its caller owns, since they
-carry the solve from call to call; it is the one owner of the MINRES
-step and of those rules, and ``sisqo.krylov.MinresState.step`` runs it
-for one step) and ``cg`` (one whole conjugate-gradient solve on ``J.T
-J`` or ``J J.T``, which keeps nothing between calls and sizes its own
-scratch from J's row count and the ``ncols`` it is given).  A backend is
-a module that defines these four functions; :func:`use_backend` binds this module's names to the
-chosen backend's own functions, so callers look them up here at call
-time.
+``tangential_solve`` (the MINRES steps of one Hessian rung on the saddle
+operator ``(H u + J.T delta, J u)``, with the breakdown and stall rules,
+until the termination tests accept an iterate or the solve ends, over
+arrays its caller owns; ``sisqo.krylov.MinresState.step`` runs it for
+one step) and ``cg`` (one whole conjugate-gradient solve on ``J.T J`` or
+``J J.T``, which keeps nothing between calls).  A backend is a module
+that defines these four functions; :func:`use_backend` binds this
+module's names to the chosen backend's own functions, so callers look
+them up here at call time.  The constants of the rules and of the
+tests live here: the numpy backend reads them at each call, and the
+compiled core has them as macros from its build flags.
 
 The compiled core is the C extension ``_csrkern``.  It is compiled from
 ``_csrkern.c`` on first import, with the interpreter's ``sysconfig``
 compiler settings and numpy's headers, and cached in this package's
 ``__pycache__`` directory under a name keyed by the source, the compile
-flags, the numpy version and the interpreter's extension suffix; later
-imports load the cached file without starting a process.  A checkout and
-an installed package build it the same way.
-Once a build is loaded, older builds for the same extension suffix are
-deleted; builds for other interpreters are kept.  If the core cannot be
-built (no compiler, or a read-only package directory), one warning is
-logged and the numpy reference implementation is used.
+flags (the constants with them), the numpy version and the
+interpreter's extension suffix; later imports load the cached file
+without starting a process.  A checkout and an installed package build
+it the same way.  Once a build is loaded, older builds for the same
+extension suffix are deleted; builds for other interpreters are kept.
+If the core cannot be built (no compiler, or a read-only package
+directory), one warning is logged and the numpy reference
+implementation is used.
 
 Set the environment variable ``SISQO_KERNELS=python`` (before import) or
 call :func:`use_backend` to force the numpy reference implementation.
@@ -45,13 +45,32 @@ from . import reference
 
 _log = logging.getLogger(__name__)
 
+# the MINRES solve's rules and the termination tests' constants
+BREAKDOWN_TOL = 1e-14  # a Lanczos beta below it: the iterate is exact
+STALL_WINDOW = 50  # the solve stalls when, over this many steps, its
+STALL_IMPROVEMENT = 1e-4  # least residual falls by less than this share
+KAPPA_RHO = 100.0  # condition b: ||rho|| <= KAPPA_RHO beta
+KAPPA_R = 100.0  # and ||r|| <= KAPPA_R beta
+KAPPA_U = 0.1  # condition c: ||u|| <= KAPPA_U ||v||, or a curved u
+KAPPA_V = 0.1  # whose model value is at most KAPPA_V ||v||
+EPS_U = 5e-9  # curvature threshold: max(u'Hu, EPS_U ||u||^2)
+SIGMA_U = 1.0 - 1e-12  # model reduction's share of the curvature term
+SIGMA_C = 0.1  # and of the normal decrease; SIGMA_C < EPS_R
+EPS_R = 1.0 - 1e-4  # share of the normal decrease that test 2 retains
+
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_csrkern.c")
 _CACHE_DIR = os.path.join(_HERE, "__pycache__")
 # appended after the interpreter's CFLAGS; without contraction into
-# fused multiply-adds, tangential_solve and cg keep the bits
-# of the numpy loops on every platform
-_EXTRA_COMPILE_ARGS = ["-O3", "-ffp-contract=off"]
+# fused multiply-adds, tangential_solve and cg keep the bits of the
+# numpy loops on every platform.  The constants above become macros of
+# the C core, a float as the exact hexadecimal literal of its value
+_EXTRA_COMPILE_ARGS = ["-O3", "-ffp-contract=off"] + [
+    f"-D{name}={value.hex() if isinstance(value, float) else value}"
+    for name, value in ((name, globals()[name]) for name in (
+        "BREAKDOWN_TOL", "STALL_WINDOW", "STALL_IMPROVEMENT", "KAPPA_RHO",
+        "KAPPA_R", "KAPPA_U", "KAPPA_V", "EPS_U", "SIGMA_U", "SIGMA_C",
+        "EPS_R"))]
 
 
 def _cached_path():

@@ -12,14 +12,14 @@
  *     csr_rmatvec(indptr, indices, data, x, out)   out = A.T @ x
  *     tangential_solve(h_indptr, h_indices, h_data,
  *                      j_indptr, j_indices, j_data, rhs, work, scal,
- *                      rules, vecs, tests, max_iter)
+ *                      vecs, tests, max_iter)
  *                 -> (steps, tt1, tt2, breakdown, stalled, g_dot_d,
  *                     max_term, norm_c_plus_jd, rejected)
  *                 up to max_iter MINRES steps on K z = -rhs,
  *                 K z = (H u + J.T delta, J u) for z = (u, delta), with
- *                 the breakdown and
- *                 stall rules, each gated iterate checked against the
- *                 termination tests until one accepts
+ *                 the breakdown and stall rules, each gated iterate
+ *                 checked against the termination tests until one
+ *                 accepts
  *     cg(indptr, indices, data, ncols, normal, b, x, threshold, max_iter)
  *                 -> (iterations, converged, resid_norm)
  *                 CG on A x = b from x = 0, A = J.T J if normal else J J.T,
@@ -52,8 +52,11 @@
  * without floating-point contraction, their results have the bits of
  * those loops run on this module's matvec and rmatvec.  The breakdown
  * and stall rules of a MINRES solve live in ``tangential_solve`` alone:
- * ``sisqo.krylov.MinresState`` steps through it.  Built by
- * ``sisqo.kernels`` on first import, against numpy's headers.
+ * ``sisqo.krylov.MinresState`` steps through it.  Their constants and
+ * those of the termination tests (BREAKDOWN_TOL, STALL_WINDOW, ...,
+ * EPS_R) are macros that ``sisqo.kernels`` defines when it builds this
+ * file on first import, from its module constants of the same names; a
+ * build by hand passes ``sisqo.kernels._EXTRA_COMPILE_ARGS`` too.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -65,6 +68,10 @@
 #include <float.h>
 #include <math.h>
 #include <string.h>
+
+#ifndef EPS_R
+#error "build with the flags of sisqo.kernels, which define the constants"
+#endif
 
 #if NPY_ABI_VERSION < 0x02000000
 #define PyDataType_GetArrFuncs(descr) ((descr)->f)
@@ -462,21 +469,13 @@ get_minres_args(PyObject **objs, char **names, kkt_op *op)
     return 0;
 }
 
-/* The MINRES solve's rules: breakdown below breakdown_tol, and a stall
- * when the least residual falls by less than the factor 1 - improvement
- * over a window of steps. */
-typedef struct {
-    double breakdown_tol;
-    Py_ssize_t window;
-    double improvement;
-} solve_rules;
-
 /* One step of a solve, as ``MinresState.step`` takes it: none once the
  * solve broke down or stalled, and none but the breakdown flag when the
- * residual or the right-hand side is zero. */
+ * residual or the right-hand side is zero.  Then the rules: breakdown
+ * below BREAKDOWN_TOL, and a stall when the least residual falls by less
+ * than the share STALL_IMPROVEMENT over STALL_WINDOW steps. */
 static void
-guarded_step(const kkt_op *op, const double *rhs, double *work, double *scal,
-             const solve_rules *rules)
+guarded_step(const kkt_op *op, const double *rhs, double *work, double *scal)
 {
     if (scal[S_BREAKDOWN] != 0.0 || scal[S_STALLED] != 0.0)
         return;
@@ -485,12 +484,12 @@ guarded_step(const kkt_op *op, const double *rhs, double *work, double *scal,
         return;
     }
     step(op, rhs, work, scal);
-    if (scal[S_BETA] < rules->breakdown_tol)
+    if (scal[S_BETA] < BREAKDOWN_TOL)
         scal[S_BREAKDOWN] = 1.0;
     if (scal[S_RNORM] < scal[S_BEST])
         scal[S_BEST] = scal[S_RNORM];
-    if ((Py_ssize_t)scal[S_STEPS] % rules->window == 0) {
-        if (scal[S_BEST] > (1.0 - rules->improvement) * scal[S_WINDOW])
+    if ((Py_ssize_t)scal[S_STEPS] % STALL_WINDOW == 0) {
+        if (scal[S_BEST] > (1.0 - STALL_IMPROVEMENT) * scal[S_WINDOW])
             scal[S_STALLED] = 1.0;
         scal[S_WINDOW] = scal[S_BEST];
     }
@@ -500,8 +499,7 @@ guarded_step(const kkt_op *op, const double *rhs, double *work, double *scal,
  * tuple of tangential_solve. */
 typedef struct {
     double cap, beta, kappa, prev_pair_norm, tau_prev, v_norm, g_dot_v,
-        c_norm, decrease_v, kappa_rho, kappa_r, kappa_u, kappa_v, eps_u,
-        sigma_u, sigma_c, eps_r;
+        c_norm, decrease_v;
 } test_params;
 
 /* What ``evaluate`` found: the condition that rejected the candidate,
@@ -532,8 +530,8 @@ evaluate(const kkt_op *op, const double *work, const double *vecs,
     Py_ssize_t i;
 
     rho_norm = sqrt(dot(rho, rho, n));
-    if (!(rho_norm <= p->kappa_rho * p->beta
-          && sqrt(dot(r, r, m)) <= p->kappa_r * p->beta))
+    if (!(rho_norm <= KAPPA_RHO * p->beta
+          && sqrt(dot(r, r, m)) <= KAPPA_R * p->beta))
         return REJECT_B;
     /* the dual residual against min(current, previous), tried against
      * the previous one first; current = ||(rho - Hu - Hv; c)||, and
@@ -554,25 +552,24 @@ evaluate(const kkt_op *op, const double *work, const double *vecs,
         cjd[i] = c_plus_jv[i] + r[i];
     out->norm_c_plus_jd = sqrt(dot(cjd, cjd, m));
     out->g_dot_d = p->g_dot_v + dot(g, u, n);
-    eps_term = p->eps_u * u_sq;
+    eps_term = EPS_U * u_sq;
     out->max_term = eps_term > uhu ? eps_term : uhu;
-    if (!(sqrt(u_sq) <= p->kappa_u * p->v_norm)
+    if (!(sqrt(u_sq) <= KAPPA_U * p->v_norm)
         && !(uhu >= eps_term
-             && dot(gv, u, n) + 0.5 * uhu <= p->kappa_v * p->v_norm))
+             && dot(gv, u, n) + 0.5 * uhu <= KAPPA_V * p->v_norm))
         return REJECT_C;
 
     lhs = -p->tau_prev * out->g_dot_d + p->c_norm - out->norm_c_plus_jd;
-    rhs = p->sigma_u * p->tau_prev * out->max_term
-        + p->sigma_c * p->decrease_v;
+    rhs = SIGMA_U * p->tau_prev * out->max_term + SIGMA_C * p->decrease_v;
     out->tt1 = lhs >= rhs;
-    floor = p->eps_r * p->decrease_v;
+    floor = EPS_R * p->decrease_v;
     out->tt2 = p->c_norm - out->norm_c_plus_jd >= floor && floor > 0.0;
     return out->tt1 || out->tt2 ? ACCEPTED : REJECT_TESTS;
 }
 
 PyDoc_STRVAR(tangential_solve_doc,
 "tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data,\n"
-"                 rhs, work, scal, rules, vecs, tests, max_iter)\n"
+"                 rhs, work, scal, vecs, tests, max_iter)\n"
 "--\n\n"
 "MINRES on K z = -rhs from the state in work and scal, truncated at the\n"
 "first iterate the termination tests accept.  For t = 0 ... max_iter:\n"
@@ -587,12 +584,11 @@ PyDoc_STRVAR(tangential_solve_doc,
 "previous beta, dbar, epsln, phibar, cs, sn, the step count, the\n"
 "residual's 2-norm and infinity norm (NaN if it holds a NaN), beta1, the\n"
 "least residual, the least at the last window's end, and the breakdown\n"
-"and stall flags (1.0 when set).  Both are updated in place.\n"
-"rules = (breakdown_tol, stall_window,\n"
-"stall_improvement).  vecs holds g, H v, g + H v (n each), c and c + J v\n"
-"(m each); tests = (cap, beta, kappa, prev_pair_norm, tau_prev, ||v||,\n"
-"g'v, ||c||, normal decrease, kappa_rho, kappa_r, kappa_u, kappa_v,\n"
-"eps_u, sigma_u, sigma_c, eps_r); both are None or neither.\n"
+"and stall flags (1.0 when set).  Both are updated in place.  vecs\n"
+"holds g, H v, g + H v (n each), c and c + J v (m each); tests = (cap,\n"
+"beta, kappa, prev_pair_norm, tau_prev, ||v||, g'v, ||c||, normal\n"
+"decrease); both are None or neither.  The rules' and the tests'\n"
+"constants are those of sisqo.kernels at build time.\n"
 "Returns (steps, tt1, tt2, breakdown, stalled, g_dot_d, max_term,\n"
 "norm_c_plus_jd, rejected): the t it stopped at, the tests' outcomes for\n"
 "the accepted iterate (False if none), the flags, g'd, max(u'Hu,\n"
@@ -605,11 +601,10 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"h_indptr", "h_indices", "h_data", "j_indptr",
                              "j_indices", "j_data", "rhs", "work", "scal",
-                             "rules", "vecs", "tests", "max_iter", NULL};
+                             "vecs", "tests", "max_iter", NULL};
     static char *vecs_name[] = {"vecs"};
     PyObject *objs[9], *vecs_obj, *tests_obj;
     kkt_op op;
-    solve_rules rules;
     test_params p;
     candidate found = {0, 0, NAN, NAN, NAN};
     Py_ssize_t max_iter, t, rejected[4] = {0, 0, 0, 0};
@@ -618,17 +613,14 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
     int verdict;
 
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "OOOOOOOOO(dnd)OOn:tangential_solve", kwlist,
+            args, kwargs, "OOOOOOOOOOOn:tangential_solve", kwlist,
             &objs[0], &objs[1], &objs[2], &objs[3], &objs[4], &objs[5],
-            &objs[6], &objs[7], &objs[8], &rules.breakdown_tol,
-            &rules.window, &rules.improvement, &vecs_obj, &tests_obj,
-            &max_iter)
+            &objs[6], &objs[7], &objs[8], &vecs_obj, &tests_obj, &max_iter)
         || get_minres_args(objs, kwlist, &op) < 0)
         return NULL;
-    if (rules.window < 1 || max_iter < 0) {
-        PyErr_Format(PyExc_ValueError, "stall_window and max_iter: expected"
-                     " at least 1 and 0, got %zd and %zd", rules.window,
-                     max_iter);
+    if (max_iter < 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "max_iter: expected at least 0, got %zd", max_iter);
         return NULL;
     }
     if ((vecs_obj == Py_None) != (tests_obj == Py_None)) {
@@ -642,12 +634,10 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
                          " %.200s", Py_TYPE(tests_obj)->tp_name);
             return NULL;
         }
-        if (!PyArg_ParseTuple(tests_obj, "ddddddddddddddddd", &p.cap,
-                              &p.beta, &p.kappa, &p.prev_pair_norm,
-                              &p.tau_prev, &p.v_norm, &p.g_dot_v, &p.c_norm,
-                              &p.decrease_v, &p.kappa_rho, &p.kappa_r,
-                              &p.kappa_u, &p.kappa_v, &p.eps_u, &p.sigma_u,
-                              &p.sigma_c, &p.eps_r)
+        if (!PyArg_ParseTuple(tests_obj, "ddddddddd", &p.cap, &p.beta,
+                              &p.kappa, &p.prev_pair_norm, &p.tau_prev,
+                              &p.v_norm, &p.g_dot_v, &p.c_norm,
+                              &p.decrease_v)
             || check_arrays(&vecs_obj, "d", vecs_name) < 0)
             return NULL;
         if (LEN(vecs_obj) != 3 * op.n + 2 * op.m) {
@@ -672,7 +662,7 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
 
     for (t = 0;; t++) {
         if (t > 0)
-            guarded_step(&op, rhs, work, scal, &rules);
+            guarded_step(&op, rhs, work, scal);
         if (vecs != NULL && !(scal[S_RINF] > p.cap)) {
             verdict = evaluate(&op, work, vecs, &p, hu, hu + op.n,
                                hu + 2 * op.n, &found);
@@ -831,8 +821,8 @@ static PyMethodDef csrkern_methods[] = {
 static struct PyModuleDef csrkern_module = {
     PyModuleDef_HEAD_INIT,
     "_csrkern",
-    "Compiled CSR kernels: matvec, transpose matvec, a MINRES step, a\n"
-    "truncated tangential MINRES solve and a CG solve.",
+    "Compiled CSR kernels: matvec, transpose matvec, a truncated\n"
+    "tangential MINRES solve and a CG solve.",
     0,
     csrkern_methods,
     NULL,

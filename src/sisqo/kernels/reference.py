@@ -12,7 +12,9 @@ agrees bit for bit with its compiled twin.
 
 ``tangential_solve`` holds the one statement of the tangential step's
 termination tests in Python, and, with its twin, the MINRES step and the
-breakdown and stall rules of a MINRES solve.
+breakdown and stall rules of a MINRES solve.  It reads the rules' and the
+tests' constants from ``sisqo.kernels`` at each call; the compiled twin
+has them as macros from the same constants at build time.
 """
 
 import math
@@ -117,24 +119,24 @@ _BETA1, _BEST, _WINDOW, _BREAKDOWN, _STALLED = range(10, 15)
 _SCAL_LEN = 15
 
 
-def _guarded_step(csr, rhs, work, scal, rules):
+def _guarded_step(csr, rhs, work, scal):
     """One step of a solve, as ``MinresState.step`` takes it: none once the
     solve broke down or stalled, and none but the breakdown flag when the
-    residual or the right-hand side is zero."""
+    residual or the right-hand side is zero; then the breakdown and stall
+    rules of ``sisqo.kernels``."""
     if scal[_BREAKDOWN] or scal[_STALLED]:
         return
     if scal[8] == 0.0 or scal[_BETA1] == 0.0:
         scal[_BREAKDOWN] = 1.0
         return
     _minres_step(csr, rhs, work, scal)
-    breakdown_tol, window, improvement = rules
     beta, steps, rnorm, best = scal[[0, 7, 8, _BEST]].tolist()
-    if beta < breakdown_tol:
+    if beta < kernels.BREAKDOWN_TOL:
         scal[_BREAKDOWN] = 1.0
     if rnorm < best:
         scal[_BEST] = best = rnorm
-    if int(steps) % window == 0:
-        if best > (1.0 - improvement) * float(scal[_WINDOW]):
+    if int(steps) % kernels.STALL_WINDOW == 0:
+        if best > (1.0 - kernels.STALL_IMPROVEMENT) * float(scal[_WINDOW]):
             scal[_STALLED] = 1.0
         scal[_WINDOW] = best
 
@@ -142,7 +144,8 @@ def _guarded_step(csr, rhs, work, scal, rules):
 def _candidate(h_csr, u, rho, r, vecs, tests):
     """Conditions b, a and c, then termination tests 1 and 2, for the
     candidate (u, delta) with residual pair (rho, r); ``vecs`` and
-    ``tests`` as :func:`tangential_solve` takes them.
+    ``tests`` as :func:`tangential_solve` takes them, and the constants
+    of ``sisqo.kernels``.
 
     Condition b keeps the residuals within the beta-scaled caps, a
     contracts the dual residual, and c asks for a small or positively
@@ -155,14 +158,13 @@ def _candidate(h_csr, u, rho, r, vecs, tests):
     ||u||^2), ||c + Jd||) once it passed b and a, else None.
     """
     (_, beta, kappa, prev_pair_norm, tau, v_norm, g_dot_v, c_norm,
-     decrease_v, kappa_rho, kappa_r, kappa_u, kappa_v, eps_u, sigma_u,
-     sigma_c, eps_r) = tests
+     decrease_v) = tests
     n, m = u.shape[0], r.shape[0]
     g, hv, gv = vecs[:n], vecs[n:2 * n], vecs[2 * n:3 * n]
     c, c_plus_jv = vecs[3 * n:3 * n + m], vecs[3 * n + m:]
     rho_norm = float(np.linalg.norm(rho))
-    if not (rho_norm <= kappa_rho * beta
-            and float(np.linalg.norm(r)) <= kappa_r * beta):
+    if not (rho_norm <= kernels.KAPPA_RHO * beta
+            and float(np.linalg.norm(r)) <= kernels.KAPPA_R * beta):
         return 0, False, False, None
     # the dual residual against the smaller of the current and previous
     # stationarity measures.  The smaller is never above the previous
@@ -184,24 +186,24 @@ def _candidate(h_csr, u, rho, r, vecs, tests):
     # Jd = Jv + r, again avoiding a Jacobian apply
     norm_c_plus_jd = float(np.linalg.norm(c_plus_jv + r))
     g_dot_d = g_dot_v + float(np.dot(g, u))
-    max_term = max(uhu, eps_u * u_sq)
+    max_term = max(uhu, kernels.EPS_U * u_sq)
     parts = (g_dot_d, max_term, norm_c_plus_jd)
-    if not math.sqrt(u_sq) <= kappa_u * v_norm:
-        curved = uhu >= eps_u * u_sq
+    if not math.sqrt(u_sq) <= kernels.KAPPA_U * v_norm:
+        curved = uhu >= kernels.EPS_U * u_sq
         if not (curved and float(np.dot(gv, u)) + 0.5 * uhu
-                <= kappa_v * v_norm):
+                <= kernels.KAPPA_V * v_norm):
             return 2, False, False, parts
 
     # test 1 at the incoming tau, as the engine's model_reduction forms it
     tt1 = -tau * g_dot_d + c_norm - norm_c_plus_jd \
-        >= sigma_u * tau * max_term + sigma_c * decrease_v
-    floor = eps_r * decrease_v
+        >= kernels.SIGMA_U * tau * max_term + kernels.SIGMA_C * decrease_v
+    floor = kernels.EPS_R * decrease_v
     tt2 = c_norm - norm_c_plus_jd >= floor and floor > 0.0
     return (None if tt1 or tt2 else 3), tt1, tt2, parts
 
 
 def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
-                     j_data, rhs, work, scal, rules, vecs, tests, max_iter):
+                     j_data, rhs, work, scal, vecs, tests, max_iter):
     """MINRES on ``K z = -rhs`` from the state in ``work`` and ``scal``,
     truncated at the first iterate the termination tests accept.
 
@@ -218,11 +220,9 @@ def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
     the step count, the residual's 2-norm and infinity norm, beta1, the
     least residual, the least at the end of the last window, and the
     breakdown and stall flags (1.0 when set).  Both are updated in place.
-    ``rules = (breakdown_tol, stall_window, stall_improvement)``.
     ``vecs`` holds g, H v, g + H v (n each), c and c + J v (m each), and
     ``tests = (cap, beta, kappa, prev_pair_norm, tau_prev, ||v||, g'v,
-    ||c||, normal decrease, kappa_rho, kappa_r, kappa_u, kappa_v, eps_u,
-    sigma_u, sigma_c, eps_r)``; both are None or neither.
+    ||c||, normal decrease)``; both are None or neither.
 
     Returns ``(steps, tt1, tt2, breakdown, stalled, g_dot_d, max_term,
     norm_c_plus_jd, rejected)``: the t it stopped at, the tests' outcomes
@@ -241,9 +241,8 @@ def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
         raise ValueError("vecs and tests: pass both or neither")
     if vecs is not None and vecs.shape != (3 * n + 2 * m,):
         raise ValueError("vecs must have length 3 n + 2 m")
-    if rules[1] < 1 or max_iter < 0:
-        raise ValueError("stall_window and max_iter must be at least 1"
-                         " and 0")
+    if max_iter < 0:
+        raise ValueError("max_iter must be at least 0")
     csr = (h_indptr, h_indices, h_data, j_indptr, j_indices, j_data)
     u, resid = work[6 * dim:6 * dim + n], work[7 * dim:]
     rho, r = resid[:n], resid[n:]
@@ -253,7 +252,7 @@ def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
     t = 0
     while True:
         if t:
-            _guarded_step(csr, rhs, work, scal, rules)
+            _guarded_step(csr, rhs, work, scal)
         if vecs is not None and not scal[9] > tests[0]:
             rejected_by, tt1, tt2, found = _candidate(csr[:3], u, rho, r,
                                                       vecs, tests)

@@ -22,7 +22,9 @@ MINRES follows the classical Lanczos + Givens formulation, and its
 state lives in two arrays the kernels update in place: the Lanczos and
 search-direction vectors, the iterate and the residual in one, the
 scalars of the recurrence and of the breakdown and stall rules in the
-other.  :func:`sisqo.kernels.tangential_solve` owns those rules; one
+other.  :func:`sisqo.kernels.tangential_solve` owns those rules, whose
+constants (``BREAKDOWN_TOL``, ``STALL_WINDOW``, ``STALL_IMPROVEMENT``)
+live in :mod:`sisqo.kernels`; one
 :meth:`MinresState.step` is one call of it for a single step, and
 :meth:`MinresState.run` one call for a whole truncated solve, which
 checks the termination tests at each gated iterate in the same loop.
@@ -51,16 +53,11 @@ __all__ = ["CgResult", "cg_normal_solve", "least_squares_multipliers",
 
 logger = logging.getLogger(__name__)
 
-# Lanczos breakdown threshold: a new off-diagonal below this means the
-# Krylov space became invariant and the current iterate is exact.
-BREAKDOWN_TOL = 1e-14
-
-# Stall detection: best residual must improve by this relative factor
-# over a window of steps, else the solve is flagged as stalled.
-STALL_WINDOW = 50
-STALL_IMPROVEMENT = 1e-4
-
-# the multiplier CG's tolerance, relative to ||J g||, and its floor
+# the CG tolerances, read at each call: the normal-step CG stops at
+# max(CG_REL_TOL * ||J'c||, CG_ABS_FLOOR), the multiplier CG at
+# max(MULTIPLIER_REL_TOL * ||J g||, MULTIPLIER_ABS_FLOOR)
+CG_REL_TOL = 0.1
+CG_ABS_FLOOR = 1e-10
 MULTIPLIER_REL_TOL = 1e-10
 MULTIPLIER_ABS_FLOOR = 1e-14
 
@@ -105,29 +102,30 @@ def _cg(j, normal, b, rel_tol, abs_floor):
     return result
 
 
-def cg_normal_solve(j, c, rel_tol, abs_floor):
+def cg_normal_solve(j, c):
     """Solve min ||c + J v|| over the row space of J by CG.
 
     Works on the normal equations ``J.T J v = -J.T c`` applied
     matrix-free (J then J.T).  Starts from v = 0 and stops at the first
-    iterate with ``||J.T J v + J.T c|| <= max(rel_tol * ||J.T c||,
-    abs_floor)``, so a zero right-hand side returns v = 0 at once.
+    iterate with ``||J.T J v + J.T c|| <= max(CG_REL_TOL * ||J.T c||,
+    CG_ABS_FLOOR)``, so a zero right-hand side returns v = 0 at once.
 
     Returns a :class:`CgResult`; non-convergence within
     :func:`cg_max_iter` of J's rows iterations is reported through
     ``converged=False`` with the best iterate kept.
     """
-    return _cg(j, True, -j.apply_transpose(c), rel_tol, abs_floor)
+    return _cg(j, True, -j.apply_transpose(c), CG_REL_TOL, CG_ABS_FLOOR)
 
 
-def least_squares_multipliers(j, g, tol=MULTIPLIER_REL_TOL):
+def least_squares_multipliers(j, g):
     """Least-squares multipliers: CG on ``J J.T y = -J g``.
 
-    ``tol`` is relative to the right-hand side norm, with the absolute
-    floor ``MULTIPLIER_ABS_FLOOR``, in at most :func:`cg_max_iter` of m
-    iterations; an unconverged solve logs a warning and returns the best
-    iterate reached."""
-    return _cg(j, False, -j.apply(g), tol, MULTIPLIER_ABS_FLOOR).v
+    The tolerance is ``MULTIPLIER_REL_TOL`` relative to the right-hand
+    side norm, with the absolute floor ``MULTIPLIER_ABS_FLOOR``, in at
+    most :func:`cg_max_iter` of m iterations; an unconverged solve logs a
+    warning and returns the best iterate reached."""
+    return _cg(j, False, -j.apply(g), MULTIPLIER_REL_TOL,
+               MULTIPLIER_ABS_FLOOR).v
 
 
 def least_squares_residual(j, g):
@@ -208,10 +206,8 @@ class MinresState:
         ``tests``, it also checks the termination tests at each gated
         iterate, from the current one on, and stops at the first they
         accept.  Returns the kernel's outcome tuple."""
-        out = kernels.tangential_solve(
-            *self.op.csr, self.rhs, self._work, self._scal,
-            (BREAKDOWN_TOL, STALL_WINDOW, STALL_IMPROVEMENT), vecs, tests,
-            max_iter)
+        out = kernels.tangential_solve(*self.op.csr, self.rhs, self._work,
+                                       self._scal, vecs, tests, max_iter)
         (*_, steps, self.resid_norm, self.resid_norm_inf, _, _, _, breakdown,
          stalled) = self._scal.tolist()
         self.iteration = int(steps)

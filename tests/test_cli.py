@@ -146,6 +146,22 @@ def test_validate_rejects_a_bad_lip_gamma_in_estimate_mode(capsys, value):
     assert "solver config ok" not in captured.out
 
 
+@pytest.mark.parametrize("value", ["5", "nan", "0", "1"])
+def test_kappa_exact_out_of_range_exits_2(tmp_path, capsys, value):
+    # the kappa of the near-exact runs of compare and sweep: validate
+    # and run passed a value that compare then refused
+    override = f"harness.kappa_exact={value}"
+    assert main(["validate", "-c", "qp_gaussian", override]) == 2
+    captured = capsys.readouterr()
+    assert "kappa_exact must lie in (0, 1)" in captured.err
+    assert "solver config ok" not in captured.out
+    out = str(tmp_path / "run.csv")
+    for verb in ("run", "compare"):
+        assert main([verb, "-c", "qp_gaussian", "-o", out, override]
+                    + _TINY) == 2
+        assert "kappa_exact must lie in (0, 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("profile, overrides, message", [
     ("control_finite_sum", ["problem.mesh_size=4.5"], "mesh_size must be int"),
     ("control_finite_sum", ["problem.mesh_size=4", "oracle.eps_n=-1"],

@@ -9,6 +9,7 @@ import pytest
 
 import sisqo
 import sisqo.engine as engine
+from sisqo import kernels
 from sisqo.config import (apply_overrides, available_profiles, build_problem,
                           build_solver_config, harness_settings, load_config,
                           oracle_settings)
@@ -188,16 +189,16 @@ def test_fixed_tolerances_are_not_settings(section, key):
 def test_method_constants_meet_the_theory():
     # what the convergence analysis asks of the parameters no run sets;
     # the profiles set them to these values before they became constants
-    for value in (engine.SIGMA_C, engine.SIGMA_U, engine.EPS_TAU,
+    for value in (kernels.SIGMA_C, kernels.SIGMA_U, engine.EPS_TAU,
                   engine.EPS_XI):
         assert 0.0 < value < 1.0
-    assert 0.0 < engine.SIGMA_C < engine.EPS_R <= 1.0
+    assert 0.0 < kernels.SIGMA_C < kernels.EPS_R <= 1.0
     assert 0.0 < engine.EPS_C <= 1.0
-    for value in (engine.XI_INIT, engine.EPS_U, engine.KAPPA_RHO,
-                  engine.KAPPA_R, engine.KAPPA_U, engine.KAPPA_V,
+    for value in (engine.XI_INIT, kernels.EPS_U, kernels.KAPPA_RHO,
+                  kernels.KAPPA_R, kernels.KAPPA_U, kernels.KAPPA_V,
                   engine.THETA):
         assert 0.0 < value < math.inf
-    assert (engine.SIGMA_U, engine.EPS_R) == (0.999999999999, 0.9999)
+    assert (kernels.SIGMA_U, kernels.EPS_R) == (0.999999999999, 0.9999)
 
 
 @pytest.mark.parametrize("settings, key", [

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import sisqo.engine
+import sisqo.krylov
+from sisqo import kernels
 from sisqo.engine import (InvariantBreach, SolverConfig,
                           StationaryPointDetected, beta_for_iteration,
                           compute_normal_step, evaluate_varphi, init_state,
@@ -91,7 +93,7 @@ def test_normal_step_losing_to_cauchy_point_breaches(monkeypatch):
     from sisqo.krylov import CgResult
 
     monkeypatch.setattr(sisqo.engine, "cg_normal_solve",
-                        lambda j, c, rel_tol, abs_floor: CgResult(
+                        lambda j, c: CgResult(
                             np.zeros(j.cols), 0, True, 0.0))
     with pytest.raises(InvariantBreach, match="lost to the Cauchy point"):
         compute_normal_step(np.array([3.0, 4.0]), SparseMatrix.identity(2))
@@ -101,8 +103,8 @@ def test_normal_step_tight_tolerance_matches_pseudoinverse(monkeypatch):
     rng = np.random.default_rng(41)
     j_dense = random_full_rank(rng, 4, 9)
     c = rng.standard_normal(4)
-    monkeypatch.setattr(sisqo.engine, "CG_REL_TOL", 1e-12)
-    monkeypatch.setattr(sisqo.engine, "CG_ABS_FLOOR", 1e-14)
+    monkeypatch.setattr(sisqo.krylov, "CG_REL_TOL", 1e-12)
+    monkeypatch.setattr(sisqo.krylov, "CG_ABS_FLOOR", 1e-14)
     ns = compute_normal_step(c, make_sparse(j_dense))
     np.testing.assert_allclose(ns.v, dense_normal_step(j_dense, c),
                                rtol=0, atol=1e-8)
@@ -212,7 +214,7 @@ def test_termination_test_2_requires_constraint_progress():
                                np.zeros(6), np.zeros(2), CFG, beta=1.0).tt2
 
 
-def test_termination_test_2_retention_threshold(monkeypatch):
+def test_termination_test_2_retention_threshold():
     rng = np.random.default_rng(43)
     n, m = 5, 2
     j_dense = random_full_rank(rng, m, n)
@@ -221,20 +223,25 @@ def test_termination_test_2_retention_threshold(monkeypatch):
     h = make_sparse(random_spd(rng, n))
     g = rng.standard_normal(n)
     decrease = float(np.linalg.norm(c))
-    # a tangential residual that gives back 25% of the normal decrease
-    r = 0.25 * decrease * np.array([1.0, 0.0])
-    u = np.zeros(n)
-    args = (g, c, make_sparse(j_dense), v, np.zeros(m), h, u, np.zeros(m),
-            np.zeros(n), r, CFG)
 
-    def tt2(eps_r):
-        monkeypatch.setattr(sisqo.engine, "EPS_R", eps_r)
-        return candidate_tests(*args, beta=1.0).tt2
+    def tt2(share):
+        # a tangential residual that gives back this share of the
+        # normal decrease; test 2 retains EPS_R of it
+        r = share * decrease * np.array([1.0, 0.0])
+        return candidate_tests(g, c, make_sparse(j_dense), v, np.zeros(m), h,
+                               np.zeros(n), np.zeros(m), np.zeros(n), r, CFG,
+                               beta=1.0).tt2
 
-    assert tt2(0.7)
-    assert tt2(0.74)
-    assert not tt2(0.76)
-    assert not tt2(1.0 - 1e-4)
+    previous = kernels.active_backend()
+    try:
+        for backend in kernels.available_backends():
+            kernels.use_backend(backend)
+            assert tt2(0.0)
+            assert tt2(0.99 * (1.0 - kernels.EPS_R))
+            assert not tt2(1.01 * (1.0 - kernels.EPS_R))
+            assert not tt2(0.25)
+    finally:
+        kernels.use_backend(previous)
 
 
 # -- merit parameter -------------------------------------------------------------

@@ -213,7 +213,7 @@ def _drop_row(j):
 def _lose_to_cauchy_point(monkeypatch):
     # a normal-step CG that returns v = 0 loses to the Cauchy point
     monkeypatch.setattr(sisqo.engine, "cg_normal_solve",
-                        lambda j, c, rel_tol, abs_floor: CgResult(
+                        lambda j, c: CgResult(
                             np.zeros(j.cols), 0, True, 0.0))
 
 

@@ -18,7 +18,7 @@ import pytest
 
 import sisqo.engine as engine
 from oracles import tangential_setup
-from sisqo import kernels, krylov
+from sisqo import kernels
 from sisqo.config import (apply_overrides, build_problem, build_solver_config,
                           load_config, oracle_settings)
 from sisqo.harness import run_single
@@ -132,9 +132,6 @@ def test_kkt_apply_matches_composed_kernels(backend, n, m):
     assert out.tobytes() == np.concatenate([top, bot]).tobytes()
 
 
-RULES = (krylov.BREAKDOWN_TOL, krylov.STALL_WINDOW, krylov.STALL_IMPROVEMENT)
-
-
 def _minres_start(rhs):
     """work and scal of a MINRES state at z = 0 for K z = -rhs, laid out
     as ``kernels.tangential_solve`` reads them."""
@@ -153,7 +150,7 @@ def _minres_start(rhs):
 def _one_step(solve, h, j, rhs, work, scal):
     """One MINRES step by ``solve``, a backend's tangential_solve, without
     the termination tests."""
-    return solve(*h, *j, rhs, work, scal, RULES, None, None, 1)
+    return solve(*h, *j, rhs, work, scal, None, None, 1)
 
 
 def _symmetric_kkt_blocks(rng, n, m):
@@ -376,8 +373,8 @@ def _good_minres_args():
                 j_indptr=np.array([0, 1], dtype=np.int64),
                 j_indices=np.array([1], dtype=np.int64),
                 j_data=np.array([4.0]),
-                rhs=np.array([1.0, -2.0, 0.5]), rules=RULES, vecs=None,
-                tests=None, max_iter=1)
+                rhs=np.array([1.0, -2.0, 0.5]), vecs=None, tests=None,
+                max_iter=1)
     args["work"], args["scal"] = _minres_start(args["rhs"])
     return args
 
@@ -443,22 +440,32 @@ def _copy(arg):
     return arg.copy() if isinstance(arg, np.ndarray) else arg
 
 
+def _solve_args(h, j, max_iter, rng, rhs=None, beta=1.0):
+    """Arguments of a tangential solve for the dense blocks ``h`` and
+    ``j``, with the termination tests of g, c, v and y drawn from ``rng``
+    at ``beta`` and the engine's parameters, and no gate on the residual;
+    the system is the tests' own tangential one unless ``rhs`` is
+    given."""
+    n, m = j.shape[1], j.shape[0]
+    ctx, state = tangential_setup(
+        rng.standard_normal(n), rng.standard_normal(m),
+        SparseMatrix.from_dense(j), rng.standard_normal(n),
+        rng.standard_normal(m), SparseMatrix.from_dense(h), beta=beta)
+    if rhs is not None:
+        state = MinresState(state.op, (rhs[:n], rhs[n:]))
+    tests = engine._test_params(ctx, engine.SolverConfig(), math.inf)
+    return [*state.op.csr, state.rhs, state._work, state._scal, ctx.vecs,
+            tests, max_iter]
+
+
 def _synthetic_solve(n, m, max_iter):
     """Arguments of a tangential solve of random data: a symmetric H with
-    an empty row, a random J, g, c, v and y, at the engine's parameters
-    with no gate on the residual."""
+    an empty row, a random J, g, c, v and y."""
     rng = np.random.default_rng(18 + n + m)
     h = rng.standard_normal((n, n))
     h = h + h.T
     h[0] = h[:, 0] = 0.0
-    j = rng.standard_normal((m, n))
-    ctx, state = tangential_setup(
-        rng.standard_normal(n), rng.standard_normal(m),
-        SparseMatrix.from_dense(j), rng.standard_normal(n),
-        rng.standard_normal(m), SparseMatrix.from_dense(h))
-    tests = engine._test_params(ctx, engine.SolverConfig(), math.inf)
-    return [*state.op.csr, state.rhs, state._work, state._scal, RULES,
-            ctx.vecs, tests, max_iter]
+    return _solve_args(h, rng.standard_normal((m, n)), max_iter, rng)
 
 
 def _solve_case(case):
@@ -466,30 +473,34 @@ def _solve_case(case):
     if case in ("m0", "n1", "n1m1"):
         return _synthetic_solve(*{"m0": (6, 0), "n1": (1, 0),
                                   "n1m1": (1, 1)}[case], max_iter=12)
+    if case == "stall":
+        # J's one row is empty, so the constraint residual stays at 1:
+        # the least residual stops falling, and the solve stalls at the
+        # end of its second window.  That residual is above condition
+        # b's cap at beta = 1e-3, so every candidate is rejected
+        rhs = np.append(np.random.default_rng(0).standard_normal(200), 1.0)
+        return _solve_args(np.diag(np.linspace(1.0, 2.0, 200)),
+                           np.zeros((1, 200)), 500, np.random.default_rng(19),
+                           rhs, beta=1e-3)
+    if case == "breakdown":
+        # K = H = I: the first step solves the system
+        return _solve_args(np.eye(3), np.zeros((0, 3)), 12,
+                           np.random.default_rng(19))
     # copies: the captured arrays are shared by every case
     if case == "test1":
         return [_copy(a) for a in _captured_solves(())[0]]
     args = [_copy(a) for a in _captured_solves(("algorithm.tau_init=1",))[1]]
     if case == "max_iter":
-        args[12] = 20
-    elif case == "stall":
-        # a 90% fall of the least residual every 10 steps
-        args[9] = (krylov.BREAKDOWN_TOL, 10, 0.9)
-    elif case == "breakdown":
-        args[9] = (1e300, krylov.STALL_WINDOW, krylov.STALL_IMPROVEMENT)
+        args[11] = 20
     elif case == "zero_rhs":
         n, m = len(args[0]) - 1, len(args[3]) - 1
         state = MinresState(KktOperator(
             SparseMatrix((n, n), *args[:3]), SparseMatrix((m, n), *args[3:6])),
             (np.zeros(n), np.zeros(m)))
         # u = 0 at a zero residual passes test 2 here, so no tests
-        args[6:12] = state.rhs, state._work, state._scal, RULES, None, None
-    elif case in ("nan", "nan_no_stall"):
+        args[6:11] = state.rhs, state._work, state._scal, None, None
+    elif case == "nan":
         args[6][3] = np.nan
-        if case == "nan_no_stall":
-            # the least residual never falls, which is a stall only
-            # when a fall is asked for
-            args[9] = (krylov.BREAKDOWN_TOL, krylov.STALL_WINDOW, 0.0)
     return args
 
 
@@ -499,8 +510,8 @@ def _bits(out):
 
 
 @pytest.mark.parametrize("case", ["test1", "test2", "max_iter", "stall",
-                                  "breakdown", "zero_rhs", "nan",
-                                  "nan_no_stall", "m0", "n1", "n1m1"])
+                                  "breakdown", "zero_rhs", "nan", "m0", "n1",
+                                  "n1m1"])
 def test_tangential_solve_matches_reference(compiled, case):
     # the numpy loop on compiled products, bit for bit: the outcome, the
     # iterate, the residual and every vector and scalar of the state
@@ -514,18 +525,17 @@ def test_tangential_solve_matches_reference(compiled, case):
     assert results[0] == results[1]
     steps, tt1, tt2, breakdown, stalled, *parts, rejected = out
     scal = run[8]
-    assert 0 <= steps <= args[12] and scal[7] <= steps
+    assert 0 <= steps <= args[11] and scal[7] <= steps
     assert len(rejected) == 4 and all(count >= 0 for count in rejected)
     ending = {"test1": tt1, "test2": tt2 and not tt1,
               "max_iter": (steps, tt1, tt2, breakdown, stalled)
               == (20, False, False, False, False) and sum(rejected) > 0,
-              "stall": stalled and not breakdown and sum(rejected) > 0,
+              "stall": (steps, stalled, breakdown) == (100, True, False)
+              and rejected[0] == 101,
               "breakdown": breakdown and steps == scal[7] == 1,
               "zero_rhs": breakdown and (steps, scal[7]) == (1, 0.0),
-              "nan": rejected[0] > 0 and math.isnan(scal[8]) and stalled,
-              "nan_no_stall": rejected[0] > 0 and steps == args[12]
-              and not stalled}
-    assert ending.get(case, steps == args[12] or breakdown or stalled)
+              "nan": rejected[0] > 0 and math.isnan(scal[8]) and stalled}
+    assert ending.get(case, steps == args[11] or breakdown or stalled)
     if tt1 or tt2:
         assert all(math.isfinite(x) for x in parts)
 
@@ -535,10 +545,10 @@ def test_one_step_solves_match_a_whole_solve(backend):
     # iterates of the whole solve: the loop of MinresState.step
     args = _solve_case("max_iter")
     whole = [_copy(a) for a in args]
-    whole[10] = whole[11] = None
+    whole[9] = whole[10] = None
     kernels.tangential_solve(*whole)
     stepped = [_copy(a) for a in args]
-    stepped[10:] = None, None, 1
+    stepped[9:] = None, None, 1
     for _ in range(20):
         assert kernels.tangential_solve(*stepped)[0] == 1
     assert stepped[7].tobytes() == whole[7].tobytes()
@@ -554,8 +564,8 @@ def test_rejection_counts_add_up_to_the_gated_candidates(backend):
             out = kernels.tangential_solve(*[_copy(a) for a in args])
             steps, tt1, tt2 = out[:3]
             replay = [_copy(a) for a in args]
-            replay[10:] = None, None, 1
-            cap, scal, gated = args[11][0], replay[8], 0
+            replay[9:] = None, None, 1
+            cap, scal, gated = args[10][0], replay[8], 0
             for t in range(steps + 1):
                 if t:
                     kernels.tangential_solve(*replay)
@@ -566,8 +576,8 @@ def test_rejection_counts_add_up_to_the_gated_candidates(backend):
 def _good_solve_args():
     args = dict(zip(
         ("h_indptr", "h_indices", "h_data", "j_indptr", "j_indices",
-         "j_data", "rhs", "work", "scal", "rules", "vecs", "tests",
-         "max_iter"), _synthetic_solve(4, 2, max_iter=6)))
+         "j_data", "rhs", "work", "scal", "vecs", "tests", "max_iter"),
+        _synthetic_solve(4, 2, max_iter=6)))
     return args
 
 
@@ -587,10 +597,11 @@ def _good_solve_args():
     ({"vecs": list(np.zeros(16))}, TypeError),
     ({"vecs": None}, ValueError),
     ({"tests": None}, ValueError),
-    ({"tests": (1.0,) * 16}, TypeError),
-    ({"tests": [1.0] * 17}, TypeError),
-    ({"rules": (1e-14, 50)}, TypeError),
-    ({"rules": (1e-14, 0, 1e-4)}, ValueError),
+    ({"tests": (1.0,) * 8}, TypeError),
+    ({"tests": [1.0] * 9}, TypeError),
+    # the 17 values of a solve that also took the method constants
+    ({"tests": (1.0,) * 17}, TypeError),
+    ({"j_indptr": np.zeros(0, dtype=np.int64)}, ValueError),
     ({"max_iter": -1}, ValueError),
     ({"max_iter": 2.5}, TypeError),
 ])
@@ -862,16 +873,33 @@ def test_built_package_imports_with_compiled_backend(tmp_path):
 @needs_source
 def test_kernel_source_compiles_without_warnings():
     # the interpreter's compiler, as the package build uses it, with
-    # every common warning an error
+    # its flags and the method constants it defines, and every common
+    # warning an error
     ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
     if not ldshared or shutil.which(ldshared[0]) is None:
         pytest.skip("the interpreter records no usable C compiler")
     proc = subprocess.run(
         [ldshared[0], "-fsyntax-only", "-Wall", "-Wextra",
-         "-Wno-unused-parameter", "-Werror",
+         "-Wno-unused-parameter", "-Werror", *kernels._EXTRA_COMPILE_ARGS,
          "-I", sysconfig.get_path("include"), "-I", np.get_include(),
          kernels._SOURCE], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_method_constants_reach_the_build_exactly():
+    # the rules' and the termination tests' constants are -D flags of
+    # the build, which the cache name covers: a float as the exact
+    # hexadecimal literal of its value
+    defines = dict(arg[2:].split("=") for arg in kernels._EXTRA_COMPILE_ARGS
+                   if arg.startswith("-D"))
+    assert set(defines) == {
+        "BREAKDOWN_TOL", "STALL_WINDOW", "STALL_IMPROVEMENT", "KAPPA_RHO",
+        "KAPPA_R", "KAPPA_U", "KAPPA_V", "EPS_U", "SIGMA_U", "SIGMA_C",
+        "EPS_R"}
+    for name, literal in defines.items():
+        value = getattr(kernels, name)
+        parse = float.fromhex if isinstance(value, float) else int
+        assert parse(literal) == value, name
 
 
 @needs_source

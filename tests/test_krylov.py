@@ -20,6 +20,12 @@ def _no_constraints(n):
     return SparseMatrix((0, n), [0], [], [])
 
 
+def _cg_tolerances(monkeypatch, rel_tol, abs_floor):
+    """The normal-step CG's tolerance and floor, for the test."""
+    monkeypatch.setattr(krylov, "CG_REL_TOL", rel_tol)
+    monkeypatch.setattr(krylov, "CG_ABS_FLOOR", abs_floor)
+
+
 def test_norm_helpers():
     a = np.array([3.0])
     b = np.array([4.0])
@@ -31,10 +37,10 @@ def test_norm_helpers():
 
 # -- normal-step CG ----------------------------------------------------------
 
-def test_cg_identity_constraints():
+def test_cg_identity_constraints(monkeypatch):
+    _cg_tolerances(monkeypatch, 1e-10, 1e-14)
     j = SparseMatrix.identity(2)
-    res = cg_normal_solve(j, np.array([1.0, 1.0]), rel_tol=1e-10,
-                          abs_floor=1e-14)
+    res = cg_normal_solve(j, np.array([1.0, 1.0]))
     np.testing.assert_allclose(res.v, [-1.0, -1.0], rtol=0, atol=1e-12)
     assert res.converged
     assert res.iterations <= 2
@@ -45,34 +51,34 @@ def test_cg_zero_rhs():
     for rows, c in (([[1.0, 2.0, 0.0]], [0.0]),
                     ([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]], [1.0, -1.0])):
         j = make_sparse(np.array(rows))
-        res = cg_normal_solve(j, np.array(c), rel_tol=0.1, abs_floor=1e-10)
+        res = cg_normal_solve(j, np.array(c))
         assert res.iterations == 0
         assert res.converged
         assert res.resid_norm == 0.0
         np.testing.assert_array_equal(res.v, np.zeros(3))
 
 
-def test_cg_matches_pseudoinverse():
+def test_cg_matches_pseudoinverse(monkeypatch):
+    _cg_tolerances(monkeypatch, 1e-12, 1e-14)
     rng = np.random.default_rng(21)
     j_dense = random_full_rank(rng, 4, 7)
     c = rng.standard_normal(4)
-    res = cg_normal_solve(make_sparse(j_dense), c, rel_tol=1e-12,
-                          abs_floor=1e-14)
+    res = cg_normal_solve(make_sparse(j_dense), c)
     expected = dense_normal_step(j_dense, c)
     np.testing.assert_allclose(res.v, expected, rtol=0, atol=1e-8)
 
 
-def test_cg_iterates_stay_in_row_space():
+def test_cg_iterates_stay_in_row_space(monkeypatch):
     # CG from zero on J'J keeps every iterate in range(J'), the
     # minimum-norm solution manifold
+    _cg_tolerances(monkeypatch, 0.05, 1e-14)
     rng = np.random.default_rng(22)
     for trial in range(5):
         m = int(rng.integers(1, 6))
         n = int(rng.integers(m, m + 8))
         j_dense = random_full_rank(rng, m, n)
         c = rng.standard_normal(m)
-        res = cg_normal_solve(make_sparse(j_dense), c, rel_tol=0.05,
-                              abs_floor=1e-14)
+        res = cg_normal_solve(make_sparse(j_dense), c)
         projector = j_dense.T @ np.linalg.solve(j_dense @ j_dense.T, j_dense)
         off_range = res.v - projector @ res.v
         assert np.linalg.norm(off_range) <= 1e-8 * max(
@@ -84,8 +90,8 @@ def test_cg_reports_nonconvergence(monkeypatch):
     j_dense = random_full_rank(rng, 6, 9, smin=0.05, smax=3.0)
     c = rng.standard_normal(6)
     monkeypatch.setattr(krylov, "cg_max_iter", lambda m: 1)
-    res = cg_normal_solve(make_sparse(j_dense), c, rel_tol=1e-14,
-                          abs_floor=0.0)
+    _cg_tolerances(monkeypatch, 1e-14, 0.0)
+    res = cg_normal_solve(make_sparse(j_dense), c)
     assert not res.converged
     assert res.iterations == 1
     assert np.isfinite(res.resid_norm)
@@ -103,20 +109,22 @@ def test_multipliers_zero_for_orthogonal_gradient():
     assert np.linalg.norm(y) <= 1e-8
 
 
-def test_multipliers_recover_exact_combination():
+def test_multipliers_recover_exact_combination(monkeypatch):
+    monkeypatch.setattr(krylov, "MULTIPLIER_REL_TOL", 1e-12)
     rng = np.random.default_rng(25)
     j_dense = random_full_rank(rng, 3, 7)
     y_true = rng.standard_normal(3)
     g = -j_dense.T @ y_true
-    y = least_squares_multipliers(make_sparse(j_dense), g, tol=1e-12)
+    y = least_squares_multipliers(make_sparse(j_dense), g)
     np.testing.assert_allclose(y, y_true, rtol=0, atol=1e-8)
 
 
-def test_multipliers_match_dense_lstsq():
+def test_multipliers_match_dense_lstsq(monkeypatch):
+    monkeypatch.setattr(krylov, "MULTIPLIER_REL_TOL", 1e-12)
     rng = np.random.default_rng(26)
     j_dense = random_full_rank(rng, 3, 6)
     g = rng.standard_normal(6)
-    y = least_squares_multipliers(make_sparse(j_dense), g, tol=1e-12)
+    y = least_squares_multipliers(make_sparse(j_dense), g)
     np.testing.assert_allclose(y, dense_least_squares_multipliers(j_dense, g),
                                rtol=0, atol=1e-8)
 
