@@ -2,15 +2,16 @@
 
 Modules:
 
-* ``kernels``   CSR matrix-vector kernels, a MINRES step and a CG solve
+* ``kernels``   CSR matrix-vector kernels, a truncated tangential solve
+                (MINRES steps and the termination tests) and a CG solve
                 (compiled core, numpy fallback)
 * ``sparse``    CSR matrices and the symmetric saddle (KKT) operator
 * ``krylov``    CG on the normal equations, least-squares multipliers,
                 streaming MINRES
 * ``problems``  problem abstraction, gradient oracles, Lipschitz probes
 * ``library``   synthetic QPs and the two PDE control problems
-* ``engine``    one SQP iteration: steps, Hessian ladder, tests, parameter
-                updates
+* ``engine``    one SQP iteration: steps, Hessian ladder, parameter
+                updates, checks of each step's guarantees
 * ``harness``   runs, budget-matched comparisons, aggregation, output
 * ``config``    INI profiles and overrides
 * ``cli``       command-line verbs (run, compare, sweep, validate)

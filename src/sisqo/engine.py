@@ -36,11 +36,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .kernels import EPS_R, SIGMA_C, SIGMA_U
-# least_squares_multipliers is not called here; the name stays bound
-# because perfbench/tracing.py wraps it in this module
-from .krylov import (MinresState, cg_normal_solve,  # noqa: F401
-                     least_squares_multipliers, least_squares_residual,
+from .krylov import (MinresState, cg_normal_solve, least_squares_residual,
                      norm_pair)
+# not called here; the name stays bound because perfbench/tracing.py
+# wraps it in this module
+from .krylov import least_squares_multipliers  # noqa: F401
 from .problems import estimate_lipschitz
 from .sparse import (KktOperator, SparseMatrix, blend_with_identity,
                      is_symmetric)
@@ -319,6 +319,18 @@ def model_reduction(tau, g_dot_d, c_norm, norm_c_plus_jd):
     return -tau * g_dot_d + c_norm - norm_c_plus_jd
 
 
+def _reduces_model(tau, g_dot_d, max_term, c_norm, norm_c_plus_jd,
+                   decrease_v):
+    """Sufficient model reduction of d = v + u at merit parameter tau, up
+    to round-off at the boundary: the reduction covers sigma_u tau
+    max(u'Hu, eps_u ||u||^2) plus sigma_c times the normal decrease
+    ``decrease_v``.  Termination test 1 poses it in the kernel at the
+    incoming tau; this is its recheck at the updated one."""
+    lhs = model_reduction(tau, g_dot_d, c_norm, norm_c_plus_jd)
+    rhs = SIGMA_U * tau * max_term + SIGMA_C * decrease_v
+    return lhs >= rhs - _slack(lhs, rhs)
+
+
 def compute_normal_step(c, j):
     """Matrix-free CG on J'J v = -J'c, certified against the Cauchy
     decrease of the steepest-descent direction for 0.5||c + Jv||^2.
@@ -349,83 +361,6 @@ def compute_normal_step(c, j):
             f" cg iterations {res.iterations})")
     return NormalStepResult(v, res.iterations, lhs, rhs, jv, c_plus_jv,
                             c_norm)
-
-
-# -- termination tests -------------------------------------------------------
-
-class _IterationContext:
-    """Per-iterate cache shared across Hessian rungs and MINRES
-    candidates; ``set_rung`` adds the parts that depend on H.  ``vecs``
-    holds g, H v, g + H v, c and c + J v, as
-    :func:`sisqo.kernels.tangential_solve` reads them."""
-
-    __slots__ = ("g", "c", "j", "v", "y", "tau_prev", "beta",
-                 "prev_pair_norm", "jv", "c_plus_jv", "c_norm", "decrease_v",
-                 "g_dot_v", "v_norm", "jty", "h", "vecs", "rhs_top")
-
-    def __init__(self, g, c, j, ns, y, tau_prev, beta, prev_pair_norm):
-        self.g = g
-        self.c = c
-        self.j = j
-        self.v = ns.v
-        self.y = y
-        self.tau_prev = tau_prev
-        self.beta = beta
-        self.prev_pair_norm = prev_pair_norm
-        self.jv = ns.jv
-        self.c_plus_jv = ns.c_plus_jv
-        self.c_norm = ns.c_norm
-        self.decrease_v = ns.cauchy_lhs
-        self.g_dot_v = float(np.dot(g, ns.v))
-        self.v_norm = float(np.linalg.norm(ns.v))
-        self.jty = j.apply_transpose(y)
-        n = g.shape[0]
-        self.vecs = np.concatenate([g, np.empty(2 * n), c, ns.c_plus_jv])
-
-    def set_rung(self, h):
-        self.h = h
-        n = self.g.shape[0]
-        hv, gv = self.vecs[n:2 * n], self.vecs[2 * n:3 * n]
-        hv[:] = h.apply(self.v)
-        np.add(self.g, hv, out=gv)
-        self.rhs_top = gv + self.jty
-
-
-class _TestEvaluation:
-    """The candidate (u, delta) with constraint residual r at which
-    :func:`sisqo.kernels.tangential_solve` stopped, read from the
-    solver's buffers in place, with the outcomes of termination tests 1
-    and 2 and the parts of its model reduction the kernel formed: g'd,
-    max(u'Hu, eps_u ||u||^2) and ||c + Jd||.  The tests themselves are
-    stated in ``sisqo.kernels.reference.tangential_solve``."""
-
-    __slots__ = ("u", "delta", "r", "ctx", "tt1", "tt2", "g_dot_d",
-                 "max_term", "norm_c_plus_jd")
-
-    def __init__(self, mstate, ctx, tt1, tt2, g_dot_d, max_term,
-                 norm_c_plus_jd):
-        self.u, self.delta, self.r = mstate.u, mstate.delta, mstate.r
-        self.ctx = ctx
-        self.tt1, self.tt2 = tt1, tt2
-        self.g_dot_d = g_dot_d
-        self.max_term = max_term
-        self.norm_c_plus_jd = norm_c_plus_jd
-
-    @property
-    def accepted(self):
-        return 1 if self.tt1 else (2 if self.tt2 else 0)
-
-    def reduces_model(self, tau, relaxed=False):
-        """Sufficient model reduction of d = v + u at merit parameter tau:
-        the reduction covers sigma_u tau max(u'Hu, eps_u ||u||^2) plus
-        sigma_c times the normal decrease.  ``relaxed`` forgives round-off
-        at the boundary, for the check at an updated tau."""
-        lhs = model_reduction(tau, self.g_dot_d, self.ctx.c_norm,
-                              self.norm_c_plus_jd)
-        rhs = SIGMA_U * tau * self.max_term + SIGMA_C * self.ctx.decrease_v
-        if relaxed:
-            return lhs >= rhs - _slack(lhs, rhs)
-        return lhs >= rhs
 
 
 # -- parameter updates -------------------------------------------------------
@@ -599,54 +534,48 @@ def _check_stationary(state, problem, oracle, g):
         raise _stationary(residual, resampled)
 
 
-def _test_params(ctx, cfg, cap):
-    """The per-iterate scalars of the termination tests, as the ``tests``
-    tuple of :func:`sisqo.kernels.tangential_solve`, for the gate ``cap``
-    on the residual's infinity norm."""
-    return (cap, ctx.beta, cfg.kappa, ctx.prev_pair_norm, ctx.tau_prev,
-            ctx.v_norm, ctx.g_dot_v, ctx.c_norm, ctx.decrease_v)
+def _tangential_solve(h, j, rhs_top, vecs, tests, kappa):
+    """Run MINRES on the KKT system with right-hand side (rhs_top; 0),
+    checking the termination tests at every iterate whose residual
+    passes the gate max(kappa ||rhs_top||_inf, MINRES_ABS_FLOOR), until
+    one accepts: one call of :func:`sisqo.kernels.tangential_solve` on
+    ``vecs`` and on the gate followed by ``tests``, the 8 per-iterate
+    scalars.  A NaN residual passes the gate and then fails condition b.
 
-
-def _tangential_solve(ctx, cfg):
-    """Run MINRES on the KKT system, checking the termination tests at
-    every iterate whose residual passes the infinity-norm gate, until
-    one accepts: one call of :func:`sisqo.kernels.tangential_solve`.
-    A NaN residual passes the gate and then fails condition b.
-
-    Returns (evaluation, iterations, record): the accepted candidate,
-    which reads the solver's buffers in place (no step follows it), or
-    None when the solver gave out unaccepted; and the solver's breakdown
-    and stall flags, its final residual norm and, under ``rejected``,
-    the gated candidates that condition b, a or c, or both tests after
-    them, turned down.
+    Returns (state, outcome, record): the MINRES state, whose views hold
+    the accepted candidate (no step follows it); the kernel's outcome
+    tuple; and the rung record of its steps, its breakdown and stall
+    flags, its final residual norm and, under ``rejected``, the gated
+    candidates that condition b, a or c, or both tests after them,
+    turned down.
     """
-    op = KktOperator(ctx.h, ctx.j)
-    mstate = MinresState(op, (ctx.rhs_top, np.zeros(ctx.j.rows)))
-    cap = max(cfg.kappa * float(np.max(np.abs(ctx.rhs_top), initial=0.0)),
-              MINRES_ABS_FLOOR)
-    steps, tt1, tt2, breakdown, stalled, *parts, rejected = mstate.run(
-        max(1, int(MINRES_MAX_ITER_SCALE * op.dim)), ctx.vecs,
-        _test_params(ctx, cfg, cap))
-    accepted = _TestEvaluation(mstate, ctx, tt1, tt2, *parts) \
-        if tt1 or tt2 else None
-    return accepted, steps, {"breakdown": breakdown, "stalled": stalled,
-                             "resid_norm": mstate.resid_norm,
-                             "rejected": dict(zip(("b", "a", "c", "tests"),
-                                                  rejected))}
+    op = KktOperator(h, j)
+    mstate = MinresState(op, (rhs_top, np.zeros(j.rows)))
+    # the bottom block is zero, so this is max |rhs_top|
+    cap = max(kappa * mstate.resid_norm_inf, MINRES_ABS_FLOOR)
+    out = mstate.run(max(1, int(MINRES_MAX_ITER_SCALE * op.dim)), vecs,
+                     (cap, *tests))
+    steps, _, _, breakdown, stalled, *_, rejected = out
+    return mstate, out, {"minres_iters": steps, "breakdown": breakdown,
+                         "stalled": stalled, "resid_norm": mstate.resid_norm,
+                         "rejected": dict(zip(("b", "a", "c", "tests"),
+                                              rejected))}
 
 
-def _verify(ev, step, varphi, d_sq, merit_drop, guaranteed, cfg):
+def _verify(reduces, c_norm, step, varphi, d_sq, merit_drop, guaranteed,
+            cfg):
     """The violations (empty when clean) of the three guarantees of the
     accepted step that no update rule enforces: sufficient model
-    reduction at the updated tau, varphi(alpha) <= 0, and the merit
-    decrease bound, which is logged instead unless ``guaranteed``."""
+    reduction at the updated tau (``reduces``, from
+    :func:`_reduces_model`), varphi(alpha) <= 0, and the merit decrease
+    bound, which is logged instead unless ``guaranteed``."""
     out = []
-    if not ev.reduces_model(step.tau, relaxed=True):
+    if not reduces:
         out.append("model reduction condition fails at updated tau")
     alpha = step.alpha
     phi_scale = (1.0 - cfg.eta) * alpha * step.beta * step.delta_l \
         + 0.5 * (step.tau * step.lip_l + step.lip_gamma) * alpha ** 2 * d_sq \
-        + alpha * ev.ctx.c_norm
+        + alpha * c_norm
     phi_val = varphi(alpha)
     if not phi_val <= _slack(phi_scale):
         out.append(f"varphi({alpha:.6e}) = {phi_val:.6e} > 0")
@@ -704,19 +633,30 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
     ns = compute_normal_step(state.c, state.j)
     beta = beta_for_iteration(cfg, state.k)
 
-    ctx = _IterationContext(g, state.c, state.j, ns, state.y, state.tau, beta,
-                            state.prev_pair_norm)
+    # the kernel's inputs, formed once per iterate: vecs holds g, Hv,
+    # g + Hv, c and c + Jv, and each rung refreshes Hv and g + Hv
+    n, v = problem.n, ns.v
+    v_norm = float(np.linalg.norm(v))
+    tests = (beta, cfg.kappa, state.prev_pair_norm, state.tau, v_norm,
+             float(np.dot(g, v)), ns.c_norm, ns.cauchy_lhs)
+    jty = state.j.apply_transpose(state.y)
+    vecs = np.concatenate([g, np.empty(2 * n), state.c, ns.c_plus_jv])
+    hv, g_plus_hv = vecs[n:2 * n], vecs[2 * n:3 * n]
     hess = _checked(problem.eval_lagrangian_hessian(state.x, state.y),
-                    "Lagrangian Hessian", state.k, (problem.n, problem.n),
-                    symmetric=True)
+                    "Lagrangian Hessian", state.k, (n, n), symmetric=True)
     total_minres = 0
     for rung in range(MAX_RUNG + 2):
-        ctx.set_rung(ladder_matrix(hess, rung))
-        _checked(ctx.rhs_top, "tangential right-hand side", state.k)
-        ev, iters, solver_info = _tangential_solve(ctx, cfg)
-        total_minres += iters
-        rungs.append({"rung": rung, "minres_iters": iters, **solver_info})
-        if ev is not None:
+        h = ladder_matrix(hess, rung)
+        hv[:] = h.apply(v)
+        np.add(g, hv, out=g_plus_hv)
+        rhs_top = _checked(g_plus_hv + jty, "tangential right-hand side",
+                           state.k)
+        mstate, out, record = _tangential_solve(h, state.j, rhs_top, vecs,
+                                                tests, cfg.kappa)
+        total_minres += record["minres_iters"]
+        rungs.append({"rung": rung, **record})
+        _, tt1, tt2, _, _, g_dot_d, max_term, norm_c_plus_jd, _ = out
+        if tt1 or tt2:
             break
     else:
         raise IterationFailure(
@@ -724,17 +664,16 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
             f" after {len(rungs)} Hessian rungs"
             f" ({total_minres} total MINRES iterations)",
             diagnostics={"k": state.k, "rungs": rungs,
-                         "c_norm": ctx.c_norm, "v_norm": ctx.v_norm,
-                         "rhs_norm": float(np.linalg.norm(ctx.rhs_top))})
+                         "c_norm": ns.c_norm, "v_norm": v_norm,
+                         "rhs_norm": float(np.linalg.norm(rhs_top))})
 
-    if ev.accepted == 1:
+    if tt1:
         tau_new = state.tau
     else:
-        _, tau_new = tau_trial_and_update(
-            state.tau, ev.g_dot_d, ev.max_term, ctx.c_norm,
-            ev.norm_c_plus_jd)
+        _, tau_new = tau_trial_and_update(state.tau, g_dot_d, max_term,
+                                          ns.c_norm, norm_c_plus_jd)
 
-    d = ns.v + ev.u
+    d = v + mstate.u
     d_sq = float(np.dot(d, d))
     if d_sq == 0.0:
         # a zero direction can only be accepted with v = 0 and u = 0
@@ -742,31 +681,30 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
         # iterate as stationary for the sampled gradient to working
         # precision even when the explicit gate has not fired yet
         raise _stationary(_least_squares_residual(g, state.j), False)
-    delta_l = model_reduction(tau_new, ev.g_dot_d, ctx.c_norm,
-                              ev.norm_c_plus_jd)
+    delta_l = model_reduction(tau_new, g_dot_d, ns.c_norm, norm_c_plus_jd)
     _, xi_new = xi_update(state.xi, tau_new, delta_l, d_sq)
     alpha_min, alpha_suff = step_size_bounds(tau_new, xi_new, beta, delta_l,
                                              d_sq, lip_l, lip_gamma, cfg)
 
-    jd = ctx.jv + ev.r
+    jd = ns.jv + mstate.r
 
     def varphi(alpha):
         return evaluate_varphi(alpha, beta, tau_new, delta_l, lip_l, lip_gamma,
-                               ctx.c, ctx.c_norm, jd, ev.norm_c_plus_jd, d_sq,
+                               state.c, ns.c_norm, jd, norm_c_plus_jd, d_sq,
                                cfg)
 
     alpha = select_step_size(alpha_min, alpha_suff, beta, varphi)
 
     x_next = state.x + alpha * d
-    y_next = update_duals(state.y, ev.delta)
+    y_next = update_duals(state.y, mstate.delta)
 
     step = StepResult(
-        k=state.k, v=ns.v, u=ev.u, delta=ev.delta, accepted_test=ev.accepted,
-        minres_iters=total_minres, cg_iters=ns.iterations, hessian_rung=rung,
-        tau=tau_new, xi=xi_new, beta=beta, lip_l=lip_l, lip_gamma=lip_gamma,
-        delta_l=delta_l, alpha_min=alpha_min, alpha_suff=alpha_suff,
-        alpha=alpha, info={"rungs": rungs, "c_norm": ctx.c_norm,
-                           "decrease_v": ctx.decrease_v})
+        k=state.k, v=v, u=mstate.u, delta=mstate.delta,
+        accepted_test=1 if tt1 else 2, minres_iters=total_minres,
+        cg_iters=ns.iterations, hessian_rung=rung, tau=tau_new, xi=xi_new,
+        beta=beta, lip_l=lip_l, lip_gamma=lip_gamma, delta_l=delta_l,
+        alpha_min=alpha_min, alpha_suff=alpha_suff, alpha=alpha,
+        info={"rungs": rungs})
 
     f_next = _checked(problem.eval_f(x_next), "f(x)", state.k + 1, ())
     c_next = _checked(problem.eval_c(x_next), "c(x)", state.k + 1,
@@ -774,8 +712,10 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
     # the merit bound holds for true Lipschitz upper bounds and exact g
     merit_drop = merit_value(tau_new, f_next, c_next) \
         - merit_value(tau_new, state.f, state.c)
+    reduces = _reduces_model(tau_new, g_dot_d, max_term, ns.c_norm,
+                             norm_c_plus_jd, ns.cauchy_lhs)
     step.violations = _verify(
-        ev, step, varphi, d_sq, merit_drop,
+        reduces, ns.c_norm, step, varphi, d_sq, merit_drop,
         cfg.lipschitz_mode == "fixed" and not oracle.is_stochastic, cfg)
 
     state_next = IterateState(

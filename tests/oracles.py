@@ -18,9 +18,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-import sisqo.engine as engine
 from sisqo import kernels
-from sisqo.engine import NormalStepResult, _IterationContext, _TestEvaluation
+from sisqo.engine import _reduces_model
 from sisqo.krylov import MinresState
 from sisqo.sparse import KktOperator, SparseMatrix
 
@@ -206,51 +205,53 @@ def varphi_parts(c, j, d):
             float(np.dot(d, d)))
 
 
-def tangential_setup(g, c, j, v, y, h, tau_prev=1.0, beta=1.0,
+def tangential_setup(g, c, j, v, y, h, kappa, tau_prev=1.0, beta=1.0,
                      prev_pair_norm=math.inf):
-    """The engine's iteration context for a given normal step v rather
-    than the one the CG would compute, at the Hessian ``h``, and a fresh
-    MINRES state on its tangential system; returns (ctx, state)."""
-    jv = j.apply(v)
+    """The inputs of the engine's tangential solve for a given normal step
+    v rather than the one the CG would compute, at the Hessian ``h``:
+    ``vecs`` (g, Hv, g + Hv, c, c + Jv), the 8 per-iterate ``tests``
+    scalars that follow the gate, and a fresh MINRES state on the
+    tangential system; returns (vecs, tests, state)."""
+    hv, jv = h.apply(v), j.apply(v)
+    g_plus_hv = g + hv
     c_norm = float(np.linalg.norm(c))
-    ns = NormalStepResult(
-        v=v, iterations=0,
-        cauchy_lhs=c_norm - float(np.linalg.norm(c + jv)),
-        cauchy_rhs=math.nan, jv=jv, c_plus_jv=c + jv, c_norm=c_norm)
-    ctx = _IterationContext(g, c, j, ns, y, tau_prev, beta, prev_pair_norm)
-    ctx.set_rung(h)
-    state = MinresState(KktOperator(h, j), (ctx.rhs_top, np.zeros(j.rows)))
-    return ctx, state
+    vecs = np.concatenate([g, hv, g_plus_hv, c, c + jv])
+    tests = (beta, kappa, prev_pair_norm, tau_prev,
+             float(np.linalg.norm(v)), float(np.dot(g, v)), c_norm,
+             c_norm - float(np.linalg.norm(c + jv)))
+    state = MinresState(KktOperator(h, j), (g_plus_hv + j.apply_transpose(y),
+                                            np.zeros(j.rows)))
+    return vecs, tests, state
 
 
 def candidate_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev=1.0,
                     beta=1.0, prev_pair_norm=math.inf):
     """The evaluation of both termination tests for the candidate
-    (u, delta) with residual pair (rho, r), on the context of
+    (u, delta) with residual pair (rho, r), on the inputs of
     :func:`tangential_setup`: ``kernels.tangential_solve`` on the active
-    backend, run for ``max_iter = 0`` with an infinite cap on a MINRES
-    state whose iterate and residual rows hold the candidate, with the
-    engine's test parameters.
+    backend, run for ``max_iter = 0`` with an infinite gate on a MINRES
+    state whose iterate and residual rows hold the candidate.
 
     Returns a namespace of ``failed`` (the condition, of "b", "a" and
     "c" in the order they are checked, that rejected the candidate, or
     None), ``tt1``, ``tt2``, ``accepted`` and ``reduces_model``, the
-    engine record's recheck of the model reduction, which needs a
-    candidate that passed conditions b and a."""
-    ctx, state = tangential_setup(g, c, j, v, y, h, tau_prev, beta,
-                                  prev_pair_norm)
+    engine's recheck of the model reduction at a given tau, which needs
+    a candidate that passed conditions b and a."""
+    vecs, tests, state = tangential_setup(g, c, j, v, y, h, cfg.kappa,
+                                          tau_prev, beta, prev_pair_norm)
     rows = state._work.reshape(8, -1)
     rows[6] = np.concatenate([u, delta])
     rows[7] = np.concatenate([rho, r])
-    steps, tt1, tt2, _, _, *parts, rejected = state.run(
-        0, ctx.vecs, engine._test_params(ctx, cfg, math.inf))
+    steps, tt1, tt2, _, _, g_dot_d, max_term, norm_c_plus_jd, rejected = \
+        state.run(0, vecs, (math.inf, *tests))
     assert steps == 0 and sum(rejected) == (0 if tt1 or tt2 else 1)
-    ev = _TestEvaluation(state, ctx, tt1, tt2, *parts)
+    c_norm, decrease_v = tests[-2:]
     return SimpleNamespace(
         failed=next((name for name, count in zip("bac", rejected) if count),
                     None),
-        tt1=tt1, tt2=tt2, accepted=ev.accepted,
-        reduces_model=ev.reduces_model)
+        tt1=tt1, tt2=tt2, accepted=1 if tt1 else (2 if tt2 else 0),
+        reduces_model=lambda tau: _reduces_model(
+            tau, g_dot_d, max_term, c_norm, norm_c_plus_jd, decrease_v))
 
 
 def eager_termination_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev,
@@ -298,4 +299,4 @@ def model_reduction_holds(tau, g, c, j, v, u, h, cfg):
     m = j.rows
     ev = candidate_tests(g, c, j, v, np.zeros(m), h, u, np.zeros(m),
                          np.zeros(len(u)), j.apply(u), cfg)
-    return ev.reduces_model(tau, relaxed=True)
+    return ev.reduces_model(tau)

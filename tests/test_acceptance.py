@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import sisqo.engine
 import sisqo.krylov

@@ -20,9 +20,10 @@ from sisqo.library import SyntheticQpSpec, build_synthetic_qp
 from sisqo.problems import GradientOracle, Problem, substream
 from sisqo.sparse import SparseMatrix
 
-from oracles import (candidate_tests, dense_kkt_solve, dense_normal_step,
-                     make_sparse, merit_model_parts, model_reduction_holds,
-                     random_full_rank, random_spd, tau_parts, varphi_parts)
+from oracles import (candidate_tests, dense_kkt_matrix, dense_kkt_solve,
+                     dense_normal_step, make_sparse, merit_model_parts,
+                     model_reduction_holds, random_full_rank, random_spd,
+                     tau_parts, varphi_parts)
 
 
 CFG = SolverConfig()
@@ -514,6 +515,46 @@ def test_circle_problem_first_iteration_hand_checked():
     assert step.alpha_min == pytest.approx(step.alpha_suff, rel=1e-9)
     np.testing.assert_allclose(next_state.x, [-0.09, 1.0], rtol=0, atol=1e-7)
     assert step.violations == []
+
+
+def test_failed_iteration_diagnostics_match_raw_arrays(monkeypatch):
+    # one MINRES step on each of two Hessian rungs (H, then I) accepts
+    # no tangential iterate; every diagnostic is formed again from the
+    # iterate's arrays
+    monkeypatch.setattr(sisqo.engine, "MINRES_MAX_ITER_SCALE", 0.01)
+    monkeypatch.setattr(sisqo.engine, "MAX_RUNG", 0)
+    problem = build_synthetic_qp(SyntheticQpSpec(n=8, m=3, seed=4))
+    state = init_state(problem, CFG)
+    with pytest.raises(sisqo.engine.IterationFailure) as info:
+        sqp_iterate(state, problem, GradientOracle("exact"), CFG,
+                    probe_rng=substream(0, "lipschitz"))
+    diagnostics = info.value.diagnostics
+
+    g = problem.eval_grad_f(state.x)
+    j = state.j.to_dense()
+    v = compute_normal_step(state.c, state.j).v
+    jty = j.T @ state.y
+    hess = problem.eval_lagrangian_hessian(state.x, state.y).to_dense()
+    assert diagnostics["c_norm"] == np.linalg.norm(state.c)
+    assert diagnostics["v_norm"] == np.linalg.norm(v)
+    assert diagnostics["rhs_norm"] == pytest.approx(
+        np.linalg.norm(g + v + jty), rel=1e-12)
+    assert diagnostics["minres_iters"] == 2
+    records = diagnostics["rungs"]
+    assert [r["rung"] for r in records] == [0, 1]
+    for record, h in zip(records, (hess, np.eye(problem.n))):
+        # one MINRES step on K z = b from zero is z = (b'Kb / ||Kb||^2) b
+        k_mat = dense_kkt_matrix(h, j)
+        b = -np.concatenate([g + h @ v + jty, np.zeros(problem.m)])
+        kb = k_mat @ b
+        resid = (b @ kb) / (kb @ kb) * kb - b
+        assert record["minres_iters"] == 1
+        assert not record["breakdown"] and not record["stalled"]
+        assert record["resid_norm"] == pytest.approx(np.linalg.norm(resid),
+                                                     rel=1e-10)
+        # no iterate passes the gate, so no test rejects one
+        assert np.abs(resid).max() > CFG.kappa * np.abs(b).max()
+        assert record["rejected"] == {"b": 0, "a": 0, "c": 0, "tests": 0}
 
 
 def test_iterate_monotone_merit_on_qp():

@@ -16,11 +16,11 @@ import math
 import numpy as np
 import pytest
 
-import sisqo.engine as engine
 from oracles import tangential_setup
 from sisqo import kernels
 from sisqo.config import (apply_overrides, build_problem, build_solver_config,
                           load_config, oracle_settings)
+from sisqo.engine import SolverConfig
 from sisqo.harness import run_single
 from sisqo.krylov import MinresState
 from sisqo.sparse import KktOperator, SparseMatrix
@@ -447,15 +447,15 @@ def _solve_args(h, j, max_iter, rng, rhs=None, beta=1.0):
     the system is the tests' own tangential one unless ``rhs`` is
     given."""
     n, m = j.shape[1], j.shape[0]
-    ctx, state = tangential_setup(
+    vecs, tests, state = tangential_setup(
         rng.standard_normal(n), rng.standard_normal(m),
         SparseMatrix.from_dense(j), rng.standard_normal(n),
-        rng.standard_normal(m), SparseMatrix.from_dense(h), beta=beta)
+        rng.standard_normal(m), SparseMatrix.from_dense(h),
+        SolverConfig().kappa, beta=beta)
     if rhs is not None:
         state = MinresState(state.op, (rhs[:n], rhs[n:]))
-    tests = engine._test_params(ctx, engine.SolverConfig(), math.inf)
-    return [*state.op.csr, state.rhs, state._work, state._scal, ctx.vecs,
-            tests, max_iter]
+    return [*state.op.csr, state.rhs, state._work, state._scal, vecs,
+            (math.inf, *tests), max_iter]
 
 
 def _synthetic_solve(n, m, max_iter):
