@@ -33,10 +33,11 @@ extra apply), so the reported residual is always the true one; this
 subsumes the periodic drift-guard recompute that recurrence-based
 residuals need.  Carrying the residual by the MINRES recurrence instead
 (Choi, Paige & Saunders, SIAM J. Sci. Comput. 33(4), 2011) replaces that
-apply with one vector update: in the compiled step, a mesh-16 Poisson
-step took 8.8 against 11.5 us and a mesh-32 one 33 against 45 us (2-core
-Intel Xeon VM shared with other jobs, best of 40 x 200 steps; single
-runs vary by up to 30%).  It is not done, because the termination tests
+apply with one vector update: in the compiled step of commit 9c53fd6,
+before its passes were fused, a mesh-16 Poisson step took 8.8 against
+11.5 us and a mesh-32 one 33 against 45 us (2-core Intel Xeon VM shared
+with other jobs, best of 40 x 200 steps; single runs vary by up to
+30%).  It is not done, because the termination tests
 and the stall detector would then read a residual that drifts from the
 true one, which changes which iterate is accepted.
 """

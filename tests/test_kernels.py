@@ -196,6 +196,23 @@ def test_minres_step_infinity_norm_propagates_nan(backend, where):
     assert np.isnan(scal[8]) and np.isnan(scal[9])
 
 
+@pytest.mark.parametrize("infs", [{0: np.inf}, {4: -np.inf},
+                                  {0: -np.inf, 8: np.inf}])
+def test_minres_step_infinity_norm_of_an_infinite_residual(backend, infs):
+    # a residual holding +-inf but no NaN: its infinity norm is inf, as
+    # np.max(np.abs(...)) takes it
+    rng = np.random.default_rng(16)
+    h, j = _symmetric_kkt_blocks(rng, 6, 3)
+    rhs = rng.standard_normal(9)
+    work, scal = _minres_start(rhs)
+    for where, value in infs.items():
+        rhs[where] = value
+    _one_step(kernels.tangential_solve, h, j, rhs, work, scal)
+    resid = work[-9:]
+    assert not np.isnan(resid).any()
+    assert scal[8] == scal[9] == np.inf
+
+
 def _cg_system(rng, rows, cols, normal, case):
     """CSR arrays of a random J (rows-by-cols), b in the range of A
     (J.T J if ``normal``, else J J.T) as the solver's right-hand sides
@@ -553,6 +570,62 @@ def test_one_step_solves_match_a_whole_solve(backend):
         assert kernels.tangential_solve(*stepped)[0] == 1
     assert stepped[7].tobytes() == whole[7].tobytes()
     assert stepped[8].tobytes() == whole[8].tobytes()
+
+
+def _twin_outcome(args):
+    """The outcome of the numpy twin's solve on a copy of ``args``, after
+    checking that the compiled solve on another copy leaves the same
+    outcome and the same bytes in ``work`` and ``scal``."""
+    results = []
+    for solve in (kernels.tangential_solve,
+                  kernels.reference.tangential_solve):
+        run = [_copy(a) for a in args]
+        out = solve(*run)
+        results.append((_bits(out), run[7].tobytes(), run[8].tobytes()))
+    assert results[0] == results[1]
+    return out
+
+
+def _poisson4_solve(max_iter):
+    """Arguments of a solve without tests of a random right-hand side on
+    the KKT system of the mesh-4 Poisson control problem at its start."""
+    problem = build_problem(apply_overrides(load_config("control_finite_sum"),
+                                            ["problem.mesh_size=4"]))
+    op = KktOperator(problem.eval_lagrangian_hessian(problem.x0,
+                                                     np.zeros(problem.m)),
+                     problem.eval_jacobian(problem.x0))
+    rng = np.random.default_rng(20)
+    state = MinresState(op, (rng.standard_normal(op.n),
+                             rng.standard_normal(op.m)))
+    return [*op.csr, state.rhs, state._work, state._scal, None, None,
+            max_iter]
+
+
+@pytest.mark.parametrize("system", ["poisson4", "m0"])
+@pytest.mark.parametrize("max_iter", range(1, 7))
+def test_tangential_solve_restores_its_rows(compiled, system, max_iter):
+    # the compiled step turns its Lanczos rows round a 3-cycle and swaps
+    # its direction rows; whatever the count of steps, work leaves the
+    # call laid out as the numpy twin leaves it
+    if system == "poisson4":
+        args = _poisson4_solve(max_iter)
+    else:
+        args = _synthetic_solve(6, 0, max_iter)
+        args[9] = args[10] = None
+    out = _twin_outcome(args)
+    assert out[0] == max_iter and not (out[3] or out[4])
+
+
+def test_accepting_solves_restore_their_rows(compiled):
+    # solves that end at an accepted iterate after a count of steps of
+    # each residue mod 3, and of either parity
+    steps = []
+    for args in _captured_solves(()):
+        out = _twin_outcome(args)
+        assert out[1] or out[2]
+        steps.append(out[0])
+    assert {t % 3 for t in steps} == {0, 1, 2}
+    assert {t % 2 for t in steps} == {0, 1}
 
 
 def test_rejection_counts_add_up_to_the_gated_candidates(backend):
