@@ -11,10 +11,15 @@ tolerance, floor and iteration cap of ``sisqo.krylov``'s multiplier
 solve; the mean over the whole solve) and one truncated tangential
 solve, ``kernels.tangential_solve`` on the system of the first Hessian
 rung of the first iteration (exact gradient) with the engine's
-termination tests, timed from its start state per solve and per step.
-``--qp`` adds the same table for the matrices of the ``qp_gaussian``
-profile.
+termination tests, timed from its start state per solve and per step,
+with the share of its steps that formed the true residual.  ``--qp``
+adds the same table for the matrices of the ``qp_gaussian`` profile,
+and ``--neumann`` for the Neumann control problem at the meshes it
+names.
 Every figure is timed ``--repeats`` times and printed as best/median.
+The repeats are interleaved: each round times one call of every figure
+of every backend in turn, so a burst of load on the host spreads over
+all the figures of a problem instead of landing on one of them.
 The step is printed next to the two KKT applies ``(H u + J.T delta,
 J u)`` it contains, each counted as the sum of its three isolated CSR
 product times rather than timed through the numpy step's Python
@@ -28,7 +33,7 @@ backend.  Run from the repository root of a source checkout (an
 installed package needs no ``PYTHONPATH``):
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py --mesh 16 32 --qp \
-        --repeats 200 --json bench.json
+        --neumann 16 --repeats 200 --json bench.json
 """
 
 import argparse
@@ -45,7 +50,8 @@ from sisqo.config import build_problem, load_config
 from sisqo.engine import SolverConfig, init_state, sqp_iterate
 from sisqo.krylov import (MULTIPLIER_ABS_FLOOR, MULTIPLIER_REL_TOL,
                           MinresState, cg_max_iter)
-from sisqo.library import ControlProblemSpec, build_poisson_control
+from sisqo.library import (ControlProblemSpec, build_neumann_control,
+                           build_poisson_control)
 from sisqo.problems import GradientOracle, substream
 from sisqo.sparse import KktOperator
 
@@ -66,40 +72,46 @@ def _build(problem):
     return problem, h, j
 
 
-def _time(fn, repeats):
-    """Best and median seconds of ``repeats`` calls of ``fn``."""
-    times = []
+def _interleaved(figures, repeats):
+    """Best and median seconds of each of ``figures``, a dict of key to
+    ``(backend, prepare)``, over ``repeats`` rounds.  Each round takes the
+    figures in turn: it binds the figure's backend and calls ``prepare``,
+    both untimed, then times one call of the function ``prepare``
+    returns."""
+    times = {key: [] for key in figures}
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return np.array([min(times), np.median(times)])
+        for key, (backend, prepare) in figures.items():
+            kernels.use_backend(backend)
+            call = prepare()
+            t0 = time.perf_counter()
+            call()
+            times[key].append(time.perf_counter() - t0)
+    return {key: np.array([min(t), np.median(t)]) for key, t in times.items()}
 
 
-def bench_kernels(h, j, repeats):
-    """Best and median seconds of J x, J.T y and H x."""
+def csr_figures(h, j):
+    """Calls of J x, J.T y and H x, as ``prepare`` functions of
+    :func:`_interleaved`."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal(j.cols)
     xt = rng.standard_normal(j.rows)
     out = np.empty(j.rows)
     out_t = np.empty(j.cols)
     out_h = np.empty(h.rows)
-    fwd = _time(lambda: kernels.csr_matvec(j.indptr, j.indices, j.data, x,
-                                           out), repeats)
-    rev = _time(lambda: kernels.csr_rmatvec(j.indptr, j.indices, j.data, xt,
-                                            out_t), repeats)
-    hfwd = _time(lambda: kernels.csr_matvec(h.indptr, h.indices, h.data, x,
-                                            out_h), repeats)
-    return fwd, rev, hfwd
+    return (lambda: lambda: kernels.csr_matvec(j.indptr, j.indices, j.data,
+                                               x, out),
+            lambda: lambda: kernels.csr_rmatvec(j.indptr, j.indices, j.data,
+                                                xt, out_t),
+            lambda: lambda: kernels.csr_matvec(h.indptr, h.indices, h.data,
+                                               x, out_h))
 
 
-def bench_minres_step(h, j, steps, repeats):
-    """Best and median seconds per MINRES step: the times of ``repeats``
-    solves of at most ``steps`` steps, divided by the steps one took."""
+def minres_step_figure(h, j, steps, taken):
+    """A solve of at most ``steps`` steps taken by ``MinresState.step``;
+    each solve appends the steps it took to ``taken``."""
     op = KktOperator(h, j)
     rng = np.random.default_rng(1)
     rhs = (rng.standard_normal(op.n), rng.standard_normal(op.m))
-    taken = []
 
     def solve():
         state = MinresState(op, rhs)
@@ -108,29 +120,25 @@ def bench_minres_step(h, j, steps, repeats):
             state.step()
         taken.append(state.iteration)
 
-    return _time(solve, repeats) / max(taken[0], 1)
+    return lambda: solve
 
 
-def bench_cg(problem, j, repeats):
-    """Best and median seconds per iteration of the multiplier CG, for
-    ``kernels.cg`` and for the numpy loop ``kernels.reference.cg`` on
-    the active backend's products, and the iterations of one solve."""
+def cg_figure(loop, problem, j, taken):
+    """A multiplier-CG solve by ``kernels.cg``, or by the numpy loop
+    ``kernels.reference.cg`` on the bound backend's products if ``loop``;
+    each appends its iterations to ``taken``."""
     b = -j.apply(problem.eval_grad_f(problem.x0))
     threshold = max(MULTIPLIER_REL_TOL * float(np.linalg.norm(b)),
                     MULTIPLIER_ABS_FLOOR)
     y = np.empty(j.rows)
-    taken = []
 
-    def per_iteration(cg):
-        return _time(lambda: taken.append(cg(
-            j.indptr, j.indices, j.data, j.cols, False, b, y, threshold,
-            cg_max_iter(j.rows))[0]), repeats) / max(taken[0], 1)
+    def prepare():
+        cg = kernels.reference.cg if loop else kernels.cg
+        return lambda: taken.append(cg(j.indptr, j.indices, j.data, j.cols,
+                                       False, b, y, threshold,
+                                       cg_max_iter(j.rows))[0])
 
-    cg = per_iteration(kernels.cg)
-    # the numpy backend's cg is the loop itself
-    loop = cg if kernels.cg is kernels.reference.cg \
-        else per_iteration(kernels.reference.cg)
-    return cg, loop, taken[0]
+    return prepare
 
 
 def first_tangential_solve(problem):
@@ -156,45 +164,70 @@ def first_tangential_solve(problem):
     return captured[0]
 
 
-def bench_tangential(solve_args, repeats):
-    """Best and median seconds of ``repeats`` runs of the captured
-    tangential solve, each from a fresh copy of its start state (the
-    copy is not timed), and the steps one run took."""
+def tangential_figure(solve_args, outcomes):
+    """The captured tangential solve from a fresh copy of its start state
+    (the copy is made untimed); each run appends its outcome to
+    ``outcomes``."""
     args = list(solve_args)
     work, scal = args[7], args[8]
-    times, taken = [], []
-    for _ in range(repeats):
+
+    def prepare():
         args[7], args[8] = work.copy(), scal.copy()
-        t0 = time.perf_counter()
-        out = kernels.tangential_solve(*args)
-        times.append(time.perf_counter() - t0)
-        taken.append(out[0])
-    return np.array([min(times), np.median(times)]), taken[0]
+        return lambda: outcomes.append(kernels.tangential_solve(*args))
+
+    return prepare
 
 
 def bench_problem(label, problem, args):
     """Prints, per backend, the J matvec and rmatvec, the H matvec, one
     MINRES step, one multiplier-CG iteration and one tangential solve on
     ``problem``; returns one JSON record per backend, keyed by
-    ``label``."""
+    ``label`` and the problem's name."""
     problem, h, j = _build(problem)
     print(f"\nproblem {problem.name}: n={problem.n} m={problem.m}"
           f" jacobian nnz={j.nnz} hessian nnz={h.nnz}")
     solve_args = first_tangential_solve(problem)
-    results, loops, per_step, records = {}, {}, {}, []
+    figures, counts = {}, {}
     for name in kernels.available_backends():
         kernels.use_backend(name)
-        fwd, rev, hfwd = bench_kernels(h, j, args.repeats)
-        step = bench_minres_step(h, j, args.minres_steps, args.repeats)
-        cg, loops[name], iterations = bench_cg(problem, j, args.repeats)
-        tangential, steps = bench_tangential(solve_args, args.repeats)
+        taken = counts[name] = {"step": [], "cg": [], "loop": [],
+                                "tangential": []}
+        for title, prepare in zip(TITLES, csr_figures(h, j)):
+            figures[name, title] = name, prepare
+        figures[name, "minres step"] = name, minres_step_figure(
+            h, j, args.minres_steps, taken["step"])
+        figures[name, "cg iter"] = name, cg_figure(False, problem, j,
+                                                   taken["cg"])
+        # the numpy backend's cg is the loop itself
+        if kernels.cg is not kernels.reference.cg:
+            figures[name, "cg loop"] = name, cg_figure(True, problem, j,
+                                                       taken["loop"])
+        figures[name, "tangential"] = name, tangential_figure(
+            solve_args, taken["tangential"])
+    times = _interleaved(figures, args.repeats)
+
+    results, loops, per_step, records = {}, {}, {}, []
+    for name, taken in counts.items():
+        fwd, rev, hfwd = (times[name, title] for title in TITLES[:3])
+        step = times[name, "minres step"] / max(taken["step"][0], 1)
+        cg = times[name, "cg iter"] / max(taken["cg"][0], 1)
+        loops[name] = times[name, "cg loop"] / max(taken["loop"][0], 1) \
+            if taken["loop"] else cg
+        tangential = times[name, "tangential"]
+        out = taken["tangential"][0]
+        steps = out[0]
+        # a kernel whose outcome has no count of residuals formed (an
+        # older revision, timed for comparison) formed one every step
+        formed = out[9] if len(out) > 9 else steps
         per_step[name] = tangential / max(steps, 1)
         # two KKT applies: twice J x + J.T y + H x
         results[name] = (fwd, rev, hfwd, 2 * (fwd + rev + hfwd), step, cg,
                          tangential)
-        records.append({**label, "n": problem.n, "m": problem.m,
-                        "backend": name, "cg_iterations": iterations,
-                        "tangential_steps": steps}
+        records.append({**label, "problem": problem.name, "n": problem.n,
+                        "m": problem.m, "backend": name,
+                        "cg_iterations": taken["cg"][0],
+                        "tangential_steps": steps,
+                        "residuals_per_step": formed / max(steps, 1)}
                        | {key: (t * 1e6).tolist() for key, t in
                           zip(RECORD_KEYS, results[name]
                               + (loops[name], per_step[name]))})
@@ -211,8 +244,9 @@ def bench_problem(label, problem, args):
           + ", ".join(f"{r['cg_iterations']} iterations ({r['backend']})"
                       for r in records))
     print("tangential is one solve of "
-          + ", ".join(f"{r['tangential_steps']} steps ({r['backend']})"
-                      for r in records)
+          + ", ".join(f"{r['tangential_steps']} steps forming"
+                      f" {r['residuals_per_step']:.3f} residuals per step"
+                      f" ({r['backend']})" for r in records)
           + "; per step, best/median: "
           + ", ".join(f"{name} {best * 1e6:.2f}/{median * 1e6:.2f}"
                       for name, (best, median) in sorted(per_step.items())))
@@ -240,6 +274,10 @@ def main(argv=None):
     parser.add_argument("--qp", action="store_true",
                         help="also time the matrices of the qp_gaussian"
                              " profile")
+    parser.add_argument("--neumann", type=int, nargs="+", default=[],
+                        metavar="MESH",
+                        help="also time the Neumann control problem at"
+                             " these meshes")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the figures to PATH as JSON")
     args = parser.parse_args(argv)
@@ -249,8 +287,11 @@ def main(argv=None):
     active = kernels.active_backend()
     try:
         problems = [({"mesh": mesh, "profile": None},
-                     build_poisson_control(ControlProblemSpec(mesh_size=mesh)))
-                    for mesh in args.mesh]
+                     build(ControlProblemSpec(mesh_size=mesh)))
+                    for build, meshes in ((build_poisson_control, args.mesh),
+                                          (build_neumann_control,
+                                           args.neumann))
+                    for mesh in meshes]
         if args.qp:
             problems.append(({"mesh": None, "profile": "qp_gaussian"},
                              build_problem(load_config("qp_gaussian"))))

@@ -544,7 +544,8 @@ def _tangential_solve(h, j, rhs_top, vecs, tests, kappa):
 
     Returns (state, outcome, record): the MINRES state, whose views hold
     the accepted candidate (no step follows it); the kernel's outcome
-    tuple; and the rung record of its steps, its breakdown and stall
+    tuple; and the rung record of its steps, the residuals it formed
+    (so the KKT products are steps + residuals), its breakdown and stall
     flags, its final residual norm and, under ``rejected``, the gated
     candidates that condition b, a or c, or both tests after them,
     turned down.
@@ -555,9 +556,10 @@ def _tangential_solve(h, j, rhs_top, vecs, tests, kappa):
     cap = max(kappa * mstate.resid_norm_inf, MINRES_ABS_FLOOR)
     out = mstate.run(max(1, int(MINRES_MAX_ITER_SCALE * op.dim)), vecs,
                      (cap, *tests))
-    steps, _, _, breakdown, stalled, *_, rejected = out
-    return mstate, out, {"minres_iters": steps, "breakdown": breakdown,
-                         "stalled": stalled, "resid_norm": mstate.resid_norm,
+    steps, _, _, breakdown, stalled, *_, rejected, residuals = out
+    return mstate, out, {"minres_iters": steps, "residuals": residuals,
+                         "breakdown": breakdown, "stalled": stalled,
+                         "resid_norm": mstate.resid_norm,
                          "rejected": dict(zip(("b", "a", "c", "tests"),
                                               rejected))}
 
@@ -655,7 +657,7 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
                                                 tests, cfg.kappa)
         total_minres += record["minres_iters"]
         rungs.append({"rung": rung, **record})
-        _, tt1, tt2, _, _, g_dot_d, max_term, norm_c_plus_jd, _ = out
+        _, tt1, tt2, _, _, g_dot_d, max_term, norm_c_plus_jd, *_ = out
         if tt1 or tt2:
             break
     else:

@@ -57,6 +57,9 @@ EPS_U = 5e-9  # curvature threshold: max(u'Hu, EPS_U ||u||^2)
 SIGMA_U = 1.0 - 1e-12  # model reduction's share of the curvature term
 SIGMA_C = 0.1  # and of the normal decrease; SIGMA_C < EPS_R
 EPS_R = 1.0 - 1e-4  # share of the normal decrease that test 2 retains
+# a gated solve forms no residual at a step whose phibar is above
+# RESID_SKIP_MARGIN sqrt(n + m) cap, where ||r||_inf > cap
+RESID_SKIP_MARGIN = 2.0
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_csrkern.c")
@@ -70,7 +73,7 @@ _EXTRA_COMPILE_ARGS = ["-O3", "-ffp-contract=off"] + [
     for name, value in ((name, globals()[name]) for name in (
         "BREAKDOWN_TOL", "STALL_WINDOW", "STALL_IMPROVEMENT", "KAPPA_RHO",
         "KAPPA_R", "KAPPA_U", "KAPPA_V", "EPS_U", "SIGMA_U", "SIGMA_C",
-        "EPS_R"))]
+        "EPS_R", "RESID_SKIP_MARGIN"))]
 
 
 def _cached_path():

@@ -14,7 +14,7 @@
  *                      j_indptr, j_indices, j_data, rhs, work, scal,
  *                      vecs, tests, max_iter)
  *                 -> (steps, tt1, tt2, breakdown, stalled, g_dot_d,
- *                     max_term, norm_c_plus_jd, rejected)
+ *                     max_term, norm_c_plus_jd, rejected, formed)
  *                 up to max_iter MINRES steps on K z = -rhs,
  *                 K z = (H u + J.T delta, J u) for z = (u, delta), with
  *                 the breakdown and stall rules, each gated iterate
@@ -52,6 +52,19 @@
  * pointer rather than copying them.  Before the call returns it puts
  * them back into the numpy step's layout, so ``work`` leaves every call
  * with the bytes that the numpy step leaves.
+ * A solve with the termination tests forms the true residual only on
+ * steps where the gate ||r||_inf <= cap can pass.  ||r||_inf >=
+ * ||r||_2 / sqrt(n + m), and the phibar of the recurrence tracks
+ * ||r||_2, so a step whose phibar is above RESID_SKIP_MARGIN sqrt(n + m)
+ * cap skips the residual product and its 2-norm: the step costs one KKT
+ * product instead of two.  The gate reads inf for such a step.  Steps
+ * that end a stall window or break down form the residual all the same,
+ * as does the call before it returns, so the rules, the tests and the
+ * caller only ever read a true residual.  While phibar stays below
+ * RESID_SKIP_MARGIN ||r||_2 (on the mesh-8 control systems of the tests
+ * it stays within 0.1% of it), the solve accepts the iterates of one
+ * that forms every residual.  A solve without the tests forms it at
+ * every step.
  * The MINRES step, the termination tests and ``cg`` take their dot
  * products from numpy's own float64 ``dotfunc``, the function
  * ``ndarray.dot`` calls for 1-D vectors, their norms as the square root
@@ -62,9 +75,10 @@
  * and stall rules of a MINRES solve live in ``tangential_solve`` alone:
  * ``sisqo.krylov.MinresState`` steps through it.  Their constants and
  * those of the termination tests (BREAKDOWN_TOL, STALL_WINDOW, ...,
- * EPS_R) are macros that ``sisqo.kernels`` defines when it builds this
- * file on first import, from its module constants of the same names; a
- * build by hand passes ``sisqo.kernels._EXTRA_COMPILE_ARGS`` too.
+ * RESID_SKIP_MARGIN) are macros that ``sisqo.kernels`` defines when it
+ * builds this file on first import, from its module constants of the
+ * same names; a build by hand passes ``sisqo.kernels._EXTRA_COMPILE_ARGS``
+ * too.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -374,22 +388,26 @@ dot(const double *a, const double *b, Py_ssize_t len)
 /* The rows of ``work`` as the steps of one call reach them.  The Lanczos
  * rows r1, r2, y and the direction rows w, w2 rotate by pointer rather
  * than being copied; ``taken`` counts the steps, and so the turns, and
- * restore_rows puts the rows back before the call returns. */
+ * restore_rows puts the rows back before the call returns.  ``formed``
+ * counts the residuals formed, and ``stale`` is set while the residual
+ * row lags the iterate. */
 typedef struct {
     double *v, *r1, *r2, *y, *w, *w2, *z, *resid;
-    Py_ssize_t taken;
+    Py_ssize_t taken, formed;
+    int stale;
 } minres_rows;
 
 /* One MINRES step on the state in ``rows`` and ``scal`` (see
- * tangential_solve_doc); scal[S_BETA] must be nonzero. */
+ * tangential_solve_doc), up to the new iterate: the residual's row and
+ * slots are left to form_residual.  scal[S_BETA] must be nonzero. */
 static void
-step(const kkt_op *op, const double *rhs, minres_rows *rows, double *scal)
+step(const kkt_op *op, minres_rows *rows, double *scal)
 {
     const Py_ssize_t dim = op->n + op->m;
     double *v = rows->v, *r1 = rows->r1, *r2 = rows->r2, *y = rows->y,
         *w = rows->w, *w2 = rows->w2, *z = rows->z;
     double beta, oldb, dbar, oldeps, phibar, cs, sn, alfa, s, delta, gbar,
-        gamma, phi, wn, rnorm, rinf;
+        gamma, phi, wn;
     Py_ssize_t i;
 
     /* Lanczos: v = r2 / beta, y = K v - (beta / oldb) r1 - alfa / beta r2
@@ -442,21 +460,33 @@ step(const kkt_op *op, const double *rhs, minres_rows *rows, double *scal)
     rows->w = w2;
     rows->w2 = w;
 
-    /* the true residual K z + rhs, its infinity norm taken as the
-     * product writes it, and its 2-norm.  A sum of squares is NaN exactly
-     * when a term is, so a NaN 2-norm stands in for the infinity norm,
-     * as np.max returns NaN for an array holding one. */
-    rinf = kkt_product(op, z, rows->resid, KKT_PLUS_TAIL, rhs, 0.0);
-    rnorm = sqrt(dot(rows->resid, rows->resid, dim));
-
     scal[S_BETA] = beta;
     scal[S_OLDB] = oldb;
     scal[S_CS] = cs;
     scal[S_SN] = sn;
     scal[S_STEPS] += 1.0;
+    rows->taken++;
+}
+
+/* The true residual K z + rhs into its row, its infinity norm taken as
+ * the product writes it, and its 2-norm; then the least residual.  A sum
+ * of squares is NaN exactly when a term is, so a NaN 2-norm stands in
+ * for the infinity norm, as np.max returns NaN for an array holding
+ * one. */
+static void
+form_residual(const kkt_op *op, const double *rhs, minres_rows *rows,
+              double *scal)
+{
+    double rinf, rnorm;
+
+    rinf = kkt_product(op, rows->z, rows->resid, KKT_PLUS_TAIL, rhs, 0.0);
+    rnorm = sqrt(dot(rows->resid, rows->resid, op->n + op->m));
     scal[S_RNORM] = rnorm;
     scal[S_RINF] = isnan(rnorm) ? rnorm : rinf;
-    rows->taken++;
+    if (rnorm < scal[S_BEST])
+        scal[S_BEST] = rnorm;
+    rows->stale = 0;
+    rows->formed++;
 }
 
 /* Put the rows of ``work`` back where the numpy step leaves them: r1 and
@@ -537,23 +567,37 @@ get_minres_args(PyObject **objs, char **names, kkt_op *op)
  * solve broke down or stalled, and none but the breakdown flag when the
  * residual or the right-hand side is zero.  Then the rules: breakdown
  * below BREAKDOWN_TOL, and a stall when the least residual falls by less
- * than the share STALL_IMPROVEMENT over STALL_WINDOW steps. */
+ * than the share STALL_IMPROVEMENT over STALL_WINDOW steps.  The residual
+ * is formed unless phibar, the 2-norm the recurrence carries, is above
+ * ``skip_above``, where the iterate cannot pass the gate; a step that
+ * ends a window or breaks down forms it all the same, so the rules read
+ * true residuals.  A skipped step leaves the 2-norm and the least
+ * residual as they were and sets the infinity norm to inf, which the
+ * gate rejects. */
 static void
 guarded_step(const kkt_op *op, const double *rhs, minres_rows *rows,
-             double *scal)
+             double *scal, double skip_above)
 {
+    int window_end;
+
     if (scal[S_BREAKDOWN] != 0.0 || scal[S_STALLED] != 0.0)
         return;
     if (scal[S_RNORM] == 0.0 || scal[S_BETA1] == 0.0) {
         scal[S_BREAKDOWN] = 1.0;
         return;
     }
-    step(op, rhs, rows, scal);
+    step(op, rows, scal);
     if (scal[S_BETA] < BREAKDOWN_TOL)
         scal[S_BREAKDOWN] = 1.0;
-    if (scal[S_RNORM] < scal[S_BEST])
-        scal[S_BEST] = scal[S_RNORM];
-    if ((Py_ssize_t)scal[S_STEPS] % STALL_WINDOW == 0) {
+    window_end = (Py_ssize_t)scal[S_STEPS] % STALL_WINDOW == 0;
+    if (scal[S_PHIBAR] > skip_above && scal[S_BREAKDOWN] == 0.0
+        && !window_end) {
+        scal[S_RINF] = INFINITY;
+        rows->stale = 1;
+    }
+    else
+        form_residual(op, rhs, rows, scal);
+    if (window_end) {
         if (scal[S_BEST] > (1.0 - STALL_IMPROVEMENT) * scal[S_WINDOW])
             scal[S_STALLED] = 1.0;
         scal[S_WINDOW] = scal[S_BEST];
@@ -642,7 +686,11 @@ PyDoc_STRVAR(tangential_solve_doc,
 "but the breakdown flag when ||r|| or beta1 is zero; then, if vecs is\n"
 "not None and not ||r||_inf > cap, conditions b, a and c and tests 1\n"
 "and 2 for the iterate; the loop ends at an accepted iterate, then at a\n"
-"breakdown or stall.  K = [[H, J.T], [J, 0]], with H n-by-n and J\n"
+"breakdown or stall.  With vecs, a step whose phibar is above\n"
+"RESID_SKIP_MARGIN sqrt(n + m) cap forms no residual unless it breaks\n"
+"down or ends a stall window: its infinity norm reads inf, the 2-norm\n"
+"and the least residual stay, and the call forms the residual before\n"
+"it returns.  K = [[H, J.T], [J, 0]], with H n-by-n and J\n"
 "m-by-n in CSR form; n and m are read from the indptr lengths.  work\n"
 "holds eight vectors of length dim = n + m, in this order: v, r1, r2, y,\n"
 "w, w2, the iterate z and the residual K z + rhs.  scal holds beta, the\n"
@@ -655,11 +703,13 @@ PyDoc_STRVAR(tangential_solve_doc,
 "decrease); both are None or neither.  The rules' and the tests'\n"
 "constants are those of sisqo.kernels at build time.\n"
 "Returns (steps, tt1, tt2, breakdown, stalled, g_dot_d, max_term,\n"
-"norm_c_plus_jd, rejected): the t it stopped at, the tests' outcomes for\n"
-"the accepted iterate (False if none), the flags, g'd, max(u'Hu,\n"
-"eps_u ||u||^2) and ||c + Jd|| of the last iterate to pass conditions b\n"
-"and a (NaN if none), and the counts of iterates rejected by condition\n"
-"b, a or c, and by the tests after passing all three.");
+"norm_c_plus_jd, rejected, formed): the t it stopped at, the tests'\n"
+"outcomes for the accepted iterate (False if none), the flags, g'd,\n"
+"max(u'Hu, eps_u ||u||^2) and ||c + Jd|| of the last iterate to pass\n"
+"conditions b and a (NaN if none), the counts of iterates rejected by\n"
+"condition b, a or c, and by the tests after passing all three, and\n"
+"the count of residuals formed, so the KKT products number steps +\n"
+"formed.");
 
 static PyObject *
 tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -675,7 +725,7 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
     candidate found = {0, 0, NAN, NAN, NAN};
     Py_ssize_t max_iter, t, dim, rejected[4] = {0, 0, 0, 0};
     const double *rhs, *vecs = NULL;
-    double *work, *scal, *hu = NULL;
+    double *work, *scal, *hu = NULL, skip_above = INFINITY;
     int verdict;
 
     if (!PyArg_ParseTupleAndKeywords(
@@ -717,6 +767,8 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
             return NULL;
         }
         vecs = DATA(vecs_obj);
+        /* above this phibar, ||r||_inf > cap: see the header */
+        skip_above = RESID_SKIP_MARGIN * sqrt((double)(op.n + op.m)) * p.cap;
         /* scratch: H u, the stationarity residual and c + J d */
         if ((hu = PyMem_Malloc((2 * op.n + op.m) * sizeof(double)))
             == NULL)
@@ -728,11 +780,11 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
     dim = op.n + op.m;
     rows = (minres_rows){work, work + dim, work + 2 * dim, work + 3 * dim,
                          work + 4 * dim, work + 5 * dim, work + 6 * dim,
-                         work + 7 * dim, 0};
+                         work + 7 * dim, 0, 0, 0};
 
     for (t = 0;; t++) {
         if (t > 0)
-            guarded_step(&op, rhs, &rows, scal);
+            guarded_step(&op, rhs, &rows, scal, skip_above);
         if (vecs != NULL && !(scal[S_RINF] > p.cap)) {
             verdict = evaluate(&op, work, vecs, &p, hu, hu + op.n,
                                hu + 2 * op.n, &found);
@@ -744,16 +796,21 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
             || t == max_iter)
             break;
     }
+    /* only a step at t == max_iter ends the loop with a stale row */
+    if (rows.stale)
+        form_residual(&op, rhs, &rows, scal);
     restore_rows(&rows, work, dim);
     PyMem_Free(hu);
     /* a candidate that passed a test was accepted, so tt1 and tt2 are
      * still 0 unless the loop stopped at an accepted one */
-    return Py_BuildValue("nOOOOddd(nnnn)", t, found.tt1 ? Py_True : Py_False,
+    return Py_BuildValue("nOOOOddd(nnnn)n", t,
+                         found.tt1 ? Py_True : Py_False,
                          found.tt2 ? Py_True : Py_False,
                          scal[S_BREAKDOWN] != 0.0 ? Py_True : Py_False,
                          scal[S_STALLED] != 0.0 ? Py_True : Py_False,
                          found.g_dot_d, found.max_term, found.norm_c_plus_jd,
-                         rejected[0], rejected[1], rejected[2], rejected[3]);
+                         rejected[0], rejected[1], rejected[2], rejected[3],
+                         rows.formed);
 }
 
 PyDoc_STRVAR(cg_doc,

@@ -11,8 +11,9 @@ whichever backend is active, so with the compiled backend active each
 agrees bit for bit with its compiled twin.
 
 ``tangential_solve`` holds the one statement of the tangential step's
-termination tests in Python, and, with its twin, the MINRES step and the
-breakdown and stall rules of a MINRES solve.  It reads the rules' and the
+termination tests in Python, and, with its twin, the MINRES step, the
+breakdown and stall rules of a MINRES solve and the rule that skips the
+residual product where the gate cannot pass.  It reads the rules' and the
 tests' constants from ``sisqo.kernels`` at each call; the compiled twin
 has them as macros from the same constants at build time.
 """
@@ -60,20 +61,20 @@ def _kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,
         kernels.csr_matvec(j_indptr, j_indices, j_data, z[:n], bot)
 
 
-def _minres_step(csr, rhs, work, scal):
+def _minres_step(csr, work, scal):
     """One MINRES step on ``K z = -rhs``, K as in :func:`_kkt_apply` for
-    the six CSR arrays ``csr``; ``work`` and ``scal[:10]`` as
-    :func:`tangential_solve` takes them, updated in place.
-    ``scal[0]`` must be nonzero.
+    the six CSR arrays ``csr``, up to the new iterate; ``work`` and
+    ``scal[:8]`` as :func:`tangential_solve` takes them, updated in
+    place, and the residual row left as scratch for
+    :func:`_form_residual`.  ``scal[0]`` must be nonzero.
     """
-    dim = rhs.shape[0]
-    vec, r1, r2, y, w, w2, z, resid = work.reshape(8, dim)
+    vec, r1, r2, y, w, w2, z, resid = work.reshape(8, -1)
     beta, oldb, dbar, oldeps, phibar, cs, sn, steps = scal[:8].tolist()
     # r2 holds the latest unnormalized Lanczos vector.  Every vector
     # operation writes into a row of ``work`` (positional out=; the
-    # residual row is scratch until the residual is recomputed), and the
-    # scalars are Python floats: the same IEEE operations in the same
-    # order as the textbook form, with less call overhead.
+    # residual row is scratch), and the scalars are Python floats: the
+    # same IEEE operations in the same order as the textbook form, with
+    # less call overhead.
     np.multiply(1.0 / beta, r2, vec)
     _kkt_apply(*csr, vec, y)
     if steps >= 1:
@@ -103,13 +104,7 @@ def _minres_step(csr, rhs, work, scal):
     w2[:] = w
     w[:] = resid
     z += np.multiply(phi, w, resid)
-
-    # true residual, recomputed from the operator every step
-    _kkt_apply(*csr, z, resid)
-    resid += rhs
-    scal[:10] = (beta, oldb, dbar, epsln, phibar, cs, sn, steps + 1,
-               math.sqrt(float(resid.dot(resid))),
-               float(np.max(np.abs(resid))) if dim else 0.0)
+    scal[:8] = (beta, oldb, dbar, epsln, phibar, cs, sn, steps + 1)
 
 
 # the slots of tangential_solve's scal past the ten of one MINRES step:
@@ -119,26 +114,51 @@ _BETA1, _BEST, _WINDOW, _BREAKDOWN, _STALLED = range(10, 15)
 _SCAL_LEN = 15
 
 
-def _guarded_step(csr, rhs, work, scal):
+def _form_residual(csr, rhs, work, scal):
+    """The true residual ``K z + rhs`` into the residual row of ``work``,
+    its 2-norm and infinity norm into ``scal[8:10]``, and the least
+    residual updated."""
+    dim = rhs.shape[0]
+    z, resid = work[6 * dim:7 * dim], work[7 * dim:]
+    _kkt_apply(*csr, z, resid)
+    resid += rhs
+    rnorm = math.sqrt(float(resid.dot(resid)))
+    scal[8:10] = rnorm, float(np.max(np.abs(resid))) if dim else 0.0
+    if rnorm < scal[_BEST]:
+        scal[_BEST] = rnorm
+
+
+def _guarded_step(csr, rhs, work, scal, skip_above):
     """One step of a solve, as ``MinresState.step`` takes it: none once the
     solve broke down or stalled, and none but the breakdown flag when the
     residual or the right-hand side is zero; then the breakdown and stall
-    rules of ``sisqo.kernels``."""
+    rules of ``sisqo.kernels``.  The residual is formed unless phibar is
+    above ``skip_above`` and the step neither breaks down nor ends a
+    window; a skipped step sets the infinity norm to inf and leaves the
+    2-norm and the least residual.  Returns None if it took no step,
+    else whether it formed the residual."""
     if scal[_BREAKDOWN] or scal[_STALLED]:
-        return
+        return None
     if scal[8] == 0.0 or scal[_BETA1] == 0.0:
         scal[_BREAKDOWN] = 1.0
-        return
-    _minres_step(csr, rhs, work, scal)
-    beta, steps, rnorm, best = scal[[0, 7, 8, _BEST]].tolist()
+        return None
+    _minres_step(csr, work, scal)
+    beta, phibar, steps = scal[[0, 4, 7]].tolist()
     if beta < kernels.BREAKDOWN_TOL:
         scal[_BREAKDOWN] = 1.0
-    if rnorm < best:
-        scal[_BEST] = best = rnorm
-    if int(steps) % kernels.STALL_WINDOW == 0:
+    window_end = int(steps) % kernels.STALL_WINDOW == 0
+    formed = not (phibar > skip_above and not scal[_BREAKDOWN]
+                  and not window_end)
+    if formed:
+        _form_residual(csr, rhs, work, scal)
+    else:
+        scal[9] = math.inf
+    if window_end:
+        best = float(scal[_BEST])
         if best > (1.0 - kernels.STALL_IMPROVEMENT) * float(scal[_WINDOW]):
             scal[_STALLED] = 1.0
         scal[_WINDOW] = best
+    return formed
 
 
 def _candidate(h_csr, u, rho, r, vecs, tests):
@@ -211,7 +231,11 @@ def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
     down or stalled and none but the breakdown flag when ||r|| or beta1
     is zero; then, if ``vecs`` is not None and not ``||r||_inf > cap``,
     :func:`_candidate` for the iterate.  The loop ends at an accepted
-    iterate, then at a breakdown or stall.
+    iterate, then at a breakdown or stall.  With ``vecs``, a step whose
+    phibar is above ``RESID_SKIP_MARGIN sqrt(n + m) cap``, where
+    ``||r||_inf > cap`` follows, forms no residual unless it breaks down
+    or ends a stall window (:func:`_guarded_step`); the residual is
+    formed before the call returns.
 
     K = [[H, J.T], [J, 0]], with H n-by-n and J m-by-n in CSR form.
     ``work`` holds eight vectors of length dim = n + m, in this order:
@@ -225,11 +249,11 @@ def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
     ||c||, normal decrease)``; both are None or neither.
 
     Returns ``(steps, tt1, tt2, breakdown, stalled, g_dot_d, max_term,
-    norm_c_plus_jd, rejected)``: the t it stopped at, the tests' outcomes
-    for the accepted iterate (False if none), the flags, the parts of the
-    last iterate to pass conditions b and a (NaN if none), and the counts
-    of iterates rejected by condition b, a or c, and by the tests after
-    passing all three.
+    norm_c_plus_jd, rejected, formed)``: the t it stopped at, the tests'
+    outcomes for the accepted iterate (False if none), the flags, the
+    parts of the last iterate to pass conditions b and a (NaN if none),
+    the counts of iterates rejected by condition b, a or c, and by the
+    tests after passing all three, and the count of residuals formed.
     """
     n, m = h_indptr.shape[0] - 1, j_indptr.shape[0] - 1
     dim = n + m
@@ -249,10 +273,18 @@ def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
     rejected = [0, 0, 0, 0]
     tt1 = tt2 = False
     parts = (math.nan,) * 3
+    # ||r||_inf >= ||r||_2 / sqrt(dim), and phibar stays close to ||r||_2,
+    # so above this phibar ||r||_inf > cap
+    skip_above = math.inf if vecs is None \
+        else kernels.RESID_SKIP_MARGIN * math.sqrt(dim) * tests[0]
+    formed, stale = 0, False
     t = 0
     while True:
         if t:
-            _guarded_step(csr, rhs, work, scal)
+            stepped = _guarded_step(csr, rhs, work, scal, skip_above)
+            if stepped is not None:
+                formed += stepped
+                stale = not stepped
         if vecs is not None and not scal[9] > tests[0]:
             rejected_by, tt1, tt2, found = _candidate(csr[:3], u, rho, r,
                                                       vecs, tests)
@@ -264,8 +296,12 @@ def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
         if scal[_BREAKDOWN] or scal[_STALLED] or t == max_iter:
             break
         t += 1
+    # only a step at t == max_iter ends the loop with a stale row
+    if stale:
+        _form_residual(csr, rhs, work, scal)
+        formed += 1
     return (t, tt1, tt2, bool(scal[_BREAKDOWN]), bool(scal[_STALLED]),
-            *parts, tuple(rejected))
+            *parts, tuple(rejected), formed)
 
 
 def cg(indptr, indices, data, ncols, normal, b, x, threshold, max_iter):

@@ -28,18 +28,26 @@ live in :mod:`sisqo.kernels`; one
 :meth:`MinresState.step` is one call of it for a single step, and
 :meth:`MinresState.run` one call for a whole truncated solve, which
 checks the termination tests at each gated iterate in the same loop.
-The residual pair is recomputed from the operator at every step (one
-extra apply), so the reported residual is always the true one; this
-subsumes the periodic drift-guard recompute that recurrence-based
-residuals need.  Carrying the residual by the MINRES recurrence instead
-(Choi, Paige & Saunders, SIAM J. Sci. Comput. 33(4), 2011) replaces that
-apply with one vector update: in the compiled step of commit 9c53fd6,
-before its passes were fused, a mesh-16 Poisson step took 8.8 against
-11.5 us and a mesh-32 one 33 against 45 us (2-core Intel Xeon VM shared
-with other jobs, best of 40 x 200 steps; single runs vary by up to
-30%).  It is not done, because the termination tests
-and the stall detector would then read a residual that drifts from the
-true one, which changes which iterate is accepted.
+The residual pair is recomputed from the operator (one extra apply)
+wherever it is read, so the reported residual is always the true one;
+this subsumes the periodic drift-guard recompute that recurrence-based
+residuals need.  A step of :meth:`MinresState.step` forms it every
+time.  Within :meth:`MinresState.run` with the tests, a step forms it
+only where the gate ``||r||_inf <= cap`` can pass: the 2-norm phibar
+that the recurrence carries (Paige & Saunders, SIAM J. Numer. Anal.
+12(4), 1975) bounds ``||r||_inf`` from below through ``||r||_2 /
+sqrt(n + m)``, so a step whose phibar is above ``RESID_SKIP_MARGIN
+sqrt(n + m) cap`` cannot pass and makes one apply, not two.  Steps that
+end a stall window or break down, and the last step of the call, form
+the residual all the same, so the stall and breakdown rules, the tests
+and the caller read true residuals, and the accepted iterates are those
+of a solve that forms every residual.  On the benchmark's seeded runs
+the skip took 51% of the steps' residuals on poisson16, 83% on
+neumann16_pair and 0.9% on qp_gaussian.  Carrying the residual vector
+itself by the recurrence (Choi, Paige & Saunders, SIAM J. Sci. Comput.
+33(4), 2011) would drop the apply on the remaining steps too, but the
+tests and the stall rule would then read a residual that drifts from
+the true one, which changes which iterate is accepted.
 """
 
 import logging
@@ -154,7 +162,9 @@ class MinresState:
         the next :meth:`step`; copy what must outlive it.
     resid_norm, resid_norm_inf : float
         Euclidean and infinity norms of the stacked residual (recomputed,
-        true); the infinity norm is NaN if the residual holds one.
+        true: :meth:`run` forms the residual before it returns, whatever
+        steps it skipped); the infinity norm is NaN if the residual holds
+        one.
     iteration : int
         Number of completed steps.
     breakdown : bool
@@ -205,8 +215,10 @@ class MinresState:
         """Up to ``max_iter`` steps, none once converged, by one call of
         :func:`sisqo.kernels.tangential_solve`; with ``vecs`` and
         ``tests``, it also checks the termination tests at each gated
-        iterate, from the current one on, and stops at the first they
-        accept.  Returns the kernel's outcome tuple."""
+        iterate, from the current one on, stops at the first they
+        accept, and forms the residual only on steps where the gate can
+        pass.  Returns the kernel's outcome tuple, whose last entry
+        counts the residuals formed."""
         out = kernels.tangential_solve(*self.op.csr, self.rhs, self._work,
                                        self._scal, vecs, tests, max_iter)
         (*_, steps, self.resid_norm, self.resid_norm_inf, _, _, _, breakdown,

@@ -242,14 +242,26 @@ def candidate_tests(g, c, j, v, y, h, u, delta, rho, r, cfg, tau_prev=1.0,
     rows = state._work.reshape(8, -1)
     rows[6] = np.concatenate([u, delta])
     rows[7] = np.concatenate([rho, r])
-    steps, tt1, tt2, _, _, g_dot_d, max_term, norm_c_plus_jd, rejected = \
-        state.run(0, vecs, (math.inf, *tests))
-    assert steps == 0 and sum(rejected) == (0 if tt1 or tt2 else 1)
+    return state_candidate_tests(state, vecs, tests)
+
+
+def state_candidate_tests(state, vecs, tests):
+    """The evaluation of :func:`candidate_tests` for the candidate that the
+    iterate and residual rows of the MINRES ``state`` hold, with ``vecs``
+    and the 8 ``tests`` scalars that follow the gate.  The solve of
+    ``max_iter = 0`` takes no step, so the state is left as it was.  The
+    namespace also holds the kernel's ``rejected`` counts and ``parts``,
+    its (g'd, max(u'Hu, EPS_U ||u||^2), ||c + Jd||)."""
+    (steps, tt1, tt2, _, _, g_dot_d, max_term, norm_c_plus_jd, rejected,
+     formed) = state.run(0, vecs, (math.inf, *tests))
+    assert (steps, formed) == (0, 0)
+    assert sum(rejected) == (0 if tt1 or tt2 else 1)
     c_norm, decrease_v = tests[-2:]
     return SimpleNamespace(
         failed=next((name for name, count in zip("bac", rejected) if count),
                     None),
         tt1=tt1, tt2=tt2, accepted=1 if tt1 else (2 if tt2 else 0),
+        rejected=rejected, parts=(g_dot_d, max_term, norm_c_plus_jd),
         reduces_model=lambda tau: _reduces_model(
             tau, g_dot_d, max_term, c_norm, norm_c_plus_jd, decrease_v))
 

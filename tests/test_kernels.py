@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import tangential_setup
+from oracles import state_candidate_tests, tangential_setup
 from sisqo import kernels
 from sisqo.config import (apply_overrides, build_problem, build_solver_config,
                           load_config, oracle_settings)
@@ -429,11 +429,11 @@ def test_compiled_minres_step_rejects_overlap(compiled):
 
 
 @functools.lru_cache(maxsize=None)
-def _captured_solves(overrides):
+def _captured_solves(overrides, profile="qp_gaussian", iterations=3):
     """The arguments of every ``kernels.tangential_solve`` call of the
-    first three iterations of qp_gaussian seed 0 with ``overrides``,
-    copied before the call."""
-    config = apply_overrides(load_config("qp_gaussian"), list(overrides))
+    first ``iterations`` iterations of ``profile`` seed 0 with
+    ``overrides``, copied before the call."""
+    config = apply_overrides(load_config(profile), list(overrides))
     kind, eps_n = oracle_settings(config)
     captured = []
     solve = kernels.tangential_solve
@@ -446,7 +446,7 @@ def _captured_solves(overrides):
     try:
         run_single(build_problem(config),
                    build_solver_config(config, seed=0,
-                                       max_outer_iterations=3),
+                                       max_outer_iterations=iterations),
                    0, oracle_kind=kind, eps_n=eps_n)
     finally:
         kernels.tangential_solve = solve
@@ -540,10 +540,11 @@ def test_tangential_solve_matches_reference(compiled, case):
         out = solve(*run)
         results.append((_bits(out), run[7].tobytes(), run[8].tobytes()))
     assert results[0] == results[1]
-    steps, tt1, tt2, breakdown, stalled, *parts, rejected = out
+    steps, tt1, tt2, breakdown, stalled, *parts, rejected, formed = out
     scal = run[8]
     assert 0 <= steps <= args[11] and scal[7] <= steps
     assert len(rejected) == 4 and all(count >= 0 for count in rejected)
+    assert 0 <= formed <= scal[7]
     ending = {"test1": tt1, "test2": tt2 and not tt1,
               "max_iter": (steps, tt1, tt2, breakdown, stalled)
               == (20, False, False, False, False) and sum(rejected) > 0,
@@ -644,6 +645,96 @@ def test_rejection_counts_add_up_to_the_gated_candidates(backend):
                     kernels.tangential_solve(*replay)
                 gated += not scal[9] > cap
             assert sum(out[8]) + (tt1 or tt2) == gated
+
+
+def _first_control_solve(kind):
+    """The arguments of the first tangential solve, rung 0 of iteration 0,
+    of the mesh-8 control problem of ``kind``."""
+    return _captured_solves(("problem.mesh_size=8", f"problem.kind={kind}"),
+                            "control_finite_sum", 1)[0]
+
+
+def _fresh_state(args):
+    """A new MinresState on the system of the solve ``args``, checked to
+    start where the captured call started."""
+    n, m = len(args[0]) - 1, len(args[3]) - 1
+    state = MinresState(KktOperator(SparseMatrix((n, n), *args[:3]),
+                                    SparseMatrix((m, n), *args[3:6])),
+                        (args[6][:n], args[6][n:]))
+    assert state._work.tobytes() == args[7].tobytes()
+    assert state._scal.tobytes() == args[8].tobytes()
+    return state
+
+
+def _stepped_solve(args):
+    """The solve ``args`` driven one ``MinresState.step`` at a time, which
+    forms every residual, with the termination tests evaluated at each
+    gated iterate: its outcome without the count of residuals formed,
+    and the state."""
+    state = _fresh_state(args)
+    vecs, (cap, *tests), max_iter = args[9:]
+    rejected, tt1, tt2, parts = [0] * 4, False, False, (math.nan,) * 3
+    for t in range(max_iter + 1):
+        if t:
+            state.step()
+        if not state.resid_norm_inf > cap:
+            ev = state_candidate_tests(state, vecs, tests)
+            if ev.failed in (None, "c"):
+                parts = ev.parts
+            if ev.accepted:
+                tt1, tt2 = ev.tt1, ev.tt2
+                break
+            rejected = [a + b for a, b in zip(rejected, ev.rejected)]
+        if state.breakdown or state.stalled:
+            break
+    return (t, tt1, tt2, state.breakdown, state.stalled, *parts,
+            tuple(rejected)), state
+
+
+@pytest.mark.parametrize("kind, max_iter", [("poisson_control", None),
+                                            ("neumann_control", None),
+                                            ("neumann_control", 51)])
+def test_whole_solve_matches_the_step_by_step_drive(backend, kind, max_iter):
+    # a gated solve skips the residual product where phibar shows the
+    # gate cannot pass; one that forms every residual and checks the
+    # gate at every step reaches the same outcome, iterate and state.
+    # The Poisson solve ends at an accepted iterate, the Neumann one at
+    # max_iter, and cut at 51 steps it forms only the residuals of the
+    # window's end and of the skipped last step
+    args = _first_control_solve(kind)
+    if max_iter is not None:
+        args = [_copy(a) for a in args]
+        args[11] = max_iter
+    run = [_copy(a) for a in args]
+    out = kernels.tangential_solve(*run)
+    stepped, state = _stepped_solve(args)
+    assert _bits(out[:9]) == _bits(stepped)
+    assert run[7].tobytes() == state._work.tobytes()
+    assert run[8].tobytes() == state._scal.tobytes()
+    steps, formed = out[0], out[9]
+    assert 0 < formed < steps
+    if kind == "neumann_control":
+        assert steps == args[11] and not (out[1] or out[2])
+    else:
+        assert out[1] or out[2]
+    if max_iter is not None:
+        assert formed == 2
+
+
+@pytest.mark.parametrize("kind", ["poisson_control", "neumann_control"])
+def test_phibar_tracks_the_true_residual(kind):
+    # the premise of the skip: at every step of a drive that forms each
+    # residual, the 2-norm the recurrence carries is within 0.1% above
+    # the true one, far inside RESID_SKIP_MARGIN
+    args = _first_control_solve(kind)
+    state = _fresh_state(args)
+    ratios = []
+    while state.iteration < args[11] \
+            and not (state.breakdown or state.stalled):
+        state.step()
+        ratios.append(state._scal[4] / state.resid_norm)
+    assert len(ratios) > 100
+    assert max(ratios) <= 1.0 + 1e-3 < kernels.RESID_SKIP_MARGIN
 
 
 def _good_solve_args():
@@ -968,7 +1059,7 @@ def test_method_constants_reach_the_build_exactly():
     assert set(defines) == {
         "BREAKDOWN_TOL", "STALL_WINDOW", "STALL_IMPROVEMENT", "KAPPA_RHO",
         "KAPPA_R", "KAPPA_U", "KAPPA_V", "EPS_U", "SIGMA_U", "SIGMA_C",
-        "EPS_R"}
+        "EPS_R", "RESID_SKIP_MARGIN"}
     for name, literal in defines.items():
         value = getattr(kernels, name)
         parse = float.fromhex if isinstance(value, float) else int
@@ -998,8 +1089,8 @@ def test_bench_kernels_script_runs(capsys, tmp_path):
     previous = kernels.active_backend()
     record_path = tmp_path / "bench.json"
     try:
-        assert bench.main(["--mesh", "3", "4", "--qp", "--repeats", "2",
-                           "--minres-steps", "3",
+        assert bench.main(["--mesh", "3", "4", "--qp", "--neumann", "3",
+                           "--repeats", "2", "--minres-steps", "3",
                            "--json", str(record_path)]) == 0
         assert kernels.active_backend() == previous
         assert kernels.tangential_solve is getattr(
@@ -1012,19 +1103,20 @@ def test_bench_kernels_script_runs(capsys, tmp_path):
     # isolated step, of a multiplier-CG iteration and of a tangential
     # solve, then the step over the applies from the medians
     assert out.count("best/median, microseconds; step/6 csr from the"
-                     " medians") == 3
+                     " medians") == 4
     headers = [ln for ln in out.splitlines() if ln.startswith("backend ")]
-    assert len(headers) == 3 and all("cg iter" in ln and "tangential" in ln
+    assert len(headers) == 4 and all("cg iter" in ln and "tangential" in ln
                                      for ln in headers)
-    assert out.count("tangential is one solve of ") == 3
+    assert out.count("tangential is one solve of ") == 4
     if "compiled" in kernels.available_backends():
         assert out.count("cg iter over the numpy loop, both on compiled"
-                         " products") == 3
+                         " products") == 4
     assert "n=18 m=9" in out and "n=32 m=16" in out and "n=40 m=15" in out
+    assert "problem neumann_nh3:" in out
     for name in kernels.available_backends():
         rows = [ln.split() for ln in out.splitlines()
                 if ln.startswith(f"{name} ")]
-        assert len(rows) == 3
+        assert len(rows) == 4
         for row in rows:
             assert len(row) == 9 and row[-1].endswith("x")
             cells = [tuple(map(float, cell.split("/"))) for cell in row[1:8]]
@@ -1034,15 +1126,20 @@ def test_bench_kernels_script_runs(capsys, tmp_path):
                 step / applies, rel=0.02, abs=0.01)
     # the JSON holds the same figures, one record per problem and backend
     records = json.loads(record_path.read_text())["records"]
-    assert [(r["mesh"], r["profile"], r["backend"]) for r in records] == [
-        (mesh, profile, name)
-        for mesh, profile in ((3, None), (4, None), (None, "qp_gaussian"))
+    assert [(r["mesh"], r["profile"], r["problem"][:7], r["backend"])
+            for r in records] == [
+        (mesh, profile, family, name)
+        for mesh, profile, family in (
+            (3, None, "poisson"), (4, None, "poisson"), (3, None, "neumann"),
+            (None, "qp_gaussian", "qp_n40_"))
         for name in kernels.available_backends()]
     for record in records:
         assert sorted(record) == sorted(
-            ["mesh", "profile", "n", "m", "backend", "cg_iterations",
-             "tangential_steps"] + list(bench.RECORD_KEYS))
+            ["mesh", "profile", "problem", "n", "m", "backend",
+             "cg_iterations", "tangential_steps", "residuals_per_step"]
+            + list(bench.RECORD_KEYS))
         assert record["cg_iterations"] > 0 and record["tangential_steps"] > 0
+        assert 0.0 < record["residuals_per_step"] <= 1.0
         for key in bench.RECORD_KEYS:
             best, median = record[key]
             assert 0.0 < best <= median

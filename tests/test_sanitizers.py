@@ -31,7 +31,9 @@ _BUILD_TESTS = ("test_failed_build_falls_back_to_numpy",
                 "test_kernel_source_compiles_without_warnings")
 
 # Run in the child: check that the copy's kernels loaded the sanitized
-# build, run the tests, then solve the mesh-4 Poisson control problem.
+# build, run the tests, then solve the mesh-4 Poisson control problem,
+# whose rungs must skip some residual products, so the steps that leave
+# the residual row stale run under the sanitizers too.
 _CHILD = """
 import sys
 import pytest
@@ -41,15 +43,24 @@ assert kernels._csrkern.__file__ == sys.argv[1], kernels._csrkern.__file__
 code = pytest.main(sys.argv[2:])
 if code:
     sys.exit(int(code))
+import sisqo.harness
 from sisqo.config import (apply_overrides, build_problem,
                           build_solver_config, load_config, oracle_settings)
-from sisqo.harness import run_single
+rungs, iterate = [], sisqo.harness.sqp_iterate
+def recorded_iterate(*args, **kwargs):
+    state, step = iterate(*args, **kwargs)
+    rungs.extend(step.info["rungs"])
+    return state, step
+sisqo.harness.sqp_iterate = recorded_iterate
 config = apply_overrides(load_config("control_finite_sum"),
                          ["problem.mesh_size=4"])
 kind, eps_n = oracle_settings(config)
-record = run_single(build_problem(config), build_solver_config(config, seed=0),
-                    0, oracle_kind=kind, eps_n=eps_n)
-print("poisson4", record.status, record.total_minres_iters)
+record = sisqo.harness.run_single(
+    build_problem(config), build_solver_config(config, seed=0), 0,
+    oracle_kind=kind, eps_n=eps_n)
+assert any(r["residuals"] < r["minres_iters"] for r in rungs), rungs
+print("poisson4", record.status, record.total_minres_iters,
+      sum(r["residuals"] for r in rungs))
 """
 
 
