@@ -9,13 +9,14 @@ call's argument checks), one iteration of the least-squares
 multiplier CG (``J J.T y = -J g`` at the initial point, to the
 tolerance, floor and iteration cap of ``sisqo.krylov``'s multiplier
 solve; the mean over the whole solve) and one truncated tangential
-solve, ``kernels.tangential_solve`` on the system of the first Hessian
-rung of the first iteration (exact gradient) with the engine's
+solve, the first ``kernels.tangential_solve`` call of seed 0 of the
+profile (Hessian rung 0 of the first iteration) with the engine's
 termination tests, timed from its start state per solve and per step,
-with the share of its steps that formed the true residual.  ``--qp``
-adds the same table for the matrices of the ``qp_gaussian`` profile,
-and ``--neumann`` for the Neumann control problem at the meshes it
-names.
+with the share of its steps that formed the true residual.  The
+problems and that solve are those of the benchmark's workloads: the
+``control_finite_sum`` profile at each ``--mesh``, its Neumann control
+problem at each ``--neumann`` mesh, and with ``--qp`` the
+``qp_gaussian`` profile.
 Every figure is timed ``--repeats`` times and printed as best/median.
 The repeats are interleaved: each round times one call of every figure
 of every backend in turn, so a burst of load on the host spreads over
@@ -46,13 +47,11 @@ import time
 import numpy as np
 
 from sisqo import kernels
-from sisqo.config import build_problem, load_config
-from sisqo.engine import SolverConfig, init_state, sqp_iterate
+from sisqo.config import (apply_overrides, build_problem,
+                          build_solver_config, load_config, oracle_settings)
+from sisqo.harness import run_single
 from sisqo.krylov import (MULTIPLIER_ABS_FLOOR, MULTIPLIER_REL_TOL,
                           MinresState, cg_max_iter)
-from sisqo.library import (ControlProblemSpec, build_neumann_control,
-                           build_poisson_control)
-from sisqo.problems import GradientOracle, substream
 from sisqo.sparse import KktOperator
 
 
@@ -141,10 +140,10 @@ def cg_figure(loop, problem, j, taken):
     return prepare
 
 
-def first_tangential_solve(problem):
+def first_tangential_solve(problem, config):
     """The arguments of the first ``kernels.tangential_solve`` call of
-    one iteration from ``problem.x0`` with the exact gradient, copied
-    before the call: Hessian rung 0 of iteration 0."""
+    seed 0 of the profile ``config`` on ``problem``, copied before the
+    call: Hessian rung 0 of iteration 0."""
     captured = []
     solve = kernels.tangential_solve
 
@@ -154,11 +153,12 @@ def first_tangential_solve(problem):
                              for a in args])
         return solve(*args)
 
-    cfg = SolverConfig()
+    kind, eps_n = oracle_settings(config)
     kernels.tangential_solve = capture
     try:
-        sqp_iterate(init_state(problem, cfg), problem, GradientOracle("exact"),
-                    cfg, substream(0, "lipschitz"))
+        run_single(problem, build_solver_config(config, seed=0,
+                                                max_outer_iterations=1),
+                   0, oracle_kind=kind, eps_n=eps_n)
     finally:
         kernels.tangential_solve = solve
     return captured[0]
@@ -178,15 +178,15 @@ def tangential_figure(solve_args, outcomes):
     return prepare
 
 
-def bench_problem(label, problem, args):
+def bench_problem(label, config, args):
     """Prints, per backend, the J matvec and rmatvec, the H matvec, one
     MINRES step, one multiplier-CG iteration and one tangential solve on
-    ``problem``; returns one JSON record per backend, keyed by
-    ``label`` and the problem's name."""
-    problem, h, j = _build(problem)
+    the problem of the profile ``config``; returns one JSON record per
+    backend, keyed by ``label`` and the problem's name."""
+    problem, h, j = _build(build_problem(config))
     print(f"\nproblem {problem.name}: n={problem.n} m={problem.m}"
           f" jacobian nnz={j.nnz} hessian nnz={h.nnz}")
-    solve_args = first_tangential_solve(problem)
+    solve_args = first_tangential_solve(problem, config)
     figures, counts = {}, {}
     for name in kernels.available_backends():
         kernels.use_backend(name)
@@ -286,17 +286,21 @@ def main(argv=None):
           f" (active: {kernels.active_backend()})")
     active = kernels.active_backend()
     try:
-        problems = [({"mesh": mesh, "profile": None},
-                     build(ControlProblemSpec(mesh_size=mesh)))
-                    for build, meshes in ((build_poisson_control, args.mesh),
-                                          (build_neumann_control,
-                                           args.neumann))
+        problems = [({"mesh": mesh, "profile": "control_finite_sum"},
+                     apply_overrides(load_config("control_finite_sum"),
+                                     [f"problem.mesh_size={mesh}", *kind]))
+                    for kind, meshes in (((), args.mesh),
+                                         (("problem.kind=neumann_control",),
+                                          args.neumann))
                     for mesh in meshes]
         if args.qp:
             problems.append(({"mesh": None, "profile": "qp_gaussian"},
-                             build_problem(load_config("qp_gaussian"))))
-        records = [r for label, problem in problems
-                   for r in bench_problem(label, problem, args)]
+                             load_config("qp_gaussian")))
+        records = []
+        for label, config in problems:
+            # the timed solve is captured on the backend active at start
+            kernels.use_backend(active)
+            records += bench_problem(label, config, args)
     finally:
         kernels.use_backend(active)
     if args.json:

@@ -57,9 +57,11 @@ EPS_U = 5e-9  # curvature threshold: max(u'Hu, EPS_U ||u||^2)
 SIGMA_U = 1.0 - 1e-12  # model reduction's share of the curvature term
 SIGMA_C = 0.1  # and of the normal decrease; SIGMA_C < EPS_R
 EPS_R = 1.0 - 1e-4  # share of the normal decrease that test 2 retains
-# a gated solve forms no residual at a step whose phibar is above
-# RESID_SKIP_MARGIN sqrt(n + m) cap, where ||r||_inf > cap
-RESID_SKIP_MARGIN = 2.0
+# a gated solve forms no residual at a step whose carried residual has
+# an infinity norm above RESID_SKIP_MARGIN cap: while the carried one
+# stays within (RESID_SKIP_MARGIN - 1) cap of the true one,
+# ||r||_inf > cap there
+RESID_SKIP_MARGIN = 1.1
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_csrkern.c")

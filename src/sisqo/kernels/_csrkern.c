@@ -52,19 +52,28 @@
  * pointer rather than copying them.  Before the call returns it puts
  * them back into the numpy step's layout, so ``work`` leaves every call
  * with the bytes that the numpy step leaves.
+ * The loop that updates w and z also writes the next step's Lanczos
+ * vector r2 / beta over v once it has read v, so only the first step
+ * forms v in a pass of its own.
  * A solve with the termination tests forms the true residual only on
- * steps where the gate ||r||_inf <= cap can pass.  ||r||_inf >=
- * ||r||_2 / sqrt(n + m), and the phibar of the recurrence tracks
- * ||r||_2, so a step whose phibar is above RESID_SKIP_MARGIN sqrt(n + m)
- * cap skips the residual product and its 2-norm: the step costs one KKT
- * product instead of two.  The gate reads inf for such a step.  Steps
+ * steps where the gate ||r||_inf <= cap can pass.  After that loop it
+ * carries the residual row by the recurrence of MINRES, r = sn^2 r +
+ * (phibar cs) v for the new rotation and the next v (Choi, Paige &
+ * Saunders, SIAM J. Sci. Comput. 33(4), 2011), and takes the carried
+ * row's infinity norm, in a loop of SSE2 instructions where the target
+ * has them.  A step where that norm is above RESID_SKIP_MARGIN cap skips
+ * the residual product and its 2-norm: the step costs one KKT product
+ * instead of two.  The gate reads inf for such a step.  Steps
  * that end a stall window or break down form the residual all the same,
- * as does the call before it returns, so the rules, the tests and the
- * caller only ever read a true residual.  While phibar stays below
- * RESID_SKIP_MARGIN ||r||_2 (on the mesh-8 control systems of the tests
- * it stays within 0.1% of it), the solve accepts the iterates of one
- * that forms every residual.  A solve without the tests forms it at
- * every step.
+ * as does the call before it returns, and a formed residual overwrites
+ * the carried one, so the carry restarts from a true residual at least
+ * every STALL_WINDOW steps, and the rules, the tests and the caller only
+ * ever read a true residual.  While the carried residual stays within
+ * (RESID_SKIP_MARGIN - 1) cap of the true one (on the mesh-8 control
+ * systems of the tests it stays within 3e-4 cap), the solve accepts the
+ * iterates of one that forms every residual.  A NaN in the carried row
+ * forces the true residual.  A solve without the tests, or with an
+ * infinite cap, forms it at every step and carries nothing.
  * The MINRES step, the termination tests and ``cg`` take their dot
  * products from numpy's own float64 ``dotfunc``, the function
  * ``ndarray.dot`` calls for 1-D vectors, their norms as the square root
@@ -90,6 +99,9 @@
 #include <float.h>
 #include <math.h>
 #include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 #ifndef EPS_R
 #error "build with the flags of sisqo.kernels, which define the constants"
@@ -397,11 +409,62 @@ typedef struct {
     int stale;
 } minres_rows;
 
+/* resid = sn2 resid + pc v over dim entries, each as the numpy twin
+ * forms it; returns max |resid[i]|, NaN if an entry is NaN.  With SSE2 it
+ * takes four entries at a time into two running maxima, so that the
+ * latency of maxpd stays off the loop's critical path; maxpd returns its
+ * second operand when the first is NaN, so NaNs are gathered apart.  The
+ * scalar loop takes what is left, and all of it without SSE2: at 768
+ * entries on x86-64 it costs about twice the SSE2 loop. */
+static double
+carry_residual(double *resid, const double *v, Py_ssize_t dim, double sn2,
+               double pc)
+{
+    double big = 0.0, a;
+    Py_ssize_t i = 0;
+#ifdef __SSE2__
+    const __m128d s = _mm_set1_pd(sn2), p = _mm_set1_pd(pc),
+        magnitude = _mm_castsi128_pd(_mm_set1_epi64x(0x7fffffffffffffffLL));
+    __m128d r, q, big0 = _mm_setzero_pd(), big1 = _mm_setzero_pd(),
+        nan = _mm_setzero_pd();
+    double lanes[2];
+
+    for (; i + 4 <= dim; i += 4) {
+        r = _mm_add_pd(_mm_mul_pd(s, _mm_loadu_pd(resid + i)),
+                       _mm_mul_pd(p, _mm_loadu_pd(v + i)));
+        q = _mm_add_pd(_mm_mul_pd(s, _mm_loadu_pd(resid + i + 2)),
+                       _mm_mul_pd(p, _mm_loadu_pd(v + i + 2)));
+        _mm_storeu_pd(resid + i, r);
+        _mm_storeu_pd(resid + i + 2, q);
+        nan = _mm_or_pd(nan, _mm_cmpunord_pd(r, q));
+        big0 = _mm_max_pd(_mm_and_pd(r, magnitude), big0);
+        big1 = _mm_max_pd(_mm_and_pd(q, magnitude), big1);
+    }
+    _mm_storeu_pd(lanes, _mm_max_pd(big0, big1));
+    big = lanes[0] > lanes[1] ? lanes[0] : lanes[1];
+    if (_mm_movemask_pd(nan))
+        big = NAN;
+#endif
+    /* "a > big" alone would pass over a NaN; this keeps one */
+    for (; i < dim; i++) {
+        resid[i] = sn2 * resid[i] + pc * v[i];
+        a = fabs(resid[i]);
+        if (a > big || isnan(a))
+            big = a;
+    }
+    return big;
+}
+
 /* One MINRES step on the state in ``rows`` and ``scal`` (see
- * tangential_solve_doc), up to the new iterate: the residual's row and
- * slots are left to form_residual.  scal[S_BETA] must be nonzero. */
-static void
-step(const kkt_op *op, minres_rows *rows, double *scal)
+ * tangential_solve_doc), up to the new iterate, which leaves the next
+ * step's Lanczos vector r2 / beta in the v row.  With ``carry`` it also
+ * carries the residual row by the recurrence of MINRES, r = sn^2 r +
+ * (phibar cs) v for the new sn, cs and phibar and the next v, and
+ * returns that row's infinity norm, NaN if it holds a NaN; without, it
+ * leaves the row to form_residual and returns 0.  scal[S_BETA] must be
+ * nonzero. */
+static double
+step(const kkt_op *op, minres_rows *rows, double *scal, int carry)
 {
     const Py_ssize_t dim = op->n + op->m;
     double *v = rows->v, *r1 = rows->r1, *r2 = rows->r2, *y = rows->y,
@@ -410,18 +473,20 @@ step(const kkt_op *op, minres_rows *rows, double *scal)
         gamma, phi, wn;
     Py_ssize_t i;
 
-    /* Lanczos: v = r2 / beta, y = K v - (beta / oldb) r1 - alfa / beta r2
-     * with its first subtraction done in the product; then r1 takes r2,
-     * r2 takes y and y takes the old r1 as scratch: a turn of the
-     * pointers, no copy */
+    /* Lanczos: y = K v - (beta / oldb) r1 - alfa / beta r2 with its first
+     * subtraction done in the product, for the v = r2 / beta that the
+     * last step left in its row (formed here at the first step); then r1
+     * takes r2, r2 takes y and y takes the old r1 as scratch: a turn of
+     * the pointers, no copy */
     beta = scal[S_BETA];
-    s = 1.0 / beta;
-    for (i = 0; i < dim; i++)
-        v[i] = s * r2[i];
     if (scal[S_STEPS] >= 1.0)
         kkt_product(op, v, y, KKT_LESS_TAIL, r1, beta / scal[S_OLDB]);
-    else
+    else {
+        s = 1.0 / beta;
+        for (i = 0; i < dim; i++)
+            v[i] = s * r2[i];
         kkt_product(op, v, y, KKT_PLAIN, NULL, 0.0);
+    }
     alfa = dot(v, y, dim);
     s = alfa / beta;
     for (i = 0; i < dim; i++)
@@ -448,14 +513,22 @@ step(const kkt_op *op, minres_rows *rows, double *scal)
     cs = gbar / gamma;
     sn = beta / gamma;
     phi = cs * phibar;
-    scal[S_PHIBAR] = sn * phibar;
+    phibar = sn * phibar;
+    scal[S_PHIBAR] = phibar;
 
     /* w = (v - oldeps w2 - delta w) / gamma, written over w2, and
-     * z += phi w; then w and w2 swap pointers, so w2 holds the old w */
+     * z += phi w; once v[i] is read, the next v = r2 / beta over it (r2
+     * is the row y points at; 1 / 0 is inf).  Then w and w2 swap
+     * pointers, so w2 holds the old w.  The carry takes a loop of its
+     * own: in this one, its running maximum keeps gcc from vectorizing
+     * the division, and the fused loop took 1.4 us at 768 entries, the
+     * two loops 0.85 */
+    s = 1.0 / beta;
     for (i = 0; i < dim; i++) {
         wn = ((v[i] - oldeps * w2[i]) - delta * w[i]) / gamma;
         w2[i] = wn;
         z[i] += phi * wn;
+        v[i] = s * y[i];
     }
     rows->w = w2;
     rows->w2 = w;
@@ -466,6 +539,8 @@ step(const kkt_op *op, minres_rows *rows, double *scal)
     scal[S_SN] = sn;
     scal[S_STEPS] += 1.0;
     rows->taken++;
+    return carry ? carry_residual(rows->resid, v, dim, sn * sn, phibar * cs)
+        : 0.0;
 }
 
 /* The true residual K z + rhs into its row, its infinity norm taken as
@@ -567,17 +642,19 @@ get_minres_args(PyObject **objs, char **names, kkt_op *op)
  * solve broke down or stalled, and none but the breakdown flag when the
  * residual or the right-hand side is zero.  Then the rules: breakdown
  * below BREAKDOWN_TOL, and a stall when the least residual falls by less
- * than the share STALL_IMPROVEMENT over STALL_WINDOW steps.  The residual
- * is formed unless phibar, the 2-norm the recurrence carries, is above
+ * than the share STALL_IMPROVEMENT over STALL_WINDOW steps.  Under a
+ * finite ``skip_above`` the step carries the residual by the recurrence
+ * and forms the true one unless the carried one's infinity norm is above
  * ``skip_above``, where the iterate cannot pass the gate; a step that
  * ends a window or breaks down forms it all the same, so the rules read
- * true residuals.  A skipped step leaves the 2-norm and the least
- * residual as they were and sets the infinity norm to inf, which the
- * gate rejects. */
+ * true residuals, and each formed residual restarts the carry.  A
+ * skipped step leaves the 2-norm and the least residual as they were and
+ * sets the infinity norm to inf, which the gate rejects. */
 static void
 guarded_step(const kkt_op *op, const double *rhs, minres_rows *rows,
              double *scal, double skip_above)
 {
+    double carried;
     int window_end;
 
     if (scal[S_BREAKDOWN] != 0.0 || scal[S_STALLED] != 0.0)
@@ -586,12 +663,11 @@ guarded_step(const kkt_op *op, const double *rhs, minres_rows *rows,
         scal[S_BREAKDOWN] = 1.0;
         return;
     }
-    step(op, rows, scal);
+    carried = step(op, rows, scal, skip_above < INFINITY);
     if (scal[S_BETA] < BREAKDOWN_TOL)
         scal[S_BREAKDOWN] = 1.0;
     window_end = (Py_ssize_t)scal[S_STEPS] % STALL_WINDOW == 0;
-    if (scal[S_PHIBAR] > skip_above && scal[S_BREAKDOWN] == 0.0
-        && !window_end) {
+    if (carried > skip_above && scal[S_BREAKDOWN] == 0.0 && !window_end) {
         scal[S_RINF] = INFINITY;
         rows->stale = 1;
     }
@@ -686,14 +762,16 @@ PyDoc_STRVAR(tangential_solve_doc,
 "but the breakdown flag when ||r|| or beta1 is zero; then, if vecs is\n"
 "not None and not ||r||_inf > cap, conditions b, a and c and tests 1\n"
 "and 2 for the iterate; the loop ends at an accepted iterate, then at a\n"
-"breakdown or stall.  With vecs, a step whose phibar is above\n"
-"RESID_SKIP_MARGIN sqrt(n + m) cap forms no residual unless it breaks\n"
-"down or ends a stall window: its infinity norm reads inf, the 2-norm\n"
-"and the least residual stay, and the call forms the residual before\n"
-"it returns.  K = [[H, J.T], [J, 0]], with H n-by-n and J\n"
-"m-by-n in CSR form; n and m are read from the indptr lengths.  work\n"
-"holds eight vectors of length dim = n + m, in this order: v, r1, r2, y,\n"
-"w, w2, the iterate z and the residual K z + rhs.  scal holds beta, the\n"
+"breakdown or stall.  With vecs and a finite cap, each step carries the\n"
+"residual by the recurrence of MINRES, and a step whose carried residual\n"
+"has an infinity norm above RESID_SKIP_MARGIN cap forms no true residual\n"
+"unless it breaks down or ends a stall window: its infinity norm reads\n"
+"inf, the 2-norm and the least residual stay, and the call forms the\n"
+"residual before it returns.  K = [[H, J.T], [J, 0]], with H n-by-n and\n"
+"J m-by-n in CSR form; n and m are read from the indptr lengths.  work\n"
+"holds eight vectors of length dim = n + m, in this order: the next\n"
+"step's Lanczos vector v (read from the second step on), r1, r2, y, w,\n"
+"w2, the iterate z and the residual K z + rhs.  scal holds beta, the\n"
 "previous beta, dbar, epsln, phibar, cs, sn, the step count, the\n"
 "residual's 2-norm and infinity norm (NaN if it holds a NaN), beta1, the\n"
 "least residual, the least at the last window's end, and the breakdown\n"
@@ -767,8 +845,8 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
             return NULL;
         }
         vecs = DATA(vecs_obj);
-        /* above this phibar, ||r||_inf > cap: see the header */
-        skip_above = RESID_SKIP_MARGIN * sqrt((double)(op.n + op.m)) * p.cap;
+        /* above this carried ||r||_inf, ||r||_inf > cap: see the header */
+        skip_above = RESID_SKIP_MARGIN * p.cap;
         /* scratch: H u, the stationarity residual and c + J d */
         if ((hu = PyMem_Malloc((2 * op.n + op.m) * sizeof(double)))
             == NULL)

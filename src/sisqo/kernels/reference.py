@@ -12,8 +12,11 @@ agrees bit for bit with its compiled twin.
 
 ``tangential_solve`` holds the one statement of the tangential step's
 termination tests in Python, and, with its twin, the MINRES step, the
-breakdown and stall rules of a MINRES solve and the rule that skips the
-residual product where the gate cannot pass.  It reads the rules' and the
+breakdown and stall rules of a MINRES solve, the residual that the step
+carries by the recurrence of MINRES, and the rule that skips the residual
+product where the carried one shows that the gate cannot pass.  The
+carried residual never reaches the gate, the tests or the caller: the
+true one replaces it wherever it is read.  It reads the rules' and the
 tests' constants from ``sisqo.kernels`` at each call; the compiled twin
 has them as macros from the same constants at build time.
 """
@@ -61,26 +64,32 @@ def _kkt_apply(h_indptr, h_indices, h_data, j_indptr, j_indices, j_data, z,
         kernels.csr_matvec(j_indptr, j_indices, j_data, z[:n], bot)
 
 
-def _minres_step(csr, work, scal):
+def _minres_step(csr, work, scal, carry):
     """One MINRES step on ``K z = -rhs``, K as in :func:`_kkt_apply` for
     the six CSR arrays ``csr``, up to the new iterate; ``work`` and
     ``scal[:8]`` as :func:`tangential_solve` takes them, updated in
-    place, and the residual row left as scratch for
-    :func:`_form_residual`.  ``scal[0]`` must be nonzero.
+    place, with the next step's Lanczos vector ``r2 / beta`` left in the
+    v row.  With ``carry``, the residual row is carried by the recurrence
+    ``r = sn^2 r + (phibar cs) v`` for the next v, and the return is its
+    infinity norm (NaN if it holds a NaN); without, the row is left to
+    :func:`_form_residual` and the return is 0.  ``scal[0]`` must be
+    nonzero.
     """
     vec, r1, r2, y, w, w2, z, resid = work.reshape(8, -1)
     beta, oldb, dbar, oldeps, phibar, cs, sn, steps = scal[:8].tolist()
-    # r2 holds the latest unnormalized Lanczos vector.  Every vector
-    # operation writes into a row of ``work`` (positional out=; the
-    # residual row is scratch), and the scalars are Python floats: the
-    # same IEEE operations in the same order as the textbook form, with
-    # less call overhead.
-    np.multiply(1.0 / beta, r2, vec)
+    # r2 holds the latest unnormalized Lanczos vector, and the v row
+    # r2 / beta from the last step.  Every vector operation writes into a
+    # row of ``work`` or into ``tmp`` (positional out=), and the scalars
+    # are Python floats: the same IEEE operations in the same order as
+    # the textbook form, with less call overhead.
+    tmp = np.empty_like(vec)
+    if steps < 1:
+        np.multiply(1.0 / beta, r2, vec)
     _kkt_apply(*csr, vec, y)
     if steps >= 1:
-        y -= np.multiply(beta / oldb, r1, resid)
+        y -= np.multiply(beta / oldb, r1, tmp)
     alfa = float(vec.dot(y))
-    y -= np.multiply(alfa / beta, r2, resid)
+    y -= np.multiply(alfa / beta, r2, tmp)
     r1[:] = r2
     r2[:] = y
     oldb = beta
@@ -96,15 +105,23 @@ def _minres_step(csr, work, scal):
     phi = cs * phibar
     phibar = sn * phibar
 
-    # w = (vec - oldeps * w2 - delta * w) / gamma, built in the residual
-    # row; w2 takes the old w
-    np.subtract(vec, np.multiply(oldeps, w2, resid), resid)
-    np.subtract(resid, np.multiply(delta, w, w2), resid)
-    np.divide(resid, gamma, resid)
+    # w = (vec - oldeps * w2 - delta * w) / gamma, built in tmp; w2 takes
+    # the old w
+    np.subtract(vec, np.multiply(oldeps, w2, tmp), tmp)
+    np.subtract(tmp, np.multiply(delta, w, w2), tmp)
+    np.divide(tmp, gamma, tmp)
     w2[:] = w
-    w[:] = resid
-    z += np.multiply(phi, w, resid)
+    w[:] = tmp
+    z += np.multiply(phi, w, tmp)
+    # the next v; at beta = 0 it is inf * r2, as the compiled step has it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(np.float64(1.0) / beta, r2, vec)
     scal[:8] = (beta, oldb, dbar, epsln, phibar, cs, sn, steps + 1)
+    if not carry:
+        return 0.0
+    np.multiply(sn * sn, resid, resid)
+    resid += np.multiply(phibar * cs, vec, tmp)
+    return float(np.max(np.abs(resid, tmp)))
 
 
 # the slots of tangential_solve's scal past the ten of one MINRES step:
@@ -132,22 +149,24 @@ def _guarded_step(csr, rhs, work, scal, skip_above):
     """One step of a solve, as ``MinresState.step`` takes it: none once the
     solve broke down or stalled, and none but the breakdown flag when the
     residual or the right-hand side is zero; then the breakdown and stall
-    rules of ``sisqo.kernels``.  The residual is formed unless phibar is
-    above ``skip_above`` and the step neither breaks down nor ends a
-    window; a skipped step sets the infinity norm to inf and leaves the
-    2-norm and the least residual.  Returns None if it took no step,
-    else whether it formed the residual."""
+    rules of ``sisqo.kernels``.  Under a finite ``skip_above`` the step
+    carries the residual (:func:`_minres_step`), and the true one is
+    formed unless the carried one's infinity norm is above ``skip_above``
+    and the step neither breaks down nor ends a window; a skipped step
+    sets the infinity norm to inf and leaves the 2-norm and the least
+    residual.  Returns None if it took no step, else whether it formed
+    the residual."""
     if scal[_BREAKDOWN] or scal[_STALLED]:
         return None
     if scal[8] == 0.0 or scal[_BETA1] == 0.0:
         scal[_BREAKDOWN] = 1.0
         return None
-    _minres_step(csr, work, scal)
-    beta, phibar, steps = scal[[0, 4, 7]].tolist()
+    carried = _minres_step(csr, work, scal, skip_above < math.inf)
+    beta, steps = scal[[0, 7]].tolist()
     if beta < kernels.BREAKDOWN_TOL:
         scal[_BREAKDOWN] = 1.0
     window_end = int(steps) % kernels.STALL_WINDOW == 0
-    formed = not (phibar > skip_above and not scal[_BREAKDOWN]
+    formed = not (carried > skip_above and not scal[_BREAKDOWN]
                   and not window_end)
     if formed:
         _form_residual(csr, rhs, work, scal)
@@ -231,15 +250,18 @@ def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
     down or stalled and none but the breakdown flag when ||r|| or beta1
     is zero; then, if ``vecs`` is not None and not ``||r||_inf > cap``,
     :func:`_candidate` for the iterate.  The loop ends at an accepted
-    iterate, then at a breakdown or stall.  With ``vecs``, a step whose
-    phibar is above ``RESID_SKIP_MARGIN sqrt(n + m) cap``, where
-    ``||r||_inf > cap`` follows, forms no residual unless it breaks down
-    or ends a stall window (:func:`_guarded_step`); the residual is
-    formed before the call returns.
+    iterate, then at a breakdown or stall.  With ``vecs`` and a finite
+    cap, each step carries the residual by the recurrence of MINRES, and
+    one whose carried residual has an infinity norm above
+    ``RESID_SKIP_MARGIN cap``, where ``||r||_inf > cap`` follows, forms
+    no true residual unless it breaks down or ends a stall window
+    (:func:`_guarded_step`); the residual is formed before the call
+    returns.
 
     K = [[H, J.T], [J, 0]], with H n-by-n and J m-by-n in CSR form.
     ``work`` holds eight vectors of length dim = n + m, in this order:
-    v, r1, r2, y, w, w2, the iterate z and the residual ``K z + rhs``.
+    the next step's Lanczos vector v (read from the second step on), r1,
+    r2, y, w, w2, the iterate z and the residual ``K z + rhs``.
     ``scal`` holds beta, the previous beta, dbar, epsln, phibar, cs, sn,
     the step count, the residual's 2-norm and infinity norm, beta1, the
     least residual, the least at the end of the last window, and the
@@ -273,10 +295,10 @@ def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
     rejected = [0, 0, 0, 0]
     tt1 = tt2 = False
     parts = (math.nan,) * 3
-    # ||r||_inf >= ||r||_2 / sqrt(dim), and phibar stays close to ||r||_2,
-    # so above this phibar ||r||_inf > cap
+    # the carried residual stays close to the true one, so where its
+    # infinity norm is above this, ||r||_inf > cap
     skip_above = math.inf if vecs is None \
-        else kernels.RESID_SKIP_MARGIN * math.sqrt(dim) * tests[0]
+        else kernels.RESID_SKIP_MARGIN * tests[0]
     formed, stale = 0, False
     t = 0
     while True:

@@ -29,25 +29,27 @@ live in :mod:`sisqo.kernels`; one
 :meth:`MinresState.run` one call for a whole truncated solve, which
 checks the termination tests at each gated iterate in the same loop.
 The residual pair is recomputed from the operator (one extra apply)
-wherever it is read, so the reported residual is always the true one;
-this subsumes the periodic drift-guard recompute that recurrence-based
-residuals need.  A step of :meth:`MinresState.step` forms it every
-time.  Within :meth:`MinresState.run` with the tests, a step forms it
-only where the gate ``||r||_inf <= cap`` can pass: the 2-norm phibar
-that the recurrence carries (Paige & Saunders, SIAM J. Numer. Anal.
-12(4), 1975) bounds ``||r||_inf`` from below through ``||r||_2 /
-sqrt(n + m)``, so a step whose phibar is above ``RESID_SKIP_MARGIN
-sqrt(n + m) cap`` cannot pass and makes one apply, not two.  Steps that
+wherever it is read, so the reported residual is always the true one.  A
+step of :meth:`MinresState.step` forms it every time.  Within
+:meth:`MinresState.run` with the tests, a step forms it only where the
+gate ``||r||_inf <= cap`` can pass.  Each step of such a solve carries
+the residual vector by the recurrence of MINRES, ``r = sn^2 r + (phibar
+cs) v`` for the next Lanczos vector v (Choi, Paige & Saunders, SIAM J.
+Sci. Comput. 33(4), 2011; Paige & Saunders, SIAM J. Numer. Anal. 12(4),
+1975), right after the iterate.  A step whose carried residual has an
+infinity norm above ``RESID_SKIP_MARGIN cap`` cannot pass and makes one
+apply, not two.  The carried residual only decides that skip: steps that
 end a stall window or break down, and the last step of the call, form
-the residual all the same, so the stall and breakdown rules, the tests
-and the caller read true residuals, and the accepted iterates are those
-of a solve that forms every residual.  On the benchmark's seeded runs
-the skip took 51% of the steps' residuals on poisson16, 83% on
-neumann16_pair and 0.9% on qp_gaussian.  Carrying the residual vector
-itself by the recurrence (Choi, Paige & Saunders, SIAM J. Sci. Comput.
-33(4), 2011) would drop the apply on the remaining steps too, but the
-tests and the stall rule would then read a residual that drifts from
-the true one, which changes which iterate is accepted.
+the true residual all the same, and every formed residual replaces the
+carried one.  So the stall and breakdown rules, the tests and the caller
+read true residuals, and the accepted iterates are those of a solve that
+forms every residual, as long as the carried residual drifts from the
+true one by less than ``(RESID_SKIP_MARGIN - 1) cap``; on the mesh-8
+control systems of the tests it drifts by at most 3e-4 cap.  On the
+benchmark's seeded runs the skip took 87% of the steps' residuals on
+poisson16, 93% on neumann16_pair and 38% on qp_gaussian.  What is left
+is about one residual per stall window, the accepted iterate, and the
+gated candidates that the tests reject, which need a true residual.
 """
 
 import logging
@@ -163,8 +165,8 @@ class MinresState:
     resid_norm, resid_norm_inf : float
         Euclidean and infinity norms of the stacked residual (recomputed,
         true: :meth:`run` forms the residual before it returns, whatever
-        steps it skipped); the infinity norm is NaN if the residual holds
-        one.
+        steps it skipped, so the residual pair never holds the carried
+        residual); the infinity norm is NaN if the residual holds one.
     iteration : int
         Number of completed steps.
     breakdown : bool
@@ -216,9 +218,9 @@ class MinresState:
         :func:`sisqo.kernels.tangential_solve`; with ``vecs`` and
         ``tests``, it also checks the termination tests at each gated
         iterate, from the current one on, stops at the first they
-        accept, and forms the residual only on steps where the gate can
-        pass.  Returns the kernel's outcome tuple, whose last entry
-        counts the residuals formed."""
+        accept, and forms the residual only on steps where the carried
+        residual shows that the gate can pass.  Returns the kernel's
+        outcome tuple, whose last entry counts the residuals formed."""
         out = kernels.tangential_solve(*self.op.csr, self.rhs, self._work,
                                        self._scal, vecs, tests, max_iter)
         (*_, steps, self.resid_norm, self.resid_norm_inf, _, _, _, breakdown,

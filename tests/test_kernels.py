@@ -507,8 +507,15 @@ def _solve_case(case):
     if case == "test1":
         return [_copy(a) for a in _captured_solves(())[0]]
     args = [_copy(a) for a in _captured_solves(("algorithm.tau_init=1",))[1]]
-    if case == "max_iter":
+    if case in ("max_iter", "carried_nan", "carried_nan_last"):
         args[11] = 20
+    if case.startswith("carried_nan"):
+        # a NaN in the residual row the call starts from, which the first
+        # step carries, in the SSE2 loop or in the scalar one after it;
+        # the gate is so tight that every other step skips
+        dim = len(args[6])
+        args[7][7 * dim + (3 if case == "carried_nan" else dim - 1)] = np.nan
+        args[10] = (1e-300, *args[10][1:])
     elif case == "zero_rhs":
         n, m = len(args[0]) - 1, len(args[3]) - 1
         state = MinresState(KktOperator(
@@ -527,8 +534,9 @@ def _bits(out):
 
 
 @pytest.mark.parametrize("case", ["test1", "test2", "max_iter", "stall",
-                                  "breakdown", "zero_rhs", "nan", "m0", "n1",
-                                  "n1m1"])
+                                  "breakdown", "zero_rhs", "nan",
+                                  "carried_nan", "carried_nan_last", "m0",
+                                  "n1", "n1m1"])
 def test_tangential_solve_matches_reference(compiled, case):
     # the numpy loop on compiled products, bit for bit: the outcome, the
     # iterate, the residual and every vector and scalar of the state
@@ -553,6 +561,11 @@ def test_tangential_solve_matches_reference(compiled, case):
               "breakdown": breakdown and steps == scal[7] == 1,
               "zero_rhs": breakdown and (steps, scal[7]) == (1, 0.0),
               "nan": rejected[0] > 0 and math.isnan(scal[8]) and stalled}
+    # the NaN that the first step carries forces its residual, and the
+    # call forms the skipped last step's
+    for nan_case in ("carried_nan", "carried_nan_last"):
+        ending[nan_case] = (steps, breakdown, stalled, formed) \
+            == (20, False, False, 2) and rejected == (0, 0, 0, 0)
     assert ending.get(case, steps == args[11] or breakdown or stalled)
     if tt1 or tt2:
         assert all(math.isfinite(x) for x in parts)
@@ -647,10 +660,12 @@ def test_rejection_counts_add_up_to_the_gated_candidates(backend):
             assert sum(out[8]) + (tt1 or tt2) == gated
 
 
-def _first_control_solve(kind):
+def _first_control_solve(kind, kappa=1e-4):
     """The arguments of the first tangential solve, rung 0 of iteration 0,
-    of the mesh-8 control problem of ``kind``."""
-    return _captured_solves(("problem.mesh_size=8", f"problem.kind={kind}"),
+    of the mesh-8 control problem of ``kind`` at ``kappa`` (the profile's
+    own by default)."""
+    return _captured_solves(("problem.mesh_size=8", f"problem.kind={kind}",
+                             f"solver.kappa={kappa}"),
                             "control_finite_sum", 1)[0]
 
 
@@ -666,17 +681,43 @@ def _fresh_state(args):
     return state
 
 
+def _carry(state, carried, skip_above):
+    """The residual row after the step ``state`` just took, carried from
+    ``carried``, the row before it, as a gated solve under
+    ``skip_above`` carries it: r = sn^2 r + (phibar cs) v for the next v,
+    in the kernel's order of operations.  Returns it and whether that
+    solve forms the true residual there, as the kernel decides: unless
+    its infinity norm is above ``skip_above`` (a NaN forms it) and the
+    step neither breaks down nor ends a stall window."""
+    phibar, cs, sn = state._scal[4:7]
+    carried = sn * sn * carried + (phibar * cs) * state._work[:state.op.dim]
+    forms = not np.max(np.abs(carried)) > skip_above or state.breakdown \
+        or state.iteration % kernels.STALL_WINDOW == 0
+    return carried, forms
+
+
 def _stepped_solve(args):
     """The solve ``args`` driven one ``MinresState.step`` at a time, which
     forms every residual, with the termination tests evaluated at each
-    gated iterate: its outcome without the count of residuals formed,
-    and the state."""
+    gated iterate and the residual carried alongside as the gated solve
+    carries it: its outcome, the count of residuals formed that the carry
+    predicts included, and the state."""
     state = _fresh_state(args)
     vecs, (cap, *tests), max_iter = args[9:]
+    dim = state.op.dim
     rejected, tt1, tt2, parts = [0] * 4, False, False, (math.nan,) * 3
+    carried, formed, stale = state._work[7 * dim:].copy(), 0, False
     for t in range(max_iter + 1):
+        taken = state.iteration
         if t:
             state.step()
+        # a call that takes no step carries and forms nothing
+        if state.iteration > taken:
+            carried, forms = _carry(state, carried,
+                                    kernels.RESID_SKIP_MARGIN * cap)
+            if forms:
+                carried = state._work[7 * dim:].copy()
+            formed, stale = formed + forms, not forms
         if not state.resid_norm_inf > cap:
             ev = state_candidate_tests(state, vecs, tests)
             if ev.failed in (None, "c"):
@@ -687,28 +728,37 @@ def _stepped_solve(args):
             rejected = [a + b for a, b in zip(rejected, ev.rejected)]
         if state.breakdown or state.stalled:
             break
+    # the kernel forms a stale residual before it returns
     return (t, tt1, tt2, state.breakdown, state.stalled, *parts,
-            tuple(rejected)), state
+            tuple(rejected), formed + stale), state
 
 
-@pytest.mark.parametrize("kind, max_iter", [("poisson_control", None),
-                                            ("neumann_control", None),
-                                            ("neumann_control", 51)])
-def test_whole_solve_matches_the_step_by_step_drive(backend, kind, max_iter):
-    # a gated solve skips the residual product where phibar shows the
-    # gate cannot pass; one that forms every residual and checks the
-    # gate at every step reaches the same outcome, iterate and state.
-    # The Poisson solve ends at an accepted iterate, the Neumann one at
-    # max_iter, and cut at 51 steps it forms only the residuals of the
-    # window's end and of the skipped last step
-    args = _first_control_solve(kind)
+@pytest.mark.parametrize("kind, max_iter, kappa", [
+    pytest.param("poisson_control", None, 1e-4, id="poisson_control-None"),
+    pytest.param("neumann_control", None, 1e-4, id="neumann_control-None"),
+    pytest.param("neumann_control", None, 1e-7,
+                 id="neumann_control-None-1e-07"),
+    pytest.param("neumann_control", 51, 1e-4, id="neumann_control-51")])
+def test_whole_solve_matches_the_step_by_step_drive(backend, kind, max_iter,
+                                                    kappa):
+    # a gated solve skips the residual product where the carried residual
+    # shows the gate cannot pass; one that forms every residual and
+    # checks the gate at every step reaches the same outcome, iterate and
+    # state, and the residual carried alongside it predicts which steps
+    # the gated solve formed the residual at.  The Poisson solve ends at
+    # an accepted iterate, the Neumann ones at max_iter, and cut at 51
+    # steps it forms only the residuals of the window's end and of the
+    # skipped last step.  At kappa = 1e-7 the gate's cap is 1000 times
+    # smaller, and the carried residual's drift is the largest of the
+    # premise test's drives
+    args = _first_control_solve(kind, kappa)
     if max_iter is not None:
         args = [_copy(a) for a in args]
         args[11] = max_iter
     run = [_copy(a) for a in args]
     out = kernels.tangential_solve(*run)
     stepped, state = _stepped_solve(args)
-    assert _bits(out[:9]) == _bits(stepped)
+    assert _bits(out) == _bits(stepped)
     assert run[7].tobytes() == state._work.tobytes()
     assert run[8].tobytes() == state._scal.tobytes()
     steps, formed = out[0], out[9]
@@ -723,9 +773,9 @@ def test_whole_solve_matches_the_step_by_step_drive(backend, kind, max_iter):
 
 @pytest.mark.parametrize("kind", ["poisson_control", "neumann_control"])
 def test_phibar_tracks_the_true_residual(kind):
-    # the premise of the skip: at every step of a drive that forms each
-    # residual, the 2-norm the recurrence carries is within 0.1% above
-    # the true one, far inside RESID_SKIP_MARGIN
+    # at every step of a drive that forms each residual, phibar, the
+    # 2-norm of the residual that the recurrence carries, is within 0.1%
+    # above the true one, far inside RESID_SKIP_MARGIN
     args = _first_control_solve(kind)
     state = _fresh_state(args)
     ratios = []
@@ -735,6 +785,32 @@ def test_phibar_tracks_the_true_residual(kind):
         ratios.append(state._scal[4] / state.resid_norm)
     assert len(ratios) > 100
     assert max(ratios) <= 1.0 + 1e-3 < kernels.RESID_SKIP_MARGIN
+
+
+@pytest.mark.parametrize("kind", ["poisson_control", "neumann_control"])
+@pytest.mark.parametrize("kappa", [1e-4, 1e-7])
+def test_carried_residual_tracks_the_true_one(kind, kappa):
+    # the premise of the skip: the residual carried by the recurrence
+    # r = sn^2 r + (phibar cs) v of the next v, restarted from the true
+    # one where a gated solve forms it, stays within 1% of the gate's cap
+    # of the true residual at every step of a drive that forms each one,
+    # far inside RESID_SKIP_MARGIN - 1; so no step whose true residual
+    # passes the gate skips it
+    args = _first_control_solve(kind, kappa)
+    state = _fresh_state(args)
+    cap, dim = args[10][0], state.op.dim
+    carried, drifts = state._work[7 * dim:].copy(), []
+    while state.iteration < args[11] \
+            and not (state.breakdown or state.stalled):
+        state.step()
+        carried, forms = _carry(state, carried,
+                                kernels.RESID_SKIP_MARGIN * cap)
+        resid = state._work[7 * dim:]
+        drifts.append(float(np.max(np.abs(carried - resid))) / cap)
+        if forms:
+            carried = resid.copy()
+    assert len(drifts) > 300
+    assert max(drifts) <= 1e-2 < kernels.RESID_SKIP_MARGIN - 1.0
 
 
 def _good_solve_args():
@@ -1130,7 +1206,9 @@ def test_bench_kernels_script_runs(capsys, tmp_path):
             for r in records] == [
         (mesh, profile, family, name)
         for mesh, profile, family in (
-            (3, None, "poisson"), (4, None, "poisson"), (3, None, "neumann"),
+            (3, "control_finite_sum", "poisson"),
+            (4, "control_finite_sum", "poisson"),
+            (3, "control_finite_sum", "neumann"),
             (None, "qp_gaussian", "qp_n40_"))
         for name in kernels.available_backends()]
     for record in records:
