@@ -414,8 +414,8 @@ typedef struct {
  * takes four entries at a time into two running maxima, so that the
  * latency of maxpd stays off the loop's critical path; maxpd returns its
  * second operand when the first is NaN, so NaNs are gathered apart.  The
- * scalar loop takes what is left, and all of it without SSE2: at 768
- * entries on x86-64 it costs about twice the SSE2 loop. */
+ * scalar loop takes what is left, and all of it without SSE2.  On x86-64
+ * the scalar loop alone makes poisson16's solve about 17% slower. */
 static double
 carry_residual(double *resid, const double *v, Py_ssize_t dim, double sn2,
                double pc)

@@ -512,8 +512,12 @@ def _solve_case(case):
     if case.startswith("carried_nan"):
         # a NaN in the residual row the call starts from, which the first
         # step carries, in the SSE2 loop or in the scalar one after it;
-        # the gate is so tight that every other step skips
+        # the gate is so tight that every other step skips.  The SSE2 loop
+        # takes four entries at a time, so the last entry reaches the
+        # scalar one only while dim is not a multiple of 4
         dim = len(args[6])
+        assert case == "carried_nan" or dim % 4, (
+            f"dim {dim} leaves the scalar loop no entries to carry")
         args[7][7 * dim + (3 if case == "carried_nan" else dim - 1)] = np.nan
         args[10] = (1e-300, *args[10][1:])
     elif case == "zero_rhs":
