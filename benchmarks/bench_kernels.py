@@ -11,8 +11,9 @@ tolerance, floor and iteration cap of ``sisqo.krylov``'s multiplier
 solve; the mean over the whole solve) and one truncated tangential
 solve, the first ``kernels.tangential_solve`` call of seed 0 of the
 profile (Hessian rung 0 of the first iteration) with the engine's
-termination tests, timed from its start state per solve and per step,
-with the share of its steps that formed the true residual.  The
+termination tests, captured on each backend from that backend's own run
+and timed from its start state per solve and per step, with its step
+count and the share of its steps that formed the true residual.  The
 problems and that solve are those of the benchmark's workloads: the
 ``control_finite_sum`` profile at each ``--mesh``, its Neumann control
 problem at each ``--neumann`` mesh, and with ``--qp`` the
@@ -186,10 +187,12 @@ def bench_problem(label, config, args):
     problem, h, j = _build(build_problem(config))
     print(f"\nproblem {problem.name}: n={problem.n} m={problem.m}"
           f" jacobian nnz={j.nnz} hessian nnz={h.nnz}")
-    solve_args = first_tangential_solve(problem, config)
     figures, counts = {}, {}
     for name in kernels.available_backends():
         kernels.use_backend(name)
+        # each backend's run reaches its own start state: the backends'
+        # CSR products sum in different orders
+        solve_args = first_tangential_solve(problem, config)
         taken = counts[name] = {"step": [], "cg": [], "loop": [],
                                 "tangential": []}
         for title, prepare in zip(TITLES, csr_figures(h, j)):
@@ -298,8 +301,6 @@ def main(argv=None):
                              load_config("qp_gaussian")))
         records = []
         for label, config in problems:
-            # the timed solve is captured on the backend active at start
-            kernels.use_backend(active)
             records += bench_problem(label, config, args)
     finally:
         kernels.use_backend(active)

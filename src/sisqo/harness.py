@@ -15,7 +15,12 @@ near-exact subproblem tolerance, capped at the total MINRES iterations
 the truncated run consumed, and report the best iterate the exact
 variant visited, ranked as it is visited.  The cap is enforced at
 outer-iteration boundaries, so the final iteration may overshoot; the
-overshoot is reported alongside the budget.
+overshoot is reported alongside the budget.  The two runs of a pair
+solve at once, in two threads: the near-exact run needs the truncated
+run's total only where its own total reaches the truncated run's
+running one, and waits there.  The compiled kernels release the GIL, so
+the two solves share the cores; the records are those of the two runs
+made in turn.
 """
 
 import csv
@@ -24,6 +29,7 @@ import json
 import logging
 import math
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field, make_dataclass
 from typing import Optional
@@ -158,6 +164,17 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
     before stepping, so a converged start yields a record with zero
     iterations.
     """
+    spent = None if budget is None else (lambda total: total >= budget)
+    return _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent)
+
+
+def _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent,
+         progress=None):
+    """The run of ``run_single``.  ``spent`` is None for a run to the
+    stopping rule; otherwise ``spent(total)`` says, before each outer
+    iteration, whether ``total`` MINRES iterations spend the budget.
+    ``progress(total)`` is called with the running total after each
+    outer iteration."""
     start = time.perf_counter()
     oracle = GradientOracle(oracle_kind, rng=substream(seed, "oracle"),
                             eps_n=eps_n)
@@ -177,7 +194,7 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
         while True:
             feas, stat, y_ls = true_kkt_errors(problem, state.x, state.c,
                                                state.j, state.k)
-            if budget is None:
+            if spent is None:
                 if feas <= cfg.feasibility_tol \
                         and stat <= cfg.stationarity_tol:
                     status = "converged"
@@ -186,7 +203,7 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
                 rank = rank_iterate(state.k, feas, stat, cfg.feasibility_tol)
                 if best is None or rank < best[0]:
                     best = (rank, state.x, feas, stat, y_ls)
-                if total_minres >= budget:
+                if spent(total_minres):
                     status = "budget_exhausted"
                     info["stop"] = "minres_budget"
                     break
@@ -196,6 +213,8 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
                 break
             state, step = sqp_iterate(state, problem, oracle, cfg, probe_rng)
             total_minres += step.minres_iters
+            if progress is not None:
+                progress(total_minres)
             rows.append(IterationRow(
                 k=step.k, feas_err=feas, stat_err=stat, tau=step.tau,
                 xi=step.xi, beta=step.beta, alpha=step.alpha,
@@ -231,26 +250,94 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
         config_digest=_config_digest(cfg, oracle_kind, eps_n), info=info)
 
 
+class _PairAborted(Exception):
+    """Ends the near-exact run of a pair whose truncated run left no
+    budget."""
+
+
+class _SharedBudget:
+    """The truncated run's MINRES total as the near-exact run of a pair
+    reads it: while the truncated run goes on, its running total is a
+    lower bound on the budget; once it ends, the budget, or None if it
+    left no usable result."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._bound = 0
+        self._ended = False
+        self._budget = None
+
+    def publish(self, total):
+        with self._cond:
+            self._bound = total
+            self._cond.notify_all()
+
+    def end(self, budget):
+        with self._cond:
+            self._ended, self._budget = True, budget
+            self._cond.notify_all()
+
+    def spent(self, total):
+        """Whether ``total`` spends the budget; waits while that is
+        still open.  Raises ``_PairAborted`` once the truncated run
+        ended without a budget."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._ended or total < self._bound)
+            if not self._ended:
+                return False
+            if self._budget is None:
+                raise _PairAborted
+            return total >= self._budget
+
+
 def run_budget_matched_pair(problem, cfg_inexact, cfg_exact, seed, *,
                             oracle_kind="gaussian", eps_n=0.0):
-    """Truncated run with the stopping rule, then a near-exact run of
-    the same problem and seed capped at the truncated run's total
-    MINRES iterations, judged at its best visited iterate."""
+    """Truncated run with the stopping rule, and a near-exact run of the
+    same problem and seed capped at the truncated run's total MINRES
+    iterations, judged at its best visited iterate.
+
+    The near-exact run goes in a worker thread while the truncated run
+    goes in the caller's; the result is that of the two runs made in
+    turn.  A truncated run that ends in a ``FAILED_STATUSES`` status
+    aborts the pair, and the near-exact run's outcome is discarded.  An
+    exception out of either run is raised here once both have stopped;
+    where both raise, the truncated run's."""
     diff = [name for name, a in asdict(cfg_inexact).items()
             if a != asdict(cfg_exact)[name]]
     if set(diff) - {"kappa"}:
         logger.warning("budget-matched configs differ beyond kappa: %s", diff)
 
-    inexact = run_single(problem, cfg_inexact, seed, oracle_kind=oracle_kind,
-                         eps_n=eps_n, strategy="sisqo")
-    if inexact.status in FAILED_STATUSES:
+    shared = _SharedBudget()
+    outcome = {}
+
+    def near_exact():
+        try:
+            outcome["exact"] = _run(problem, cfg_exact, seed, oracle_kind,
+                                    eps_n, "sisqo_exact", shared.spent)
+        except _PairAborted:
+            pass
+        except BaseException as exc:  # noqa: BLE001 - raised in the caller
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=near_exact, name="sisqo-near-exact")
+    worker.start()
+    inexact = None
+    try:
+        inexact = _run(problem, cfg_inexact, seed, oracle_kind, eps_n,
+                       "sisqo", None, shared.publish)
+    finally:
+        failed = inexact is None or inexact.status in FAILED_STATUSES
+        shared.end(None if failed else inexact.total_minres_iters)
+        worker.join()
+    if failed:
         return ComparisonRecord(
             inexact=inexact, exact=None, budget=0, overshoot=0,
             info={"reason": f"truncated run ended {inexact.status}"})
+    if "error" in outcome:
+        raise outcome["error"]
 
     budget = inexact.total_minres_iters
-    exact = run_single(problem, cfg_exact, seed, oracle_kind=oracle_kind,
-                       eps_n=eps_n, strategy="sisqo_exact", budget=budget)
+    exact = outcome["exact"]
     overshoot = max(0, exact.total_minres_iters - budget)
     return ComparisonRecord(inexact=inexact, exact=exact, budget=budget,
                             overshoot=overshoot)

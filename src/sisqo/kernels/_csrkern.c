@@ -36,6 +36,14 @@
  * matrix), so a malformed CSR structure reads out of bounds.  ``cg`` and
  * ``tangential_solve`` keep no scratch between calls: each takes one
  * block from PyMem_Malloc and frees it before it returns.
+ * ``tangential_solve`` and ``cg`` run without the GIL from after their
+ * argument checks and that allocation until they free the block and
+ * build their result: their loops call nothing of Python, and numpy's
+ * dotfunc (a BLAS ddot) needs no GIL either.  So two threads can solve
+ * at once, and no other thread may write any array of a call, the
+ * matrix arrays included, while it runs.  ``csr_matvec`` and
+ * ``csr_rmatvec`` keep the GIL: a call is too short for a release to
+ * pay.
  *
  * The loop order is fixed -- a sequential per-row sum for matvec, and
  * zero-then-scatter for rmatvec -- so results are reproducible bit for bit
@@ -860,6 +868,7 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
                          work + 4 * dim, work + 5 * dim, work + 6 * dim,
                          work + 7 * dim, 0, 0, 0};
 
+    Py_BEGIN_ALLOW_THREADS
     for (t = 0;; t++) {
         if (t > 0)
             guarded_step(&op, rhs, &rows, scal, skip_above);
@@ -878,6 +887,7 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
     if (rows.stale)
         form_residual(&op, rhs, &rows, scal);
     restore_rows(&rows, work, dim);
+    Py_END_ALLOW_THREADS
     PyMem_Free(hu);
     /* a candidate that passed a test was accepted, so tt1 and tt2 are
      * still 0 unless the loop stopped at an accepted one */
@@ -960,6 +970,7 @@ cg(PyObject *self, PyObject *args, PyObject *kwargs)
     best = ap + len;
     jp = best + len;
 
+    Py_BEGIN_ALLOW_THREADS
     for (i = 0; i < len; i++) {
         x[i] = 0.0;
         r[i] = b[i];
@@ -1007,6 +1018,7 @@ cg(PyObject *self, PyObject *args, PyObject *kwargs)
         memcpy(x, best, len * sizeof(double));
         rnorm = best_norm;
     }
+    Py_END_ALLOW_THREADS
     PyMem_Free(r);
     return Py_BuildValue("nOd", iterations, converged ? Py_True : Py_False,
                          rnorm);

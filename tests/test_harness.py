@@ -4,6 +4,8 @@ import dataclasses
 import logging
 import math
 import os
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -125,12 +127,15 @@ def test_run_single_measures_each_iterate_once(monkeypatch, cfg, run_kwargs,
 
 def _counting(problem, calls):
     """``problem`` with its f, c, J and Hessian callables counted in
-    ``calls``."""
+    ``calls``, under a lock: the two runs of a pair call them at once."""
+    lock = threading.Lock()
+
     def counted(name):
         fn = getattr(problem, name)
 
         def call(*args):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return fn(*args)
         return call
 
@@ -187,14 +192,15 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
 
 def _poisoned(problem, name, call, spoil):
     """``problem`` whose ``name`` callable returns ``spoil(value)`` at
-    its ``call``-th call (counted from 1)."""
+    its ``call``-th call (counted from 1) in each thread: each run of a
+    pair counts its own calls."""
     fn = getattr(problem, name)
-    calls = []
+    local = threading.local()
 
     def poisoned(*args):
-        calls.append(args)
+        local.calls = getattr(local, "calls", 0) + 1
         value = fn(*args)
-        return spoil(value) if len(calls) == call else value
+        return spoil(value) if local.calls == call else value
     return dataclasses.replace(problem, **{name: poisoned})
 
 
@@ -427,6 +433,103 @@ def test_budget_matched_pair_aborts_after_a_failed_truncated_run(
     assert pair.aborted
     assert pair.runs() == [pair.inexact]
     assert pair.info == {"reason": f"truncated run ended {fault}"}
+
+
+def _assert_same_run(a, b):
+    # every field but the wall time, arrays by their bytes
+    for f in dataclasses.fields(a):
+        if f.name != "wall_time":
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.tobytes() == y.tobytes(), f.name
+            else:
+                assert x == y, f.name
+
+
+@pytest.mark.parametrize("case", ["neumann8", "qp"])
+def test_budget_matched_pair_is_the_two_runs_in_turn(backend, case):
+    # the two runs solve at once, with the records of the near-exact run
+    # made after the truncated one under that run's total as its budget
+    if case == "qp":
+        problem, kind, eps_n = _qp(n=12, m=5, seed=1), "gaussian", 1e-2
+        cfg_inexact, cfg_exact = (SolverConfig(kappa=0.1),
+                                  SolverConfig(kappa=1e-7))
+    else:
+        config = apply_overrides(load_config("control_finite_sum"),
+                                 ["problem.kind=neumann_control",
+                                  "problem.mesh_size=8"])
+        problem = build_problem(config)
+        kind, eps_n = oracle_settings(config)
+        cfg_inexact = build_solver_config(config, seed=0)
+        cfg_exact = build_solver_config(
+            config, seed=0, kappa=harness_settings(config)["kappa_exact"])
+    pair = run_budget_matched_pair(problem, cfg_inexact, cfg_exact, 0,
+                                   oracle_kind=kind, eps_n=eps_n)
+    inexact = run_single(problem, cfg_inexact, 0, oracle_kind=kind,
+                         eps_n=eps_n)
+    exact = run_single(problem, cfg_exact, 0, oracle_kind=kind, eps_n=eps_n,
+                       strategy="sisqo_exact",
+                       budget=inexact.total_minres_iters)
+    _assert_same_run(pair.inexact, inexact)
+    _assert_same_run(pair.exact, exact)
+    assert (pair.budget, pair.overshoot, pair.info) == (
+        inexact.total_minres_iters,
+        max(0, exact.total_minres_iters - inexact.total_minres_iters), {})
+    assert exact.info["stop"] == "minres_budget"
+
+
+def test_concurrent_pairs_under_frequent_thread_switches():
+    # four pairs at once, eight solving threads on fewer cores, switching
+    # every few microseconds: each pair is still its two runs in turn
+    problem = _qp(n=12, m=5, seed=1)
+    configs = SolverConfig(kappa=0.1), SolverConfig(kappa=1e-7)
+    pairs = {}
+
+    def solve(seed):
+        pairs[seed] = run_budget_matched_pair(
+            problem, *configs, seed, oracle_kind="gaussian", eps_n=1e-2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve, args=(seed,))
+                   for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed, pair in sorted(pairs.items()):
+        inexact = run_single(problem, configs[0], seed,
+                             oracle_kind="gaussian", eps_n=1e-2)
+        exact = run_single(problem, configs[1], seed, oracle_kind="gaussian",
+                           eps_n=1e-2, strategy="sisqo_exact",
+                           budget=inexact.total_minres_iters)
+        _assert_same_run(pair.inexact, inexact)
+        _assert_same_run(pair.exact, exact)
+    assert sorted(pairs) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("run", ["truncated", "near-exact"])
+def test_an_exception_in_either_run_leaves_the_pair(run):
+    # f raises at the second iterate of one run only; the pair raises it
+    # once both runs have stopped, and leaves no thread behind
+    caller = threading.current_thread()
+
+    def spoil(value):
+        if (threading.current_thread() is caller) == (run == "truncated"):
+            raise ValueError(f"f failed in the {run} run")
+        return value
+
+    problem = _poisoned(_qp(n=12, m=5, seed=1), "eval_f", 2, spoil)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=f"in the {run} run"):
+        run_budget_matched_pair(problem, SolverConfig(kappa=0.1),
+                                SolverConfig(kappa=1e-7), 0,
+                                oracle_kind="gaussian", eps_n=1e-2)
+    assert threading.active_count() == threads
 
 
 def test_run_single_is_deterministic():

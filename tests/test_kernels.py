@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
 from pathlib import Path
 
 import functools
@@ -44,14 +45,6 @@ def _csr_arrays(rng, rows, cols, density=0.3):
     dense = rng.standard_normal((rows, cols))
     dense[rng.uniform(size=dense.shape) > density] = 0.0
     return (dense, *_csr_from_dense(dense))
-
-
-@pytest.fixture(params=kernels.available_backends())
-def backend(request):
-    previous = kernels.active_backend()
-    kernels.use_backend(request.param)
-    yield request.param
-    kernels.use_backend(previous)
 
 
 def test_compiled_backend_present():
@@ -969,6 +962,53 @@ def test_compiled_rmatvec_checks_rows_against_x(compiled):
     args["x"] = np.array([1.0, 2.0])
     kernels.csr_rmatvec(**args)
     np.testing.assert_array_equal(args["out"], [1.0, 6.0, 2.0])
+
+
+def _long_solve(name):
+    """A call of kernel ``name`` of 3000 iterations on the 1-D Laplacian
+    of order 4000, with nothing to stop it earlier."""
+    n = 4000
+    i = np.arange(n)
+    laplacian = SparseMatrix.from_triplets(
+        (n, n), np.concatenate([i, i[1:], i[:-1]]),
+        np.concatenate([i, i[:-1], i[1:]]),
+        np.concatenate([np.full(n, 2.0), np.full(2 * n - 2, -1.0)]))
+    rhs = np.random.default_rng(0).standard_normal(n)
+    if name == "cg":
+        return lambda: kernels.cg(laplacian.indptr, laplacian.indices,
+                                  laplacian.data, n, True, rhs, np.empty(n),
+                                  0.0, 3000)
+    ones = SparseMatrix.from_triplets((1, n), np.zeros(n, dtype=np.int64), i,
+                                      np.ones(n))
+    state = MinresState(KktOperator(laplacian, ones), (rhs, np.zeros(1)))
+    return lambda: state.run(3000)
+
+
+@pytest.mark.parametrize("name", ["tangential_solve", "cg"])
+def test_solves_release_the_gil(compiled, name):
+    # with no forced switch, a thread gives the GIL up only where it
+    # blocks or a C call releases it: the main thread runs its loop
+    # while the worker's call is under way only if the call released it
+    call = _long_solve(name)
+    order, started = [], threading.Event()
+
+    def work():
+        started.set()
+        out = call()
+        order.append(("returned", out[0]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(100.0)
+    try:
+        worker = threading.Thread(target=work)
+        worker.start()
+        assert started.wait(timeout=60)
+        order.append(("looped", sum(k * k for k in range(1000))))
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert order == [("looped", 332833500), ("returned", 3000)]
 
 
 # Imports sisqo.kernels in a fresh interpreter from a copy of the package,

@@ -2,8 +2,10 @@
 
 A copy of the package gets a build of ``_csrkern.c`` with both
 sanitizers, under the name its loader looks for, and a child interpreter
-with the sanitizer runtimes preloaded runs the kernel and krylov tests
-and a mesh-4 Poisson solve on it.  Any report fails the test.
+with the sanitizer runtimes preloaded runs the kernel and krylov tests,
+a mesh-4 Poisson solve and a mesh-4 Neumann budget-matched pair on it;
+the pair's two runs call the kernels from two threads at once.  Any
+report fails the test.
 """
 
 import os
@@ -45,7 +47,8 @@ if code:
     sys.exit(int(code))
 import sisqo.harness
 from sisqo.config import (apply_overrides, build_problem,
-                          build_solver_config, load_config, oracle_settings)
+                          build_solver_config, harness_settings, load_config,
+                          oracle_settings)
 rungs, iterate = [], sisqo.harness.sqp_iterate
 def recorded_iterate(*args, **kwargs):
     state, step = iterate(*args, **kwargs)
@@ -61,6 +64,16 @@ record = sisqo.harness.run_single(
 assert any(r["residuals"] < r["minres_iters"] for r in rungs), rungs
 print("poisson4", record.status, record.total_minres_iters,
       sum(r["residuals"] for r in rungs))
+config = apply_overrides(load_config("control_finite_sum"),
+                         ["problem.kind=neumann_control",
+                          "problem.mesh_size=4"])
+kind, eps_n = oracle_settings(config)
+kappa_exact = harness_settings(config)["kappa_exact"]
+pair = sisqo.harness.run_budget_matched_pair(
+    build_problem(config), build_solver_config(config, seed=0),
+    build_solver_config(config, seed=0, kappa=kappa_exact), 0,
+    oracle_kind=kind, eps_n=eps_n)
+print("neumann4 pair", *(r.status for r in pair.runs()), pair.budget)
 """
 
 
@@ -124,3 +137,5 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
                    "UndefinedBehaviorSanitizer"):
         assert report not in output, output[-4000:]
     assert "poisson4 converged" in proc.stdout, proc.stdout[-2000:]
+    assert "neumann4 pair converged budget_exhausted" in proc.stdout, \
+        proc.stdout[-2000:]
