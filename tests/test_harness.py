@@ -446,6 +446,23 @@ def _assert_same_run(a, b):
                 assert x == y, f.name
 
 
+def _assert_runs_in_turn(pair, problem, cfg_inexact, cfg_exact, seed, kind,
+                         eps_n):
+    """``pair`` is the truncated run, then the near-exact run under the
+    truncated run's total as its budget; returns the near-exact run."""
+    inexact = run_single(problem, cfg_inexact, seed, oracle_kind=kind,
+                         eps_n=eps_n)
+    exact = run_single(problem, cfg_exact, seed, oracle_kind=kind,
+                       eps_n=eps_n, strategy="sisqo_exact",
+                       budget=inexact.total_minres_iters)
+    _assert_same_run(pair.inexact, inexact)
+    _assert_same_run(pair.exact, exact)
+    assert (pair.budget, pair.overshoot, pair.info) == (
+        inexact.total_minres_iters,
+        max(0, exact.total_minres_iters - inexact.total_minres_iters), {})
+    return exact
+
+
 @pytest.mark.parametrize("case", ["neumann8", "qp"])
 def test_budget_matched_pair_is_the_two_runs_in_turn(backend, case):
     # the two runs solve at once, with the records of the near-exact run
@@ -465,16 +482,8 @@ def test_budget_matched_pair_is_the_two_runs_in_turn(backend, case):
             config, seed=0, kappa=harness_settings(config)["kappa_exact"])
     pair = run_budget_matched_pair(problem, cfg_inexact, cfg_exact, 0,
                                    oracle_kind=kind, eps_n=eps_n)
-    inexact = run_single(problem, cfg_inexact, 0, oracle_kind=kind,
-                         eps_n=eps_n)
-    exact = run_single(problem, cfg_exact, 0, oracle_kind=kind, eps_n=eps_n,
-                       strategy="sisqo_exact",
-                       budget=inexact.total_minres_iters)
-    _assert_same_run(pair.inexact, inexact)
-    _assert_same_run(pair.exact, exact)
-    assert (pair.budget, pair.overshoot, pair.info) == (
-        inexact.total_minres_iters,
-        max(0, exact.total_minres_iters - inexact.total_minres_iters), {})
+    exact = _assert_runs_in_turn(pair, problem, cfg_inexact, cfg_exact, 0,
+                                 kind, eps_n)
     assert exact.info["stop"] == "minres_budget"
 
 
@@ -501,15 +510,9 @@ def test_concurrent_pairs_under_frequent_thread_switches():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    for seed, pair in sorted(pairs.items()):
-        inexact = run_single(problem, configs[0], seed,
-                             oracle_kind="gaussian", eps_n=1e-2)
-        exact = run_single(problem, configs[1], seed, oracle_kind="gaussian",
-                           eps_n=1e-2, strategy="sisqo_exact",
-                           budget=inexact.total_minres_iters)
-        _assert_same_run(pair.inexact, inexact)
-        _assert_same_run(pair.exact, exact)
     assert sorted(pairs) == [0, 1, 2, 3]
+    for seed, pair in pairs.items():
+        _assert_runs_in_turn(pair, problem, *configs, seed, "gaussian", 1e-2)
 
 
 @pytest.mark.parametrize("run", ["truncated", "near-exact"])
