@@ -8,7 +8,8 @@ Modules:
 * ``sparse``    CSR matrices and the symmetric saddle (KKT) operator
 * ``krylov``    CG on the normal equations, least-squares multipliers,
                 streaming MINRES
-* ``problems``  problem abstraction, gradient oracles, Lipschitz probes
+* ``problems``  problem abstraction, gradient oracles, the curvature
+                along a step
 * ``library``   synthetic QPs and the two PDE control problems
 * ``engine``    one SQP iteration: steps, Hessian ladder, parameter
                 updates, checks of each step's guarantees

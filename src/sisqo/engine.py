@@ -16,9 +16,9 @@ formula exercises the arithmetic of the solver itself.
 Every condition that ends a run is an ``EngineError`` with a
 class-level ``status`` and a ``diagnostics`` dict: a stationary iterate,
 a step no Hessian rung accepts, a broken invariant, and a NaN or inf in
-f, c, J, the Lagrangian Hessian, a sampled gradient, the values of the
-Lipschitz probe or the Lipschitz estimates, each checked once where it
-is evaluated.  The step-size expansion has a trial bound computed before
+f, c, J, the Lagrangian Hessian, a sampled gradient, the true gradients
+at x and x + d or the Lipschitz estimate, each checked once where it is
+evaluated.  The step-size expansion has a trial bound computed before
 its loop.
 
 Each update rule enforces its guarantees where it computes them, or
@@ -31,7 +31,6 @@ for true Lipschitz constants and an exact gradient.
 import logging
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,8 +67,6 @@ MINRES_MAX_ITER_SCALE = 2.0
 # ||c||_inf and the least-squares residual below which the iterate is
 # stationary for the sampled gradient
 STATIONARY_TOL = 1e-12
-# Lipschitz probe radius per unit of max(1, ||x||)
-PROBE_RADIUS_SCALE = 1e-4
 # last blended rung of the Hessian ladder before the identity
 MAX_RUNG = 10
 
@@ -165,19 +162,6 @@ def _checked(value, quantity, k, shape=None, symmetric=False):
     return value
 
 
-def _probe_view(problem, k):
-    """What the Lipschitz probe at iterate ``k`` reads of ``problem``: n,
-    and the gradient and Jacobian, whose values pass :func:`_checked`
-    before the probe's differences could broadcast a wrong shape away."""
-    n, m = problem.n, problem.m
-    return SimpleNamespace(
-        n=n,
-        eval_grad_f=lambda x: _checked(problem.eval_grad_f(x),
-                                       "probe gradient", k, (n,)),
-        eval_jacobian=lambda x: _checked(problem.eval_jacobian(x),
-                                         "probe Jacobian", k, (m, n)))
-
-
 @dataclass
 class SolverConfig:
     """The settings that some run sets differently, or that the harness
@@ -186,8 +170,8 @@ class SolverConfig:
 
     Defaults follow the recommended settings for the stochastic runs:
     tau starts at 0.1, the two residual contractions share kappa = 0.1,
-    and Lipschitz constants are re-estimated by finite differences at
-    every iterate.
+    and L is measured at every iteration as the curvature of f along the
+    step d (``directional``); Gamma is ``lip_gamma`` in both modes.
     """
 
     # initial merit parameter, decrease fraction and inexactness
@@ -197,8 +181,8 @@ class SolverConfig:
     # step-size scale schedule
     beta_mode: str = "constant"
     beta0: float = 1.0
-    # Lipschitz constants: fixed values or per-iteration estimates
-    lipschitz_mode: str = "estimate"
+    # Lipschitz constants: fixed L, or L measured along each step
+    lipschitz_mode: str = "directional"
     lip_l: float = 1.0
     lip_gamma: float = 0.0
     # outer loop (consumed by the run harness)
@@ -224,20 +208,19 @@ class SolverConfig:
             raise ConfigError("beta0 must lie in (0, 1]")
         if self.beta_mode not in ("constant", "diminishing"):
             raise ConfigError(f"unknown beta_mode {self.beta_mode!r}")
-        if self.lipschitz_mode not in ("fixed", "estimate"):
-            raise ConfigError(f"unknown lipschitz_mode {self.lipschitz_mode!r}")
-        # checked in every mode, as lip_l is, although only fixed mode
-        # reads it
+        if self.lipschitz_mode not in ("fixed", "directional"):
+            raise ConfigError(f"unknown lipschitz_mode {self.lipschitz_mode!r};"
+                              " expected 'fixed' or 'directional'")
+        # both modes read lip_gamma
         if not self.lip_gamma >= 0.0:
             raise ConfigError(f"lip_gamma must be >= 0, got {self.lip_gamma}")
-        if self.lipschitz_mode == "fixed":
-            if self.lip_gamma > 0.0:
-                scale = 2.0 * (1.0 - self.eta) * self.beta0 * XI_INIT \
-                    * self.tau_init / self.lip_gamma
-                if not 0.0 < scale <= 1.0:
-                    raise ConfigError(
-                        "step-size normalization 2(1-eta) beta0 xi0 tau0 /"
-                        f" lip_gamma = {scale:.3g} falls outside (0, 1]")
+        if self.lip_gamma > 0.0:
+            scale = 2.0 * (1.0 - self.eta) * self.beta0 * XI_INIT \
+                * self.tau_init / self.lip_gamma
+            if not 0.0 < scale <= 1.0:
+                raise ConfigError(
+                    "step-size normalization 2(1-eta) beta0 xi0 tau0 /"
+                    f" lip_gamma = {scale:.3g} falls outside (0, 1]")
         if self.max_outer_iterations < 0:
             raise ConfigError("max_outer_iterations must be >= 0")
 
@@ -596,11 +579,12 @@ def _verify(reduces, c_norm, step, varphi, d_sq, merit_drop, guaranteed,
     return out
 
 
-def sqp_iterate(state, problem, oracle, cfg, probe_rng):
+def sqp_iterate(state, problem, oracle, cfg):
     """One full iteration: sample, detect stationarity, take the normal
     step, truncate the tangential solve over the Hessian ladder, update
-    tau / xi / duals, and select the step size.  ``probe_rng`` draws the
-    Lipschitz probes when they are estimated.
+    tau / xi / duals, and select the step size.  In ``directional`` mode
+    L is measured along the step d from the true gradients at x and
+    x + d, which draw nothing from the oracle.
 
     Returns the advanced state and a StepResult.  A condition that ends
     the run raises an EngineError, whose ``status`` names the ending and
@@ -609,28 +593,19 @@ def sqp_iterate(state, problem, oracle, cfg, probe_rng):
     """
     rungs = []
     try:
-        return _iterate(state, problem, oracle, cfg, probe_rng, rungs)
+        return _iterate(state, problem, oracle, cfg, rungs)
     except EngineError as exc:
         exc.diagnostics["minres_iters"] = sum(r["minres_iters"]
                                               for r in rungs)
         raise
 
 
-def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
+def _iterate(state, problem, oracle, cfg, rungs):
     """The body of ``sqp_iterate``; appends one record per Hessian rung
     tried to ``rungs``."""
     g = _checked(oracle.sample(problem, state.x), "sampled gradient",
                  state.k, (problem.n,))
     g = _check_stationary(state, problem, oracle, g)
-
-    if cfg.lipschitz_mode == "fixed":
-        lip_l, lip_gamma = cfg.lip_l, cfg.lip_gamma
-    else:
-        radius = PROBE_RADIUS_SCALE * max(1.0, float(np.linalg.norm(state.x)))
-        lip_l, lip_gamma = estimate_lipschitz(_probe_view(problem, state.k),
-                                              state.x, state.j, radius,
-                                              probe_rng)
-    _checked((lip_l, lip_gamma), "Lipschitz constants", state.k)
 
     ns = compute_normal_step(state.c, state.j)
     beta = beta_for_iteration(cfg, state.k)
@@ -683,6 +658,13 @@ def _iterate(state, problem, oracle, cfg, probe_rng, rungs):
         # iterate as stationary for the sampled gradient to working
         # precision even when the explicit gate has not fired yet
         raise _stationary(_least_squares_residual(g, state.j), False)
+    lip_l, lip_gamma = cfg.lip_l, cfg.lip_gamma
+    if cfg.lipschitz_mode == "directional":
+        grads = [_checked(problem.eval_grad_f(x), f"gradient at {name}",
+                          state.k, (n,))
+                 for x, name in ((state.x + d, "x + d"), (state.x, "x"))]
+        lip_l = _checked(estimate_lipschitz(d, d_sq, *grads),
+                         "Lipschitz constant", state.k)
     delta_l = model_reduction(tau_new, g_dot_d, ns.c_norm, norm_c_plus_jd)
     _, xi_new = xi_update(state.xi, tau_new, delta_l, d_sq)
     alpha_min, alpha_suff = step_size_bounds(tau_new, xi_new, beta, delta_l,

@@ -178,7 +178,6 @@ def _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent,
     start = time.perf_counter()
     oracle = GradientOracle(oracle_kind, rng=substream(seed, "oracle"),
                             eps_n=eps_n)
-    probe_rng = substream(seed, "lipschitz")
     rows = []
     best = None
     total_minres = 0
@@ -211,7 +210,7 @@ def _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent,
                 status = "budget_exhausted"
                 info["stop"] = "outer_cap"
                 break
-            state, step = sqp_iterate(state, problem, oracle, cfg, probe_rng)
+            state, step = sqp_iterate(state, problem, oracle, cfg)
             total_minres += step.minres_iters
             if progress is not None:
                 progress(total_minres)

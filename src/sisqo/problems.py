@@ -1,11 +1,10 @@
-"""Problem abstraction, stochastic gradient oracles, finite-difference
-Lipschitz estimation, and derivative validation.
+"""Problem abstraction, stochastic gradient oracles, the curvature of f
+along a step, and derivative validation.
 
 A Problem bundles callables for the objective, constraints, and their
 derivatives.  Sparse matrices returned by the derivative callables must
 be :class:`sisqo.sparse.SparseMatrix`.  The solver evaluates f, c and J
-once per iterate and the Lagrangian Hessian once per iteration, so
-``estimate_lipschitz`` takes the J(x) it already holds.
+once per iterate and the Lagrangian Hessian once per iteration.
 """
 
 from dataclasses import dataclass, field
@@ -13,18 +12,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sparse import frobenius_distance
-
 __all__ = ["Problem", "GradientOracle", "gaussian_oracle_sample",
            "finite_sum_oracle_sample", "estimate_lipschitz", "substream",
            "validate_problem"]
 
 # substream codes for the counter-based RNG (Philox): adding new
 # instrumentation must never perturb existing streams
-STREAMS = {"oracle": 1, "lipschitz": 2, "problem": 3}
+STREAMS = {"oracle": 1, "problem": 3}
 
-# lower bound of both Lipschitz estimates, so a flat probe still gives
-# a positive step-size denominator
+# lower bound of the Lipschitz estimate, so a step along which f is flat
+# or concave still gives a positive step-size denominator
 LIP_FLOOR = 1e-8
 
 # validate_problem's probe count, and its difference step per max(1, ||x0||)
@@ -169,31 +166,15 @@ class GradientOracle:
 
 # -- Lipschitz estimation --------------------------------------------------
 
-def estimate_lipschitz(problem, x, j, probe_radius, rng):
-    """Finite-difference Lipschitz estimates at a random nearby point.
+def estimate_lipschitz(d, d_sq, grad_x_plus_d, grad_x):
+    """The curvature of f along the step d, d'(grad f(x + d) - grad f(x))
+    / ||d||^2 with ``d_sq`` = ||d||^2 > 0, floored at LIP_FLOOR.
 
-    Samples x' uniformly in the ball of radius ``probe_radius`` around
-    x, then L_est = ||grad f(x') - grad f(x)|| / ||x' - x|| and
-    Gamma_est = ||J(x') - J(x)||_F / ||x' - x||, floored at LIP_FLOOR;
-    ``j`` is J(x).
+    For a quadratic f with Hessian H this is d'Hd / ||d||^2, the constant
+    of the descent lemma on the whole segment [x, x + d].  A NaN or +inf
+    passes the floor, for the caller's finiteness check.
     """
-    if probe_radius <= 0:
-        raise ValueError("probe_radius must be positive")
-    n = problem.n
-    direction = rng.standard_normal(n)
-    dnorm = float(np.linalg.norm(direction))
-    if dnorm == 0.0:
-        return LIP_FLOOR, LIP_FLOOR
-    radius = probe_radius * rng.uniform() ** (1.0 / n)
-    step = (radius / dnorm) * direction
-    dist = float(np.linalg.norm(step))
-    if dist == 0.0:
-        return LIP_FLOOR, LIP_FLOOR
-    xp = x + step
-    l_est = float(np.linalg.norm(problem.eval_grad_f(xp)
-                                 - problem.eval_grad_f(x))) / dist
-    gamma_est = frobenius_distance(problem.eval_jacobian(xp), j) / dist
-    return max(l_est, LIP_FLOOR), max(gamma_est, LIP_FLOOR)
+    return max(float(np.dot(d, grad_x_plus_d - grad_x)) / d_sq, LIP_FLOOR)
 
 
 # -- derivative validation -------------------------------------------------

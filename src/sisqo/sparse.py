@@ -15,7 +15,7 @@ import numpy as np
 from . import kernels
 
 __all__ = ["SparseMatrix", "KktOperator", "blend_with_identity",
-           "frobenius_distance", "is_symmetric"]
+           "is_symmetric"]
 
 
 class SparseMatrix:
@@ -235,13 +235,6 @@ def blend_with_identity(h, iota):
     if h.symmetry_defect() == 0.0:
         out._sym_defect = 0.0
     return out
-
-
-def frobenius_distance(a, b):
-    """||A - B||_F for two sparse matrices of one shape."""
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch")
-    return float(np.linalg.norm(_combine(a, b, 1.0, -1.0).data))
 
 
 def is_symmetric(h):

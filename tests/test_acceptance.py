@@ -477,7 +477,7 @@ def test_07_formula_examples(capsys, monkeypatch):
           np.allclose(ladder_matrix(exact_h, MAX_RUNG + 1).to_dense(),
                       np.eye(5)))
 
-    # oracles and Lipschitz probes
+    # oracles and the Lipschitz estimate
     exact = GradientOracle("gaussian", rng=substream(0, "oracle"), eps_n=0.0)
     check("zero-noise oracle is exact",
           np.array_equal(exact.sample(problem, x0),
@@ -487,13 +487,14 @@ def test_07_formula_examples(capsys, monkeypatch):
     check("single-term finite sum collapses",
           np.allclose(single.eval_term_grad(single.x0, 1, 1),
                       single.eval_grad_f(single.x0), atol=1e-15))
-    l_est, gamma_est = estimate_lipschitz(problem, x0,
-                                          problem.eval_jacobian(x0), 1e-4,
-                                          substream(0, "lipschitz"))
+    step5 = rng.standard_normal(5)
+    l_est = estimate_lipschitz(step5, float(step5 @ step5),
+                               problem.eval_grad_f(x0 + step5),
+                               problem.eval_grad_f(x0))
     q_norm = float(np.linalg.eigvalsh(
         np.array(exact_h.to_dense())).max())
-    check("Lipschitz probe bounded by top curvature",
-          l_est <= q_norm * (1.0 + 1e-9) and gamma_est == 1e-8)
+    check("directional Lipschitz estimate bounded by top curvature",
+          l_est <= q_norm * (1.0 + 1e-9))
 
     # reference function evaluations
     check("reference center term",

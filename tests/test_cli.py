@@ -61,10 +61,10 @@ def test_sweep_covers_noise_levels(tmp_path):
 def test_run_records_every_seed_when_one_breaches(tmp_path, monkeypatch):
     iterate = sisqo.harness.sqp_iterate
 
-    def breach_on_seed_1(state, problem, oracle, cfg, probe_rng):
+    def breach_on_seed_1(state, problem, oracle, cfg):
         if cfg.seed == 1:
             raise InvariantBreach("injected breach")
-        return iterate(state, problem, oracle, cfg, probe_rng)
+        return iterate(state, problem, oracle, cfg)
 
     monkeypatch.setattr(sisqo.harness, "sqp_iterate", breach_on_seed_1)
     out = tmp_path / "run.csv"
@@ -136,14 +136,35 @@ def test_nan_settings_are_rejected(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("value", ["-5", "nan"])
 def test_validate_rejects_a_bad_lip_gamma_in_estimate_mode(capsys, value):
-    # lip_gamma is unread in estimate mode but checked as lip_l is: a
-    # negative or NaN value passed as "solver config ok" before
+    # the qp_gaussian profile measures L along the step and reads Gamma
+    # from lip_gamma: a negative or NaN value must not pass as "solver
+    # config ok"
     assert main(["validate", "-c", "qp_gaussian",
                  f"algorithm.lip_gamma={value}"]) == 2
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert "lip_gamma" in captured.err
     assert "solver config ok" not in captured.out
+
+
+def test_validate_names_both_lipschitz_modes(capsys):
+    assert main(["validate", "-c", "qp_gaussian",
+                 "algorithm.lipschitz_mode=estimate"]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "'fixed' or 'directional'" in captured.err
+    assert "solver config ok" not in captured.out
+    assert main(["validate", "-c", "control_finite_sum", "problem.mesh_size=4",
+                 "algorithm.lipschitz_mode=directional"]) == 0
+    assert "lipschitz_mode=directional" in capsys.readouterr().out
+
+
+def test_run_in_directional_mode_on_a_control_problem(tmp_path):
+    out = tmp_path / "run.csv"
+    assert main(["run", "-c", "control_finite_sum", "-o", str(out),
+                 "problem.mesh_size=4", "harness.seeds=0",
+                 "algorithm.lipschitz_mode=directional"]) == 0
+    assert [r.status for r in load_results(str(out))] == ["converged"]
 
 
 @pytest.mark.parametrize("value", ["5", "nan", "0", "1"])

@@ -27,7 +27,8 @@ def test_bundled_profiles_are_listed():
 def test_qp_profile_round_trips_exact_floats():
     cfg = build_solver_config(load_config("qp_gaussian"))
     assert cfg.tau_init == cfg.eta == cfg.kappa == 0.1
-    assert cfg.lipschitz_mode == "estimate"
+    assert cfg.lipschitz_mode == "directional"
+    assert cfg.lip_gamma == 0.0
     assert cfg.max_outer_iterations == 500
     assert cfg.feasibility_tol == 1e-6
     assert cfg.stationarity_tol == 1e-2
@@ -213,10 +214,23 @@ def test_method_constants_meet_the_theory():
     ({"lipschitz_mode": "fixed", "lip_gamma": 0.1}, "lip_gamma"),
     ({"lipschitz_mode": "fixed", "lip_gamma": math.inf}, "lip_gamma"),
     ({"max_outer_iterations": -1}, "max_outer_iterations"),
+    # a former mode is rejected, not read as another
+    ({"lipschitz_mode": "estimate"}, "lipschitz_mode"),
+    # directional mode reads lip_gamma as fixed mode does
+    ({"lipschitz_mode": "directional", "lip_gamma": -1.0}, "lip_gamma"),
+    ({"lipschitz_mode": "directional", "lip_gamma": 0.1}, "lip_gamma"),
 ])
 def test_out_of_range_settings_are_rejected(settings, key):
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
         build_solver_config({}, **settings)
+
+
+def test_directional_mode_is_the_default_and_takes_a_gamma():
+    assert SolverConfig().lipschitz_mode == "directional"
+    # 2(1 - eta) beta0 xi0 tau0 / lip_gamma = 0.36
+    cfg = build_solver_config({"algorithm": {"lipschitz_mode": "directional",
+                                             "lip_gamma": 0.5}})
+    assert (cfg.lipschitz_mode, cfg.lip_gamma) == ("directional", 0.5)
 
 
 def test_negative_seeds_are_rejected():

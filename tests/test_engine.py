@@ -460,8 +460,7 @@ def test_iterate_detects_stationary_start():
     cfg = SolverConfig()
     state = init_state(problem, cfg)
     with pytest.raises(StationaryPointDetected) as info:
-        sqp_iterate(state, problem, GradientOracle("exact"), cfg,
-                    substream(0, "lipschitz"))
+        sqp_iterate(state, problem, GradientOracle("exact"), cfg)
     assert info.value.diagnostics["residual"] <= 1e-12
     assert not info.value.diagnostics["resampled"]
 
@@ -480,21 +479,20 @@ def test_iterate_resamples_before_declaring_stationarity():
     cfg = SolverConfig()
     oracle = GradientOracle("finite_sum", rng=substream(0, "oracle"))
     with pytest.raises(StationaryPointDetected) as info:
-        sqp_iterate(init_state(problem, cfg), problem, oracle, cfg,
-                    substream(0, "lipschitz"))
+        sqp_iterate(init_state(problem, cfg), problem, oracle, cfg)
     assert info.value.diagnostics["resampled"]
 
 
 def test_circle_problem_first_iteration_hand_checked():
     # start (0, 1) is feasible but not stationary; the Lagrangian
     # Hessian vanishes at y = 0, so the tangential system is singular
-    # and the ladder must escalate once before a candidate passes
+    # and the ladder must escalate once before a candidate passes; Gamma
+    # = 2 is the Lipschitz constant of J(x) = 2x'
     problem = _circle_problem()
-    cfg = SolverConfig()
+    cfg = SolverConfig(lip_gamma=2.0)
     state = init_state(problem, cfg)
     oracle = GradientOracle("exact")
-    next_state, step = sqp_iterate(state, problem, oracle, cfg,
-                                   probe_rng=substream(0, "lipschitz"))
+    next_state, step = sqp_iterate(state, problem, oracle, cfg)
 
     np.testing.assert_array_equal(step.v, np.zeros(2))
     assert step.hessian_rung == 1
@@ -507,10 +505,9 @@ def test_circle_problem_first_iteration_hand_checked():
     assert step.tau == 0.1
     assert step.delta_l == pytest.approx(1.0 / 9.0, rel=1e-9)
     assert step.xi == pytest.approx(0.9, rel=1e-9)
-    # estimated constants: constant gradient gives the floor for L,
-    # the linear-in-x Jacobian gives exactly 2 for Gamma
-    assert step.lip_l == pytest.approx(1e-8)
-    assert step.lip_gamma == pytest.approx(2.0, rel=1e-6)
+    # a constant gradient has no curvature along d: L is the floor
+    assert step.lip_l == 1e-8
+    assert step.lip_gamma == 2.0
     assert step.alpha == pytest.approx(0.081, rel=1e-6)
     assert step.alpha_min == pytest.approx(step.alpha_suff, rel=1e-9)
     np.testing.assert_allclose(next_state.x, [-0.09, 1.0], rtol=0, atol=1e-7)
@@ -526,8 +523,7 @@ def test_failed_iteration_diagnostics_match_raw_arrays(monkeypatch):
     problem = build_synthetic_qp(SyntheticQpSpec(n=8, m=3, seed=4))
     state = init_state(problem, CFG)
     with pytest.raises(sisqo.engine.IterationFailure) as info:
-        sqp_iterate(state, problem, GradientOracle("exact"), CFG,
-                    probe_rng=substream(0, "lipschitz"))
+        sqp_iterate(state, problem, GradientOracle("exact"), CFG)
     diagnostics = info.value.diagnostics
 
     g = problem.eval_grad_f(state.x)
@@ -569,8 +565,7 @@ def test_iterate_monotone_merit_on_qp():
     for _ in range(40):
         f_prev, c_prev = state.f, state.c
         try:
-            state, step = sqp_iterate(state, problem, oracle, cfg,
-                                      substream(0, "lipschitz"))
+            state, step = sqp_iterate(state, problem, oracle, cfg)
         except StationaryPointDetected:
             break
         assert step.violations == []
@@ -596,8 +591,7 @@ def test_iterate_is_deterministic():
                                 eps_n=1e-2)
         state = init_state(problem, cfg)
         for _ in range(5):
-            state, step = sqp_iterate(state, problem, oracle, cfg,
-                                      probe_rng=substream(3, "lipschitz"))
+            state, step = sqp_iterate(state, problem, oracle, cfg)
         runs.append((state.x.copy(), state.tau, state.xi))
     np.testing.assert_array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]

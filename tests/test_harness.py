@@ -144,24 +144,25 @@ def _counting(problem, calls):
 
 
 def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
-    # f, c and J once per visited iterate (the start included), J(x')
-    # once per Lipschitz probe, and the Lagrangian Hessian once per
-    # iteration however many ladder rungs it tries
-    probes = []
+    # f, c and J once per visited iterate (the start included), and the
+    # Lagrangian Hessian once per iteration however many ladder rungs it
+    # tries; the Lipschitz estimate, once per directional iteration,
+    # evaluates no J
+    estimates = []
     estimate = sisqo.engine.estimate_lipschitz
 
-    def probe(*args):
-        probes.append(args)
+    def counted_estimate(*args):
+        estimates.append(args)
         return estimate(*args)
 
-    monkeypatch.setattr(sisqo.engine, "estimate_lipschitz", probe)
+    monkeypatch.setattr(sisqo.engine, "estimate_lipschitz", counted_estimate)
     neumann = apply_overrides(load_config("control_finite_sum"),
                               ["problem.kind=neumann_control",
                                "problem.mesh_size=8"])
     qp = load_config("qp_gaussian")
     for config, pair in ((neumann, True), (qp, False)):
         calls = Counter()
-        probes.clear()
+        estimates.clear()
         problem = _counting(build_problem(config), calls)
         kind, eps_n = oracle_settings(config)
         cfg = build_solver_config(config, seed=0)
@@ -181,13 +182,13 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
         iterates = outer + len(runs)
         assert calls["eval_lagrangian_hessian"] == outer
         assert calls["eval_f"] == calls["eval_c"] == iterates
-        assert calls["eval_jacobian"] == iterates + len(probes)
+        assert calls["eval_jacobian"] == iterates
         if pair:
             # fixed Lipschitz constants, and rungs past 0 are tried
-            assert probes == []
+            assert estimates == []
             assert any(row.hessian_rung > 0 for r in runs for row in r.rows)
         else:
-            assert len(probes) == outer > 0
+            assert len(estimates) == outer > 0
 
 
 def _poisoned(problem, name, call, spoil):
@@ -224,8 +225,9 @@ def _lose_to_cauchy_point(monkeypatch):
 
 
 # (callable, call, spoiled value, status, quantity, iterate); the gradient
-# is evaluated by the KKT metric, the oracle and the Lipschitz probe in
-# that order, and f and c once per iterate
+# is evaluated by the KKT metric, the oracle, and the Lipschitz estimate
+# once the step d is formed, which probes x' = x + d and then x; f, c
+# and J are evaluated once per iterate
 _INJECTIONS = {
     "oracle gradient": ("eval_grad_f", 2, _nan, "nonfinite",
                         "sampled gradient", 0),
@@ -233,10 +235,12 @@ _INJECTIONS = {
                 lambda h: SparseMatrix.diagonal(np.full(h.rows, np.nan)),
                 "nonfinite", "Lagrangian Hessian", 0),
     "probe gradient": ("eval_grad_f", 3, _nan, "nonfinite",
-                       "probe gradient", 0),
-    # finite probe values whose difference overflows the norm
+                       "gradient at x + d", 0),
+    "probe gradient at x": ("eval_grad_f", 4, _nan, "nonfinite",
+                            "gradient at x", 0),
+    # finite probe values whose difference, taken along d, overflows
     "probe overflow": ("eval_grad_f", 3, lambda g: np.full_like(g, 1e308),
-                       "nonfinite", "Lipschitz constants", 0),
+                       "nonfinite", "Lipschitz constant", 0),
     "normal step": (None, None, None, "breach", None, None),
     "c(x2)": ("eval_c", 3, _nan, "nonfinite", "c(x)", 2),
     "f(x2)": ("eval_f", 3, lambda f: math.inf, "nonfinite", "f(x)", 2),
@@ -245,8 +249,7 @@ _INJECTIONS = {
         "eval_lagrangian_hessian", 1,
         lambda h: SparseMatrix.from_dense(np.triu(h.to_dense() + 1.0)),
         "invalid", "Lagrangian Hessian", 0),
-    # J is evaluated at x0, by the Lipschitz probe, then at x1
-    "J(x1) shape": ("eval_jacobian", 3, _drop_row, "invalid", "J(x)", 1),
+    "J(x1) shape": ("eval_jacobian", 2, _drop_row, "invalid", "J(x)", 1),
     # a gradient of shape (1,) at each of its four calls of iteration 0:
     # numpy would broadcast it against one of shape (n,)
     "true gradient shape": ("eval_grad_f", 1, _first, "invalid",
@@ -254,11 +257,9 @@ _INJECTIONS = {
     "oracle gradient shape": ("eval_grad_f", 2, _first, "invalid",
                               "sampled gradient", 0),
     "probe gradient at x' shape": ("eval_grad_f", 3, _first, "invalid",
-                                   "probe gradient", 0),
+                                   "gradient at x + d", 0),
     "probe gradient at x shape": ("eval_grad_f", 4, _first, "invalid",
-                                  "probe gradient", 0),
-    "probe Jacobian shape": ("eval_jacobian", 2, _drop_row, "invalid",
-                             "probe Jacobian", 0),
+                                  "gradient at x", 0),
 }
 
 

@@ -1,16 +1,18 @@
-"""Oracles, the Hessian ladder, Lipschitz probes, and derivative
-validation."""
+"""Oracles, the Hessian ladder, the curvature along a step, and
+derivative validation."""
 
 import numpy as np
 import pytest
 
-from sisqo.engine import MAX_RUNG, ladder_matrix
+from sisqo.engine import (MAX_RUNG, SolverConfig, init_state, ladder_matrix,
+                          sqp_iterate)
 from sisqo.library import (ControlProblemSpec, SyntheticQpSpec,
                            build_neumann_control, build_poisson_control,
                            build_synthetic_qp)
-from sisqo.problems import (GradientOracle, Problem, estimate_lipschitz,
-                            finite_sum_oracle_sample, gaussian_oracle_sample,
-                            substream, validate_problem)
+from sisqo.problems import (LIP_FLOOR, GradientOracle, Problem,
+                            estimate_lipschitz, finite_sum_oracle_sample,
+                            gaussian_oracle_sample, substream,
+                            validate_problem)
 from sisqo.sparse import SparseMatrix
 
 
@@ -26,7 +28,7 @@ def _small_poisson(mesh=4, eps_n=1e-2):
 def test_substream_reproducible_and_distinct():
     a = substream(7, "oracle").standard_normal(5)
     b = substream(7, "oracle").standard_normal(5)
-    c = substream(7, "lipschitz").standard_normal(5)
+    c = substream(7, "problem").standard_normal(5)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError, match="unknown stream"):
@@ -181,31 +183,37 @@ def test_ladder_fixed_point_at_identity_hessian():
 
 # -- Lipschitz estimation -------------------------------------------------
 
-def test_estimate_lipschitz_quadratic_bounds():
+def test_estimate_lipschitz_is_the_curvature_along_d_on_a_qp():
     problem = _small_qp(n=12, m=3)
-    q_norm = float(np.linalg.norm(
-        problem.eval_lagrangian_hessian(problem.x0, np.zeros(3)).to_dense(),
-        2))
-    l_est, gamma_est = estimate_lipschitz(
-        problem, problem.x0, problem.eval_jacobian(problem.x0), 1e-4,
-        substream(0, "lipschitz"))
-    # a quadratic's secant slope lies between the extreme eigenvalues,
-    # and linear constraints leave only the floor for Gamma
-    assert 1.0 - 1e-9 <= l_est <= q_norm * (1.0 + 1e-9)
-    assert gamma_est == 1e-8
+    hess = problem.eval_lagrangian_hessian(problem.x0, np.zeros(3)).to_dense()
+    rng = np.random.default_rng(4)
+    x, d = rng.standard_normal(12), rng.standard_normal(12)
+    d_sq = float(d @ d)
+    curvature = float(d @ hess @ d) / d_sq
+    assert estimate_lipschitz(d, d_sq, problem.eval_grad_f(x + d),
+                              problem.eval_grad_f(x)) == \
+        pytest.approx(curvature, rel=1e-12)
+    # the iteration measures it along its own step d = v + u
+    cfg = SolverConfig()
+    _, step = sqp_iterate(init_state(problem, cfg), problem,
+                          GradientOracle("exact"), cfg)
+    d = step.v + step.u
+    assert step.lip_l == pytest.approx(float(d @ hess @ d) / float(d @ d),
+                                       rel=1e-12)
 
 
-def test_estimate_lipschitz_deterministic_given_stream():
-    problem = _small_qp(n=8, m=2)
-    j = problem.eval_jacobian(problem.x0)
-    a = estimate_lipschitz(problem, problem.x0, j, 1e-3,
-                           substream(5, "lipschitz"))
-    b = estimate_lipschitz(problem, problem.x0, j, 1e-3,
-                           substream(5, "lipschitz"))
-    assert a == b
-    with pytest.raises(ValueError, match="probe_radius"):
-        estimate_lipschitz(problem, problem.x0, j, 0.0,
-                           substream(5, "lipschitz"))
+def test_estimate_lipschitz_floors_non_positive_curvature():
+    # f = x'Hx / 2 with H = diag(2, -1, 0): negative and zero curvature
+    # along the second and third axes
+    hess = np.diag([2.0, -1.0, 0.0])
+    x = np.array([0.5, -1.0, 3.0])
+    for d, expected in (([0.0, 1.0, 0.0], LIP_FLOOR),
+                        ([0.0, 0.0, 2.0], LIP_FLOOR),
+                        ([0.0, 1.0, 1.0], LIP_FLOOR),
+                        ([1.0, 1.0, 0.0], 0.5)):
+        d = np.array(d)
+        assert estimate_lipschitz(d, float(d @ d), hess @ (x + d),
+                                  hess @ x) == expected
 
 
 # -- derivative validation --------------------------------------------------

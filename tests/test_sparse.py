@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from sisqo.engine import MAX_RUNG, ladder_matrix
-from sisqo.sparse import (KktOperator, SparseMatrix, blend_with_identity,
-                          frobenius_distance)
+from sisqo.sparse import KktOperator, SparseMatrix, blend_with_identity
 
 from oracles import (dense_kkt_matrix, kkt_operator_dense, random_spd,
                      random_symmetric)
@@ -175,29 +174,6 @@ def test_blend_of_diagonal_skips_the_merge(monkeypatch):
         assert blended.indices.tobytes() == merged.indices.tobytes()
         assert blended.data.tobytes() == merged.data.tobytes()
     assert calls == []
-
-
-def test_frobenius_distance():
-    a = SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    b = SparseMatrix.from_dense(np.array([[0.0, 3.0], [0.0, 2.0]]))
-    expected = np.linalg.norm(a.to_dense() - b.to_dense())
-    assert frobenius_distance(a, b) == pytest.approx(expected, rel=1e-14)
-    assert frobenius_distance(a, a) == 0.0
-    c = SparseMatrix.from_dense(np.array([[4.0, 0.0], [0.0, -1.0]]))
-    assert frobenius_distance(a, c) == pytest.approx(np.hypot(3.0, 3.0),
-                                                     rel=1e-15)
-    with pytest.raises(ValueError, match="shape"):
-        frobenius_distance(a, SparseMatrix.identity(3))
-
-
-def test_frobenius_distance_of_one_pattern_does_not_merge(monkeypatch):
-    a = SparseMatrix.from_dense(np.array([[1.0, 0.0], [2.0, 3.0]]))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("triplets were merged")
-
-    monkeypatch.setattr(SparseMatrix, "from_triplets", refuse)
-    assert frobenius_distance(a, a) == 0.0
 
 
 def test_symmetry_is_checked_once_per_matrix(monkeypatch):
