@@ -16,11 +16,15 @@ the truncated run consumed, and report the best iterate the exact
 variant visited, ranked as it is visited.  The cap is enforced at
 outer-iteration boundaries, so the final iteration may overshoot; the
 overshoot is reported alongside the budget.  The two runs of a pair
-solve at once, in two threads: the near-exact run needs the truncated
-run's total only where its own total reaches the truncated run's
-running one, and waits there.  The compiled kernels release the GIL, so
-the two solves share the cores; the records are those of the two runs
-made in turn.
+solve at once, in two threads.  While the truncated run goes on, its
+running total is a lower bound on the budget; where the near-exact run's
+total reaches that bound, the budget check is open, and the near-exact
+run takes its next step anyway.  It keeps the step if the budget comes
+back not spent and drops it if it comes back spent, so it may take one
+step that no record shows: that step's ``Problem`` calls and its log
+lines (a CG or invariant warning) happen all the same.  The compiled
+kernels release the GIL, so the two solves share the cores; the records
+are those of the two runs made in turn.
 """
 
 import csv
@@ -164,15 +168,21 @@ def run_single(problem, cfg, seed, *, oracle_kind="gaussian", eps_n=0.0,
     before stepping, so a converged start yields a record with zero
     iterations.
     """
-    spent = None if budget is None else (lambda total: total >= budget)
+    spent = None
+    if budget is not None:
+        spent = _SharedBudget()
+        spent.end(budget)
     return _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent)
 
 
 def _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent,
          progress=None):
     """The run of ``run_single``.  ``spent`` is None for a run to the
-    stopping rule; otherwise ``spent(total)`` says, before each outer
-    iteration, whether ``total`` MINRES iterations spend the budget.
+    stopping rule; otherwise the ``_SharedBudget`` that says, before each
+    outer iteration, whether the running MINRES total spends the budget.
+    Where that is still open, the run takes the iteration while it waits
+    for the verdict, and drops it (its state, row, MINRES steps,
+    violations or exception) if the budget was spent.
     ``progress(total)`` is called with the running total after each
     outer iteration."""
     start = time.perf_counter()
@@ -193,6 +203,9 @@ def _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent,
         while True:
             feas, stat, y_ls = true_kkt_errors(problem, state.x, state.c,
                                                state.j, state.k)
+            # the iteration taken while the budget verdict was open: the
+            # (state, step) pair, or the exception it raised
+            ahead = None
             if spent is None:
                 if feas <= cfg.feasibility_tol \
                         and stat <= cfg.stationarity_tol:
@@ -202,7 +215,13 @@ def _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent,
                 rank = rank_iterate(state.k, feas, stat, cfg.feasibility_tol)
                 if best is None or rank < best[0]:
                     best = (rank, state.x, feas, stat, y_ls)
-                if spent(total_minres):
+                if spent._query(total_minres) is None \
+                        and state.k < cfg.max_outer_iterations:
+                    try:
+                        ahead = sqp_iterate(state, problem, oracle, cfg)
+                    except Exception as exc:  # noqa: BLE001 - raised below
+                        ahead = exc
+                if spent.spent(total_minres):
                     status = "budget_exhausted"
                     info["stop"] = "minres_budget"
                     break
@@ -210,7 +229,11 @@ def _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent,
                 status = "budget_exhausted"
                 info["stop"] = "outer_cap"
                 break
-            state, step = sqp_iterate(state, problem, oracle, cfg)
+            if ahead is None:
+                ahead = sqp_iterate(state, problem, oracle, cfg)
+            elif isinstance(ahead, Exception):
+                raise ahead
+            state, step = ahead
             total_minres += step.minres_iters
             if progress is not None:
                 progress(total_minres)
@@ -255,10 +278,11 @@ class _PairAborted(Exception):
 
 
 class _SharedBudget:
-    """The truncated run's MINRES total as the near-exact run of a pair
-    reads it: while the truncated run goes on, its running total is a
-    lower bound on the budget; once it ends, the budget, or None if it
-    left no usable result."""
+    """The MINRES budget of a capped run.  In a pair it is the truncated
+    run's total as the near-exact run reads it: while the truncated run
+    goes on, its running total is a lower bound on the budget; once it
+    ends, the budget, or None if it left no usable result.
+    ``run_single`` ends one at once with its ``budget``."""
 
     def __init__(self):
         self._cond = threading.Condition()
@@ -276,17 +300,27 @@ class _SharedBudget:
             self._ended, self._budget = True, budget
             self._cond.notify_all()
 
-    def spent(self, total):
-        """Whether ``total`` spends the budget; waits while that is
-        still open.  Raises ``_PairAborted`` once the truncated run
-        ended without a budget."""
+    def _query(self, total):
+        """Whether ``total`` spends the budget, or None while that is
+        still open: ``total`` has reached the running bound and the
+        truncated run goes on.  Raises ``_PairAborted`` once the
+        truncated run ended without a budget."""
         with self._cond:
-            self._cond.wait_for(lambda: self._ended or total < self._bound)
             if not self._ended:
-                return False
+                return False if total < self._bound else None
             if self._budget is None:
                 raise _PairAborted
             return total >= self._budget
+
+    def spent(self, total):
+        """Whether ``total`` spends the budget, as ``_query`` says it;
+        waits while that is still open."""
+        with self._cond:
+            verdict = self._query(total)
+            while verdict is None:
+                self._cond.wait()
+                verdict = self._query(total)
+            return verdict
 
 
 def run_budget_matched_pair(problem, cfg_inexact, cfg_exact, seed, *,
@@ -297,10 +331,13 @@ def run_budget_matched_pair(problem, cfg_inexact, cfg_exact, seed, *,
 
     The near-exact run goes in a worker thread while the truncated run
     goes in the caller's; the result is that of the two runs made in
-    turn.  A truncated run that ends in a ``FAILED_STATUSES`` status
-    aborts the pair, and the near-exact run's outcome is discarded.  An
-    exception out of either run is raised here once both have stopped;
-    where both raise, the truncated run's."""
+    turn.  Where its budget check is still open, the near-exact run
+    takes its next step, and drops it if the budget comes back spent;
+    that step's ``Problem`` calls and log lines happen though no record
+    shows them.  A truncated run that ends in a ``FAILED_STATUSES``
+    status aborts the pair, and the near-exact run's outcome is
+    discarded.  An exception out of either run is raised here once both
+    have stopped; where both raise, the truncated run's."""
     diff = [name for name, a in asdict(cfg_inexact).items()
             if a != asdict(cfg_exact)[name]]
     if set(diff) - {"kappa"}:
@@ -312,7 +349,7 @@ def run_budget_matched_pair(problem, cfg_inexact, cfg_exact, seed, *,
     def near_exact():
         try:
             outcome["exact"] = _run(problem, cfg_exact, seed, oracle_kind,
-                                    eps_n, "sisqo_exact", shared.spent)
+                                    eps_n, "sisqo_exact", shared)
         except _PairAborted:
             pass
         except BaseException as exc:  # noqa: BLE001 - raised in the caller

@@ -172,9 +172,12 @@ def estimate_lipschitz(d, d_sq, grad_x_plus_d, grad_x):
 
     For a quadratic f with Hessian H this is d'Hd / ||d||^2, the constant
     of the descent lemma on the whole segment [x, x + d].  A NaN or +inf
-    passes the floor, for the caller's finiteness check.
+    passes the floor, for the caller's finiteness check, without a
+    RuntimeWarning: the check ends the run with a recorded status.
     """
-    return max(float(np.dot(d, grad_x_plus_d - grad_x)) / d_sq, LIP_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curvature = float(np.dot(d, grad_x_plus_d - grad_x)) / d_sq
+    return max(curvature, LIP_FLOOR)
 
 
 # -- derivative validation -------------------------------------------------

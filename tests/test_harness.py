@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,8 @@ from sisqo.engine import SolverConfig
 from sisqo.harness import (FAILED_STATUSES, ComparisonRecord, aggregate,
                            emit_results, load_results, resolve_output_path,
                            rank_iterate, run_budget_matched_pair, run_single,
-                           true_kkt_errors, CSV_COLUMNS)
+                           true_kkt_errors, CSV_COLUMNS, _PairAborted,
+                           _SharedBudget)
 from sisqo.krylov import CgResult, MinresState
 from sisqo.library import SyntheticQpSpec, build_synthetic_qp
 from sisqo.problems import Problem
@@ -147,15 +149,23 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
     # f, c and J once per visited iterate (the start included), and the
     # Lagrangian Hessian once per iteration however many ladder rungs it
     # tries; the Lipschitz estimate, once per directional iteration,
-    # evaluates no J
+    # evaluates no J.  The near-exact run of a pair may take one more
+    # iteration, while its budget check is open, and drop it
     estimates = []
     estimate = sisqo.engine.estimate_lipschitz
+    iterate = sisqo.harness.sqp_iterate
+    iterations = Counter()
 
     def counted_estimate(*args):
         estimates.append(args)
         return estimate(*args)
 
+    def counted_iterate(*args):
+        iterations[threading.current_thread().name] += 1
+        return iterate(*args)
+
     monkeypatch.setattr(sisqo.engine, "estimate_lipschitz", counted_estimate)
+    monkeypatch.setattr(sisqo.harness, "sqp_iterate", counted_iterate)
     neumann = apply_overrides(load_config("control_finite_sum"),
                               ["problem.kind=neumann_control",
                                "problem.mesh_size=8"])
@@ -163,6 +173,7 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
     for config, pair in ((neumann, True), (qp, False)):
         calls = Counter()
         estimates.clear()
+        iterations.clear()
         problem = _counting(build_problem(config), calls)
         kind, eps_n = oracle_settings(config)
         cfg = build_solver_config(config, seed=0)
@@ -178,9 +189,14 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
         assert len(runs) == (2 if pair else 1)
         assert all(r.status in ("converged", "budget_exhausted")
                    for r in runs)
-        outer = sum(r.outer_iters for r in runs)
-        iterates = outer + len(runs)
-        assert calls["eval_lagrangian_hessian"] == outer
+        # every iteration taken, dropped or not
+        taken = sum(iterations.values())
+        dropped = taken - sum(r.outer_iters for r in runs)
+        assert iterations[threading.current_thread().name] \
+            == runs[0].outer_iters
+        assert dropped in ((0, 1) if pair else (0,))
+        iterates = taken + len(runs)
+        assert calls["eval_lagrangian_hessian"] == taken
         assert calls["eval_f"] == calls["eval_c"] == iterates
         assert calls["eval_jacobian"] == iterates
         if pair:
@@ -188,7 +204,7 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
             assert estimates == []
             assert any(row.hessian_rung > 0 for r in runs for row in r.rows)
         else:
-            assert len(estimates) == outer > 0
+            assert len(estimates) == taken > 0
 
 
 def _poisoned(problem, name, call, spoil):
@@ -289,8 +305,12 @@ def test_every_injected_fault_ends_in_a_recorded_status(monkeypatch, case):
     else:
         problem = _poisoned(problem, name, call, spoil_and_mark)
 
-    record = run_single(problem, build_solver_config(config, seed=0), 0,
-                        oracle_kind=kind, eps_n=eps_n)
+    # the recorded status is the whole report: no RuntimeWarning besides
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        record = run_single(problem, build_solver_config(config, seed=0), 0,
+                            oracle_kind=kind, eps_n=eps_n)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert record.status == status
     assert record.info["reason"]
     assert record.outer_iters == len(record.rows)
@@ -534,6 +554,134 @@ def test_an_exception_in_either_run_leaves_the_pair(run):
                                 SolverConfig(kappa=1e-7), 0,
                                 oracle_kind="gaussian", eps_n=1e-2)
     assert threading.active_count() == threads
+
+
+def test_shared_budget_query():
+    # None while the verdict is open, and never a wait
+    shared = _SharedBudget()
+    assert shared._query(0) is None
+    shared.publish(10)
+    assert (shared._query(9), shared._query(10)) == (False, None)
+    shared.end(12)
+    assert [shared._query(t) for t in (0, 11, 12, 13)] \
+        == [False, False, True, True]
+    assert shared.spent(12) is True
+    aborted = _SharedBudget()
+    aborted.publish(5)
+    aborted.end(None)
+    for query in (aborted._query, aborted.spent):
+        with pytest.raises(_PairAborted):
+            query(0)
+
+
+_HOLD_TIMEOUT = 60.0
+
+
+def _held(problem, name, call, until, released):
+    """``problem`` whose ``name`` callable, at its ``call``-th call from
+    the calling thread (the truncated run's), waits for the event
+    ``until``; ``released`` gets whether it was set before the wait
+    timed out."""
+    caller = threading.current_thread()
+
+    def hold(value):
+        if threading.current_thread() is caller:
+            released.append(until.wait(_HOLD_TIMEOUT))
+        return value
+    return _poisoned(problem, name, call, hold)
+
+
+def _pair_setup():
+    problem = _qp(n=12, m=5, seed=1)
+    return problem, SolverConfig(kappa=0.1), SolverConfig(kappa=1e-7)
+
+
+def test_the_near_exact_run_steps_while_its_budget_is_open(monkeypatch):
+    # the truncated run is held at its start, before it has published
+    # any of its total; the near-exact run takes its first iteration
+    # all the same, and the pair is still the two runs in turn
+    problem, *configs = _pair_setup()
+    caller = threading.current_thread()
+    stepped, released = threading.Event(), []
+    iterate = sisqo.harness.sqp_iterate
+
+    def marked_iterate(*args):
+        out = iterate(*args)
+        if threading.current_thread() is not caller:
+            stepped.set()
+        return out
+
+    monkeypatch.setattr(sisqo.harness, "sqp_iterate", marked_iterate)
+    pair = run_budget_matched_pair(
+        _held(problem, "eval_f", 1, stepped, released), *configs, 0,
+        oracle_kind="gaussian", eps_n=1e-2)
+    assert released == [True]
+    _assert_runs_in_turn(pair, problem, *configs, 0, "gaussian", 1e-2)
+
+
+def _raise_value_error(value):
+    raise ValueError("f failed in the near-exact run")
+
+
+@pytest.mark.parametrize("spoil", [lambda f: math.nan, _raise_value_error],
+                         ids=["nonfinite", "ValueError"])
+@pytest.mark.parametrize("ahead", [1, 0], ids=["dropped", "kept"])
+def test_a_dropped_step_leaves_no_trace(spoil, ahead):
+    # f at the iterate that the near-exact run's step after its budget
+    # is spent (ahead = 1), or the step before it (ahead = 0), would
+    # reach is spoiled, while the truncated run is held after its last
+    # MINRES step until that evaluation: the dropped step leaves the
+    # pair as the two runs in turn, and the kept one ends the near-exact
+    # run as it ends it in turn
+    problem, cfg_inexact, cfg_exact = _pair_setup()
+    run = dict(oracle_kind="gaussian", eps_n=1e-2)
+    # the truncated run's gradient calls: its last one measures the
+    # final iterate, after the run has published its whole total
+    grads = []
+
+    def counted_grad(x):
+        grads.append(x)
+        return problem.eval_grad_f(x)
+
+    counted = dataclasses.replace(problem, eval_grad_f=counted_grad)
+    inexact = run_single(counted, cfg_inexact, 0, **run)
+    budget = inexact.total_minres_iters
+    exact = run_single(problem, cfg_exact, 0, strategy="sisqo_exact",
+                       budget=budget, **run)
+    assert exact.info["stop"] == "minres_budget"
+    # f is evaluated at x0 and once per iteration
+    call = exact.outer_iters + 1 + ahead
+
+    caller = threading.current_thread()
+    spoiled, released = threading.Event(), []
+
+    def spoil_near_exact(value):
+        if threading.current_thread() is caller:
+            return value
+        spoiled.set()
+        return spoil(value)
+
+    held = _held(problem, "eval_grad_f", len(grads), spoiled, released)
+    pair_problem = _poisoned(held, "eval_f", call, spoil_near_exact)
+    in_turn = _poisoned(problem, "eval_f", call, spoil)
+    if not ahead and spoil is _raise_value_error:
+        with pytest.raises(ValueError, match="in the near-exact run"):
+            run_single(in_turn, cfg_exact, 0, budget=budget, **run)
+        with pytest.raises(ValueError, match="in the near-exact run"):
+            run_budget_matched_pair(pair_problem, cfg_inexact, cfg_exact, 0,
+                                    **run)
+    else:
+        pair = run_budget_matched_pair(pair_problem, cfg_inexact, cfg_exact,
+                                       0, **run)
+        # in turn, the near-exact run stops before the spoiled step
+        expected = exact if ahead else run_single(
+            in_turn, cfg_exact, 0, strategy="sisqo_exact", budget=budget,
+            **run)
+        assert expected.status \
+            == ("budget_exhausted" if ahead else "nonfinite")
+        _assert_same_run(pair.inexact, inexact)
+        _assert_same_run(pair.exact, expected)
+    assert released == [True]
 
 
 def test_run_single_is_deterministic():
