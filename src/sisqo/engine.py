@@ -16,10 +16,10 @@ formula exercises the arithmetic of the solver itself.
 Every condition that ends a run is an ``EngineError`` with a
 class-level ``status`` and a ``diagnostics`` dict: a stationary iterate,
 a step no Hessian rung accepts, a broken invariant, and a NaN or inf in
-f, c, J, the Lagrangian Hessian, a sampled gradient, the true gradients
-at x and x + d or the Lipschitz estimate, each checked once where it is
-evaluated.  The step-size expansion has a trial bound computed before
-its loop.
+f, c, J, the true gradient, the Lagrangian Hessian, a sampled gradient,
+the gradient at x + d or the Lipschitz estimate, each checked once where
+it is evaluated.  The step-size expansion has a trial bound computed
+before its loop.
 
 Each update rule enforces its guarantees where it computes them, or
 raises.  Every step checks the three that no rule enforces, recording a
@@ -229,11 +229,11 @@ class SolverConfig:
 class IterateState:
     """Everything carried from iteration k to k+1.
 
-    ``f``, ``c`` and ``j`` are f(x), c(x) and J(x), evaluated once per
-    iterate.  ``prev_pair_norm`` is ||(g + J'y; c)|| of the previous
-    iterate's sampled gradient, Jacobian and constraint values at the
-    current duals, the backward-looking branch of the dual residual
-    bound; it is inf at k = 0.
+    ``f``, ``c``, ``j`` and ``true_grad`` are f(x), c(x), J(x) and the
+    true gradient, evaluated once per iterate.  ``prev_pair_norm`` is
+    ||(g + J'y; c)|| of the previous iterate's sampled gradient, Jacobian
+    and constraint values at the current duals, the backward-looking
+    branch of the dual residual bound; it is inf at k = 0.
     """
 
     k: int
@@ -244,6 +244,7 @@ class IterateState:
     f: float
     c: np.ndarray
     j: object
+    true_grad: np.ndarray
     prev_pair_norm: float = math.inf
 
 
@@ -480,16 +481,22 @@ def update_duals(y, delta):
     return y + delta
 
 
+def _evaluated(problem, x, k):
+    """The ``IterateState`` fields f, c, j and true_grad of iterate ``k``
+    at x, each checked as it is evaluated."""
+    n, m = problem.n, problem.m
+    return {"f": _checked(problem.eval_f(x), "f(x)", k, ()),
+            "c": _checked(problem.eval_c(x), "c(x)", k, (m,)),
+            "j": _checked(problem.eval_jacobian(x), "J(x)", k, (m, n)),
+            "true_grad": _checked(problem.eval_grad_f(x), "true gradient",
+                                  k, (n,))}
+
+
 def init_state(problem, cfg):
-    """The state at k = 0: ``problem.x0`` and zero duals."""
+    """The state at k = 0: ``problem.x0``, evaluated, and zero duals."""
     x = np.array(problem.x0, dtype=np.float64)
     return IterateState(k=0, x=x, y=np.zeros(problem.m), tau=cfg.tau_init,
-                        xi=XI_INIT,
-                        f=_checked(problem.eval_f(x), "f(x)", 0, ()),
-                        c=_checked(problem.eval_c(x), "c(x)", 0,
-                                   (problem.m,)),
-                        j=_checked(problem.eval_jacobian(x), "J(x)", 0,
-                                   (problem.m, problem.n)))
+                        xi=XI_INIT, **_evaluated(problem, x, 0))
 
 
 def _stationary(residual, resampled):
@@ -582,13 +589,14 @@ def _verify(reduces, c_norm, step, varphi, d_sq, merit_drop, guaranteed,
 def sqp_iterate(state, problem, oracle, cfg):
     """One full iteration: sample, detect stationarity, take the normal
     step, truncate the tangential solve over the Hessian ladder, update
-    tau / xi / duals, and select the step size.  In ``directional`` mode
-    L is measured along the step d from the true gradients at x and
-    x + d, which draw nothing from the oracle.
+    tau / xi / duals, select the step size, and evaluate x_{k+1}.  In
+    ``directional`` mode L is measured along the step d from the true
+    gradients at x + d and x, which draw nothing from the oracle.
 
     Returns the advanced state and a StepResult.  A condition that ends
-    the run raises an EngineError, whose ``status`` names the ending and
-    whose ``diagnostics["minres_iters"]`` counts the MINRES steps the
+    the run, a bad value at x_{k+1} included, raises an EngineError,
+    whose ``status`` names the ending and whose
+    ``diagnostics["minres_iters"]`` counts the MINRES steps the
     iteration took before it.
     """
     rungs = []
@@ -660,10 +668,10 @@ def _iterate(state, problem, oracle, cfg, rungs):
         raise _stationary(_least_squares_residual(g, state.j), False)
     lip_l, lip_gamma = cfg.lip_l, cfg.lip_gamma
     if cfg.lipschitz_mode == "directional":
-        grads = [_checked(problem.eval_grad_f(x), f"gradient at {name}",
-                          state.k, (n,))
-                 for x, name in ((state.x + d, "x + d"), (state.x, "x"))]
-        lip_l = _checked(estimate_lipschitz(d, d_sq, *grads),
+        grad_x_plus_d = _checked(problem.eval_grad_f(state.x + d),
+                                 "gradient at x + d", state.k, (n,))
+        lip_l = _checked(estimate_lipschitz(d, d_sq, grad_x_plus_d,
+                                            state.true_grad),
                          "Lipschitz constant", state.k)
     delta_l = model_reduction(tau_new, g_dot_d, ns.c_norm, norm_c_plus_jd)
     _, xi_new = xi_update(state.xi, tau_new, delta_l, d_sq)
@@ -690,23 +698,17 @@ def _iterate(state, problem, oracle, cfg, rungs):
         alpha_min=alpha_min, alpha_suff=alpha_suff, alpha=alpha,
         info={"rungs": rungs})
 
-    f_next = _checked(problem.eval_f(x_next), "f(x)", state.k + 1, ())
-    c_next = _checked(problem.eval_c(x_next), "c(x)", state.k + 1,
-                      (problem.m,))
+    state_next = IterateState(
+        k=state.k + 1, x=x_next, y=y_next, tau=tau_new, xi=xi_new,
+        prev_pair_norm=norm_pair(g + state.j.apply_transpose(y_next),
+                                 state.c),
+        **_evaluated(problem, x_next, state.k + 1))
     # the merit bound holds for true Lipschitz upper bounds and exact g
-    merit_drop = merit_value(tau_new, f_next, c_next) \
+    merit_drop = merit_value(tau_new, state_next.f, state_next.c) \
         - merit_value(tau_new, state.f, state.c)
     reduces = _reduces_model(tau_new, g_dot_d, max_term, ns.c_norm,
                              norm_c_plus_jd, ns.cauchy_lhs)
     step.violations = _verify(
         reduces, ns.c_norm, step, varphi, d_sq, merit_drop,
         cfg.lipschitz_mode == "fixed" and not oracle.is_stochastic, cfg)
-
-    state_next = IterateState(
-        k=state.k + 1, x=x_next, y=y_next, tau=tau_new, xi=xi_new,
-        f=f_next, c=c_next,
-        j=_checked(problem.eval_jacobian(x_next), "J(x)", state.k + 1,
-                   (problem.m, problem.n)),
-        prev_pair_norm=norm_pair(g + state.j.apply_transpose(y_next),
-                                 state.c))
     return state_next, step

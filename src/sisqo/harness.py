@@ -4,11 +4,12 @@ aggregation, and results emission.
 A run drives ``sqp_iterate`` under the outer stopping rule that checks,
 at each iterate before stepping, the true-gradient KKT errors:
 infinity-norm feasibility below ``feasibility_tol`` and least-squares
-stationarity below ``stationarity_tol``.  Every other ending is an
-``EngineError`` raised by the engine; ``run_single`` records its
-``status``, ``info["reason"]`` and ``info["diagnostics"]`` in one
-handler, so one bad seed never ends a sweep.  ``FAILED_STATUSES`` lists
-the endings that leave no usable result.
+stationarity below ``stationarity_tol``, from the state's c, J and true
+gradient.  Every other ending is an ``EngineError`` raised by the
+engine; ``run_single`` records its ``status``, ``info["reason"]`` and
+``info["diagnostics"]`` in one handler, so one bad seed never ends a
+sweep.  ``FAILED_STATUSES`` lists the endings that leave no usable
+result.
 
 Budget-matched comparisons rerun the same problem and seed with a
 near-exact subproblem tolerance, capped at the total MINRES iterations
@@ -41,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import (EngineError, InvalidValue, InvariantBreach,
-                     IterationFailure, NonFiniteValue, _checked, init_state,
+                     IterationFailure, NonFiniteValue, init_state,
                      sqp_iterate)
 # least_squares_multipliers is not called here; the name stays bound
 # because perfbench/tracing.py wraps it in this module
@@ -136,13 +137,11 @@ def _config_digest(cfg, oracle_kind, eps_n):
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def true_kkt_errors(problem, x, c, j, k=None):
+def true_kkt_errors(c, j, grad):
     """Infinity-norm feasibility and true-gradient stationarity with
-    least-squares multipliers, from c = c(x), j = J(x) and the gradient
-    at iterate ``k``, checked; returns (feas, stat, y_ls)."""
+    least-squares multipliers, from c = c(x), j = J(x) and the true
+    gradient ``grad`` at x; returns (feas, stat, y_ls)."""
     feas = float(np.max(np.abs(c), initial=0.0))
-    grad = _checked(problem.eval_grad_f(x), "true gradient", k,
-                    (problem.n,))
     y_ls, residual = least_squares_residual(j, grad)
     stat = float(np.max(np.abs(residual), initial=0.0))
     return feas, stat, y_ls
@@ -201,8 +200,8 @@ def _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent,
     try:
         state = init_state(problem, cfg)
         while True:
-            feas, stat, y_ls = true_kkt_errors(problem, state.x, state.c,
-                                               state.j, state.k)
+            feas, stat, y_ls = true_kkt_errors(state.c, state.j,
+                                               state.true_grad)
             # the iteration taken while the budget verdict was open: the
             # (state, step) pair, or the exception it raised
             ahead = None

@@ -453,6 +453,8 @@ def test_init_state_shapes_and_defaults(monkeypatch):
     np.testing.assert_array_equal(state.y, np.zeros(2))
     assert state.f == problem.eval_f(problem.x0)
     np.testing.assert_array_equal(state.c, problem.eval_c(problem.x0))
+    np.testing.assert_array_equal(state.true_grad,
+                                  problem.eval_grad_f(problem.x0))
 
 
 def test_iterate_detects_stationary_start():

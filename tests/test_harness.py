@@ -24,7 +24,7 @@ from sisqo.harness import (FAILED_STATUSES, ComparisonRecord, aggregate,
                            _SharedBudget)
 from sisqo.krylov import CgResult, MinresState
 from sisqo.library import SyntheticQpSpec, build_synthetic_qp
-from sisqo.problems import Problem
+from sisqo.problems import GradientOracle, Problem
 from sisqo.sparse import SparseMatrix
 
 
@@ -32,12 +32,19 @@ def _qp(n=10, m=4, seed=0):
     return build_synthetic_qp(SyntheticQpSpec(n=n, m=m, seed=seed))
 
 
+def _recomputed_kkt_errors(problem, x):
+    """The KKT metric at x from c, J and the true gradient evaluated
+    there anew."""
+    return true_kkt_errors(problem.eval_c(x), problem.eval_jacobian(x),
+                           problem.eval_grad_f(x))
+
+
 def test_true_kkt_errors_at_known_solution():
     problem = _qp()
     x_star, _ = problem.known_solution
     j = problem.eval_jacobian(x_star)
-    feas, stat, y_ls = true_kkt_errors(problem, x_star,
-                                       problem.eval_c(x_star), j)
+    feas, stat, y_ls = true_kkt_errors(problem.eval_c(x_star), j,
+                                       problem.eval_grad_f(x_star))
     assert feas <= 1e-10
     assert stat <= 1e-8
     grad = problem.eval_grad_f(x_star)
@@ -119,17 +126,17 @@ def test_run_single_measures_each_iterate_once(monkeypatch, cfg, run_kwargs,
     assert record.status == status
     assert record.outer_iters > 0
     assert len(calls) == record.outer_iters + 1
-    j = problem.eval_jacobian(record.x_final)
-    feas, stat, y_ls = true_kkt_errors(problem, record.x_final,
-                                       problem.eval_c(record.x_final), j)
+    feas, stat, y_ls = _recomputed_kkt_errors(problem, record.x_final)
     assert (record.feasibility_error, record.stationarity_error) \
         == (feas, stat)
     np.testing.assert_array_equal(record.y_ls_final, y_ls)
 
 
-def _counting(problem, calls):
-    """``problem`` with its f, c, J and Hessian callables counted in
-    ``calls``, under a lock: the two runs of a pair call them at once."""
+def _counting(problem, calls, inside):
+    """``problem`` with its f, c, J, gradient and Hessian callables
+    counted in ``calls``, under a lock: the two runs of a pair call them
+    at once.  A call made while ``inside.tag`` is set is counted under
+    that tag instead of its own name."""
     lock = threading.Lock()
 
     def counted(name):
@@ -137,20 +144,37 @@ def _counting(problem, calls):
 
         def call(*args):
             with lock:
-                calls[name] += 1
+                calls[getattr(inside, "tag", None) or name] += 1
             return fn(*args)
         return call
 
     return dataclasses.replace(problem, **{name: counted(name) for name in (
-        "eval_f", "eval_c", "eval_jacobian", "eval_lagrangian_hessian")})
+        "eval_f", "eval_c", "eval_jacobian", "eval_grad_f",
+        "eval_lagrangian_hessian")})
+
+
+def _tagged(fn, tag, inside, calls):
+    """``fn`` counted in ``calls`` under ``tag``, which it sets on
+    ``inside`` while it runs."""
+    def call(*args):
+        calls[tag] += 1
+        inside.tag = f"{tag} gradient"
+        try:
+            return fn(*args)
+        finally:
+            inside.tag = None
+    return call
 
 
 def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
-    # f, c and J once per visited iterate (the start included), and the
-    # Lagrangian Hessian once per iteration however many ladder rungs it
-    # tries; the Lipschitz estimate, once per directional iteration,
-    # evaluates no J.  The near-exact run of a pair may take one more
-    # iteration, while its budget check is open, and drop it
+    # f, c, J and the true gradient once per visited iterate (the start
+    # included), the gradient once more at x + d per directional
+    # iteration, and the Lagrangian Hessian once per iteration however
+    # many ladder rungs it tries; the Lipschitz estimate evaluates no J.
+    # The gaussian oracle's draws and the finite-sum oracle's M_g at x0
+    # evaluate the gradient too, counted apart.  The near-exact run of a
+    # pair may take one more iteration, while its budget check is open,
+    # and drop it
     estimates = []
     estimate = sisqo.engine.estimate_lipschitz
     iterate = sisqo.harness.sqp_iterate
@@ -166,15 +190,19 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
 
     monkeypatch.setattr(sisqo.engine, "estimate_lipschitz", counted_estimate)
     monkeypatch.setattr(sisqo.harness, "sqp_iterate", counted_iterate)
+    calls, inside = Counter(), threading.local()
+    for method in ("sample", "variance_bound"):
+        monkeypatch.setattr(GradientOracle, method, _tagged(
+            getattr(GradientOracle, method), method, inside, calls))
     neumann = apply_overrides(load_config("control_finite_sum"),
                               ["problem.kind=neumann_control",
                                "problem.mesh_size=8"])
     qp = load_config("qp_gaussian")
     for config, pair in ((neumann, True), (qp, False)):
-        calls = Counter()
+        calls.clear()
         estimates.clear()
         iterations.clear()
-        problem = _counting(build_problem(config), calls)
+        problem = _counting(build_problem(config), calls, inside)
         kind, eps_n = oracle_settings(config)
         cfg = build_solver_config(config, seed=0)
         if pair:
@@ -199,12 +227,20 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
         assert calls["eval_lagrangian_hessian"] == taken
         assert calls["eval_f"] == calls["eval_c"] == iterates
         assert calls["eval_jacobian"] == iterates
+        assert calls["variance_bound"] == len(runs)
         if pair:
             # fixed Lipschitz constants, and rungs past 0 are tried
             assert estimates == []
             assert any(row.hessian_rung > 0 for r in runs for row in r.rows)
+            assert calls["eval_grad_f"] == iterates
+            # finite-sum draws evaluate one term; M_g the whole gradient
+            assert calls["sample gradient"] == 0
+            assert calls["variance_bound gradient"] == len(runs)
         else:
             assert len(estimates) == taken > 0
+            assert calls["eval_grad_f"] == iterates + taken
+            assert calls["sample gradient"] == calls["sample"] >= taken
+            assert calls["variance_bound gradient"] == 0
 
 
 def _poisoned(problem, name, call, spoil):
@@ -240,23 +276,25 @@ def _lose_to_cauchy_point(monkeypatch):
                             np.zeros(j.cols), 0, True, 0.0))
 
 
-# (callable, call, spoiled value, status, quantity, iterate); the gradient
-# is evaluated by the KKT metric, the oracle, and the Lipschitz estimate
-# once the step d is formed, which probes x' = x + d and then x; f, c
-# and J are evaluated once per iterate
+# (callable, call, spoiled value, status, quantity, iterate); f, c, J and
+# the true gradient are evaluated once per iterate, so the gradient's
+# calls in iteration 0 are the true gradient at x0, the oracle's sample,
+# the directional gradient at x + d once the step d is formed, and the
+# true gradient at x1
 _INJECTIONS = {
     "oracle gradient": ("eval_grad_f", 2, _nan, "nonfinite",
                         "sampled gradient", 0),
     "Hessian": ("eval_lagrangian_hessian", 1,
                 lambda h: SparseMatrix.diagonal(np.full(h.rows, np.nan)),
                 "nonfinite", "Lagrangian Hessian", 0),
-    "probe gradient": ("eval_grad_f", 3, _nan, "nonfinite",
-                       "gradient at x + d", 0),
-    "probe gradient at x": ("eval_grad_f", 4, _nan, "nonfinite",
-                            "gradient at x", 0),
-    # finite probe values whose difference, taken along d, overflows
-    "probe overflow": ("eval_grad_f", 3, lambda g: np.full_like(g, 1e308),
-                       "nonfinite", "Lipschitz constant", 0),
+    "directional gradient": ("eval_grad_f", 3, _nan, "nonfinite",
+                             "gradient at x + d", 0),
+    "true gradient at x1": ("eval_grad_f", 4, _nan, "nonfinite",
+                            "true gradient", 1),
+    # finite gradient values whose difference, taken along d, overflows
+    "directional gradient overflow": (
+        "eval_grad_f", 3, lambda g: np.full_like(g, 1e308), "nonfinite",
+        "Lipschitz constant", 0),
     "normal step": (None, None, None, "breach", None, None),
     "c(x2)": ("eval_c", 3, _nan, "nonfinite", "c(x)", 2),
     "f(x2)": ("eval_f", 3, lambda f: math.inf, "nonfinite", "f(x)", 2),
@@ -272,11 +310,14 @@ _INJECTIONS = {
                             "true gradient", 0),
     "oracle gradient shape": ("eval_grad_f", 2, _first, "invalid",
                               "sampled gradient", 0),
-    "probe gradient at x' shape": ("eval_grad_f", 3, _first, "invalid",
+    "directional gradient shape": ("eval_grad_f", 3, _first, "invalid",
                                    "gradient at x + d", 0),
-    "probe gradient at x shape": ("eval_grad_f", 4, _first, "invalid",
-                                  "gradient at x", 0),
+    "true gradient at x1 shape": ("eval_grad_f", 4, _first, "invalid",
+                                  "true gradient", 1),
 }
+
+# evaluated once per iterate; a bad one at x_{k+1} ends iteration k
+_PER_ITERATE = ("f(x)", "c(x)", "J(x)", "true gradient")
 
 
 @pytest.mark.parametrize("case", list(_INJECTIONS))
@@ -321,9 +362,50 @@ def test_every_injected_fault_ends_in_a_recorded_status(monkeypatch, case):
         assert record.info["diagnostics"] == {"quantity": quantity, "k": k}
         # no MINRES step after the bad value was evaluated
         assert at_fault == [sum(steps)]
-    if k == 0:
-        assert record.outer_iters == 0
+        # with no row for the iteration that reached the bad iterate
+        ended = k - 1 if k and quantity in _PER_ITERATE else k
+        assert record.outer_iters == ended
+    if record.outer_iters == 0:
         np.testing.assert_array_equal(record.x_final, problem.x0)
+
+
+def test_a_bad_true_gradient_at_x1_ends_iteration_0_with_no_row():
+    # the true gradient is NaN at x1 only, which a clean run capped at
+    # one iteration reaches: iteration 0 ends there with no row, its
+    # MINRES steps counted, and the record reports x0 with the errors of
+    # x0
+    config = load_config("qp_gaussian")
+    kind, eps_n = oracle_settings(config)
+    problem = build_problem(config)
+    cfg = build_solver_config(config, seed=0)
+    clean = run_single(problem, dataclasses.replace(
+        cfg, max_outer_iterations=1), 0, oracle_kind=kind, eps_n=eps_n)
+    assert clean.outer_iters == 1
+    x1 = clean.x_final.tobytes()
+    grad = problem.eval_grad_f
+    at_x1 = []
+
+    def nan_at_x1(x):
+        # the step is a full one, so directional mode's x0 + d is x1 too;
+        # its evaluation, the first at x1, stays clean
+        if x.tobytes() != x1:
+            return grad(x)
+        at_x1.append(x)
+        return grad(x) if len(at_x1) == 1 else np.full(problem.n, np.nan)
+
+    record = run_single(dataclasses.replace(problem, eval_grad_f=nan_at_x1),
+                        cfg, 0, oracle_kind=kind, eps_n=eps_n)
+    assert clean.rows[0].alpha == 1.0 and len(at_x1) == 2
+    assert record.status == "nonfinite"
+    assert record.info["diagnostics"] == {"quantity": "true gradient",
+                                          "k": 1}
+    assert record.rows == [] and record.outer_iters == 0
+    np.testing.assert_array_equal(record.x_final, problem.x0)
+    assert record.total_minres_iters == clean.rows[0].minres_iters > 0
+    feas, stat, y_ls = _recomputed_kkt_errors(problem, record.x_final)
+    assert (record.feasibility_error, record.stationarity_error) \
+        == (feas, stat)
+    np.testing.assert_array_equal(record.y_ls_final, y_ls)
 
 
 def test_one_kernel_call_per_hessian_rung():
@@ -635,16 +717,7 @@ def test_a_dropped_step_leaves_no_trace(spoil, ahead):
     # run as it ends it in turn
     problem, cfg_inexact, cfg_exact = _pair_setup()
     run = dict(oracle_kind="gaussian", eps_n=1e-2)
-    # the truncated run's gradient calls: its last one measures the
-    # final iterate, after the run has published its whole total
-    grads = []
-
-    def counted_grad(x):
-        grads.append(x)
-        return problem.eval_grad_f(x)
-
-    counted = dataclasses.replace(problem, eval_grad_f=counted_grad)
-    inexact = run_single(counted, cfg_inexact, 0, **run)
+    inexact = run_single(problem, cfg_inexact, 0, **run)
     budget = inexact.total_minres_iters
     exact = run_single(problem, cfg_exact, 0, strategy="sisqo_exact",
                        budget=budget, **run)
@@ -661,18 +734,33 @@ def test_a_dropped_step_leaves_no_trace(spoil, ahead):
         spoiled.set()
         return spoil(value)
 
-    held = _held(problem, "eval_grad_f", len(grads), spoiled, released)
-    pair_problem = _poisoned(held, "eval_f", call, spoil_near_exact)
+    pair_problem = _poisoned(problem, "eval_f", call, spoil_near_exact)
     in_turn = _poisoned(problem, "eval_f", call, spoil)
+    metric = sisqo.harness.true_kkt_errors
+    metric_calls = []
+
+    def held_metric(*args):
+        # the truncated run's last KKT metric measures its final
+        # iterate, after the run has published its whole total
+        if threading.current_thread() is caller:
+            metric_calls.append(args)
+            if len(metric_calls) == inexact.outer_iters + 1:
+                released.append(spoiled.wait(_HOLD_TIMEOUT))
+        return metric(*args)
+
+    def held_pair():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sisqo.harness, "true_kkt_errors", held_metric)
+            return run_budget_matched_pair(pair_problem, cfg_inexact,
+                                           cfg_exact, 0, **run)
+
     if not ahead and spoil is _raise_value_error:
         with pytest.raises(ValueError, match="in the near-exact run"):
             run_single(in_turn, cfg_exact, 0, budget=budget, **run)
         with pytest.raises(ValueError, match="in the near-exact run"):
-            run_budget_matched_pair(pair_problem, cfg_inexact, cfg_exact, 0,
-                                    **run)
+            held_pair()
     else:
-        pair = run_budget_matched_pair(pair_problem, cfg_inexact, cfg_exact,
-                                       0, **run)
+        pair = held_pair()
         # in turn, the near-exact run stops before the spoiled step
         expected = exact if ahead else run_single(
             in_turn, cfg_exact, 0, strategy="sisqo_exact", budget=budget,
@@ -756,9 +844,7 @@ def test_budget_matched_pair_accounting():
     assert min(pair.exact.rows, key=lambda r: rank_iterate(
         r.k, r.feas_err, r.stat_err, 1e-6)) is row
     # reported errors are those of the selected iterate
-    j = problem.eval_jacobian(pair.exact.x_final)
-    feas, stat, _ = true_kkt_errors(problem, pair.exact.x_final,
-                                    problem.eval_c(pair.exact.x_final), j)
+    feas, stat, _ = _recomputed_kkt_errors(problem, pair.exact.x_final)
     assert pair.exact.feasibility_error == feas
     assert pair.exact.stationarity_error == stat
     assert pair.runs() == [pair.inexact, pair.exact]
@@ -785,8 +871,7 @@ def test_json_metrics_recompute_from_emitted_state(tmp_path):
     path = emit_results([record], str(tmp_path / "replay.json"))
     row = json.load(open(path))["records"][0]
     x = np.array(row["x_final"])
-    j = problem.eval_jacobian(x)
-    feas, stat, _ = true_kkt_errors(problem, x, problem.eval_c(x), j)
+    feas, stat, _ = _recomputed_kkt_errors(problem, x)
     assert abs(feas - row["feasibility_error"]) <= 1e-12
     assert abs(stat - row["stationarity_error"]) <= 1e-12
 
