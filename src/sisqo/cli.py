@@ -155,9 +155,9 @@ _VALIDATE_TOL = {"gradient": 1e-5, "jacobian": 1e-5, "hessian": 1e-4}
 
 def _cmd_validate(args, config):
     problem = build_problem(config)
-    cfg = build_solver_config(config)
     kind, eps_n = oracle_settings(config)
-    harness_settings(config)
+    cfg = build_solver_config(
+        config, seed=_seeds(args, harness_settings(config))[0])
     print(f"problem {problem.name}: n={problem.n} m={problem.m}"
           f" oracle={kind} eps_n={eps_n:g}")
     print(f"solver config ok (kappa={cfg.kappa:g},"

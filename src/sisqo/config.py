@@ -2,9 +2,11 @@
 construction of problems / solver settings from a parsed config.
 
 A config is a plain dict of sections {problem, oracle, algorithm,
-solver, harness}, each a dict of coerced values.  Overrides use
-``section.key=value`` syntax.  An unknown key, a value of the wrong
-type and a value out of range are ConfigErrors, in every section.
+harness}, each a dict of coerced values.  Overrides use
+``section.key=value`` syntax.  Each setting has one key in one section;
+a run's seed has none, as it comes from ``harness.seeds`` or ``--seed``.
+An unknown section or key, a value of the wrong type and a value out of
+range are ConfigErrors.
 """
 
 import configparser
@@ -22,15 +24,16 @@ __all__ = ["load_config", "apply_overrides", "build_problem",
            "build_solver_config", "oracle_settings", "harness_settings",
            "available_profiles", "SECTIONS"]
 
-SECTIONS = ("problem", "oracle", "algorithm", "solver", "harness")
+SECTIONS = ("problem", "oracle", "algorithm", "harness")
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False}
 
-# the [harness] keys that SolverConfig takes, and all of them
-_SOLVER_HARNESS_KEYS = ("feasibility_tol", "stationarity_tol",
-                        "max_outer_iterations", "seed")
-_HARNESS_KEYS = ("seeds", "eps_n_list", "kappa_exact", "output",
-                 *_SOLVER_HARNESS_KEYS)
+# the SolverConfig fields of the outer loop, set in [harness]; the others
+# but the run seed are the method's, set in [algorithm]
+_OUTER_KEYS = ("feasibility_tol", "stationarity_tol", "max_outer_iterations")
+_ALGORITHM_KEYS = tuple(f.name for f in fields(SolverConfig)
+                        if f.name not in (*_OUTER_KEYS, "seed"))
+_HARNESS_KEYS = ("seeds", "eps_n_list", "kappa_exact", "output", *_OUTER_KEYS)
 
 
 def _coerce(text):
@@ -146,10 +149,11 @@ def _check_type(key, value, want):
 
 
 def _build(cls, kwargs, **fixed):
-    """``cls(**kwargs, **fixed)`` once each value in ``kwargs`` has the
-    type of its dataclass field; a wrong type and a ValueError of ``cls``
-    itself are ConfigErrors."""
+    """``cls(**kwargs, **fixed)`` once each key in ``kwargs`` names a
+    dataclass field and its value has the field's type; an unknown key, a
+    wrong type and a ValueError of ``cls`` itself are ConfigErrors."""
     types = {f.name: f.type for f in fields(cls)}
+    _check_keys(cls.__name__, kwargs, types)
     for key, value in kwargs.items():
         _check_type(key, value, types[key])
     try:
@@ -161,20 +165,14 @@ def _build(cls, kwargs, **fixed):
 
 
 def build_solver_config(config, **extra):
-    """SolverConfig from the [algorithm] and [solver] sections plus the
-    outer-loop knobs of [harness]; ``extra`` wins over everything."""
-    kwargs = {}
-    kwargs.update(config.get("algorithm", {}))
-    kwargs.update(config.get("solver", {}))
+    """SolverConfig from the method keys of [algorithm] and the outer-loop
+    keys of [harness]; ``extra`` (a run's ``seed``, a near-exact run's
+    ``kappa``) wins over both."""
+    algorithm = config.get("algorithm", {})
+    _check_keys("algorithm", algorithm, _ALGORITHM_KEYS)
     harness = config.get("harness", {})
-    for key in _SOLVER_HARNESS_KEYS:
-        if key in harness:
-            kwargs[key] = harness[key]
-    kwargs.update(extra)
-    valid = {f.name for f in fields(SolverConfig)}
-    unknown = set(kwargs) - valid
-    if unknown:
-        raise ConfigError(f"unknown solver settings: {sorted(unknown)}")
+    kwargs = {**algorithm, **{k: harness[k] for k in _OUTER_KEYS
+                              if k in harness}, **extra}
     _check_seeds([kwargs.get("seed", 0)])
     return _build(SolverConfig, kwargs)
 
@@ -214,12 +212,11 @@ def _as_list(value):
 
 
 def harness_settings(config):
-    """Sweep and output settings with defaults filled in.  The keys that
-    SolverConfig takes are typed when it is built; ``seed`` is checked
-    here too, as a run's seed list replaces it."""
+    """Sweep and output settings with defaults filled in; the run seeds
+    default to [0].  The outer-loop keys are typed when SolverConfig is
+    built."""
     section = config.get("harness", {})
     _check_keys("harness", section, _HARNESS_KEYS)
-    seed = _check_seeds([section.get("seed", 0)])
     levels = section.get("eps_n_list", oracle_settings(config)[1])
     # the kappa of the near-exact runs, in the range of SolverConfig.kappa
     kappa_exact = _check_type("kappa_exact", section.get("kappa_exact", 1e-7),
@@ -227,7 +224,7 @@ def harness_settings(config):
     if not 0.0 < kappa_exact < 1.0:
         raise ConfigError(f"kappa_exact must lie in (0, 1), got {kappa_exact}")
     return {
-        "seeds": _check_seeds(_as_list(section.get("seeds", seed[0]))),
+        "seeds": _check_seeds(_as_list(section.get("seeds", 0))),
         "eps_n_list": [_noise_level("eps_n_list", v)
                        for v in _as_list(levels)],
         "kappa_exact": kappa_exact,

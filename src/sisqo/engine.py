@@ -481,15 +481,15 @@ def update_duals(y, delta):
     return y + delta
 
 
-def _evaluated(problem, x, k):
+def _evaluated(problem, x, k, true_grad=None):
     """The ``IterateState`` fields f, c, j and true_grad of iterate ``k``
-    at x, each checked as it is evaluated."""
+    at x, each checked as it is evaluated; a given true_grad is kept."""
     n, m = problem.n, problem.m
     return {"f": _checked(problem.eval_f(x), "f(x)", k, ()),
             "c": _checked(problem.eval_c(x), "c(x)", k, (m,)),
             "j": _checked(problem.eval_jacobian(x), "J(x)", k, (m, n)),
             "true_grad": _checked(problem.eval_grad_f(x), "true gradient",
-                                  k, (n,))}
+                                  k, (n,)) if true_grad is None else true_grad}
 
 
 def init_state(problem, cfg):
@@ -591,7 +591,8 @@ def sqp_iterate(state, problem, oracle, cfg):
     step, truncate the tangential solve over the Hessian ladder, update
     tau / xi / duals, select the step size, and evaluate x_{k+1}.  In
     ``directional`` mode L is measured along the step d from the true
-    gradients at x + d and x, which draw nothing from the oracle.
+    gradients at x + d and x, which draw nothing from the oracle; at a
+    full step x_{k+1} is x + d bit for bit and keeps that gradient.
 
     Returns the advanced state and a StepResult.  A condition that ends
     the run, a bad value at x_{k+1} included, raises an EngineError,
@@ -667,6 +668,7 @@ def _iterate(state, problem, oracle, cfg, rungs):
         # precision even when the explicit gate has not fired yet
         raise _stationary(_least_squares_residual(g, state.j), False)
     lip_l, lip_gamma = cfg.lip_l, cfg.lip_gamma
+    grad_x_plus_d = None
     if cfg.lipschitz_mode == "directional":
         grad_x_plus_d = _checked(problem.eval_grad_f(state.x + d),
                                  "gradient at x + d", state.k, (n,))
@@ -702,7 +704,8 @@ def _iterate(state, problem, oracle, cfg, rungs):
         k=state.k + 1, x=x_next, y=y_next, tau=tau_new, xi=xi_new,
         prev_pair_norm=norm_pair(g + state.j.apply_transpose(y_next),
                                  state.c),
-        **_evaluated(problem, x_next, state.k + 1))
+        **_evaluated(problem, x_next, state.k + 1,
+                     grad_x_plus_d if alpha == 1.0 else None))
     # the merit bound holds for true Lipschitz upper bounds and exact g
     merit_drop = merit_value(tau_new, state_next.f, state_next.c) \
         - merit_value(tau_new, state.f, state.c)

@@ -6,8 +6,10 @@ import pytest
 
 import sisqo.harness
 from sisqo.cli import main
+from sisqo.config import build_problem, load_config
 from sisqo.engine import ConfigError, InvariantBreach, SolverConfig
 from sisqo.harness import CSV_COLUMNS, load_results
+from sisqo.problems import validate_problem
 
 # a QP small enough that every verb finishes in well under a second
 _TINY = ["problem.n=6", "problem.m=2", "oracle.kind=exact",
@@ -93,10 +95,24 @@ def test_validate_fails_on_a_nan_error(capsys):
     assert "FAIL" in out
 
 
+def test_validate_probes_at_the_first_run_seed(capsys):
+    # --seed when given, else the first of harness.seeds; seeds 7 and 0
+    # print different gradient errors
+    problem = build_problem(load_config("qp_gaussian"))
+    outs = []
+    for args, seed in ((["--seed", "7"], 7), (["harness.seeds=7 0"], 7),
+                       ([], 0)):
+        assert main(["validate", "-c", "qp_gaussian", *args]) == 0
+        outs.append(capsys.readouterr().out)
+        for name, err in validate_problem(problem, seed=seed).items():
+            assert f"{name:<9} max relative error {err:.3e}" in outs[-1]
+    assert outs[0] == outs[1] != outs[2]
+
+
 def test_bad_config_paths_exit_2(tmp_path):
     assert main(["run", "-c", "no_such_profile"]) == 2
     assert main(["run", "-c", "qp_gaussian", "bogus-override"]) == 2
-    assert main(["run", "-c", "qp_gaussian", "solver.warp_factor=9"]) == 2
+    assert main(["run", "-c", "qp_gaussian", "algorithm.warp_factor=9"]) == 2
     assert main(["run", "-c", "qp_gaussian", "problem.kind=rosenbrock"]) == 2
 
 
@@ -187,8 +203,8 @@ def test_kappa_exact_out_of_range_exits_2(tmp_path, capsys, value):
     ("control_finite_sum", ["problem.mesh_size=4.5"], "mesh_size must be int"),
     ("control_finite_sum", ["problem.mesh_size=4", "oracle.eps_n=-1"],
      "noise parameters"),
-    ("qp_gaussian", ["solver.kappa=abc"] + _TINY, "kappa must be float"),
-    ("qp_gaussian", ["solver.kappa=true"] + _TINY, "kappa must be float"),
+    ("qp_gaussian", ["algorithm.kappa=abc"] + _TINY, "kappa must be float"),
+    ("qp_gaussian", ["algorithm.kappa=true"] + _TINY, "kappa must be float"),
     ("qp_gaussian", _TINY + ["harness.seeds=1.5"], "seeds must be integers"),
 ])
 def test_mistyped_and_invalid_settings_exit_2(tmp_path, capsys, profile,
@@ -226,7 +242,7 @@ def test_oracle_and_harness_keys_are_known_and_typed(tmp_path, capsys, verb,
     ("run", "qp_gaussian", ["oracle.eps_n=inf"], "eps_n"),
     ("run", "qp_gaussian",
      ["algorithm.lip_l=inf", "algorithm.lipschitz_mode=fixed"], "lip_l"),
-    ("run", "qp_gaussian", ["solver.kappa=inf"], "kappa"),
+    ("run", "qp_gaussian", ["algorithm.kappa=inf"], "kappa"),
     ("run", "qp_gaussian", ["problem.cond_target=inf"], "cond_target"),
     # finite, but beyond what the QP generator can build
     ("run", "qp_gaussian", ["problem.cond_target=1e300"], "cond_target"),

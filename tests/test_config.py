@@ -2,17 +2,19 @@
 
 import ast
 import math
+from collections.abc import Mapping
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import sisqo
+import sisqo.config
 import sisqo.engine as engine
 from sisqo import kernels
-from sisqo.config import (apply_overrides, available_profiles, build_problem,
-                          build_solver_config, harness_settings, load_config,
-                          oracle_settings)
+from sisqo.config import (SECTIONS, apply_overrides, available_profiles,
+                          build_problem, build_solver_config, harness_settings,
+                          load_config, oracle_settings)
 from sisqo.engine import ConfigError, SolverConfig
 from sisqo.library import (ControlProblemSpec, SyntheticQpSpec,
                            build_poisson_control, build_synthetic_qp)
@@ -72,11 +74,11 @@ def test_load_config_rejects_unknown_section(tmp_path):
 def test_apply_overrides_coerces_and_creates_sections():
     config = {"problem": {"kind": "synthetic_qp"}}
     apply_overrides(config, ["problem.n=12", "oracle.eps_n=1e-3",
-                             "solver.debug_checks=true",
+                             "algorithm.debug_checks=true",
                              "harness.output=out.json"])
     assert config["problem"]["n"] == 12
     assert config["oracle"]["eps_n"] == 1e-3
-    assert config["solver"]["debug_checks"] is True
+    assert config["algorithm"]["debug_checks"] is True
     assert config["harness"]["output"] == "out.json"
 
 
@@ -162,29 +164,72 @@ def test_build_solver_config_extra_wins():
     assert cfg.seed == 9
 
 
+def test_algorithm_kappa_is_the_run_kappa():
+    config = apply_overrides(load_config("qp_gaussian"),
+                             ["algorithm.kappa=0.5"])
+    assert build_solver_config(config).kappa == 0.5
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_outer_iterations", 7), ("feasibility_tol", 0.3),
+    ("stationarity_tol", 0.3), ("seed", 9)])
+def test_outer_loop_keys_and_the_seed_are_not_algorithm_keys(key, value):
+    # the outer loop's keys are [harness] keys, and a run's seed comes
+    # from harness.seeds or --seed
+    config = apply_overrides(load_config("qp_gaussian"),
+                             [f"algorithm.{key}={value}"])
+    with pytest.raises(ConfigError,
+                       match=rf"unknown \[algorithm\] keys: \['{key}'\]"):
+        build_solver_config(config)
+
+
+def test_the_seed_is_not_a_harness_key():
+    config = apply_overrides(load_config("qp_gaussian"), ["harness.seed=7"])
+    with pytest.raises(ConfigError,
+                       match=r"unknown \[harness\] keys: \['seed'\]"):
+        harness_settings(config)
+
+
+def test_solver_is_not_a_section(tmp_path):
+    with pytest.raises(ConfigError, match="unknown override section 'solver'"):
+        apply_overrides(load_config("qp_gaussian"), ["solver.kappa=0.5"])
+    path = tmp_path / "old.ini"
+    path.write_text("[solver]\nkappa = 0.5\n")
+    with pytest.raises(ConfigError,
+                       match=r"unknown config section \[solver\]"):
+        load_config(str(path))
+
+
 def test_build_solver_config_rejects_unknown_keys():
-    config = {"solver": {"kappa": 0.1, "warp_factor": 9}}
-    with pytest.raises(ConfigError, match="unknown solver settings"):
+    config = {"algorithm": {"kappa": 0.1, "warp_factor": 9}}
+    with pytest.raises(ConfigError, match=r"unknown \[algorithm\] keys"):
         build_solver_config(config)
     with pytest.raises(ConfigError, match="warp_factor"):
         build_solver_config({}, warp_factor=9)
 
 
+# the implementation tolerances that were keys of the former [solver]
+_FORMER_SOLVER_KEYS = ("cg_rel_tol", "cg_abs_floor", "minres_abs_floor",
+                       "minres_max_iter_scale", "ls_multiplier_tol",
+                       "max_rung", "stationary_tol")
+
+
 @pytest.mark.parametrize("section, key", [
     ("algorithm", "lip_floor"), ("algorithm", "probe_radius_scale"),
-    ("solver", "cg_rel_tol"), ("solver", "cg_abs_floor"),
-    ("solver", "minres_abs_floor"), ("solver", "minres_max_iter_scale"),
-    ("solver", "ls_multiplier_tol"), ("solver", "max_rung"),
-    ("solver", "stationary_tol"),
+    *((section, key) for section in ("solver", "algorithm")
+      for key in _FORMER_SOLVER_KEYS),
     *(("algorithm", key) for key in (
         "xi_init", "eps_c", "eps_u", "sigma_u", "sigma_c", "eps_tau",
         "eps_xi", "kappa_rho", "kappa_r", "kappa_u", "kappa_v", "theta",
         "eps_r"))])
 def test_fixed_tolerances_are_not_settings(section, key):
-    config = apply_overrides(load_config("qp_gaussian"),
-                             [f"{section}.{key}=1"])
-    with pytest.raises(ConfigError, match=f"unknown solver settings.*{key}"):
-        build_solver_config(config)
+    # [solver] is no section any more, and [algorithm] takes only the
+    # method's settings
+    message = ("unknown override section 'solver'" if section == "solver"
+               else rf"unknown \[{section}\] keys.*{key}")
+    with pytest.raises(ConfigError, match=message):
+        build_solver_config(apply_overrides(load_config("qp_gaussian"),
+                                            [f"{section}.{key}=1"]))
 
 
 def test_method_constants_meet_the_theory():
@@ -300,3 +345,75 @@ def test_every_solver_config_field_is_read():
                     and id(node) not in validation)
     unread = [f.name for f in fields(SolverConfig) if f.name not in read]
     assert unread == []
+
+
+_CONSUMERS = ("build_problem", "oracle_settings", "build_solver_config",
+              "harness_settings")
+
+
+class _Recorded(Mapping):
+    """A config section that records in ``reads``, under (section, key),
+    the consumers that read a key's value: the innermost of ``active``."""
+
+    def __init__(self, section, values, active, reads):
+        self._section, self._values = section, values
+        self._active, self._reads = active, reads
+
+    def __getitem__(self, key):
+        value = self._values[key]
+        self._reads.setdefault((self._section, key), set()).add(
+            self._active[-1])
+        return value
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
+def test_every_setting_has_one_key(monkeypatch):
+    # each key of a bundled profile is read by one consumer, and each
+    # SolverConfig field but the run seed is a key of one section: the
+    # method's of [algorithm], the outer loop's of [harness]
+    active = []
+    for name in _CONSUMERS:
+        def tagged(config, fn=getattr(sisqo.config, name), name=name, **kw):
+            active.append(name)
+            try:
+                return fn(config, **kw)
+            finally:
+                active.pop()
+        monkeypatch.setattr(sisqo.config, name, tagged)
+    solver_reads = set()
+    for profile in available_profiles():
+        reads = {}
+        config = {section: _Recorded(section, values, active, reads)
+                  for section, values in load_config(profile).items()}
+        for name in _CONSUMERS:
+            getattr(sisqo.config, name)(config)
+        assert set(reads) == {(section, key) for section in config
+                              for key in config[section]}
+        assert {key: len(by) for key, by in reads.items()
+                if len(by) != 1} == {}
+        solver_reads |= {key for key, by in reads.items()
+                         if by == {"build_solver_config"}}
+
+    def accepts(section, key, value):
+        config = load_config("qp_gaussian")
+        config.setdefault(section, {})[key] = value
+        try:
+            for name in _CONSUMERS:
+                getattr(sisqo.config, name)(config)
+        except ConfigError:
+            return False
+        return True
+
+    defaults = SolverConfig()
+    spellings = {(section, f.name) for f in fields(SolverConfig)
+                 for section in SECTIONS
+                 if accepts(section, f.name, getattr(defaults, f.name))}
+    # 11 spellings, one per field but the seed
+    assert sorted(key for _, key in spellings) == sorted(
+        f.name for f in fields(SolverConfig) if f.name != "seed")
+    assert solver_reads == spellings

@@ -136,16 +136,20 @@ def _counting(problem, calls, inside):
     """``problem`` with its f, c, J, gradient and Hessian callables
     counted in ``calls``, under a lock: the two runs of a pair call them
     at once.  A call made while ``inside.tag`` is set is counted under
-    that tag instead of its own name."""
+    that tag instead of its own name; any other is also counted under
+    (name, the bytes of its point x)."""
     lock = threading.Lock()
 
     def counted(name):
         fn = getattr(problem, name)
 
-        def call(*args):
+        def call(x, *args):
+            tag = getattr(inside, "tag", None)
             with lock:
-                calls[getattr(inside, "tag", None) or name] += 1
-            return fn(*args)
+                calls[tag or name] += 1
+                if tag is None:
+                    calls[name, x.tobytes()] += 1
+            return fn(x, *args)
         return call
 
     return dataclasses.replace(problem, **{name: counted(name) for name in (
@@ -169,7 +173,8 @@ def _tagged(fn, tag, inside, calls):
 def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
     # f, c, J and the true gradient once per visited iterate (the start
     # included), the gradient once more at x + d per directional
-    # iteration, and the Lagrangian Hessian once per iteration however
+    # iteration whose step is not a full one (a full step's x + d is
+    # x_{k+1}), and the Lagrangian Hessian once per iteration however
     # many ladder rungs it tries; the Lipschitz estimate evaluates no J.
     # The gaussian oracle's draws and the finite-sum oracle's M_g at x0
     # evaluate the gradient too, counted apart.  The near-exact run of a
@@ -198,7 +203,10 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
                               ["problem.kind=neumann_control",
                                "problem.mesh_size=8"])
     qp = load_config("qp_gaussian")
-    for config, pair in ((neumann, True), (qp, False)):
+    # beta0 = 0.25 cuts some steps short of alpha = 1
+    short = apply_overrides(load_config("qp_gaussian"),
+                            ["algorithm.beta0=0.25"])
+    for config, pair in ((neumann, True), (qp, False), (short, False)):
         calls.clear()
         estimates.clear()
         iterations.clear()
@@ -238,7 +246,14 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
             assert calls["variance_bound gradient"] == len(runs)
         else:
             assert len(estimates) == taken > 0
-            assert calls["eval_grad_f"] == iterates + taken
+            partial = sum(row.alpha != 1.0 for row in runs[0].rows)
+            assert (partial > 0) == (config is short)
+            assert calls["eval_grad_f"] == iterates + partial
+            # one evaluation per distinct point, the oracle's apart
+            points = [count for key, count in calls.items()
+                      if isinstance(key, tuple) and key[0] == "eval_grad_f"]
+            assert len(points) == calls["eval_grad_f"]
+            assert set(points) == {1}
             assert calls["sample gradient"] == calls["sample"] >= taken
             assert calls["variance_bound gradient"] == 0
 
@@ -278,9 +293,11 @@ def _lose_to_cauchy_point(monkeypatch):
 
 # (callable, call, spoiled value, status, quantity, iterate); f, c, J and
 # the true gradient are evaluated once per iterate, so the gradient's
-# calls in iteration 0 are the true gradient at x0, the oracle's sample,
-# the directional gradient at x + d once the step d is formed, and the
-# true gradient at x1
+# calls in iteration 0 are the true gradient at x0, the oracle's sample
+# and the directional gradient at x + d once the step d is formed.  The
+# step is a full one, so x0 + d is x1 and that gradient is x1's true
+# gradient too: call 4 is the oracle's sample at x1.  The cases of
+# _FIXED_L run with fixed L, where call 3 is the true gradient at x1
 _INJECTIONS = {
     "oracle gradient": ("eval_grad_f", 2, _nan, "nonfinite",
                         "sampled gradient", 0),
@@ -289,7 +306,7 @@ _INJECTIONS = {
                 "nonfinite", "Lagrangian Hessian", 0),
     "directional gradient": ("eval_grad_f", 3, _nan, "nonfinite",
                              "gradient at x + d", 0),
-    "true gradient at x1": ("eval_grad_f", 4, _nan, "nonfinite",
+    "true gradient at x1": ("eval_grad_f", 3, _nan, "nonfinite",
                             "true gradient", 1),
     # finite gradient values whose difference, taken along d, overflows
     "directional gradient overflow": (
@@ -304,7 +321,7 @@ _INJECTIONS = {
         lambda h: SparseMatrix.from_dense(np.triu(h.to_dense() + 1.0)),
         "invalid", "Lagrangian Hessian", 0),
     "J(x1) shape": ("eval_jacobian", 2, _drop_row, "invalid", "J(x)", 1),
-    # a gradient of shape (1,) at each of its four calls of iteration 0:
+    # a gradient of shape (1,) at each of its calls of iteration 0:
     # numpy would broadcast it against one of shape (n,)
     "true gradient shape": ("eval_grad_f", 1, _first, "invalid",
                             "true gradient", 0),
@@ -312,9 +329,10 @@ _INJECTIONS = {
                               "sampled gradient", 0),
     "directional gradient shape": ("eval_grad_f", 3, _first, "invalid",
                                    "gradient at x + d", 0),
-    "true gradient at x1 shape": ("eval_grad_f", 4, _first, "invalid",
+    "true gradient at x1 shape": ("eval_grad_f", 3, _first, "invalid",
                                   "true gradient", 1),
 }
+_FIXED_L = ("true gradient at x1", "true gradient at x1 shape")
 
 # evaluated once per iterate; a bad one at x_{k+1} ends iteration k
 _PER_ITERATE = ("f(x)", "c(x)", "J(x)", "true gradient")
@@ -324,6 +342,8 @@ _PER_ITERATE = ("f(x)", "c(x)", "J(x)", "true gradient")
 def test_every_injected_fault_ends_in_a_recorded_status(monkeypatch, case):
     name, call, spoil, status, quantity, k = _INJECTIONS[case]
     config = load_config("qp_gaussian")
+    if case in _FIXED_L:
+        config = apply_overrides(config, ["algorithm.lipschitz_mode=fixed"])
     kind, eps_n = oracle_settings(config)
     problem = build_problem(config)
     # MINRES steps taken per tangential solve, and how many of them
@@ -373,8 +393,10 @@ def test_a_bad_true_gradient_at_x1_ends_iteration_0_with_no_row():
     # the true gradient is NaN at x1 only, which a clean run capped at
     # one iteration reaches: iteration 0 ends there with no row, its
     # MINRES steps counted, and the record reports x0 with the errors of
-    # x0
-    config = load_config("qp_gaussian")
+    # x0.  With fixed L the true gradient is the only evaluation at x1;
+    # directional mode's at x0 + d stands in for it at a full step
+    config = apply_overrides(load_config("qp_gaussian"),
+                             ["algorithm.lipschitz_mode=fixed"])
     kind, eps_n = oracle_settings(config)
     problem = build_problem(config)
     cfg = build_solver_config(config, seed=0)
@@ -386,16 +408,14 @@ def test_a_bad_true_gradient_at_x1_ends_iteration_0_with_no_row():
     at_x1 = []
 
     def nan_at_x1(x):
-        # the step is a full one, so directional mode's x0 + d is x1 too;
-        # its evaluation, the first at x1, stays clean
         if x.tobytes() != x1:
             return grad(x)
         at_x1.append(x)
-        return grad(x) if len(at_x1) == 1 else np.full(problem.n, np.nan)
+        return np.full(problem.n, np.nan)
 
     record = run_single(dataclasses.replace(problem, eval_grad_f=nan_at_x1),
                         cfg, 0, oracle_kind=kind, eps_n=eps_n)
-    assert clean.rows[0].alpha == 1.0 and len(at_x1) == 2
+    assert len(at_x1) == 1
     assert record.status == "nonfinite"
     assert record.info["diagnostics"] == {"quantity": "true gradient",
                                           "k": 1}

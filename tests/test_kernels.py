@@ -669,7 +669,7 @@ def _first_control_solve(kind, kappa=1e-4):
     of the mesh-8 control problem of ``kind`` at ``kappa`` (the profile's
     own by default)."""
     return _captured_solves(("problem.mesh_size=8", f"problem.kind={kind}",
-                             f"solver.kappa={kappa}"),
+                             f"algorithm.kappa={kappa}"),
                             "control_finite_sum", 1)[0]
 
 
