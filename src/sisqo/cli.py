@@ -156,13 +156,13 @@ _VALIDATE_TOL = {"gradient": 1e-5, "jacobian": 1e-5, "hessian": 1e-4}
 def _cmd_validate(args, config):
     problem = build_problem(config)
     kind, eps_n = oracle_settings(config)
-    cfg = build_solver_config(
-        config, seed=_seeds(args, harness_settings(config))[0])
+    seed = _seeds(args, harness_settings(config))[0]
+    cfg = build_solver_config(config, seed=seed)
     print(f"problem {problem.name}: n={problem.n} m={problem.m}"
           f" oracle={kind} eps_n={eps_n:g}")
     print(f"solver config ok (kappa={cfg.kappa:g},"
           f" lipschitz_mode={cfg.lipschitz_mode})")
-    errors = validate_problem(problem, seed=cfg.seed)
+    errors = validate_problem(problem, seed=seed)
     status = 0
     for name, err in errors.items():
         tol = _VALIDATE_TOL[name]

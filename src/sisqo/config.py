@@ -205,10 +205,13 @@ def oracle_settings(config):
     return kind, _noise_level("eps_n", section.get("eps_n", 0.0))
 
 
-def _as_list(value):
-    if isinstance(value, (int, float)):
-        return [value]
-    return [_coerce(tok) for tok in str(value).replace(",", " ").split()]
+def _as_list(key, value):
+    """The values of the list key ``key``; an empty list is an error."""
+    values = [value] if isinstance(value, (int, float)) else \
+        [_coerce(tok) for tok in str(value).replace(",", " ").split()]
+    if not values:
+        raise ConfigError(f"{key} must list at least one value")
+    return values
 
 
 def harness_settings(config):
@@ -224,9 +227,9 @@ def harness_settings(config):
     if not 0.0 < kappa_exact < 1.0:
         raise ConfigError(f"kappa_exact must lie in (0, 1), got {kappa_exact}")
     return {
-        "seeds": _check_seeds(_as_list(section.get("seeds", 0))),
+        "seeds": _check_seeds(_as_list("seeds", section.get("seeds", 0))),
         "eps_n_list": [_noise_level("eps_n_list", v)
-                       for v in _as_list(levels)],
+                       for v in _as_list("eps_n_list", levels)],
         "kappa_exact": kappa_exact,
         "output": _check_type("output", section.get("output", "results.csv"),
                               str),

@@ -132,8 +132,12 @@ class ComparisonRecord:
             else [self.inexact, self.exact]
 
 
-def _config_digest(cfg, oracle_kind, eps_n):
-    payload = repr(sorted(asdict(cfg).items())) + f"|{oracle_kind}|{eps_n!r}"
+def _config_digest(cfg, seed, oracle_kind, eps_n):
+    """The digest of a run's settings: ``cfg`` with the run's own seed,
+    which is ``cfg.seed`` on the command line but need not be in a
+    library call, the oracle and the noise level."""
+    settings = dict(asdict(cfg), seed=seed)
+    payload = repr(sorted(settings.items())) + f"|{oracle_kind}|{eps_n!r}"
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -268,7 +272,8 @@ def _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent,
         total_minres_iters=total_minres,
         feasibility_error=feas, stationarity_error=stat, x_final=x.copy(),
         y_ls_final=y_ls, rows=rows, wall_time=time.perf_counter() - start,
-        config_digest=_config_digest(cfg, oracle_kind, eps_n), info=info)
+        config_digest=_config_digest(cfg, seed, oracle_kind, eps_n),
+        info=info)
 
 
 class _PairAborted(Exception):
@@ -453,15 +458,9 @@ def emit_results(records, path):
 
 
 def _record_json(r):
-    d = {"problem": r.problem, "strategy": r.strategy, "eps_n": r.eps_n,
-         "seed": r.seed, "status": r.status, "outer_iters": r.outer_iters,
-         "total_minres_iters": r.total_minres_iters,
-         "feasibility_error": r.feasibility_error,
-         "stationarity_error": r.stationarity_error,
-         "x_final": r.x_final.tolist(), "y_ls_final": r.y_ls_final.tolist(),
-         "wall_time": r.wall_time, "config_digest": r.config_digest,
-         "rows": [asdict(row) for row in r.rows], "info": r.info}
-    return d
+    """Every field of the run record ``r``, the arrays as lists."""
+    return {**asdict(r), "x_final": r.x_final.tolist(),
+            "y_ls_final": r.y_ls_final.tolist()}
 
 
 # summary-level record reconstructed from a results CSV

@@ -55,11 +55,10 @@
  * It also finishes each element in the loop that writes it, with the
  * operation that the numpy step applies in a later pass: the Lanczos
  * product subtracts (beta / oldb) r1, and the residual product adds rhs
- * and takes the infinity norm.  Within one call, the step rotates the
- * Lanczos rows r1, r2 and y, and swaps the direction rows w and w2, by
- * pointer rather than copying them.  Before the call returns it puts
- * them back into the numpy step's layout, so ``work`` leaves every call
- * with the bytes that the numpy step leaves.
+ * and takes the infinity norm.  The step count places the Lanczos rows
+ * r1, r2 and y and the direction rows w and w2 in ``work`` by the rule
+ * of the numpy step, so neither backend copies a row, and ``work``
+ * leaves every call with the bytes that the numpy step leaves.
  * The loop that updates w and z also writes the next step's Lanczos
  * vector r2 / beta over v once it has read v, so only the first step
  * forms v in a pass of its own.
@@ -405,15 +404,12 @@ dot(const double *a, const double *b, Py_ssize_t len)
     return result;
 }
 
-/* The rows of ``work`` as the steps of one call reach them.  The Lanczos
- * rows r1, r2, y and the direction rows w, w2 rotate by pointer rather
- * than being copied; ``taken`` counts the steps, and so the turns, and
- * restore_rows puts the rows back before the call returns.  ``formed``
- * counts the residuals formed, and ``stale`` is set while the residual
- * row lags the iterate. */
+/* The state of one call besides ``scal``: ``work``, the count of
+ * residuals formed, and ``stale``, set while the residual row lags the
+ * iterate. */
 typedef struct {
-    double *v, *r1, *r2, *y, *w, *w2, *z, *resid;
-    Py_ssize_t taken, formed;
+    double *work;
+    Py_ssize_t formed;
     int stale;
 } minres_rows;
 
@@ -463,31 +459,35 @@ carry_residual(double *resid, const double *v, Py_ssize_t dim, double sn2,
     return big;
 }
 
-/* One MINRES step on the state in ``rows`` and ``scal`` (see
+/* One MINRES step on the state in ``work`` and ``scal`` (see
  * tangential_solve_doc), up to the new iterate, which leaves the next
  * step's Lanczos vector r2 / beta in the v row.  With ``carry`` it also
  * carries the residual row by the recurrence of MINRES, r = sn^2 r +
  * (phibar cs) v for the new sn, cs and phibar and the next v, and
  * returns that row's infinity norm, NaN if it holds a NaN; without, it
  * leaves the row to form_residual and returns 0.  scal[S_BETA] must be
- * nonzero. */
+ * nonzero.  The step count p places the rows as tangential_solve_doc
+ * says; the step writes y into the one Lanczos row that it does not
+ * read and the new w over w2, so at p + 1 every row is in place, and
+ * none is copied. */
 static double
-step(const kkt_op *op, minres_rows *rows, double *scal, int carry)
+step(const kkt_op *op, double *work, double *scal, int carry)
 {
     const Py_ssize_t dim = op->n + op->m;
-    double *v = rows->v, *r1 = rows->r1, *r2 = rows->r2, *y = rows->y,
-        *w = rows->w, *w2 = rows->w2, *z = rows->z;
+    const long long p = (long long)scal[S_STEPS];
+    double *v = work, *r1 = work + (1 + p % 3) * dim,
+        *r2 = work + (1 + (p + 1) % 3) * dim,
+        *y = work + (1 + (p + 2) % 3) * dim, *w = work + (4 + p % 2) * dim,
+        *w2 = work + (5 - p % 2) * dim, *z = work + 6 * dim;
     double beta, oldb, dbar, oldeps, phibar, cs, sn, alfa, s, delta, gbar,
         gamma, phi, wn;
     Py_ssize_t i;
 
     /* Lanczos: y = K v - (beta / oldb) r1 - alfa / beta r2 with its first
      * subtraction done in the product, for the v = r2 / beta that the
-     * last step left in its row (formed here at the first step); then r1
-     * takes r2, r2 takes y and y takes the old r1 as scratch: a turn of
-     * the pointers, no copy */
+     * last step left in its row (formed here at the first step) */
     beta = scal[S_BETA];
-    if (scal[S_STEPS] >= 1.0)
+    if (p >= 1)
         kkt_product(op, v, y, KKT_LESS_TAIL, r1, beta / scal[S_OLDB]);
     else {
         s = 1.0 / beta;
@@ -499,9 +499,6 @@ step(const kkt_op *op, minres_rows *rows, double *scal, int carry)
     s = alfa / beta;
     for (i = 0; i < dim; i++)
         y[i] -= s * r2[i];
-    rows->r1 = r2;
-    rows->r2 = y;
-    rows->y = r1;
     oldb = beta;
     beta = sqrt(dot(y, y, dim));
 
@@ -525,12 +522,11 @@ step(const kkt_op *op, minres_rows *rows, double *scal, int carry)
     scal[S_PHIBAR] = phibar;
 
     /* w = (v - oldeps w2 - delta w) / gamma, written over w2, and
-     * z += phi w; once v[i] is read, the next v = r2 / beta over it (r2
-     * is the row y points at; 1 / 0 is inf).  Then w and w2 swap
-     * pointers, so w2 holds the old w.  The carry takes a loop of its
-     * own: in this one, its running maximum keeps gcc from vectorizing
-     * the division, and the fused loop took 1.4 us at 768 entries, the
-     * two loops 0.85 */
+     * z += phi w; once v[i] is read, the next v = y / beta over it (y is
+     * the next r2; 1 / 0 is inf).  The carry takes a loop of its own: in
+     * this one, its running maximum keeps gcc from vectorizing the
+     * division, and the fused loop took 1.4 us at 768 entries, the two
+     * loops 0.85 */
     s = 1.0 / beta;
     for (i = 0; i < dim; i++) {
         wn = ((v[i] - oldeps * w2[i]) - delta * w[i]) / gamma;
@@ -538,17 +534,14 @@ step(const kkt_op *op, minres_rows *rows, double *scal, int carry)
         z[i] += phi * wn;
         v[i] = s * y[i];
     }
-    rows->w = w2;
-    rows->w2 = w;
 
     scal[S_BETA] = beta;
     scal[S_OLDB] = oldb;
     scal[S_CS] = cs;
     scal[S_SN] = sn;
     scal[S_STEPS] += 1.0;
-    rows->taken++;
-    return carry ? carry_residual(rows->resid, v, dim, sn * sn, phibar * cs)
-        : 0.0;
+    return carry ? carry_residual(work + 7 * dim, v, dim, sn * sn,
+                                  phibar * cs) : 0.0;
 }
 
 /* The true residual K z + rhs into its row, its infinity norm taken as
@@ -560,54 +553,18 @@ static void
 form_residual(const kkt_op *op, const double *rhs, minres_rows *rows,
               double *scal)
 {
-    double rinf, rnorm;
+    const Py_ssize_t dim = op->n + op->m;
+    double *resid = rows->work + 7 * dim, rinf, rnorm;
 
-    rinf = kkt_product(op, rows->z, rows->resid, KKT_PLUS_TAIL, rhs, 0.0);
-    rnorm = sqrt(dot(rows->resid, rows->resid, op->n + op->m));
+    rinf = kkt_product(op, rows->work + 6 * dim, resid, KKT_PLUS_TAIL, rhs,
+                       0.0);
+    rnorm = sqrt(dot(resid, resid, dim));
     scal[S_RNORM] = rnorm;
     scal[S_RINF] = isnan(rnorm) ? rnorm : rinf;
     if (rnorm < scal[S_BEST])
         scal[S_BEST] = rnorm;
     rows->stale = 0;
     rows->formed++;
-}
-
-/* Put the rows of ``work`` back where the numpy step leaves them: r1 and
- * r2 in their own rows, y equal to r2, and w and w2 in theirs.  Each
- * step turns the Lanczos rows once round a 3-cycle and swaps the
- * direction rows, so the steps taken fix where each one sits; each copy
- * fills the row that is free. */
-static void
-restore_rows(const minres_rows *rows, double *work, Py_ssize_t dim)
-{
-    double *r1 = work + dim, *r2 = r1 + dim, *y = r2 + dim, *w = y + dim,
-        *w2 = w + dim, tmp;
-    const size_t bytes = dim * sizeof(double);
-    Py_ssize_t i;
-
-    if (rows->taken == 0)
-        return;
-    switch (rows->taken % 3) {
-    case 1:
-        /* r1 sits in r2's row and r2 in y's */
-        memcpy(r1, r2, bytes);
-        memcpy(r2, y, bytes);
-        break;
-    case 2:
-        /* r1 sits in y's row and r2 in r1's */
-        memcpy(r2, r1, bytes);
-        memcpy(r1, y, bytes);
-        memcpy(y, r2, bytes);
-        break;
-    default:
-        memcpy(y, r2, bytes);
-    }
-    if (rows->taken % 2)
-        for (i = 0; i < dim; i++) {
-            tmp = w[i];
-            w[i] = w2[i];
-            w2[i] = tmp;
-        }
 }
 
 /* Check the nine leading arguments of tangential_solve, ``objs[0..8]``,
@@ -617,6 +574,7 @@ static int
 get_minres_args(PyObject **objs, char **names, kkt_op *op)
 {
     Py_ssize_t dim;
+    double steps;
 
     if (check_arrays(objs, "iidiiddww", names) < 0
         || (op->n = csr_rows(objs, "h_")) < 0
@@ -635,6 +593,13 @@ get_minres_args(PyObject **objs, char **names, kkt_op *op)
     if (overlaps(objs[6], objs[7]) || overlaps(objs[6], objs[8])
         || overlaps(objs[7], objs[8])) {
         PyErr_SetString(PyExc_ValueError, "rhs, work and scal overlap");
+        return -1;
+    }
+    /* the count places the rows of work: a bad one would misplace them */
+    steps = ((const double *)DATA(objs[8]))[S_STEPS];
+    if (!(steps >= 0.0 && steps < 0x1p53 && steps == floor(steps))) {
+        PyErr_SetString(PyExc_ValueError, "scal[7], the step count: expected"
+                        " a whole number from 0 to 2**53 - 1");
         return -1;
     }
     op->h_indptr = DATA(objs[0]);
@@ -671,10 +636,10 @@ guarded_step(const kkt_op *op, const double *rhs, minres_rows *rows,
         scal[S_BREAKDOWN] = 1.0;
         return;
     }
-    carried = step(op, rows, scal, skip_above < INFINITY);
+    carried = step(op, rows->work, scal, skip_above < INFINITY);
     if (scal[S_BETA] < BREAKDOWN_TOL)
         scal[S_BREAKDOWN] = 1.0;
-    window_end = (Py_ssize_t)scal[S_STEPS] % STALL_WINDOW == 0;
+    window_end = (long long)scal[S_STEPS] % STALL_WINDOW == 0;
     if (carried > skip_above && scal[S_BREAKDOWN] == 0.0 && !window_end) {
         scal[S_RINF] = INFINITY;
         rows->stale = 1;
@@ -777,10 +742,12 @@ PyDoc_STRVAR(tangential_solve_doc,
 "inf, the 2-norm and the least residual stay, and the call forms the\n"
 "residual before it returns.  K = [[H, J.T], [J, 0]], with H n-by-n and\n"
 "J m-by-n in CSR form; n and m are read from the indptr lengths.  work\n"
-"holds eight vectors of length dim = n + m, in this order: the next\n"
-"step's Lanczos vector v (read from the second step on), r1, r2, y, w,\n"
-"w2, the iterate z and the residual K z + rhs.  scal holds beta, the\n"
-"previous beta, dbar, epsln, phibar, cs, sn, the step count, the\n"
+"holds eight rows of length dim = n + m: the next step's Lanczos vector\n"
+"v (read from the second step on), then, for the step count p, r1, r2\n"
+"and y in rows 1 + (p + i) % 3 for i = 0, 1, 2 and w and w2 in rows\n"
+"4 + p % 2 and 5 - p % 2, then the iterate z and the residual K z + rhs.\n"
+"scal holds beta, the previous beta, dbar, epsln, phibar, cs, sn, the\n"
+"step count (a whole number below 2**53, else ValueError), the\n"
 "residual's 2-norm and infinity norm (NaN if it holds a NaN), beta1, the\n"
 "least residual, the least at the last window's end, and the breakdown\n"
 "and stall flags (1.0 when set).  Both are updated in place.  vecs\n"
@@ -809,7 +776,7 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
     minres_rows rows;
     test_params p;
     candidate found = {0, 0, NAN, NAN, NAN};
-    Py_ssize_t max_iter, t, dim, rejected[4] = {0, 0, 0, 0};
+    Py_ssize_t max_iter, t, rejected[4] = {0, 0, 0, 0};
     const double *rhs, *vecs = NULL;
     double *work, *scal, *hu = NULL, skip_above = INFINITY;
     int verdict;
@@ -863,10 +830,7 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
     rhs = DATA(objs[6]);
     work = DATA(objs[7]);
     scal = DATA(objs[8]);
-    dim = op.n + op.m;
-    rows = (minres_rows){work, work + dim, work + 2 * dim, work + 3 * dim,
-                         work + 4 * dim, work + 5 * dim, work + 6 * dim,
-                         work + 7 * dim, 0, 0, 0};
+    rows = (minres_rows){work, 0, 0};
 
     Py_BEGIN_ALLOW_THREADS
     for (t = 0;; t++) {
@@ -886,7 +850,6 @@ tangential_solve(PyObject *self, PyObject *args, PyObject *kwargs)
     /* only a step at t == max_iter ends the loop with a stale row */
     if (rows.stale)
         form_residual(&op, rhs, &rows, scal);
-    restore_rows(&rows, work, dim);
     Py_END_ALLOW_THREADS
     PyMem_Free(hu);
     /* a candidate that passed a test was accepted, so tt1 and tt2 are

@@ -68,15 +68,22 @@ def _minres_step(csr, work, scal, carry):
     """One MINRES step on ``K z = -rhs``, K as in :func:`_kkt_apply` for
     the six CSR arrays ``csr``, up to the new iterate; ``work`` and
     ``scal[:8]`` as :func:`tangential_solve` takes them, updated in
-    place, with the next step's Lanczos vector ``r2 / beta`` left in the
+    place, with the next step's Lanczos vector ``y / beta`` left in the
     v row.  With ``carry``, the residual row is carried by the recurrence
     ``r = sn^2 r + (phibar cs) v`` for the next v, and the return is its
     infinity norm (NaN if it holds a NaN); without, the row is left to
     :func:`_form_residual` and the return is 0.  ``scal[0]`` must be
-    nonzero.
+    nonzero.  The step count places the rows as :func:`tangential_solve`
+    says; the step writes y into the one Lanczos row that it does not
+    read and the new w over w2, so at the next count every row is in
+    place, and none is copied.
     """
-    vec, r1, r2, y, w, w2, z, resid = work.reshape(8, -1)
+    rows = work.reshape(8, -1)
     beta, oldb, dbar, oldeps, phibar, cs, sn, steps = scal[:8].tolist()
+    p = int(steps)
+    vec, z, resid = rows[0], rows[6], rows[7]
+    r1, r2, y = (rows[1 + (p + i) % 3] for i in range(3))
+    w, w2 = rows[4 + p % 2], rows[5 - p % 2]
     # r2 holds the latest unnormalized Lanczos vector, and the v row
     # r2 / beta from the last step.  Every vector operation writes into a
     # row of ``work`` or into ``tmp`` (positional out=), and the scalars
@@ -90,8 +97,6 @@ def _minres_step(csr, work, scal, carry):
         y -= np.multiply(beta / oldb, r1, tmp)
     alfa = float(vec.dot(y))
     y -= np.multiply(alfa / beta, r2, tmp)
-    r1[:] = r2
-    r2[:] = y
     oldb = beta
     beta = math.sqrt(float(y.dot(y)))
 
@@ -105,17 +110,15 @@ def _minres_step(csr, work, scal, carry):
     phi = cs * phibar
     phibar = sn * phibar
 
-    # w = (vec - oldeps * w2 - delta * w) / gamma, built in tmp; w2 takes
-    # the old w
+    # w = (vec - oldeps * w2 - delta * w) / gamma, built in tmp and
+    # divided into w2's row
     np.subtract(vec, np.multiply(oldeps, w2, tmp), tmp)
     np.subtract(tmp, np.multiply(delta, w, w2), tmp)
-    np.divide(tmp, gamma, tmp)
-    w2[:] = w
-    w[:] = tmp
-    z += np.multiply(phi, w, tmp)
-    # the next v; at beta = 0 it is inf * r2, as the compiled step has it
+    np.divide(tmp, gamma, w2)
+    z += np.multiply(phi, w2, tmp)
+    # the next v; at beta = 0 it is inf * y, as the compiled step has it
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(np.float64(1.0) / beta, r2, vec)
+        np.multiply(np.float64(1.0) / beta, y, vec)
     scal[:8] = (beta, oldb, dbar, epsln, phibar, cs, sn, steps + 1)
     if not carry:
         return 0.0
@@ -259,13 +262,16 @@ def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
     returns.
 
     K = [[H, J.T], [J, 0]], with H n-by-n and J m-by-n in CSR form.
-    ``work`` holds eight vectors of length dim = n + m, in this order:
-    the next step's Lanczos vector v (read from the second step on), r1,
-    r2, y, w, w2, the iterate z and the residual ``K z + rhs``.
-    ``scal`` holds beta, the previous beta, dbar, epsln, phibar, cs, sn,
-    the step count, the residual's 2-norm and infinity norm, beta1, the
-    least residual, the least at the end of the last window, and the
-    breakdown and stall flags (1.0 when set).  Both are updated in place.
+    ``work`` holds eight rows of length dim = n + m: the next step's
+    Lanczos vector v (read from the second step on), then, for the step
+    count p, r1, r2 and y in rows ``1 + (p + i) % 3`` for i = 0, 1, 2 and
+    w and w2 in rows ``4 + p % 2`` and ``5 - p % 2``, then the iterate z
+    and the residual ``K z + rhs``.  ``scal`` holds beta, the previous
+    beta, dbar, epsln, phibar, cs, sn, the step count (a whole number
+    below 2**53, else ValueError), the residual's 2-norm and infinity
+    norm, beta1, the least residual, the least at the end of the last
+    window, and the breakdown and stall flags (1.0 when set).  Both are
+    updated in place.
     ``vecs`` holds g, H v, g + H v (n each), c and c + J v (m each), and
     ``tests = (cap, beta, kappa, prev_pair_norm, tau_prev, ||v||, g'v,
     ||c||, normal decrease)``; both are None or neither.
@@ -289,6 +295,10 @@ def tangential_solve(h_indptr, h_indices, h_data, j_indptr, j_indices,
         raise ValueError("vecs must have length 3 n + 2 m")
     if max_iter < 0:
         raise ValueError("max_iter must be at least 0")
+    # the count places the rows of work: a bad one would misplace them
+    steps = float(scal[7])
+    if not (0.0 <= steps < 2.0 ** 53 and steps.is_integer()):
+        raise ValueError("scal[7] must be a whole step count below 2**53")
     csr = (h_indptr, h_indices, h_data, j_indptr, j_indices, j_data)
     u, resid = work[6 * dim:6 * dim + n], work[7 * dim:]
     rho, r = resid[:n], resid[n:]

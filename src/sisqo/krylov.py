@@ -196,8 +196,9 @@ class MinresState:
         beta1 = float(np.linalg.norm(b))
         self.resid_norm = beta1
         self.resid_norm_inf = float(np.max(np.abs(b), initial=0.0))
-        # rows v, r1, r2, y, w, w2, z and the residual; r1 and r2 start
-        # as the first unnormalized Lanczos vector, the residual as rhs
+        # rows v, r1, r2, y, w, w2, z and the residual, as the step count
+        # 0 places them; r1 and r2 start as the first unnormalized
+        # Lanczos vector, the residual as rhs
         self._work = np.zeros(8 * op.dim)
         rows = self._work.reshape(8, op.dim)
         rows[1] = rows[2] = b

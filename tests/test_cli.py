@@ -132,6 +132,15 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, override", [("run", "harness.seeds="),
+                                             ("sweep", "harness.eps_n_list=")])
+def test_empty_run_list_exits_2(tmp_path, capsys, verb, override):
+    out = tmp_path / "empty.csv"
+    assert main([verb, "-c", "qp_gaussian", "-o", str(out), override]) == 2
+    assert "must list at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", [
     ["algorithm.tau_init=nan"],
     ["algorithm.beta0=nan"],

@@ -285,6 +285,14 @@ def test_negative_seeds_are_rejected():
         harness_settings({"harness": {"seeds": "0 -1 2"}})
 
 
+@pytest.mark.parametrize("key", ["seeds", "eps_n_list"])
+@pytest.mark.parametrize("value", ["", " , "])
+def test_empty_run_lists_are_rejected(key, value):
+    # a run or sweep over no seed or no noise level writes nothing
+    with pytest.raises(ConfigError, match=f"{key} must list at least one"):
+        harness_settings({"harness": {key: value}})
+
+
 def test_finite_sum_oracle_needs_finite_sum_terms():
     config = apply_overrides(load_config("qp_gaussian"),
                              ["oracle.kind=finite_sum"])

@@ -804,6 +804,22 @@ def test_run_single_is_deterministic():
     assert a.config_digest == b.config_digest
 
 
+def test_config_digest_covers_the_run_seed():
+    # two seeds of one SolverConfig are two different runs, so their
+    # records carry two digests; the digest takes the run's seed in place
+    # of the config's, so a config that carries the run's seed, as the
+    # command line builds it, digests alike
+    problem = build_problem(load_config("qp_gaussian"))
+    cfg = SolverConfig()
+    runs = [run_single(problem, cfg, seed, eps_n=1e-2) for seed in (0, 5)]
+    assert runs[0].outer_iters != runs[1].outer_iters
+    assert runs[0].config_digest != runs[1].config_digest
+    seeded = run_single(problem, dataclasses.replace(cfg, seed=5), 5,
+                        eps_n=1e-2)
+    assert seeded.config_digest == runs[1].config_digest
+    np.testing.assert_array_equal(seeded.x_final, runs[1].x_final)
+
+
 def _best_k(history, feasibility_tol):
     return min(history, key=lambda e: rank_iterate(*e, feasibility_tol))[0]
 
@@ -1002,6 +1018,9 @@ def test_emit_json_schema(tmp_path):
     assert row["problem"] == "qp"
     assert row["x_final"] == [0.0, 0.0]
     assert row["rows"] == []
+    # one key per field of the record, in the order of its fields
+    from sisqo.harness import RunRecord
+    assert list(row) == [f.name for f in dataclasses.fields(RunRecord)]
 
 
 def test_emit_json_keeps_dict_valued_info(tmp_path, monkeypatch):

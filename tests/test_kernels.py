@@ -3,7 +3,6 @@
 import importlib.machinery
 import inspect
 import os
-import shlex
 import shutil
 import subprocess
 import sys
@@ -17,6 +16,8 @@ import math
 import numpy as np
 import pytest
 
+from kernel_builds import (build_in_copy, compiler, copy_package,
+                           pytest_in_copy)
 from oracles import state_candidate_tests, tangential_setup
 from sisqo import kernels
 from sisqo.config import (apply_overrides, build_problem, build_solver_config,
@@ -622,9 +623,9 @@ def _poisson4_solve(max_iter):
 @pytest.mark.parametrize("system", ["poisson4", "m0"])
 @pytest.mark.parametrize("max_iter", range(1, 7))
 def test_tangential_solve_restores_its_rows(compiled, system, max_iter):
-    # the compiled step turns its Lanczos rows round a 3-cycle and swaps
-    # its direction rows; whatever the count of steps, work leaves the
-    # call laid out as the numpy twin leaves it
+    # the step count places the Lanczos rows by its residue mod 3 and the
+    # direction rows by its parity; whatever the count of steps, the
+    # compiled solve leaves work with the bytes the numpy twin leaves
     if system == "poisson4":
         args = _poisson4_solve(max_iter)
     else:
@@ -636,7 +637,8 @@ def test_tangential_solve_restores_its_rows(compiled, system, max_iter):
 
 def test_accepting_solves_restore_their_rows(compiled):
     # solves that end at an accepted iterate after a count of steps of
-    # each residue mod 3, and of either parity
+    # each residue mod 3, and of either parity, leave work and scal as
+    # the numpy twin leaves them
     steps = []
     for args in _captured_solves(()):
         out = _twin_outcome(args)
@@ -862,6 +864,23 @@ def test_compiled_tangential_solve_rejects_bad_arguments(compiled, changes,
     assert kernels.tangential_solve(**args)[0] == 6
 
 
+@pytest.mark.parametrize("count", [-1.0, 0.5, 2.5, math.nan, math.inf,
+                                   2.0 ** 53])
+def test_tangential_solve_rejects_a_bad_step_count(backend, count):
+    # the step count places the rows of work, so one that is not a whole
+    # number below 2**53 is an error on both backends, raised before any
+    # array is written; the largest whole one is taken
+    args = _good_solve_args()
+    args["scal"][7] = count
+    before = args["work"].tobytes(), args["scal"].tobytes()
+    with pytest.raises(ValueError, match=r"scal\[7\]"):
+        kernels.tangential_solve(**args)
+    assert (args["work"].tobytes(), args["scal"].tobytes()) == before
+    args.update(vecs=None, tests=None, max_iter=0)
+    args["scal"][7] = 2.0 ** 53 - 1.0
+    assert kernels.tangential_solve(**args)[0] == 0
+
+
 def test_compiled_tangential_solve_rejects_overlap(compiled):
     args = _good_solve_args()
     buf = np.zeros(48 + 15)
@@ -1043,14 +1062,6 @@ needs_source = pytest.mark.skipif(not os.path.exists(kernels._SOURCE),
                                   reason="no _csrkern.c beside the package")
 
 
-def _package_copy(tmp_path):
-    import sisqo
-
-    shutil.copytree(os.path.dirname(sisqo.__file__), tmp_path / "sisqo",
-                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
-    return tmp_path / "sisqo" / "kernels"
-
-
 def _import_in_child(root, mode, arg=""):
     env = {k: v for k, v in os.environ.items() if k != "SISQO_KERNELS"}
     env["PYTHONPATH"] = str(root)
@@ -1072,7 +1083,7 @@ def _cache_entries(kernel_dir):
 @needs_source
 @pytest.mark.parametrize("failure", ["compiler_error", "compiler_missing"])
 def test_failed_build_falls_back_to_numpy(tmp_path, failure):
-    kernel_dir = _package_copy(tmp_path)
+    kernel_dir = copy_package(tmp_path)
     if failure == "compiler_error":
         (kernel_dir / "_csrkern.c").write_text("#error broken on purpose\n")
         mode, arg = "plain", ""
@@ -1088,7 +1099,7 @@ def test_failed_build_falls_back_to_numpy(tmp_path, failure):
 def test_stale_builds_are_pruned(tmp_path):
     # builds of other source versions for this interpreter go, on a
     # fresh build and on a cache hit; other interpreters' builds stay
-    kernel_dir = _package_copy(tmp_path)
+    kernel_dir = copy_package(tmp_path)
     cache = kernel_dir / "__pycache__"
     cache.mkdir()
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
@@ -1108,7 +1119,7 @@ def test_stale_builds_are_pruned(tmp_path):
 
 @needs_source
 def test_build_is_cached_and_reused(tmp_path):
-    kernel_dir = _package_copy(tmp_path)
+    kernel_dir = copy_package(tmp_path)
     assert _import_in_child(tmp_path, "plain") == (
         ["compiled", "compiled", "python"], [])
     built = _cache_entries(kernel_dir)
@@ -1125,7 +1136,7 @@ def test_in_tree_extension_is_not_loaded(tmp_path, compiled):
     # an importable _csrkern<EXT_SUFFIX> beside the source (what an
     # in-place extension build leaves) would hide later edits of
     # _csrkern.c; the loader takes only the build keyed by the source
-    kernel_dir = _package_copy(tmp_path)
+    kernel_dir = copy_package(tmp_path)
     decoy = kernel_dir / ("_csrkern"
                           + importlib.machinery.EXTENSION_SUFFIXES[0])
     shutil.copyfile(kernels._csrkern.__file__, decoy)
@@ -1166,8 +1177,8 @@ def test_kernel_source_compiles_without_warnings():
     # the interpreter's compiler, as the package build uses it, with
     # its flags and the method constants it defines, and every common
     # warning an error
-    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
-    if not ldshared or shutil.which(ldshared[0]) is None:
+    ldshared = compiler()
+    if ldshared is None:
         pytest.skip("the interpreter records no usable C compiler")
     proc = subprocess.run(
         [ldshared[0], "-fsyntax-only", "-Wall", "-Wextra",
@@ -1175,6 +1186,31 @@ def test_kernel_source_compiles_without_warnings():
          "-I", sysconfig.get_path("include"), "-I", np.get_include(),
          kernels._SOURCE], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# the tests that compare the compiled solve with its numpy twin, and
+# those of the carried residual
+_TWIN_TESTS = ("test_minres_step_matches_reference",
+               "test_tangential_solve_matches_reference",
+               "test_one_step_solves_match_a_whole_solve",
+               "test_tangential_solve_restores_its_rows",
+               "test_accepting_solves_restore_their_rows",
+               "test_whole_solve_matches_the_step_by_step_drive",
+               "test_carried_residual_tracks_the_true_one")
+
+
+@needs_source
+def test_build_without_sse2_agrees_with_the_twin(tmp_path):
+    # without SSE2, as on aarch64, the carry runs its scalar loop alone;
+    # a build with __SSE2__ undefined keeps the twin's bits all the same
+    if compiler() is None:
+        pytest.skip("the interpreter records no usable C compiler")
+    built = build_in_copy(tmp_path, ("-U__SSE2__",))
+    proc = pytest_in_copy(tmp_path, built, [
+        str(Path(__file__).resolve()), "-k", " or ".join(_TWIN_TESTS)])
+    assert proc.returncode == 0, (proc.stdout + proc.stderr)[-4000:]
+    assert " passed" in proc.stdout and "skipped" not in proc.stdout, \
+        proc.stdout[-2000:]
 
 
 def test_method_constants_reach_the_build_exactly():

@@ -9,16 +9,12 @@ report fails the test.
 """
 
 import os
-import shlex
-import shutil
 import subprocess
-import sys
-import sysconfig
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from kernel_builds import build_in_copy, compiler, pytest_in_copy
 from sisqo import kernels
 
 TESTS = Path(__file__).resolve().parent
@@ -30,21 +26,13 @@ _BUILD_TESTS = ("test_failed_build_falls_back_to_numpy",
                 "test_build_is_cached_and_reused",
                 "test_in_tree_extension_is_not_loaded",
                 "test_built_package_imports_with_compiled_backend",
-                "test_kernel_source_compiles_without_warnings")
+                "test_kernel_source_compiles_without_warnings",
+                "test_build_without_sse2_agrees_with_the_twin")
 
-# Run in the child: check that the copy's kernels loaded the sanitized
-# build, run the tests, then solve the mesh-4 Poisson control problem,
-# whose rungs must skip some residual products, so the steps that leave
-# the residual row stale run under the sanitizers too.
-_CHILD = """
-import sys
-import pytest
-from sisqo import kernels
-assert kernels.active_backend() == "compiled", kernels.available_backends()
-assert kernels._csrkern.__file__ == sys.argv[1], kernels._csrkern.__file__
-code = pytest.main(sys.argv[2:])
-if code:
-    sys.exit(int(code))
+# Run in the child after the tests: solve the mesh-4 Poisson control
+# problem, whose rungs must skip some residual products, so the steps
+# that leave the residual row stale run under the sanitizers too.
+_SOLVES = """
 import sisqo.harness
 from sisqo.config import (apply_overrides, build_problem,
                           build_solver_config, harness_settings, load_config,
@@ -77,10 +65,11 @@ print("neumann4 pair", *(r.status for r in pair.runs()), pair.budget)
 """
 
 
-def _runtime(compiler, name):
-    """The compiler's path of the runtime library ``name``, or None."""
+def _runtime(cc, name):
+    """The compiler ``cc``'s path of the runtime library ``name``, or
+    None."""
     try:
-        proc = subprocess.run([compiler, f"-print-file-name={name}"],
+        proc = subprocess.run([cc, f"-print-file-name={name}"],
                               capture_output=True, text=True, timeout=60)
     except OSError:
         return None
@@ -92,45 +81,25 @@ def _runtime(compiler, name):
 @pytest.mark.skipif(not os.path.exists(kernels._SOURCE),
                     reason="no _csrkern.c beside the package")
 def test_kernels_run_clean_under_sanitizers(tmp_path):
-    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    ldshared = compiler()
     asan = _runtime(ldshared[0], "libasan.so") if ldshared else None
     if asan is None:
         pytest.skip("the compiler has no AddressSanitizer runtime")
     ubsan = _runtime(ldshared[0], "libubsan.so")
     assert ubsan is not None, "libasan.so resolves but libubsan.so does not"
 
-    import sisqo
-
     root = tmp_path / "pkg"
-    shutil.copytree(os.path.dirname(sisqo.__file__), root / "sisqo",
-                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
-    # the loader's cache name covers the source, the package's flags and
-    # numpy, none of which the copy changes
-    built = root / "sisqo" / "kernels" / "__pycache__" / os.path.basename(
-        kernels._cached_path())
-    built.parent.mkdir()
-    proc = subprocess.run(
-        [*ldshared, *shlex.split(sysconfig.get_config_var("CFLAGS") or ""),
-         *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
-         "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined",
-         *kernels._EXTRA_COMPILE_ARGS, "-O1", "-g",
-         "-I", sysconfig.get_path("include"), "-I", np.get_include(),
-         kernels._SOURCE, "-o", str(built)],
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-
-    env = {k: v for k, v in os.environ.items() if k != "SISQO_KERNELS"}
-    env.update(PYTHONPATH=str(root), LD_PRELOAD=f"{asan}:{ubsan}",
-               ASAN_OPTIONS="detect_leaks=0")
-    # pytest puts the checkout's src first on sys.path unless told the
-    # copy's root instead; --capture=sys lets a report reach stderr
-    args = [str(TESTS / "test_kernels.py"), str(TESTS / "test_krylov.py"),
-            "-q", "-p", "no:cacheprovider", "--capture=sys",
-            "-o", f"pythonpath={root}",
-            "-k", " and ".join(f"not {name}" for name in _BUILD_TESTS)]
-    proc = subprocess.run([sys.executable, "-c", _CHILD, str(built), *args],
-                          capture_output=True, text=True, env=env,
-                          cwd=tmp_path, timeout=600)
+    built = build_in_copy(root, ("-fsanitize=address,undefined",
+                                 "-fno-sanitize-recover=undefined"),
+                          ("-O1", "-g"))
+    # --capture=sys lets a report reach stderr
+    proc = pytest_in_copy(
+        root, built,
+        [str(TESTS / "test_kernels.py"), str(TESTS / "test_krylov.py"),
+         "--capture=sys",
+         "-k", " and ".join(f"not {name}" for name in _BUILD_TESTS)],
+        _SOLVES, {"LD_PRELOAD": f"{asan}:{ubsan}",
+                  "ASAN_OPTIONS": "detect_leaks=0"})
     output = proc.stdout + proc.stderr
     assert proc.returncode == 0, output[-4000:]
     for report in ("AddressSanitizer", "runtime error:",
