@@ -16,8 +16,9 @@ problem at mesh 4, seeds 0-1.
 
 ``--against REV`` also checks REV out with ``git worktree add`` into a
 temporary directory, runs this script there in a child interpreter on
-REV's ``src``, prints the first run, and the first field, that differ,
-and exits 1 if any does.  The worktree is removed afterwards; an
+REV's ``src``, and prints a verdict per workload: identical, or how
+many of its runs differ, with each such run and the first field in which
+it differs.  It exits 1 if any run differs.  The worktree is removed afterwards; an
 interrupted run can leave its registration, which ``git worktree prune``
 clears.  Fingerprints hold for one backend on one host: the two backends'
 CSR products sum in different orders, so compare a parent with a change
@@ -75,7 +76,7 @@ def _sha(array):
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
-def _run_record(label, run):
+def _run_record(workload, label, run):
     rows = [{field: _bits(v) if isinstance(v, float) else int(v)
              for field, v in dataclasses.asdict(row).items()}
             for row in run.rows]
@@ -87,7 +88,8 @@ def _run_record(label, run):
                "feasibility_error": _bits(run.feasibility_error),
                "stationarity_error": _bits(run.stationarity_error)}
     payload = json.dumps([summary, rows], sort_keys=True).encode()
-    return {"run": label, "digest": hashlib.sha256(payload).hexdigest(),
+    return {"workload": workload, "run": label,
+            "digest": hashlib.sha256(payload).hexdigest(),
             "summary": summary, "rows": rows}
 
 
@@ -108,8 +110,8 @@ def _workload_runs(name):
                 runs = [run_single(problem, cfg, seed, oracle_kind=kind,
                                    eps_n=eps_n, strategy="sisqo")]
             for run in runs:
-                yield _run_record(f"{name} {problem.name} seed {seed}"
-                                  f" {run.strategy}", run)
+                yield _run_record(name, f"{name} {problem.name} seed"
+                                  f" {seed} {run.strategy}", run)
 
 
 def fingerprint(names):
@@ -123,26 +125,44 @@ def fingerprint(names):
             "runs": runs, "total": total.hexdigest()}
 
 
-def first_difference(ours, theirs):
-    """None if the two fingerprints agree, else where they first differ:
-    the run, then the first row and field, or summary entry."""
+def _run_difference(a, b):
+    """Where the run records ``a`` and ``b``, whose digests differ, first
+    differ: the first row and field, or summary entry."""
+    for k, (row_a, row_b) in enumerate(zip(a["rows"], b["rows"])):
+        for field, value in row_a.items():
+            if row_b[field] != value:
+                return (f"IterationRow {k} field {field}: {_shown(value)!r}"
+                        f" here, {_shown(row_b[field])!r} there")
+    for key, value in a["summary"].items():
+        if b["summary"][key] != value:
+            return (f"{key}: {_shown(value)!r} here,"
+                    f" {_shown(b['summary'][key])!r} there")
+    return "the digests differ"
+
+
+def differences(ours, theirs):
+    """Every run in which two fingerprints of the same runs differ, in run
+    order: a dict of its workload, its label and where it first differs.
+    Fingerprints of different lists of runs are a ValueError."""
     if [r["run"] for r in ours["runs"]] != [r["run"] for r in theirs["runs"]]:
-        return "the two sides ran different lists of runs"
-    for a, b in zip(ours["runs"], theirs["runs"]):
-        if a["digest"] == b["digest"]:
-            continue
-        for k, (row_a, row_b) in enumerate(zip(a["rows"], b["rows"])):
-            for field, value in row_a.items():
-                if row_b[field] != value:
-                    return (f"{a['run']}: IterationRow {k} field {field}:"
-                            f" {_shown(value)!r} here,"
-                            f" {_shown(row_b[field])!r} there")
-        for key, value in a["summary"].items():
-            if b["summary"][key] != value:
-                return (f"{a['run']}: {key}: {_shown(value)!r} here,"
-                        f" {_shown(b['summary'][key])!r} there")
-        return f"{a['run']}: the digests differ"
-    return None
+        raise ValueError("the two sides ran different lists of runs")
+    return [{"workload": a["workload"], "run": a["run"],
+             "difference": _run_difference(a, b)}
+            for a, b in zip(ours["runs"], theirs["runs"])
+            if a["digest"] != b["digest"]]
+
+
+def verdicts(ours, found):
+    """One line per workload of ``ours``, in run order: identical, or how
+    many of its runs are among the ``differences`` ``found``."""
+    runs, moved = {}, {}
+    for record in ours["runs"]:
+        runs[record["workload"]] = runs.get(record["workload"], 0) + 1
+    for diff in found:
+        moved[diff["workload"]] = moved.get(diff["workload"], 0) + 1
+    return [f"{name}: identical ({count} runs)" if name not in moved
+            else f"{name}: {moved[name]} of {count} runs differ"
+            for name, count in runs.items()]
 
 
 def fingerprint_at(rev, names):
@@ -210,10 +230,18 @@ def main(argv=None):
         print(f"{args.against} ran on the {theirs['backend']} backend")
         return 1
     print(f"total {theirs['total']}  at {args.against}")
-    difference = first_difference(ours, theirs)
-    print("identical" if difference is None else f"first difference: "
-          f"{difference}")
-    return 0 if difference is None else 1
+    try:
+        found = differences(ours, theirs)
+    except ValueError as exc:
+        print(exc)
+        return 1
+    for diff in found:
+        print(f"differs: {diff['run']}: {diff['difference']}")
+    for line in verdicts(ours, found):
+        print(line)
+    print("identical" if not found
+          else f"{len(found)} of {len(ours['runs'])} runs differ")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

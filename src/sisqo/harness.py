@@ -59,7 +59,8 @@ logger = logging.getLogger(__name__)
 
 # the results CSV: (column, RunRecord attribute, type), in column order
 _CSV_SCHEMA = (("problem", "problem", str), ("strategy", "strategy", str),
-               ("eps_n", "eps_n", float), ("seed", "seed", int),
+               ("eps_n", "eps_n", float), ("kappa", "kappa", float),
+               ("seed", "seed", int),
                ("feas_err", "feasibility_error", float),
                ("stat_err", "stationarity_error", float),
                ("minres_iters", "total_minres_iters", int),
@@ -99,6 +100,7 @@ class RunRecord:
     problem: str
     strategy: str
     eps_n: float
+    kappa: float
     seed: int
     status: str
     outer_iters: int
@@ -267,8 +269,9 @@ def _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent,
         info["selected_iterate"] = {"k": rank[2], "rule": rule,
                                     "feas": feas, "stat": stat}
     return RunRecord(
-        problem=problem.name, strategy=strategy, eps_n=eps_n, seed=seed,
-        status=status, outer_iters=0 if state is None else state.k,
+        problem=problem.name, strategy=strategy, eps_n=eps_n,
+        kappa=cfg.kappa, seed=seed, status=status,
+        outer_iters=0 if state is None else state.k,
         total_minres_iters=total_minres,
         feasibility_error=feas, stationarity_error=stat, x_final=x.copy(),
         y_ls_final=y_ls, rows=rows, wall_time=time.perf_counter() - start,
@@ -386,8 +389,8 @@ def run_budget_matched_pair(problem, cfg_inexact, cfg_exact, seed, *,
 # -- aggregation and emission -----------------------------------------------
 
 def aggregate(records):
-    """Group records of one problem by (strategy, eps_n) and produce
-    summary statistics; runs with a status in FAILED_STATUSES are
+    """Group records of one problem by (strategy, eps_n, kappa) and
+    produce summary statistics; runs with a status in FAILED_STATUSES are
     counted but excluded from the error statistics.  Mixing problems in
     one call is an error."""
     records = list(records)
@@ -399,12 +402,12 @@ def aggregate(records):
                          f" got {sorted(names)}")
     groups = {}
     for r in records:
-        groups.setdefault((r.strategy, r.eps_n), []).append(r)
+        groups.setdefault((r.strategy, r.eps_n, r.kappa), []).append(r)
     out = []
-    for (strategy, eps_n), runs in sorted(groups.items()):
+    for (strategy, eps_n, kappa), runs in sorted(groups.items()):
         clean = [r for r in runs if r.status not in FAILED_STATUSES]
         row = {"problem": records[0].problem, "strategy": strategy,
-               "eps_n": eps_n, "count": len(runs),
+               "eps_n": eps_n, "kappa": kappa, "count": len(runs),
                "n_failed": len(runs) - len(clean)}
         if clean:
             feas = np.array([r.feasibility_error for r in clean])

@@ -465,11 +465,12 @@ carry_residual(double *resid, const double *v, Py_ssize_t dim, double sn2,
  * carries the residual row by the recurrence of MINRES, r = sn^2 r +
  * (phibar cs) v for the new sn, cs and phibar and the next v, and
  * returns that row's infinity norm, NaN if it holds a NaN; without, it
- * leaves the row to form_residual and returns 0.  scal[S_BETA] must be
- * nonzero.  The step count p places the rows as tangential_solve_doc
- * says; the step writes y into the one Lanczos row that it does not
- * read and the new w over w2, so at p + 1 every row is in place, and
- * none is copied. */
+ * leaves the row to form_residual and returns 0.  A zero beta or
+ * previous beta divides to inf or NaN, and the step goes on; the numpy
+ * twin divides alike.  The step count p places the rows as
+ * tangential_solve_doc says; the step writes y into the one Lanczos row
+ * that it does not read and the new w over w2, so at p + 1 every row is
+ * in place, and none is copied. */
 static double
 step(const kkt_op *op, double *work, double *scal, int carry)
 {

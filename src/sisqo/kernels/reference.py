@@ -31,6 +31,15 @@ from .. import kernels
 _EPS = float(np.finfo(float).eps)
 
 
+def _div(a, b):
+    """``a / b`` for Python floats as C divides doubles: where ``b`` is
+    zero, inf or NaN rather than ZeroDivisionError."""
+    if b:
+        return a / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(a) / b)
+
+
 def csr_matvec(indptr, indices, data, x, out):
     """out[i] = sum over row i of data[k] * x[indices[k]]."""
     prod = data * x[indices]
@@ -72,9 +81,10 @@ def _minres_step(csr, work, scal, carry):
     v row.  With ``carry``, the residual row is carried by the recurrence
     ``r = sn^2 r + (phibar cs) v`` for the next v, and the return is its
     infinity norm (NaN if it holds a NaN); without, the row is left to
-    :func:`_form_residual` and the return is 0.  ``scal[0]`` must be
-    nonzero.  The step count places the rows as :func:`tangential_solve`
-    says; the step writes y into the one Lanczos row that it does not
+    :func:`_form_residual` and the return is 0.  A zero beta or previous
+    beta divides as in C, to inf or NaN, and the step goes on, as its
+    twin's does.  The step count places the rows as
+    :func:`tangential_solve` says; the step writes y into the one Lanczos row that it does not
     read and the new w over w2, so at the next count every row is in
     place, and none is copied.
     """
@@ -91,12 +101,12 @@ def _minres_step(csr, work, scal, carry):
     # the textbook form, with less call overhead.
     tmp = np.empty_like(vec)
     if steps < 1:
-        np.multiply(1.0 / beta, r2, vec)
+        np.multiply(_div(1.0, beta), r2, vec)
     _kkt_apply(*csr, vec, y)
     if steps >= 1:
-        y -= np.multiply(beta / oldb, r1, tmp)
+        y -= np.multiply(_div(beta, oldb), r1, tmp)
     alfa = float(vec.dot(y))
-    y -= np.multiply(alfa / beta, r2, tmp)
+    y -= np.multiply(_div(alfa, beta), r2, tmp)
     oldb = beta
     beta = math.sqrt(float(y.dot(y)))
 
@@ -143,7 +153,10 @@ def _form_residual(csr, rhs, work, scal):
     _kkt_apply(*csr, z, resid)
     resid += rhs
     rnorm = math.sqrt(float(resid.dot(resid)))
-    scal[8:10] = rnorm, float(np.max(np.abs(resid))) if dim else 0.0
+    # a NaN 2-norm stands in for the infinity norm, as in the twin: np.abs
+    # would clear the sign of a NaN that the 2-norm keeps
+    scal[8:10] = rnorm, rnorm if math.isnan(rnorm) or not dim \
+        else float(np.max(np.abs(resid)))
     if rnorm < scal[_BEST]:
         scal[_BEST] = rnorm
 

@@ -1,6 +1,7 @@
 """End-to-end command-line runs on tiny problems."""
 
 import csv
+import json
 
 import pytest
 
@@ -58,6 +59,25 @@ def test_sweep_covers_noise_levels(tmp_path):
     loaded = load_results(str(out))
     assert sorted({r.eps_n for r in loaded}) == [1e-3, 1e-2]
     assert len(loaded) == 4
+
+
+def test_sweep_crosses_kappas_with_noise_levels(tmp_path, capsys):
+    out = tmp_path / "frontier.json"
+    code = main(["sweep", "-c", "qp_gaussian", "-o", str(out),
+                 "oracle.kind=gaussian", "problem.n=6", "problem.m=2",
+                 "harness.seeds=0", "harness.eps_n_list=1e-3 1e-2",
+                 "harness.kappa_list=0.1 1e-3",
+                 "harness.max_outer_iterations=60"])
+    assert code == 0
+    records = json.loads(out.read_text())["records"]
+    # each cell's pair: the truncated run at the cell's kappa, then the
+    # near-exact run at kappa_exact
+    assert [(r["eps_n"], r["strategy"], r["kappa"]) for r in records] == [
+        (eps_n, strategy, kappa if strategy == "sisqo" else 1e-7)
+        for eps_n in (1e-3, 1e-2) for kappa in (0.1, 1e-3)
+        for strategy in ("sisqo", "sisqo_exact")]
+    table = capsys.readouterr().out.split("mean outer")[-1].split()
+    assert table.count("sisqo") == table.count("sisqo_exact") == 4
 
 
 def test_run_records_every_seed_when_one_breaches(tmp_path, monkeypatch):

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from sisqo import kernels
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,8 +37,9 @@ def test_small_fingerprint_matches_a_fresh_interpreter(tmp_path):
             here = fingerprint.fingerprint(["small"])
             assert here["backend"] == backend
             assert len(here["runs"]) == 4
-            assert fingerprint.first_difference(here, copy.deepcopy(here)) \
-                is None
+            assert fingerprint.differences(here, copy.deepcopy(here)) == []
+            assert fingerprint.verdicts(here, []) == [
+                "small: identical (4 runs)"]
 
             out = tmp_path / f"small-{backend}.json"
             env = dict(os.environ, PYTHONPATH=path, SISQO_KERNELS=backend)
@@ -51,15 +54,29 @@ def test_small_fingerprint_matches_a_fresh_interpreter(tmp_path):
     finally:
         kernels.use_backend(active)
 
-    # one changed bit of one row is reported by run, row and field
+    # every run that differs is reported by run, then row and field or
+    # summary entry, and counted in its workload's verdict
     changed = copy.deepcopy(here)
     run = changed["runs"][2]
     row = run["rows"][1]
     old = row["tau"]
     row["tau"] = ("1" if old[0] == "0" else "0") + old[1:]
     run["digest"] = "0" * 64
-    assert fingerprint.first_difference(here, changed) == (
-        f"{run['run']}: IterationRow 1 field tau:"
-        f" {fingerprint._shown(old)!r} here,"
-        f" {fingerprint._shown(row['tau'])!r} there")
+    first = changed["runs"][0]
+    first["summary"]["outer_iters"] += 1
+    first["digest"] = "1" * 64
+    assert fingerprint.differences(here, changed) == [
+        {"workload": "small", "run": first["run"],
+         "difference": f"outer_iters: {first['summary']['outer_iters'] - 1}"
+                       f" here, {first['summary']['outer_iters']} there"},
+        {"workload": "small", "run": run["run"],
+         "difference": f"IterationRow 1 field tau:"
+                       f" {fingerprint._shown(old)!r} here,"
+                       f" {fingerprint._shown(row['tau'])!r} there"}]
     assert fingerprint._shown(old) != fingerprint._shown(row["tau"])
+    assert fingerprint.verdicts(
+        here, fingerprint.differences(here, changed)) == [
+        "small: 2 of 4 runs differ"]
+    changed["runs"].pop()
+    with pytest.raises(ValueError, match="different lists of runs"):
+        fingerprint.differences(here, changed)

@@ -201,12 +201,16 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
             getattr(GradientOracle, method), method, inside, calls))
     neumann = apply_overrides(load_config("control_finite_sum"),
                               ["problem.kind=neumann_control",
-                               "problem.mesh_size=8"])
+                               "problem.mesh_size=8",
+                               "algorithm.lipschitz_mode=fixed"])
+    poisson = apply_overrides(load_config("control_finite_sum"),
+                              ["problem.mesh_size=8"])
     qp = load_config("qp_gaussian")
     # beta0 = 0.25 cuts some steps short of alpha = 1
     short = apply_overrides(load_config("qp_gaussian"),
                             ["algorithm.beta0=0.25"])
-    for config, pair in ((neumann, True), (qp, False), (short, False)):
+    for config, pair in ((neumann, True), (poisson, True), (qp, False),
+                         (short, False)):
         calls.clear()
         estimates.clear()
         iterations.clear()
@@ -236,11 +240,19 @@ def test_each_derivative_is_evaluated_once_per_iterate(monkeypatch):
         assert calls["eval_f"] == calls["eval_c"] == iterates
         assert calls["eval_jacobian"] == iterates
         assert calls["variance_bound"] == len(runs)
-        if pair:
+        if config is neumann:
             # fixed Lipschitz constants, and rungs past 0 are tried
             assert estimates == []
             assert any(row.hessian_rung > 0 for r in runs for row in r.rows)
             assert calls["eval_grad_f"] == iterates
+        elif pair:
+            # L along d at every iteration taken; a dropped one may have
+            # evaluated the gradient at x + d too
+            assert len(estimates) == taken > 0
+            partial = sum(row.alpha != 1.0 for r in runs for row in r.rows)
+            assert iterates + partial <= calls["eval_grad_f"] \
+                <= iterates + partial + dropped
+        if pair:
             # finite-sum draws evaluate one term; M_g the whole gradient
             assert calls["sample gradient"] == 0
             assert calls["variance_bound gradient"] == len(runs)
@@ -524,6 +536,24 @@ def test_a_step_past_the_step_size_model_is_a_recorded_violation(
     assert [(k, message.split(" = ")[0]) for k, message
             in record.info["violations"]] \
         == [(0, f"varphi({stretched[0]:.6e})")]
+
+
+def test_the_control_profile_measures_l_along_the_step(backend):
+    # on Poisson at mesh 16, L measured along d lets the step-size rule
+    # take longer steps than the global L = 1: the shipped profile
+    # converges, with no recorded violation, in at most 40% of the
+    # MINRES steps of lipschitz_mode = fixed
+    config = load_config("control_finite_sum")
+    problem = build_problem(config)
+    kind, eps_n = oracle_settings(config)
+    shipped, fixed = (
+        run_single(problem, build_solver_config(
+            apply_overrides(config, list(overrides)), seed=0), 0,
+            oracle_kind=kind, eps_n=eps_n)
+        for overrides in ((), ("algorithm.lipschitz_mode=fixed",)))
+    assert shipped.status == fixed.status == "converged"
+    assert "violations" not in shipped.info
+    assert shipped.total_minres_iters <= 0.4 * fixed.total_minres_iters
 
 
 def test_test_2_steps_keep_their_guarantees():
@@ -923,10 +953,10 @@ def test_budget_matched_pair_warns_on_config_drift(caplog):
 
 
 def _stub_record(problem="qp", strategy="sisqo", eps_n=0.0, seed=0,
-                 feas=1e-7, stat=1e-3, status="converged"):
+                 feas=1e-7, stat=1e-3, status="converged", kappa=0.1):
     from sisqo.harness import RunRecord
     return RunRecord(problem=problem, strategy=strategy, eps_n=eps_n,
-                     seed=seed, status=status, outer_iters=4,
+                     kappa=kappa, seed=seed, status=status, outer_iters=4,
                      total_minres_iters=40, feasibility_error=feas,
                      stationarity_error=stat, x_final=np.zeros(2),
                      y_ls_final=np.zeros(1), rows=[], wall_time=0.1,

@@ -881,6 +881,20 @@ def test_tangential_solve_rejects_a_bad_step_count(backend, count):
     assert kernels.tangential_solve(**args)[0] == 0
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("steps, zero", [(4.0, 1), (4.0, 0), (0.0, 0)])
+def test_twins_step_alike_from_a_zero_beta(compiled, steps, zero):
+    # a hand-built state whose previous beta (scal[1]) or beta (scal[0])
+    # is 0 where the step divides by it: both backends divide as IEEE
+    # doubles (x / 0 is inf or NaN), take the step, and leave the same
+    # outcome and the same bytes in work and scal
+    args = _good_solve_args()
+    args["scal"][7], args["scal"][zero] = steps, 0.0
+    args.update(vecs=None, tests=None, max_iter=1)
+    out = _twin_outcome(list(args.values()))
+    assert out[:5] == (1, False, False, False, False)
+
+
 def test_compiled_tangential_solve_rejects_overlap(compiled):
     args = _good_solve_args()
     buf = np.zeros(48 + 15)
