@@ -4,7 +4,7 @@ Verbs:
 
 * ``run``       single runs across the configured seeds
 * ``compare``   budget-matched truncated / near-exact pairs
-* ``sweep``     compare across the configured noise levels and kappas
+* ``sweep``     compare across the configured noise levels
 * ``validate``  derivative and configuration checks, no solve
 
 Exit codes: 0 success, 1 at least one run failed, 2 bad configuration
@@ -51,8 +51,7 @@ def _parser():
     subs = parser.add_subparsers(dest="verb", required=True)
     for verb, text in (("run", "run the method across seeds"),
                        ("compare", "budget-matched comparison pairs"),
-                       ("sweep", "comparison pairs across noise levels"
-                                 " and kappas"),
+                       ("sweep", "comparison pairs across noise levels"),
                        ("validate", "check derivatives and configuration")):
         _add_common(subs.add_parser(verb, help=text))
     return parser
@@ -86,23 +85,20 @@ def _seeds(args, settings):
     return [args.seed] if args.seed is not None else settings["seeds"]
 
 
-def _finish(records, results, args, settings, cells=None):
-    """Print the aggregate of the run records, cell by cell if ``cells``
-    splits them, write the results (runs or pairs) and return the exit
-    status: 1 if any run failed."""
-    _print_aggregate([row for cell in cells or [records]
-                      for row in aggregate(cell)])
+def _finish(records, results, args, settings):
+    """Print the aggregate of the run records, write the results (runs
+    or pairs) and return the exit status: 1 if any run failed."""
+    _print_aggregate(aggregate(records))
     written = emit_results(results, args.output or settings["output"])
     print(f"\nresults written to {written}")
     return 1 if any(r.status in FAILED_STATUSES for r in records) else 0
 
 
-def _pairs_for(config, seeds, *overrides):
-    """Budget-matched pairs under the ``section.key=value`` ``overrides``
-    of ``config``; the problem is rebuilt because the control families
-    embed eps_n in their reference data."""
+def _pairs_for(config, eps_n, seeds):
+    """Budget-matched pairs at one noise level; the problem is rebuilt
+    because the control families embed eps_n in their reference data."""
     level = apply_overrides({k: dict(v) for k, v in config.items()},
-                            list(overrides))
+                            [f"oracle.eps_n={eps_n!r}"])
     problem = build_problem(level)
     kind, eps = oracle_settings(level)
     kappa_exact = harness_settings(level)["kappa_exact"]
@@ -118,7 +114,7 @@ def _pairs_for(config, seeds, *overrides):
             print(f"  budget={pair.budget} overshoot={pair.overshoot}"
                   f" selected={pair.exact.info['selected_iterate']['k']}")
         out.append(pair)
-    return out
+    return problem, out
 
 
 def _cmd_run(args, config):
@@ -137,7 +133,8 @@ def _cmd_run(args, config):
 
 def _cmd_compare(args, config):
     settings = harness_settings(config)
-    pairs = _pairs_for(config, _seeds(args, settings))
+    _, eps_n = oracle_settings(config)
+    problem, pairs = _pairs_for(config, eps_n, _seeds(args, settings))
     records = [rec for pair in pairs for rec in pair.runs()]
     return _finish(records, pairs, args, settings)
 
@@ -145,19 +142,13 @@ def _cmd_compare(args, config):
 def _cmd_sweep(args, config):
     settings = harness_settings(config)
     all_pairs = []
-    # the records of each (eps_n, kappa) cell, aggregated apart: the
-    # near-exact runs of every cell share kappa_exact
-    cells = []
+    records = []
     for eps_n in settings["eps_n_list"]:
-        for kappa in settings["kappa_list"]:
-            print(f"\n== eps_n = {eps_n:g}, kappa = {kappa:g} ==")
-            pairs = _pairs_for(config, _seeds(args, settings),
-                               f"oracle.eps_n={eps_n!r}",
-                               f"algorithm.kappa={kappa!r}")
-            all_pairs.extend(pairs)
-            cells.append([rec for pair in pairs for rec in pair.runs()])
-    records = [rec for cell in cells for rec in cell]
-    return _finish(records, all_pairs, args, settings, cells)
+        print(f"\n== eps_n = {eps_n:g} ==")
+        _, pairs = _pairs_for(config, eps_n, _seeds(args, settings))
+        all_pairs.extend(pairs)
+        records.extend(rec for pair in pairs for rec in pair.runs())
+    return _finish(records, all_pairs, args, settings)
 
 
 _VALIDATE_TOL = {"gradient": 1e-5, "jacobian": 1e-5, "hessian": 1e-4}

@@ -33,8 +33,7 @@ _BOOL = {"true": True, "false": False, "yes": True, "no": False}
 _OUTER_KEYS = ("feasibility_tol", "stationarity_tol", "max_outer_iterations")
 _ALGORITHM_KEYS = tuple(f.name for f in fields(SolverConfig)
                         if f.name not in (*_OUTER_KEYS, "seed"))
-_HARNESS_KEYS = ("seeds", "eps_n_list", "kappa_list", "kappa_exact", "output",
-                 *_OUTER_KEYS)
+_HARNESS_KEYS = ("seeds", "eps_n_list", "kappa_exact", "output", *_OUTER_KEYS)
 
 
 def _coerce(text):
@@ -196,14 +195,6 @@ def _noise_level(key, value):
     return float(value)
 
 
-def _kappa(key, value):
-    """``value`` as a float when it lies in (0, 1), the range of
-    SolverConfig.kappa."""
-    if not 0.0 < _check_type(key, value, float) < 1.0:
-        raise ConfigError(f"{key} must lie in (0, 1), got {value!r}")
-    return float(value)
-
-
 def oracle_settings(config):
     """(kind, eps_n) of the [oracle] section."""
     section = config.get("oracle", {})
@@ -225,23 +216,21 @@ def _as_list(key, value):
 
 def harness_settings(config):
     """Sweep and output settings with defaults filled in; the run seeds
-    default to [0], the noise levels to [oracle] eps_n and the truncated
-    kappas of a sweep to [algorithm] kappa.  The outer-loop keys are
-    typed when SolverConfig is built."""
+    default to [0].  The outer-loop keys are typed when SolverConfig is
+    built."""
     section = config.get("harness", {})
     _check_keys("harness", section, _HARNESS_KEYS)
     levels = section.get("eps_n_list", oracle_settings(config)[1])
-    kappas = section["kappa_list"] if "kappa_list" in section \
-        else build_solver_config(config).kappa
+    # the kappa of the near-exact runs, in the range of SolverConfig.kappa
+    kappa_exact = _check_type("kappa_exact", section.get("kappa_exact", 1e-7),
+                              float)
+    if not 0.0 < kappa_exact < 1.0:
+        raise ConfigError(f"kappa_exact must lie in (0, 1), got {kappa_exact}")
     return {
         "seeds": _check_seeds(_as_list("seeds", section.get("seeds", 0))),
         "eps_n_list": [_noise_level("eps_n_list", v)
                        for v in _as_list("eps_n_list", levels)],
-        "kappa_list": [_kappa("kappa_list", v)
-                       for v in _as_list("kappa_list", kappas)],
-        # the kappa of the near-exact runs
-        "kappa_exact": _kappa("kappa_exact",
-                              section.get("kappa_exact", 1e-7)),
+        "kappa_exact": kappa_exact,
         "output": _check_type("output", section.get("output", "results.csv"),
                               str),
     }

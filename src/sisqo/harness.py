@@ -471,20 +471,30 @@ _LoadedRun = make_dataclass(
     "_LoadedRun", [(attr, kind) for _, attr, kind in _CSV_SCHEMA])
 
 
+# the columns of a CSV written before run records carried their kappa
+_PRE_KAPPA_COLUMNS = [column for column in CSV_COLUMNS if column != "kappa"]
+# the kappa of each run such a CSV loads: one NaN object, so that
+# ``aggregate`` keeps the runs of a (strategy, eps_n) in one group
+_UNRECORDED_KAPPA = math.nan
+
+
 def load_results(path):
     """Read a results CSV back into summary records that ``aggregate``
-    accepts."""
+    accepts.  A CSV without the kappa column loads with kappa NaN."""
     path = resolve_output_path(path)
     out = []
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames != list(CSV_COLUMNS):
+            if reader.fieldnames not in (list(CSV_COLUMNS),
+                                         _PRE_KAPPA_COLUMNS):
                 raise ValueError(f"unexpected results header in {path!r}:"
                                  f" {reader.fieldnames}")
             for row in reader:
-                out.append(_LoadedRun(**{attr: kind(row[column]) for
-                                         column, attr, kind in _CSV_SCHEMA}))
+                out.append(_LoadedRun(**{
+                    "kappa": _UNRECORDED_KAPPA,
+                    **{attr: kind(row[column]) for column, attr, kind
+                       in _CSV_SCHEMA if column in row}}))
     except OSError as exc:
         raise OSError(f"cannot read results from {path!r}: {exc}") from exc
     return out

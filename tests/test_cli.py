@@ -61,23 +61,27 @@ def test_sweep_covers_noise_levels(tmp_path):
     assert len(loaded) == 4
 
 
-def test_sweep_crosses_kappas_with_noise_levels(tmp_path, capsys):
+def test_sweep_records_the_kappa_of_each_run(tmp_path, capsys):
     out = tmp_path / "frontier.json"
     code = main(["sweep", "-c", "qp_gaussian", "-o", str(out),
                  "oracle.kind=gaussian", "problem.n=6", "problem.m=2",
-                 "harness.seeds=0", "harness.eps_n_list=1e-3 1e-2",
-                 "harness.kappa_list=0.1 1e-3",
-                 "harness.max_outer_iterations=60"])
+                 "harness.seeds=0 1", "harness.eps_n_list=1e-3 1e-2",
+                 "algorithm.kappa=1e-3", "harness.max_outer_iterations=60"])
     assert code == 0
     records = json.loads(out.read_text())["records"]
-    # each cell's pair: the truncated run at the cell's kappa, then the
+    # each pair: the truncated run at [algorithm] kappa, then the
     # near-exact run at kappa_exact
-    assert [(r["eps_n"], r["strategy"], r["kappa"]) for r in records] == [
-        (eps_n, strategy, kappa if strategy == "sisqo" else 1e-7)
-        for eps_n in (1e-3, 1e-2) for kappa in (0.1, 1e-3)
-        for strategy in ("sisqo", "sisqo_exact")]
-    table = capsys.readouterr().out.split("mean outer")[-1].split()
-    assert table.count("sisqo") == table.count("sisqo_exact") == 4
+    assert [(r["eps_n"], r["seed"], r["strategy"], r["kappa"])
+            for r in records] == [
+        (eps_n, seed, strategy, kappa) for eps_n in (1e-3, 1e-2)
+        for seed in (0, 1)
+        for strategy, kappa in (("sisqo", 1e-3), ("sisqo_exact", 1e-7))]
+    table = capsys.readouterr().out.split("mean outer")[-1]
+    table = table.split("results written")[0].splitlines()
+    assert [row.split()[:4] for row in table if row] == [
+        ["sisqo", "0.001", "0.001", "2"], ["sisqo", "0.01", "0.001", "2"],
+        ["sisqo_exact", "0.001", "1e-07", "2"],
+        ["sisqo_exact", "0.01", "1e-07", "2"]]
 
 
 def test_run_records_every_seed_when_one_breaches(tmp_path, monkeypatch):

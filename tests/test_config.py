@@ -285,7 +285,7 @@ def test_negative_seeds_are_rejected():
         harness_settings({"harness": {"seeds": "0 -1 2"}})
 
 
-@pytest.mark.parametrize("key", ["seeds", "eps_n_list", "kappa_list"])
+@pytest.mark.parametrize("key", ["seeds", "eps_n_list"])
 @pytest.mark.parametrize("value", ["", " , "])
 def test_empty_run_lists_are_rejected(key, value):
     # a run or sweep over no seed or no noise level writes nothing
@@ -327,34 +327,11 @@ def test_harness_settings_parses_lists():
 def test_harness_settings_defaults_and_scalars():
     settings = harness_settings({})
     assert settings == {"seeds": [0], "eps_n_list": [0.0],
-                        "kappa_list": [0.1], "kappa_exact": 1e-7,
-                        "output": "results.csv"}
+                        "kappa_exact": 1e-7, "output": "results.csv"}
     settings = harness_settings({"harness": {"seeds": 4,
                                              "eps_n_list": "1e-3, 1e-1"}})
     assert settings["seeds"] == [4]
     assert settings["eps_n_list"] == [1e-3, 1e-1]
-
-
-def test_kappa_list_defaults_to_the_configured_kappa():
-    assert harness_settings(load_config("control_finite_sum"))[
-        "kappa_list"] == [1e-4]
-    config = apply_overrides(load_config("control_finite_sum"),
-                             ["harness.kappa_list=1e-4, 1e-3 0.01 1e-1"])
-    assert harness_settings(config)["kappa_list"] == [1e-4, 1e-3, 1e-2, 0.1]
-    config = apply_overrides(load_config("qp_gaussian"),
-                             ["harness.kappa_list=0.5"])
-    assert harness_settings(config)["kappa_list"] == [0.5]
-
-
-@pytest.mark.parametrize("value, error", [
-    ("0", "must lie in"), ("1", "must lie in"), ("1e-3 -1e-3", "must lie in"),
-    ("0.5 1.5", "must lie in"), ("nan", "must lie in"), ("inf", "must lie in"),
-    ("1e-3 abc", "must be float"), ("true", "must be float")])
-def test_kappa_list_rejects_values_outside_0_1(value, error):
-    config = apply_overrides(load_config("control_finite_sum"),
-                             [f"harness.kappa_list={value}"])
-    with pytest.raises(ConfigError, match=f"kappa_list {error}"):
-        harness_settings(config)
 
 
 def test_every_solver_config_field_is_read():
@@ -447,6 +424,9 @@ def test_every_setting_has_one_key(monkeypatch):
     # 11 spellings, one per field but the seed
     assert sorted(key for _, key in spellings) == sorted(
         f.name for f in fields(SolverConfig) if f.name != "seed")
-    # the profiles set all but lip_l: both measure L along the step,
-    # which reads no lip_l
+    # the profiles set all but lip_l, read only by lipschitz_mode =
+    # fixed: no profile selects the paper's fixed L any more, but it stays
+    # the reference that test_the_control_profile_measures_l_along_the_step
+    # measures the shipped rule against (ROADMAP item 14 asks whether it
+    # stays)
     assert solver_reads == spellings - {("algorithm", "lip_l")}

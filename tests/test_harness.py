@@ -1015,6 +1015,28 @@ def test_emit_and_load_csv_round_trip(tmp_path):
         aggregate(records)[0]["mean_feas"]
 
 
+def test_load_csv_without_kappa_column(tmp_path):
+    # a CSV written before run records carried their kappa loads with
+    # kappa NaN, and its runs still aggregate one group per strategy
+    records = [_stub_record(seed=0, stat=2e-3), _stub_record(seed=1),
+               _stub_record(strategy="sisqo_exact", kappa=1e-7)]
+    path = emit_results(records, str(tmp_path / "new.csv"))
+    lines = open(path).read().splitlines()
+    column = lines[0].split(",").index("kappa")
+    old = tmp_path / "old.csv"
+    old.write_text("".join(",".join(v for i, v in enumerate(line.split(","))
+                                    if i != column) + "\n"
+                           for line in lines))
+    loaded = load_results(str(old))
+    assert all(math.isnan(r.kappa) for r in loaded)
+    assert [r.seed for r in loaded] == [0, 1, 0]
+    got = aggregate(loaded)
+    assert [(row["strategy"], row["count"]) for row in got] == [
+        ("sisqo", 2), ("sisqo_exact", 1)]
+    assert [row["mean_stat"] for row in got] == [
+        row["mean_stat"] for row in aggregate(records)]
+
+
 def test_emit_csv_flattens_comparison_records(tmp_path):
     pair = ComparisonRecord(
         inexact=_stub_record(seed=0),
