@@ -14,16 +14,14 @@ The default workloads are those of the benchmark: poisson16 (seeds
 seeds 0-5).  ``small`` is qp_gaussian seeds 0-1 and the Poisson control
 problem at mesh 4, seeds 0-1.
 
-``--against REV`` also checks REV out with ``git worktree add`` into a
+``--against REV`` also extracts REV's files (``git archive``) into a
 temporary directory, runs this script there in a child interpreter on
 REV's ``src``, and prints a verdict per workload: identical, or how
 many of its runs differ, with each such run and the first field in which
-it differs.  It exits 1 if any run differs.  The worktree is removed afterwards; an
-interrupted run can leave its registration, which ``git worktree prune``
-clears.  Fingerprints hold for one backend on one host: the two backends'
-CSR products sum in different orders, so compare a parent with a change
-on the same host and backend only.  Run from the repository root of a
-source checkout:
+it differs.  It exits 1 if any run differs.  Fingerprints hold for one
+backend on one host: the two backends' CSR products sum in different
+orders, so compare a parent with a change on the same host and backend
+only.  Run from the repository root of a source checkout:
 
     PYTHONPATH=src python3 benchmarks/fingerprint.py --against HEAD~1
     SISQO_KERNELS=python PYTHONPATH=src python3 benchmarks/fingerprint.py \\
@@ -33,11 +31,13 @@ source checkout:
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 import sisqo
@@ -167,23 +167,23 @@ def verdicts(ours, found):
 
 def fingerprint_at(rev, names):
     """The fingerprint of ``names`` at git revision ``rev``, computed by a
-    child interpreter on a temporary worktree of that revision."""
-    here = os.path.dirname(os.path.abspath(__file__))
+    child interpreter on the files of that revision, extracted into a
+    temporary directory."""
+    # run in a subdirectory, git archive would take only that one
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with tempfile.TemporaryDirectory(prefix="fingerprint-") as tmp:
         tree = os.path.join(tmp, "tree")
-        subprocess.run(["git", "-C", here, "worktree", "add", "--detach",
-                        "--quiet", tree, rev], check=True)
-        try:
-            out = os.path.join(tmp, "fingerprint.json")
-            env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-            subprocess.run([sys.executable, os.path.abspath(__file__),
-                            *names, "--json", out], env=env, check=True,
-                           stdout=subprocess.DEVNULL)
-            with open(out) as fh:
-                theirs = json.load(fh)
-        finally:
-            subprocess.run(["git", "-C", here, "worktree", "remove",
-                            "--force", tree], check=False)
+        archive = subprocess.run(["git", "-C", root, "archive", rev],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        out = os.path.join(tmp, "fingerprint.json")
+        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+        subprocess.run([sys.executable, os.path.abspath(__file__), *names,
+                        "--json", out], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        with open(out) as fh:
+            theirs = json.load(fh)
     if not theirs["package"].startswith(tree):
         raise RuntimeError(f"the child imported sisqo from"
                            f" {theirs['package']}, not from {rev}")

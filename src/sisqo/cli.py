@@ -18,7 +18,7 @@ import sys
 from .config import (apply_overrides, available_profiles, build_problem,
                      build_solver_config, harness_settings, load_config,
                      oracle_settings)
-from .engine import ConfigError
+from .engine import ConfigError, lipschitz_constants
 from .harness import (FAILED_STATUSES, aggregate, emit_results,
                       run_budget_matched_pair, run_single)
 from .problems import validate_problem
@@ -159,10 +159,12 @@ def _cmd_validate(args, config):
     kind, eps_n = oracle_settings(config)
     seed = _seeds(args, harness_settings(config))[0]
     cfg = build_solver_config(config, seed=seed)
+    lip_l, lip_gamma = lipschitz_constants(problem, cfg)
     print(f"problem {problem.name}: n={problem.n} m={problem.m}"
           f" oracle={kind} eps_n={eps_n:g}")
-    print(f"solver config ok (kappa={cfg.kappa:g},"
-          f" lipschitz_mode={cfg.lipschitz_mode})")
+    fixed_l = f"L={lip_l:g}, " if cfg.lipschitz_mode == "fixed" else ""
+    print(f"solver config ok (kappa={cfg.kappa:g}, lipschitz_mode="
+          f"{cfg.lipschitz_mode}, {fixed_l}Gamma={lip_gamma:g})")
     errors = validate_problem(problem, seed=seed)
     status = 0
     for name, err in errors.items():

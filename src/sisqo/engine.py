@@ -50,8 +50,8 @@ __all__ = ["SolverConfig", "IterateState", "StepResult", "NormalStepResult",
            "model_reduction",
            "compute_normal_step", "tau_trial_and_update", "xi_update",
            "evaluate_varphi", "step_size_bounds", "select_step_size",
-           "update_duals", "beta_for_iteration", "init_state", "sqp_iterate",
-           "merit_value", "ladder_matrix"]
+           "update_duals", "beta_for_iteration", "lipschitz_constants",
+           "init_state", "sqp_iterate", "merit_value", "ladder_matrix"]
 
 logger = logging.getLogger(__name__)
 
@@ -171,7 +171,8 @@ class SolverConfig:
     Defaults follow the recommended settings for the stochastic runs:
     tau starts at 0.1, the two residual contractions share kappa = 0.1,
     and L is measured at every iteration as the curvature of f along the
-    step d (``directional``); Gamma is ``lip_gamma`` in both modes.
+    step d (``directional``); ``fixed`` mode takes the L the problem
+    declares.  Gamma is the problem's in both modes.
     """
 
     # initial merit parameter, decrease fraction and inexactness
@@ -181,10 +182,8 @@ class SolverConfig:
     # step-size scale schedule
     beta_mode: str = "constant"
     beta0: float = 1.0
-    # Lipschitz constants: fixed L, or L measured along each step
+    # L declared by the problem, or measured along each step
     lipschitz_mode: str = "directional"
-    lip_l: float = 1.0
-    lip_gamma: float = 0.0
     # outer loop (consumed by the run harness)
     feasibility_tol: float = 1e-6
     stationarity_tol: float = 1e-2
@@ -197,7 +196,7 @@ class SolverConfig:
                 raise ConfigError(f"{name} must lie in (0, 1), got {val}")
         # written as "not 0.0 < val <= top" so that NaN fails them too;
         # only a tolerance may be inf, which sets no bound
-        positive = {"tau_init": self.tau_init, "lip_l": self.lip_l,
+        positive = {"tau_init": self.tau_init,
                     "feasibility_tol": self.feasibility_tol,
                     "stationarity_tol": self.stationarity_tol}
         for name, val in positive.items():
@@ -211,16 +210,6 @@ class SolverConfig:
         if self.lipschitz_mode not in ("fixed", "directional"):
             raise ConfigError(f"unknown lipschitz_mode {self.lipschitz_mode!r};"
                               " expected 'fixed' or 'directional'")
-        # both modes read lip_gamma
-        if not self.lip_gamma >= 0.0:
-            raise ConfigError(f"lip_gamma must be >= 0, got {self.lip_gamma}")
-        if self.lip_gamma > 0.0:
-            scale = 2.0 * (1.0 - self.eta) * self.beta0 * XI_INIT \
-                * self.tau_init / self.lip_gamma
-            if not 0.0 < scale <= 1.0:
-                raise ConfigError(
-                    "step-size normalization 2(1-eta) beta0 xi0 tau0 /"
-                    f" lip_gamma = {scale:.3g} falls outside (0, 1]")
         if self.max_outer_iterations < 0:
             raise ConfigError("max_outer_iterations must be >= 0")
 
@@ -492,6 +481,28 @@ def _evaluated(problem, x, k, true_grad=None):
                                   k, (n,)) if true_grad is None else true_grad}
 
 
+def lipschitz_constants(problem, cfg):
+    """(L, Gamma) that ``problem`` declares, else (None, 0), with which
+    only ``directional`` mode, measuring L, runs; a ConfigError for
+    ``fixed`` mode without them, and for a Gamma with 2(1 - eta) beta0
+    xi0 tau0 / Gamma outside (0, 1].  Evaluates nothing."""
+    lip_l, lip_gamma = (None, 0.0) if problem.lipschitz is None \
+        else problem.lipschitz
+    if lip_l is None and cfg.lipschitz_mode == "fixed":
+        raise ConfigError(f"lipschitz_mode fixed needs the Lipschitz"
+                          f" constants (L, Gamma) of the problem, and"
+                          f" {problem.name} declares none")
+    if lip_gamma > 0.0:
+        scale = 2.0 * (1.0 - cfg.eta) * cfg.beta0 * XI_INIT \
+            * cfg.tau_init / lip_gamma
+        if not 0.0 < scale <= 1.0:
+            raise ConfigError(
+                "step-size normalization 2(1-eta) beta0 xi0 tau0 / Gamma"
+                f" = {scale:.3g} falls outside (0, 1] for the Gamma ="
+                f" {lip_gamma:g} of {problem.name}")
+    return lip_l, lip_gamma
+
+
 def init_state(problem, cfg):
     """The state at k = 0: ``problem.x0``, evaluated, and zero duals."""
     x = np.array(problem.x0, dtype=np.float64)
@@ -594,11 +605,12 @@ def sqp_iterate(state, problem, oracle, cfg):
     gradients at x + d and x, which draw nothing from the oracle; at a
     full step x_{k+1} is x + d bit for bit and keeps that gradient.
 
-    Returns the advanced state and a StepResult.  A condition that ends
-    the run, a bad value at x_{k+1} included, raises an EngineError,
-    whose ``status`` names the ending and whose
-    ``diagnostics["minres_iters"]`` counts the MINRES steps the
-    iteration took before it.
+    Returns the advanced state and a StepResult.  Constants that
+    :func:`lipschitz_constants` refuses are a ConfigError, raised before
+    the iteration evaluates anything.  A condition that ends the run, a
+    bad value at x_{k+1} included, raises an EngineError, whose
+    ``status`` names the ending and whose ``diagnostics["minres_iters"]``
+    counts the MINRES steps the iteration took before it.
     """
     rungs = []
     try:
@@ -612,6 +624,7 @@ def sqp_iterate(state, problem, oracle, cfg):
 def _iterate(state, problem, oracle, cfg, rungs):
     """The body of ``sqp_iterate``; appends one record per Hessian rung
     tried to ``rungs``."""
+    lip_l, lip_gamma = lipschitz_constants(problem, cfg)
     g = _checked(oracle.sample(problem, state.x), "sampled gradient",
                  state.k, (problem.n,))
     g = _check_stationary(state, problem, oracle, g)
@@ -667,7 +680,6 @@ def _iterate(state, problem, oracle, cfg, rungs):
         # iterate as stationary for the sampled gradient to working
         # precision even when the explicit gate has not fired yet
         raise _stationary(_least_squares_residual(g, state.j), False)
-    lip_l, lip_gamma = cfg.lip_l, cfg.lip_gamma
     grad_x_plus_d = None
     if cfg.lipschitz_mode == "directional":
         grad_x_plus_d = _checked(problem.eval_grad_f(state.x + d),

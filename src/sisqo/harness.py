@@ -43,7 +43,7 @@ import numpy as np
 
 from .engine import (EngineError, InvalidValue, InvariantBreach,
                      IterationFailure, NonFiniteValue, init_state,
-                     sqp_iterate)
+                     lipschitz_constants, sqp_iterate)
 # least_squares_multipliers is not called here; the name stays bound
 # because perfbench/tracing.py wraps it in this module
 from .krylov import least_squares_multipliers  # noqa: F401
@@ -189,8 +189,10 @@ def _run(problem, cfg, seed, oracle_kind, eps_n, strategy, spent,
     for the verdict, and drops it (its state, row, MINRES steps,
     violations or exception) if the budget was spent.
     ``progress(total)`` is called with the running total after each
-    outer iteration."""
+    outer iteration.  Lipschitz constants that do not fit ``cfg`` are a
+    ConfigError before any ``Problem`` call."""
     start = time.perf_counter()
+    lipschitz_constants(problem, cfg)
     oracle = GradientOracle(oracle_kind, rng=substream(seed, "oracle"),
                             eps_n=eps_n)
     rows = []

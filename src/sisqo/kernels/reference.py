@@ -83,11 +83,20 @@ def _minres_step(csr, work, scal, carry):
     infinity norm (NaN if it holds a NaN); without, the row is left to
     :func:`_form_residual` and the return is 0.  A zero beta or previous
     beta divides as in C, to inf or NaN, and the step goes on, as its
-    twin's does.  The step count places the rows as
-    :func:`tangential_solve` says; the step writes y into the one Lanczos row that it does not
-    read and the new w over w2, so at the next count every row is in
-    place, and none is copied.
+    twin's does, with no RuntimeWarning from the 0 * inf it meets; any
+    other step pays nothing for that.  The step count places the rows as
+    :func:`tangential_solve` says; the step writes y into the one Lanczos
+    row that it does not read and the new w over w2, so at the next count
+    every row is in place, and none is copied.
     """
+    if scal[0] and (scal[7] < 1 or scal[1]):
+        return _step(csr, work, scal, carry)
+    with np.errstate(invalid="ignore"):
+        return _step(csr, work, scal, carry)
+
+
+def _step(csr, work, scal, carry):
+    """The body of :func:`_minres_step`."""
     rows = work.reshape(8, -1)
     beta, oldb, dbar, oldeps, phibar, cs, sn, steps = scal[:8].tolist()
     p = int(steps)

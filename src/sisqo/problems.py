@@ -60,7 +60,9 @@ class Problem:
         Gradient of the single (i, j) term.
     lipschitz : optional (L, Gamma)
         True Lipschitz upper bounds for the gradient and Jacobian, when
-        known (quadratic objective / linear constraints).
+        known (quadratic objective / linear constraints), with
+        0 < L < inf and 0 <= Gamma < inf.  The step-size rule reads
+        them; without them Gamma is 0 and L must be measured.
     """
 
     name: str
@@ -83,6 +85,12 @@ class Problem:
             raise ValueError("constraint dimension cannot exceed primal dimension")
         if self.x0.shape != (self.n,):
             raise ValueError("x0 must have length n")
+        lip = self.lipschitz
+        # written so that NaN fails too
+        if lip is not None and not (np.shape(lip) == (2,) and 0.0 < lip[0]
+                                    < np.inf and 0.0 <= lip[1] < np.inf):
+            raise ValueError(f"lipschitz must be a pair (L, Gamma) with 0 < L"
+                             f" < inf and 0 <= Gamma < inf, got {lip!r}")
 
 
 # -- gradient oracles ----------------------------------------------------

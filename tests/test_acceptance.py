@@ -135,9 +135,7 @@ def test_03_exact_oracle_kkt_convergence(capsys):
         n = int(rng.integers(10, 61))
         m = int(rng.integers(2, min(n // 2, 30) + 1))
         problem = build_synthetic_qp(SyntheticQpSpec(n=n, m=m, seed=trial))
-        lip_l, lip_gamma = problem.lipschitz
-        cfg = SolverConfig(lipschitz_mode="fixed", lip_l=lip_l,
-                           lip_gamma=lip_gamma, feasibility_tol=1e-8,
+        cfg = SolverConfig(lipschitz_mode="fixed", feasibility_tol=1e-8,
                            stationarity_tol=1e-6, max_outer_iterations=200)
         rec = run_single(problem, cfg, trial, oracle_kind="exact")
         if rec.status != "converged":

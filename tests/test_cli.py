@@ -1,10 +1,12 @@
 """End-to-end command-line runs on tiny problems."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
 
+import sisqo.cli
 import sisqo.harness
 from sisqo.cli import main
 from sisqo.config import build_problem, load_config
@@ -168,15 +170,14 @@ def test_empty_run_list_exits_2(tmp_path, capsys, verb, override):
 @pytest.mark.parametrize("override", [
     ["algorithm.tau_init=nan"],
     ["algorithm.beta0=nan"],
-    ["algorithm.lipschitz_mode=fixed", "algorithm.lip_l=nan"],
+    ["algorithm.eta=nan"],
     ["harness.feasibility_tol=nan"],
 ])
 def test_nan_settings_are_rejected(tmp_path, capsys, override):
     # "val <= 0.0" is false for NaN; validation must not read it that way
     key = override[-1].split(".")[1].split("=")[0]
-    settings = {"lipschitz_mode": "fixed"} if len(override) == 2 else {}
     with pytest.raises(ConfigError, match=key):
-        SolverConfig(**settings, **{key: float("nan")})
+        SolverConfig(**{key: float("nan")})
     out = str(tmp_path / "run.csv")
     assert main(["run", "-c", "qp_gaussian", "-o", out] + override
                 + _TINY) == 2
@@ -185,9 +186,8 @@ def test_nan_settings_are_rejected(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("value", ["-5", "nan"])
 def test_validate_rejects_a_bad_lip_gamma_in_estimate_mode(capsys, value):
-    # the qp_gaussian profile measures L along the step and reads Gamma
-    # from lip_gamma: a negative or NaN value must not pass as "solver
-    # config ok"
+    # Gamma is the problem's declared constant, not a setting: a former
+    # lip_gamma key is unknown, and must not pass as "solver config ok"
     assert main(["validate", "-c", "qp_gaussian",
                  f"algorithm.lip_gamma={value}"]) == 2
     captured = capsys.readouterr()
@@ -206,6 +206,29 @@ def test_validate_names_both_lipschitz_modes(capsys):
     assert main(["validate", "-c", "control_finite_sum", "problem.mesh_size=4",
                  "algorithm.lipschitz_mode=directional"]) == 0
     assert "lipschitz_mode=directional" in capsys.readouterr().out
+
+
+def _validate_with_gamma(monkeypatch, mode, gamma):
+    # the qp_gaussian problem, declaring Gamma = gamma
+    monkeypatch.setattr(sisqo.cli, "build_problem", lambda config:
+                        dataclasses.replace(build_problem(config),
+                                            lipschitz=(10.0, gamma)))
+    return main(["validate", "-c", "qp_gaussian",
+                 f"algorithm.lipschitz_mode={mode}"])
+
+
+@pytest.mark.parametrize("mode", ["fixed", "directional"])
+def test_validate_rejects_a_gamma_outside_the_normalization(
+        monkeypatch, capsys, mode):
+    # 2(1 - eta) beta0 xi0 tau0 / Gamma for the qp_gaussian settings: 1.8
+    # at Gamma = 0.1, 0.9 at Gamma = 0.2
+    assert _validate_with_gamma(monkeypatch, mode, 0.1) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "Gamma = 1.8 falls outside (0, 1]" in captured.err
+    assert "solver config ok" not in captured.out
+    assert _validate_with_gamma(monkeypatch, mode, 0.2) == 0
+    assert "Gamma=0.2)" in capsys.readouterr().out
 
 
 def test_run_in_directional_mode_on_a_control_problem(tmp_path):
@@ -273,6 +296,7 @@ def test_oracle_and_harness_keys_are_known_and_typed(tmp_path, capsys, verb,
     ("run", "qp_gaussian", ["algorithm.tau_init=inf"], "tau_init"),
     ("run", "qp_gaussian", ["algorithm.eta=inf"], "eta"),
     ("run", "qp_gaussian", ["oracle.eps_n=inf"], "eps_n"),
+    # L is the problem's declared constant: a former lip_l key is unknown
     ("run", "qp_gaussian",
      ["algorithm.lip_l=inf", "algorithm.lipschitz_mode=fixed"], "lip_l"),
     ("run", "qp_gaussian", ["algorithm.kappa=inf"], "kappa"),

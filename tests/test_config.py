@@ -1,6 +1,7 @@
 """Profile loading, override syntax, and config-driven construction."""
 
 import ast
+import dataclasses
 import math
 from collections.abc import Mapping
 from dataclasses import fields
@@ -30,7 +31,6 @@ def test_qp_profile_round_trips_exact_floats():
     cfg = build_solver_config(load_config("qp_gaussian"))
     assert cfg.tau_init == cfg.eta == cfg.kappa == 0.1
     assert cfg.lipschitz_mode == "directional"
-    assert cfg.lip_gamma == 0.0
     assert cfg.max_outer_iterations == 500
     assert cfg.feasibility_tol == 1e-6
     assert cfg.stationarity_tol == 1e-2
@@ -43,8 +43,6 @@ def test_control_profile_round_trips_exact_floats():
     assert cfg.eta == 0.5
     assert cfg.kappa == 1e-4
     assert cfg.lipschitz_mode == "directional"
-    assert cfg.lip_l == 1.0
-    assert cfg.lip_gamma == 0.0
     assert config["problem"]["eps_s"] == math.sqrt(15.0)
 
 
@@ -253,29 +251,50 @@ def test_method_constants_meet_the_theory():
     ({"beta0": 0.0}, "beta0"), ({"beta0": 1.5}, "beta0"),
     ({"beta_mode": "linear"}, "beta_mode"),
     ({"lipschitz_mode": "guess"}, "lipschitz_mode"),
-    ({"lipschitz_mode": "fixed", "lip_gamma": -1.0}, "lip_gamma"),
-    ({"lipschitz_mode": "fixed", "lip_gamma": math.nan}, "lip_gamma"),
-    # 2(1 - eta) beta0 xi0 tau0 / lip_gamma = 1.8 and 0
-    ({"lipschitz_mode": "fixed", "lip_gamma": 0.1}, "lip_gamma"),
-    ({"lipschitz_mode": "fixed", "lip_gamma": math.inf}, "lip_gamma"),
+    # Gamma is the problem's, no setting (see
+    # test_a_gamma_outside_the_normalization_is_a_config_error)
+    ({"lip_gamma": 0.0}, "lip_gamma"),
+    ({"tau_init": 0.0}, "tau_init"),
+    ({"feasibility_tol": 0.0}, "feasibility_tol"),
+    ({"stationarity_tol": -1.0}, "stationarity_tol"),
     ({"max_outer_iterations": -1}, "max_outer_iterations"),
     # a former mode is rejected, not read as another
     ({"lipschitz_mode": "estimate"}, "lipschitz_mode"),
-    # directional mode reads lip_gamma as fixed mode does
-    ({"lipschitz_mode": "directional", "lip_gamma": -1.0}, "lip_gamma"),
-    ({"lipschitz_mode": "directional", "lip_gamma": 0.1}, "lip_gamma"),
 ])
 def test_out_of_range_settings_are_rejected(settings, key):
     with pytest.raises(ConfigError, match=rf"\b{key}\b"):
         build_solver_config({}, **settings)
 
 
+def _qp_with_lipschitz(lipschitz):
+    problem = build_synthetic_qp(SyntheticQpSpec(n=6, m=2, seed=0))
+    return dataclasses.replace(problem, lipschitz=lipschitz)
+
+
 def test_directional_mode_is_the_default_and_takes_a_gamma():
     assert SolverConfig().lipschitz_mode == "directional"
-    # 2(1 - eta) beta0 xi0 tau0 / lip_gamma = 0.36
-    cfg = build_solver_config({"algorithm": {"lipschitz_mode": "directional",
-                                             "lip_gamma": 0.5}})
-    assert (cfg.lipschitz_mode, cfg.lip_gamma) == ("directional", 0.5)
+    # 2(1 - eta) beta0 xi0 tau0 / Gamma = 0.36; L is measured, so a
+    # problem that declares no constants runs with Gamma = 0
+    problem = _qp_with_lipschitz((10.0, 0.5))
+    cfg = build_solver_config({"algorithm": {"lipschitz_mode": "directional"}})
+    assert engine.lipschitz_constants(problem, cfg) == (10.0, 0.5)
+    assert engine.lipschitz_constants(
+        dataclasses.replace(problem, lipschitz=None), cfg) == (None, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "directional"])
+def test_a_gamma_outside_the_normalization_is_a_config_error(mode):
+    # 2(1 - eta) beta0 xi0 tau0 / Gamma at the defaults: 1.8 at Gamma =
+    # 0.1, and 0.9 at Gamma = 0.2
+    cfg = SolverConfig(lipschitz_mode=mode)
+    with pytest.raises(ConfigError, match=r"\bGamma\b.* = 1\.8 falls"):
+        engine.lipschitz_constants(_qp_with_lipschitz((1.0, 0.1)), cfg)
+    assert engine.lipschitz_constants(_qp_with_lipschitz((1.0, 0.2)),
+                                      cfg) == (1.0, 0.2)
+    # the normalization reads the settings too: a smaller tau0 passes
+    assert engine.lipschitz_constants(
+        _qp_with_lipschitz((1.0, 0.1)),
+        SolverConfig(lipschitz_mode=mode, tau_init=0.05)) == (1.0, 0.1)
 
 
 def test_negative_seeds_are_rejected():
@@ -421,12 +440,9 @@ def test_every_setting_has_one_key(monkeypatch):
     spellings = {(section, f.name) for f in fields(SolverConfig)
                  for section in SECTIONS
                  if accepts(section, f.name, getattr(defaults, f.name))}
-    # 11 spellings, one per field but the seed
+    # 9 spellings, one per field but the seed
     assert sorted(key for _, key in spellings) == sorted(
         f.name for f in fields(SolverConfig) if f.name != "seed")
-    # the profiles set all but lip_l, read only by lipschitz_mode =
-    # fixed: no profile selects the paper's fixed L any more, but it stays
-    # the reference that test_the_control_profile_measures_l_along_the_step
-    # measures the shipped rule against (ROADMAP item 14 asks whether it
-    # stays)
-    assert solver_reads == spellings - {("algorithm", "lip_l")}
+    assert len(spellings) == 9
+    # and the profiles set every one
+    assert solver_reads == spellings

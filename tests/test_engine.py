@@ -43,7 +43,8 @@ def _identity_problem():
 
 def _circle_problem():
     """min x_1 s.t. x_1^2 + x_2^2 = 1; nonlinear constraint, zero
-    objective curvature."""
+    objective curvature, so any L > 0 bounds it; Gamma = 2 is the
+    Lipschitz constant of J(x) = 2x'."""
     return Problem(
         name="circle", n=2, m=1,
         eval_f=lambda x: float(x[0]),
@@ -52,7 +53,7 @@ def _circle_problem():
         eval_jacobian=lambda x: make_sparse([[2.0 * x[0], 2.0 * x[1]]]),
         eval_lagrangian_hessian=lambda x, y:
             SparseMatrix.diagonal(np.full(2, 2.0 * y[0])),
-        x0=np.array([0.0, 1.0]))
+        x0=np.array([0.0, 1.0]), lipschitz=(1e-8, 2.0))
 
 
 def test_merit_and_model_reduction_values():
@@ -489,9 +490,9 @@ def test_circle_problem_first_iteration_hand_checked():
     # start (0, 1) is feasible but not stationary; the Lagrangian
     # Hessian vanishes at y = 0, so the tangential system is singular
     # and the ladder must escalate once before a candidate passes; Gamma
-    # = 2 is the Lipschitz constant of J(x) = 2x'
+    # = 2 is the problem's
     problem = _circle_problem()
-    cfg = SolverConfig(lip_gamma=2.0)
+    cfg = SolverConfig()
     state = init_state(problem, cfg)
     oracle = GradientOracle("exact")
     next_state, step = sqp_iterate(state, problem, oracle, cfg)
@@ -557,9 +558,7 @@ def test_failed_iteration_diagnostics_match_raw_arrays(monkeypatch):
 
 def test_iterate_monotone_merit_on_qp():
     problem = build_synthetic_qp(SyntheticQpSpec(n=8, m=3, seed=2))
-    lip_l, lip_gamma = problem.lipschitz
-    cfg = SolverConfig(lipschitz_mode="fixed", lip_l=lip_l,
-                       lip_gamma=lip_gamma)
+    cfg = SolverConfig(lipschitz_mode="fixed")
     oracle = GradientOracle("exact")
     state = init_state(problem, cfg)
     feas0 = np.abs(state.c).max()

@@ -80,3 +80,25 @@ def test_small_fingerprint_matches_a_fresh_interpreter(tmp_path):
     changed["runs"].pop()
     with pytest.raises(ValueError, match="different lists of runs"):
         fingerprint.differences(here, changed)
+
+
+def _worktrees():
+    return subprocess.run(["git", "-C", str(ROOT), "worktree", "list",
+                           "--porcelain"], check=True, capture_output=True,
+                          text=True).stdout
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(),
+                    reason="needs the git repository of a source checkout")
+def test_fingerprint_at_a_revision_leaves_no_worktree():
+    # the revision's files are extracted, not checked out: git keeps no
+    # record of the temporary tree, which is gone afterwards
+    fingerprint = _load()
+    before = _worktrees()
+    theirs = fingerprint.fingerprint_at("HEAD", ["small"])
+    assert _worktrees() == before
+    package = Path(theirs["package"])
+    assert package.name == "sisqo" and package.parent.name == "src"
+    assert ROOT not in package.parents
+    assert not package.exists()
+    assert len(theirs["runs"]) == 4

@@ -16,7 +16,7 @@ import sisqo.engine
 import sisqo.kernels
 from sisqo.config import (apply_overrides, build_problem, build_solver_config,
                           harness_settings, load_config, oracle_settings)
-from sisqo.engine import SolverConfig
+from sisqo.engine import ConfigError, SolverConfig
 from sisqo.harness import (FAILED_STATUSES, ComparisonRecord, aggregate,
                            emit_results, load_results, resolve_output_path,
                            rank_iterate, run_budget_matched_pair, run_single,
@@ -53,9 +53,7 @@ def test_true_kkt_errors_at_known_solution():
 
 def test_run_single_exact_converges():
     problem = _qp()
-    lip_l, lip_gamma = problem.lipschitz
-    cfg = SolverConfig(lipschitz_mode="fixed", lip_l=lip_l,
-                       lip_gamma=lip_gamma, feasibility_tol=1e-8,
+    cfg = SolverConfig(lipschitz_mode="fixed", feasibility_tol=1e-8,
                        stationarity_tol=1e-6)
     record = run_single(problem, cfg, 0, oracle_kind="exact")
     assert record.status == "converged"
@@ -84,6 +82,35 @@ def test_run_single_finite_sum_oracle_needs_finite_sum_terms():
     # no finite-sum terms is refused by the oracle's own check
     with pytest.raises(ValueError, match="exposes no finite-sum terms"):
         run_single(_qp(), SolverConfig(), 0, oracle_kind="finite_sum")
+
+
+def test_fixed_l_on_a_problem_that_declares_none_is_a_config_error():
+    # fixed mode reads the problem's L: without one, neither a run nor a
+    # pair makes a single Problem call, whatever the oracle
+    calls = Counter()
+    problem = _qp()
+    # finite-sum terms, so that a finite-sum oracle's M_g would call them
+    fns = {name: getattr(problem, name) for name in (
+        "eval_f", "eval_grad_f", "eval_c", "eval_jacobian",
+        "eval_lagrangian_hessian")}
+    fns["eval_term_grad"] = lambda x, i, j: problem.eval_grad_f(x)
+    undeclared = dataclasses.replace(
+        problem, lipschitz=None, term_grid=2,
+        **{name: _tagged(fn, name, threading.local(), calls)
+           for name, fn in fns.items()})
+    cfg = SolverConfig(lipschitz_mode="fixed")
+    for kind in ("exact", "finite_sum"):
+        with pytest.raises(ConfigError, match="declares none"):
+            run_single(undeclared, cfg, 0, oracle_kind=kind)
+    with pytest.raises(ConfigError, match="declares none"):
+        run_budget_matched_pair(undeclared, cfg,
+                                dataclasses.replace(cfg, kappa=1e-7), 0,
+                                oracle_kind="exact")
+    assert calls == Counter()
+    # directional mode measures L and runs with Gamma = 0
+    record = run_single(undeclared, SolverConfig(), 0, oracle_kind="exact")
+    assert record.status == "converged"
+    assert calls["eval_f"] > 0
 
 
 def test_run_single_minres_budget():
@@ -497,7 +524,7 @@ def test_overflowing_tangential_rhs_ends_the_run_nonfinite():
                       eval_c=lambda x: x[:1] - 1.0,
                       eval_jacobian=lambda x: j,
                       eval_lagrangian_hessian=lambda x, y: h,
-                      x0=np.array([0.1, 0.0, 0.0]))
+                      x0=np.array([0.1, 0.0, 0.0]), lipschitz=(1.0, 0.0))
     record = run_single(problem, SolverConfig(lipschitz_mode="fixed"), 0,
                         oracle_kind="exact")
     assert record.status == "nonfinite"

@@ -1,6 +1,8 @@
 """Oracles, the Hessian ladder, the curvature along a step, and
 derivative validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,19 @@ def test_problem_shape_validation():
         Problem(name="bad", n=2, m=3, x0=np.zeros(2), **kwargs)
     with pytest.raises(ValueError, match="x0"):
         Problem(name="bad", n=2, m=1, x0=np.zeros(5), **kwargs)
+
+
+@pytest.mark.parametrize("lipschitz", [
+    (np.nan, 0.0), (-1.0, 0.0), (0.0, 0.0), (np.inf, 0.0),
+    (1.0, np.nan), (1.0, -1.0), (1.0, np.inf), (1.0,), (1.0, 0.0, 0.0),
+    1.0], ids=["L-nan", "L-negative", "L-zero", "L-inf", "Gamma-nan",
+               "Gamma-negative", "Gamma-inf", "one-value", "three-values",
+               "scalar"])
+def test_problem_rejects_a_bad_lipschitz(lipschitz):
+    # the step-size rule divides by tau L + Gamma and reads Gamma's
+    # normalization: both must be finite, L positive and Gamma at least 0
+    with pytest.raises(ValueError, match=r"lipschitz must be a pair"):
+        dataclasses.replace(_small_qp(), lipschitz=lipschitz)
 
 
 # -- gaussian oracle ----------------------------------------------------------
